@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{CrossingCitySplit, Dataset, PoiId, UserId};
 use st_eval::Scorer;
-use st_tensor::{Gradients, Matrix, Tape};
+use st_tensor::{Gradients, Tape};
 use st_transrec_core::{ModelConfig, STTransRec, Variant};
 
 /// PACE hyperparameters.
@@ -120,8 +120,7 @@ impl Pace {
             let av = tape.gather_param(poi_table, &a_rows);
             let bv = tape.gather_param(poi_table, &b_rows);
             let logits = tape.row_dot(av, bv);
-            let m = labels.len();
-            let loss = tape.bce_with_logits(logits, Matrix::from_vec(m, 1, labels));
+            let loss = tape.bce_with_logits(logits, &labels);
             tape.backward(loss, &mut grads);
         }
         self.inner.apply(&grads);

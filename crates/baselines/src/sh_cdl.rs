@@ -173,7 +173,7 @@ fn train_autoencoder(dataset: &Dataset, config: &ShCdlConfig, rng: &mut SmallRng
             let xv = tape.input(x.clone());
             let code = encoder.forward_train(&mut tape, xv, rng);
             let logits = decoder.forward_train(&mut tape, code, rng);
-            let loss = tape.bce_with_logits(logits, x);
+            let loss = tape.bce_with_logits(logits, x.as_slice());
             let mut grads = Gradients::zeros_like(&store);
             tape.backward(loss, &mut grads);
             opt.step(&mut store, &grads);

@@ -6,9 +6,11 @@
 //! `ST_BENCH_STEPS`).
 //!
 //! `--smoke` runs the tiny CI variant: same code paths on a small
-//! synthetic dataset, gated only on parameter finiteness and on the
-//! sparse path not losing to dense by more than 2x (tiny tables give
-//! sparse no asymptotic edge, so the smoke gate is deliberately loose).
+//! synthetic dataset, gated on parameter finiteness, on the sparse path
+//! not losing to dense by more than 2x (tiny tables give sparse no
+//! asymptotic edge, so that gate is deliberately loose), and — like the
+//! full run — on no worker's tape pool taking a miss or regrowing a
+//! buffer after the warm-up steps.
 //!
 //! Build with `--release`: a debug build measures nothing meaningful.
 
@@ -49,13 +51,15 @@ fn main() {
     );
     for m in &report.modes {
         eprintln!(
-            "  {:>6} workers={} shards={}  {:>9.3} ms/step  grad buffer {:>10} elems  finite={}",
+            "  {:>6} workers={} shards={}  {:>9.3} ms/step  grad buffer {:>10} elems  finite={}  pool {} B, {} misses after warm-up",
             m.mode,
             m.workers,
             m.optimizer_shards,
             m.per_step_ms,
             m.grad_buffer_elems,
-            m.params_finite
+            m.params_finite,
+            m.pool_bytes,
+            m.pool_misses_after_warmup
         );
     }
     let p = &report.parity;
@@ -65,8 +69,12 @@ fn main() {
     );
     let a = &report.acceptance;
     eprintln!(
-        "acceptance: sparse speedup {:.2}x, grad memory ratio {:.1}x, table/touched {:.0}x, finite={}",
-        a.best_sparse_speedup, a.grad_memory_ratio, a.table_rows_over_touched, a.all_params_finite
+        "acceptance: sparse speedup {:.2}x, grad memory ratio {:.1}x, table/touched {:.0}x, finite={}, pools steady={}",
+        a.best_sparse_speedup,
+        a.grad_memory_ratio,
+        a.table_rows_over_touched,
+        a.all_params_finite,
+        a.pools_steady
     );
 
     let text = report.to_json_string();
@@ -74,10 +82,15 @@ fn main() {
     eprintln!("wrote {}", out_path.display());
 
     let failed = if smoke {
-        // CI gate: never non-finite, and sparse must not lose by >2x.
-        !a.all_params_finite || a.best_sparse_speedup < 0.5 || !p.first_step_loss_equal
+        // CI gate: never non-finite, sparse must not lose by >2x, and no
+        // step after the warm-up may miss the tape pool or regrow a buffer.
+        !a.all_params_finite
+            || !a.pools_steady
+            || a.best_sparse_speedup < 0.5
+            || !p.first_step_loss_equal
     } else {
         !a.all_params_finite
+            || !a.pools_steady
             || a.best_sparse_speedup < 1.0
             || a.grad_memory_ratio < 10.0
             || a.table_rows_over_touched < 100.0

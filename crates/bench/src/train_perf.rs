@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit, Dataset};
-use st_tensor::GradSlot;
+use st_tensor::{GradSlot, PoolStats};
 use st_transrec_core::{ModelConfig, ParallelTrainer, STTransRec};
 use std::time::Instant;
 
@@ -109,6 +109,12 @@ pub struct TrainModeBench {
     pub grad_buffer_elems: usize,
     /// Whether all parameters stayed finite.
     pub params_finite: bool,
+    /// Tape-pool misses plus buffer regrowths over the timed steps, summed
+    /// over the workers' pools. The warm-up steps fill the pools; any
+    /// later miss means a step allocated matrix storage.
+    pub pool_misses_after_warmup: usize,
+    /// Bytes the workers' pools hold after the last step.
+    pub pool_bytes: usize,
 }
 
 json_object_impl!(TrainModeBench {
@@ -119,6 +125,8 @@ json_object_impl!(TrainModeBench {
     per_step_ms,
     grad_buffer_elems,
     params_finite,
+    pool_misses_after_warmup,
+    pool_bytes,
 });
 
 /// Lazy-sparse vs dense-oracle parity over a short sequential run.
@@ -158,6 +166,9 @@ pub struct TrainAcceptance {
     pub table_rows_over_touched: f64,
     /// Every benched mode kept parameters finite.
     pub all_params_finite: bool,
+    /// No benched mode took a tape-pool miss or regrew a pooled buffer
+    /// after its warm-up steps.
+    pub pools_steady: bool,
 }
 
 json_object_impl!(TrainAcceptance {
@@ -165,6 +176,7 @@ json_object_impl!(TrainAcceptance {
     grad_memory_ratio,
     table_rows_over_touched,
     all_params_finite,
+    pools_steady,
 });
 
 /// The full training-perf report written to `BENCH_PR3.json`.
@@ -249,11 +261,14 @@ fn bench_mode(
     for _ in 0..2 {
         trainer.train_step(&mut model, dataset, &mut rng);
     }
+    let pools = |trainer: &ParallelTrainer| -> PoolStats { trainer.pool_stats().into_iter().sum() };
+    let warmed = pools(&trainer);
     let start = Instant::now();
     for _ in 0..steps {
         trainer.train_step(&mut model, dataset, &mut rng);
     }
     let wall = start.elapsed();
+    let settled = pools(&trainer);
     TrainModeBench {
         mode: if sparse { "sparse" } else { "dense" }.to_string(),
         workers,
@@ -262,6 +277,9 @@ fn bench_mode(
         per_step_ms: wall.as_secs_f64() * 1e3 / steps as f64,
         grad_buffer_elems,
         params_finite: !model.params().has_non_finite(),
+        pool_misses_after_warmup: (settled.misses - warmed.misses)
+            + (settled.regrown - warmed.regrown),
+        pool_bytes: settled.pooled_bytes,
     }
 }
 
@@ -350,6 +368,7 @@ pub fn run_train_suite(opts: &TrainPerfOptions) -> TrainPerfReport {
         grad_memory_ratio: dense_elems as f64 / (sparse_elems.max(1)) as f64,
         table_rows_over_touched: table_rows as f64 / touched.max(1) as f64,
         all_params_finite: modes.iter().all(|m| m.params_finite),
+        pools_steady: modes.iter().all(|m| m.pool_misses_after_warmup == 0),
     };
     TrainPerfReport {
         schema: "st-transrec-train-perf/v1".to_string(),
@@ -375,6 +394,7 @@ mod tests {
         opts.worker_counts = vec![1];
         let report = run_train_suite(&opts);
         assert!(report.acceptance.all_params_finite);
+        assert!(report.acceptance.pools_steady);
         assert!(report.parity.first_step_loss_equal);
         assert!(report.touched_rows_per_step > 0);
         assert!(report.table_rows > 0);

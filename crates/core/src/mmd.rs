@@ -108,14 +108,12 @@ fn split_even_odd_rows(tape: &mut Tape<'_>, x: Var, m: usize) -> (Var, Var) {
     // 0/1 matrices and matmul (differentiable, and m is small).
     let cols = tape.value(x).rows();
     let half = m / 2;
-    let mut sel_even = Matrix::zeros(half, cols);
-    let mut sel_odd = Matrix::zeros(half, cols);
-    for i in 0..half {
-        sel_even.set(i, 2 * i, 1.0);
-        sel_odd.set(i, 2 * i + 1, 1.0);
-    }
-    let se = tape.input(sel_even);
-    let so = tape.input(sel_odd);
+    let se = tape.input_with(half, cols, |sel| {
+        (0..half).for_each(|i| sel.set(i, 2 * i, 1.0))
+    });
+    let so = tape.input_with(half, cols, |sel| {
+        (0..half).for_each(|i| sel.set(i, 2 * i + 1, 1.0))
+    });
     (tape.matmul(se, x), tape.matmul(so, x))
 }
 

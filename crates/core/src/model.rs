@@ -21,7 +21,8 @@ use rand::{Rng, SeedableRng};
 use st_data::{CityId, CrossingCitySplit, Dataset, PoiId, TextualContextGraph, UserId};
 use st_eval::Scorer;
 use st_tensor::{
-    Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, ParamStore, Tape,
+    Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, ParamStore,
+    PoolStats, Tape,
 };
 
 /// Loss values of one training step (zero for disabled terms).
@@ -59,6 +60,10 @@ pub struct EpochStats {
     pub losses: StepLosses,
     /// Steps taken.
     pub steps: usize,
+    /// The tape buffer pool(s) at the end of the epoch, counters since
+    /// the model (or trainer) was built: in a healthy run `misses` stops
+    /// moving after the first step and `pooled_bytes` stays flat.
+    pub pool: PoolStats,
 }
 
 /// The trained model.
@@ -80,8 +85,10 @@ pub struct STTransRec {
     rng: SmallRng,
     steps_per_epoch: usize,
     history: Vec<EpochStats>,
-    /// Buffer pool carried across training steps; in steady state the
-    /// per-step tape allocates nothing.
+    /// Buffer pool carried across training steps: each step's tape takes
+    /// every matrix it needs from it and gives every one back, so from
+    /// the second step on the tape allocates nothing and the pool stops
+    /// growing.
     pool: MatrixPool,
     /// Gradient buffer carried across [`STTransRec::train_step`] calls;
     /// cleared (storage retained) after each apply.
@@ -248,6 +255,12 @@ impl STTransRec {
         &self.store
     }
 
+    /// What the carried tape buffer pool has done and holds (see
+    /// [`PoolStats`]) — an observation, not a setting.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.pool_stats()
+    }
+
     /// Number of optimizer steps per epoch.
     pub fn steps_per_epoch(&self) -> usize {
         self.steps_per_epoch
@@ -281,10 +294,11 @@ impl STTransRec {
         self.accumulate_step_with_pool(dataset, grads, rng, &mut pool)
     }
 
-    /// As [`STTransRec::accumulate_step`], drawing all tape intermediates
-    /// from `pool` and returning the (grown) pool through it. Callers that
-    /// keep the pool across steps — [`STTransRec::train_step`], the
-    /// parallel trainer's workers — reach an allocation-free steady state.
+    /// As [`STTransRec::accumulate_step`], with the step's tape drawing
+    /// every matrix from `pool` and handing every one back to it. Callers
+    /// that keep the pool across steps — [`STTransRec::train_step`], the
+    /// parallel trainer's workers — take no pool miss after the first
+    /// step, and the pool stops growing there.
     pub fn accumulate_step_with_pool(
         &self,
         dataset: &Dataset,
@@ -294,33 +308,35 @@ impl STTransRec {
     ) -> StepLosses {
         let cfg = &self.config;
         let mut losses = StepLosses::default();
-        let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-        let mut roots: Vec<(st_tensor::Var, f32)> = Vec::with_capacity(5);
+        // One tape per loss term: forward, backward, buffers back to the
+        // pool. The pool then holds the widest *term*, not the sum of all
+        // five. Sampling and dropout draw from `rng` in the order a single
+        // shared tape would see (backward passes draw nothing), and the
+        // terms' gradients land in `grads` in the same order.
 
         // L_I^s and L_I^t.
         for (sampler, slot) in [
-            (&self.source_sampler, 0usize),
-            (&self.target_sampler, 1usize),
+            (&self.source_sampler, &mut losses.interaction_source),
+            (&self.target_sampler, &mut losses.interaction_target),
         ] {
             if sampler.is_empty() {
                 continue;
             }
             let batch = sampler.sample_batch(dataset, cfg.batch_size, cfg.negatives, rng);
+            let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
             let loss = self.interaction_loss(&mut tape, &batch, rng);
-            let v = tape.value(loss).item();
-            if slot == 0 {
-                losses.interaction_source = v;
-            } else {
-                losses.interaction_target = v;
-            }
-            roots.push((loss, 1.0));
+            *slot = finish_term(tape, loss, 1.0, grads, pool);
         }
 
         // L_Gvw^s and L_Gvw^t.
         if cfg.use_text() {
-            for (graph, slot) in [(&self.source_graph, 0usize), (&self.target_graph, 1usize)] {
+            for (graph, slot) in [
+                (&self.source_graph, &mut losses.context_source),
+                (&self.target_graph, &mut losses.context_target),
+            ] {
                 let Some(graph) = graph else { continue };
                 let batch = graph.sample_batch(cfg.context_batch, cfg.context_negatives, rng);
+                let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
                 let loss = skipgram_loss(
                     &mut tape,
                     self.poi_emb.table(),
@@ -328,13 +344,7 @@ impl STTransRec {
                     graph,
                     &batch,
                 );
-                let v = tape.value(loss).item();
-                if slot == 0 {
-                    losses.context_source = v;
-                } else {
-                    losses.context_target = v;
-                }
-                roots.push((loss, 1.0));
+                *slot = finish_term(tape, loss, 1.0, grads, pool);
             }
         }
 
@@ -351,18 +361,13 @@ impl STTransRec {
                     .into_iter()
                     .map(PoiId::idx)
                     .collect();
+                let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
                 let se = tape.gather_param(self.poi_emb.table(), &src_pois);
                 let te = tape.gather_param(self.poi_emb.table(), &tgt_pois);
                 let loss = mmd_loss(&mut tape, se, te, cfg.mmd_sigma, cfg.mmd_estimator);
-                losses.mmd = tape.value(loss).item();
-                roots.push((loss, cfg.lambda));
+                losses.mmd = finish_term(tape, loss, cfg.lambda, grads, pool);
             }
         }
-
-        for (root, weight) in roots {
-            tape.backward_scaled(root, weight, grads);
-        }
-        *pool = tape.into_pool();
         losses
     }
 
@@ -402,12 +407,9 @@ impl STTransRec {
         assert!(!batch.is_empty(), "empty incremental batch");
         let mut grads = std::mem::take(&mut self.grads);
         let mut rng = SmallRng::seed_from_u64(self.rng.gen());
-        let pool = std::mem::take(&mut self.pool);
-        let mut tape = Tape::with_pool(&self.store, pool);
+        let mut tape = Tape::with_pool(&self.store, std::mem::take(&mut self.pool));
         let loss = self.interaction_loss(&mut tape, batch, &mut rng);
-        let loss_value = tape.value(loss).item();
-        tape.backward_scaled(loss, 1.0, &mut grads);
-        self.pool = tape.into_pool();
+        let loss_value = finish_term(tape, loss, 1.0, &mut grads, &mut self.pool);
         self.apply(&grads);
         grads.clear();
         self.grads = grads;
@@ -443,6 +445,7 @@ impl STTransRec {
                 mmd: sum.mmd / n,
             },
             steps,
+            pool: self.pool_stats(),
         };
         self.history.push(stats.clone());
         stats
@@ -473,11 +476,7 @@ impl STTransRec {
             x = tape.dropout(x, self.config.dropout, rng);
         }
         let logits = self.tower.forward_train(tape, x, rng);
-        let n = batch.labels.len();
-        tape.bce_with_logits(
-            logits,
-            st_tensor::Matrix::from_vec(n, 1, batch.labels.clone()),
-        )
+        tape.bce_with_logits(logits, &batch.labels)
     }
 
     /// Predicted interaction probabilities for `(user, poi)` pairs given
@@ -585,6 +584,22 @@ impl STTransRec {
         }
         Ok(())
     }
+}
+
+/// Closes one loss term's tape: reads the loss value, differentiates
+/// `weight * loss` into `grads`, and hands the tape's buffers back to
+/// `pool`.
+fn finish_term(
+    tape: Tape<'_>,
+    loss: st_tensor::Var,
+    weight: f32,
+    grads: &mut Gradients,
+    pool: &mut MatrixPool,
+) -> f32 {
+    let value = tape.value(loss).item();
+    tape.backward_scaled(loss, weight, grads);
+    *pool = tape.into_pool();
+    value
 }
 
 impl Scorer for STTransRec {

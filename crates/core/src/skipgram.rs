@@ -7,7 +7,7 @@
 //! toward similar embeddings.
 
 use st_data::{ContextSample, PoiId, TextualContextGraph};
-use st_tensor::{Matrix, ParamId, Tape, Var};
+use st_tensor::{ParamId, Tape, Var};
 
 /// Builds the skipgram loss for a batch of context samples.
 ///
@@ -26,9 +26,10 @@ pub fn skipgram_loss(
 ) -> Var {
     assert!(!batch.is_empty(), "empty skipgram batch");
     // One row per (poi, word) pair: the positive then its negatives.
-    let mut poi_rows: Vec<usize> = Vec::with_capacity(batch.len() * 4);
-    let mut word_rows: Vec<usize> = Vec::with_capacity(batch.len() * 4);
-    let mut targets: Vec<f32> = Vec::with_capacity(batch.len() * 4);
+    let pairs: usize = batch.iter().map(|s| 1 + s.negatives.len()).sum();
+    let mut poi_rows: Vec<usize> = Vec::with_capacity(pairs);
+    let mut word_rows: Vec<usize> = Vec::with_capacity(pairs);
+    let mut targets: Vec<f32> = Vec::with_capacity(pairs);
     for s in batch {
         let poi: PoiId = graph.pois()[s.poi_index];
         poi_rows.push(poi.idx());
@@ -43,8 +44,7 @@ pub fn skipgram_loss(
     let pois = tape.gather_param(poi_table, &poi_rows);
     let words = tape.gather_param(word_table, &word_rows);
     let logits = tape.row_dot(pois, words);
-    let n = targets.len();
-    tape.bce_with_logits(logits, Matrix::from_vec(n, 1, targets))
+    tape.bce_with_logits(logits, &targets)
 }
 
 #[cfg(test)]

@@ -8,17 +8,17 @@
 //!
 //! The trainer is stateful: it keeps one [`MatrixPool`] and one
 //! [`Gradients`] buffer per worker across steps and epochs, so after the
-//! first step the hot loop neither allocates tape intermediates nor
-//! zero-fills gradient storage. Worker results are combined with
-//! [`Gradients::merge_from`], which **moves** slots instead of cloning —
-//! with row-sparse buffers the merge cost is O(touched rows), never
-//! O(table).
+//! first step no worker's tape allocates a matrix, no worker pool grows,
+//! and gradient storage is not zero-filled again. Worker results are
+//! combined with [`Gradients::merge_from`], which **moves** slots instead
+//! of cloning — with row-sparse buffers the merge cost is O(touched
+//! rows), never O(table).
 
 use crate::model::{EpochStats, STTransRec, StepLosses};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::Dataset;
-use st_tensor::{Gradients, MatrixPool};
+use st_tensor::{Gradients, MatrixPool, PoolStats};
 use std::time::{Duration, Instant};
 
 /// Data-parallel trainer over `workers` threads.
@@ -47,6 +47,12 @@ impl ParallelTrainer {
     /// Worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// What each worker's tape buffer pool has done and holds, in worker
+    /// order.
+    pub fn pool_stats(&self) -> Vec<PoolStats> {
+        self.pools.iter().map(MatrixPool::pool_stats).collect()
     }
 
     /// Primes the per-worker gradient buffers for `model` (the buffers
@@ -155,6 +161,7 @@ impl ParallelTrainer {
                 mmd: sum.mmd / n,
             },
             steps,
+            pool: self.pool_stats().into_iter().sum(),
         };
         TimedEpoch { stats, wall }
     }
@@ -254,6 +261,30 @@ mod tests {
             after <= warmed * 2,
             "gradient buffers kept reallocating: {warmed} -> {after}"
         );
+    }
+
+    #[test]
+    fn worker_pools_stay_flat_after_the_first_step() {
+        let (d, split) = setup();
+        let mut m = STTransRec::new(&d, &split, ModelConfig::test_small());
+        let mut trainer = ParallelTrainer::new(2);
+        let mut rng = SmallRng::seed_from_u64(0);
+        trainer.train_step(&mut m, &d, &mut rng);
+        let settled = trainer.pool_stats();
+        assert_eq!(settled.len(), 2);
+        assert!(settled.iter().all(|p| p.misses > 0 && p.pooled_bytes > 0));
+        for step in 2..=30 {
+            trainer.train_step(&mut m, &d, &mut rng);
+            for (worker, (now, then)) in trainer.pool_stats().iter().zip(&settled).enumerate() {
+                assert_eq!(
+                    now.misses, then.misses,
+                    "worker {worker} missed at step {step}"
+                );
+                assert_eq!(now.regrown, 0);
+                assert_eq!(now.pooled, then.pooled, "worker {worker} pool len moved");
+                assert_eq!(now.pooled_bytes, then.pooled_bytes);
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub struct IncrementalTrainer {
     /// Per-user visited POIs, sorted for binary-search membership.
     visited: Vec<Vec<PoiId>>,
     rng: SmallRng,
+    /// The current micro-batch; refilled in place by every
+    /// [`IncrementalTrainer::build_batch`], so an always-on trainer does
+    /// not allocate three index vectors per micro-batch.
+    batch: InteractionBatch,
 }
 
 impl IncrementalTrainer {
@@ -60,6 +64,11 @@ impl IncrementalTrainer {
             negatives,
             visited,
             rng: SmallRng::seed_from_u64(seed),
+            batch: InteractionBatch {
+                users: Vec::new(),
+                pois: Vec::new(),
+                labels: Vec::new(),
+            },
         }
     }
 
@@ -70,14 +79,14 @@ impl IncrementalTrainer {
     }
 
     /// Expands events into positives + unvisited same-city negatives and
-    /// folds the events into the visit history. Public mainly so tests
+    /// folds the events into the visit history. The batch lives in the
+    /// trainer and is overwritten by the next call. Public mainly so tests
     /// and tools can audit exactly what a step would train on.
-    pub fn build_batch(&mut self, dataset: &Dataset, events: &[Checkin]) -> InteractionBatch {
-        let mut batch = InteractionBatch {
-            users: Vec::with_capacity(events.len() * (1 + self.negatives)),
-            pois: Vec::with_capacity(events.len() * (1 + self.negatives)),
-            labels: Vec::with_capacity(events.len() * (1 + self.negatives)),
-        };
+    pub fn build_batch(&mut self, dataset: &Dataset, events: &[Checkin]) -> &InteractionBatch {
+        let batch = &mut self.batch;
+        batch.users.clear();
+        batch.pois.clear();
+        batch.labels.clear();
         for event in events {
             let user = event.user.idx();
             batch.users.push(user);
@@ -109,7 +118,7 @@ impl IncrementalTrainer {
                 visited.insert(pos, event.poi);
             }
         }
-        batch
+        &self.batch
     }
 
     /// Trains `model` on one micro-batch of streamed events.
@@ -122,7 +131,7 @@ impl IncrementalTrainer {
         assert!(!events.is_empty(), "empty micro-batch");
         let batch = self.build_batch(dataset, events);
         let examples = batch.len();
-        let loss = model.train_on_interactions(&batch);
+        let loss = model.train_on_interactions(batch);
         MicroBatchStats {
             events: events.len(),
             examples,
@@ -170,6 +179,39 @@ mod tests {
         for e in &probe {
             assert!(trainer.has_visited(e.user, e.poi));
         }
+    }
+
+    /// The always-on path must not grow: from the second micro-batch on
+    /// the model's tape pool takes no miss and holds the same buffers and
+    /// bytes, however long the stream runs. (48 events x 5 examples keeps
+    /// every tape shape well inside one capacity class.)
+    #[test]
+    fn pool_stays_flat_over_300_micro_batches() {
+        let (d, split) = setup();
+        let mut model = STTransRec::new(&d, &split, ModelConfig::test_small());
+        let mut trainer = IncrementalTrainer::new(&d, 4, 5);
+        let mut stream = CheckinStream::new(&d, 5);
+
+        let mut settled = st_tensor::PoolStats::default();
+        for batch in 1..=300 {
+            let stats = trainer.ingest(&mut model, &d, &stream.next_batch(48));
+            assert!(stats.loss.is_finite());
+            assert!(
+                (129..=256).contains(&stats.examples),
+                "batch {batch}: {} examples left the capacity class the test relies on",
+                stats.examples
+            );
+            let pool = model.pool_stats();
+            assert_eq!(pool.regrown, 0);
+            if batch == 2 {
+                settled = pool;
+            } else if batch > 2 {
+                assert_eq!(pool.misses, settled.misses, "batch {batch} missed");
+                assert_eq!(pool.pooled, settled.pooled, "batch {batch} moved len()");
+                assert_eq!(pool.pooled_bytes, settled.pooled_bytes);
+            }
+        }
+        assert!(model.pool_stats().hits > 300);
     }
 
     #[test]

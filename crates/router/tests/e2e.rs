@@ -293,7 +293,7 @@ fn backend_deadline_sheds_relay_without_tripping_the_breaker() {
         },
         ..ServeConfig::default()
     };
-    let mut fx = FleetFixture::start("shed-breaker", 2, config);
+    let fx = FleetFixture::start("shed-breaker", 2, config);
     let victim = 0usize;
     let users = fx.users_owned_by(victim, BREAKER_THRESHOLD as usize);
     let router_addr = fx.router_addr();

@@ -199,7 +199,11 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
     fx.probe_down();
     let paused = client.post("/admin/reload").expect("rollout rpc");
     assert_eq!(paused.status, 503, "body: {}", paused.body);
-    assert!(paused.body.contains("\"completed\":false"), "{}", paused.body);
+    assert!(
+        paused.body.contains("\"completed\":false"),
+        "{}",
+        paused.body
+    );
     assert!(
         paused.body.contains("{\"replica\":0,\"model_epoch\":2}"),
         "shard 0 upgraded before the pause: {}",
@@ -252,7 +256,9 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
     let metrics = client.get("/metrics").expect("metrics");
     assert!(metrics.body.contains("st_router_rollouts_started_total 1"));
     assert!(metrics.body.contains("st_router_rollouts_resumed_total 2"));
-    assert!(metrics.body.contains("st_router_rollouts_completed_total 1"));
+    assert!(metrics
+        .body
+        .contains("st_router_rollouts_completed_total 1"));
 
     fx.shutdown();
 }

@@ -203,7 +203,7 @@ mod tests {
         let targets = Matrix::column(&[1.0, 0.0, 1.0, 1.0, 0.0]);
         assert_gradients_close(&mut store, EPS, TOL, move |tape| {
             let z = tape.param(p);
-            tape.bce_with_logits(z, targets.clone())
+            tape.bce_with_logits(z, targets.as_slice())
         });
     }
 
@@ -238,7 +238,7 @@ mod tests {
         assert_gradients_close(&mut store, EPS, TOL, move |tape| {
             let xv = tape.input(x.clone());
             let z = mlp.forward_inference(tape, xv);
-            tape.bce_with_logits(z, t.clone())
+            tape.bce_with_logits(z, t.as_slice())
         });
     }
 }

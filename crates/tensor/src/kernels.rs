@@ -270,15 +270,14 @@ pub fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize)
     }
 }
 
-/// Squared L2 norm of each length-`k` row of `a` (`m` rows).
-pub fn row_sq_norms(a: &[f32], m: usize, k: usize) -> Vec<f32> {
+/// Appends the squared L2 norm of each length-`k` row of `a` (`m` rows)
+/// to `out`.
+pub fn row_sq_norms_into(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     debug_assert_eq!(a.len(), m * k);
-    (0..m)
-        .map(|i| {
-            let row = &a[i * k..(i + 1) * k];
-            row.iter().map(|x| x * x).sum()
-        })
-        .collect()
+    out.extend((0..m).map(|i| {
+        let row = &a[i * k..(i + 1) * k];
+        row.iter().map(|x| x * x).sum::<f32>()
+    }));
 }
 
 #[cfg(test)]
@@ -351,6 +350,8 @@ mod tests {
     #[test]
     fn row_sq_norms_match_manual() {
         let a = vec![3.0, 4.0, 0.0, 1.0, 2.0, 2.0];
-        assert_eq!(row_sq_norms(&a, 2, 3), vec![25.0, 9.0]);
+        let mut norms = Vec::new();
+        row_sq_norms_into(&a, 2, 3, &mut norms);
+        assert_eq!(norms, vec![25.0, 9.0]);
     }
 }

@@ -39,7 +39,7 @@
 //!     let mut tape = Tape::new(&store);
 //!     let xv = tape.input(x.clone());
 //!     let logits = mlp.forward_train(&mut tape, xv, &mut rng);
-//!     let loss = tape.bce_with_logits(logits, t.clone());
+//!     let loss = tape.bce_with_logits(logits, t.as_slice());
 //!     let mut grads = Gradients::zeros_like(&store);
 //!     tape.backward(loss, &mut grads);
 //!     opt.step(&mut store, &grads);
@@ -76,6 +76,6 @@ pub use nn::{Activation, Embedding, Linear, Mlp};
 pub use ops::stable_sigmoid;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{GradSlot, Gradients, ParamId, ParamStore, SparseRows};
-pub use pool::MatrixPool;
+pub use pool::{MatrixPool, PoolStats};
 pub use storage::{Bytes, Mmap, RowSource, StorageEncoding, TableStorage};
 pub use tape::{Tape, Var};

@@ -174,8 +174,22 @@ impl Matrix {
     /// Returns the transposed matrix (tiled kernel).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        kernels::transpose_blocked(&self.data, &mut out.data, self.rows, self.cols);
+        self.transpose_into(&mut out);
         out
+    }
+
+    /// [`Self::transpose`] writing into a caller-provided `cols x rows`
+    /// matrix (every element is overwritten).
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            out.shape(),
+            (self.cols, self.rows),
+            "transpose_into output shape mismatch"
+        );
+        kernels::transpose_blocked(&self.data, &mut out.data, self.rows, self.cols);
     }
 
     /// Reference transpose: the straightforward double loop, kept for
@@ -397,29 +411,57 @@ impl Matrix {
     /// # Panics
     /// Panics on any shape mismatch.
     pub fn pairwise_sq_dist_into(&self, other: &Matrix, out: &mut Matrix) {
+        let mut x_norms = Vec::with_capacity(self.rows);
+        self.row_sq_norms_into(&mut x_norms);
+        let mut y_norms = Vec::with_capacity(other.rows);
+        other.row_sq_norms_into(&mut y_norms);
+        self.pairwise_sq_dist_with_norms_into(other, &x_norms, &y_norms, out);
+    }
+
+    /// [`Self::pairwise_sq_dist_into`] given the squared row norms of both
+    /// operands (from [`Self::row_sq_norms_into`]), so a caller that owns
+    /// scratch buffers allocates nothing here.
+    ///
+    /// # Panics
+    /// Panics on any shape mismatch.
+    pub fn pairwise_sq_dist_with_norms_into(
+        &self,
+        other: &Matrix,
+        x_norms: &[f32],
+        y_norms: &[f32],
+        out: &mut Matrix,
+    ) {
         assert_eq!(
             self.cols, other.cols,
             "pairwise_sq_dist width mismatch: {}x{} vs {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let x_norms = kernels::row_sq_norms(&self.data, self.rows, self.cols);
-        let y_norms = kernels::row_sq_norms(&other.data, other.rows, other.cols);
+        assert_eq!(x_norms.len(), self.rows, "x_norms length mismatch");
+        assert_eq!(y_norms.len(), other.rows, "y_norms length mismatch");
         self.matmul_transpose_b_into(other, out);
         for (i, &xn) in x_norms.iter().enumerate() {
             let row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            for (o, &yn) in row.iter_mut().zip(&y_norms) {
+            for (o, &yn) in row.iter_mut().zip(y_norms) {
                 *o = (xn + yn - 2.0 * *o).max(0.0);
             }
         }
     }
 
+    /// Appends the squared L2 norm of every row to `out`.
+    pub fn row_sq_norms_into(&self, out: &mut Vec<f32>) {
+        kernels::row_sq_norms_into(&self.data, self.rows, self.cols, out);
+    }
+
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut data = Vec::with_capacity(self.len());
+        self.map_into(f, &mut data);
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// Appends `f` of every element to `out`, in row-major order.
+    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Vec<f32>) {
+        out.extend(self.data.iter().map(|&x| f(x)));
     }
 
     /// Applies `f` to every element in place.
@@ -431,17 +473,19 @@ impl Matrix {
 
     /// Elementwise binary combination with a same-shaped matrix.
     pub fn zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        let mut data = Vec::with_capacity(self.len());
+        self.zip_into(other, f, &mut data);
+        Matrix::from_vec(self.rows, self.cols, data)
+    }
+
+    /// Appends `f(self[i], other[i])` for every element to `out`, in
+    /// row-major order.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn zip_into(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32, out: &mut Vec<f32>) {
         assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        out.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
     }
 
     /// Elementwise sum.
@@ -488,22 +532,39 @@ impl Matrix {
 
     /// Column vector (`rows x 1`) of per-row sums.
     pub fn sum_cols(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
-        out
+        let mut data = Vec::with_capacity(self.rows);
+        self.sum_cols_into(&mut data);
+        Matrix::from_vec(self.rows, 1, data)
+    }
+
+    /// Appends the sum of every row to `out`.
+    pub fn sum_cols_into(&self, out: &mut Vec<f32>) {
+        out.extend((0..self.rows).map(|r| self.row(r).iter().sum::<f32>()));
     }
 
     /// Row vector (`1 x cols`) of per-column sums.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Adds every row of `self` onto the `1 x cols` row vector `out`
+    /// (zero-filled for a plain sum).
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        assert_eq!(
+            out.shape(),
+            (1, self.cols),
+            "sum_rows_into output shape mismatch"
+        );
         for r in 0..self.rows {
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -521,28 +582,43 @@ impl Matrix {
     /// # Panics
     /// Panics if any index is out of bounds.
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        self.gather_rows_into(indices, &mut data);
+        Matrix::from_vec(indices.len(), self.cols, data)
+    }
+
+    /// Appends the `indices` rows to `out`, one after another.
+    ///
+    /// # Panics
+    /// Panics if any index is out of bounds.
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
+        for &src in indices {
             assert!(
                 src < self.rows,
                 "gather index {src} out of {} rows",
                 self.rows
             );
-            out.row_mut(dst).copy_from_slice(self.row(src));
+            out.extend_from_slice(self.row(src));
         }
-        out
     }
 
     /// Horizontal concatenation `[self | other]` (same row count).
     pub fn concat_cols(&self, other: &Matrix) -> Matrix {
+        let mut data = Vec::with_capacity(self.len() + other.len());
+        self.concat_cols_into(other, &mut data);
+        Matrix::from_vec(self.rows, self.cols + other.cols, data)
+    }
+
+    /// Appends the rows of `[self | other]` to `out`.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch.
+    pub fn concat_cols_into(&self, other: &Matrix, out: &mut Vec<f32>) {
         assert_eq!(self.rows, other.rows, "concat_cols row mismatch");
-        let cols = self.cols + other.cols;
-        let mut out = Matrix::zeros(self.rows, cols);
         for r in 0..self.rows {
-            out.data[r * cols..r * cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * cols + self.cols..(r + 1) * cols].copy_from_slice(other.row(r));
+            out.extend_from_slice(self.row(r));
+            out.extend_from_slice(other.row(r));
         }
-        out
     }
 
     /// Vertical concatenation (same column count).
@@ -583,17 +659,25 @@ impl Matrix {
 
     /// Rowwise dot products of two same-shaped matrices: `n x 1` output.
     pub fn row_dot(&self, other: &Matrix) -> Matrix {
+        let mut data = Vec::with_capacity(self.rows);
+        self.row_dot_into(other, &mut data);
+        Matrix::from_vec(self.rows, 1, data)
+    }
+
+    /// Appends the dot product of every pair of corresponding rows to
+    /// `out`.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn row_dot_into(&self, other: &Matrix, out: &mut Vec<f32>) {
         assert_eq!(self.shape(), other.shape(), "row_dot shape mismatch");
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self
-                .row(r)
+        out.extend((0..self.rows).map(|r| {
+            self.row(r)
                 .iter()
                 .zip(other.row(r))
                 .map(|(&a, &b)| a * b)
-                .sum();
-        }
-        out
+                .sum::<f32>()
+        }));
     }
 
     /// True if every pair of elements differs by at most `tol`.

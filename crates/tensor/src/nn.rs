@@ -380,7 +380,7 @@ mod tests {
             let mut tape = Tape::new(&store);
             let xv = tape.input(x.clone());
             let logits = mlp.forward_train(&mut tape, xv, &mut rng);
-            let loss = tape.bce_with_logits(logits, t.clone());
+            let loss = tape.bce_with_logits(logits, t.as_slice());
             final_loss = tape.value(loss).item();
             let mut grads = Gradients::zeros_like(&store);
             tape.backward(loss, &mut grads);

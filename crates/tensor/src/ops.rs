@@ -45,6 +45,20 @@ pub fn add_row_broadcast_assign(x: &mut Matrix, row: &Matrix) {
     }
 }
 
+/// Adds the `rows x 1` column `col` to every column of `x`, in place.
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn add_col_broadcast_assign(x: &mut Matrix, col: &Matrix) {
+    assert_eq!(col.cols(), 1, "broadcast operand must be rows x 1");
+    assert_eq!(col.rows(), x.rows(), "broadcast row mismatch");
+    for (r, &b) in col.as_slice().iter().enumerate() {
+        for o in x.row_mut(r) {
+            *o += b;
+        }
+    }
+}
+
 /// `max(0, x)` elementwise, in place.
 pub fn relu_assign(x: &mut Matrix) {
     x.map_inplace(|v| v.max(0.0));

@@ -6,6 +6,11 @@
 //! in reverse, accumulating parameter gradients into a
 //! [`Gradients`] buffer keyed by [`ParamId`].
 //!
+//! A tape owns the memory it computes with: every node value, mask,
+//! target, adjoint and delta is drawn from its [`MatrixPool`] and goes
+//! back to it (see [`crate::pool`] for the rule); dense parameter reads
+//! ([`Tape::param`]) borrow the store's matrix instead of copying it.
+//!
 //! Tapes borrow a [`ParamStore`] immutably, so building a step is:
 //!
 //! ```
@@ -145,17 +150,24 @@ enum Op {
     },
 }
 
-struct Node {
-    value: Matrix,
+/// A node's forward value: a pooled (or caller-built) matrix the tape
+/// owns, or a parameter it reads in place.
+enum Value<'s> {
+    Owned(Matrix),
+    Param(&'s Matrix),
+}
+
+struct Node<'s> {
+    value: Value<'s>,
     op: Op,
 }
 
 /// A single forward computation, differentiable in reverse.
 pub struct Tape<'s> {
     store: &'s ParamStore,
-    nodes: Vec<Node>,
-    /// Buffer pool serving forward matmuls and backward adjoints; in a
-    /// `RefCell` because [`Tape::backward`] runs on `&self`.
+    nodes: Vec<Node<'s>>,
+    /// Where every matrix this tape computes comes from and goes back
+    /// to; in a `RefCell` because [`Tape::backward`] runs on `&self`.
     pool: RefCell<MatrixPool>,
 }
 
@@ -165,11 +177,11 @@ impl<'s> Tape<'s> {
         Self::with_pool(store, MatrixPool::new())
     }
 
-    /// Starts a tape that draws intermediate buffers from `pool`.
+    /// Starts a tape that draws every buffer it needs from `pool`.
     ///
-    /// Recover the pool (grown by this tape's matrices) with
-    /// [`Tape::into_pool`] and hand it to the next step's tape; in steady
-    /// state a training loop then stops allocating entirely.
+    /// Recover the pool with [`Tape::into_pool`] and hand it to the next
+    /// step's tape: from the second step of a fixed-shape training loop
+    /// on, the tape allocates no matrix storage at all.
     pub fn with_pool(store: &'s ParamStore, pool: MatrixPool) -> Self {
         Self {
             store,
@@ -178,12 +190,14 @@ impl<'s> Tape<'s> {
         }
     }
 
-    /// Consumes the tape, releasing every recorded matrix into the pool
+    /// Consumes the tape, releasing every matrix it owns into the pool
     /// and returning it.
     pub fn into_pool(self) -> MatrixPool {
         let mut pool = self.pool.into_inner();
         for node in self.nodes {
-            pool.release(node.value);
+            if let Value::Owned(value) = node.value {
+                pool.release(value);
+            }
             match node.op {
                 Op::Dropout { mask, .. } => pool.release(mask),
                 Op::BceWithLogits { targets, .. } => pool.release(targets),
@@ -203,6 +217,71 @@ impl<'s> Tape<'s> {
         self.pool.borrow_mut().acquire_copy(src)
     }
 
+    /// A pooled `rows x cols` matrix that `fill` writes in one pass (it
+    /// must push exactly `rows * cols` elements).
+    fn alloc_with(&self, rows: usize, cols: usize, fill: impl FnOnce(&mut Vec<f32>)) -> Matrix {
+        self.pool.borrow_mut().acquire_with(rows, cols, fill)
+    }
+
+    /// A pooled `f(src)`, elementwise.
+    fn alloc_map(&self, src: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
+        self.alloc_with(src.rows(), src.cols(), |buf| src.map_into(f, buf))
+    }
+
+    /// A pooled `f(a, b)`, elementwise over same-shaped operands.
+    fn alloc_zip(&self, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        self.alloc_with(a.rows(), a.cols(), |buf| a.zip_into(b, f, buf))
+    }
+
+    /// A pooled `1 x 1` matrix.
+    fn alloc_scalar(&self, value: f32) -> Matrix {
+        self.alloc_with(1, 1, |buf| buf.push(value))
+    }
+
+    /// Pooled per-row sums of `m` (`rows x 1`).
+    fn alloc_sum_cols(&self, m: &Matrix) -> Matrix {
+        self.alloc_with(m.rows(), 1, |buf| m.sum_cols_into(buf))
+    }
+
+    /// Pooled per-column sums of `m` (`1 x cols`).
+    fn alloc_sum_rows(&self, m: &Matrix) -> Matrix {
+        let mut out = self.alloc(1, m.cols());
+        m.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Pooled transpose of `m`.
+    fn alloc_transpose(&self, m: &Matrix) -> Matrix {
+        let mut out = self.alloc(m.cols(), m.rows());
+        m.transpose_into(&mut out);
+        out
+    }
+
+    /// Pooled `m` with each row `r` multiplied by the scalar `col[r]`
+    /// (`RowDot`'s backward pass).
+    fn alloc_mul_col_broadcast(&self, m: &Matrix, col: &Matrix) -> Matrix {
+        debug_assert_eq!(col.shape(), (m.rows(), 1));
+        self.alloc_with(m.rows(), m.cols(), |buf| {
+            for (r, &c) in col.as_slice().iter().enumerate() {
+                buf.extend(m.row(r).iter().map(|&x| x * c));
+            }
+        })
+    }
+
+    /// `out += a^T * b`, exactly as [`Matrix::matmul_transpose_a_into`]
+    /// computes it (tiled transpose, then the packed matmul), with the
+    /// transposed copy of `a` taken from the pool instead of allocated
+    /// inside the kernel.
+    fn matmul_transpose_a_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        let at = self.alloc_transpose(a);
+        at.matmul_into(b, out);
+        self.release(at);
+    }
+
+    fn release(&self, m: Matrix) {
+        self.pool.borrow_mut().release(m);
+    }
+
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -215,24 +294,42 @@ impl<'s> Tape<'s> {
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        match &self.nodes[v.0].value {
+            Value::Owned(m) => m,
+            Value::Param(m) => m,
+        }
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
+        self.push_node(Value::Owned(value), op)
+    }
+
+    fn push_node(&mut self, value: Value<'s>, op: Op) -> Var {
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
     }
 
     // ---- sources -------------------------------------------------------
 
-    /// Records a constant input (no gradient).
+    /// Records a constant input (no gradient). The tape takes the
+    /// matrix over and releases its buffer into the pool with the rest.
     pub fn input(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Input)
     }
 
-    /// Records a dense read of parameter `pid`.
+    /// Records a constant `rows x cols` input built in place: `init`
+    /// receives a zero-filled pooled matrix and sets what is not zero.
+    pub fn input_with(&mut self, rows: usize, cols: usize, init: impl FnOnce(&mut Matrix)) -> Var {
+        let mut value = self.alloc(rows, cols);
+        init(&mut value);
+        self.push(value, Op::Input)
+    }
+
+    /// Records a dense read of parameter `pid`. The node borrows the
+    /// store's matrix for the tape's lifetime; nothing is copied.
     pub fn param(&mut self, pid: ParamId) -> Var {
-        self.push(self.store.get(pid).clone(), Op::Param(pid))
+        let store: &'s ParamStore = self.store;
+        self.push_node(Value::Param(store.get(pid)), Op::Param(pid))
     }
 
     /// Records an embedding lookup: rows `indices` of parameter `pid`.
@@ -240,7 +337,10 @@ impl<'s> Tape<'s> {
     /// The backward pass scatters gradient only into the touched rows,
     /// which keeps large embedding tables cheap to train.
     pub fn gather_param(&mut self, pid: ParamId, indices: &[usize]) -> Var {
-        let value = self.store.get(pid).gather_rows(indices);
+        let table = self.store.get(pid);
+        let value = self.alloc_with(indices.len(), table.cols(), |buf| {
+            table.gather_rows_into(indices, buf)
+        });
         self.push(
             value,
             Op::GatherParam {
@@ -271,37 +371,37 @@ impl<'s> Tape<'s> {
 
     /// Transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let value = self.value(a).transpose();
+        let value = self.alloc_transpose(self.value(a));
         self.push(value, Op::Transpose { a })
     }
 
     /// Elementwise sum of same-shaped operands.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).add(self.value(b));
+        let value = self.alloc_zip(self.value(a), self.value(b), |a, b| a + b);
         self.push(value, Op::Add { a, b })
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
+        let value = self.alloc_zip(self.value(a), self.value(b), |a, b| a - b);
         self.push(value, Op::Sub { a, b })
     }
 
     /// Elementwise product.
     pub fn mul_elem(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).mul_elem(self.value(b));
+        let value = self.alloc_zip(self.value(a), self.value(b), |a, b| a * b);
         self.push(value, Op::MulElem { a, b })
     }
 
     /// Scales all elements by the constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let value = self.value(a).scale(c);
+        let value = self.alloc_map(self.value(a), |x| x * c);
         self.push(value, Op::Scale { a, c })
     }
 
     /// Adds the constant `c` to all elements.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let value = self.value(a).map(|x| x + c);
+        let value = self.alloc_map(self.value(a), |x| x + c);
         self.push(value, Op::AddScalar { a })
     }
 
@@ -314,7 +414,8 @@ impl<'s> Tape<'s> {
 
     /// Adds an `n x 1` column vector to each column of an `n x m` matrix.
     pub fn add_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        let value = self.value(a).add_col_broadcast(self.value(col));
+        let mut value = self.alloc_copy(self.value(a));
+        ops::add_col_broadcast_assign(&mut value, self.value(col));
         self.push(value, Op::AddColBroadcast { a, col })
     }
 
@@ -343,13 +444,13 @@ impl<'s> Tape<'s> {
 
     /// `exp(x)` elementwise.
     pub fn exp(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::exp);
+        let value = self.alloc_map(self.value(a), f32::exp);
         self.push(value, Op::Exp { a })
     }
 
     /// `ln(x)` elementwise. Inputs must be positive.
     pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::ln);
+        let value = self.alloc_map(self.value(a), f32::ln);
         self.push(value, Op::Ln { a })
     }
 
@@ -357,13 +458,21 @@ impl<'s> Tape<'s> {
 
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).concat_cols(self.value(b));
+        let (av, bv) = (self.value(a), self.value(b));
+        let value = self.alloc_with(av.rows(), av.cols() + bv.cols(), |buf| {
+            av.concat_cols_into(bv, buf)
+        });
         self.push(value, Op::ConcatCols { a, b })
     }
 
     /// Vertical concatenation.
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).concat_rows(self.value(b));
+        let (av, bv) = (self.value(a), self.value(b));
+        assert_eq!(av.cols(), bv.cols(), "concat_rows col mismatch");
+        let value = self.alloc_with(av.rows() + bv.rows(), av.cols(), |buf| {
+            buf.extend_from_slice(av.as_slice());
+            buf.extend_from_slice(bv.as_slice());
+        });
         self.push(value, Op::ConcatRows { a, b })
     }
 
@@ -371,31 +480,32 @@ impl<'s> Tape<'s> {
 
     /// Sum of all elements, as a `1 x 1` matrix.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let value = Matrix::scalar(self.value(a).sum());
+        let value = self.alloc_scalar(self.value(a).sum());
         self.push(value, Op::SumAll { a })
     }
 
     /// Mean of all elements, as a `1 x 1` matrix.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = Matrix::scalar(self.value(a).mean());
+        let value = self.alloc_scalar(self.value(a).mean());
         self.push(value, Op::MeanAll { a })
     }
 
     /// Per-row sums (`n x 1`).
     pub fn sum_cols(&mut self, a: Var) -> Var {
-        let value = self.value(a).sum_cols();
+        let value = self.alloc_sum_cols(self.value(a));
         self.push(value, Op::SumCols { a })
     }
 
     /// Per-column sums (`1 x m`).
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let value = self.value(a).sum_rows();
+        let value = self.alloc_sum_rows(self.value(a));
         self.push(value, Op::SumRows { a })
     }
 
     /// Rowwise dot products of two same-shaped matrices (`n x 1`).
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).row_dot(self.value(b));
+        let (av, bv) = (self.value(a), self.value(b));
+        let value = self.alloc_with(av.rows(), 1, |buf| av.row_dot_into(bv, buf));
         self.push(value, Op::RowDot { a, b })
     }
 
@@ -404,7 +514,8 @@ impl<'s> Tape<'s> {
     /// Inverted dropout with keep-probability `1 - p`.
     ///
     /// At `p == 0.0` this is the identity (no node is recorded). Kept units
-    /// are scaled by `1/(1-p)` so inference needs no rescaling.
+    /// are scaled by `1/(1-p)` so inference needs no rescaling. One draw
+    /// per element, in row-major order.
     pub fn dropout(&mut self, a: Var, p: f32, rng: &mut impl Rng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
         if p == 0.0 {
@@ -413,32 +524,34 @@ impl<'s> Tape<'s> {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let (r, c) = self.value(a).shape();
-        let mut mask = Matrix::zeros(r, c);
-        for m in mask.as_mut_slice() {
-            if rng.gen::<f32>() < keep {
-                *m = scale;
-            }
+        // Mask and product are written together, one pass over `a`.
+        let (mut mask, mut value) = {
+            let mut pool = self.pool.borrow_mut();
+            (pool.acquire_buffer(r * c), pool.acquire_buffer(r * c))
+        };
+        for &x in self.value(a).as_slice() {
+            let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+            mask.push(m);
+            value.push(x * m);
         }
-        let value = self.value(a).mul_elem(&mask);
-        self.push(value, Op::Dropout { a, mask })
+        let mask = Matrix::from_vec(r, c, mask);
+        self.push(Matrix::from_vec(r, c, value), Op::Dropout { a, mask })
     }
 
-    /// Mean binary cross-entropy between `logits` and `targets`
-    /// (same shape), computed via the numerically stable form
-    /// `max(z,0) - z*t + ln(1 + e^{-|z|})`. Returns a `1 x 1` loss.
-    pub fn bce_with_logits(&mut self, logits: Var, targets: Matrix) -> Var {
-        assert_eq!(
-            self.value(logits).shape(),
-            targets.shape(),
-            "bce_with_logits shape mismatch"
-        );
-        assert!(!targets.is_empty(), "bce_with_logits on empty batch");
+    /// Mean binary cross-entropy between `logits` and `targets` (one
+    /// target per logit, in row-major order), computed via the
+    /// numerically stable form `max(z,0) - z*t + ln(1 + e^{-|z|})`.
+    /// Returns a `1 x 1` loss. The tape keeps its own copy of `targets`.
+    pub fn bce_with_logits(&mut self, logits: Var, targets: &[f32]) -> Var {
         let z = self.value(logits);
+        assert_eq!(z.len(), targets.len(), "bce_with_logits shape mismatch");
+        assert!(!targets.is_empty(), "bce_with_logits on empty batch");
         let mut total = 0.0f64;
-        for (&z, &t) in z.as_slice().iter().zip(targets.as_slice()) {
+        for (&z, &t) in z.as_slice().iter().zip(targets) {
             total += (z.max(0.0) - z * t + (-z.abs()).exp().ln_1p()) as f64;
         }
-        let value = Matrix::scalar((total / targets.len() as f64) as f32);
+        let value = self.alloc_scalar((total / targets.len() as f64) as f32);
+        let targets = self.alloc_with(z.rows(), z.cols(), |buf| buf.extend_from_slice(targets));
         self.push(value, Op::BceWithLogits { logits, targets })
     }
 
@@ -460,8 +573,13 @@ impl<'s> Tape<'s> {
     /// matrices are materialized or differentiated through.
     pub fn gaussian_kernel(&mut self, x: Var, y: Var, sigma: f32) -> Var {
         assert!(sigma > 0.0, "kernel bandwidth must be positive");
-        let mut k = self.alloc(self.value(x).rows(), self.value(y).rows());
-        self.value(x).pairwise_sq_dist_into(self.value(y), &mut k);
+        let (xv, yv) = (self.value(x), self.value(y));
+        let x_norms = self.alloc_with(xv.rows(), 1, |buf| xv.row_sq_norms_into(buf));
+        let y_norms = self.alloc_with(yv.rows(), 1, |buf| yv.row_sq_norms_into(buf));
+        let mut k = self.alloc(xv.rows(), yv.rows());
+        xv.pairwise_sq_dist_with_norms_into(yv, x_norms.as_slice(), y_norms.as_slice(), &mut k);
+        self.release(x_norms);
+        self.release(y_norms);
         let neg_inv = -1.0 / (2.0 * sigma * sigma);
         k.map_inplace(|d| (d * neg_inv).exp());
         self.push(k, Op::GaussianKernel { x, y, sigma })
@@ -514,14 +632,14 @@ impl<'s> Tape<'s> {
             "backward root must be a 1x1 scalar"
         );
         let mut adj: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        adj[loss.0] = Some(Matrix::scalar(seed));
+        adj[loss.0] = Some(self.alloc_scalar(seed));
 
         for i in (0..=loss.0).rev() {
             let Some(g) = adj[i].take() else { continue };
             self.accumulate_node(i, &g, &mut adj, grads);
             // The adjoint has been fully consumed; recycle its buffer for
             // the deltas of earlier nodes.
-            self.pool.borrow_mut().release(g);
+            self.release(g);
         }
     }
 
@@ -529,7 +647,7 @@ impl<'s> Tape<'s> {
         match &mut adj[v.0] {
             Some(g) => {
                 g.axpy(1.0, &delta);
-                self.pool.borrow_mut().release(delta);
+                self.release(delta);
             }
             slot @ None => *slot = Some(delta),
         }
@@ -537,8 +655,7 @@ impl<'s> Tape<'s> {
 
     /// Adds a constant-filled `r x c` delta to `v`'s adjoint (pooled).
     fn add_adj_full(&self, adj: &mut [Option<Matrix>], v: Var, r: usize, c: usize, val: f32) {
-        let mut m = self.alloc(r, c);
-        m.as_mut_slice().fill(val);
+        let m = self.alloc_with(r, c, |buf| buf.resize(r * c, val));
         self.add_adj(adj, v, m);
     }
 
@@ -550,7 +667,8 @@ impl<'s> Tape<'s> {
         grads: &mut Gradients,
     ) {
         let node = &self.nodes[i];
-        debug_assert_eq!(g.shape(), node.value.shape(), "adjoint shape mismatch");
+        let value = self.value(Var(i));
+        debug_assert_eq!(g.shape(), value.shape(), "adjoint shape mismatch");
         match &node.op {
             Op::Input => {}
             Op::Param(pid) => grads.accumulate(*pid, g),
@@ -565,74 +683,78 @@ impl<'s> Tape<'s> {
                 let mut da = self.alloc(av.rows(), av.cols());
                 g.matmul_transpose_b_into(bv, &mut da);
                 let mut db = self.alloc(bv.rows(), bv.cols());
-                av.matmul_transpose_a_into(g, &mut db);
+                self.matmul_transpose_a_into(av, g, &mut db);
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
             Op::MatMulNaive { a, b } => {
+                // Reference path: the naive kernels allocate their own
+                // results, which then pass through the pool as foreign
+                // buffers.
                 let da = g.matmul_transpose_b_naive(self.value(*b));
                 let db = self.value(*a).matmul_transpose_a_naive(g);
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
-            Op::Transpose { a } => self.add_adj(adj, *a, g.transpose()),
+            Op::Transpose { a } => self.add_adj(adj, *a, self.alloc_transpose(g)),
             Op::Add { a, b } => {
                 self.add_adj(adj, *a, self.alloc_copy(g));
                 self.add_adj(adj, *b, self.alloc_copy(g));
             }
             Op::Sub { a, b } => {
                 self.add_adj(adj, *a, self.alloc_copy(g));
-                self.add_adj(adj, *b, g.scale(-1.0));
+                self.add_adj(adj, *b, self.alloc_map(g, |x| -x));
             }
             Op::MulElem { a, b } => {
-                self.add_adj(adj, *a, g.mul_elem(self.value(*b)));
-                self.add_adj(adj, *b, g.mul_elem(self.value(*a)));
+                self.add_adj(adj, *a, self.alloc_zip(g, self.value(*b), |g, b| g * b));
+                self.add_adj(adj, *b, self.alloc_zip(g, self.value(*a), |g, a| g * a));
             }
-            Op::Scale { a, c } => self.add_adj(adj, *a, g.scale(*c)),
+            Op::Scale { a, c } => self.add_adj(adj, *a, self.alloc_map(g, |x| x * *c)),
             Op::AddScalar { a } => self.add_adj(adj, *a, self.alloc_copy(g)),
             Op::AddRowBroadcast { a, row } => {
                 self.add_adj(adj, *a, self.alloc_copy(g));
-                self.add_adj(adj, *row, g.sum_rows());
+                self.add_adj(adj, *row, self.alloc_sum_rows(g));
             }
             Op::AddColBroadcast { a, col } => {
                 self.add_adj(adj, *a, self.alloc_copy(g));
-                self.add_adj(adj, *col, g.sum_cols());
+                self.add_adj(adj, *col, self.alloc_sum_cols(g));
             }
             Op::Relu { a } => {
-                let da = g.zip(&node.value, |g, y| if y > 0.0 { g } else { 0.0 });
+                let da = self.alloc_zip(g, value, |g, y| if y > 0.0 { g } else { 0.0 });
                 self.add_adj(adj, *a, da);
             }
             Op::Sigmoid { a } => {
-                let da = g.zip(&node.value, |g, y| g * y * (1.0 - y));
+                let da = self.alloc_zip(g, value, |g, y| g * y * (1.0 - y));
                 self.add_adj(adj, *a, da);
             }
             Op::Tanh { a } => {
-                let da = g.zip(&node.value, |g, y| g * (1.0 - y * y));
+                let da = self.alloc_zip(g, value, |g, y| g * (1.0 - y * y));
                 self.add_adj(adj, *a, da);
             }
-            Op::Exp { a } => self.add_adj(adj, *a, g.mul_elem(&node.value)),
+            Op::Exp { a } => self.add_adj(adj, *a, self.alloc_zip(g, value, |g, y| g * y)),
             Op::Ln { a } => {
-                let da = g.zip(self.value(*a), |g, x| g / x);
+                let da = self.alloc_zip(g, self.value(*a), |g, x| g / x);
                 self.add_adj(adj, *a, da);
             }
             Op::ConcatCols { a, b } => {
                 let ca = self.value(*a).cols();
                 let cb = self.value(*b).cols();
                 let rows = g.rows();
-                let mut da = Matrix::zeros(rows, ca);
-                let mut db = Matrix::zeros(rows, cb);
-                for r in 0..rows {
-                    da.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                    db.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
-                }
+                let da = self.alloc_with(rows, ca, |buf| {
+                    (0..rows).for_each(|r| buf.extend_from_slice(&g.row(r)[..ca]))
+                });
+                let db = self.alloc_with(rows, cb, |buf| {
+                    (0..rows).for_each(|r| buf.extend_from_slice(&g.row(r)[ca..]))
+                });
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
             Op::ConcatRows { a, b } => {
                 let ra = self.value(*a).rows();
                 let cols = g.cols();
-                let da = Matrix::from_vec(ra, cols, g.as_slice()[..ra * cols].to_vec());
-                let db = Matrix::from_vec(g.rows() - ra, cols, g.as_slice()[ra * cols..].to_vec());
+                let (top, bottom) = g.as_slice().split_at(ra * cols);
+                let da = self.alloc_with(ra, cols, |buf| buf.extend_from_slice(top));
+                let db = self.alloc_with(g.rows() - ra, cols, |buf| buf.extend_from_slice(bottom));
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
@@ -647,31 +769,27 @@ impl<'s> Tape<'s> {
             }
             Op::SumCols { a } => {
                 let (r, c) = self.value(*a).shape();
-                let mut da = self.alloc(r, c);
-                for row in 0..r {
-                    let gr = g.as_slice()[row];
-                    for x in da.row_mut(row) {
-                        *x = gr;
+                let da = self.alloc_with(r, c, |buf| {
+                    for &gr in g.as_slice() {
+                        buf.resize(buf.len() + c, gr);
                     }
-                }
+                });
                 self.add_adj(adj, *a, da);
             }
             Op::SumRows { a } => {
                 let (r, c) = self.value(*a).shape();
-                let mut da = self.alloc(r, c);
-                for row in 0..r {
-                    da.row_mut(row).copy_from_slice(g.as_slice());
-                }
-                let _ = c;
+                let da = self.alloc_with(r, c, |buf| {
+                    (0..r).for_each(|_| buf.extend_from_slice(g.as_slice()))
+                });
                 self.add_adj(adj, *a, da);
             }
             Op::RowDot { a, b } => {
-                let da = self.value(*b).mul_col_broadcast(g);
-                let db = self.value(*a).mul_col_broadcast(g);
+                let da = self.alloc_mul_col_broadcast(self.value(*b), g);
+                let db = self.alloc_mul_col_broadcast(self.value(*a), g);
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
-            Op::Dropout { a, mask } => self.add_adj(adj, *a, g.mul_elem(mask)),
+            Op::Dropout { a, mask } => self.add_adj(adj, *a, self.alloc_zip(g, mask, |g, m| g * m)),
             Op::GaussianKernel { x, y, sigma } => {
                 // K_ij = exp(-||x_i - y_j||^2 / (2 s^2)); with W = g . K
                 // (elementwise),
@@ -681,11 +799,11 @@ impl<'s> Tape<'s> {
                 // partials, which is exactly the repeated-argument rule.
                 let inv = 1.0 / (sigma * sigma);
                 let (xv, yv) = (self.value(*x), self.value(*y));
-                let w = g.mul_elem(&node.value); // n x m
+                let w = self.alloc_zip(g, value, |g, k| g * k); // n x m
 
                 let mut dx = self.alloc(xv.rows(), xv.cols());
                 w.matmul_into(yv, &mut dx);
-                let w_row_sums = w.sum_cols(); // n x 1
+                let w_row_sums = self.alloc_sum_cols(&w); // n x 1
                 for r in 0..dx.rows() {
                     let s = w_row_sums.as_slice()[r];
                     for (o, &xe) in dx.row_mut(r).iter_mut().zip(xv.row(r)) {
@@ -694,8 +812,8 @@ impl<'s> Tape<'s> {
                 }
 
                 let mut dy = self.alloc(yv.rows(), yv.cols());
-                w.matmul_transpose_a_into(xv, &mut dy);
-                let w_col_sums = w.sum_rows(); // 1 x m
+                self.matmul_transpose_a_into(&w, xv, &mut dy);
+                let w_col_sums = self.alloc_sum_rows(&w); // 1 x m
                 for r in 0..dy.rows() {
                     let s = w_col_sums.as_slice()[r];
                     for (o, &ye) in dy.row_mut(r).iter_mut().zip(yv.row(r)) {
@@ -705,34 +823,19 @@ impl<'s> Tape<'s> {
 
                 self.add_adj(adj, *x, dx);
                 self.add_adj(adj, *y, dy);
-                self.pool.borrow_mut().release(w);
+                self.release(w_row_sums);
+                self.release(w_col_sums);
+                self.release(w);
             }
             Op::BceWithLogits { logits, targets } => {
                 let n = targets.len() as f32;
                 let seed = g.item();
-                let da = self
-                    .value(*logits)
-                    .zip(targets, |z, t| seed * (stable_sigmoid(z) - t) / n);
+                let da = self.alloc_zip(self.value(*logits), targets, |z, t| {
+                    seed * (stable_sigmoid(z) - t) / n
+                });
                 self.add_adj(adj, *logits, da);
             }
         }
-    }
-}
-
-impl Matrix {
-    /// Multiplies each row `r` by the scalar `col[r]` (used by `RowDot`'s
-    /// backward pass; lives here to reuse the buffer layout).
-    fn mul_col_broadcast(&self, col: &Matrix) -> Matrix {
-        debug_assert_eq!(col.cols(), 1);
-        debug_assert_eq!(col.rows(), self.rows());
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            let c = col.as_slice()[r];
-            for x in out.row_mut(r) {
-                *x *= c;
-            }
-        }
-        out
     }
 }
 
@@ -815,7 +918,7 @@ mod tests {
         let z = Matrix::column(&[0.5, -1.5, 2.0]);
         let t = Matrix::column(&[1.0, 0.0, 1.0]);
         let zv = tape.input(z.clone());
-        let loss = tape.bce_with_logits(zv, t.clone());
+        let loss = tape.bce_with_logits(zv, t.as_slice());
 
         let naive: f32 = z
             .as_slice()
@@ -931,29 +1034,63 @@ mod tests {
     }
 
     #[test]
-    fn pooled_tape_reuses_buffers_across_steps() {
+    fn pool_reuses_buffers() {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let w = store.register("w", 16, 16, Init::Gaussian { std: 0.1 }, &mut rng);
+        let b = store.register("b", 1, 16, Init::Zeros, &mut rng);
+        let table = store.register("emb", 32, 16, Init::Gaussian { std: 0.1 }, &mut rng);
 
         let mut pool = crate::MatrixPool::new();
-        for _ in 0..3 {
+        let mut after_first = None;
+        for step in 1..=3 {
             let mut tape = Tape::with_pool(&store, pool);
+            // A caller-built input, a gather, a borrowed parameter pair,
+            // dropout and the BCE loss: every kind of buffer a training
+            // step puts on the tape.
             let x = tape.input(Matrix::full(8, 16, 1.0));
-            let wv = tape.param(w);
-            let y = tape.matmul(x, wv);
-            let loss = tape.mean_all(y);
+            let e = tape.gather_param(table, &[0, 5, 5, 9, 31, 2, 7, 1]);
+            let xe = tape.add(x, e);
+            let (wv, bv) = (tape.param(w), tape.param(b));
+            let y = tape.linear(xe, wv, bv);
+            let y = tape.relu(y);
+            let y = tape.dropout(y, 0.5, &mut rng);
+            let logits = tape.sum_cols(y);
+            let loss = tape.bce_with_logits(logits, &[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
             let mut grads = Gradients::zeros_like(&store);
             tape.backward(loss, &mut grads);
             pool = tape.into_pool();
+
+            let stats = pool.pool_stats();
+            match after_first {
+                None => {
+                    assert!(stats.misses > 0 && stats.pooled > 0);
+                    after_first = Some(stats);
+                }
+                Some(first) => {
+                    assert_eq!(stats.misses, first.misses, "step {step} missed");
+                    assert_eq!(stats.regrown, 0, "step {step} regrew a buffer");
+                    assert_eq!(stats.pooled, first.pooled, "step {step} moved len()");
+                    assert_eq!(stats.pooled_bytes, first.pooled_bytes);
+                    assert!(stats.hits > first.hits);
+                }
+            }
         }
-        let (hits, misses) = pool.stats();
-        assert!(hits > 0, "pool never reused a buffer ({hits}/{misses})");
-        // Steady state: steps 2 and 3 allocate nothing new via the pool.
+    }
+
+    #[test]
+    fn param_nodes_borrow_the_store() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let w = store.register("w", 64, 64, Init::Gaussian { std: 0.1 }, &mut rng);
+        let mut tape = Tape::new(&store);
+        let wv = tape.param(w);
         assert!(
-            hits >= misses,
-            "pool mostly missing: {hits} hits, {misses} misses"
+            std::ptr::eq(tape.value(wv), store.get(w)),
+            "Tape::param copied the parameter"
         );
+        let pool = tape.into_pool();
+        assert_eq!(pool.stats(), (0, 0), "a parameter read touched the pool");
     }
 
     #[test]

@@ -493,3 +493,163 @@ proptest! {
         prop_assert!(a.approx_eq(b, 1e-2), "lazy Adam drifted past tolerance");
     }
 }
+
+// ---- the matrix pool against a reference model ---------------------------
+
+/// One step of a pool script: `(kind, rows, cols)`. Shapes include empty
+/// matrices; `kind` picks among the three acquisitions, releasing a held
+/// matrix, and handing in a foreign buffer (with spare capacity, so it
+/// lands in the middle of a class).
+fn pool_script(kinds: u8) -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    proptest::collection::vec((0u8..kinds, 0usize..24, 0usize..24), 1..80)
+}
+
+/// The class of a request, restated here so the test does not share the
+/// pool's arithmetic: the smallest `k` with `2^k >= n`.
+fn request_class(n: usize) -> usize {
+    (0..).find(|&k| (1usize << k) >= n).unwrap()
+}
+
+/// Reference model: how many acquired buffers of each class are out, and
+/// the most that ever were.
+#[derive(Default)]
+struct PoolModel {
+    outstanding: Vec<usize>,
+    high_water: Vec<usize>,
+    acquisitions: usize,
+}
+
+impl PoolModel {
+    fn acquired(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let k = request_class(n);
+        if k >= self.outstanding.len() {
+            self.outstanding.resize(k + 1, 0);
+            self.high_water.resize(k + 1, 0);
+        }
+        self.acquisitions += 1;
+        self.outstanding[k] += 1;
+        self.high_water[k] = self.high_water[k].max(self.outstanding[k]);
+    }
+
+    fn released(&mut self, n: usize) {
+        if n > 0 {
+            self.outstanding[request_class(n)] -= 1;
+        }
+    }
+
+    /// Upper bounds on what the pool may hold: one buffer per high-water
+    /// slot, each below the next class's capacity.
+    fn bounds(&self) -> (usize, usize) {
+        let buffers = self.high_water.iter().sum();
+        let bytes = self
+            .high_water
+            .iter()
+            .enumerate()
+            .map(|(k, &hw)| hw * ((2usize << k) - 1) * 4)
+            .sum();
+        (buffers, bytes)
+    }
+}
+
+/// Runs `script` against `pool` and `model`, checking every acquisition
+/// and the pool's bounds after every step; releases what is still held
+/// at the end.
+fn run_pool_script(
+    pool: &mut st_tensor::MatrixPool,
+    model: &mut PoolModel,
+    script: &[(u8, usize, usize)],
+) -> Result<(), TestCaseError> {
+    let mut held: Vec<Matrix> = Vec::new();
+    for &(kind, rows, cols) in script {
+        let n = rows * cols;
+        match kind {
+            0..=2 => {
+                let m = match kind {
+                    0 => {
+                        let m = pool.acquire_zeroed(rows, cols);
+                        prop_assert!(m.as_slice().iter().all(|&x| x == 0.0), "not zeroed");
+                        m
+                    }
+                    1 => {
+                        let m = pool
+                            .acquire_with(rows, cols, |buf| buf.extend((0..n).map(|i| i as f32)));
+                        prop_assert!(m.as_slice().iter().enumerate().all(|(i, &x)| x == i as f32));
+                        m
+                    }
+                    _ => {
+                        let src = Matrix::full(rows, cols, 2.5);
+                        let m = pool.acquire_copy(&src);
+                        prop_assert_eq!(&m, &src);
+                        m
+                    }
+                };
+                prop_assert_eq!(m.shape(), (rows, cols));
+                model.acquired(n);
+                // No class hands out a buffer smaller than the request.
+                let buf = m.into_vec();
+                prop_assert!(buf.capacity() >= n);
+                held.push(Matrix::from_vec(rows, cols, buf));
+            }
+            3 => {
+                if !held.is_empty() {
+                    let mut m = held.swap_remove((rows * 31 + cols) % held.len());
+                    model.released(m.len());
+                    m.as_mut_slice().fill(7.5); // dirty on the way back
+                    pool.release(m);
+                }
+            }
+            _ => {
+                let mut buf = Vec::with_capacity(n + cols);
+                buf.resize(n, 1.0);
+                pool.release(Matrix::from_vec(rows, cols, buf));
+            }
+        }
+        let (max_buffers, max_bytes) = model.bounds();
+        prop_assert!(
+            pool.len() <= max_buffers,
+            "{} buffers pooled, bound {max_buffers}",
+            pool.len()
+        );
+        prop_assert!(pool.pooled_bytes() <= max_bytes);
+        prop_assert_eq!(pool.regrown(), 0);
+        let (hits, misses) = pool.stats();
+        prop_assert_eq!(hits + misses, model.acquisitions);
+    }
+    for m in held {
+        model.released(m.len());
+        pool.release(m);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Random acquire/release sequences, foreign and zero-capacity
+    /// buffers included: acquired matrices have the requested shape and
+    /// contents, and the pool never holds more than the high-water mark
+    /// of what was out at once.
+    #[test]
+    fn pool_stays_within_its_high_water_mark(script in pool_script(5)) {
+        let (mut pool, mut model) = (st_tensor::MatrixPool::new(), PoolModel::default());
+        run_pool_script(&mut pool, &mut model, &script)?;
+        let (max_buffers, max_bytes) = model.bounds();
+        prop_assert!(pool.len() <= max_buffers);
+        prop_assert!(pool.pooled_bytes() <= max_bytes);
+    }
+
+    /// A script that only uses the pool's own buffers, replayed: the
+    /// second pass takes no miss and leaves the pool as the first did.
+    #[test]
+    fn pool_replay_takes_no_miss(script in pool_script(4)) {
+        let (mut pool, mut model) = (st_tensor::MatrixPool::new(), PoolModel::default());
+        run_pool_script(&mut pool, &mut model, &script)?;
+        let first = pool.pool_stats();
+        run_pool_script(&mut pool, &mut model, &script)?;
+        let second = pool.pool_stats();
+        prop_assert_eq!(second.misses, first.misses);
+        prop_assert_eq!(second.pooled, first.pooled);
+        prop_assert_eq!(second.pooled_bytes, first.pooled_bytes);
+    }
+}
