@@ -19,6 +19,9 @@
 //! trusting its own bookkeeping.
 
 use st_serve::client::HttpClient;
+use st_serve::http::invalid_data;
+use st_serve::metrics::scrape_gauge;
+use st_serve::ReloadOutcome;
 use st_tensor::StorageEncoding;
 use st_transrec_core::STTransRec;
 use std::net::SocketAddr;
@@ -83,14 +86,10 @@ impl Publisher {
                 resp.status, resp.body
             )));
         }
-        let epoch = parse_field(&resp.body, "\"model_epoch\":").ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("no model_epoch in reload response: {}", resp.body),
-            )
-        })?;
+        let outcome = ReloadOutcome::parse(&resp.body)
+            .ok_or_else(|| invalid_data(format!("unreadable reload response: {}", resp.body)))?;
         Ok(PublishOutcome {
-            epoch,
+            epoch: outcome.epoch,
             latency: start.elapsed(),
         })
     }
@@ -118,47 +117,17 @@ impl Publisher {
 
     /// The epoch the server is actually serving, per `/metrics`.
     pub fn served_epoch(&self) -> std::io::Result<u64> {
-        self.scrape_gauge("st_serve_model_epoch ")
+        self.scrape("st_serve_model_epoch")
     }
 
     /// Unix seconds of the server's last successful (re)load.
     pub fn last_reload_unix(&self) -> std::io::Result<u64> {
-        self.scrape_gauge("st_serve_last_reload_timestamp_seconds ")
+        self.scrape("st_serve_last_reload_timestamp_seconds")
     }
 
-    fn scrape_gauge(&self, prefix: &str) -> std::io::Result<u64> {
-        let mut client = HttpClient::connect(self.addr)?;
-        let resp = client.get("/metrics")?;
-        resp.body
-            .lines()
-            .find_map(|l| l.strip_prefix(prefix))
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("gauge {prefix:?} missing from /metrics"),
-                )
-            })
-    }
-}
-
-/// Extracts the integer following `key` in a JSON-ish body.
-fn parse_field(body: &str, key: &str) -> Option<u64> {
-    let rest = &body[body.find(key)? + key.len()..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_field_reads_reload_body() {
-        assert_eq!(
-            parse_field("{\"reloaded\":true,\"model_epoch\":42}", "\"model_epoch\":"),
-            Some(42)
-        );
-        assert_eq!(parse_field("{}", "\"model_epoch\":"), None);
+    fn scrape(&self, gauge: &str) -> std::io::Result<u64> {
+        let page = st_serve::client::get(self.addr, "/metrics")?.body;
+        scrape_gauge(&page, gauge)
+            .ok_or_else(|| invalid_data(format!("gauge {gauge:?} missing from /metrics")))
     }
 }

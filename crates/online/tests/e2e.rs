@@ -157,3 +157,46 @@ fn same_seed_runs_reproduce_identical_publish_sequences() {
         "distinct seeds should not collide on the full signature"
     );
 }
+
+#[test]
+fn publisher_surfaces_a_reply_it_cannot_frame() {
+    // A "server" whose replies carry no Content-Length. The lax reader
+    // took them for empty 200 bodies and reported "no model_epoch" /
+    // "gauge missing"; the strict one names the real fault.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fake = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        for _ in 0..2 {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = Vec::new();
+            while !request.ends_with(b"\r\n\r\n") {
+                let mut byte = [0u8; 1];
+                if stream.read(&mut byte).unwrap_or(0) == 0 {
+                    break;
+                }
+                request.push(byte[0]);
+            }
+            let _ = stream.write_all(
+                b"HTTP/1.1 200 OK\r\n\r\n{\"reloaded\":true,\"model_epoch\":2}st_serve_model_epoch 2\n",
+            );
+        }
+    });
+
+    let (dataset, split) = tiny();
+    let ckpt = scratch_dir("unframed").join("model.bin");
+    let model = st_transrec_core::STTransRec::new(
+        &dataset,
+        &split,
+        st_transrec_core::ModelConfig::test_small(),
+    );
+    let publisher = st_online::Publisher::new(addr, &ckpt);
+    for err in [
+        publisher.publish(&model).map(|_| ()).unwrap_err(),
+        publisher.served_epoch().map(|_| ()).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("content-length"), "{err}");
+    }
+    fake.join().expect("fake server");
+}

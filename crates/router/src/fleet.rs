@@ -19,6 +19,8 @@
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::ring::{HashRing, PartitionMode, ReplicaId, RouteKey};
+use st_serve::http::invalid_data;
+use st_serve::metrics::{scrape_gauge, scrape_snapshot_format};
 use st_serve::HttpClient;
 use st_tensor::StorageEncoding;
 use std::collections::HashSet;
@@ -337,9 +339,8 @@ impl Fleet {
     pub fn probe(&self, id: ReplicaId) -> bool {
         let replica = self.replica(id);
         let addr = replica.addr();
-        let outcome = probe_metrics(addr, self.config.probe_timeout);
-        match outcome {
-            Some(scrape) => {
+        match probe_metrics(addr, self.config.probe_timeout) {
+            Ok(scrape) => {
                 replica.probe_failures.store(0, Ordering::Release);
                 replica.last_epoch.store(scrape.epoch, Ordering::Release);
                 if let Some(format) = scrape.format {
@@ -352,7 +353,7 @@ impl Fleet {
                 }
                 true
             }
-            None => {
+            Err(_) => {
                 let fails = replica.probe_failures.fetch_add(1, Ordering::AcqRel) + 1;
                 if fails >= self.config.down_after {
                     replica.healthy.store(false, Ordering::Release);
@@ -380,38 +381,15 @@ pub struct MetricsScrape {
 }
 
 /// Scrapes `st_serve_model_epoch` and the snapshot-format one-hot from a
-/// replica's `/metrics`. `None` on any transport or parse failure.
-pub fn probe_metrics(addr: SocketAddr, timeout: Duration) -> Option<MetricsScrape> {
-    let stream = std::net::TcpStream::connect_timeout(&addr, timeout).ok()?;
-    stream.set_read_timeout(Some(timeout)).ok()?;
-    stream.set_nodelay(true).ok()?;
-    let mut client = HttpClient::from_stream(stream).ok()?;
-    let resp = client.get("/metrics").ok()?;
-    if resp.status != 200 {
-        return None;
-    }
-    parse_metrics_scrape(&resp.body)
-}
-
-/// Parses the epoch gauge and one-hot format family out of a metrics
-/// exposition body.
-pub fn parse_metrics_scrape(body: &str) -> Option<MetricsScrape> {
-    let mut epoch = None;
-    let mut format = None;
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("st_serve_model_epoch ") {
-            epoch = rest.trim().parse::<u64>().ok();
-        } else if let Some(rest) = line.strip_prefix("st_serve_snapshot_format{format=\"") {
-            if let Some((label, value)) = rest.split_once("\"} ") {
-                if value.trim() == "1" {
-                    format = label.parse::<StorageEncoding>().ok();
-                }
-            }
-        }
-    }
-    Some(MetricsScrape {
-        epoch: epoch?,
-        format,
+/// replica's `/metrics`, connecting and reading within `timeout` each.
+pub fn probe_metrics(addr: SocketAddr, timeout: Duration) -> std::io::Result<MetricsScrape> {
+    let resp = HttpClient::connect_with(addr, timeout, timeout)?.get("/metrics")?;
+    let epoch = scrape_gauge(&resp.body, "st_serve_model_epoch")
+        .filter(|_| resp.status == 200)
+        .ok_or_else(|| invalid_data(format!("no epoch gauge in /metrics ({})", resp.status)))?;
+    Ok(MetricsScrape {
+        epoch,
+        format: scrape_snapshot_format(&resp.body),
     })
 }
 
@@ -515,16 +493,5 @@ mod tests {
         assert_eq!(err, RouteError::EpochPinned);
         fleet.finish_rollout();
         assert_eq!(fleet.pinned_count(), 0);
-    }
-
-    #[test]
-    fn metrics_scrape_parses_epoch_and_format() {
-        let body = "st_serve_requests_total 9\nst_serve_model_epoch 4\n\
-                    st_serve_snapshot_format{format=\"f32\"} 0\n\
-                    st_serve_snapshot_format{format=\"f16\"} 0\n\
-                    st_serve_snapshot_format{format=\"int8\"} 1\n";
-        let scrape = parse_metrics_scrape(body).unwrap();
-        assert_eq!(scrape.epoch, 4);
-        assert_eq!(scrape.format, Some(StorageEncoding::I8));
     }
 }

@@ -1,11 +1,17 @@
 //! # st-router
 //!
-//! The horizontally sharded serving front tier: a std-only HTTP/1.1
-//! reverse proxy that consistent-hashes users (or cities) across a
-//! fleet of `st-serve` replicas, with health-checked membership,
-//! per-replica circuit breakers, and a rolling snapshot-rollout driver
-//! that upgrades replicas one at a time without ever serving mixed
-//! model generations to a single user.
+//! The horizontally sharded serving front tier: a reverse proxy that
+//! consistent-hashes users (or cities) across a fleet of `st-serve`
+//! replicas, with health-checked membership, per-replica circuit
+//! breakers, and a rolling snapshot-rollout driver that upgrades
+//! replicas one at a time without ever serving mixed model generations
+//! to a single user.
+//!
+//! The crate holds routing policy only. Its HTTP is `st-serve`'s: the
+//! router is a [`st_serve::Handler`] over the same
+//! [`st_serve::HttpServer`] loop the replicas run, and every socket to a
+//! replica — forward, probe, rollout RPC — is a
+//! [`st_serve::HttpClient`].
 //!
 //! Five layers:
 //!
@@ -23,9 +29,11 @@
 //! - [`rollout`] — the resumable rolling-upgrade state machine:
 //!   divert → reload → verify (epoch gauge + snapshot-format one-hot)
 //!   → admit; failures pause the rollout at the unverified shard.
-//! - [`proxy`] — the HTTP server: byte-faithful relay (hop-by-hop
-//!   headers stripped, `X-Router-Replica` stamped), per-worker backend
-//!   connection pools, `st_router_*` metrics ([`metrics`]).
+//! - [`proxy`] — the [`Router`] handler and the [`RouterServer`] that
+//!   owns its loop: shard choice, per-worker backend connection pools,
+//!   breaker accounting, byte-faithful relay (hop-by-hop headers
+//!   stripped, `X-Router-Replica` stamped), `st_router_*` metrics
+//!   ([`metrics`]).
 //!
 //! [`fault`] provides the seeded [`fault::FleetFaultPlan`] schedules the
 //! fleet-chaos suite and `loadgen --fleet` replay bit-reproducibly.

@@ -6,6 +6,7 @@
 
 use crate::breaker::BreakerState;
 use crate::fleet::{Fleet, Generation};
+use st_serve::StatusTally;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -40,24 +41,14 @@ pub struct RouterMetrics {
     pub rollouts_completed: AtomicU64,
     /// Rollout steps that paused (replica down or verify failed).
     pub rollouts_paused: AtomicU64,
-    /// Responses by status class: `[2xx, 4xx, 5xx]`.
-    pub responses: [AtomicU64; 3],
+    /// Responses by status class.
+    pub responses: StatusTally,
 }
 
 impl RouterMetrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Tallies one response status.
-    pub fn record_status(&self, status: u16) {
-        let idx = match status {
-            200..=299 => 0,
-            400..=499 => 1,
-            _ => 2,
-        };
-        self.responses[idx].fetch_add(1, Relaxed);
     }
 
     /// Renders the exposition, joining counters with live fleet gauges.
@@ -87,13 +78,8 @@ impl RouterMetrics {
         for (name, v) in counters {
             let _ = writeln!(out, "{name} {}", v.load(Relaxed));
         }
-        for (class, v) in ["2xx", "4xx", "5xx"].iter().zip(&self.responses) {
-            let _ = writeln!(
-                out,
-                "st_router_responses_total{{class=\"{class}\"}} {}",
-                v.load(Relaxed)
-            );
-        }
+        self.responses
+            .render_into(&mut out, "st_router_responses_total");
         let _ = writeln!(out, "st_router_replicas_total {}", fleet.len());
         let _ = writeln!(out, "st_router_replicas_healthy {}", fleet.healthy_count());
         let _ = writeln!(
@@ -162,8 +148,8 @@ mod tests {
         let fleet = Fleet::new(&addrs, FleetConfig::default());
         let m = RouterMetrics::new();
         m.requests_total.fetch_add(3, Relaxed);
-        m.record_status(200);
-        m.record_status(503);
+        m.responses.record(200);
+        m.responses.record(503);
         let text = m.render(&fleet);
         assert!(text.contains("st_router_requests_total 3"));
         assert!(text.contains("st_router_responses_total{class=\"2xx\"} 1"));

@@ -1,13 +1,16 @@
-//! The router HTTP front tier: a std-only HTTP/1.1 reverse proxy.
+//! The router tier's routing policy and relay.
 //!
-//! `GET /recommend` is consistent-hashed onto the replica fleet and
-//! relayed *byte-faithfully*: the backend's status line, headers, and
-//! body are forwarded verbatim minus hop-by-hop headers, plus an
-//! `X-Router-Replica` header naming the shard that answered. Backend
-//! connections are pooled per worker thread and kept alive; a stale
-//! pooled connection is silently replaced (one retry on a fresh socket)
-//! so backend idle timeouts never surface as client errors — only a
-//! fresh-connection failure counts against the shard's breaker.
+//! [`Router`] is a [`Handler`] over the fleet's one server loop
+//! ([`st_serve::httpd`]); [`RouterServer`] owns that loop plus the health
+//! probe ticker. `GET /recommend` is consistent-hashed onto the replica
+//! fleet and relayed *byte-faithfully* ([`HttpResponse::relay_to`]): the
+//! backend's status line, headers, and body are forwarded verbatim minus
+//! hop-by-hop headers, plus an `X-Router-Replica` header naming the
+//! shard that answered. Backend connections ([`HttpClient`]) are pooled
+//! per worker thread and kept alive; a stale pooled connection is
+//! silently replaced (one retry on a fresh socket) so backend idle
+//! timeouts never surface as client errors — only a fresh-connection
+//! failure counts against the shard's breaker.
 //!
 //! The router's own routes:
 //!
@@ -22,13 +25,14 @@ use crate::fleet::{Fleet, RouteError};
 use crate::metrics::RouterMetrics;
 use crate::ring::{PartitionMode, ReplicaId, RouteKey};
 use crate::rollout::{RolloutConfig, RolloutDriver};
-use st_serve::http::{read_request, ParseError, Request, Response};
+use st_serve::http::{HttpResponse, Request, Response};
+use st_serve::{Handler, HttpClient, HttpServer, StatusTally};
 use st_tensor::StorageEncoding;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::Write;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Router tuning knobs.
@@ -67,161 +71,9 @@ impl Default for RouterConfig {
     }
 }
 
-/// A raw backend response: everything needed to relay it byte-faithfully.
-#[derive(Debug)]
-pub struct RawResponse {
-    /// Status line without CRLF, e.g. `HTTP/1.1 200 OK`.
-    pub status_line: String,
-    /// Header lines exactly as received (original casing), without CRLF.
-    pub headers: Vec<String>,
-    /// Parsed status code.
-    pub status: u16,
-    /// Body bytes (per `Content-Length`).
-    pub body: Vec<u8>,
-}
-
-impl RawResponse {
-    /// First header value by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find_map(|line| {
-            let (k, v) = line.split_once(':')?;
-            k.trim().eq_ignore_ascii_case(name).then(|| v.trim())
-        })
-    }
-}
-
-/// Headers that describe one hop, never forwarded by a proxy.
-fn is_hop_by_hop(header_line: &str) -> bool {
-    let name = header_line
-        .split_once(':')
-        .map(|(k, _)| k.trim())
-        .unwrap_or("");
-    [
-        "connection",
-        "keep-alive",
-        "proxy-authenticate",
-        "proxy-authorization",
-        "te",
-        "trailer",
-        "transfer-encoding",
-        "upgrade",
-    ]
-    .iter()
-    .any(|h| name.eq_ignore_ascii_case(h))
-}
-
-/// One pooled keep-alive connection to a backend replica.
-struct BackendConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl BackendConn {
-    fn connect(addr: SocketAddr, config: &RouterConfig) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_read_timeout(Some(config.read_timeout))?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            writer: stream,
-            reader,
-        })
-    }
-
-    /// One request/response round trip, keeping the raw response bytes.
-    fn roundtrip(&mut self, method: &str, target: &str) -> std::io::Result<RawResponse> {
-        write!(
-            self.writer,
-            "{method} {target} HTTP/1.1\r\nHost: st-router\r\n\r\n"
-        )?;
-        self.writer.flush()?;
-        read_raw_response(&mut self.reader)
-    }
-}
-
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Reads one response preserving the exact status and header lines.
-///
-/// Only `Content-Length` framing is supported; a response that carries
-/// `Transfer-Encoding` or omits `Content-Length` (outside the bodiless
-/// 1xx/204/304 statuses) is an error. Erroring — rather than guessing a
-/// length of zero — matters for the connection pool: unread body bytes
-/// left in a pooled keep-alive connection would desynchronize every
-/// later response on it, and `forward` never pools a failed connection.
-fn read_raw_response<R: BufRead>(reader: &mut R) -> std::io::Result<RawResponse> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(invalid("connection closed before response"));
-    }
-    let status_line = status_line.trim_end().to_string();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(invalid("EOF inside response headers"));
-        }
-        let line = line.trim_end().to_string();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = Some(
-                    value
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid("bad content-length"))?,
-                );
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                return Err(invalid("transfer-encoding framing not supported"));
-            }
-        }
-        headers.push(line);
-    }
-    let content_length = match content_length {
-        Some(n) => n,
-        None if status == 204 || status == 304 || (100..200).contains(&status) => 0,
-        None => return Err(invalid("response without content-length")),
-    };
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(RawResponse {
-        status_line,
-        headers,
-        status,
-        body,
-    })
-}
-
 /// Per-worker backend connection pool, keyed by replica index. The
 /// stored address detects rejoin-at-new-port and drops the old socket.
-type ConnPool = HashMap<usize, (SocketAddr, BackendConn)>;
-
-/// What one handled request produces: a router-authored response or a
-/// byte-faithful relay from a replica.
-enum Outcome {
-    Own(Response),
-    Relay(RawResponse, ReplicaId),
-}
-
-impl Outcome {
-    fn status(&self) -> u16 {
-        match self {
-            Outcome::Own(r) => r.status,
-            Outcome::Relay(raw, _) => raw.status,
-        }
-    }
-}
+pub type ConnPool = HashMap<usize, (SocketAddr, HttpClient)>;
 
 /// The routing engine shared by all router workers.
 pub struct Router {
@@ -256,11 +108,11 @@ impl Router {
             .with_header("Retry-After", &self.config.retry_after_secs.to_string())
     }
 
-    fn handle(&self, req: &Request, pool: &mut ConnPool) -> Outcome {
-        self.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+    /// Answers the router's own routes (`/recommend` is
+    /// [`Router::proxy`]'s).
+    fn route(&self, req: &Request) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/recommend") => self.handle_proxy(req, pool),
-            ("GET", "/healthz") => Outcome::Own(Response::json(
+            ("GET", "/healthz") => Response::json(
                 200,
                 format!(
                     "{{\"status\":\"ok\",\"replicas\":{},\"healthy\":{},\"rollout_active\":{}}}",
@@ -268,27 +120,25 @@ impl Router {
                     self.fleet.healthy_count(),
                     self.fleet.rollout_active()
                 ),
-            )),
-            ("GET", "/metrics") => {
-                Outcome::Own(Response::text(200, self.metrics.render(&self.fleet)))
-            }
+            ),
+            ("GET", "/metrics") => Response::text(200, self.metrics.render(&self.fleet)),
             ("POST", "/admin/probe") => {
                 let healthy = self.fleet.probe_all();
-                Outcome::Own(Response::json(
+                Response::json(
                     200,
                     format!(
                         "{{\"healthy\":{healthy},\"replicas\":{}}}",
                         self.fleet.len()
                     ),
-                ))
+                )
             }
-            ("POST", "/admin/reload") => Outcome::Own(self.handle_rollout(req)),
+            ("POST", "/admin/reload") => self.handle_rollout(req),
             (_, "/recommend")
             | (_, "/healthz")
             | (_, "/metrics")
             | (_, "/admin/probe")
-            | (_, "/admin/reload") => Outcome::Own(Response::error(405, "method not allowed")),
-            _ => Outcome::Own(Response::error(404, &format!("no route for {}", req.path))),
+            | (_, "/admin/reload") => Response::error(405, "method not allowed"),
+            _ => Response::error(404, &format!("no route for {}", req.path)),
         }
     }
 
@@ -297,50 +147,40 @@ impl Router {
     /// backend's to judge (and relay back).
     fn route_key(&self, req: &Request) -> Result<RouteKey, Response> {
         match self.fleet.config.partition {
-            PartitionMode::ByUser => match req.query_param("user").map(str::parse::<u32>) {
-                Some(Ok(u)) => Ok(RouteKey::User(u)),
-                Some(Err(_)) => Err(Response::error(400, "user must be a non-negative integer")),
-                None => Err(Response::error(400, "missing query parameter: user")),
-            },
-            PartitionMode::ByCity => match req.query_param("city").map(str::parse::<u16>) {
-                Some(Ok(c)) => Ok(RouteKey::City(c)),
-                Some(Err(_)) => Err(Response::error(400, "city must be a non-negative integer")),
-                None => Err(Response::error(400, "missing query parameter: city")),
-            },
+            PartitionMode::ByUser => req.int_param("user").map(RouteKey::User),
+            PartitionMode::ByCity => req.int_param("city").map(RouteKey::City),
         }
     }
 
-    fn handle_proxy(&self, req: &Request, pool: &mut ConnPool) -> Outcome {
+    /// Routes one `/recommend` to its shard: the replica's reply to relay
+    /// and who gave it, or the router's own answer when none could.
+    fn proxy(
+        &self,
+        req: &Request,
+        pool: &mut ConnPool,
+    ) -> Result<(HttpResponse, ReplicaId), Response> {
         self.metrics
             .recommend_requests
             .fetch_add(1, Ordering::Relaxed);
-        let key = match self.route_key(req) {
-            Ok(key) => key,
-            Err(resp) => return Outcome::Own(resp),
-        };
-        let now = Instant::now();
-        let decision = match self.fleet.route(key, now) {
-            Ok(d) => d,
-            Err(RouteError::NoReplica) => {
-                self.metrics
-                    .unroutable_total
-                    .fetch_add(1, Ordering::Relaxed);
-                return Outcome::Own(self.shed(503, "no healthy replica for shard"));
-            }
-            Err(RouteError::ShardDark(id)) => {
-                self.metrics.dark_total.fetch_add(1, Ordering::Relaxed);
-                return Outcome::Own(
-                    self.shed(503, &format!("shard {id} dark: circuit open, retry later")),
-                );
-            }
-            Err(RouteError::EpochPinned) => {
-                self.metrics.pin_total.fetch_add(1, Ordering::Relaxed);
-                return Outcome::Own(self.shed(
-                    503,
-                    "shard behind this user's model generation, retry later",
-                ));
-            }
-        };
+        let key = self.route_key(req)?;
+        let decision = self.fleet.route(key, Instant::now()).map_err(|e| {
+            let (counter, why) = match e {
+                RouteError::NoReplica => (
+                    &self.metrics.unroutable_total,
+                    "no healthy replica for shard".to_string(),
+                ),
+                RouteError::ShardDark(id) => (
+                    &self.metrics.dark_total,
+                    format!("shard {id} dark: circuit open, retry later"),
+                ),
+                RouteError::EpochPinned => (
+                    &self.metrics.pin_total,
+                    "shard behind this user's model generation, retry later".to_string(),
+                ),
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.shed(503, &why)
+        })?;
         let replica = &self.fleet.replicas()[decision.replica];
         let id = replica.id;
         match self.forward(pool, decision.replica, replica.addr(), &req.target) {
@@ -370,14 +210,14 @@ impl Router {
                     }
                     self.fleet.note_served(key, id);
                 }
-                Outcome::Relay(raw, id)
+                Ok((raw, id))
             }
             Err(_) => {
                 self.metrics
                     .forward_errors_total
                     .fetch_add(1, Ordering::Relaxed);
                 replica.breaker.record_failure(Instant::now());
-                Outcome::Own(self.shed(503, &format!("shard {id} unreachable, retry later")))
+                Err(self.shed(503, &format!("shard {id} unreachable, retry later")))
             }
         }
     }
@@ -390,10 +230,10 @@ impl Router {
         idx: usize,
         addr: SocketAddr,
         target: &str,
-    ) -> std::io::Result<RawResponse> {
+    ) -> std::io::Result<HttpResponse> {
         if let Some((pooled_addr, conn)) = pool.get_mut(&idx) {
             if *pooled_addr == addr {
-                match conn.roundtrip("GET", target) {
+                match conn.get(target) {
                     Ok(raw) => return Ok(raw),
                     Err(_) => {
                         // Stale keep-alive (backend idled it out): retry
@@ -406,8 +246,9 @@ impl Router {
             }
             pool.remove(&idx);
         }
-        let mut conn = BackendConn::connect(addr, &self.config)?;
-        let raw = conn.roundtrip("GET", target)?;
+        let mut conn =
+            HttpClient::connect_with(addr, self.config.connect_timeout, self.config.read_timeout)?;
+        let raw = conn.get(target)?;
         pool.insert(idx, (addr, conn));
         Ok(raw)
     }
@@ -459,302 +300,83 @@ impl Router {
     }
 }
 
-/// Writes a relayed backend response, filtering hop-by-hop headers and
-/// stamping the answering shard.
-fn write_relay<W: Write>(
-    mut out: W,
-    raw: &RawResponse,
-    replica: ReplicaId,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write!(out, "{}\r\n", raw.status_line)?;
-    for line in &raw.headers {
-        if !is_hop_by_hop(line) {
-            write!(out, "{line}\r\n")?;
-        }
+impl Handler for Router {
+    /// The backend pool lives as long as the worker: keep-alive reuse
+    /// across client connections.
+    type Worker = ConnPool;
+
+    fn handle<W: Write>(
+        &self,
+        req: &Request,
+        pool: &mut ConnPool,
+        out: &mut W,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        self.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+        let own = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/recommend") => match self.proxy(req, pool) {
+                Ok((raw, id)) => {
+                    self.metrics.responses.record(raw.status);
+                    return raw.relay_to(out, format_args!("X-Router-Replica: {id}"), keep_alive);
+                }
+                Err(own) => own,
+            },
+            _ => self.route(req),
+        };
+        self.metrics.responses.record(own.status);
+        own.write_to(out, keep_alive)
     }
-    write!(out, "X-Router-Replica: {replica}\r\n")?;
-    write!(
-        out,
-        "Connection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    )?;
-    out.write_all(&raw.body)?;
-    out.flush()
+
+    fn responses(&self) -> &StatusTally {
+        &self.metrics.responses
+    }
 }
 
-/// A running router; dropping it (or [`RouterServer::shutdown`]) stops
-/// the listener, workers, and probe thread.
+/// A running router: the shared [`HttpServer`] loop over a [`Router`],
+/// plus the health probe. Dropping it (or [`RouterServer::shutdown`])
+/// stops the listener, workers, and probe thread.
 pub struct RouterServer {
-    addr: SocketAddr,
-    router: Arc<Router>,
-    stop: Arc<AtomicBool>,
-    conns: ConnRegistry,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
-    probe_handle: Option<std::thread::JoinHandle<()>>,
+    http: HttpServer<Router>,
 }
-
-/// Live client connections keyed by accept order, so shutdown can
-/// force-close a blocked keep-alive read instead of waiting out its
-/// idle timeout.
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 impl RouterServer {
     /// Binds and starts routing for `router`.
     pub fn start(router: Arc<Router>) -> std::io::Result<RouterServer> {
-        let config = router.config().clone();
-        let listener =
-            TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad addr")
-            })?)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let (conn_tx, conn_rx) = mpsc::channel::<(u64, TcpStream)>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let workers = config.workers.max(1);
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = conn_rx.clone();
-            let router = router.clone();
-            let registry = conns.clone();
-            let idle = config.idle_timeout;
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("st-router-worker-{i}"))
-                    .spawn(move || {
-                        // The backend pool lives as long as the worker:
-                        // keep-alive reuse across client connections.
-                        let mut pool = ConnPool::new();
-                        loop {
-                            let conn = rx.lock().expect("conn rx poisoned").recv();
-                            match conn {
-                                Ok((conn_id, stream)) => {
-                                    handle_connection(&router, stream, idle, &mut pool);
-                                    registry
-                                        .lock()
-                                        .expect("conn registry poisoned")
-                                        .remove(&conn_id);
-                                }
-                                Err(_) => return,
-                            }
-                        }
-                    })
-                    .expect("spawn router worker"),
-            );
+        let config = router.config();
+        let mut http = HttpServer::start(
+            "st-router",
+            router.clone(),
+            &config.addr,
+            config.workers,
+            config.idle_timeout,
+        )?;
+        if let Some(interval) = config.probe_interval {
+            // The first sweep runs at once, so the fleet starts with
+            // real health/epoch data.
+            http.every("st-router-probe", interval, move || {
+                router.fleet.probe_all();
+            });
         }
-
-        let accept_stop = stop.clone();
-        let accept_conns = conns.clone();
-        let accept_handle = std::thread::Builder::new()
-            .name("st-router-accept".into())
-            .spawn(move || {
-                let mut next_id = 0u64;
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            let conn_id = next_id;
-                            next_id += 1;
-                            if let Ok(clone) = stream.try_clone() {
-                                accept_conns
-                                    .lock()
-                                    .expect("conn registry poisoned")
-                                    .insert(conn_id, clone);
-                            }
-                            if conn_tx.send((conn_id, stream)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-            })
-            .expect("spawn router accept thread");
-
-        let probe_handle = config.probe_interval.map(|interval| {
-            let router = router.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("st-router-probe".into())
-                .spawn(move || {
-                    // Probe immediately so the fleet starts with real
-                    // health/epoch data, then on the interval. The wait
-                    // is sliced so shutdown joins this thread promptly
-                    // instead of blocking up to a full probe interval.
-                    router.fleet.probe_all();
-                    let slice = Duration::from_millis(25).min(interval);
-                    'probe: loop {
-                        let mut waited = Duration::ZERO;
-                        while waited < interval {
-                            if stop.load(Ordering::Acquire) {
-                                break 'probe;
-                            }
-                            std::thread::sleep(slice);
-                            waited += slice;
-                        }
-                        router.fleet.probe_all();
-                    }
-                })
-                .expect("spawn router probe thread")
-        });
-
-        Ok(RouterServer {
-            addr,
-            router,
-            stop,
-            conns,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            probe_handle,
-        })
+        Ok(RouterServer { http })
     }
 
     /// The bound address (use this to learn an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// The routing engine behind this server.
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        self.http.handler()
     }
 
     /// Blocks the calling thread until the router stops.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+    pub fn wait(self) {
+        self.http.wait()
     }
 
     /// Stops accepting, drains workers, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        // Force-close live keep-alive connections so blocked worker
-        // reads fail now rather than at their idle timeout.
-        for (_, stream) in self.conns.lock().expect("conn registry poisoned").drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.probe_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
-/// Serves one client connection: keep-alive request loop with relay.
-fn handle_connection(
-    router: &Router,
-    stream: TcpStream,
-    idle_timeout: Duration,
-    pool: &mut ConnPool,
-) {
-    let _ = stream.set_read_timeout(Some(idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(req)) => {
-                let outcome = router.handle(&req, pool);
-                router.metrics.record_status(outcome.status());
-                let keep_alive = !req.wants_close();
-                let ok = match &outcome {
-                    Outcome::Own(resp) => resp.write_to(&mut writer, keep_alive).is_ok(),
-                    Outcome::Relay(raw, id) => {
-                        write_relay(&mut writer, raw, *id, keep_alive).is_ok()
-                    }
-                };
-                if !ok || !keep_alive {
-                    return;
-                }
-            }
-            Err(ParseError::Malformed(msg)) => {
-                let response = Response::error(400, &msg);
-                router.metrics.record_status(400);
-                let _ = response.write_to(&mut writer, false);
-                return;
-            }
-            Err(ParseError::Io(_)) => return,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hop_by_hop_filter() {
-        assert!(is_hop_by_hop("Connection: keep-alive"));
-        assert!(is_hop_by_hop("transfer-encoding: chunked"));
-        assert!(!is_hop_by_hop("Content-Type: application/json"));
-        assert!(!is_hop_by_hop("X-Cache: HIT"));
-    }
-
-    #[test]
-    fn unframeable_responses_are_rejected_not_guessed() {
-        // Chunked framing would leave the chunk bytes unread in a pooled
-        // connection; the reader must refuse it outright.
-        let chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n";
-        let err = read_raw_response(&mut BufReader::new(&chunked[..])).unwrap_err();
-        assert!(err.to_string().contains("transfer-encoding"), "{err}");
-
-        // Same for a close-delimited body (no Content-Length at all).
-        let unframed = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nhello";
-        let err = read_raw_response(&mut BufReader::new(&unframed[..])).unwrap_err();
-        assert!(err.to_string().contains("content-length"), "{err}");
-
-        // Bodiless statuses may legitimately omit the header.
-        let no_content = b"HTTP/1.1 204 No Content\r\n\r\n";
-        let raw = read_raw_response(&mut BufReader::new(&no_content[..])).unwrap();
-        assert_eq!(raw.status, 204);
-        assert!(raw.body.is_empty());
-    }
-
-    #[test]
-    fn raw_response_roundtrip_parsing() {
-        let wire = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\nConnection: keep-alive\r\nX-Cache: MISS\r\n\r\n{}";
-        let raw = read_raw_response(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(raw.status, 200);
-        assert_eq!(raw.status_line, "HTTP/1.1 200 OK");
-        assert_eq!(raw.body, b"{}");
-        assert_eq!(raw.header("x-cache"), Some("MISS"));
-        assert_eq!(raw.header("content-type"), Some("application/json"));
-
-        let mut out = Vec::new();
-        write_relay(&mut out, &raw, ReplicaId(1), true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Type: application/json\r\n"));
-        assert!(text.contains("X-Router-Replica: 1\r\n"));
-        // The backend's Connection header is replaced, not relayed.
-        assert_eq!(text.matches("Connection:").count(), 1);
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+    pub fn shutdown(self) {
+        self.http.shutdown()
     }
 }

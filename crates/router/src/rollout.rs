@@ -30,9 +30,9 @@
 
 use crate::fleet::{Fleet, Generation};
 use crate::ring::ReplicaId;
-use st_serve::HttpClient;
+use st_serve::{HttpClient, ReloadOutcome};
 use st_tensor::StorageEncoding;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -222,32 +222,19 @@ impl<'a> RolloutDriver<'a> {
         }
     }
 
-    fn rpc_timeout(&self) -> Duration {
-        self.config.rpc_timeout.unwrap_or(Duration::from_secs(30))
-    }
-
     /// Issues the reload RPC and cross-checks the reported outcome
     /// against the replica's own `/metrics` gauges.
     fn reload_and_verify(&self, addr: SocketAddr) -> Result<(u64, StorageEncoding), String> {
-        let timeout = self.rpc_timeout();
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))
-            .map_err(|e| format!("reload connect failed: {e}"))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("reload socket setup failed: {e}"))?;
-        let mut client = HttpClient::from_stream(stream)
-            .map_err(|e| format!("reload socket setup failed: {e}"))?;
-        let resp = client
+        let timeout = self.config.rpc_timeout.unwrap_or(Duration::from_secs(30));
+        let resp = HttpClient::connect_with(addr, Duration::from_secs(1), timeout)
+            .map_err(|e| format!("reload connect failed: {e}"))?
             .post("/admin/reload")
             .map_err(|e| format!("reload rpc failed: {e}"))?;
         if resp.status != 200 {
             return Err(format!("reload returned {}: {}", resp.status, resp.body));
         }
-        let epoch = parse_u64_field(&resp.body, "\"model_epoch\":")
-            .ok_or_else(|| format!("reload body missing model_epoch: {}", resp.body))?;
-        let format = parse_string_field(&resp.body, "\"snapshot_format\":\"")
-            .and_then(|s| s.parse::<StorageEncoding>().ok())
-            .ok_or_else(|| format!("reload body missing snapshot_format: {}", resp.body))?;
+        let ReloadOutcome { epoch, format, .. } = ReloadOutcome::parse(&resp.body)
+            .ok_or_else(|| format!("unreadable reload body: {}", resp.body))?;
         if let Some(expect) = self.config.expect_format {
             if format != expect {
                 return Err(format!(
@@ -258,7 +245,7 @@ impl<'a> RolloutDriver<'a> {
         // Independent verification: what the replica *reports serving*
         // must match what the reload claimed to install.
         let scrape = crate::fleet::probe_metrics(addr, timeout)
-            .ok_or_else(|| "verification scrape failed".to_string())?;
+            .map_err(|e| format!("verification scrape failed: {e}"))?;
         if scrape.epoch != epoch {
             return Err(format!(
                 "epoch gauge {} does not match reloaded epoch {epoch}",
@@ -273,25 +260,6 @@ impl<'a> RolloutDriver<'a> {
         }
         Ok((epoch, format))
     }
-}
-
-/// Parses the integer right after `key` in a flat JSON body.
-pub fn parse_u64_field(body: &str, key: &str) -> Option<u64> {
-    let start = body.find(key)? + key.len();
-    let rest = &body[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses the string right after `key` (which must include the opening
-/// quote) in a flat JSON body.
-pub fn parse_string_field<'b>(body: &'b str, key: &str) -> Option<&'b str> {
-    let start = body.find(key)? + key.len();
-    let rest = &body[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
 }
 
 #[cfg(test)]
@@ -335,18 +303,6 @@ mod tests {
         assert_eq!(closer.step(), RolloutStep::Done);
         assert!(!fleet.rollout_active());
         assert_eq!(fleet.pinned_count(), 0);
-    }
-
-    #[test]
-    fn parses_reload_body_fields() {
-        let body = "{\"reloaded\":true,\"model_epoch\":3,\"snapshot_format\":\"f16\",\
-                    \"snapshot_bytes\":4096,\"snapshot_mapped\":true}";
-        assert_eq!(parse_u64_field(body, "\"model_epoch\":"), Some(3));
-        assert_eq!(
-            parse_string_field(body, "\"snapshot_format\":\""),
-            Some("f16")
-        );
-        assert_eq!(parse_u64_field(body, "\"missing\":"), None);
     }
 
     #[test]

@@ -16,29 +16,37 @@ use st_router::{BreakerState, ReplicaId};
 use st_serve::client::{HttpClient, HttpResponse};
 use st_serve::server::ServeConfig;
 use st_serve::BatchConfig;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// Headers that may legitimately differ between a direct response and
-/// its relayed twin: the per-hop `Connection` and the router's stamp.
-fn comparable_headers(resp: &HttpResponse) -> Vec<(String, String)> {
-    let mut headers: Vec<(String, String)> = resp
-        .headers
+/// The header lines of `resp` — as received: arrival order, original
+/// case — minus the two that legitimately differ between a direct
+/// response and its relayed twin: the per-hop `Connection` and the
+/// router's stamp.
+fn comparable_headers(resp: &HttpResponse) -> Vec<&str> {
+    resp.headers
         .iter()
-        .filter(|(k, _)| k != "connection" && k != "x-router-replica")
-        .cloned()
-        .collect();
-    headers.sort();
-    headers
+        .map(String::as_str)
+        .filter(|line| {
+            let name = line.split(':').next().unwrap_or("");
+            !name.eq_ignore_ascii_case("connection")
+                && !name.eq_ignore_ascii_case("x-router-replica")
+        })
+        .collect()
 }
 
 /// Asserts `via_router` is the byte-faithful relay of `direct`.
 fn assert_transparent(via_router: &HttpResponse, direct: &HttpResponse, context: &str) {
-    assert_eq!(via_router.status, direct.status, "{context}: status");
+    assert_eq!(
+        via_router.status_line, direct.status_line,
+        "{context}: status line"
+    );
     assert_eq!(via_router.body, direct.body, "{context}: body");
     assert_eq!(
         comparable_headers(via_router),
         comparable_headers(direct),
-        "{context}: headers (modulo hop-by-hop)"
+        "{context}: headers, in order and case (modulo hop-by-hop)"
     );
     assert!(
         via_router.header("x-router-replica").is_some(),
@@ -385,4 +393,80 @@ fn admin_reload_rolls_the_whole_fleet_with_verification() {
     assert!(metrics.body.contains("st_router_rollouts_paused_total 1"));
 
     fx.shutdown();
+}
+
+#[test]
+fn unframeable_request_closes_the_connection_instead_of_desyncing_it() {
+    let fx = FleetFixture::start("framing", 2, ServeConfig::default());
+    let user = fx.user_owned_by(0);
+
+    // Read as bodiless, this POST's chunk — a complete `/recommend` —
+    // would be proxied as a second request on the same connection.
+    let mut raw = TcpStream::connect(fx.router_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let smuggled = format!("GET /recommend?user={user}&city=1&k=5 HTTP/1.1\r\n\r\n");
+    write!(
+        raw,
+        "POST /admin/probe HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    )
+    .expect("write");
+    let mut reply = String::new();
+    let _ = raw.read_to_string(&mut reply);
+    assert!(reply.starts_with("HTTP/1.1 400 "), "got: {reply}");
+    assert!(reply.contains("Connection: close\r\n"), "got: {reply}");
+    assert_eq!(
+        reply.matches("HTTP/1.1 ").count(),
+        1,
+        "one answer, then EOF: {reply}"
+    );
+
+    // Nothing reached a replica, and the router keeps serving.
+    let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
+    let metrics = router.get("/metrics").expect("metrics").body;
+    assert!(metrics.contains("st_router_forwarded_total 0"), "{metrics}");
+    assert!(
+        metrics.contains("st_router_responses_total{class=\"4xx\"} 1"),
+        "{metrics}"
+    );
+    let ok = router
+        .get(&format!("/recommend?user={user}&city=1&k=5"))
+        .expect("request after the rejected one");
+    assert_eq!(ok.status, 200, "body: {}", ok.body);
+
+    fx.shutdown();
+}
+
+#[test]
+fn probe_surfaces_a_replica_it_cannot_frame() {
+    // A "replica" whose /metrics reply carries no Content-Length. The
+    // lax reader took that for an empty 200 page and reported the epoch
+    // gauge missing; the strict one names the real fault.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fake = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = Vec::new();
+            while !request.ends_with(b"\r\n\r\n") {
+                let mut byte = [0u8; 1];
+                if stream.read(&mut byte).unwrap_or(0) == 0 {
+                    break;
+                }
+                request.push(byte[0]);
+            }
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\n\r\nst_serve_model_epoch 4\n");
+        }
+    });
+
+    let err = st_router::fleet::probe_metrics(addr, Duration::from_secs(2))
+        .err()
+        .expect("an unframeable reply is an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("content-length"), "{err}");
+
+    let fleet = st_router::Fleet::new(&[addr], st_router::FleetConfig::default());
+    assert!(!fleet.probe(ReplicaId(0)), "such a probe counts as failed");
+    fake.join().expect("fake replica");
 }

@@ -30,7 +30,7 @@ use crate::fault::FaultInjector;
 use crate::metrics::{Metrics, BATCH_BUCKETS};
 use crate::snapshot::ModelCell;
 use st_data::{PoiId, UserId};
-use st_transrec_core::ModelSnapshot as FrozenModel;
+use st_transrec_core::ModelSnapshot;
 use st_transrec_core::{InferCtx, Recommendation, STTransRec};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
@@ -55,11 +55,11 @@ impl PairScorer for STTransRec {
     }
 }
 
-impl PairScorer for FrozenModel {
+impl PairScorer for ModelSnapshot {
     fn score_pairs(&self, users: &[UserId], pois: &[PoiId]) -> Vec<f32> {
         // Inherent method of the same name; resolves to the snapshot's own
         // tape-free scoring, not back into this trait impl.
-        FrozenModel::score_pairs(self, users, pois)
+        ModelSnapshot::score_pairs(self, users, pois)
     }
 }
 
@@ -432,7 +432,7 @@ fn execute_batch(
 /// the generation's frozen parameters and the batcher's reusable
 /// scratch), then ranks and replies per request.
 fn score_chunk(
-    snapshot: &crate::snapshot::ModelSnapshot,
+    snapshot: &crate::snapshot::ServingGeneration,
     chunk: Vec<Job>,
     total: usize,
     ctx: &mut InferCtx,

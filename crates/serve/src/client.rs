@@ -1,37 +1,25 @@
-//! A minimal blocking HTTP/1.1 client over `TcpStream`.
+//! The one blocking HTTP/1.1 client of the fleet, over `TcpStream`.
 //!
-//! Exists for the load generator and the end-to-end tests: it reuses one
-//! keep-alive connection across requests (the access pattern the server
-//! optimizes for) and parses just the subset of HTTP the server emits —
-//! status line, headers, `Content-Length` body.
+//! Every hop that talks to an `st-serve` replica goes through
+//! [`HttpClient`]: the router's per-worker backend pool, its health
+//! probe and rollout RPCs, the online publisher, and the tests and load
+//! generators. It reuses one keep-alive connection across requests (the
+//! access pattern the server optimizes for) and reads replies with the
+//! strict [`read_response`] — a reply whose framing it cannot trust is an
+//! `InvalidData` error, after which the caller must drop the connection.
 
-use std::io::{BufRead, BufReader, Write};
+use crate::http::read_response;
+pub use crate::http::HttpResponse;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// A parsed HTTP response.
-#[derive(Debug, Clone)]
-pub struct HttpResponse {
-    /// Status code.
-    pub status: u16,
-    /// Headers with lower-cased names.
-    pub headers: Vec<(String, String)>,
-    /// Body as UTF-8 (every server response is text).
-    pub body: String,
-}
+/// Connect and read timeout of [`HttpClient::connect`]: generous, since
+/// an overloaded replica answers through its own deadline machinery and
+/// a reload deserializes a whole checkpoint.
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
-impl HttpResponse {
-    /// First header named `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A keep-alive connection to the server.
+/// A keep-alive connection to a server.
 pub struct HttpClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -40,19 +28,19 @@ pub struct HttpClient {
 impl HttpClient {
     /// Connects to `addr` with a generous request timeout.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            writer: stream,
-            reader,
-        })
+        Self::connect_with(addr, DEFAULT_TIMEOUT, DEFAULT_TIMEOUT)
     }
 
-    /// Wraps an already-connected stream, keeping whatever timeouts the
-    /// caller configured (the router uses short probe timeouts).
-    pub fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
+    /// Connects to `addr` within `connect_timeout`; every later reply
+    /// must arrive within `read_timeout`.
+    pub fn connect_with(
+        addr: SocketAddr,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+    ) -> std::io::Result<Self> {
+        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        stream.set_read_timeout(Some(read_timeout))?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             writer: stream,
@@ -62,11 +50,10 @@ impl HttpClient {
 
     /// Issues one request on the shared connection and reads the reply.
     pub fn request(&mut self, method: &str, path: &str) -> std::io::Result<HttpResponse> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: st-serve\r\n\r\n"
-        )?;
-        self.writer.flush()?;
+        // One write, so the request leaves as one segment (the socket is
+        // TCP_NODELAY) and a peer never sees it torn.
+        let request = format!("{method} {path} HTTP/1.1\r\nHost: st-serve\r\n\r\n");
+        self.writer.write_all(request.as_bytes())?;
         read_response(&mut self.reader)
     }
 
@@ -84,50 +71,4 @@ impl HttpClient {
 /// One-shot convenience: connect, GET, disconnect.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<HttpResponse> {
     HttpClient::connect(addr)?.get(path)
-}
-
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
-
-fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(invalid("connection closed before response"));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
-
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(invalid("EOF inside response headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| invalid("bad content-length"))?;
-            }
-            headers.push((name, value));
-        }
-    }
-
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| invalid("non-UTF8 body"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
 }

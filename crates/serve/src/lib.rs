@@ -5,12 +5,23 @@
 //! recommendation service — the path a visitor arriving in a new city
 //! actually hits.
 //!
-//! Four layers, std-only (no external dependencies, matching the
-//! offline build environment):
+//! Std-only (no external dependencies, matching the offline build
+//! environment). The bottom three modules are the **one HTTP layer of the
+//! whole fleet** — `st-router` and `st-online` use them too, and no tier
+//! carries a server loop, a client or a parser of its own:
 //!
-//! - [`http`] — a minimal HTTP/1.1 server substrate over
-//!   `std::net::TcpListener`: request parsing with hard limits,
-//!   keep-alive, hand-rolled JSON responses.
+//! - [`http`] — the HTTP/1.1 wire codec in both directions: request and
+//!   response readers with hard limits and one strict framing rule,
+//!   response writers (including the byte-faithful relay).
+//! - [`httpd`] — the server loop, [`httpd::HttpServer`]: accept thread,
+//!   fixed worker pool, keep-alive, force-close shutdown, and the
+//!   interval ticker; a tier plugs in as a [`httpd::Handler`].
+//! - [`client`] — the keep-alive [`client::HttpClient`] every hop to a
+//!   replica goes through: the router's backend pool, probe and rollout
+//!   RPCs, the online publisher, the tests and the load generators.
+//!
+//! On top of it, the serving engine:
+//!
 //! - [`batcher`] — a micro-batcher that coalesces concurrent
 //!   `/recommend` requests arriving within a short window into one
 //!   batched forward pass, so serving throughput rides the batched
@@ -19,15 +30,14 @@
 //!   `(user, city, k, model_epoch)`; the epoch component makes cache
 //!   invalidation on hot-reload free.
 //! - [`snapshot`] — checkpoint hot-reload: the model lives behind an
-//!   `Arc`-swapped [`snapshot::ModelSnapshot`], so `POST /admin/reload`
-//!   (or the checkpoint-mtime watcher) swaps a new model in without
-//!   dropping in-flight requests.
-//!
-//! [`server`] wires the layers into a [`server::Server`] with a fixed
-//! worker pool and a `/metrics` endpoint (request counts, cache hit
-//! rate, batch-size distribution, latency histograms). [`client`] is a
-//! tiny blocking HTTP client used by the end-to-end tests and the
-//! `st-bench` load generator.
+//!   `Arc`-swapped [`snapshot::ServingGeneration`], so `POST
+//!   /admin/reload` (or the checkpoint-mtime watcher) swaps a new model
+//!   in without dropping in-flight requests.
+//! - [`server`] — the [`server::Engine`] (routing, cache, reload: a
+//!   `Handler`) and the [`server::Server`] that owns its loop;
+//!   [`metrics`] is the `/metrics` page (request counts, cache hit
+//!   rate, batch-size distribution, latency histograms) and its
+//!   scrapers.
 //!
 //! Large catalogs are served through two-stage retrieval: each model
 //! generation carries a `st_transrec_core::RetrievalIndex` (geo-grid +
@@ -71,6 +81,7 @@ pub mod batcher;
 pub mod client;
 pub mod fault;
 pub mod http;
+pub mod httpd;
 pub mod lru;
 pub mod metrics;
 pub mod server;
@@ -79,7 +90,8 @@ pub mod snapshot;
 pub use batcher::{BatchConfig, BatchReply, BatchRequest, MicroBatcher, PairScorer, SubmitError};
 pub use client::{HttpClient, HttpResponse};
 pub use fault::{ChaosPhase, FaultInjector, FaultPlan};
+pub use httpd::{Handler, HttpServer};
 pub use lru::LruCache;
-pub use metrics::Metrics;
+pub use metrics::{Metrics, StatusTally};
 pub use server::{render_recommend_body, Engine, ServeConfig, Server};
-pub use snapshot::{ModelCell, ModelSnapshot, ReloadOutcome, Reloader};
+pub use snapshot::{ModelCell, ReloadOutcome, Reloader, ServingGeneration};

@@ -105,6 +105,51 @@ impl<const N: usize> Histogram<N> {
     }
 }
 
+/// Responses by status class, shared by every tier's `/metrics`.
+#[derive(Debug, Default)]
+pub struct StatusTally([AtomicU64; 3]);
+
+impl StatusTally {
+    const CLASSES: [&'static str; 3] = ["2xx", "4xx", "5xx"];
+
+    /// Tallies one response status.
+    pub fn record(&self, status: u16) {
+        let class = match status {
+            200..=299 => 0,
+            400..=499 => 1,
+            _ => 2,
+        };
+        self.0[class].fetch_add(1, Relaxed);
+    }
+
+    /// Renders `<family>{class="2xx"} n` and its 4xx/5xx siblings.
+    pub fn render_into(&self, out: &mut String, family: &str) {
+        use std::fmt::Write;
+        for (class, n) in Self::CLASSES.iter().zip(&self.0) {
+            let _ = writeln!(out, "{family}{{class=\"{class}\"}} {}", n.load(Relaxed));
+        }
+    }
+}
+
+/// Reads the unlabelled integer sample `name` back out of a `/metrics`
+/// page — the reader of what [`Metrics::render`] writes.
+pub fn scrape_gauge(page: &str, name: &str) -> Option<u64> {
+    page.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+}
+
+/// Reads the one-hot `st_serve_snapshot_format{format=...}` family back
+/// out of a `/metrics` page: the label whose sample is 1.
+pub fn scrape_snapshot_format(page: &str) -> Option<StorageEncoding> {
+    page.lines().find_map(|line| {
+        let (label, value) = line
+            .strip_prefix("st_serve_snapshot_format{format=\"")?
+            .split_once("\"} ")?;
+        (value.trim() == "1").then(|| label.parse().ok())?
+    })
+}
+
 /// All counters the serving subsystem exports.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -116,12 +161,9 @@ pub struct Metrics {
     pub metrics_requests: AtomicU64,
     /// `POST /admin/reload` requests.
     pub reload_requests: AtomicU64,
-    /// Responses by status class.
-    pub responses_2xx: AtomicU64,
-    /// 4xx responses (including 400s for malformed requests).
-    pub responses_4xx: AtomicU64,
-    /// 5xx responses.
-    pub responses_5xx: AtomicU64,
+    /// Responses by status class (4xx includes the 400s for malformed
+    /// requests).
+    pub responses: StatusTally,
     /// Result-cache hits.
     pub cache_hits: AtomicU64,
     /// Result-cache misses.
@@ -180,16 +222,6 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records a response status for the by-class counters.
-    pub fn record_status(&self, status: u16) {
-        let counter = match status {
-            200..=299 => &self.responses_2xx,
-            400..=499 => &self.responses_4xx,
-            _ => &self.responses_5xx,
-        };
-        counter.fetch_add(1, Relaxed);
-    }
-
     /// Stamps the snapshot gauges for the generation that just became
     /// current — called at startup and after each accepted reload.
     pub fn stamp_snapshot(&self, format: StorageEncoding, bytes: u64, mapped: bool) {
@@ -234,18 +266,6 @@ impl Metrics {
             "st_serve_requests_total{route=\"reload\"}",
             self.reload_requests.load(Relaxed),
         );
-        counter(
-            "st_serve_responses_total{class=\"2xx\"}",
-            self.responses_2xx.load(Relaxed),
-        );
-        counter(
-            "st_serve_responses_total{class=\"4xx\"}",
-            self.responses_4xx.load(Relaxed),
-        );
-        counter(
-            "st_serve_responses_total{class=\"5xx\"}",
-            self.responses_5xx.load(Relaxed),
-        );
         counter("st_serve_cache_hits_total", self.cache_hits.load(Relaxed));
         counter(
             "st_serve_cache_misses_total",
@@ -273,6 +293,8 @@ impl Metrics {
             "st_serve_retrieval_fallback_total",
             self.retrieval_fallback_total.load(Relaxed),
         );
+        self.responses
+            .render_into(&mut out, "st_serve_responses_total");
         for (name, q) in [
             ("st_serve_request_latency_us_p50", 0.50),
             ("st_serve_request_latency_us_p99", 0.99),
@@ -424,9 +446,9 @@ mod tests {
     fn render_exposes_all_families() {
         let m = Metrics::new();
         m.recommend_requests.fetch_add(2, Relaxed);
-        m.record_status(200);
-        m.record_status(400);
-        m.record_status(500);
+        m.responses.record(200);
+        m.responses.record(400);
+        m.responses.record(500);
         m.cache_hits.fetch_add(1, Relaxed);
         m.cache_misses.fetch_add(3, Relaxed);
         m.shed_total.fetch_add(5, Relaxed);
@@ -463,5 +485,16 @@ mod tests {
         assert!(text.contains("st_serve_snapshot_format{format=\"f32\"} 0"));
         assert!(text.contains("st_serve_snapshot_format{format=\"f16\"} 0"));
         assert!(text.contains("st_serve_snapshot_mapped 1"));
+
+        // The scrapers read back what render wrote.
+        assert_eq!(scrape_gauge(&text, "st_serve_model_epoch"), Some(7));
+        assert_eq!(
+            scrape_gauge(&text, "st_serve_last_reload_timestamp_seconds"),
+            Some(1_700_000_000)
+        );
+        assert_eq!(scrape_gauge(&text, "st_serve_cache_hit_rate"), None);
+        assert_eq!(scrape_gauge(&text, "st_serve_no_such_gauge"), None);
+        assert_eq!(scrape_snapshot_format(&text), Some(StorageEncoding::I8));
+        assert_eq!(scrape_snapshot_format("st_serve_model_epoch 4\n"), None);
     }
 }

@@ -1,4 +1,4 @@
-//! The HTTP serving engine: routing, worker pool, cache, and reload.
+//! The serving engine: routing, cache, and reload.
 //!
 //! Four routes:
 //!
@@ -9,9 +9,9 @@
 //! - `POST /admin/reload` — checkpoint hot-reload; failure keeps the
 //!   old model and reports `500`.
 //!
-//! A fixed pool of worker threads pulls accepted connections off a
-//! channel and speaks keep-alive HTTP/1.1; malformed requests get `400`
-//! and the connection is closed. Responses carry `X-Cache: HIT|MISS`
+//! The [`Engine`] is a [`Handler`] over the fleet's one server loop
+//! ([`crate::httpd`]: worker pool, keep-alive, `400` + close for
+//! malformed requests, shutdown). Responses carry `X-Cache: HIT|MISS`
 //! (or `STALE` for degraded answers) and `X-Model-Epoch` headers so
 //! clients (and the load generator) can see cache and reload behaviour
 //! without parsing bodies.
@@ -26,18 +26,17 @@
 
 use crate::batcher::{BatchConfig, BatchRequest, MicroBatcher, SubmitError};
 use crate::fault::FaultInjector;
-use crate::http::{read_request, ParseError, Request, Response};
+use crate::http::{Request, Response};
+use crate::httpd::{Handler, HttpServer};
 use crate::lru::LruCache;
-use crate::metrics::{Metrics, LATENCY_BUCKETS_US};
+use crate::metrics::{Metrics, StatusTally, LATENCY_BUCKETS_US};
 use crate::snapshot::{ModelCell, ReloadOutcome, Reloader};
 use st_data::{CityId, Dataset, UserId};
-use st_transrec_core::ModelSnapshot as FrozenModel;
-use st_transrec_core::{InferCtx, Recommendation, RetrievalConfig, STTransRec};
-use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, RetrievalConfig, STTransRec};
+use std::io::Write;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cache key: a result is only reusable for the exact same question
@@ -153,7 +152,7 @@ impl Engine {
     /// snapshot gauges.
     pub fn new_frozen(
         dataset: Arc<Dataset>,
-        frozen: FrozenModel,
+        frozen: ModelSnapshot,
         snapshot_bytes: u64,
         reloader: Option<Reloader>,
         config: &ServeConfig,
@@ -268,13 +267,7 @@ impl Engine {
             ("POST", "/admin/reload") => {
                 self.metrics.reload_requests.fetch_add(1, Ordering::Relaxed);
                 match self.reload() {
-                    Ok(o) => Response::json(
-                        200,
-                        format!(
-                            "{{\"reloaded\":true,\"model_epoch\":{},\"snapshot_format\":\"{}\",\"snapshot_bytes\":{},\"snapshot_mapped\":{}}}",
-                            o.epoch, o.format, o.snapshot_bytes, o.mapped
-                        ),
-                    ),
+                    Ok(outcome) => Response::json(200, outcome.to_json()),
                     Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
                         Response::error(409, &e.to_string())
                     }
@@ -303,19 +296,17 @@ impl Engine {
 
     fn recommend_response(&self, req: &Request) -> Response {
         // Parse and validate request input; none of it may panic.
-        let user = match req.query_param("user").map(str::parse::<u32>) {
-            Some(Ok(u)) => UserId(u),
-            Some(Err(_)) => return Response::error(400, "user must be a non-negative integer"),
-            None => return Response::error(400, "missing query parameter: user"),
+        let user = match req.int_param("user") {
+            Ok(u) => UserId(u),
+            Err(response) => return response,
         };
-        let city = match req.query_param("city").map(str::parse::<u16>) {
-            Some(Ok(c)) => CityId(c),
-            Some(Err(_)) => return Response::error(400, "city must be a non-negative integer"),
-            None => return Response::error(400, "missing query parameter: city"),
+        let city = match req.int_param("city") {
+            Ok(c) => CityId(c),
+            Err(response) => return response,
         };
-        let k = match req.query_param("k").map(str::parse::<usize>) {
+        let k = match req.query_param("k").map(|_| req.int_param("k")) {
             Some(Ok(k)) => k,
-            Some(Err(_)) => return Response::error(400, "k must be a non-negative integer"),
+            Some(Err(response)) => return response,
             None => self.default_k,
         };
         if k > self.max_k {
@@ -470,208 +461,77 @@ pub fn render_recommend_body(
     out
 }
 
-/// A running server; dropping it (or calling [`Server::shutdown`]) stops
-/// the listener, workers, batcher, and watcher.
-pub struct Server {
-    addr: SocketAddr,
-    engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
-    conns: ConnRegistry,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
-    watcher_handle: Option<std::thread::JoinHandle<()>>,
+impl Handler for Engine {
+    type Worker = ();
+
+    fn handle<W: Write>(
+        &self,
+        req: &Request,
+        _worker: &mut (),
+        out: &mut W,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        let response = self.route(req);
+        self.metrics.responses.record(response.status);
+        response.write_to(out, keep_alive)
+    }
+
+    fn responses(&self) -> &StatusTally {
+        &self.metrics.responses
+    }
 }
 
-/// Live client connections keyed by accept order, so shutdown can
-/// force-close a blocked keep-alive read instead of waiting out its
-/// idle timeout.
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// A running server: the shared [`HttpServer`] loop over an [`Engine`],
+/// plus the checkpoint watcher. Dropping it (or calling
+/// [`Server::shutdown`]) stops the listener, workers, batcher, and
+/// watcher.
+pub struct Server {
+    http: HttpServer<Engine>,
+}
 
 impl Server {
     /// Binds and starts serving `engine` under `config`.
     pub fn start(engine: Arc<Engine>, config: &ServeConfig) -> std::io::Result<Server> {
-        let listener =
-            TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad addr")
-            })?)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Fixed worker pool fed by an accept thread over a channel.
-        let (conn_tx, conn_rx) = mpsc::channel::<(u64, TcpStream)>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let workers = config.workers.max(1);
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = conn_rx.clone();
-            let engine = engine.clone();
-            let registry = conns.clone();
-            let idle = config.idle_timeout;
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("st-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let conn = rx.lock().expect("conn rx poisoned").recv();
-                        match conn {
-                            Ok((conn_id, stream)) => {
-                                handle_connection(&engine, stream, idle);
-                                registry
-                                    .lock()
-                                    .expect("conn registry poisoned")
-                                    .remove(&conn_id);
-                            }
-                            Err(_) => return, // accept thread gone: shutdown
-                        }
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-
-        let accept_stop = stop.clone();
-        let accept_conns = conns.clone();
-        let accept_handle = std::thread::Builder::new()
-            .name("st-serve-accept".into())
-            .spawn(move || {
-                let mut next_id = 0u64;
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::Acquire) {
-                        break; // the shutdown self-connection lands here
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            let conn_id = next_id;
-                            next_id += 1;
-                            if let Ok(clone) = stream.try_clone() {
-                                accept_conns
-                                    .lock()
-                                    .expect("conn registry poisoned")
-                                    .insert(conn_id, clone);
-                            }
-                            if conn_tx.send((conn_id, stream)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
+        let mut http = HttpServer::start(
+            "st-serve",
+            engine.clone(),
+            &config.addr,
+            config.workers,
+            config.idle_timeout,
+        )?;
+        if let (Some(interval), true) = (config.watch_interval, engine.reloader.is_some()) {
+            http.every("st-serve-watcher", interval, move || {
+                if engine
+                    .reloader
+                    .as_ref()
+                    .is_some_and(Reloader::mtime_changed)
+                {
+                    // A broken half-written checkpoint is rejected; the
+                    // next tick retries.
+                    let _ = engine.reload();
                 }
-                // Dropping conn_tx unblocks every worker.
-            })
-            .expect("spawn accept thread");
-
-        let watcher_handle = match (config.watch_interval, engine.reloader.is_some()) {
-            (Some(interval), true) => {
-                let engine = engine.clone();
-                let stop = stop.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name("st-serve-watcher".into())
-                        .spawn(move || {
-                            while !stop.load(Ordering::Acquire) {
-                                std::thread::sleep(interval);
-                                let Some(reloader) = engine.reloader.as_ref() else {
-                                    return;
-                                };
-                                if reloader.mtime_changed() {
-                                    // A broken half-written checkpoint is
-                                    // rejected; the next tick retries.
-                                    let _ = engine.reload();
-                                }
-                            }
-                        })
-                        .expect("spawn watcher"),
-                )
-            }
-            _ => None,
-        };
-
-        Ok(Server {
-            addr,
-            engine,
-            stop,
-            conns,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            watcher_handle,
-        })
+            });
+        }
+        Ok(Server { http })
     }
 
     /// The bound address (use this to learn an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// The engine behind this server.
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        self.http.handler()
     }
 
     /// Blocks the calling thread until the server stops.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+    pub fn wait(self) {
+        self.http.wait()
     }
 
     /// Stops accepting, drains workers, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        // Force-close live keep-alive connections so blocked worker
-        // reads fail now rather than at their idle timeout.
-        for (_, stream) in self.conns.lock().expect("conn registry poisoned").drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.watcher_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
-/// Serves one connection: keep-alive request loop with an idle timeout.
-fn handle_connection(engine: &Engine, stream: TcpStream, idle_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => return, // clean close between requests
-            Ok(Some(req)) => {
-                let response = engine.route(&req);
-                engine.metrics.record_status(response.status);
-                let keep_alive = !req.wants_close();
-                if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(ParseError::Malformed(msg)) => {
-                let response = Response::error(400, &msg);
-                engine.metrics.record_status(400);
-                let _ = response.write_to(&mut writer, false);
-                return;
-            }
-            Err(ParseError::Io(_)) => return, // timeout or peer reset
-        }
+    pub fn shutdown(self) {
+        self.http.shutdown()
     }
 }

@@ -1,7 +1,7 @@
 //! Arc-swapped model snapshots and checkpoint hot-reload.
 //!
 //! The serving model lives behind a [`ModelCell`]: readers clone an
-//! `Arc<ModelSnapshot>` under a briefly held read lock and then score
+//! `Arc<ServingGeneration>` under a briefly held read lock and then score
 //! against an immutable model with no lock held, so a reload never
 //! blocks or drops in-flight requests — batches that grabbed the old
 //! snapshot finish on it, later batches see the new one. Each swap bumps
@@ -11,7 +11,7 @@
 //!
 //! [`Reloader`] restores serving state from a checkpoint on disk,
 //! dispatching on the container version: a v2 checkpoint is
-//! memory-mapped and becomes a [`FrozenModel`] directly — no
+//! memory-mapped and becomes a [`ModelSnapshot`] directly — no
 //! [`STTransRec`] is built, no training state allocated, and table
 //! bytes are paged in lazily as they are gathered — while a legacy v1
 //! checkpoint takes the historical rebuild-and-restore path. A corrupt
@@ -20,20 +20,19 @@
 
 use st_data::{CrossingCitySplit, Dataset};
 use st_tensor::StorageEncoding;
-use st_transrec_core::ModelSnapshot as FrozenModel;
-use st_transrec_core::{ModelConfig, RetrievalConfig, RetrievalIndex, STTransRec};
+use st_transrec_core::{ModelConfig, ModelSnapshot, RetrievalConfig, RetrievalIndex, STTransRec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
 
 /// One immutable generation of the serving model.
-pub struct ModelSnapshot {
+pub struct ServingGeneration {
     /// The frozen parameters all of this generation's scoring runs
-    /// through: the tape-free [`FrozenModel`] captured at swap time (or
+    /// through: the tape-free [`ModelSnapshot`] captured at swap time (or
     /// mapped straight from a v2 checkpoint), so the hot path never
     /// touches the autodiff tape.
-    pub frozen: FrozenModel,
+    pub frozen: ModelSnapshot,
     /// Monotone generation number, starting at 1.
     pub epoch: u64,
     /// This generation's two-stage retrieval index, built from the
@@ -49,7 +48,7 @@ pub struct ModelSnapshot {
     pub mapped: bool,
 }
 
-impl ModelSnapshot {
+impl ServingGeneration {
     /// The embedding tables' storage encoding (f32 / f16 / int8),
     /// exported as the `st_serve_snapshot_format` gauge label.
     pub fn format(&self) -> StorageEncoding {
@@ -75,9 +74,35 @@ pub struct ReloadOutcome {
     pub mapped: bool,
 }
 
+impl ReloadOutcome {
+    /// Renders the outcome as the `/admin/reload` success body.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"reloaded\":true,\"model_epoch\":{},\"snapshot_format\":\"{}\",\"snapshot_bytes\":{},\"snapshot_mapped\":{}}}",
+            self.epoch, self.format, self.snapshot_bytes, self.mapped
+        )
+    }
+
+    /// Reads an outcome back out of the body [`ReloadOutcome::to_json`]
+    /// wrote; `None` when any field is missing or unparsable.
+    pub fn parse(body: &str) -> Option<Self> {
+        // The value right after `"key":`, up to the next `,` or `}`.
+        let field = |key: &str| {
+            let rest = body.split_once(&format!("\"{key}\":"))?.1;
+            Some(rest[..rest.find([',', '}'])?].trim_matches('"'))
+        };
+        Some(Self {
+            epoch: field("model_epoch")?.parse().ok()?,
+            format: field("snapshot_format")?.parse().ok()?,
+            snapshot_bytes: field("snapshot_bytes")?.parse().ok()?,
+            mapped: field("snapshot_mapped")?.parse().ok()?,
+        })
+    }
+}
+
 /// The atomically swappable current snapshot.
 pub struct ModelCell {
-    current: RwLock<Arc<ModelSnapshot>>,
+    current: RwLock<Arc<ServingGeneration>>,
     epoch: AtomicU64,
     /// Dataset + knobs needed to rebuild the retrieval index for each
     /// new generation; `None` disables retrieval for the cell's life.
@@ -85,53 +110,38 @@ pub struct ModelCell {
 }
 
 impl ModelCell {
-    fn capture(
-        model: &STTransRec,
-        epoch: u64,
-        retrieval_ctx: &Option<(Arc<Dataset>, RetrievalConfig)>,
-    ) -> Arc<ModelSnapshot> {
-        let frozen = model.snapshot();
-        Self::wrap(frozen, epoch, retrieval_ctx)
-    }
-
+    /// Wraps `frozen` as generation `epoch`, building its retrieval
+    /// index when the cell has one. `snapshot_bytes` overrides the byte
+    /// gauge (the container file size for mapped loads); `None` reports
+    /// the frozen tables' own storage bytes.
     fn wrap(
-        frozen: FrozenModel,
+        frozen: ModelSnapshot,
         epoch: u64,
+        snapshot_bytes: Option<u64>,
         retrieval_ctx: &Option<(Arc<Dataset>, RetrievalConfig)>,
-    ) -> Arc<ModelSnapshot> {
+    ) -> ServingGeneration {
         let retrieval = retrieval_ctx
             .as_ref()
             .map(|(d, cfg)| Arc::new(RetrievalIndex::build(&frozen, d, cfg.clone())));
-        let snapshot_bytes = frozen.table_bytes() as u64;
-        let mapped = frozen.is_mapped();
-        Arc::new(ModelSnapshot {
+        ServingGeneration {
+            snapshot_bytes: snapshot_bytes.unwrap_or(frozen.table_bytes() as u64),
+            mapped: frozen.is_mapped(),
             frozen,
             epoch,
             retrieval,
-            snapshot_bytes,
-            mapped,
-        })
+        }
     }
 
     /// Wraps `model` as epoch 1, with no retrieval index (every query
     /// scans the full catalog).
     pub fn new(model: STTransRec) -> Self {
-        Self::build(model, None)
+        Self::from_frozen(model.snapshot(), None, None)
     }
 
     /// Wraps `model` as epoch 1 and builds a retrieval index for this
     /// and every future generation from `dataset` with `cfg`.
     pub fn with_retrieval(model: STTransRec, dataset: Arc<Dataset>, cfg: RetrievalConfig) -> Self {
-        Self::build(model, Some((dataset, cfg)))
-    }
-
-    fn build(model: STTransRec, retrieval_ctx: Option<(Arc<Dataset>, RetrievalConfig)>) -> Self {
-        let snapshot = Self::capture(&model, 1, &retrieval_ctx);
-        Self {
-            current: RwLock::new(snapshot),
-            epoch: AtomicU64::new(1),
-            retrieval_ctx,
-        }
+        Self::from_frozen(model.snapshot(), None, Some((dataset, cfg)))
     }
 
     /// Wraps an already-frozen model as epoch 1 — the v2 startup path,
@@ -140,18 +150,12 @@ impl ModelCell {
     /// `retrieval` enables index builds for this and every future
     /// generation.
     pub fn from_frozen(
-        frozen: FrozenModel,
+        frozen: ModelSnapshot,
         snapshot_bytes: Option<u64>,
         retrieval: Option<(Arc<Dataset>, RetrievalConfig)>,
     ) -> Self {
-        let mut snapshot = Self::wrap(frozen, 1, &retrieval);
-        if let Some(bytes) = snapshot_bytes {
-            Arc::get_mut(&mut snapshot)
-                .expect("freshly wrapped snapshot is unshared")
-                .snapshot_bytes = bytes;
-        }
         Self {
-            current: RwLock::new(snapshot),
+            current: RwLock::new(Arc::new(Self::wrap(frozen, 1, snapshot_bytes, &retrieval))),
             epoch: AtomicU64::new(1),
             retrieval_ctx: retrieval,
         }
@@ -159,7 +163,7 @@ impl ModelCell {
 
     /// The current snapshot. Cheap: one read-lock acquisition and an
     /// `Arc` clone; scoring happens after the lock is released.
-    pub fn current(&self) -> Arc<ModelSnapshot> {
+    pub fn current(&self) -> Arc<ServingGeneration> {
         self.current.read().expect("model cell poisoned").clone()
     }
 
@@ -181,19 +185,12 @@ impl ModelCell {
     /// own storage bytes. The new generation's retrieval index (when
     /// the cell has one) is built *before* the write lock is taken, so
     /// readers are never blocked behind an index build.
-    pub fn swap_frozen(&self, frozen: FrozenModel, snapshot_bytes: Option<u64>) -> u64 {
-        let mut snapshot = Self::wrap(frozen, 0, &self.retrieval_ctx);
-        if let Some(bytes) = snapshot_bytes {
-            Arc::get_mut(&mut snapshot)
-                .expect("freshly wrapped snapshot is unshared")
-                .snapshot_bytes = bytes;
-        }
+    pub fn swap_frozen(&self, frozen: ModelSnapshot, snapshot_bytes: Option<u64>) -> u64 {
+        let mut next = Self::wrap(frozen, 0, snapshot_bytes, &self.retrieval_ctx);
         let mut guard = self.current.write().expect("model cell poisoned");
-        let epoch = guard.epoch + 1;
-        Arc::get_mut(&mut snapshot)
-            .expect("freshly wrapped snapshot is unshared")
-            .epoch = epoch;
-        *guard = snapshot;
+        next.epoch = guard.epoch + 1;
+        let epoch = next.epoch;
+        *guard = Arc::new(next);
         self.epoch.store(epoch, Ordering::Release);
         epoch
     }
@@ -253,18 +250,18 @@ impl Reloader {
     /// Loads the checkpoint as a frozen serving model, returning it with
     /// the byte count to report for the snapshot gauge. Dispatches on
     /// the container version: **v2** is memory-mapped and becomes a
-    /// [`FrozenModel`] directly — O(header) validation, no training
+    /// [`ModelSnapshot`] directly — O(header) validation, no training
     /// state, tables paged in on demand — while **v1** takes the legacy
     /// rebuild-and-restore path. Either way a bad checkpoint errors out
     /// before anything is swapped.
-    pub fn load_frozen(&self) -> std::io::Result<(FrozenModel, u64)> {
+    pub fn load_frozen(&self) -> std::io::Result<(ModelSnapshot, u64)> {
         let mtime = std::fs::metadata(&self.path)
             .and_then(|m| m.modified())
             .ok();
         let version = st_tensor::checkpoint::snapshot_version(&self.path)?;
         let loaded = if version >= 2 {
             let mapped = st_tensor::map_params(&self.path)?;
-            let frozen = FrozenModel::from_mapped(&mapped)?;
+            let frozen = ModelSnapshot::from_mapped(&mapped)?;
             // The checkpoint must describe the dataset this server was
             // launched with; a mismatched table would panic on the first
             // out-of-range gather (or silently truncate the catalog).
@@ -337,6 +334,30 @@ mod tests {
         let (d, _) = generate(&cfg);
         let split = CrossingCitySplit::build(&d, CityId(cfg.target_city as u16));
         (Arc::new(d), Arc::new(split))
+    }
+
+    #[test]
+    fn reload_outcome_reads_back_what_it_writes() {
+        let outcome = ReloadOutcome {
+            epoch: 42,
+            format: StorageEncoding::F16,
+            snapshot_bytes: 4096,
+            mapped: true,
+        };
+        let json = outcome.to_json();
+        assert_eq!(
+            json,
+            "{\"reloaded\":true,\"model_epoch\":42,\"snapshot_format\":\"f16\",\
+             \"snapshot_bytes\":4096,\"snapshot_mapped\":true}"
+        );
+        assert_eq!(ReloadOutcome::parse(&json), Some(outcome));
+        assert_eq!(ReloadOutcome::parse("{}"), None);
+        assert_eq!(
+            ReloadOutcome::parse("{\"reloaded\":true,\"model_epoch\":42}"),
+            None,
+            "every field is required"
+        );
+        assert_eq!(ReloadOutcome::parse(&json.replace("f16", "f64")), None);
     }
 
     #[test]

@@ -305,3 +305,23 @@ fn malformed_and_invalid_requests() {
 
     server.shutdown();
 }
+
+#[test]
+fn shutdown_does_not_wait_out_the_watch_interval() {
+    let fx = fixture("watcher", 0);
+    let config = ServeConfig {
+        watch_interval: Some(Duration::from_secs(10)),
+        ..ServeConfig::default()
+    };
+    let server = start_server(&fx, &config);
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited {took:?} behind the checkpoint watcher's sleep"
+    );
+}
