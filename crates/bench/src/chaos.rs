@@ -1,10 +1,14 @@
-//! Seeded chaos harness: replays a deterministic [`FaultPlan`] against a
-//! real `st-serve` server and asserts the overload invariants.
+//! Seeded chaos harness: the [`FaultPlan`] schedule and the executor
+//! that replays it against a real `st-serve` server and asserts the
+//! overload invariants.
 //!
-//! The plan expands from a single `u64` seed; execution is gate-based
-//! (the [`FaultInjector`] freeze gate plus exact queue-depth rendezvous)
-//! rather than timer-based, so the same seed always produces the same
-//! terminal-outcome counts — which is exactly what the report asserts:
+//! The plan expands from a single `u64` seed through the deterministic
+//! `st-rand` generator: the same seed always yields the same phases with
+//! the same parameters, so every phase's expected outcome is computable
+//! up front. Execution is gate-based (the [`FaultInjector`] freeze gate
+//! plus exact queue-depth rendezvous) rather than timer-based, so the
+//! same seed always produces the same terminal-outcome counts — which is
+//! exactly what the report asserts:
 //!
 //! - **Conservation**: every submitted request reaches exactly one
 //!   terminal outcome, and `served + shed + expired + degraded + failed
@@ -17,22 +21,189 @@
 //!   p99 latency of shed requests is bounded even while the scorer is
 //!   frozen solid.
 //!
-//! `loadgen --chaos --seed N` runs the plan twice and additionally
-//! requires the two passes to produce identical counts (the
-//! seed-reproducibility contract).
+//! `chaos serve --seed N` runs the plan twice and additionally requires
+//! the two passes to produce identical counts (the seed-reproducibility
+//! contract).
 
-use crate::json::{Json, ToJson};
 use crate::json_object_impl;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_serve::client::HttpClient;
 use st_serve::server::{Engine, ServeConfig, Server};
 use st_serve::snapshot::Reloader;
-use st_serve::{BatchConfig, ChaosPhase, FaultInjector, FaultPlan};
+use st_serve::{BatchConfig, FaultInjector};
 use st_transrec_core::{ModelConfig, STTransRec};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// One step of a chaos schedule. Counts below are in requests; the
+/// harness derives the expected terminal outcome of every request in the
+/// phase from the phase parameters alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosPhase {
+    /// Plain traffic with distinct users: every request scores, `200`.
+    Normal {
+        /// Requests to issue.
+        requests: usize,
+    },
+    /// Traffic under a latency-padded scorer: still every request `200`,
+    /// but each batch sleeps `pad_us` (+ seeded jitter) first.
+    PaddedTraffic {
+        /// Requests to issue.
+        requests: usize,
+        /// Base pad per batch, microseconds.
+        pad_us: u64,
+    },
+    /// Freeze the batcher, submit `queue capacity + excess` concurrent
+    /// requests: exactly `capacity` enqueue, exactly `excess` shed with
+    /// `429`, then the thaw serves the queued ones.
+    Burst {
+        /// Requests beyond the queue capacity (each one sheds).
+        excess: usize,
+    },
+    /// Freeze the batcher, queue `queued` requests, hold the freeze past
+    /// the deadline: every queued request expires with `503`.
+    DeadlineExpiry {
+        /// Requests to park in the queue (at most the capacity).
+        queued: usize,
+    },
+    /// Warm the caches for `warm` keys, hot-reload (invalidating the
+    /// fresh epoch-keyed cache), freeze, fill the queue to the
+    /// high-watermark, then issue `hits` requests for warmed keys: all
+    /// `hits` are answered degraded from the stale cache.
+    DegradedServe {
+        /// Keys to warm before the overload.
+        warm: usize,
+        /// Requests for warmed keys under overload (each one degrades).
+        hits: usize,
+    },
+    /// Freeze, queue `queued` requests, hot-reload mid-burst, thaw: all
+    /// queued requests are served (by whichever epoch scores them) —
+    /// zero requests lost.
+    ReloadMidBurst {
+        /// Requests to park in the queue (at most the capacity).
+        queued: usize,
+    },
+    /// Freeze, queue `queued` requests, arm a forced scorer failure,
+    /// thaw: every queued request gets a clean `500`.
+    ScorerFailure {
+        /// Requests to park in the queue (at most one batch).
+        queued: usize,
+    },
+}
+
+/// A seed-reproducible chaos schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultPlan {
+    /// The seed that generated (and reproduces) this plan.
+    pub seed: u64,
+    /// Phases in execution order.
+    pub phases: Vec<ChaosPhase>,
+}
+
+impl FaultPlan {
+    /// Expands `seed` into a chaos schedule sized against the serving
+    /// limits it will run under. The plan always covers every fault mode
+    /// at least once (one deck of all seven phases), then appends
+    /// `extra_phases` more drawn at random; order and parameters are
+    /// fully determined by the seed.
+    ///
+    /// `queue_capacity` and `degrade_watermark` bound the phase
+    /// parameters so each phase's outcome is exact: queued counts never
+    /// exceed the capacity, burst excess is at least 1, and degraded
+    /// phases never warm more keys than the watermark leaves room for.
+    pub fn from_seed(
+        seed: u64,
+        queue_capacity: usize,
+        degrade_watermark: usize,
+        extra_phases: usize,
+    ) -> Self {
+        assert!(queue_capacity >= 2, "chaos needs a queue to fill");
+        assert!(
+            (1..=queue_capacity).contains(&degrade_watermark),
+            "watermark must be within the queue capacity"
+        );
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let draw = |rng: &mut SmallRng, idx: usize| -> ChaosPhase {
+            match idx {
+                0 => ChaosPhase::Normal {
+                    requests: rng.gen_range(4..=12),
+                },
+                1 => ChaosPhase::PaddedTraffic {
+                    requests: rng.gen_range(3..=8),
+                    pad_us: rng.gen_range(200..=2_000),
+                },
+                2 => ChaosPhase::Burst {
+                    excess: rng.gen_range(1..=queue_capacity),
+                },
+                3 => ChaosPhase::DeadlineExpiry {
+                    queued: rng.gen_range(2..=queue_capacity),
+                },
+                4 => ChaosPhase::DegradedServe {
+                    warm: rng.gen_range(2..=4),
+                    hits: rng.gen_range(2..=6),
+                },
+                5 => ChaosPhase::ReloadMidBurst {
+                    queued: rng.gen_range(2..=queue_capacity),
+                },
+                _ => ChaosPhase::ScorerFailure {
+                    queued: rng.gen_range(2..=queue_capacity),
+                },
+            }
+        };
+        let phases = seeded_deck(&mut rng, 7, extra_phases, Deal::DrawThenShuffle, draw);
+        Self { seed, phases }
+    }
+}
+
+/// When a plan draws its deck's parameters, relative to the shuffle.
+/// The two plans have always differed here; each order consumes the
+/// seed's random stream differently, so it is part of what a seed means.
+#[derive(Clone, Copy)]
+pub(crate) enum Deal {
+    /// Draw every mode in index order, then shuffle ([`FaultPlan`]).
+    DrawThenShuffle,
+    /// Shuffle the modes, then draw in that order (`FleetFaultPlan`).
+    ShuffleThenDraw,
+}
+
+/// The shape both seeded plans share: one deck holding every mode
+/// `0..modes` once, in seed-shuffled order, then `extras` more phases of
+/// modes drawn at random. `draw(rng, mode)` draws one phase's parameters.
+pub(crate) fn seeded_deck<P>(
+    rng: &mut SmallRng,
+    modes: usize,
+    extras: usize,
+    deal: Deal,
+    draw: impl Fn(&mut SmallRng, usize) -> P,
+) -> Vec<P> {
+    fn shuffle<T>(rng: &mut SmallRng, deck: &mut [T]) {
+        for i in (1..deck.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            deck.swap(i, j);
+        }
+    }
+    let mut phases: Vec<P> = match deal {
+        Deal::DrawThenShuffle => {
+            let mut deck: Vec<P> = (0..modes).map(|mode| draw(rng, mode)).collect();
+            shuffle(rng, &mut deck);
+            deck
+        }
+        Deal::ShuffleThenDraw => {
+            let mut deck: Vec<usize> = (0..modes).collect();
+            shuffle(rng, &mut deck);
+            deck.into_iter().map(|mode| draw(rng, mode)).collect()
+        }
+    };
+    for _ in 0..extras {
+        let mode = rng.gen_range(0..modes);
+        phases.push(draw(rng, mode));
+    }
+    phases
+}
 
 /// Serving limits the chaos plan is sized against. Small on purpose:
 /// tiny queues overflow (and recover) quickly, so every fault mode is
@@ -77,7 +248,7 @@ impl ChaosCounts {
     }
 }
 
-/// The report `loadgen --chaos` writes and gates on.
+/// The report `chaos serve` prints and gates on.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Schema tag for downstream tooling.
@@ -125,11 +296,6 @@ json_object_impl!(ChaosReport {
 });
 
 impl ChaosReport {
-    /// Renders the report as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        Json::to_string(&self.to_json())
-    }
-
     /// Whether every invariant the run gates on held.
     pub fn ok(&self) -> bool {
         self.conservation_ok
@@ -458,6 +624,75 @@ pub fn run_chaos_twice(seed: u64, extra_phases: usize) -> ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
+
+    #[test]
+    fn seed_42_schedule_is_pinned() {
+        // The schedule CI replays for seed 42, as `from_seed` produced it
+        // before it shared `seeded_deck` with `fleet::FleetFaultPlan`: the
+        // helper must not move any seed's schedule.
+        let plan = FaultPlan::from_seed(42, QUEUE_CAPACITY, DEGRADE_WATERMARK, 3);
+        assert_eq!(
+            format!("{:?}", plan.phases),
+            "[PaddedTraffic { requests: 4, pad_us: 1971 }, ReloadMidBurst { queued: 5 }, \
+             Normal { requests: 11 }, Burst { excess: 5 }, DegradedServe { warm: 3, hits: 2 }, \
+             DeadlineExpiry { queued: 5 }, ScorerFailure { queued: 3 }, \
+             DeadlineExpiry { queued: 3 }, Normal { requests: 9 }, DeadlineExpiry { queued: 2 }]"
+        );
+    }
+
+    #[test]
+    fn plans_are_reproducible_and_cover_every_mode() {
+        let a = FaultPlan::from_seed(7, 8, 6, 5);
+        let b = FaultPlan::from_seed(7, 8, 6, 5);
+        assert_eq!(a, b, "same seed, same plan");
+        assert_eq!(a.phases.len(), 12);
+        let c = FaultPlan::from_seed(8, 8, 6, 5);
+        assert_ne!(a, c, "different seed, different plan");
+
+        // The base deck covers all seven fault modes.
+        let short = FaultPlan::from_seed(3, 8, 6, 0);
+        let mut seen = [false; 7];
+        for p in &short.phases {
+            let idx = match p {
+                ChaosPhase::Normal { .. } => 0,
+                ChaosPhase::PaddedTraffic { .. } => 1,
+                ChaosPhase::Burst { .. } => 2,
+                ChaosPhase::DeadlineExpiry { .. } => 3,
+                ChaosPhase::DegradedServe { .. } => 4,
+                ChaosPhase::ReloadMidBurst { .. } => 5,
+                ChaosPhase::ScorerFailure { .. } => 6,
+            };
+            seen[idx] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "missing a fault mode: {seen:?}");
+    }
+
+    #[test]
+    fn plan_parameters_respect_serving_limits() {
+        for seed in 0..50 {
+            let plan = FaultPlan::from_seed(seed, 6, 4, 8);
+            for phase in &plan.phases {
+                match *phase {
+                    ChaosPhase::Burst { excess } => {
+                        assert!((1..=6).contains(&excess))
+                    }
+                    ChaosPhase::DeadlineExpiry { queued }
+                    | ChaosPhase::ReloadMidBurst { queued }
+                    | ChaosPhase::ScorerFailure { queued } => {
+                        assert!((2..=6).contains(&queued))
+                    }
+                    ChaosPhase::DegradedServe { warm, hits } => {
+                        assert!(warm >= 2 && hits >= 2)
+                    }
+                    ChaosPhase::Normal { requests }
+                    | ChaosPhase::PaddedTraffic { requests, .. } => {
+                        assert!(requests >= 3)
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn seeded_chaos_run_holds_every_invariant() {
@@ -475,8 +710,9 @@ mod tests {
             "plan never degraded: {report:?}"
         );
         assert!(report.counts.failed > 0, "plan never failed: {report:?}");
-        let text = report.to_json_string();
-        assert!(text.contains("\"schema\": \"st-transrec-chaos/v1\""));
-        assert!(text.contains("\"reproducible\": true"));
+        let text = report.to_json().to_string();
+        assert!(text.contains("\"schema\":\"st-transrec-chaos/v1\""));
+        assert!(text.contains("\"reproducible\":true"));
+        assert!(!text.contains('\n'), "the report is one line");
     }
 }

@@ -1,4 +1,4 @@
-//! Fleet-level serving benchmarks behind `loadgen --fleet`: boots N real
+//! Fleet-level serving suite behind `chaos fleet`: boots N real
 //! `st-serve` replicas plus an `st-router` front tier in-process and
 //! proves the three claims the sharded serving tier makes.
 //!
@@ -16,18 +16,22 @@
 //!   replica kills, batcher hangs, and rolling reloads twice against
 //!   fresh fleets; both passes must produce bit-identical count
 //!   signatures, conservation must balance, and the router's own ledger
-//!   must agree with the client tallies.
+//!   must agree with the client tallies. The plan extends
+//!   [`crate::chaos::FaultPlan`] one tier up and lives here, beside the
+//!   `run_phase` that gives its phases their meaning.
 
-use crate::json::{Json, ToJson};
+use crate::chaos::{seeded_deck, Deal};
 use crate::json_object_impl;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_router::{
-    BreakerConfig, BreakerState, Fleet, FleetChaosPhase, FleetConfig, FleetFaultPlan,
-    PartitionMode, ReplicaId, RolloutConfig, RolloutDriver, RolloutStep, RouteKey, Router,
-    RouterConfig, RouterServer,
+    BreakerConfig, BreakerState, Fleet, FleetConfig, PartitionMode, ReplicaId, RolloutConfig,
+    RolloutDriver, RolloutStep, RouteKey, Router, RouterConfig, RouterServer,
 };
 use st_serve::client::HttpClient;
 use st_serve::fault::FaultInjector;
+use st_serve::metrics::scrape_gauge;
 use st_serve::server::{Engine, ServeConfig, Server};
 use st_serve::snapshot::Reloader;
 use st_serve::BatchConfig;
@@ -46,6 +50,135 @@ pub const DOWN_AFTER: u32 = 2;
 pub const QUEUE_CAPACITY: usize = 6;
 /// Batcher deadline in the chaos fleet (hang phases expire against it).
 pub const DEADLINE: Duration = Duration::from_millis(300);
+
+/// Concurrent clients per shard in the scaling and rollout runs.
+pub const CLIENTS_PER_SHARD: usize = 2;
+/// Requests each scaling client sends.
+pub const REQUESTS_PER_CLIENT: usize = 150;
+/// Injected per-request inference cost in the scaling runs, µs: it pins
+/// each replica to one request at a time, so throughput scales with the
+/// replica count even on a single core.
+pub const PAD_US: u64 = 2000;
+/// The same pad in the rollout run, where loss, not speed, is gated.
+const ROLLOUT_PAD_US: u64 = 1000;
+
+/// One phase of a fleet chaos schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetChaosPhase {
+    /// Baseline traffic spread across every shard; all answers 200.
+    Normal {
+        /// Requests per replica's key space.
+        per_shard: usize,
+    },
+    /// Kill one replica: its users see `503`s (fresh-connect failures,
+    /// then breaker-open fast rejects) until probes mark it down and
+    /// remap them to the ring successor; the replica then rejoins on a
+    /// new port and traffic returns to it.
+    ReplicaOutage {
+        /// Which replica dies (index into the fleet).
+        victim: u16,
+        /// Requests sent into the dark window. Must exceed the breaker
+        /// threshold so the open transition is observed.
+        while_dark: usize,
+        /// Requests after probes mark the victim down (served remapped).
+        remapped: usize,
+        /// Requests after the victim rejoins (served by it again).
+        after: usize,
+    },
+    /// Freeze one replica's batcher so queued requests die of deadline
+    /// expiry: the backend's Retry-After-stamped 503 sheds are relayed
+    /// and must *not* trip the router breaker (deliberate flow control
+    /// is breaker-exempt). The phase then forces scorer failures —
+    /// genuine unexpected 5xx — on the same replica to trip the breaker,
+    /// observes fast dark-shard rejects, forces half-open, and closes it
+    /// with a successful probe request.
+    HangBreaker {
+        /// Which replica hangs (and then fails its scorer).
+        victim: u16,
+        /// Requests parked in the frozen queue (≥ breaker threshold,
+        /// ≤ the harness queue capacity) — enough sheds that the old
+        /// 5xx-counts-all accounting would have darkened the shard.
+        hung: usize,
+        /// Fast dark-shard rejects observed while the breaker is open.
+        dark: usize,
+    },
+    /// Publish a new checkpoint and roll it across the fleet one replica
+    /// at a time, interleaving traffic between steps; per-user epochs
+    /// must be non-decreasing throughout.
+    RollingReload {
+        /// Requests per shard between rollout steps.
+        per_shard: usize,
+    },
+}
+
+/// A seeded fleet chaos schedule.
+#[derive(Debug, Clone)]
+pub struct FleetFaultPlan {
+    /// The seed the phases were expanded from.
+    pub seed: u64,
+    /// Fleet size the plan was sized for.
+    pub replicas: u16,
+    /// Phases in execution order.
+    pub phases: Vec<FleetChaosPhase>,
+}
+
+impl FleetFaultPlan {
+    /// Expands `seed` into a schedule for a fleet of `replicas`. The
+    /// plan covers every fault mode at least once, then appends
+    /// `extra_phases` more drawn at random; victims, counts, and order
+    /// are fully determined by the seed.
+    ///
+    /// `breaker_threshold` and `queue_capacity` bound phase parameters
+    /// so every scheduled fault actually manifests: dark windows are
+    /// long enough to trip breakers, hang phases fit in the victim's
+    /// batcher queue.
+    pub fn from_seed(
+        seed: u64,
+        replicas: u16,
+        breaker_threshold: u32,
+        queue_capacity: usize,
+        extra_phases: usize,
+    ) -> Self {
+        assert!(replicas >= 2, "fleet chaos needs at least two replicas");
+        assert!(
+            queue_capacity >= breaker_threshold as usize,
+            "hang phases must be able to trip the breaker within the queue"
+        );
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let draw = |rng: &mut SmallRng, idx: usize| -> FleetChaosPhase {
+            match idx {
+                0 => FleetChaosPhase::Normal {
+                    per_shard: rng.gen_range(2..=4),
+                },
+                1 => FleetChaosPhase::ReplicaOutage {
+                    victim: rng.gen_range(0..replicas),
+                    while_dark: rng.gen_range(
+                        breaker_threshold as usize + 1
+                            ..=queue_capacity.max(breaker_threshold as usize + 2),
+                    ),
+                    remapped: rng.gen_range(2..=4),
+                    after: rng.gen_range(1..=3),
+                },
+                2 => FleetChaosPhase::HangBreaker {
+                    victim: rng.gen_range(0..replicas),
+                    hung: rng.gen_range(breaker_threshold as usize..=queue_capacity),
+                    dark: rng.gen_range(1..=3),
+                },
+                _ => FleetChaosPhase::RollingReload {
+                    per_shard: rng.gen_range(1..=2),
+                },
+            }
+        };
+        let mut phases = seeded_deck(&mut rng, 4, extra_phases, Deal::ShuffleThenDraw, draw);
+        // Always end on normal traffic: proves the fleet recovered.
+        phases.push(FleetChaosPhase::Normal { per_shard: 2 });
+        Self {
+            seed,
+            replicas,
+            phases,
+        }
+    }
+}
 
 /// Dataset + trained checkpoint shared by every fleet.
 struct FleetFixture {
@@ -252,29 +385,27 @@ json_object_impl!(FleetScalePoint {
     speedup,
 });
 
-/// Drives `clients_per_shard` keep-alive connections per shard, each
-/// walking its shard's own user population, and measures fleet-wide
-/// throughput through the router.
-fn run_scale_point(
-    fx: &FleetFixture,
-    replicas: usize,
-    clients_per_shard: usize,
-    requests_per_client: usize,
-    pad_us: u64,
-) -> FleetScalePoint {
-    let serve_config = ServeConfig {
+/// Replica config of the scaling and rollout runs: one forward pass (=
+/// one latency pad) per request, so the pad serialises each replica and
+/// the fleet is N pipelines.
+fn pipeline_config() -> ServeConfig {
+    ServeConfig {
         batch: BatchConfig {
             window: Duration::ZERO,
-            // One forward pass (= one latency pad) per request: the pad
-            // serialises each replica, so the fleet is N pipelines.
             max_batch: 1,
             ..BatchConfig::default()
         },
         cache_capacity: 0,
-        workers: clients_per_shard * 2 + 2,
+        workers: CLIENTS_PER_SHARD * 2 + 2,
         ..ServeConfig::default()
-    };
-    let harness = FleetHarness::start(fx, replicas, serve_config, pad_us);
+    }
+}
+
+/// Drives [`CLIENTS_PER_SHARD`] keep-alive connections per shard, each
+/// walking its shard's own user population, and measures fleet-wide
+/// throughput through the router.
+fn run_scale_point(fx: &FleetFixture, replicas: usize) -> FleetScalePoint {
+    let harness = FleetHarness::start(fx, replicas, pipeline_config(), PAD_US);
     let addr = harness.router_addr();
     let target_city = fx.split.target_city.0;
 
@@ -283,12 +414,12 @@ fn run_scale_point(
     for shard in 0..replicas {
         let users = Arc::new(harness.users_owned_by(shard));
         assert!(!users.is_empty(), "shard {shard} owns no users");
-        for t in 0..clients_per_shard {
+        for t in 0..CLIENTS_PER_SHARD {
             let users = users.clone();
             handles.push(std::thread::spawn(move || {
                 let mut client = HttpClient::connect(addr).expect("connect router");
                 let mut errors = 0usize;
-                for i in 0..requests_per_client {
+                for i in 0..REQUESTS_PER_CLIENT {
                     let user = users[(t * 31 + i * 7) % users.len()];
                     let resp = client
                         .get(&format!("/recommend?user={user}&city={target_city}&k=10"))
@@ -308,8 +439,8 @@ fn run_scale_point(
     let wall = start.elapsed();
     harness.shutdown();
 
-    let clients = clients_per_shard * replicas;
-    let requests = clients * requests_per_client;
+    let clients = CLIENTS_PER_SHARD * replicas;
+    let requests = clients * REQUESTS_PER_CLIENT;
     FleetScalePoint {
         replicas,
         clients,
@@ -354,23 +485,8 @@ json_object_impl!(RolloutLossResult {
     zero_loss,
 });
 
-fn run_rollout_loss(
-    fx: &mut FleetFixture,
-    replicas: usize,
-    clients_per_shard: usize,
-    pad_us: u64,
-) -> RolloutLossResult {
-    let serve_config = ServeConfig {
-        batch: BatchConfig {
-            window: Duration::ZERO,
-            max_batch: 1,
-            ..BatchConfig::default()
-        },
-        cache_capacity: 0,
-        workers: clients_per_shard * 2 + 2,
-        ..ServeConfig::default()
-    };
-    let harness = FleetHarness::start(fx, replicas, serve_config, pad_us);
+fn run_rollout_loss(fx: &mut FleetFixture, replicas: usize) -> RolloutLossResult {
+    let harness = FleetHarness::start(fx, replicas, pipeline_config(), ROLLOUT_PAD_US);
     let addr = harness.router_addr();
     let target_city = fx.split.target_city.0;
 
@@ -383,7 +499,7 @@ fn run_rollout_loss(
     for shard in 0..replicas {
         let users = Arc::new(harness.users_owned_by(shard));
         assert!(!users.is_empty(), "shard {shard} owns no users");
-        for t in 0..clients_per_shard {
+        for t in 0..CLIENTS_PER_SHARD {
             let users = users.clone();
             let stop = stop.clone();
             handles.push(std::thread::spawn(move || {
@@ -425,17 +541,11 @@ fn run_rollout_loss(
 
     // The router's ledger must agree: every submitted request forwarded,
     // none shed.
-    let metrics = admin.get("/metrics").expect("metrics");
-    let scrape = |name: &str| -> Option<u64> {
-        metrics
-            .body
-            .lines()
-            .find_map(|l| l.strip_prefix(name))
-            .and_then(|v| v.trim().parse().ok())
-    };
-    let ledger_consistent = scrape("st_router_recommend_requests_total ") == Some(requests as u64)
-        && scrape("st_router_forwarded_total ") == Some(requests as u64)
-        && scrape("st_router_rollouts_completed_total ") == Some(1);
+    let metrics = admin.get("/metrics").expect("metrics").body;
+    let scrape = |name| scrape_gauge(&metrics, name);
+    let ledger_consistent = scrape("st_router_recommend_requests_total") == Some(requests as u64)
+        && scrape("st_router_forwarded_total") == Some(requests as u64)
+        && scrape("st_router_rollouts_completed_total") == Some(1);
     harness.shutdown();
 
     RolloutLossResult {
@@ -821,22 +931,16 @@ impl ChaosDriver {
 
     /// Cross-checks the router's ledger against the client tallies.
     fn metrics_consistent(&mut self) -> bool {
-        let metrics = self.client.get("/metrics").expect("metrics");
-        let scrape = |name: &str| -> Option<u64> {
-            metrics
-                .body
-                .lines()
-                .find_map(|l| l.strip_prefix(name))
-                .and_then(|v| v.trim().parse().ok())
-        };
+        let metrics = self.client.get("/metrics").expect("metrics").body;
+        let scrape = |name| scrape_gauge(&metrics, name);
         let c = &self.counts;
-        scrape("st_router_recommend_requests_total ") == Some(c.submitted as u64)
-            && scrape("st_router_forwarded_total ")
+        scrape("st_router_recommend_requests_total") == Some(c.submitted as u64)
+            && scrape("st_router_forwarded_total")
                 == Some((c.served + c.served_remapped + c.expired_503 + c.failed_500) as u64)
-            && scrape("st_router_forward_errors_total ") == Some(c.unreachable_503 as u64)
-            && scrape("st_router_dark_shard_503_total ") == Some(c.dark_503 as u64)
-            && scrape("st_router_epoch_pin_503_total ") == Some(0)
-            && scrape("st_router_remapped_total ") == Some(c.served_remapped as u64)
+            && scrape("st_router_forward_errors_total") == Some(c.unreachable_503 as u64)
+            && scrape("st_router_dark_shard_503_total") == Some(c.dark_503 as u64)
+            && scrape("st_router_epoch_pin_503_total") == Some(0)
+            && scrape("st_router_remapped_total") == Some(c.served_remapped as u64)
     }
 }
 
@@ -858,28 +962,18 @@ fn run_chaos_pass(fx: &FleetFixture, plan: &FleetFaultPlan) -> (FleetCounts, boo
 
 /// Full fleet suite: scaling at N = 1/2/4, zero-loss rolling reload,
 /// and the two-pass chaos replay.
-pub fn run_fleet_suite(
-    clients_per_shard: usize,
-    requests_per_client: usize,
-    pad_us: u64,
-    seed: u64,
-    extra_phases: usize,
-) -> FleetBenchReport {
+pub fn run_fleet_suite(seed: u64, extra_phases: usize) -> FleetBenchReport {
     let mut fx = build_fixture("suite");
 
-    let mut scaling = Vec::new();
-    for &n in &[1usize, 2, 4] {
-        let mut point = run_scale_point(&fx, n, clients_per_shard, requests_per_client, pad_us);
-        if let Some(base) = scaling.first() {
-            let base: &FleetScalePoint = base;
-            point.speedup = point.throughput_rps / base.throughput_rps;
-        } else {
-            point.speedup = 1.0;
-        }
+    let mut scaling: Vec<FleetScalePoint> = Vec::new();
+    for n in [1, 2, 4] {
+        let mut point = run_scale_point(&fx, n);
+        let rps = point.throughput_rps;
+        point.speedup = rps / scaling.first().map_or(rps, |base| base.throughput_rps);
         scaling.push(point);
     }
 
-    let rollout = run_rollout_loss(&mut fx, 2, clients_per_shard, pad_us.min(1000));
+    let rollout = run_rollout_loss(&mut fx, 2);
 
     let plan = FleetFaultPlan::from_seed(seed, 3, BREAKER_THRESHOLD, QUEUE_CAPACITY, extra_phases);
     let (counts_a, metrics_a, unexpected_a) = run_chaos_pass(&fx, &plan);
@@ -925,13 +1019,12 @@ pub fn run_fleet_suite(
 
     FleetBenchReport {
         schema: "st-loadgen/fleet/v1".into(),
-        pr: "PR10".into(),
         host_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        pad_us,
-        clients_per_shard,
-        requests_per_client,
+        pad_us: PAD_US,
+        clients_per_shard: CLIENTS_PER_SHARD,
+        requests_per_client: REQUESTS_PER_CLIENT,
         scaling,
         rollout,
         chaos,
@@ -962,13 +1055,11 @@ json_object_impl!(FleetAcceptance {
     all_gates,
 });
 
-/// The full fleet report written to `BENCH_PR10.json`.
+/// The full fleet report `chaos fleet` prints.
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
     /// Schema tag for downstream tooling.
     pub schema: String,
-    /// Which PR produced the report.
-    pub pr: String,
     /// Hardware threads on the benching host.
     pub host_threads: usize,
     /// Injector latency pad standing in for inference cost, µs.
@@ -989,7 +1080,6 @@ pub struct FleetBenchReport {
 
 json_object_impl!(FleetBenchReport {
     schema,
-    pr,
     host_threads,
     pad_us,
     clients_per_shard,
@@ -1000,9 +1090,72 @@ json_object_impl!(FleetBenchReport {
     acceptance,
 });
 
-impl FleetBenchReport {
-    /// Renders the report as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        Json::to_string(&self.to_json())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seed_42_schedule_is_pinned() {
+        // The schedule CI replays for seed 42, as `from_seed` produced it
+        // before it shared `seeded_deck` with `chaos::FaultPlan`: the
+        // helper must not move any seed's schedule.
+        let plan = FleetFaultPlan::from_seed(42, 3, BREAKER_THRESHOLD, QUEUE_CAPACITY, 2);
+        assert_eq!(
+            format!("{:?}", plan.phases),
+            "[HangBreaker { victim: 2, hung: 6, dark: 2 }, \
+             ReplicaOutage { victim: 0, while_dark: 5, remapped: 2, after: 3 }, \
+             Normal { per_shard: 3 }, RollingReload { per_shard: 2 }, \
+             HangBreaker { victim: 0, hung: 4, dark: 2 }, Normal { per_shard: 2 }, \
+             Normal { per_shard: 2 }]"
+        );
+    }
+
+    #[test]
+    fn same_seed_same_plan() {
+        let a = FleetFaultPlan::from_seed(42, 3, 3, 6, 4);
+        let b = FleetFaultPlan::from_seed(42, 3, 3, 6, 4);
+        assert_eq!(a.phases, b.phases);
+        assert_eq!(a.phases.len(), 4 + 4 + 1);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let plans: Vec<_> = (0..8u64)
+            .map(|s| FleetFaultPlan::from_seed(s, 3, 3, 6, 4).phases)
+            .collect();
+        assert!(plans.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn covers_every_mode_and_bounds_parameters() {
+        for seed in 0..16u64 {
+            let plan = FleetFaultPlan::from_seed(seed, 4, 3, 6, 3);
+            let (mut normal, mut outage, mut hang, mut reload) = (0, 0, 0, 0);
+            for phase in &plan.phases {
+                match *phase {
+                    FleetChaosPhase::Normal { per_shard } => {
+                        normal += 1;
+                        assert!(per_shard >= 1);
+                    }
+                    FleetChaosPhase::ReplicaOutage {
+                        victim, while_dark, ..
+                    } => {
+                        outage += 1;
+                        assert!(victim < 4);
+                        assert!(while_dark > 3, "dark window must trip the breaker");
+                    }
+                    FleetChaosPhase::HangBreaker { victim, hung, .. } => {
+                        hang += 1;
+                        assert!(victim < 4);
+                        assert!((3..=6).contains(&hung));
+                    }
+                    FleetChaosPhase::RollingReload { per_shard } => {
+                        reload += 1;
+                        assert!(per_shard >= 1);
+                    }
+                }
+            }
+            assert!(normal >= 1 && outage >= 1 && hang >= 1 && reload >= 1);
+        }
     }
 }

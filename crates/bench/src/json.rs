@@ -1,9 +1,10 @@
 //! Dependency-free JSON serialization for result dumps.
 //!
-//! The harness only ever *writes* JSON (results, perf trajectories), so
-//! instead of pulling in a serde stack it builds a [`Json`] value tree
-//! and pretty-prints it. Structs opt in with [`crate::json_object_impl!`],
-//! which mirrors what `#[derive(Serialize)]` produced before.
+//! The harness only ever *writes* JSON (`results/` dumps, `chaos`
+//! reports), so instead of pulling in a serde stack it builds a [`Json`]
+//! value tree and prints it: `{}` on one line, `{:#}` indented. Structs
+//! opt in with [`crate::json_object_impl!`], which mirrors what
+//! `#[derive(Serialize)]` produced before.
 
 use std::fmt;
 
@@ -28,12 +29,6 @@ pub enum Json {
 pub trait ToJson {
     /// Builds the JSON value tree.
     fn to_json(&self) -> Json;
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
 }
 
 impl ToJson for bool {
@@ -136,12 +131,16 @@ json_object_impl!(st_data::DatasetStats {
 });
 
 impl fmt::Display for Json {
+    /// `{}` renders on one line, `{:#}` indented two spaces per level.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_value(f, self, 0)
+        write_value(f, self, f.alternate().then_some(0))
     }
 }
 
-fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Result {
+/// `depth` is the current indentation level, or `None` on one line.
+fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: Option<usize>) -> fmt::Result {
+    let inner = depth.map(|d| d + 1);
+    let colon = if depth.is_some() { ": " } else { ":" };
     match v {
         Json::Null => write!(f, "null"),
         Json::Bool(b) => write!(f, "{b}"),
@@ -149,32 +148,35 @@ fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Resul
         Json::Str(s) => write_string(f, s),
         Json::Arr(items) if items.is_empty() => write!(f, "[]"),
         Json::Arr(items) => {
-            writeln!(f, "[")?;
+            write!(f, "[")?;
             for (i, item) in items.iter().enumerate() {
-                indent(f, depth + 1)?;
-                write_value(f, item, depth + 1)?;
-                writeln!(f, "{}", if i + 1 < items.len() { "," } else { "" })?;
+                write!(f, "{}", if i > 0 { "," } else { "" })?;
+                newline(f, inner)?;
+                write_value(f, item, inner)?;
             }
-            indent(f, depth)?;
+            newline(f, depth)?;
             write!(f, "]")
         }
         Json::Obj(fields) if fields.is_empty() => write!(f, "{{}}"),
         Json::Obj(fields) => {
-            writeln!(f, "{{")?;
+            write!(f, "{{")?;
             for (i, (key, val)) in fields.iter().enumerate() {
-                indent(f, depth + 1)?;
+                write!(f, "{}", if i > 0 { "," } else { "" })?;
+                newline(f, inner)?;
                 write_string(f, key)?;
-                write!(f, ": ")?;
-                write_value(f, val, depth + 1)?;
-                writeln!(f, "{}", if i + 1 < fields.len() { "," } else { "" })?;
+                write!(f, "{colon}")?;
+                write_value(f, val, inner)?;
             }
-            indent(f, depth)?;
+            newline(f, depth)?;
             write!(f, "}}")
         }
     }
 }
 
-fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+/// Line break plus indentation when indenting, nothing on one line.
+fn newline(f: &mut fmt::Formatter<'_>, depth: Option<usize>) -> fmt::Result {
+    let Some(depth) = depth else { return Ok(()) };
+    writeln!(f)?;
     for _ in 0..depth {
         write!(f, "  ")?;
     }
@@ -221,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_structures_pretty_print() {
+    fn nested_structures_render_indented_and_on_one_line() {
         struct Point {
             x: f64,
             label: String,
@@ -231,11 +233,12 @@ mod tests {
             x: 1.5,
             label: "a".into(),
         }];
-        let text = v.to_json().to_string();
+        let json = v.to_json();
         assert_eq!(
-            text,
+            format!("{json:#}"),
             "[\n  {\n    \"x\": 1.5,\n    \"label\": \"a\"\n  }\n]"
         );
+        assert_eq!(json.to_string(), r#"[{"x":1.5,"label":"a"}]"#);
     }
 
     #[test]

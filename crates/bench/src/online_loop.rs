@@ -1,5 +1,6 @@
-//! Online-loop benchmark (PR 7): ingest throughput, publish latency,
-//! staleness, and the chaos acceptance gates of the st-online pipeline.
+//! Online-loop suite behind `chaos online`: ingest throughput, publish
+//! latency, staleness, and the chaos acceptance gates of the st-online
+//! pipeline.
 //!
 //! The suite runs the seeded streaming loop **twice** against two fresh
 //! embedded servers and checks three things beyond raw numbers:
@@ -11,7 +12,6 @@
 //! 3. **Crash defended** — every injected mid-publish crash leaves the
 //!    serving epoch unchanged and the checkpoint loadable.
 
-use crate::json::{Json, ToJson};
 use crate::json_object_impl;
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit, Dataset};
@@ -36,18 +36,18 @@ pub struct OnlineLoopOptions {
 
 impl OnlineLoopOptions {
     /// CI smoke variant: tiny dataset, 4 cycles.
-    pub fn smoke() -> Self {
+    pub fn smoke(seed: u64) -> Self {
         Self {
-            seed: 42,
+            seed,
             cycles: 4,
             scale: None,
         }
     }
 
     /// Full variant: scaled Foursquare-like dataset, 6 cycles.
-    pub fn full() -> Self {
+    pub fn full(seed: u64) -> Self {
         Self {
-            seed: 42,
+            seed,
             cycles: 6,
             scale: Some(0.05),
         }
@@ -159,8 +159,6 @@ json_object_impl!(OnlineAcceptance {
 pub struct OnlineBenchReport {
     /// Schema tag for downstream tooling.
     pub schema: String,
-    /// Which PR produced this artifact.
-    pub pr: String,
     /// Master seed.
     pub seed: u64,
     /// Cycles per run.
@@ -173,19 +171,11 @@ pub struct OnlineBenchReport {
 
 json_object_impl!(OnlineBenchReport {
     schema,
-    pr,
     seed,
     cycles,
     runs,
     acceptance,
 });
-
-impl OnlineBenchReport {
-    /// Renders the report as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        Json::to_string(&self.to_json())
-    }
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -302,7 +292,6 @@ pub fn run_online_suite(opts: &OnlineLoopOptions) -> OnlineBenchReport {
 
     OnlineBenchReport {
         schema: "st-transrec-online-loop/v1".to_string(),
-        pr: "PR7".to_string(),
         seed: opts.seed,
         cycles: config.faults.len(),
         runs: vec![summarize(&a), summarize(&b)],
@@ -313,10 +302,11 @@ pub fn run_online_suite(opts: &OnlineLoopOptions) -> OnlineBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     #[test]
     fn smoke_suite_passes_every_gate() {
-        let report = run_online_suite(&OnlineLoopOptions::smoke());
+        let report = run_online_suite(&OnlineLoopOptions::smoke(42));
         let a = &report.acceptance;
         assert!(a.published >= 1, "at least one gated publish");
         assert!(a.rejected >= 1, "at least one injected rejection");
@@ -327,8 +317,8 @@ mod tests {
         assert_eq!(report.runs.len(), 2);
         assert_eq!(report.runs[0].reloads_failed, 0);
 
-        let text = report.to_json_string();
-        assert!(text.contains("\"schema\": \"st-transrec-online-loop/v1\""));
-        assert!(text.contains("\"reproducible\": true"));
+        let text = report.to_json().to_string();
+        assert!(text.contains("\"schema\":\"st-transrec-online-loop/v1\""));
+        assert!(text.contains("\"reproducible\":true"));
     }
 }

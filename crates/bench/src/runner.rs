@@ -1,5 +1,6 @@
 //! Shared experiment plumbing: dataset loading, per-dataset model
-//! configuration, and the environment knobs (`ST_SCALE`, `ST_EPOCHS`).
+//! configuration, and the one reader of the environment knobs
+//! (`ST_SCALE`, `ST_EPOCHS`).
 
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit, Dataset};
@@ -34,22 +35,49 @@ impl DatasetKind {
     }
 }
 
-/// The dataset scale factor from `ST_SCALE` (default 0.15).
-pub fn scale() -> f64 {
-    std::env::var("ST_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&s| s > 0.0 && s <= 1.0)
-        .unwrap_or(0.15)
+/// The dataset scale and epoch budget of one experiment run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Settings {
+    /// Dataset scale factor in `(0, 1]`; 1.0 is the paper's Table 1 size.
+    pub scale: f64,
+    /// Training epochs for the neural models.
+    pub epochs: usize,
 }
 
-/// Training epochs from `ST_EPOCHS` (default 4).
-pub fn epochs() -> usize {
-    std::env::var("ST_EPOCHS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&e| e >= 1)
-        .unwrap_or(4)
+impl Settings {
+    /// `self` with `ST_SCALE` / `ST_EPOCHS` applied on top, and whether
+    /// either was set. The one place the environment is read.
+    pub fn with_env(self) -> Result<(Self, bool), String> {
+        self.overridden(
+            std::env::var("ST_SCALE").ok().as_deref(),
+            std::env::var("ST_EPOCHS").ok().as_deref(),
+        )
+    }
+
+    /// [`Settings::with_env`] on explicit values. A value outside
+    /// `(0, 1]` / `>= 1` is an error, not a silent fall-back: the caller
+    /// asked for a run the harness cannot do.
+    pub fn overridden(
+        mut self,
+        scale: Option<&str>,
+        epochs: Option<&str>,
+    ) -> Result<(Self, bool), String> {
+        if let Some(text) = scale {
+            self.scale = text
+                .parse()
+                .ok()
+                .filter(|&s: &f64| s > 0.0 && s <= 1.0)
+                .ok_or_else(|| format!("ST_SCALE must be a number in (0, 1], got {text:?}"))?;
+        }
+        if let Some(text) = epochs {
+            self.epochs = text
+                .parse()
+                .ok()
+                .filter(|&e| e >= 1)
+                .ok_or_else(|| format!("ST_EPOCHS must be an integer >= 1, got {text:?}"))?;
+        }
+        Ok((self, scale.is_some() || epochs.is_some()))
+    }
 }
 
 /// The synthetic config for a dataset at a given scale.
@@ -63,17 +91,6 @@ pub fn dataset_config(kind: DatasetKind, scale: f64) -> SynthConfig {
     } else {
         base.with_scale(scale)
     }
-}
-
-/// The paper's per-dataset neural hyperparameters (Sec. 4.1), with the
-/// epoch budget from the environment.
-pub fn neural_config(kind: DatasetKind) -> ModelConfig {
-    let mut cfg = match kind {
-        DatasetKind::Foursquare => ModelConfig::foursquare(),
-        DatasetKind::Yelp => ModelConfig::yelp(),
-    };
-    cfg.epochs = epochs();
-    cfg
 }
 
 /// The shared evaluation protocol (100 negatives, k in {2,...,10}, fixed
@@ -94,12 +111,15 @@ pub struct Loaded {
     pub model_config: ModelConfig,
 }
 
-/// Generates the dataset at `ST_SCALE` and builds the split.
-pub fn load(kind: DatasetKind) -> Loaded {
-    load_at(kind, scale())
+/// Generates the dataset at `settings.scale` and builds the split; the
+/// model config trains for `settings.epochs`.
+pub fn load(kind: DatasetKind, settings: Settings) -> Loaded {
+    let mut loaded = load_at(kind, settings.scale);
+    loaded.model_config.epochs = settings.epochs;
+    loaded
 }
 
-/// Generates at an explicit scale (Table 1 uses 1.0).
+/// Generates at an explicit scale with the paper's own epoch budget.
 pub fn load_at(kind: DatasetKind, scale: f64) -> Loaded {
     let cfg = dataset_config(kind, scale);
     let (dataset, _) = generate(&cfg);
@@ -109,7 +129,11 @@ pub fn load_at(kind: DatasetKind, scale: f64) -> Loaded {
         kind,
         dataset,
         split,
-        model_config: neural_config(kind),
+        // The paper's per-dataset neural hyperparameters (Sec. 4.1).
+        model_config: match kind {
+            DatasetKind::Foursquare => ModelConfig::foursquare(),
+            DatasetKind::Yelp => ModelConfig::yelp(),
+        },
     }
 }
 
@@ -135,9 +159,29 @@ mod tests {
     }
 
     #[test]
-    fn env_defaults() {
-        // Do not set the vars; defaults must hold.
-        assert!(scale() > 0.0 && scale() <= 1.0);
-        assert!(epochs() >= 1);
+    fn overrides_apply_and_are_reported() {
+        let recorded = Settings {
+            scale: 0.1,
+            epochs: 4,
+        };
+        assert_eq!(recorded.overridden(None, None), Ok((recorded, false)));
+        let (s, set) = recorded.overridden(Some("0.05"), None).unwrap();
+        assert_eq!((s.scale, s.epochs, set), (0.05, 4, true));
+        let (s, set) = recorded.overridden(None, Some("1")).unwrap();
+        assert_eq!((s.scale, s.epochs, set), (0.1, 1, true));
+    }
+
+    #[test]
+    fn out_of_range_overrides_are_errors() {
+        let recorded = Settings {
+            scale: 1.0,
+            epochs: 4,
+        };
+        for bad in ["0", "-0.5", "1.5", "nan", "big"] {
+            assert!(recorded.overridden(Some(bad), None).is_err(), "{bad}");
+        }
+        for bad in ["0", "-1", "2.5", ""] {
+            assert!(recorded.overridden(None, Some(bad)).is_err(), "{bad}");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! ASCII table rendering in the paper's layout plus JSON result dumps.
 
+use crate::json::Json;
 use st_eval::{Metric, MetricReport};
 use std::path::Path;
 
@@ -47,20 +48,18 @@ pub fn render_rows(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) ->
 /// Serializes `value` to `results/<name>.json` (creating the directory),
 /// returning the path written. Errors are surfaced, not swallowed — a
 /// harness run without its artifacts is a failed run.
-pub fn save_json<T: crate::json::ToJson>(
-    name: &str,
-    value: &T,
-) -> std::io::Result<std::path::PathBuf> {
+pub fn save_json(name: &str, value: &Json) -> std::io::Result<std::path::PathBuf> {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, value.to_json().to_string())?;
+    std::fs::write(&path, format!("{value:#}"))?;
     Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
     use st_eval::{rank_metrics, MetricAccumulator};
 
     fn dummy_report() -> MetricReport {
@@ -104,7 +103,7 @@ mod tests {
         std::fs::create_dir_all(&tmp).unwrap();
         let old = std::env::current_dir().unwrap();
         std::env::set_current_dir(&tmp).unwrap();
-        let path = save_json("unit-test", &vec![1, 2, 3]).unwrap();
+        let path = save_json("unit-test", &vec![1, 2, 3].to_json()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::env::set_current_dir(old).unwrap();
         assert!(text.contains('1') && text.contains('3'));

@@ -34,14 +34,10 @@
 //!   breaker accounting, byte-faithful relay (hop-by-hop headers
 //!   stripped, `X-Router-Replica` stamped), `st_router_*` metrics
 //!   ([`metrics`]).
-//!
-//! [`fault`] provides the seeded [`fault::FleetFaultPlan`] schedules the
-//! fleet-chaos suite and `loadgen --fleet` replay bit-reproducibly.
 
 #![warn(missing_docs)]
 
 pub mod breaker;
-pub mod fault;
 pub mod fleet;
 pub mod metrics;
 pub mod proxy;
@@ -49,7 +45,6 @@ pub mod ring;
 pub mod rollout;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use fault::{FleetChaosPhase, FleetFaultPlan};
 pub use fleet::{Fleet, FleetConfig, Generation, Replica, RouteError};
 pub use metrics::RouterMetrics;
 pub use proxy::{Router, RouterConfig, RouterServer};

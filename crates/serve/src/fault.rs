@@ -1,27 +1,21 @@
 //! Deterministic fault injection for overload and chaos testing.
 //!
-//! Two pieces:
-//!
-//! - [`FaultInjector`] — the runtime hooks the micro-batcher consults on
-//!   its drain path: a **freeze gate** that holds the batcher off the
-//!   queue (so admission control keeps running while the queue fills — a
-//!   stand-in for a stalled scorer), a **forced-failure budget** (the
-//!   next N batches answer every job with a scorer error instead of
-//!   scoring), and a **latency pad** (every batch sleeps a base plus a
-//!   seeded-RNG jitter before scoring, simulating a slow model). All
-//!   hooks default to "off"; a server built without an injector pays one
-//!   `Option` check per batch.
-//! - [`FaultPlan`] — a seed-reproducible chaos schedule: a sequence of
-//!   [`ChaosPhase`]s expanded from a single `u64` seed through the
-//!   deterministic `st-rand` generator. The same seed always yields the
-//!   same phases with the same parameters, so every chaos run's expected
-//!   shed/expired/degraded/served counts are computable up front and two
-//!   runs with the same seed must report identical counts.
+//! [`FaultInjector`] is the set of runtime hooks the micro-batcher
+//! consults on its drain path: a **freeze gate** that holds the batcher
+//! off the queue (so admission control keeps running while the queue
+//! fills — a stand-in for a stalled scorer), a **forced-failure budget**
+//! (the next N batches answer every job with a scorer error instead of
+//! scoring), and a **latency pad** (every batch sleeps a base plus a
+//! seeded-RNG jitter before scoring, simulating a slow model). All hooks
+//! default to "off"; a server built without an injector pays one
+//! `Option` check per batch.
 //!
 //! The injector carries no clock and no thread of its own: all timing
-//! comes from whoever drives it (the chaos harness opens and closes the
-//! gate around deterministic queue states), which is what makes the
-//! chaos scenarios reproducible instead of schedule-dependent.
+//! comes from whoever drives it (the chaos tests and st-bench's seeded
+//! `chaos` replays open and close the gate around deterministic queue
+//! states), which is what makes the chaos scenarios reproducible instead
+//! of schedule-dependent. The seeded schedules themselves live beside
+//! their executors in st-bench.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -116,136 +110,6 @@ impl FaultInjector {
     }
 }
 
-/// One step of a chaos schedule. Counts below are in requests; the
-/// harness derives the expected terminal outcome of every request in the
-/// phase from the phase parameters alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosPhase {
-    /// Plain traffic with distinct users: every request scores, `200`.
-    Normal {
-        /// Requests to issue.
-        requests: usize,
-    },
-    /// Traffic under a latency-padded scorer: still every request `200`,
-    /// but each batch sleeps `pad_us` (+ seeded jitter) first.
-    PaddedTraffic {
-        /// Requests to issue.
-        requests: usize,
-        /// Base pad per batch, microseconds.
-        pad_us: u64,
-    },
-    /// Freeze the batcher, submit `queue capacity + excess` concurrent
-    /// requests: exactly `capacity` enqueue, exactly `excess` shed with
-    /// `429`, then the thaw serves the queued ones.
-    Burst {
-        /// Requests beyond the queue capacity (each one sheds).
-        excess: usize,
-    },
-    /// Freeze the batcher, queue `queued` requests, hold the freeze past
-    /// the deadline: every queued request expires with `503`.
-    DeadlineExpiry {
-        /// Requests to park in the queue (at most the capacity).
-        queued: usize,
-    },
-    /// Warm the caches for `warm` keys, hot-reload (invalidating the
-    /// fresh epoch-keyed cache), freeze, fill the queue to the
-    /// high-watermark, then issue `hits` requests for warmed keys: all
-    /// `hits` are answered degraded from the stale cache.
-    DegradedServe {
-        /// Keys to warm before the overload.
-        warm: usize,
-        /// Requests for warmed keys under overload (each one degrades).
-        hits: usize,
-    },
-    /// Freeze, queue `queued` requests, hot-reload mid-burst, thaw: all
-    /// queued requests are served (by whichever epoch scores them) —
-    /// zero requests lost.
-    ReloadMidBurst {
-        /// Requests to park in the queue (at most the capacity).
-        queued: usize,
-    },
-    /// Freeze, queue `queued` requests, arm a forced scorer failure,
-    /// thaw: every queued request gets a clean `500`.
-    ScorerFailure {
-        /// Requests to park in the queue (at most one batch).
-        queued: usize,
-    },
-}
-
-/// A seed-reproducible chaos schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The seed that generated (and reproduces) this plan.
-    pub seed: u64,
-    /// Phases in execution order.
-    pub phases: Vec<ChaosPhase>,
-}
-
-impl FaultPlan {
-    /// Expands `seed` into a chaos schedule sized against the serving
-    /// limits it will run under. The plan always covers every fault mode
-    /// at least once (one deck of all seven phases), then appends
-    /// `extra_phases` more drawn at random; order and parameters are
-    /// fully determined by the seed.
-    ///
-    /// `queue_capacity` and `degrade_watermark` bound the phase
-    /// parameters so each phase's outcome is exact: queued counts never
-    /// exceed the capacity, burst excess is at least 1, and degraded
-    /// phases never warm more keys than the watermark leaves room for.
-    pub fn from_seed(
-        seed: u64,
-        queue_capacity: usize,
-        degrade_watermark: usize,
-        extra_phases: usize,
-    ) -> Self {
-        assert!(queue_capacity >= 2, "chaos needs a queue to fill");
-        assert!(
-            (1..=queue_capacity).contains(&degrade_watermark),
-            "watermark must be within the queue capacity"
-        );
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let draw = |rng: &mut SmallRng, idx: usize| -> ChaosPhase {
-            match idx {
-                0 => ChaosPhase::Normal {
-                    requests: rng.gen_range(4..=12),
-                },
-                1 => ChaosPhase::PaddedTraffic {
-                    requests: rng.gen_range(3..=8),
-                    pad_us: rng.gen_range(200..=2_000),
-                },
-                2 => ChaosPhase::Burst {
-                    excess: rng.gen_range(1..=queue_capacity),
-                },
-                3 => ChaosPhase::DeadlineExpiry {
-                    queued: rng.gen_range(2..=queue_capacity),
-                },
-                4 => ChaosPhase::DegradedServe {
-                    warm: rng.gen_range(2..=4),
-                    hits: rng.gen_range(2..=6),
-                },
-                5 => ChaosPhase::ReloadMidBurst {
-                    queued: rng.gen_range(2..=queue_capacity),
-                },
-                _ => ChaosPhase::ScorerFailure {
-                    queued: rng.gen_range(2..=queue_capacity),
-                },
-            }
-        };
-        // One of each fault mode, shuffled deterministically...
-        let mut phases: Vec<ChaosPhase> = (0..7).map(|i| draw(&mut rng, i)).collect();
-        for i in (1..phases.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            phases.swap(i, j);
-        }
-        // ...plus extra random phases for longer runs.
-        for _ in 0..extra_phases {
-            let idx = rng.gen_range(0usize..7);
-            phases.push(draw(&mut rng, idx));
-        }
-        Self { seed, phases }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,58 +149,5 @@ mod tests {
         }
         a.set_latency_pad(0, 0);
         assert!(a.next_pad().is_none());
-    }
-
-    #[test]
-    fn plans_are_reproducible_and_cover_every_mode() {
-        let a = FaultPlan::from_seed(7, 8, 6, 5);
-        let b = FaultPlan::from_seed(7, 8, 6, 5);
-        assert_eq!(a, b, "same seed, same plan");
-        assert_eq!(a.phases.len(), 12);
-        let c = FaultPlan::from_seed(8, 8, 6, 5);
-        assert_ne!(a, c, "different seed, different plan");
-
-        // The base deck covers all seven fault modes.
-        let short = FaultPlan::from_seed(3, 8, 6, 0);
-        let mut seen = [false; 7];
-        for p in &short.phases {
-            let idx = match p {
-                ChaosPhase::Normal { .. } => 0,
-                ChaosPhase::PaddedTraffic { .. } => 1,
-                ChaosPhase::Burst { .. } => 2,
-                ChaosPhase::DeadlineExpiry { .. } => 3,
-                ChaosPhase::DegradedServe { .. } => 4,
-                ChaosPhase::ReloadMidBurst { .. } => 5,
-                ChaosPhase::ScorerFailure { .. } => 6,
-            };
-            seen[idx] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "missing a fault mode: {seen:?}");
-    }
-
-    #[test]
-    fn plan_parameters_respect_serving_limits() {
-        for seed in 0..50 {
-            let plan = FaultPlan::from_seed(seed, 6, 4, 8);
-            for phase in &plan.phases {
-                match *phase {
-                    ChaosPhase::Burst { excess } => {
-                        assert!((1..=6).contains(&excess))
-                    }
-                    ChaosPhase::DeadlineExpiry { queued }
-                    | ChaosPhase::ReloadMidBurst { queued }
-                    | ChaosPhase::ScorerFailure { queued } => {
-                        assert!((2..=6).contains(&queued))
-                    }
-                    ChaosPhase::DegradedServe { warm, hits } => {
-                        assert!(warm >= 2 && hits >= 2)
-                    }
-                    ChaosPhase::Normal { requests }
-                    | ChaosPhase::PaddedTraffic { requests, .. } => {
-                        assert!(requests >= 3)
-                    }
-                }
-            }
-        }
     }
 }

@@ -53,9 +53,9 @@
 //! configurable queue watermark requests fall back to possibly-stale
 //! cached results marked `"degraded": true` instead of queueing.
 //! [`fault`] provides the deterministic fault-injection hooks (latency
-//! pads, forced scorer errors, queue freezes, seeded [`fault::FaultPlan`]
-//! chaos schedules) that the chaos test suite and `loadgen --chaos` use
-//! to prove those behaviors reproducibly.
+//! pads, forced scorer errors, queue freezes) that the chaos test suite
+//! and st-bench's seeded `chaos serve` replay use to prove those
+//! behaviors reproducibly.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -89,7 +89,7 @@ pub mod snapshot;
 
 pub use batcher::{BatchConfig, BatchReply, BatchRequest, MicroBatcher, PairScorer, SubmitError};
 pub use client::{HttpClient, HttpResponse};
-pub use fault::{ChaosPhase, FaultInjector, FaultPlan};
+pub use fault::FaultInjector;
 pub use httpd::{Handler, HttpServer};
 pub use lru::LruCache;
 pub use metrics::{Metrics, StatusTally};
