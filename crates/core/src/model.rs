@@ -21,8 +21,8 @@ use rand::{Rng, SeedableRng};
 use st_data::{CityId, CrossingCitySplit, Dataset, PoiId, TextualContextGraph, UserId};
 use st_eval::Scorer;
 use st_tensor::{
-    Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, ParamStore,
-    PoolStats, Tape,
+    Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, PairTower,
+    ParamStore, PoolStats, Tape,
 };
 
 /// Loss values of one training step (zero for disabled terms).
@@ -483,7 +483,8 @@ impl STTransRec {
     /// as parallel index slices — Eq. 12's `sigma(W^T e_L)` at inference.
     ///
     /// Tape-free: the pairs are scored through [`InferCtx`] over the live
-    /// parameters — no graph nodes, no backward closures, no RNG. Callers
+    /// parameters, run by run like [`crate::ModelSnapshot`] — no graph
+    /// nodes, no backward closures, no RNG. Callers
     /// scoring repeatedly should hold an [`InferCtx`] and use
     /// [`STTransRec::predict_with`] to reach the zero-allocation steady
     /// state.
@@ -494,16 +495,27 @@ impl STTransRec {
 
     /// As [`STTransRec::predict`], reusing the caller's scratch buffers.
     pub fn predict_with(&self, ctx: &mut InferCtx, users: &[usize], pois: &[usize]) -> Vec<f32> {
-        assert_eq!(users.len(), pois.len(), "pair slices must be parallel");
-        ctx.gather_concat2(
+        crate::snapshot::score_pairs(
+            ctx,
+            &self.pair_tower(),
             self.store.get(self.user_emb.table()),
             users,
             self.store.get(self.poi_emb.table()),
             pois,
-        );
-        self.tower.forward_infer(&self.store, ctx);
-        ctx.sigmoid();
-        ctx.value().as_slice().to_vec()
+        )
+    }
+
+    /// The interaction tower's current weights packed for
+    /// [`InferCtx::score_run`]. Packing copies ~11k floats for the
+    /// paper's tower — noise beside scoring a catalog, so the live model
+    /// repacks per call instead of tracking optimizer steps.
+    pub(crate) fn pair_tower(&self) -> PairTower {
+        let layers = self.tower.layers().iter();
+        PairTower::new(
+            self.user_emb.dim(),
+            layers.map(|l| (self.store.get(l.weight()), self.store.get(l.bias()))),
+            self.tower.activation(),
+        )
     }
 
     /// [`STTransRec::predict`] evaluated on the autodiff tape — the
@@ -532,10 +544,6 @@ impl STTransRec {
 
     pub(crate) fn poi_emb(&self) -> &Embedding {
         &self.poi_emb
-    }
-
-    pub(crate) fn tower(&self) -> &Mlp {
-        &self.tower
     }
 
     /// Convenience accessor for the ablation variant in use.

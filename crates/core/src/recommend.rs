@@ -26,7 +26,7 @@ pub struct Recommendation {
 /// through the interaction tower — sharded across all available cores
 /// via [`score_sharded`]. Exclusion is a hash-set probe (catalogs are
 /// thousands of POIs; a linear scan per candidate is quadratic), and the
-/// sort uses [`f32::total_cmp`], so a scorer emitting NaN degrades to a
+/// ranking is [`rank_top_k`]'s, so a scorer emitting NaN degrades to a
 /// deterministic order instead of panicking mid-ranking.
 ///
 /// `k == 0` yields an empty ranking: this function sits on the serving
@@ -53,13 +53,32 @@ pub fn recommend_top_k(
         .map(|n| n.get())
         .unwrap_or(1);
     let scores = score_sharded(scorer, user, &candidates, threads);
+    rank_top_k(&candidates, &scores, k)
+}
+
+/// The ranking rule every recommendation path shares: the `k` best of
+/// `candidates` by their parallel `scores`, descending under
+/// [`f32::total_cmp`] (NaN sorts above every number — visibly wrong
+/// output, never a panic), ties broken by ascending POI id.
+///
+/// The comparator is a total order, so partitioning out the best `k`
+/// and sorting only those returns exactly what sorting everything and
+/// truncating would, for a fraction of the work when `k` is a page and
+/// `candidates` a city.
+pub fn rank_top_k(candidates: &[PoiId], scores: &[f32], k: usize) -> Vec<Recommendation> {
     let mut ranked: Vec<Recommendation> = candidates
-        .into_iter()
+        .iter()
         .zip(scores)
-        .map(|(poi, score)| Recommendation { poi, score })
+        .map(|(&poi, &score)| Recommendation { poi, score })
         .collect();
-    ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.poi.cmp(&b.poi)));
-    ranked.truncate(k);
+    let by_rank = |a: &Recommendation, b: &Recommendation| {
+        b.score.total_cmp(&a.score).then(a.poi.cmp(&b.poi))
+    };
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, by_rank);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(by_rank);
     ranked
 }
 
@@ -215,6 +234,49 @@ mod tests {
         // total_cmp ranks NaN above every finite value, so NaN-scored POIs
         // surface first — visibly wrong output rather than a crash.
         assert!(a[0].score.is_nan());
+    }
+
+    #[test]
+    fn rank_top_k_equals_sorting_everything_and_truncating() {
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [0usize, 1, 2, 7, 64, 500] {
+            // A handful of distinct scores over many POIs, so ties (and
+            // NaN, -NaN, ±0 ties) are everywhere; POI ids repeat too.
+            let palette = [
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                0.75,
+                0.5,
+                0.0,
+                -0.0,
+                -1.5,
+                f32::NEG_INFINITY,
+            ];
+            let candidates: Vec<PoiId> = (0..n).map(|_| PoiId((next() % 40) as u32)).collect();
+            let scores: Vec<f32> = (0..n)
+                .map(|_| palette[(next() % palette.len() as u64) as usize])
+                .collect();
+            let mut sorted: Vec<Recommendation> = candidates
+                .iter()
+                .zip(&scores)
+                .map(|(&poi, &score)| Recommendation { poi, score })
+                .collect();
+            sorted.sort_by(|x, y| y.score.total_cmp(&x.score).then(x.poi.cmp(&y.poi)));
+            let key = |r: &[Recommendation]| -> Vec<(PoiId, u32)> {
+                r.iter().map(|x| (x.poi, x.score.to_bits())).collect()
+            };
+            for k in [0, 1, n.saturating_sub(1), n, n + 5] {
+                let got = rank_top_k(&candidates, &scores, k);
+                assert_eq!(key(&got), key(&sorted[..k.min(n)]), "n {n}, k {k}");
+            }
+        }
     }
 
     /// Wraps a scorer so every POI is scored through its own single-item

@@ -24,7 +24,7 @@
 //! when the candidate budget covers the whole catalog the retrieved
 //! ranking is bit-identical to it.
 
-use crate::recommend::{recommend_top_k, Recommendation};
+use crate::recommend::{rank_top_k, recommend_top_k, Recommendation};
 use crate::snapshot::ModelSnapshot;
 use st_data::{CityId, Dataset, PoiId, UserId};
 use st_eval::Scorer;
@@ -384,14 +384,7 @@ pub fn recommend_top_k_retrieved(
         .filter(|p| !excluded.contains(p))
         .collect();
     let scores = frozen.score_batch(user, &cands);
-    let mut ranked: Vec<Recommendation> = cands
-        .into_iter()
-        .zip(scores)
-        .map(|(poi, score)| Recommendation { poi, score })
-        .collect();
-    ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.poi.cmp(&b.poi)));
-    ranked.truncate(k);
-    (ranked, outcome)
+    (rank_top_k(&cands, &scores, k), outcome)
 }
 
 /// Mean recall@k of the retrieval path against the exact full scan over

@@ -7,8 +7,16 @@
 //! cheap to share across threads, scores pairs through the tape-free
 //! [`InferCtx`] executor, and its outputs are bit-identical to the tape
 //! path: capture copies parameters verbatim and both executors run the
-//! same shared op layer, so a hot-swapped snapshot answers byte-for-byte
-//! like the model it was captured from.
+//! same arithmetic in the same order, so a hot-swapped snapshot answers
+//! byte-for-byte like the model it was captured from.
+//!
+//! Every entry point scores the shape ranking asks for — one user
+//! against many POIs — rather than unrelated pairs: [`score_pairs`]
+//! walks runs of equal user index and hands each to
+//! [`InferCtx::score_run`], which computes the user's half of the first
+//! layer once and takes the POIs through the tower in cache-resident
+//! row tiles. A call that mixes users is a sequence of short runs
+//! through the same code.
 //!
 //! Since the v2 snapshot container, the embedding tables are held as
 //! [`TableStorage`] rather than owned matrices: a snapshot may gather
@@ -23,7 +31,67 @@ use crate::STTransRec;
 use st_data::{PoiId, UserId};
 use st_eval::Scorer;
 use st_tensor::checkpoint::MappedParams;
-use st_tensor::{Activation, InferCtx, Matrix, StorageEncoding, TableStorage};
+use st_tensor::{
+    Activation, InferCtx, Matrix, PairTower, RowSource, StorageEncoding, TableStorage,
+};
+
+/// A row of an embedding table, as callers name it: a bare index or a
+/// typed id. Lets the scoring path read id slices in place instead of
+/// converting them to `Vec<usize>` first.
+pub(crate) trait RowIndex: Copy + PartialEq {
+    fn row(self) -> usize;
+}
+
+impl RowIndex for usize {
+    fn row(self) -> usize {
+        self
+    }
+}
+
+impl RowIndex for UserId {
+    fn row(self) -> usize {
+        self.idx()
+    }
+}
+
+impl RowIndex for PoiId {
+    fn row(self) -> usize {
+        self.idx()
+    }
+}
+
+/// Eq. 12 for `(users[i], pois[i])` pairs over any table representation:
+/// each maximal run of one user is one [`InferCtx::score_run`]. The only
+/// forward evaluation on the inference side — the frozen snapshot and
+/// the live model ([`STTransRec::predict_with`]) both score through it.
+///
+/// # Panics
+/// Panics if the slices differ in length or an index is out of range.
+pub(crate) fn score_pairs<U: RowIndex, P: RowIndex>(
+    ctx: &mut InferCtx,
+    tower: &PairTower,
+    user_table: &(impl RowSource + ?Sized),
+    users: &[U],
+    poi_table: &(impl RowSource + ?Sized),
+    pois: &[P],
+) -> Vec<f32> {
+    assert_eq!(users.len(), pois.len(), "pair slices must be parallel");
+    let mut scores = Vec::with_capacity(pois.len());
+    let mut start = 0;
+    for run in users.chunk_by(|a, b| a == b) {
+        let rows = pois[start..start + run.len()].iter().map(|p| p.row());
+        ctx.score_run(
+            tower,
+            user_table,
+            run[0].row(),
+            poi_table,
+            rows,
+            &mut scores,
+        );
+        start += run.len();
+    }
+    scores
+}
 
 /// Why a pair-scoring request was rejected before any compute ran.
 ///
@@ -94,9 +162,9 @@ impl std::error::Error for PredictError {}
 pub struct ModelSnapshot {
     user_table: TableStorage,
     poi_table: TableStorage,
-    /// The tower's `(weight, bias)` pairs, first layer to last.
-    layers: Vec<(Matrix, Matrix)>,
-    activation: Activation,
+    /// The interaction tower, packed for scoring when the snapshot is
+    /// built.
+    tower: PairTower,
 }
 
 impl ModelSnapshot {
@@ -104,17 +172,10 @@ impl ModelSnapshot {
     /// (owned f32 tables — the lossless live-capture path).
     pub fn capture(model: &STTransRec) -> Self {
         let store = model.params();
-        let layers = model
-            .tower()
-            .layers()
-            .iter()
-            .map(|l| (store.get(l.weight()).clone(), store.get(l.bias()).clone()))
-            .collect();
         Self {
             user_table: TableStorage::F32(store.get(model.user_emb().table()).clone()),
             poi_table: TableStorage::F32(store.get(model.poi_emb().table()).clone()),
-            layers,
-            activation: model.tower().activation(),
+            tower: model.pair_tower(),
         }
     }
 
@@ -132,6 +193,9 @@ impl ModelSnapshot {
         let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
         if layers.is_empty() {
             return Err(bad("snapshot needs at least one tower layer".into()));
+        }
+        if poi_table.cols() == 0 {
+            return Err(bad("poi table has no columns".into()));
         }
         let mut width = user_table.cols() + poi_table.cols();
         for (i, (w, b)) in layers.iter().enumerate() {
@@ -155,11 +219,15 @@ impl ModelSnapshot {
                 "tower must end in a single logit, ends in {width}"
             )));
         }
+        let tower = PairTower::new(
+            user_table.cols(),
+            layers.iter().map(|(w, b)| (w, b)),
+            activation,
+        );
         Ok(Self {
             user_table,
             poi_table,
-            layers,
-            activation,
+            tower,
         })
     }
 
@@ -200,8 +268,7 @@ impl ModelSnapshot {
         Self {
             user_table: requant(&self.user_table),
             poi_table: requant(&self.poi_table),
-            layers: self.layers.clone(),
-            activation: self.activation,
+            tower: self.tower.clone(),
         }
     }
 
@@ -239,24 +306,60 @@ impl ModelSnapshot {
         &self.poi_table
     }
 
-    /// Runs the tower + sigmoid over whatever `ctx` currently holds.
-    fn run_tower(&self, ctx: &mut InferCtx) -> Vec<f32> {
-        let last = self.layers.len() - 1;
-        for (i, (w, b)) in self.layers.iter().enumerate() {
-            ctx.linear(w, b);
-            if i < last {
-                ctx.activation(self.activation);
-            }
-        }
-        ctx.sigmoid();
-        ctx.value().as_slice().to_vec()
-    }
-
     /// The unchecked forward pass; callers have already validated shape
     /// (or accepted the underlying kernels' panics).
-    fn forward(&self, ctx: &mut InferCtx, users: &[usize], pois: &[usize]) -> Vec<f32> {
-        ctx.gather_concat2(&self.user_table, users, &self.poi_table, pois);
-        self.run_tower(ctx)
+    fn forward<U: RowIndex, P: RowIndex>(
+        &self,
+        ctx: &mut InferCtx,
+        users: &[U],
+        pois: &[P],
+    ) -> Vec<f32> {
+        score_pairs(
+            ctx,
+            &self.tower,
+            &self.user_table,
+            users,
+            &self.poi_table,
+            pois,
+        )
+    }
+
+    /// Rejects indices the tables do not hold, before any compute runs.
+    fn check_rows<U: RowIndex, P: RowIndex>(
+        &self,
+        users: &[U],
+        pois: &[P],
+    ) -> Result<(), PredictError> {
+        if let Some(u) = users.iter().find(|u| u.row() >= self.num_users()) {
+            return Err(PredictError::UserOutOfRange {
+                index: u.row(),
+                limit: self.num_users(),
+            });
+        }
+        if let Some(p) = pois.iter().find(|p| p.row() >= self.num_pois()) {
+            return Err(PredictError::PoiOutOfRange {
+                index: p.row(),
+                limit: self.num_pois(),
+            });
+        }
+        Ok(())
+    }
+
+    /// [`ModelSnapshot::forward`] behind the request-shape checks.
+    fn try_forward<U: RowIndex, P: RowIndex>(
+        &self,
+        ctx: &mut InferCtx,
+        users: &[U],
+        pois: &[P],
+    ) -> Result<Vec<f32>, PredictError> {
+        if users.len() != pois.len() {
+            return Err(PredictError::LengthMismatch {
+                users: users.len(),
+                pois: pois.len(),
+            });
+        }
+        self.check_rows(users, pois)?;
+        Ok(self.forward(ctx, users, pois))
     }
 
     /// Predicted interaction probabilities for `(user, poi)` pairs given
@@ -275,7 +378,6 @@ impl ModelSnapshot {
     /// buffers — the zero-allocation steady-state path long-lived
     /// consumers (the serve batcher) score through.
     pub fn predict_with(&self, ctx: &mut InferCtx, users: &[usize], pois: &[usize]) -> Vec<f32> {
-        debug_assert_eq!(users.len(), pois.len(), "pair slices must be parallel");
         self.forward(ctx, users, pois)
     }
 
@@ -289,25 +391,7 @@ impl ModelSnapshot {
         users: &[usize],
         pois: &[usize],
     ) -> Result<Vec<f32>, PredictError> {
-        if users.len() != pois.len() {
-            return Err(PredictError::LengthMismatch {
-                users: users.len(),
-                pois: pois.len(),
-            });
-        }
-        if let Some(&index) = users.iter().find(|&&i| i >= self.num_users()) {
-            return Err(PredictError::UserOutOfRange {
-                index,
-                limit: self.num_users(),
-            });
-        }
-        if let Some(&index) = pois.iter().find(|&&i| i >= self.num_pois()) {
-            return Err(PredictError::PoiOutOfRange {
-                index,
-                limit: self.num_pois(),
-            });
-        }
-        Ok(self.forward(ctx, users, pois))
+        self.try_forward(ctx, users, pois)
     }
 
     /// Typed-id variant of [`ModelSnapshot::predict`].
@@ -324,9 +408,7 @@ impl ModelSnapshot {
         users: &[UserId],
         pois: &[PoiId],
     ) -> Vec<f32> {
-        let u: Vec<usize> = users.iter().map(|u| u.idx()).collect();
-        let p: Vec<usize> = pois.iter().map(|p| p.idx()).collect();
-        self.predict_with(ctx, &u, &p)
+        self.forward(ctx, users, pois)
     }
 
     /// Validating typed-id variant of
@@ -339,9 +421,41 @@ impl ModelSnapshot {
         users: &[UserId],
         pois: &[PoiId],
     ) -> Result<Vec<f32>, PredictError> {
-        let u: Vec<usize> = users.iter().map(|u| u.idx()).collect();
-        let p: Vec<usize> = pois.iter().map(|p| p.idx()).collect();
-        self.try_predict_with(ctx, &u, &p)
+        self.try_forward(ctx, users, pois)
+    }
+
+    /// One user against many POIs without spelling the user out per
+    /// pair — a request as the serve batcher holds it. Validates like
+    /// [`ModelSnapshot::try_score_pairs_with`] and scores the same bits.
+    pub fn try_score_user_with(
+        &self,
+        ctx: &mut InferCtx,
+        user: UserId,
+        pois: &[PoiId],
+    ) -> Result<Vec<f32>, PredictError> {
+        self.check_rows(&[user], pois)?;
+        let rows = pois.iter().map(|p| p.idx());
+        Ok(self.score_run(ctx, user.idx(), &self.poi_table, rows))
+    }
+
+    /// User row `user_row` against `items[rows]`: a single run.
+    fn score_run(
+        &self,
+        ctx: &mut InferCtx,
+        user_row: usize,
+        items: &(impl RowSource + ?Sized),
+        rows: impl ExactSizeIterator<Item = usize>,
+    ) -> Vec<f32> {
+        let mut scores = Vec::with_capacity(rows.len());
+        ctx.score_run(
+            &self.tower,
+            &self.user_table,
+            user_row,
+            items,
+            rows,
+            &mut scores,
+        );
+        scores
     }
 
     /// Scores user row `user_row` against every row of `items`, an
@@ -354,19 +468,14 @@ impl ModelSnapshot {
     /// Panics if `user_row` is out of range or `items` has the wrong
     /// width.
     pub fn score_rows_with(&self, ctx: &mut InferCtx, user_row: usize, items: &Matrix) -> Vec<f32> {
-        let n = items.rows();
-        let ui = vec![user_row; n];
-        let ii: Vec<usize> = (0..n).collect();
-        ctx.gather_concat2(&self.user_table, &ui, items, &ii);
-        self.run_tower(ctx)
+        self.score_run(ctx, user_row, items, 0..items.rows())
     }
 }
 
 impl Scorer for ModelSnapshot {
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
-        let users = vec![user.idx(); pois.len()];
-        let poi_rows: Vec<usize> = pois.iter().map(|p| p.idx()).collect();
-        self.predict(&users, &poi_rows)
+        let rows = pois.iter().map(|p| p.idx());
+        self.score_run(&mut InferCtx::new(), user.idx(), &self.poi_table, rows)
     }
 }
 

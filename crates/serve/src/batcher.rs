@@ -11,12 +11,14 @@
 //!
 //! A single batcher thread takes the first queued request, waits up to
 //! the configured window for more to arrive (leaving early when
-//! `max_batch` fills), then concatenates every request's
-//! `(user, candidate)` pairs into one scoring call against the
-//! generation's frozen [`st_transrec_core::ModelSnapshot`] — tape-free
-//! `InferCtx` execution over scratch buffers the batcher thread owns and
-//! reuses for its whole lifetime. Scores are split back per request and
-//! ranked exactly like `recommend_top_k`, so a batched response is
+//! `max_batch` fills), then scores every request of the batch — one
+//! user against its candidates, the shape the tower computes — against
+//! the one generation's frozen [`st_transrec_core::ModelSnapshot`]:
+//! tape-free `InferCtx` execution over scratch buffers the batcher
+//! thread owns and reuses for its whole lifetime. The scoring path takes
+//! candidates in fixed cache-resident row tiles, so neither a request's
+//! size nor the batch's moves its memory or its per-pair cost. Scores
+//! are ranked by `recommend_top_k`'s own rule, so a batched response is
 //! bit-identical to an unbatched one.
 //!
 //! Every submitted job reaches exactly one terminal outcome: scored,
@@ -30,8 +32,10 @@ use crate::fault::FaultInjector;
 use crate::metrics::{Metrics, BATCH_BUCKETS};
 use crate::snapshot::ModelCell;
 use st_data::{PoiId, UserId};
-use st_transrec_core::ModelSnapshot;
-use st_transrec_core::{InferCtx, Recommendation, STTransRec};
+/// The ranking rule of `recommend_top_k`, at the path the batcher has
+/// always exported it from.
+pub use st_transrec_core::rank_top_k;
+use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, STTransRec};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
@@ -99,9 +103,9 @@ pub enum SubmitError {
     ScorerFailed,
     /// The request referenced a user or POI the serving snapshot cannot
     /// score (HTTP `400`). Malformed input is validated out per job
-    /// before the batch is concatenated, so it becomes an error reply
-    /// for that job alone — never a worker panic, and never collateral
-    /// damage to the well-formed jobs sharing its batch.
+    /// before that job is scored, so it becomes an error reply for that
+    /// job alone — never a worker panic, and never collateral damage to
+    /// the well-formed jobs sharing its batch.
     InvalidRequest,
 }
 
@@ -157,13 +161,6 @@ pub struct BatchConfig {
     /// Most requests folded into one forward pass. 1 reproduces
     /// one-request-at-a-time serving through the identical code path.
     pub max_batch: usize,
-    /// Upper bound on `(user, poi)` pairs per `score_pairs` call. A
-    /// coalesced batch larger than this is scored in chunks split at
-    /// request boundaries: per-pair cost rises once a forward pass's
-    /// tape intermediates outgrow the cache, so a huge concatenated
-    /// batch is *slower* than a few cache-resident ones. Also bounds
-    /// peak scoring memory. 0 disables chunking.
-    pub chunk_pairs: usize,
     /// Most jobs the queue will hold; submissions beyond this are shed
     /// with [`SubmitError::QueueFull`]. 0 disables the bound (the
     /// pre-overload-control behaviour; not recommended in production).
@@ -179,7 +176,6 @@ impl Default for BatchConfig {
         Self {
             window: Duration::from_micros(500),
             max_batch: 64,
-            chunk_pairs: 256,
             queue_capacity: 4096,
             deadline: Duration::ZERO,
         }
@@ -386,21 +382,14 @@ fn batcher_loop(
             }
         }
 
-        execute_batch(&cell, &metrics, batch, config.chunk_pairs, &mut ctx);
+        execute_batch(&cell, &metrics, batch, &mut ctx);
     }
 }
 
-/// Runs one coalesced batch — scored in cache-sized chunks of at most
-/// `chunk_pairs` pairs, split at request boundaries — and answers every
-/// job in it. The whole batch sees one model snapshot regardless of how
-/// many `score_pairs` calls it takes.
-fn execute_batch(
-    cell: &ModelCell,
-    metrics: &Metrics,
-    batch: Vec<Job>,
-    chunk_pairs: usize,
-    ctx: &mut InferCtx,
-) {
+/// Scores, ranks and answers every job of one coalesced batch, all
+/// against one model snapshot, through the generation's frozen
+/// parameters and the batcher's reusable scratch.
+fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut InferCtx) {
     if batch.is_empty() {
         return;
     }
@@ -414,94 +403,28 @@ fn execute_batch(
         .batch_size
         .observe(batch.len() as u64, &BATCH_BUCKETS);
 
-    let mut chunk: Vec<Job> = Vec::with_capacity(batch.len());
-    let mut chunk_len = 0usize;
     for job in batch {
-        let n = job.req.candidates.len();
-        if !chunk.is_empty() && chunk_pairs > 0 && chunk_len + n > chunk_pairs {
-            score_chunk(&snapshot, std::mem::take(&mut chunk), chunk_len, ctx);
-            chunk_len = 0;
-        }
-        chunk_len += n;
-        chunk.push(job);
-    }
-    score_chunk(&snapshot, chunk, chunk_len, ctx);
-}
-
-/// One tape-free scoring pass over `chunk`'s concatenated pairs (through
-/// the generation's frozen parameters and the batcher's reusable
-/// scratch), then ranks and replies per request.
-fn score_chunk(
-    snapshot: &crate::snapshot::ServingGeneration,
-    chunk: Vec<Job>,
-    total: usize,
-    ctx: &mut InferCtx,
-) {
-    if chunk.is_empty() {
-        return;
-    }
-    // Validate each job against the snapshot it will be scored by,
-    // before any concatenation: a malformed request (unknown user,
-    // out-of-range candidate) is answered with `InvalidRequest` on its
-    // own channel, and the rest of the chunk scores normally.
-    let (num_users, num_pois) = (snapshot.frozen.num_users(), snapshot.frozen.num_pois());
-    let mut valid: Vec<Job> = Vec::with_capacity(chunk.len());
-    for job in chunk {
-        let well_formed =
-            job.req.user.idx() < num_users && job.req.candidates.iter().all(|p| p.idx() < num_pois);
-        if well_formed {
-            valid.push(job);
-        } else {
-            let _ = job.tx.send(Err(SubmitError::InvalidRequest));
-        }
-    }
-    if valid.is_empty() {
-        return;
-    }
-    let mut users: Vec<UserId> = Vec::with_capacity(total);
-    let mut pois: Vec<PoiId> = Vec::with_capacity(total);
-    for job in &valid {
-        users.extend(std::iter::repeat_n(job.req.user, job.req.candidates.len()));
-        pois.extend_from_slice(&job.req.candidates);
-    }
-    // Per-job validation above makes this infallible, but the worker
-    // thread must never be one refactor away from a panic: any residual
-    // shape problem is an error reply, not a crash.
-    let scores = match snapshot.frozen.try_score_pairs_with(ctx, &users, &pois) {
-        Ok(scores) => scores,
-        Err(_) => {
-            for job in valid {
-                let _ = job.tx.send(Err(SubmitError::InvalidRequest));
-            }
-            return;
-        }
-    };
-
-    let mut offset = 0;
-    for job in valid {
-        let n = job.req.candidates.len();
-        let slice = &scores[offset..offset + n];
-        offset += n;
-        let recs = rank_top_k(&job.req.candidates, slice, job.req.k);
+        let BatchRequest {
+            user,
+            candidates,
+            k,
+        } = &job.req;
+        // A malformed request (unknown user, out-of-range candidate) is
+        // validated out against the snapshot that would score it and
+        // answered `InvalidRequest` on its own channel — an error reply,
+        // never a worker panic, and the rest of the batch scores
+        // normally.
+        let reply = snapshot
+            .frozen
+            .try_score_user_with(ctx, *user, candidates)
+            .map(|scores| BatchReply {
+                epoch: snapshot.epoch,
+                recs: rank_top_k(candidates, &scores, *k),
+            })
+            .map_err(|_| SubmitError::InvalidRequest);
         // A dropped receiver (client hung up) is not an error.
-        let _ = job.tx.send(Ok(BatchReply {
-            epoch: snapshot.epoch,
-            recs,
-        }));
+        let _ = job.tx.send(reply);
     }
-}
-
-/// Ranks candidates by score exactly like `recommend_top_k`: descending
-/// `total_cmp`, ties broken by ascending POI id, truncated to `k`.
-pub fn rank_top_k(candidates: &[PoiId], scores: &[f32], k: usize) -> Vec<Recommendation> {
-    let mut ranked: Vec<Recommendation> = candidates
-        .iter()
-        .zip(scores)
-        .map(|(&poi, &score)| Recommendation { poi, score })
-        .collect();
-    ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.poi.cmp(&b.poi)));
-    ranked.truncate(k);
-    ranked
 }
 
 #[cfg(test)]
@@ -538,9 +461,6 @@ mod tests {
             BatchConfig {
                 window: Duration::from_millis(2),
                 max_batch: 16,
-                // A chunk cap smaller than one catalog forces the
-                // chunked path; replies must still be exact.
-                chunk_pairs: 16,
                 ..BatchConfig::default()
             },
         );
@@ -574,6 +494,64 @@ mod tests {
         });
         assert_eq!(metrics.batched_requests.load(Relaxed), 6);
         assert!(metrics.batches.load(Relaxed) >= 1);
+    }
+
+    #[test]
+    fn one_batch_of_different_users_and_sizes_answers_each_job_its_own() {
+        use st_tensor::kernels::TILE_ROWS;
+        let (cell, d, split) = cell();
+        let metrics = Arc::new(Metrics::new());
+        let injector = Arc::new(FaultInjector::new(1));
+        injector.freeze();
+        let batcher = MicroBatcher::start_with_faults(
+            cell.clone(),
+            metrics.clone(),
+            BatchConfig {
+                window: Duration::ZERO,
+                ..BatchConfig::default()
+            },
+            Some(injector.clone()),
+        );
+        // Candidate lists around a scoring row tile, empty and single
+        // included, each for a different user; the catalog is cycled to
+        // reach the longer ones.
+        let catalog = d.pois_in_city(split.target_city);
+        let jobs: Vec<(UserId, Arc<Vec<PoiId>>)> = [0, 1, TILE_ROWS - 1, TILE_ROWS + 1]
+            .iter()
+            .zip(&split.test_users)
+            .map(|(&n, &user)| {
+                let skip = user.idx() % catalog.len();
+                let candidates = catalog.iter().cycle().skip(skip).take(n).copied();
+                (user, Arc::new(candidates.collect()))
+            })
+            .collect();
+
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = jobs
+                .iter()
+                .map(|(user, candidates)| {
+                    let batcher = &batcher;
+                    scope.spawn(move || batcher.submit(request(*user, candidates, 4)))
+                })
+                .collect();
+            while batcher.queue_depth() < jobs.len() {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            injector.thaw();
+            let frozen = &cell.current().frozen;
+            for (handle, (user, candidates)) in parked.into_iter().zip(&jobs) {
+                let reply = handle.join().unwrap().expect("scored");
+                // The pair-at-a-time entry point, user spelled out per
+                // candidate, is the oracle.
+                let users = vec![user.idx(); candidates.len()];
+                let rows: Vec<usize> = candidates.iter().map(|p| p.idx()).collect();
+                let expected = rank_top_k(candidates, &frozen.predict(&users, &rows), 4);
+                assert_eq!(reply.recs, expected, "user {user:?}");
+                assert_eq!(reply.recs.len(), candidates.len().min(4));
+            }
+        });
+        assert_eq!(metrics.batches.load(Relaxed), 1, "one coalesced batch");
+        assert_eq!(metrics.batched_requests.load(Relaxed), 4);
     }
 
     #[test]

@@ -325,7 +325,6 @@ fn main() {
             max_batch: args.max_batch.max(1),
             queue_capacity: args.queue_capacity,
             deadline: Duration::from_millis(args.deadline_ms),
-            ..BatchConfig::default()
         },
         cache_capacity: args.cache_capacity,
         watch_interval: (args.watch_interval_ms > 0)

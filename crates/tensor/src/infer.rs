@@ -2,23 +2,113 @@
 //!
 //! [`InferCtx`] evaluates a forward tower through the shared op layer
 //! ([`crate::ops`]) with none of the training machinery: no tape nodes,
-//! no backward closures, no RNG, and — once its two scratch buffers have
+//! no backward closures, no RNG, and — once its scratch buffers have
 //! grown to the workload's steady-state shapes — no allocations per
-//! call. The activation ping-pongs between a *current* and a *next*
-//! buffer; each op either transforms the current buffer in place
-//! (activations) or writes into the next one and swaps (the affine
-//! layer).
+//! call. It evaluates two ways:
 //!
-//! Bit-identity with the tape path is a hard guarantee, not a tolerance:
-//! both executors call the same [`crate::ops`] functions over the same
-//! blocked kernels, so for equal weights and inputs their outputs are
-//! equal to the last bit. The differential test suites assert exactly
+//! - **Op by op** over whatever batch was loaded
+//!   ([`InferCtx::set_input`] / [`InferCtx::gather_concat2`], then
+//!   [`InferCtx::linear`], [`InferCtx::activation`], ...): the
+//!   activation ping-pongs between a *current* and a *next* buffer.
+//!   This is the reference evaluation the differential tests hold
+//!   everything else to.
+//! - **One left row against many right rows** through a [`PairTower`]
+//!   ([`InferCtx::score_run`]): what ranking asks for — one user, a
+//!   city's candidates — computed as that shape instead of as
+//!   unrelated pairs. The left row's share of the first layer is
+//!   computed once, and the right rows go through the whole tower in
+//!   cache-resident tiles of [`TILE_ROWS`].
+//!
+//! Bit-identity between the two, and with the tape path, is a hard
+//! guarantee, not a tolerance: all run the same arithmetic in the same
+//! order over the same kernels (the summation-order invariant in
+//! [`crate::kernels`]). The differential test suites assert exactly
 //! that, which is what lets serving swap executors without responses
 //! changing by a single byte.
 
+use crate::kernels::{self, PackedB, TILE_ROWS};
 use crate::nn::Activation;
 use crate::storage::RowSource;
 use crate::{ops, Matrix};
+
+/// An MLP over the concatenation `[left | right]` of two rows, ending
+/// in one sigmoid output (Eq. 11–12's interaction tower), held the way
+/// [`InferCtx::score_run`] consumes it: every weight packed into kernel
+/// panels once, the first layer's split at the pair boundary.
+#[derive(Debug, Clone)]
+pub struct PairTower {
+    /// The first weight's top `left_cols` rows.
+    left: PackedB,
+    /// `(weight, bias, activation stored with it)`, first layer to
+    /// last; the first weight is its bottom rows only, the last
+    /// activation is the output sigmoid.
+    layers: Vec<(PackedB, Vec<f32>, Activation)>,
+    /// Widest hidden activation: the width of the tile scratch.
+    hidden: usize,
+}
+
+impl PairTower {
+    /// Packs `(weight, bias)` pairs, first layer to last, for inputs
+    /// whose first `left_cols` columns come from the left row.
+    /// `activation` follows every layer but the last.
+    ///
+    /// # Panics
+    /// Panics if there is no layer, a weight does not take the previous
+    /// layer's width (more than `left_cols` for the first), a bias is not
+    /// `1 x` its weight's width, or the last width is not 1.
+    pub fn new<'a>(
+        left_cols: usize,
+        layers: impl IntoIterator<Item = (&'a Matrix, &'a Matrix)>,
+        activation: Activation,
+    ) -> Self {
+        let mut packed: Vec<(PackedB, Vec<f32>, Activation)> = Vec::new();
+        let mut left = None;
+        for (w, b) in layers {
+            assert_eq!(b.shape(), (1, w.cols()), "tower bias shape mismatch");
+            let (k, n) = w.shape();
+            let weight = match packed.last() {
+                None => {
+                    assert!(
+                        k > left_cols,
+                        "first tower layer must read past the left row"
+                    );
+                    let (top, bottom) = w.as_slice().split_at(left_cols * n);
+                    left = Some(PackedB::pack(top, left_cols, n));
+                    PackedB::pack(bottom, k - left_cols, n)
+                }
+                Some((prev, ..)) => {
+                    assert_eq!(k, prev.n(), "tower layer input width mismatch");
+                    PackedB::pack(w.as_slice(), k, n)
+                }
+            };
+            packed.push((weight, b.as_slice().to_vec(), activation));
+        }
+        let last = packed.last_mut().expect("tower needs at least one layer");
+        assert_eq!(last.0.n(), 1, "tower must end in a single logit");
+        last.2 = Activation::Sigmoid;
+        let hidden = packed[..packed.len() - 1]
+            .iter()
+            .map(|(w, ..)| w.n())
+            .max()
+            .unwrap_or(0);
+        Self {
+            left: left.expect("tower needs at least one layer"),
+            layers: packed,
+            hidden,
+        }
+    }
+}
+
+/// [`InferCtx::score_run`]'s buffers: the left row and its first-layer
+/// prefix, one tile of gathered right rows, two tiles of activations.
+#[derive(Debug, Default)]
+struct TileScratch {
+    left: Vec<f32>,
+    prefix: Vec<f32>,
+    input: Vec<f32>,
+    cur: Vec<f32>,
+    nxt: Vec<f32>,
+}
 
 /// Reusable scratch state for tape-free forward evaluation.
 ///
@@ -34,6 +124,8 @@ pub struct InferCtx {
     cur: Matrix,
     /// Scratch for the next layer's output.
     nxt: Matrix,
+    /// [`InferCtx::score_run`]'s tile buffers.
+    tile: TileScratch,
     /// Buffer-capacity growths since construction.
     grows: usize,
 }
@@ -113,6 +205,90 @@ impl InferCtx {
     /// layer).
     pub fn sigmoid(&mut self) {
         ops::sigmoid_assign(&mut self.cur);
+    }
+
+    /// Appends to `out` the tower's output for `left[left_row]` paired
+    /// with each of `right[right_rows]`, in order — the values the
+    /// op-by-op evaluation of the concatenated pairs produces, without
+    /// building the pairs: the left row's part of the first layer is
+    /// computed once and seeds every tile's accumulators, and each tile
+    /// of [`TILE_ROWS`] right rows is gathered and taken through all
+    /// layers while it is cache-resident. The tables may be plain
+    /// matrices or quantized/mapped [`crate::TableStorage`].
+    ///
+    /// # Panics
+    /// Panics if a table's width disagrees with `tower` or a row index
+    /// is out of range.
+    pub fn score_run<A: RowSource + ?Sized, B: RowSource + ?Sized>(
+        &mut self,
+        tower: &PairTower,
+        left: &A,
+        left_row: usize,
+        right: &B,
+        mut right_rows: impl Iterator<Item = usize>,
+        out: &mut Vec<f32>,
+    ) {
+        let first = &tower.layers[0].0;
+        let (left_cols, right_cols, width) = (tower.left.k(), first.k(), first.n());
+        assert_eq!(left.cols(), left_cols, "left table width mismatch");
+        assert_eq!(right.cols(), right_cols, "right table width mismatch");
+        let TileScratch {
+            left: left_buf,
+            prefix,
+            input,
+            cur,
+            nxt,
+        } = &mut self.tile;
+        // Full-tile sizes whatever this run's length, so the buffers
+        // settle on the first call.
+        for (buf, len) in [
+            (&mut *left_buf, left_cols),
+            (&mut *prefix, width),
+            (&mut *input, TILE_ROWS * right_cols),
+            (&mut *cur, TILE_ROWS * tower.hidden),
+            (&mut *nxt, TILE_ROWS * tower.hidden),
+        ] {
+            if buf.len() < len {
+                self.grows += usize::from(buf.capacity() < len);
+                buf.resize(len, 0.0);
+            }
+        }
+
+        let left_buf = &mut left_buf[..left_cols];
+        left.copy_row_into(left_row, left_buf);
+        let prefix = &mut prefix[..width];
+        kernels::matmul_packed(left_buf, &tower.left, None, prefix, 1, |c, acc, _| {
+            c.copy_from_slice(acc)
+        });
+
+        let last = tower.layers.len() - 1;
+        loop {
+            let mut m = 0;
+            for (dst, row) in input[..TILE_ROWS * right_cols]
+                .chunks_exact_mut(right_cols)
+                .zip(right_rows.by_ref())
+            {
+                right.copy_row_into(row, dst);
+                m += 1;
+            }
+            if m == 0 {
+                return;
+            }
+            for (i, (w, bias, act)) in tower.layers.iter().enumerate() {
+                let (x, init) = match i {
+                    0 => (&input[..m * right_cols], Some(&*prefix)),
+                    _ => (&cur[..m * w.k()], None),
+                };
+                if i == last {
+                    let at = out.len();
+                    out.resize(at + m, 0.0);
+                    ops::linear_packed(x, w, init, bias, *act, &mut out[at..], m);
+                } else {
+                    ops::linear_packed(x, w, init, bias, *act, &mut nxt[..m * w.n()], m);
+                    std::mem::swap(cur, nxt);
+                }
+            }
+        }
     }
 
     /// The current activation (the evaluation's output after the last

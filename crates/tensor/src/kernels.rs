@@ -4,39 +4,117 @@
 //! so LLVM's autovectorizer produces SIMD code without `unsafe`:
 //!
 //! - **Fixed-size register tiles.** The hot loops accumulate into
-//!   `[[f32; NR]; MR]` arrays that live entirely in registers, so the
+//!   `[[f32; W]; R]` arrays that live entirely in registers, so the
 //!   inner k-loop performs no loads or stores against the output.
 //! - **Bounds checks hoisted.** Slices are converted to fixed-size array
 //!   references (`try_into`) once per row, after which all indexing is
 //!   statically in range and check-free.
 //! - **Contiguous streaming.** All inner loops walk unit-stride memory.
 //!
+//! # The summation-order invariant
+//!
+//! Every element the packed product writes is
+//! `init + a[0]*b[0] + a[1]*b[1] + ...` evaluated left to right: one
+//! accumulator per output element, terms added in ascending `k`, a
+//! separate multiply and add per term (never `mul_add`, which rounds
+//! once instead of twice). The tile shape decides only which elements
+//! share a loop, so every tile width and height — and the plain
+//! `*_naive` loops kept in [`crate::Matrix`] — produce the same bits,
+//! and a product may be split at any `k`: run the first terms, then
+//! pass the result as the `init` row of the rest. Scoring one user
+//! against many candidates rests on exactly that
+//! ([`crate::PairTower`]): the user's half of the first layer is
+//! computed once and seeds every candidate's accumulators. The
+//! differential proptests assert all of this by `to_bits`.
+//!
 //! Tile sizes are chosen for the x86-64 baseline (SSE2, 16 XMM
 //! registers): a 4x8 `f32` accumulator block is 8 vector registers,
 //! leaving room for operand broadcasts. On wider ISAs (AVX2/AVX-512 via
 //! `-C target-cpu=native`) the same code compiles to fewer, wider ops.
-//!
-//! The repo keeps the original straightforward loops as `*_naive`
-//! reference kernels (see [`crate::Matrix`]); differential proptests
-//! assert the blocked kernels match them across ragged shapes.
 
-/// Rows per register tile (micro-kernel height).
+/// Rows per full-width register tile (micro-kernel height).
 pub const MR: usize = 4;
-/// Columns per register tile (micro-kernel width): two AVX-512 lanes,
-/// four AVX2 lanes — wide enough to keep the FMA ports busy while the
-/// `MR x NR` accumulator block still fits the vector register file.
+/// Columns per full-width register tile (micro-kernel width): two
+/// AVX-512 lanes, four AVX2 lanes — wide enough to keep the FMA ports
+/// busy while the `MR x NR` accumulator block still fits the vector
+/// register file.
 pub const NR: usize = 32;
+/// Rows per narrow register tile: the `n mod NR` remainder columns run
+/// as 16/8/4/2/1-wide tiles, which leave registers for twice the rows.
+pub const MR_NARROW: usize = 8;
+/// Candidate rows [`crate::InferCtx::score_run`] takes through the whole
+/// tower at a time: one tile's input and activations (~100 KB for the
+/// paper's tower) stay cache-resident from gather to sigmoid. 64–256
+/// measure within 5 % of each other.
+pub const TILE_ROWS: usize = 128;
 /// Block edge for the tiled transpose.
 pub const TR: usize = 8;
 
+/// The column panels of an `n`-wide product, left to right, as
+/// `(first column, width)`: `NR`-wide while that many columns remain,
+/// then the remainder split by its bits into 16/8/4/2/1.
+fn panels(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j = 0;
+    std::iter::from_fn(move || {
+        let left = n - j;
+        if left == 0 {
+            return None;
+        }
+        let w = if left >= NR { NR } else { 1 << left.ilog2() };
+        j += w;
+        Some((j - w, w))
+    })
+}
+
+/// Copies `b[:, j..j+w]` (`b: k x n`) into `dst` as a contiguous `k x w`
+/// panel, which makes the micro-kernel's loads unit-stride and
+/// bounds-check free (`chunks_exact`).
+fn pack_panel(b: &[f32], n: usize, j: usize, w: usize, dst: &mut [f32]) {
+    for (dst, brow) in dst.chunks_exact_mut(w).zip(b.chunks_exact(n)) {
+        dst.copy_from_slice(&brow[j..j + w]);
+    }
+}
+
+/// A `k x n` right-hand side packed once into the panels the
+/// micro-kernels stream, for weights multiplied many times
+/// ([`matmul_packed`]).
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// The panels of [`panels`]`(n)` back to back; the one starting at
+    /// column `j` starts at `k * j`.
+    data: Vec<f32>,
+}
+
+impl PackedB {
+    /// Packs the row-major `k x n` matrix `b`.
+    pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "PackedB::pack: buffer is not k x n");
+        let mut data = vec![0.0f32; k * n];
+        for (j, w) in panels(n) {
+            pack_panel(b, n, j, w, &mut data[k * j..k * (j + w)]);
+        }
+        Self { k, n, data }
+    }
+
+    /// Rows of the packed matrix (the product's inner dimension).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed matrix (the product's width).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+}
+
 /// `c += a * b` for row-major buffers, `a: m x k`, `b: k x n`, `c: m x n`.
 ///
-/// GEBP-style: each `NR`-column panel of `b` is packed once into a
-/// contiguous `k x NR` scratch buffer, then every `MR`-row band of `a`
-/// streams through it with an `MR x NR` register-tile micro-kernel. The
-/// packing makes the micro-kernel's loads unit-stride and bounds-check
-/// free (`chunks_exact`), which is what lets LLVM keep the whole
-/// accumulator block in vector registers.
+/// GEBP-style: each column panel of `b` is packed into one scratch
+/// buffer, then every row band of `a` streams through it with a
+/// register-tile micro-kernel — `MR x NR` for full panels,
+/// `MR_NARROW x {16,8,4,2,1}` for the `n mod NR` remainder.
 ///
 /// The caller guarantees buffer lengths match the dimensions; `c` is
 /// accumulated into (callers wanting a plain product pass zeros).
@@ -45,52 +123,145 @@ pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
 
-    let mut panel = vec![0.0f32; k * NR];
-    let mut j = 0;
-    while j + NR <= n {
-        // Pack B[:, j..j+NR] as a contiguous k x NR panel.
-        for (dst, brow) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
-            dst.copy_from_slice(&brow[j..j + NR]);
-        }
-        let mut i = 0;
-        while i + MR <= m {
-            micro_kernel_4xnr(a, &panel, c, k, n, i, j);
-            i += MR;
-        }
-        // Bottom rows of this panel, one at a time.
-        for ii in i..m {
-            micro_kernel_1xnr(&a[ii * k..(ii + 1) * k], &panel, &mut c[ii * n + j..]);
-        }
-        j += NR;
-    }
-    if j < n {
-        // Column remainder, full height.
-        matmul_edge(a, b, c, k, n, 0, m, j, n);
+    let mut scratch = vec![0.0f32; k * NR.min(n)];
+    for (j, w) in panels(n) {
+        let panel = &mut scratch[..k * w];
+        pack_panel(b, n, j, w, panel);
+        panel_product(a, panel, None, c, m, k, n, j, w, &accumulate);
     }
 }
 
-/// `MR x NR` register-tile update: `c[i..i+MR][j..j+NR] += a_band * panel`.
+/// The write-back of [`matmul_blocked`]: `c += acc`.
+fn accumulate(c: &mut [f32], acc: &[f32], _j: usize) {
+    for (o, &v) in c.iter_mut().zip(acc) {
+        *o += v;
+    }
+}
+
+/// The product `a * b` (`a: m x b.k()`, `c: m x b.n()`) with the
+/// accumulators started from `init` (a `1 x n` row shared by every row
+/// of `a`; zeros when `None`) and each finished tile row handed to
+/// `write(c_row_segment, accumulators, first_column)`, which decides
+/// what lands in `c` — accumulate, or bias and activation fused into the
+/// store.
 ///
-/// The four accumulator rows are separate local arrays (not one 2-D
-/// array) so LLVM's scalar-replacement keeps each in vector registers.
+/// # Panics
+/// Panics if a buffer length disagrees with the dimensions.
+#[inline]
+pub fn matmul_packed(
+    a: &[f32],
+    b: &PackedB,
+    init: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    write: impl Fn(&mut [f32], &[f32], usize),
+) {
+    assert_eq!(a.len(), m * b.k, "matmul_packed: a is not m x k");
+    assert_eq!(c.len(), m * b.n, "matmul_packed: c is not m x n");
+    if let Some(row) = init {
+        assert_eq!(row.len(), b.n, "matmul_packed: init is not 1 x n");
+    }
+    for (j, w) in panels(b.n) {
+        let panel = &b.data[b.k * j..b.k * (j + w)];
+        panel_product(a, panel, init, c, m, b.k, b.n, j, w, &write);
+    }
+}
+
+/// Every row of `a` against the packed `k x w` panel of columns
+/// `j..j+w`, through the register tile of that width: row bands first,
+/// then the bottom rows one at a time.
+#[allow(clippy::too_many_arguments)] // raw slices + the panel's place in the product
 #[inline(always)]
-fn micro_kernel_4xnr(
+fn panel_product(
     a: &[f32],
     panel: &[f32],
+    init: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    w: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize),
+) {
+    let init = init.map(|row| &row[j..j + w]);
+    match w {
+        NR => {
+            let init = init_row::<NR>(init);
+            let mut i = 0;
+            while i + MR <= m {
+                micro_kernel_wide(a, panel, init, c, k, n, i, j, write);
+                i += MR;
+            }
+            for i in i..m {
+                micro_kernel::<1, NR>(a, panel, init, c, k, n, i, j, write);
+            }
+        }
+        16 => narrow_bands::<16>(a, panel, init, c, m, k, n, j, write),
+        8 => narrow_bands::<8>(a, panel, init, c, m, k, n, j, write),
+        4 => narrow_bands::<4>(a, panel, init, c, m, k, n, j, write),
+        2 => narrow_bands::<2>(a, panel, init, c, m, k, n, j, write),
+        1 => narrow_bands::<1>(a, panel, init, c, m, k, n, j, write),
+        _ => unreachable!("panels() yields NR or a power of two below it"),
+    }
+}
+
+/// The accumulators' starting row as a `W`-array (zeros when `None`).
+#[inline(always)]
+fn init_row<const W: usize>(init: Option<&[f32]>) -> [f32; W] {
+    init.map_or([0.0; W], |row| row.try_into().expect("W-wide init"))
+}
+
+/// [`panel_product`] for a `W < NR` panel: bands of `MR_NARROW` rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn narrow_bands<const W: usize>(
+    a: &[f32],
+    panel: &[f32],
+    init: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize),
+) {
+    let init = init_row::<W>(init);
+    let mut i = 0;
+    while i + MR_NARROW <= m {
+        micro_kernel::<MR_NARROW, W>(a, panel, init, c, k, n, i, j, write);
+        i += MR_NARROW;
+    }
+    for i in i..m {
+        micro_kernel::<1, W>(a, panel, init, c, k, n, i, j, write);
+    }
+}
+
+/// `MR x NR` register-tile product of rows `i..i+MR` of `a` with the
+/// packed panel of columns `j..j+NR`.
+///
+/// Same arithmetic as [`micro_kernel`]`::<MR, NR>`, spelled out: the
+/// four accumulator rows are separate local arrays because LLVM's
+/// scalar replacement keeps those in vector registers, while a
+/// `[[f32; NR]; MR]` this large stays in memory (6 vs 60 gflop/s).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn micro_kernel_wide(
+    a: &[f32],
+    panel: &[f32],
+    init: [f32; NR],
     c: &mut [f32],
     k: usize,
     n: usize,
     i: usize,
     j: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize),
 ) {
     let a0 = &a[i * k..(i + 1) * k];
     let a1 = &a[(i + 1) * k..(i + 2) * k];
     let a2 = &a[(i + 2) * k..(i + 3) * k];
     let a3 = &a[(i + 3) * k..(i + 4) * k];
-    let mut acc0 = [0.0f32; NR];
-    let mut acc1 = [0.0f32; NR];
-    let mut acc2 = [0.0f32; NR];
-    let mut acc3 = [0.0f32; NR];
+    let (mut acc0, mut acc1, mut acc2, mut acc3) = (init, init, init, init);
     for (p, bp) in panel.chunks_exact(NR).enumerate() {
         let bp: &[f32; NR] = bp.try_into().expect("NR chunk");
         let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
@@ -103,54 +274,41 @@ fn micro_kernel_4xnr(
     }
     for (r, accr) in [acc0, acc1, acc2, acc3].iter().enumerate() {
         let off = (i + r) * n + j;
-        let crow: &mut [f32; NR] = (&mut c[off..off + NR]).try_into().expect("NR chunk");
-        for l in 0..NR {
-            crow[l] += accr[l];
-        }
+        write(&mut c[off..off + NR], accr, j);
     }
 }
 
-/// Single-row variant of the register-tile update for band remainders.
+/// `R x W` register-tile product of rows `i..i+R` of `a` with the packed
+/// panel of columns `j..j+W`: accumulators start at `init`, take one
+/// multiply and one add per `k` in ascending order, and go to `write`
+/// row by row.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel_1xnr(a_row: &[f32], panel: &[f32], c_row: &mut [f32]) {
-    let mut acc = [0.0f32; NR];
-    for (&av, bp) in a_row.iter().zip(panel.chunks_exact(NR)) {
-        let bp: &[f32; NR] = bp.try_into().expect("NR chunk");
-        for l in 0..NR {
-            acc[l] += av * bp[l];
-        }
-    }
-    let c_row: &mut [f32; NR] = (&mut c_row[..NR]).try_into().expect("NR chunk");
-    for l in 0..NR {
-        c_row[l] += acc[l];
-    }
-}
-
-/// Scalar i-k-j cleanup for tile edges: rows `[i0, i1)`, cols `[j0, j1)`.
-#[allow(clippy::too_many_arguments)] // raw slices + the four tile bounds
-fn matmul_edge(
+fn micro_kernel<const R: usize, const W: usize>(
     a: &[f32],
-    b: &[f32],
+    panel: &[f32],
+    init: [f32; W],
     c: &mut [f32],
     k: usize,
     n: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
+    i: usize,
+    j: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize),
 ) {
-    for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n + j0..i * n + j1];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n + j0..p * n + j1];
-            for (o, &bv) in c_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let mut acc = [init; R];
+    for (p, bp) in panel.chunks_exact(W).enumerate() {
+        let bp: &[f32; W] = bp.try_into().expect("W chunk");
+        for r in 0..R {
+            let v = rows[r][p];
+            for l in 0..W {
+                acc[r][l] += v * bp[l];
             }
         }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let off = (i + r) * n + j;
+        write(&mut c[off..off + W], accr, j);
     }
 }
 

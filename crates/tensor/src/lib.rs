@@ -69,7 +69,7 @@ pub use checkpoint::{
     save_params_v2, CheckpointError, MappedParams,
 };
 pub use grad_check::{assert_gradients_close, check_gradients, GradCheckReport};
-pub use infer::InferCtx;
+pub use infer::{InferCtx, PairTower};
 pub use init::Init;
 pub use matrix::Matrix;
 pub use nn::{Activation, Embedding, Linear, Mlp};

@@ -17,6 +17,7 @@
 //! to the tape path — the differential test suites assert exact `f32`
 //! equality, not tolerance bounds.
 
+use crate::kernels::{self, PackedB};
 use crate::nn::Activation;
 use crate::storage::RowSource;
 use crate::Matrix;
@@ -61,28 +62,63 @@ pub fn add_col_broadcast_assign(x: &mut Matrix, col: &Matrix) {
 
 /// `max(0, x)` elementwise, in place.
 pub fn relu_assign(x: &mut Matrix) {
-    x.map_inplace(|v| v.max(0.0));
+    activate(Activation::Relu, x.as_mut_slice());
 }
 
 /// Hyperbolic tangent elementwise, in place.
 pub fn tanh_assign(x: &mut Matrix) {
-    x.map_inplace(f32::tanh);
+    activate(Activation::Tanh, x.as_mut_slice());
 }
 
 /// Overflow-safe logistic sigmoid elementwise, in place.
 pub fn sigmoid_assign(x: &mut Matrix) {
-    x.map_inplace(stable_sigmoid);
+    activate(Activation::Sigmoid, x.as_mut_slice());
 }
 
 /// Applies `act` elementwise, in place ([`Activation::Identity`] is a
 /// no-op).
 pub fn activation_assign(act: Activation, x: &mut Matrix) {
+    activate(act, x.as_mut_slice());
+}
+
+/// `act` over a slice, in place: the one elementwise definition under
+/// the `*_assign` ops and [`linear_packed`]'s fused store.
+fn activate(act: Activation, xs: &mut [f32]) {
     match act {
-        Activation::Relu => relu_assign(x),
-        Activation::Tanh => tanh_assign(x),
-        Activation::Sigmoid => sigmoid_assign(x),
+        Activation::Relu => xs.iter_mut().for_each(|v| *v = v.max(0.0)),
+        Activation::Tanh => xs.iter_mut().for_each(|v| *v = v.tanh()),
+        Activation::Sigmoid => xs.iter_mut().for_each(|v| *v = stable_sigmoid(*v)),
         Activation::Identity => {}
     }
+}
+
+/// `out = act(init + x * w + bias)` for `x: m x w.k()`, `out: m x w.n()`:
+/// the affine layer with its weight pre-packed, the product optionally
+/// continued from the `1 x n` row `init`, and bias and activation
+/// applied as each register tile is stored rather than in two more
+/// passes over `out`. For `init = None` the values are those of
+/// [`matmul`] into zeros, [`add_row_broadcast_assign`], then
+/// [`activation_assign`] — bit for bit (see the summation-order
+/// invariant in [`crate::kernels`]).
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn linear_packed(
+    x: &[f32],
+    w: &PackedB,
+    init: Option<&[f32]>,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+    m: usize,
+) {
+    assert_eq!(bias.len(), w.n(), "linear_packed bias width mismatch");
+    kernels::matmul_packed(x, w, init, out, m, |c, acc, j| {
+        for ((o, &a), &b) in c.iter_mut().zip(acc).zip(&bias[j..]) {
+            *o = a + b;
+        }
+        activate(act, c);
+    });
 }
 
 /// Fills `out` (shape `ai.len() x (a.cols() + b.cols())`) with the

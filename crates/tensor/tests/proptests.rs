@@ -1,7 +1,7 @@
 //! Property-based tests for the matrix kernels and autodiff identities.
 
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use st_tensor::{Gradients, Init, Matrix, ParamStore, Tape};
 
 /// Strategy: a matrix of bounded shape with small finite entries.
@@ -446,6 +446,59 @@ proptest! {
         );
     }
 
+    /// One left row against many right rows through a packed
+    /// [`st_tensor::PairTower`] scores the bits the op-by-op forward over
+    /// the materialised pairs does — across activations, depths, widths
+    /// on and off the tile sizes, and run lengths around a row tile.
+    #[test]
+    fn score_run_is_bit_identical_to_the_op_by_op_forward(
+        (da, db) in (1usize..6, 1usize..6),
+        hidden in proptest::collection::vec(1usize..40, 0..4),
+        act_idx in 0usize..4,
+        len_idx in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        use st_tensor::kernels::TILE_ROWS;
+        use st_tensor::{Activation, InferCtx, PairTower};
+        let act = [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ][act_idx];
+        let rows = [0, 1, 5, TILE_ROWS - 1, TILE_ROWS, 2 * TILE_ROWS + 3][len_idx];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let gauss = Init::Gaussian { std: 1.0 };
+        let a = gauss.sample(4, da, &mut rng);
+        let b = gauss.sample(9, db, &mut rng);
+        let widths: Vec<usize> = [da + db].into_iter().chain(hidden).chain([1]).collect();
+        let layers: Vec<(Matrix, Matrix)> = widths
+            .windows(2)
+            .map(|w| (gauss.sample(w[0], w[1], &mut rng), gauss.sample(1, w[1], &mut rng)))
+            .collect();
+        let bi: Vec<usize> = (0..rows).map(|i| (i * 7 + 2) % 9).collect();
+
+        let mut ctx = InferCtx::new();
+        ctx.gather_concat2(&a, &vec![3; rows], &b, &bi);
+        for (i, (w, bias)) in layers.iter().enumerate() {
+            ctx.linear(w, bias);
+            if i + 1 < layers.len() {
+                ctx.activation(act);
+            }
+        }
+        ctx.sigmoid();
+        let expected = ctx.value().clone();
+
+        let tower = PairTower::new(da, layers.iter().map(|(w, b)| (w, b)), act);
+        let mut scores = vec![f32::NAN]; // appended to, not overwritten
+        ctx.score_run(&tower, &a, 3, &b, bi.iter().copied(), &mut scores);
+        prop_assert!(scores[0].is_nan());
+        prop_assert!(
+            bit_equal(&Matrix::from_vec(rows, 1, scores.split_off(1)), &expected),
+            "widths {widths:?}, {act:?}, {rows} rows"
+        );
+    }
+
     /// The fused embedding gather + pair concat equals the tape's
     /// two-step gather-then-concat to the last bit (both are pure row
     /// copies).
@@ -651,5 +704,137 @@ proptest! {
         prop_assert_eq!(second.misses, first.misses);
         prop_assert_eq!(second.pooled, first.pooled);
         prop_assert_eq!(second.pooled_bytes, first.pooled_bytes);
+    }
+}
+
+// ---- Summation order: every tile shape, exact bits ----
+//
+// `kernels.rs` promises one accumulator per output element, terms added
+// in ascending `k`, a multiply and an add per term. These are exhaustive
+// sweeps rather than sampled properties: every remainder decomposition
+// of `n mod NR`, row counts around both tile heights, and data off the
+// exact grid, so any reassociation or `mul_add` shows up as a changed
+// bit.
+
+/// `len` values in (-1, 1) that do not sit on a binary grid.
+fn off_grid(rng: &mut SmallRng, len: usize) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
+/// As [`off_grid`] with about half the draws an exact zero: a post-ReLU
+/// activation, the input the old scalar edge loop used to skip terms
+/// for.
+fn half_zero(rng: &mut SmallRng, len: usize) -> Vec<f32> {
+    let zero_out = |v: f32| if v.to_bits() & 1 == 0 { 0.0 } else { v };
+    off_grid(rng, len).into_iter().map(zero_out).collect()
+}
+
+/// The definition the kernels are held to: `init[j] + a[i][0]*b[0][j] +
+/// a[i][1]*b[1][j] + ...`, left to right, no term skipped.
+fn sequential_product(
+    a: &[f32],
+    b: &[f32],
+    init: &[f32],
+    (m, k, n): (usize, usize, usize),
+) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = init[j];
+            for p in 0..k {
+                acc += a[i * k + p] * b[p * n + j];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+const SWEEP_M: [usize; 5] = [1, 7, 8, 9, 33];
+const SWEEP_K: [usize; 4] = [1, 16, 64, 65];
+
+#[test]
+fn blocked_matmul_is_the_sequential_sum_for_every_remainder_width() {
+    use st_tensor::kernels::matmul_blocked;
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    for n in 1..=70 {
+        for m in SWEEP_M {
+            for k in SWEEP_K {
+                let a = half_zero(&mut rng, m * k);
+                let b = off_grid(&mut rng, k * n);
+                let mut c = vec![0.0f32; m * n];
+                matmul_blocked(&a, &b, &mut c, m, k, n);
+                let want = sequential_product(&a, &b, &vec![0.0; n], (m, k, n));
+                assert_eq!(bits(&c), bits(&want), "shape {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_matmul_continues_from_its_init_row_for_every_remainder_width() {
+    use st_tensor::kernels::{matmul_packed, PackedB};
+    let mut rng = SmallRng::seed_from_u64(0xACC);
+    for n in 1..=70 {
+        for m in SWEEP_M {
+            for k in SWEEP_K {
+                let a = half_zero(&mut rng, m * k);
+                let b = off_grid(&mut rng, k * n);
+                let init = off_grid(&mut rng, n);
+                let mut c = vec![f32::NAN; m * n];
+                let packed = PackedB::pack(&b, k, n);
+                matmul_packed(&a, &packed, Some(&init), &mut c, m, |c, acc, _| {
+                    c.copy_from_slice(acc)
+                });
+                let want = sequential_product(&a, &b, &init, (m, k, n));
+                assert_eq!(bits(&c), bits(&want), "shape {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+/// What one-user scoring rests on: when every row of `a` starts with the
+/// same `k1` values, multiplying those through the top of `b` once and
+/// seeding the rest of the product with the result changes no bit of the
+/// product over the concatenation.
+#[test]
+fn prefix_then_tail_equals_one_product_over_the_concatenation() {
+    use st_tensor::kernels::{matmul_blocked, matmul_packed, PackedB};
+    let mut rng = SmallRng::seed_from_u64(0xF00D);
+    for (m, k1, k2, n) in [
+        (1, 64, 64, 64),
+        (33, 64, 64, 64),
+        (9, 3, 5, 7),
+        (8, 16, 1, 70),
+        (130, 5, 11, 37),
+    ] {
+        let shared = off_grid(&mut rng, k1);
+        let tails = half_zero(&mut rng, m * k2);
+        let b = off_grid(&mut rng, (k1 + k2) * n);
+        let concat: Vec<f32> = tails
+            .chunks_exact(k2)
+            .flat_map(|tail| shared.iter().chain(tail).copied())
+            .collect();
+        let mut whole = vec![0.0f32; m * n];
+        matmul_blocked(&concat, &b, &mut whole, m, k1 + k2, n);
+
+        let (top, bottom) = b.split_at(k1 * n);
+        let mut prefix = vec![0.0f32; n];
+        matmul_blocked(&shared, top, &mut prefix, 1, k1, n);
+        let mut split = vec![f32::NAN; m * n];
+        let bottom = PackedB::pack(bottom, k2, n);
+        matmul_packed(
+            &tails,
+            &bottom,
+            Some(&prefix),
+            &mut split,
+            m,
+            |c, acc, _| c.copy_from_slice(acc),
+        );
+        assert_eq!(bits(&split), bits(&whole), "shape {m}x({k1}+{k2})x{n}");
     }
 }
