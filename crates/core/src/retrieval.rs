@@ -220,11 +220,15 @@ impl RetrievalIndex {
             let src = j * catalog.len() / k;
             centroids.row_mut(j).copy_from_slice(points.row(src));
         }
+        // Lloyd iterations; every pass is `ops::nearest_centroids`, the
+        // packed-kernel assignment, and the buffers outlive the loop.
         let mut assign = Vec::new();
+        let mut sums = vec![0.0f64; k * dim];
+        let mut counts = vec![0usize; k];
         for _ in 0..cfg.kmeans_iters {
             ops::nearest_centroids(&points, &centroids, &mut assign);
-            let mut sums = vec![0.0f64; k * dim];
-            let mut counts = vec![0usize; k];
+            sums.fill(0.0);
+            counts.fill(0);
             for (r, &j) in assign.iter().enumerate() {
                 let j = j as usize;
                 counts[j] += 1;
@@ -297,8 +301,11 @@ impl RetrievalIndex {
             return None;
         }
         let budget = self.cfg.max_candidates;
-        let mut seen: HashSet<PoiId> = HashSet::with_capacity(budget.min(1 << 16));
         let mut pois = Vec::with_capacity(budget.min(1 << 16));
+        // Grid cells partition the catalog and so do IVF lists, so the
+        // only possible duplicate is an IVF POI the grid stage already
+        // took: one bit per POI id, set by stage 1, tested by stage 2.
+        let mut from_grid_bits = vec![0u64; dataset.num_pois().div_ceil(64)];
 
         // Stage 1: grid rings around the anchor, capped so the IVF stage
         // always keeps most of the budget.
@@ -309,9 +316,8 @@ impl RetrievalIndex {
                 if pois.len() >= grid_cap {
                     break 'rings;
                 }
-                if seen.insert(poi) {
-                    pois.push(poi);
-                }
+                from_grid_bits[poi.idx() / 64] |= 1 << (poi.idx() % 64);
+                pois.push(poi);
             }
         }
         let from_grid = pois.len();
@@ -330,7 +336,7 @@ impl RetrievalIndex {
                 if pois.len() >= budget {
                     break;
                 }
-                if seen.insert(poi) {
+                if from_grid_bits[poi.idx() / 64] & (1 << (poi.idx() % 64)) == 0 {
                     pois.push(poi);
                 }
             }
@@ -508,6 +514,90 @@ mod tests {
         assert_eq!(unique.len(), c.pois.len(), "duplicate candidates");
         // Every candidate belongs to the queried city.
         assert!(c.pois.iter().all(|&p| d.poi(p).city == split.target_city));
+    }
+
+    /// `candidates` with the dedup it used to have — a `HashSet` asked
+    /// about every id pushed by either stage — kept as the reference
+    /// for the bitset that only remembers the grid stage.
+    fn candidates_by_hashset(
+        this: &RetrievalIndex,
+        frozen: &ModelSnapshot,
+        dataset: &Dataset,
+        user: UserId,
+        city: CityId,
+    ) -> (Vec<PoiId>, usize, usize) {
+        let index = &this.cities[&city];
+        let budget = this.cfg.max_candidates;
+        let mut seen = HashSet::new();
+        let mut pois = Vec::new();
+        let grid_cap = (budget / 4).max(256).min(budget);
+        let anchor = this.anchor(index, dataset, user, city);
+        'rings: for cell in index.grid.rings_within(anchor, this.cfg.grid_rings) {
+            for &poi in &index.cell_pois[index.grid.flat_index(cell)] {
+                if pois.len() >= grid_cap {
+                    break 'rings;
+                }
+                if seen.insert(poi) {
+                    pois.push(poi);
+                }
+            }
+        }
+        let from_grid = pois.len();
+        let mut ctx = InferCtx::new();
+        let scores = frozen.score_rows_with(&mut ctx, user.idx(), &index.centroids);
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        for (probed, &list) in order.iter().enumerate() {
+            if probed >= this.cfg.nprobe && pois.len() >= budget {
+                break;
+            }
+            for &poi in &index.lists[list] {
+                if pois.len() >= budget {
+                    break;
+                }
+                if seen.insert(poi) {
+                    pois.push(poi);
+                }
+            }
+        }
+        let from_ivf = pois.len() - from_grid;
+        (pois, from_grid, from_ivf)
+    }
+
+    #[test]
+    fn bitset_dedup_equals_the_hashset_reference() {
+        let (d, split) = setup_scaled(600);
+        let snap = trained(&d, &split);
+        let city = split.target_city;
+        let catalog = d.pois_in_city(city).len();
+        let mut ctx = InferCtx::new();
+        let mut truncated_rings = 0;
+        for budget in [64, 128, catalog] {
+            let cfg = RetrievalConfig {
+                min_catalog: 1,
+                max_candidates: budget,
+                ..RetrievalConfig::default()
+            };
+            let index = RetrievalIndex::build(&snap, &d, cfg);
+            for u in 0..d.num_users() {
+                let user = UserId(u as u32);
+                let got = index
+                    .candidates(&snap, &mut ctx, &d, user, city)
+                    .expect("city is indexed");
+                let want = candidates_by_hashset(&index, &snap, &d, user, city);
+                assert_eq!(
+                    (got.pois, got.from_grid, got.from_ivf),
+                    want,
+                    "budget {budget}, {user:?}"
+                );
+                // The grid stage stopped at its cap with cells still to
+                // come: the IVF stage then meets both POIs it must skip
+                // and same-cell POIs it must not.
+                let grid_cap = (budget / 4).max(256).min(budget);
+                truncated_rings += usize::from(want.1 == grid_cap && want.2 > 0);
+            }
+        }
+        assert!(truncated_rings > 0, "no query truncated a ring at grid_cap");
     }
 
     #[test]

@@ -196,6 +196,11 @@ pub struct Metrics {
     /// any staleness alert — exactly which generation is serving and how
     /// long it has been serving it.
     pub last_reload_unix: AtomicU64,
+    /// How long the last accepted `/admin/reload` took — load, index
+    /// build and swap — in microseconds; 0 until the first one. Exported
+    /// as `st_serve_last_reload_duration_seconds`, so the cost of a
+    /// generation is on the page and not only on the caller's stopwatch.
+    pub last_reload_duration_us: AtomicU64,
     /// Bytes backing the serving snapshot (container size for mapped v2
     /// checkpoints, resident table bytes for live captures). Stamped at
     /// startup and on each accepted reload; exported as
@@ -309,6 +314,11 @@ impl Metrics {
             out,
             "st_serve_last_reload_timestamp_seconds {}",
             self.last_reload_unix.load(Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "st_serve_last_reload_duration_seconds {:.6}",
+            self.last_reload_duration_us.load(Relaxed) as f64 / 1e6
         );
         let _ = writeln!(out, "st_serve_cache_entries {cache_len}");
         let _ = writeln!(
@@ -459,6 +469,7 @@ mod tests {
         m.retrieval_fallback_total.fetch_add(4, Relaxed);
         m.candidate_size.observe(300, &CANDIDATE_BUCKETS);
         m.last_reload_unix.store(1_700_000_000, Relaxed);
+        m.last_reload_duration_us.store(527_250, Relaxed);
         m.stamp_snapshot(StorageEncoding::I8, 4096, true);
         let text = m.render(7, 42);
         assert!(text.contains("st_serve_requests_total{route=\"recommend\"} 2"));
@@ -478,6 +489,10 @@ mod tests {
         assert!(text.contains("st_serve_request_latency_us_count 1"));
         assert!(text.contains("st_serve_retrieval_fallback_total 4"));
         assert!(text.contains("st_serve_last_reload_timestamp_seconds 1700000000"));
+        assert!(text.contains("st_serve_last_reload_duration_seconds 0.527250\n"));
+        assert!(Metrics::new()
+            .render(1, 0)
+            .contains("st_serve_last_reload_duration_seconds 0.000000\n"));
         assert!(text.contains("st_serve_candidate_set_size_bucket{le=\"512\"} 1"));
         assert!(text.contains("st_serve_candidate_set_size_count 1"));
         assert!(text.contains("st_serve_snapshot_bytes 4096"));

@@ -129,6 +129,11 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
+/// Whole microseconds since `started`, saturating.
+fn elapsed_us(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 impl Engine {
     /// Builds an engine around an already loaded model. `reloader` is
     /// `None` when no checkpoint path is configured (reload disabled).
@@ -225,8 +230,12 @@ impl Engine {
                 "no checkpoint configured for reload",
             )
         })?;
+        let started = Instant::now();
         match reloader.reload_into(&self.cell) {
             Ok(outcome) => {
+                self.metrics
+                    .last_reload_duration_us
+                    .store(elapsed_us(started), Ordering::Relaxed);
                 self.metrics.reloads_ok.fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .last_reload_unix
@@ -287,10 +296,9 @@ impl Engine {
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let response = self.recommend_response(req);
-        let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.metrics
             .latency_us
-            .observe(elapsed_us, &LATENCY_BUCKETS_US);
+            .observe(elapsed_us(started), &LATENCY_BUCKETS_US);
         response
     }
 

@@ -206,6 +206,13 @@ fn concurrent_clients_with_inflight_reload() {
     assert_eq!(resp.body, gen2[0]);
     let health = client.get("/healthz").expect("healthz");
     assert!(health.body.contains("\"model_epoch\":2"), "{}", health.body);
+    // The reload left its duration on the metrics page.
+    let page = client.get("/metrics").expect("metrics").body;
+    let took = page
+        .lines()
+        .find_map(|l| l.strip_prefix("st_serve_last_reload_duration_seconds "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert!(took.is_some_and(|s| s > 0.0), "reload duration: {took:?}");
 
     server.shutdown();
 }

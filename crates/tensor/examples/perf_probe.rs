@@ -1,4 +1,4 @@
-use st_tensor::Matrix;
+use st_tensor::{ops, Matrix};
 use std::time::Instant;
 fn main() {
     let n = 256;
@@ -52,4 +52,31 @@ fn main() {
         ta_blocked * 1e3,
         ta_naive / ta_blocked
     );
+
+    // The IVF assignment pass at fixture-L size. k = 316 is what a
+    // 25k-POI city gets (2 * sqrt(n)); 320 fills whole NR panels, which
+    // is what `nearest_centroids` pads to, so the two should read alike.
+    let (n, dim) = (25_000, 64);
+    let lcg = |len: usize, seed: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * 31 + seed) % 257) as f32 / 257.0 - 0.5)
+            .collect()
+    };
+    let points = Matrix::from_vec(n, dim, lcg(n * dim, 7));
+    for k in [316, 320, 1000] {
+        let centroids = Matrix::from_vec(k, dim, lcg(k * dim, 11));
+        let mut assign = Vec::new();
+        let mut best = f64::MAX;
+        for _ in 0..5 {
+            let t = Instant::now();
+            ops::nearest_centroids(&points, &centroids, &mut assign);
+            best = best.min(t.elapsed().as_secs_f64());
+            std::hint::black_box(&assign);
+        }
+        println!(
+            "assign: {n}x{dim} -> k={k:<4} {:.1}ms ({:.1} GFLOP/s)",
+            best * 1e3,
+            2.0 * (n * dim * k) as f64 / best / 1e9
+        );
+    }
 }

@@ -98,6 +98,27 @@ impl PackedB {
         Self { k, n, data }
     }
 
+    /// Packs `b^T` straight from `b`'s `n` row-major rows of length `k`,
+    /// widened with zero columns to `width >= n`: the right-hand side of
+    /// `x * b^T` (each output a dot of two rows) in the shape the packed
+    /// kernels stream. A caller that pads to whole [`NR`] panels never
+    /// runs a narrow remainder tile; the padding columns come out as
+    /// `init + 0`.
+    pub fn pack_rows(rows: &[f32], n: usize, k: usize, width: usize) -> Self {
+        assert_eq!(rows.len(), n * k, "PackedB::pack_rows: buffer is not n x k");
+        assert!(width >= n, "PackedB::pack_rows: width {width} < {n} rows");
+        let mut data = vec![0.0f32; k * width];
+        for (j, w) in panels(width) {
+            let panel = &mut data[k * j..k * (j + w)];
+            for l in 0..w.min(n.saturating_sub(j)) {
+                for (p, &v) in rows[(j + l) * k..(j + l + 1) * k].iter().enumerate() {
+                    panel[p * w + l] = v;
+                }
+            }
+        }
+        Self { k, n: width, data }
+    }
+
     /// Rows of the packed matrix (the product's inner dimension).
     pub fn k(&self) -> usize {
         self.k

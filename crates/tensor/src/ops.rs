@@ -162,19 +162,21 @@ pub fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized>(
 /// row of `centroids` under squared Euclidean distance (ties broken
 /// toward the lower index). `out` is cleared first.
 ///
-/// Runs the O(n·k·d) work through the blocked `x * y^T` kernel over
-/// ~512-row point blocks via the expansion `||x||^2 + ||c||^2 - 2 x.c`;
-/// the per-point norm is constant across centroids and dropped, so the
-/// comparison key is `||c||^2 - 2 x.c`. This is the assignment step of
-/// the IVF coarse quantizer: k-means build time and query-time probe
-/// selection both reduce to it.
+/// Via the expansion `||x||^2 + ||c||^2 - 2 x.c`: the per-point norm is
+/// constant across centroids and dropped, so the comparison key is
+/// `||c||^2 - 2 x.c`. The O(n·k·d) dot products run through the packed
+/// register-tile kernel: `centroids^T` is packed once per call, the
+/// points are decoded [`kernels::TILE_ROWS`] at a time into one reused
+/// buffer, and the key is formed as each tile is stored. The packed
+/// side is padded to whole [`kernels::NR`] panels whose keys are `+inf`
+/// (never below any running minimum), so no narrow remainder tile runs.
+/// By the summation-order invariant of [`crate::kernels`] the result is
+/// exactly `argmin_j (sum_k c_jk^2 - 2 * sum_k x_k c_jk)` with every sum
+/// taken left to right in `f32` and the first minimum kept.
 ///
-/// Generic over [`RowSource`] for the points, so IVF assignment can
-/// probe frozen POI embeddings straight out of a quantized or
-/// memory-mapped table: each 512-row block is decoded once into the
-/// block buffer that already existed on this path, then hits the same
-/// blocked matmul. For `Matrix` points the copy is the same
-/// `copy_from_slice` as before — bit-identical results.
+/// This is the assignment step of the IVF coarse quantizer. Generic
+/// over [`RowSource`], so quantized or memory-mapped points give the
+/// same answer as the matrix decoded from them.
 ///
 /// # Panics
 /// Panics if the row widths differ or `centroids` is empty.
@@ -194,37 +196,60 @@ pub fn nearest_centroids<P: RowSource + ?Sized>(
         centroids.rows() > 0,
         "nearest_centroids needs >= 1 centroid"
     );
-    let (n, k) = (points.rows(), centroids.rows());
+    let (n, k, dim) = (points.rows(), centroids.rows(), points.cols());
     out.clear();
     out.reserve(n);
-    let csq: Vec<f32> = (0..k)
-        .map(|j| centroids.row(j).iter().map(|&v| v * v).sum())
-        .collect();
-    const BLOCK: usize = 512;
-    let mut start = 0;
-    while start < n {
-        let bs = BLOCK.min(n - start);
-        let mut block = Matrix::zeros(bs, points.cols());
+    let width = k.next_multiple_of(kernels::NR);
+    let packed = PackedB::pack_rows(centroids.as_slice(), k, dim, width);
+    let mut csq = Vec::with_capacity(width);
+    kernels::row_sq_norms_into(centroids.as_slice(), k, dim, &mut csq);
+    csq.resize(width, f32::INFINITY);
+    let mut block = vec![0.0f32; kernels::TILE_ROWS.min(n) * dim];
+    let mut keys = vec![0.0f32; kernels::TILE_ROWS.min(n) * width];
+    for start in (0..n).step_by(kernels::TILE_ROWS) {
+        let bs = kernels::TILE_ROWS.min(n - start);
         for r in 0..bs {
-            points.copy_row_into(start + r, block.row_mut(r));
+            points.copy_row_into(start + r, &mut block[r * dim..(r + 1) * dim]);
         }
-        let mut scores = Matrix::zeros(bs, k);
-        block.matmul_transpose_b_into(centroids, &mut scores);
-        for r in 0..bs {
-            let row = scores.row(r);
-            let mut best = 0u32;
-            let mut best_d = csq[0] - 2.0 * row[0];
-            for (j, (&s, &c)) in row.iter().zip(&csq).enumerate().skip(1) {
-                let d = c - 2.0 * s;
-                if d < best_d {
-                    best_d = d;
-                    best = j as u32;
-                }
+        let keys = &mut keys[..bs * width];
+        kernels::matmul_packed(&block[..bs * dim], &packed, None, keys, bs, |c, acc, j| {
+            for ((o, &dot), &sq) in c.iter_mut().zip(acc).zip(&csq[j..]) {
+                *o = sq - 2.0 * dot;
             }
-            out.push(best);
+        });
+        for row in keys.chunks_exact(width) {
+            out.push(first_min(row));
         }
-        start += bs;
     }
+}
+
+/// Index of the first minimum of `row` (a whole number of
+/// [`kernels::NR`]-wide chunks) under `<`; keys that compare below
+/// nothing (`+inf`, NaN) are never chosen, and 0 is returned when there
+/// is no other kind. Each lane keeps its own running minimum and the
+/// chunk it came from, which is elementwise and vectorises; the lanes
+/// are reduced at the end.
+fn first_min(row: &[f32]) -> u32 {
+    const NR: usize = kernels::NR;
+    let mut lane_key = [f32::INFINITY; NR];
+    let mut lane_chunk = [0u32; NR];
+    for (c, chunk) in row.chunks_exact(NR).enumerate() {
+        let chunk: &[f32; NR] = chunk.try_into().expect("NR chunk");
+        for l in 0..NR {
+            if chunk[l] < lane_key[l] {
+                lane_key[l] = chunk[l];
+                lane_chunk[l] = c as u32;
+            }
+        }
+    }
+    let (mut best, mut best_key) = (0, f32::INFINITY);
+    for l in 0..NR {
+        let j = lane_chunk[l] * NR as u32 + l as u32;
+        if lane_key[l] < best_key || (lane_key[l] == best_key && j < best) {
+            (best, best_key) = (j, lane_key[l]);
+        }
+    }
+    best
 }
 
 /// Overflow-safe logistic sigmoid.
@@ -354,8 +379,8 @@ mod tests {
 
     #[test]
     fn nearest_centroids_matches_naive_across_block_boundary() {
-        // > 512 points so at least two blocks run; deterministic LCG
-        // data, verified against per-pair naive distances.
+        // Several `TILE_ROWS` blocks and a ragged last one; deterministic
+        // LCG data, held to the naive key arg-min by equality.
         let (n, k, d) = (700, 7, 5);
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
@@ -369,18 +394,22 @@ mod tests {
         let mut out = Vec::new();
         nearest_centroids(&points, &centroids, &mut out);
         assert_eq!(out.len(), n);
-        let sq = |p: &[f32], c: &[f32]| -> f32 {
-            p.iter().zip(c).map(|(&a, &b)| (a - b) * (a - b)).sum()
+        let key = |p: &[f32], c: &[f32]| -> f32 {
+            let (mut sq, mut dot) = (0.0f32, 0.0f32);
+            for (&x, &y) in p.iter().zip(c) {
+                sq += y * y;
+                dot += x * y;
+            }
+            sq - 2.0 * dot
         };
         for (i, &chosen) in out.iter().enumerate() {
-            let got = sq(points.row(i), centroids.row(chosen as usize));
-            let best = (0..k)
-                .map(|j| sq(points.row(i), centroids.row(j)))
-                .fold(f32::INFINITY, f32::min);
-            assert!(
-                got <= best + 1e-4,
-                "row {i}: chose dist {got}, naive best {best}"
-            );
+            let mut best = 0;
+            for j in 1..k {
+                if key(points.row(i), centroids.row(j)) < key(points.row(i), centroids.row(best)) {
+                    best = j;
+                }
+            }
+            assert_eq!(chosen as usize, best, "row {i}");
         }
     }
 }

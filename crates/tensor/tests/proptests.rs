@@ -838,3 +838,72 @@ fn prefix_then_tail_equals_one_product_over_the_concatenation() {
         assert_eq!(bits(&split), bits(&whole), "shape {m}x({k1}+{k2})x{n}");
     }
 }
+
+/// The IVF assignment rests on the same invariant: `nearest_centroids`
+/// is exactly the naive arg-min of `sum_k c_jk^2 - 2 * sum_k x_k c_jk`,
+/// both sums left to right, first minimum kept — for every remainder of
+/// `k mod NR` (the packed side is padded past it), point counts around
+/// the `TILE_ROWS` block, and centroid rows that repeat (the last third
+/// copies the first, so a tie must go to the lower index).
+#[test]
+fn nearest_centroids_is_the_sequential_arg_min_for_every_shape() {
+    use st_tensor::kernels::TILE_ROWS;
+    use st_tensor::{ops, StorageEncoding, TableStorage};
+    let oracle = |points: &Matrix, centroids: &Matrix| -> Vec<u32> {
+        let key = |x: &[f32], c: &[f32]| {
+            let (mut sq, mut dot) = (0.0f32, 0.0f32);
+            for (&xv, &cv) in x.iter().zip(c) {
+                sq += cv * cv;
+                dot += xv * cv;
+            }
+            sq - 2.0 * dot
+        };
+        (0..points.rows())
+            .map(|i| {
+                let (mut best, mut best_key) = (0, key(points.row(i), centroids.row(0)));
+                for j in 1..centroids.rows() {
+                    let d = key(points.row(i), centroids.row(j));
+                    if d < best_key {
+                        (best, best_key) = (j as u32, d);
+                    }
+                }
+                best
+            })
+            .collect()
+    };
+    let mut rng = SmallRng::seed_from_u64(0x1F5);
+    let mut got = Vec::new();
+    for k in (1..=70).chain([316, 320]) {
+        for dim in [1, 5, 64, 65] {
+            let mut centroids = Matrix::from_vec(k, dim, off_grid(&mut rng, k * dim));
+            for j in 0..k / 3 {
+                let first = centroids.row(j).to_vec();
+                centroids.row_mut(k - k / 3 + j).copy_from_slice(&first);
+            }
+            for n in [0, 1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 700] {
+                let points = Matrix::from_vec(n, dim, off_grid(&mut rng, n * dim));
+                ops::nearest_centroids(&points, &centroids, &mut got);
+                assert_eq!(got, oracle(&points, &centroids), "{n}x{dim} -> k={k}");
+                assert!(
+                    got.iter().all(|&j| (j as usize) < k - k / 3),
+                    "tie went high"
+                );
+                if ![1, 33, 316].contains(&k) {
+                    continue;
+                }
+                // Quantized points decode inside the call, block by
+                // block: same answer as the matrix decoded up front.
+                for enc in [StorageEncoding::F16, StorageEncoding::I8] {
+                    let stored = TableStorage::encode(&points, enc);
+                    ops::nearest_centroids(&stored, &centroids, &mut got);
+                    let decoded = stored.to_matrix();
+                    assert_eq!(
+                        got,
+                        oracle(&decoded, &centroids),
+                        "{enc} {n}x{dim} -> k={k}"
+                    );
+                }
+            }
+        }
+    }
+}
