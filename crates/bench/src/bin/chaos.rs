@@ -3,9 +3,8 @@
 //!
 //! - `chaos serve` — [`st_bench::chaos`]: one server under the seeded
 //!   [`st_bench::chaos::FaultPlan`].
-//! - `chaos fleet` — [`st_bench::fleet`]: throughput scaling at N = 1/2/4
-//!   replicas behind an `st-router`, a rolling rollout under load, and
-//!   the seeded fleet plan.
+//! - `chaos fleet` — [`st_bench::fleet`]: a rolling rollout under load
+//!   over replicas behind an `st-router`, and the seeded fleet plan.
 //! - `chaos online` — [`st_bench::online_loop`]: the ingest → train →
 //!   shadow-eval → gated publish loop. `--smoke` is the 4-cycle CI size;
 //!   the full run (6 cycles, scaled Foursquare-like data) is where
@@ -93,12 +92,6 @@ fn serve(seed: u64, extra_phases: usize) -> (String, bool) {
 fn fleet(seed: u64, extra_phases: usize) -> (String, bool) {
     eprintln!("running fleet suite (chaos seed {seed} + {extra_phases} extra phases)...");
     let report = fleet::run_fleet_suite(seed, extra_phases);
-    for p in &report.scaling {
-        eprintln!(
-            "  scale N={}: {:>6.0} req/s over {} clients ({} requests, {} errors) -> {:.2}x",
-            p.replicas, p.throughput_rps, p.clients, p.requests, p.errors, p.speedup
-        );
-    }
     let r = &report.rollout;
     eprintln!(
         "  rollout N={}: {} requests, {} ok / {} lost, completed {}, ledger {}",
@@ -119,8 +112,8 @@ fn fleet(seed: u64, extra_phases: usize) -> (String, bool) {
     );
     let a = &report.acceptance;
     eprintln!(
-        "acceptance: speedup@2 {:.2} (>=1.7), speedup@4 {:.2} (>=3.0), zero-loss rollout {}, chaos ok {}",
-        a.speedup_2, a.speedup_4, a.zero_loss_rollout, a.chaos_ok
+        "acceptance: zero-loss rollout {}, chaos ok {}",
+        a.zero_loss_rollout, a.chaos_ok
     );
     (report.to_json().to_string(), a.all_gates)
 }

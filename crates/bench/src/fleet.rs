@@ -1,14 +1,8 @@
 //! Fleet-level serving suite behind `chaos fleet`: boots N real
 //! `st-serve` replicas plus an `st-router` front tier in-process and
-//! proves the three claims the sharded serving tier makes.
+//! proves the two claims the sharded serving tier makes. (What the hop
+//! costs is the benchmark's `fleet_hot`, not anything here.)
 //!
-//! - **Near-linear scaling** — per-request work is pinned to a fixed
-//!   fault-injector latency pad (the benching hosts are often
-//!   single-core, so CPU-bound replicas would all share one core and
-//!   scaling would measure the scheduler, not the router). With each
-//!   replica's batcher serialised at `max_batch = 1`, a fleet of N has N
-//!   independent pipelines, and throughput through the router must scale
-//!   with N.
 //! - **Zero-loss rolling reload** — a full rolling snapshot rollout runs
 //!   while clients hammer the router; every submitted request must come
 //!   back `200`.
@@ -51,15 +45,10 @@ pub const QUEUE_CAPACITY: usize = 6;
 /// Batcher deadline in the chaos fleet (hang phases expire against it).
 pub const DEADLINE: Duration = Duration::from_millis(300);
 
-/// Concurrent clients per shard in the scaling and rollout runs.
+/// Concurrent clients per shard in the rollout run.
 pub const CLIENTS_PER_SHARD: usize = 2;
-/// Requests each scaling client sends.
-pub const REQUESTS_PER_CLIENT: usize = 150;
-/// Injected per-request inference cost in the scaling runs, µs: it pins
-/// each replica to one request at a time, so throughput scales with the
-/// replica count even on a single core.
-pub const PAD_US: u64 = 2000;
-/// The same pad in the rollout run, where loss, not speed, is gated.
+/// Injected per-batch scoring cost in the rollout run, µs: keeps
+/// requests in flight across each replica's swap.
 const ROLLOUT_PAD_US: u64 = 1000;
 
 /// One phase of a fleet chaos schedule.
@@ -353,106 +342,6 @@ fn fleet_config() -> FleetConfig {
 }
 
 // ---------------------------------------------------------------------
-// Scaling
-// ---------------------------------------------------------------------
-
-/// One fleet size's measured throughput.
-#[derive(Debug, Clone)]
-pub struct FleetScalePoint {
-    /// Fleet size.
-    pub replicas: usize,
-    /// Concurrent client connections (per shard × shards).
-    pub clients: usize,
-    /// Total requests issued.
-    pub requests: usize,
-    /// Responses that were not `200`.
-    pub errors: usize,
-    /// Wall-clock, ms.
-    pub wall_ms: f64,
-    /// Requests per second through the router.
-    pub throughput_rps: f64,
-    /// Throughput over the 1-replica point.
-    pub speedup: f64,
-}
-
-json_object_impl!(FleetScalePoint {
-    replicas,
-    clients,
-    requests,
-    errors,
-    wall_ms,
-    throughput_rps,
-    speedup,
-});
-
-/// Replica config of the scaling and rollout runs: one forward pass (=
-/// one latency pad) per request, so the pad serialises each replica and
-/// the fleet is N pipelines.
-fn pipeline_config() -> ServeConfig {
-    ServeConfig {
-        batch: BatchConfig {
-            window: Duration::ZERO,
-            max_batch: 1,
-            ..BatchConfig::default()
-        },
-        cache_capacity: 0,
-        workers: CLIENTS_PER_SHARD * 2 + 2,
-        ..ServeConfig::default()
-    }
-}
-
-/// Drives [`CLIENTS_PER_SHARD`] keep-alive connections per shard, each
-/// walking its shard's own user population, and measures fleet-wide
-/// throughput through the router.
-fn run_scale_point(fx: &FleetFixture, replicas: usize) -> FleetScalePoint {
-    let harness = FleetHarness::start(fx, replicas, pipeline_config(), PAD_US);
-    let addr = harness.router_addr();
-    let target_city = fx.split.target_city.0;
-
-    let mut handles = Vec::new();
-    let start = Instant::now();
-    for shard in 0..replicas {
-        let users = Arc::new(harness.users_owned_by(shard));
-        assert!(!users.is_empty(), "shard {shard} owns no users");
-        for t in 0..CLIENTS_PER_SHARD {
-            let users = users.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("connect router");
-                let mut errors = 0usize;
-                for i in 0..REQUESTS_PER_CLIENT {
-                    let user = users[(t * 31 + i * 7) % users.len()];
-                    let resp = client
-                        .get(&format!("/recommend?user={user}&city={target_city}&k=10"))
-                        .expect("request");
-                    if resp.status != 200 {
-                        errors += 1;
-                    }
-                }
-                errors
-            }));
-        }
-    }
-    let errors: usize = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .sum();
-    let wall = start.elapsed();
-    harness.shutdown();
-
-    let clients = CLIENTS_PER_SHARD * replicas;
-    let requests = clients * REQUESTS_PER_CLIENT;
-    FleetScalePoint {
-        replicas,
-        clients,
-        requests,
-        errors,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        throughput_rps: requests as f64 / wall.as_secs_f64(),
-        speedup: 0.0, // filled in once the 1-replica point exists
-    }
-}
-
-// ---------------------------------------------------------------------
 // Zero-loss rolling reload
 // ---------------------------------------------------------------------
 
@@ -486,7 +375,13 @@ json_object_impl!(RolloutLossResult {
 });
 
 fn run_rollout_loss(fx: &mut FleetFixture, replicas: usize) -> RolloutLossResult {
-    let harness = FleetHarness::start(fx, replicas, pipeline_config(), ROLLOUT_PAD_US);
+    // Cache off, so every request is in a batcher when its replica swaps.
+    let serve_config = ServeConfig {
+        cache_capacity: 0,
+        workers: CLIENTS_PER_SHARD * 2 + 2,
+        ..ServeConfig::default()
+    };
+    let harness = FleetHarness::start(fx, replicas, serve_config, ROLLOUT_PAD_US);
     let addr = harness.router_addr();
     let target_city = fx.split.target_city.0;
 
@@ -960,18 +855,10 @@ fn run_chaos_pass(fx: &FleetFixture, plan: &FleetFaultPlan) -> (FleetCounts, boo
     (counts, metrics_ok, unexpected)
 }
 
-/// Full fleet suite: scaling at N = 1/2/4, zero-loss rolling reload,
-/// and the two-pass chaos replay.
+/// Full fleet suite: zero-loss rolling reload and the two-pass chaos
+/// replay.
 pub fn run_fleet_suite(seed: u64, extra_phases: usize) -> FleetBenchReport {
     let mut fx = build_fixture("suite");
-
-    let mut scaling: Vec<FleetScalePoint> = Vec::new();
-    for n in [1, 2, 4] {
-        let mut point = run_scale_point(&fx, n);
-        let rps = point.throughput_rps;
-        point.speedup = rps / scaling.first().map_or(rps, |base| base.throughput_rps);
-        scaling.push(point);
-    }
 
     let rollout = run_rollout_loss(&mut fx, 2);
 
@@ -1002,30 +889,19 @@ pub fn run_fleet_suite(seed: u64, extra_phases: usize) -> FleetBenchReport {
         reproducible: counts_a == counts_b,
     };
 
-    let speedup_2 = scaling[1].speedup;
-    let speedup_4 = scaling[2].speedup;
+    let zero_loss_rollout = rollout.zero_loss && rollout.ledger_consistent;
     let acceptance = FleetAcceptance {
-        speedup_2,
-        speedup_4,
-        zero_loss_rollout: rollout.zero_loss && rollout.ledger_consistent,
+        zero_loss_rollout,
         chaos_ok: chaos.ok(),
-        all_gates: speedup_2 >= 1.7
-            && speedup_4 >= 3.0
-            && rollout.zero_loss
-            && rollout.ledger_consistent
-            && chaos.ok()
-            && scaling.iter().all(|p| p.errors == 0),
+        all_gates: zero_loss_rollout && chaos.ok(),
     };
 
     FleetBenchReport {
-        schema: "st-loadgen/fleet/v1".into(),
+        schema: "st-loadgen/fleet/v2".into(),
         host_threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        pad_us: PAD_US,
         clients_per_shard: CLIENTS_PER_SHARD,
-        requests_per_client: REQUESTS_PER_CLIENT,
-        scaling,
         rollout,
         chaos,
         acceptance,
@@ -1035,10 +911,6 @@ pub fn run_fleet_suite(seed: u64, extra_phases: usize) -> FleetBenchReport {
 /// The acceptance gates the fleet suite must clear.
 #[derive(Debug, Clone)]
 pub struct FleetAcceptance {
-    /// 2-replica throughput over 1-replica.
-    pub speedup_2: f64,
-    /// 4-replica throughput over 1-replica.
-    pub speedup_4: f64,
     /// No request lost during the rolling reload, ledger agreed.
     pub zero_loss_rollout: bool,
     /// Chaos conservation + metrics + two-pass reproducibility.
@@ -1048,8 +920,6 @@ pub struct FleetAcceptance {
 }
 
 json_object_impl!(FleetAcceptance {
-    speedup_2,
-    speedup_4,
     zero_loss_rollout,
     chaos_ok,
     all_gates,
@@ -1060,16 +930,10 @@ json_object_impl!(FleetAcceptance {
 pub struct FleetBenchReport {
     /// Schema tag for downstream tooling.
     pub schema: String,
-    /// Hardware threads on the benching host.
+    /// Hardware threads on the benching host (= scorers per replica).
     pub host_threads: usize,
-    /// Injector latency pad standing in for inference cost, µs.
-    pub pad_us: u64,
-    /// Concurrent clients per shard in the scaling runs.
+    /// Concurrent clients per shard in the rollout run.
     pub clients_per_shard: usize,
-    /// Requests per client in the scaling runs.
-    pub requests_per_client: usize,
-    /// Throughput at fleet sizes 1, 2, 4.
-    pub scaling: Vec<FleetScalePoint>,
     /// Rolling reload under load.
     pub rollout: RolloutLossResult,
     /// Two-pass seeded chaos replay.
@@ -1081,10 +945,7 @@ pub struct FleetBenchReport {
 json_object_impl!(FleetBenchReport {
     schema,
     host_threads,
-    pad_us,
     clients_per_shard,
-    requests_per_client,
-    scaling,
     rollout,
     chaos,
     acceptance,

@@ -1,5 +1,5 @@
-//! The micro-batcher: coalesces concurrent recommendation requests into
-//! one batched forward pass, behind overload-safe admission control.
+//! The micro-batcher: one queue of recommendation requests in front of
+//! the scorer threads, behind overload-safe admission control.
 //!
 //! HTTP workers submit [`BatchRequest`]s and block on a per-request
 //! channel. Admission is bounded: a queue at `queue_capacity` sheds new
@@ -9,17 +9,21 @@
 //! scoring ([`SubmitError::DeadlineExceeded`]) — one slow batch delays
 //! the queue, it does not cascade into a convoy of doomed work.
 //!
-//! A single batcher thread takes the first queued request, waits up to
-//! the configured window for more to arrive (leaving early when
-//! `max_batch` fills), then scores every request of the batch — one
-//! user against its candidates, the shape the tower computes — against
-//! the one generation's frozen [`st_transrec_core::ModelSnapshot`]:
-//! tape-free `InferCtx` execution over scratch buffers the batcher
-//! thread owns and reuses for its whole lifetime. The scoring path takes
-//! candidates in fixed cache-resident row tiles, so neither a request's
-//! size nor the batch's moves its memory or its per-pair cost. Scores
-//! are ranked by `recommend_top_k`'s own rule, so a batched response is
-//! bit-identical to an unbatched one.
+//! One scorer thread per CPU the process may run on drains the queue.
+//! A scorer takes the first queued request, waits up to the configured
+//! window for more to arrive — only when no other scorer is idle, since
+//! an idle scorer takes the next arrival sooner than any window could —
+//! leaving early when `max_batch` fills, then scores every request of
+//! the batch — one user against its candidates, the shape the tower
+//! computes — against the one generation's frozen
+//! [`st_transrec_core::ModelSnapshot`]: tape-free `InferCtx` execution
+//! over scratch buffers the scorer owns and reuses for its whole
+//! lifetime. A process confined to one CPU has one scorer, which always
+//! holds the door. The scoring path takes candidates in fixed
+//! cache-resident row tiles, so neither a request's size nor the batch's
+//! moves its memory or its per-pair cost. Scores are ranked by
+//! `recommend_top_k`'s own rule, so a batched response is bit-identical
+//! to an unbatched one.
 //!
 //! Every submitted job reaches exactly one terminal outcome: scored,
 //! shed at admission, expired in queue, failed by an injected fault, or
@@ -39,7 +43,7 @@ use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, STTransRec};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Scores `(user, poi)` pairs given as parallel slices in one forward
@@ -128,11 +132,13 @@ struct Job {
 }
 
 /// Queue and shutdown flag under ONE mutex: `submit` checks the flag and
-/// enqueues atomically, so a job either lands before the batcher's final
+/// enqueues atomically, so a job either lands before the scorers' final
 /// drain (and gets answered) or is rejected — never silently parked.
 struct QueueState {
     jobs: VecDeque<Job>,
     shutdown: bool,
+    /// Scorers parked on an empty queue right now.
+    idle: usize,
 }
 
 struct Shared {
@@ -140,26 +146,36 @@ struct Shared {
     arrived: Condvar,
 }
 
-/// Handle to the batcher thread.
+/// Takes the guard out of a queue-lock result whether or not the lock is
+/// poisoned. [`QueueState`] is a `VecDeque`, a flag and a count, each
+/// changed by one whole operation (`push_back`, `drain`, an assignment),
+/// so it is consistent wherever a holder unwinds; refusing the guard
+/// would only turn one thread's panic into every scorer's and every
+/// HTTP worker's.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Handle to the scorer threads.
 pub struct MicroBatcher {
     shared: Arc<Shared>,
     metrics: Arc<Metrics>,
     config: BatchConfig,
-    handle: Option<std::thread::JoinHandle<()>>,
+    scorers: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Batching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Upper bound on how long the batcher holds a batch open for
-    /// companions after the first request; it fires early once arrivals
-    /// pause. Zero disables the coalescing delay entirely (each pass
-    /// takes whatever is already queued — batches still form naturally
-    /// from the backlog that accumulates while the previous batch
-    /// scores).
+    /// Upper bound on how long a scorer holds a batch open for
+    /// companions after the first request, which it does only while no
+    /// other scorer is idle; it fires early once arrivals pause. Zero
+    /// disables the coalescing delay entirely (each pass takes whatever
+    /// is already queued — batches still form naturally from the backlog
+    /// that accumulates while every scorer is busy).
     pub window: Duration,
-    /// Most requests folded into one forward pass. 1 reproduces
-    /// one-request-at-a-time serving through the identical code path.
+    /// Most requests one scorer takes in one pass. 1 reproduces
+    /// one-request-at-a-time scoring through the identical code path.
     pub max_batch: usize,
     /// Most jobs the queue will hold; submissions beyond this are shed
     /// with [`SubmitError::QueueFull`]. 0 disables the bound (the
@@ -182,11 +198,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// How often the batcher re-checks a closed fault gate (and shutdown).
+/// How often a scorer re-checks a closed fault gate (and shutdown).
 const FREEZE_POLL: Duration = Duration::from_micros(200);
 
 impl MicroBatcher {
-    /// Spawns the batcher thread over `cell`'s current model.
+    /// Spawns the scorer threads over `cell`'s current model: one per
+    /// CPU this process may run on (affinity mask and cgroup quota
+    /// included), read once, here.
     pub fn start(cell: Arc<ModelCell>, metrics: Arc<Metrics>, config: BatchConfig) -> Self {
         Self::start_with_faults(cell, metrics, config, None)
     }
@@ -200,25 +218,46 @@ impl MicroBatcher {
         config: BatchConfig,
         injector: Option<Arc<FaultInjector>>,
     ) -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::spawn(cell, metrics, config, injector, cpus)
+    }
+
+    /// Starts `scorers` threads on one queue. The count is what the
+    /// public constructors observe, not a setting; it is a parameter so
+    /// the tests can run both sides of it on any host.
+    fn spawn(
+        cell: Arc<ModelCell>,
+        metrics: Arc<Metrics>,
+        config: BatchConfig,
+        injector: Option<Arc<FaultInjector>>,
+        scorers: usize,
+    ) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        assert!(scorers >= 1, "a batcher needs a scorer");
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 shutdown: false,
+                idle: 0,
             }),
             arrived: Condvar::new(),
         });
-        let worker_shared = shared.clone();
-        let worker_metrics = metrics.clone();
-        let handle = std::thread::Builder::new()
-            .name("st-serve-batcher".into())
-            .spawn(move || batcher_loop(worker_shared, cell, worker_metrics, config, injector))
-            .expect("spawn batcher thread");
+        metrics.batcher_scorers.store(scorers as u64, Relaxed);
+        let scorers = (0..scorers)
+            .map(|i| {
+                let (shared, cell, metrics) = (shared.clone(), cell.clone(), metrics.clone());
+                let injector = injector.clone();
+                std::thread::Builder::new()
+                    .name(format!("st-serve-scorer-{i}"))
+                    .spawn(move || scorer_loop(shared, cell, metrics, config, injector))
+                    .expect("spawn scorer thread")
+            })
+            .collect();
         Self {
             shared,
             metrics,
             config,
-            handle: Some(handle),
+            scorers,
         }
     }
 
@@ -228,7 +267,7 @@ impl MicroBatcher {
     pub fn submit(&self, req: BatchRequest) -> Result<BatchReply, SubmitError> {
         let (tx, rx) = mpsc::channel();
         {
-            let mut state = self.shared.state.lock().expect("batcher queue poisoned");
+            let mut state = recover(self.shared.state.lock());
             if state.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -245,8 +284,10 @@ impl MicroBatcher {
                 .queue_depth
                 .store(state.jobs.len() as u64, Relaxed);
         }
-        self.shared.arrived.notify_all();
-        // A closed channel without a message can only mean the batcher
+        // One job needs one scorer: an idle one if there is any, else the
+        // one holding the door.
+        self.shared.arrived.notify_one();
+        // A closed channel without a message can only mean the scorer
         // died; report it as a shutdown rather than hanging or panicking.
         rx.recv().unwrap_or(Err(SubmitError::ShuttingDown))
     }
@@ -256,17 +297,14 @@ impl MicroBatcher {
         self.metrics.queue_depth.load(Relaxed) as usize
     }
 
-    /// Stops the batcher thread, answering queued jobs first: jobs
-    /// already admitted are scored (or expired) before the thread exits,
-    /// and submissions from then on get [`SubmitError::ShuttingDown`].
+    /// Stops the scorers, answering queued jobs first: jobs already
+    /// admitted are scored (or expired) before the last scorer exits, and
+    /// submissions from then on get [`SubmitError::ShuttingDown`].
     pub fn shutdown(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("batcher queue poisoned");
-            state.shutdown = true;
-        }
+        recover(self.shared.state.lock()).shutdown = true;
         self.shared.arrived.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        for scorer in self.scorers.drain(..) {
+            let _ = scorer.join();
         }
     }
 }
@@ -277,30 +315,33 @@ impl Drop for MicroBatcher {
     }
 }
 
-fn batcher_loop(
+fn scorer_loop(
     shared: Arc<Shared>,
     cell: Arc<ModelCell>,
     metrics: Arc<Metrics>,
     config: BatchConfig,
     injector: Option<Arc<FaultInjector>>,
 ) {
-    // The batcher thread's scratch buffers, reused across every batch it
-    // ever scores: zero allocations per batch once warmed up.
+    // This scorer's scratch buffers, reused across every batch it ever
+    // scores: zero allocations per batch once warmed up.
     let mut ctx = InferCtx::new();
     loop {
         // Wait for the first request (or shutdown). Because the shutdown
         // flag shares the queue mutex, "empty and shutting down" is a
         // stable exit condition: nothing can be enqueued after it.
-        let mut state = shared.state.lock().expect("batcher queue poisoned");
+        let mut state = recover(shared.state.lock());
         while state.jobs.is_empty() {
             if state.shutdown {
                 return;
             }
-            state = shared
-                .arrived
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("batcher queue poisoned")
-                .0;
+            state.idle += 1;
+            state = recover(
+                shared
+                    .arrived
+                    .wait_timeout(state, Duration::from_millis(50)),
+            )
+            .0;
+            state.idle -= 1;
         }
 
         // Fault gate, checked with jobs in hand and before any drain:
@@ -321,23 +362,27 @@ fn batcher_loop(
         // pause. Waiting out the whole window when no more requests are
         // coming just parks every blocked caller behind a timer, so the
         // wait runs in short quanta and fires once a quantum passes with
-        // no growth.
-        if !config.window.is_zero() && state.jobs.len() < config.max_batch && !state.shutdown {
+        // no growth. And only when no other scorer is idle: one that is
+        // takes the next arrival at once, so holding the door would cost
+        // this batch the wait and save the next one nothing.
+        if !config.window.is_zero() {
             let deadline = Instant::now() + config.window;
             let quantum = (config.window / 8).max(Duration::from_micros(20));
             loop {
                 let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() || state.jobs.len() >= config.max_batch || state.shutdown {
+                if remaining.is_zero()
+                    || state.idle > 0
+                    || state.jobs.len() >= config.max_batch
+                    || state.shutdown
+                {
                     break;
                 }
                 let before = state.jobs.len();
-                state = shared
-                    .arrived
-                    .wait_timeout(state, remaining.min(quantum))
-                    .expect("batcher queue poisoned")
-                    .0;
-                if state.jobs.len() == before {
-                    break; // arrivals paused: score what we have
+                state = recover(shared.arrived.wait_timeout(state, remaining.min(quantum))).0;
+                if state.jobs.len() <= before {
+                    // Arrivals paused: score what we have (nothing, if
+                    // another scorer holding the door took the lot).
+                    break;
                 }
             }
         }
@@ -388,7 +433,7 @@ fn batcher_loop(
 
 /// Scores, ranks and answers every job of one coalesced batch, all
 /// against one model snapshot, through the generation's frozen
-/// parameters and the batcher's reusable scratch.
+/// parameters and the scorer's reusable scratch.
 fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut InferCtx) {
     if batch.is_empty() {
         return;
@@ -451,72 +496,87 @@ mod tests {
         }
     }
 
+    /// Both sides of the scorer count: the one-CPU process and a host
+    /// with more scorers than this sandbox has CPUs.
+    const SCORER_COUNTS: [usize; 2] = [1, 4];
+
     #[test]
     fn batched_replies_match_recommend_top_k() {
         let (cell, d, split) = cell();
-        let metrics = Arc::new(Metrics::new());
-        let batcher = MicroBatcher::start(
-            cell.clone(),
-            metrics.clone(),
-            BatchConfig {
-                window: Duration::from_millis(2),
-                max_batch: 16,
-                ..BatchConfig::default()
-            },
-        );
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+        for scorers in SCORER_COUNTS {
+            let metrics = Arc::new(Metrics::new());
+            let batcher = MicroBatcher::spawn(
+                cell.clone(),
+                metrics.clone(),
+                BatchConfig {
+                    window: Duration::from_millis(2),
+                    max_batch: 16,
+                    ..BatchConfig::default()
+                },
+                None,
+                scorers,
+            );
 
-        // Concurrent submissions from several threads coalesce; each
-        // reply must equal the offline recommend_top_k ranking.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = split
-                .test_users
-                .iter()
-                .take(6)
-                .map(|&user| {
-                    let batcher = &batcher;
-                    let candidates = candidates.clone();
-                    scope.spawn(move || {
-                        let reply = batcher
-                            .submit(request(user, &candidates, 5))
-                            .expect("batcher alive");
-                        (user, reply)
+            // Concurrent submissions from several threads coalesce or
+            // spread over the scorers; either way each reply must equal
+            // the offline recommend_top_k ranking.
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = split
+                    .test_users
+                    .iter()
+                    .take(8)
+                    .map(|&user| {
+                        let batcher = &batcher;
+                        let candidates = candidates.clone();
+                        scope.spawn(move || {
+                            let reply = batcher
+                                .submit(request(user, &candidates, 5))
+                                .expect("batcher alive");
+                            (user, reply)
+                        })
                     })
-                })
-                .collect();
-            for h in handles {
-                let (user, reply) = h.join().unwrap();
-                assert_eq!(reply.epoch, 1);
-                let expected =
-                    recommend_top_k(&cell.current().frozen, &d, user, split.target_city, 5, &[]);
-                assert_eq!(reply.recs, expected, "user {user:?}");
-            }
-        });
-        assert_eq!(metrics.batched_requests.load(Relaxed), 6);
-        assert!(metrics.batches.load(Relaxed) >= 1);
+                    .collect();
+                assert_eq!(handles.len(), 8, "fixture has eight test users");
+                for h in handles {
+                    let (user, reply) = h.join().unwrap();
+                    assert_eq!(reply.epoch, 1);
+                    let expected = recommend_top_k(
+                        &cell.current().frozen,
+                        &d,
+                        user,
+                        split.target_city,
+                        5,
+                        &[],
+                    );
+                    assert_eq!(reply.recs, expected, "user {user:?}, {scorers} scorers");
+                }
+            });
+            assert_eq!(metrics.batched_requests.load(Relaxed), 8);
+            assert!(metrics.batches.load(Relaxed) >= 1);
+            assert_eq!(metrics.batcher_scorers.load(Relaxed), scorers as u64);
+        }
     }
 
     #[test]
     fn one_batch_of_different_users_and_sizes_answers_each_job_its_own() {
         use st_tensor::kernels::TILE_ROWS;
         let (cell, d, split) = cell();
-        let metrics = Arc::new(Metrics::new());
-        let injector = Arc::new(FaultInjector::new(1));
-        injector.freeze();
-        let batcher = MicroBatcher::start_with_faults(
-            cell.clone(),
-            metrics.clone(),
-            BatchConfig {
-                window: Duration::ZERO,
-                ..BatchConfig::default()
-            },
-            Some(injector.clone()),
-        );
         // Candidate lists around a scoring row tile, empty and single
         // included, each for a different user; the catalog is cycled to
         // reach the longer ones.
         let catalog = d.pois_in_city(split.target_city);
-        let jobs: Vec<(UserId, Arc<Vec<PoiId>>)> = [0, 1, TILE_ROWS - 1, TILE_ROWS + 1]
+        let sizes = [
+            0,
+            1,
+            2,
+            TILE_ROWS - 1,
+            TILE_ROWS,
+            TILE_ROWS + 1,
+            2 * TILE_ROWS,
+            2 * TILE_ROWS + 3,
+        ];
+        let jobs: Vec<(UserId, Arc<Vec<PoiId>>)> = sizes
             .iter()
             .zip(&split.test_users)
             .map(|(&n, &user)| {
@@ -525,33 +585,51 @@ mod tests {
                 (user, Arc::new(candidates.collect()))
             })
             .collect();
+        assert_eq!(jobs.len(), sizes.len(), "fixture has eight test users");
 
-        std::thread::scope(|scope| {
-            let parked: Vec<_> = jobs
-                .iter()
-                .map(|(user, candidates)| {
-                    let batcher = &batcher;
-                    scope.spawn(move || batcher.submit(request(*user, candidates, 4)))
-                })
-                .collect();
-            while batcher.queue_depth() < jobs.len() {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            injector.thaw();
-            let frozen = &cell.current().frozen;
-            for (handle, (user, candidates)) in parked.into_iter().zip(&jobs) {
-                let reply = handle.join().unwrap().expect("scored");
-                // The pair-at-a-time entry point, user spelled out per
-                // candidate, is the oracle.
-                let users = vec![user.idx(); candidates.len()];
-                let rows: Vec<usize> = candidates.iter().map(|p| p.idx()).collect();
-                let expected = rank_top_k(candidates, &frozen.predict(&users, &rows), 4);
-                assert_eq!(reply.recs, expected, "user {user:?}");
-                assert_eq!(reply.recs.len(), candidates.len().min(4));
-            }
-        });
-        assert_eq!(metrics.batches.load(Relaxed), 1, "one coalesced batch");
-        assert_eq!(metrics.batched_requests.load(Relaxed), 4);
+        for scorers in SCORER_COUNTS {
+            let metrics = Arc::new(Metrics::new());
+            let injector = Arc::new(FaultInjector::new(1));
+            injector.freeze();
+            let batcher = MicroBatcher::spawn(
+                cell.clone(),
+                metrics.clone(),
+                BatchConfig {
+                    window: Duration::ZERO,
+                    ..BatchConfig::default()
+                },
+                Some(injector.clone()),
+                scorers,
+            );
+            std::thread::scope(|scope| {
+                let parked: Vec<_> = jobs
+                    .iter()
+                    .map(|(user, candidates)| {
+                        let batcher = &batcher;
+                        scope.spawn(move || batcher.submit(request(*user, candidates, 4)))
+                    })
+                    .collect();
+                while batcher.queue_depth() < jobs.len() {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                injector.thaw();
+                let frozen = &cell.current().frozen;
+                for (handle, (user, candidates)) in parked.into_iter().zip(&jobs) {
+                    let reply = handle.join().unwrap().expect("scored");
+                    // The pair-at-a-time entry point, user spelled out
+                    // per candidate, is the oracle.
+                    let users = vec![user.idx(); candidates.len()];
+                    let rows: Vec<usize> = candidates.iter().map(|p| p.idx()).collect();
+                    let expected = rank_top_k(candidates, &frozen.predict(&users, &rows), 4);
+                    assert_eq!(reply.recs, expected, "user {user:?}, {scorers} scorers");
+                    assert_eq!(reply.recs.len(), candidates.len().min(4));
+                }
+            });
+            // The backlog is the batch: whichever scorer sees the thaw
+            // first takes all of it.
+            assert_eq!(metrics.batches.load(Relaxed), 1, "one coalesced batch");
+            assert_eq!(metrics.batched_requests.load(Relaxed), 8);
+        }
     }
 
     #[test]
@@ -774,23 +852,27 @@ mod tests {
     /// stop flag being set and the final drain used to be silently
     /// dropped, leaving its submitter blocked forever. With the flag
     /// under the queue mutex, every submitter must get either a scored
-    /// reply or a clean `ShuttingDown` error — never a hang.
+    /// reply or a clean `ShuttingDown` error — never a hang — however
+    /// many scorers are draining.
     #[test]
     fn concurrent_submit_and_shutdown_loses_no_submitter() {
+        let (cell, d, split) = cell();
+        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+        let user = split.test_users[0];
         for round in 0..8 {
-            let (cell, d, split) = cell();
+            let scorers = SCORER_COUNTS[round % 2];
             let metrics = Arc::new(Metrics::new());
-            let mut batcher = MicroBatcher::start(
-                cell,
+            let mut batcher = MicroBatcher::spawn(
+                cell.clone(),
                 metrics.clone(),
                 BatchConfig {
                     window: Duration::ZERO,
                     max_batch: 4,
                     ..BatchConfig::default()
                 },
+                None,
+                scorers,
             );
-            let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
-            let user = split.test_users[0];
 
             let (served, refused) = std::thread::scope(|scope| {
                 let mut handles = Vec::new();
@@ -817,22 +899,11 @@ mod tests {
                 }
                 // Let some traffic through, then stop mid-flight.
                 std::thread::sleep(Duration::from_millis(2 + round as u64));
-                // SAFETY of the borrow: shutdown only joins the batcher
-                // thread; submitters still hold &batcher and must all
-                // resolve. Scoped threads guarantee they finish here.
-                let batcher_ref: &MicroBatcher = &batcher;
                 // Trigger shutdown through the shared state exactly like
                 // `shutdown()` does, without taking `&mut` (submitters
                 // hold shared borrows).
-                {
-                    let mut state = batcher_ref
-                        .shared
-                        .state
-                        .lock()
-                        .expect("batcher queue poisoned");
-                    state.shutdown = true;
-                }
-                batcher_ref.shared.arrived.notify_all();
+                recover(batcher.shared.state.lock()).shutdown = true;
+                batcher.shared.arrived.notify_all();
 
                 let mut served = 0usize;
                 let mut refused = 0usize;
@@ -844,8 +915,183 @@ mod tests {
                 (served, refused)
             });
             batcher.shutdown();
+            assert!(batcher.scorers.is_empty(), "every scorer joined");
             assert_eq!(served + refused, 200, "every submitter resolved");
+            assert_eq!(
+                metrics.batched_requests.load(Relaxed),
+                served as u64,
+                "accepted = answered ({scorers} scorers)"
+            );
             assert_eq!(metrics.queue_depth.load(Relaxed), 0, "no job left behind");
         }
+    }
+
+    /// Wall time from thaw to the last answer for four parked jobs, each
+    /// its own batch behind a 50 ms latency pad.
+    fn padded_wall(
+        cell: &Arc<ModelCell>,
+        candidates: &Arc<Vec<PoiId>>,
+        scorers: usize,
+    ) -> Duration {
+        let injector = Arc::new(FaultInjector::new(1));
+        injector.set_latency_pad(50_000, 0);
+        injector.freeze();
+        let batcher = MicroBatcher::spawn(
+            cell.clone(),
+            Arc::new(Metrics::new()),
+            BatchConfig {
+                window: Duration::ZERO,
+                max_batch: 1,
+                ..BatchConfig::default()
+            },
+            Some(injector.clone()),
+            scorers,
+        );
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..4)
+                .map(|_| {
+                    let batcher = &batcher;
+                    scope.spawn(move || batcher.submit(request(UserId(0), candidates, 3)))
+                })
+                .collect();
+            while batcher.queue_depth() < 4 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let thawed = Instant::now();
+            injector.thaw();
+            for h in parked {
+                assert!(h.join().unwrap().is_ok());
+            }
+            thawed.elapsed()
+        })
+    }
+
+    #[test]
+    fn scorers_overlap_their_batches() {
+        let (cell, d, split) = cell();
+        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+        let pad = Duration::from_millis(50);
+        let one = padded_wall(&cell, &candidates, 1);
+        assert!(one >= 4 * pad, "one scorer serialises the pads: {one:?}");
+        let two = padded_wall(&cell, &candidates, 2);
+        assert!(two < 3 * pad, "two scorers take the pads in pairs: {two:?}");
+    }
+
+    /// How long a lone `submit` takes under a 200 ms window once every
+    /// scorer is parked on the empty queue.
+    fn lone_submit_latency(
+        cell: &Arc<ModelCell>,
+        candidates: &Arc<Vec<PoiId>>,
+        scorers: usize,
+    ) -> Duration {
+        let batcher = MicroBatcher::spawn(
+            cell.clone(),
+            Arc::new(Metrics::new()),
+            BatchConfig {
+                window: Duration::from_millis(200),
+                ..BatchConfig::default()
+            },
+            None,
+            scorers,
+        );
+        while recover(batcher.shared.state.lock()).idle < scorers {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let started = Instant::now();
+        assert!(batcher.submit(request(UserId(0), candidates, 3)).is_ok());
+        started.elapsed()
+    }
+
+    #[test]
+    fn the_door_is_held_only_when_no_other_scorer_is_idle() {
+        let (cell, d, split) = cell();
+        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+        // One scorer: nobody else could take a companion, so it waits a
+        // quantum (window / 8) for one before scoring.
+        let held = lone_submit_latency(&cell, &candidates, 1);
+        assert!(held >= Duration::from_millis(25), "door not held: {held:?}");
+        // Two: the other is idle and would take the next arrival at once.
+        let open = lone_submit_latency(&cell, &candidates, 2);
+        assert!(open < Duration::from_millis(100), "door held: {open:?}");
+    }
+
+    #[test]
+    fn four_frozen_scorers_leave_the_backlog_whole() {
+        let (cell, d, split) = cell();
+        let metrics = Arc::new(Metrics::new());
+        let injector = Arc::new(FaultInjector::new(1));
+        injector.freeze();
+        let batcher = MicroBatcher::spawn(
+            cell,
+            metrics.clone(),
+            BatchConfig {
+                window: Duration::ZERO,
+                ..BatchConfig::default()
+            },
+            Some(injector.clone()),
+            4,
+        );
+        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+
+        std::thread::scope(|scope| {
+            let mut parked = Vec::new();
+            let mut deepest = 0;
+            for &user in split.test_users.iter().take(6) {
+                let batcher = &batcher;
+                let candidates = candidates.clone();
+                parked.push(scope.spawn(move || batcher.submit(request(user, &candidates, 3))));
+                // Four scorers are awake on the gate by now; none drains.
+                while batcher.queue_depth() < parked.len() {
+                    assert!(batcher.queue_depth() >= deepest, "a frozen scorer drained");
+                    deepest = batcher.queue_depth();
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(batcher.queue_depth(), 6);
+            assert_eq!(metrics.batches.load(Relaxed), 0);
+            // The thaw's first taker gets the whole backlog, so one unit
+            // of failure budget fails all of it — what the chaos replays
+            // count on.
+            injector.fail_next_batches(1);
+            injector.thaw();
+            for h in parked {
+                assert_eq!(h.join().unwrap(), Err(SubmitError::ScorerFailed));
+            }
+        });
+        assert_eq!(metrics.injected_failures_total.load(Relaxed), 6);
+        assert_eq!(metrics.batches.load(Relaxed), 0);
+        assert!(batcher
+            .submit(request(split.test_users[0], &candidates, 3))
+            .is_ok());
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_does_not_stop_serving() {
+        let (cell, d, split) = cell();
+        let mut batcher = MicroBatcher::spawn(
+            cell,
+            Arc::new(Metrics::new()),
+            BatchConfig::default(),
+            None,
+            2,
+        );
+        let shared = batcher.shared.clone();
+        let panicked = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("poisoning the batcher queue on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && batcher.shared.state.is_poisoned());
+
+        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
+        let reply = batcher.submit(request(split.test_users[0], &candidates, 3));
+        assert_eq!(reply.expect("still answered").recs.len(), 3);
+        batcher.shutdown();
+        assert!(batcher.scorers.is_empty(), "every scorer joined");
+        assert_eq!(
+            batcher.submit(request(split.test_users[0], &candidates, 3)),
+            Err(SubmitError::ShuttingDown)
+        );
     }
 }

@@ -349,12 +349,18 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot bind {}: {e}", args.addr)));
 
     eprintln!(
-        "st-serve listening on http://{} ({} users, {} POIs, {} cities, target city {})",
+        "st-serve listening on http://{} ({} users, {} POIs, {} cities, target city {}, \
+         {} scorer threads: one per CPU this process may run on)",
         server.local_addr(),
         dataset.num_users(),
         dataset.num_pois(),
         dataset.cities().len(),
         target.0,
+        server
+            .engine()
+            .metrics()
+            .batcher_scorers
+            .load(std::sync::atomic::Ordering::Relaxed),
     );
     eprintln!(
         "snapshot: {snapshot_format} encoding, {snapshot_bytes} bytes{}",

@@ -31,8 +31,8 @@ const TICK_SLICE: Duration = Duration::from_millis(25);
 /// What a tier plugs into the server loop.
 pub trait Handler: Send + Sync + 'static {
     /// State each worker thread owns for its whole life and lends to
-    /// every call (`()` for the engine, the router's backend connection
-    /// pool).
+    /// every call (the engine's retrieval scratch, the router's backend
+    /// connection pool).
     type Worker: Default;
 
     /// Routes one request and writes its reply to `out`, advertising

@@ -22,10 +22,10 @@
 //!
 //! On top of it, the serving engine:
 //!
-//! - [`batcher`] — a micro-batcher that coalesces concurrent
-//!   `/recommend` requests arriving within a short window into one
-//!   batched forward pass, so serving throughput rides the batched
-//!   kernels instead of paying one tape per request.
+//! - [`batcher`] — one bounded queue drained by a scorer thread per
+//!   CPU the process may run on: a `/recommend` miss is scored at once
+//!   while a scorer is free, and requests coalesce into batches (bounded,
+//!   deadlined, sheddable) only when arrivals outrun every scorer.
 //! - [`lru`] — an LRU result cache keyed by
 //!   `(user, city, k, model_epoch)`; the epoch component makes cache
 //!   invalidation on hot-reload free.

@@ -178,6 +178,9 @@ pub struct Metrics {
     pub reloads_failed: AtomicU64,
     /// Live batcher queue depth (gauge, maintained by submit/drain).
     pub queue_depth: AtomicU64,
+    /// Scorer threads draining that queue: the CPUs the process was
+    /// allowed at start (gauge, set once; a one-CPU quota reads 1).
+    pub batcher_scorers: AtomicU64,
     /// Requests shed at admission because the queue was full (429).
     pub shed_total: AtomicU64,
     /// Queued requests dropped after their deadline expired (503).
@@ -287,6 +290,10 @@ impl Metrics {
             self.reloads_failed.load(Relaxed),
         );
         counter("st_serve_queue_depth", self.queue_depth.load(Relaxed));
+        counter(
+            "st_serve_batcher_scorers",
+            self.batcher_scorers.load(Relaxed),
+        );
         counter("st_serve_shed_total", self.shed_total.load(Relaxed));
         counter("st_serve_expired_total", self.expired_total.load(Relaxed));
         counter("st_serve_degraded_total", self.degraded_total.load(Relaxed));
@@ -465,6 +472,7 @@ mod tests {
         m.expired_total.fetch_add(2, Relaxed);
         m.degraded_total.fetch_add(1, Relaxed);
         m.queue_depth.store(9, Relaxed);
+        m.batcher_scorers.store(2, Relaxed);
         m.latency_us.observe(120, &LATENCY_BUCKETS_US);
         m.retrieval_fallback_total.fetch_add(4, Relaxed);
         m.candidate_size.observe(300, &CANDIDATE_BUCKETS);
@@ -484,6 +492,7 @@ mod tests {
         assert!(text.contains("st_serve_degraded_total 1"));
         assert!(text.contains("st_serve_injected_failures_total 0"));
         assert!(text.contains("st_serve_queue_depth 9"));
+        assert!(text.contains("st_serve_batcher_scorers 2"));
         assert!(text.contains("st_serve_request_latency_us_p50 250"));
         assert!(text.contains("st_serve_request_latency_us_p99 250"));
         assert!(text.contains("st_serve_request_latency_us_count 1"));

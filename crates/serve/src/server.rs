@@ -251,9 +251,9 @@ impl Engine {
         }
     }
 
-    fn route(&self, req: &Request) -> Response {
+    fn route(&self, req: &Request, ctx: &mut InferCtx) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/recommend") => self.handle_recommend(req),
+            ("GET", "/recommend") => self.handle_recommend(req, ctx),
             ("GET", "/healthz") => {
                 self.metrics
                     .healthz_requests
@@ -290,19 +290,19 @@ impl Engine {
         }
     }
 
-    fn handle_recommend(&self, req: &Request) -> Response {
+    fn handle_recommend(&self, req: &Request, ctx: &mut InferCtx) -> Response {
         self.metrics
             .recommend_requests
             .fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let response = self.recommend_response(req);
+        let response = self.recommend_response(req, ctx);
         self.metrics
             .latency_us
             .observe(elapsed_us(started), &LATENCY_BUCKETS_US);
         response
     }
 
-    fn recommend_response(&self, req: &Request) -> Response {
+    fn recommend_response(&self, req: &Request, ctx: &mut InferCtx) -> Response {
         // Parse and validate request input; none of it may panic.
         let user = match req.int_param("user") {
             Ok(u) => UserId(u),
@@ -371,10 +371,10 @@ impl Engine {
         // generation carries an index, exact full catalog otherwise),
         // then score through the micro-batcher.
         let generation = self.cell.current();
-        let retrieved = generation.retrieval.as_deref().and_then(|index| {
-            let mut ctx = InferCtx::new();
-            index.candidates(&generation.frozen, &mut ctx, &self.dataset, user, city)
-        });
+        let retrieved = generation
+            .retrieval
+            .as_deref()
+            .and_then(|index| index.candidates(&generation.frozen, ctx, &self.dataset, user, city));
         let candidates = match retrieved {
             Some(c) => Arc::new(c.pois),
             None => {
@@ -470,16 +470,17 @@ pub fn render_recommend_body(
 }
 
 impl Handler for Engine {
-    type Worker = ();
+    /// The worker's scratch for probing the retrieval index on a miss.
+    type Worker = InferCtx;
 
     fn handle<W: Write>(
         &self,
         req: &Request,
-        _worker: &mut (),
+        ctx: &mut InferCtx,
         out: &mut W,
         keep_alive: bool,
     ) -> std::io::Result<()> {
-        let response = self.route(req);
+        let response = self.route(req, ctx);
         self.metrics.responses.record(response.status);
         response.write_to(out, keep_alive)
     }
