@@ -555,8 +555,8 @@ fn run_pass(fx: &ChaosFixture, plan: &FaultPlan) -> (ChaosCounts, Vec<u64>, Vec<
         ModelConfig::test_small(),
         &fx.ckpt,
     );
-    let model = reloader.load().expect("load ckpt");
-    let engine = Engine::new(fx.dataset.clone(), model, Some(reloader), &config);
+    let (frozen, bytes) = reloader.load_frozen().expect("load ckpt");
+    let engine = Engine::new_frozen(fx.dataset.clone(), frozen, bytes, Some(reloader), &config);
     let server = Server::start(engine, &config).expect("start server");
 
     let mut driver = Driver {

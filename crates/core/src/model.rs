@@ -552,9 +552,9 @@ impl STTransRec {
     }
 
     /// Saves all trained parameters (embedding tables + tower weights) to
-    /// a writer in the `st-tensor` checkpoint format.
+    /// a writer in the `st-tensor` checkpoint container, tables as f32.
     pub fn save<W: std::io::Write>(&self, out: W) -> std::io::Result<()> {
-        st_tensor::save_params(&self.store, out)
+        st_tensor::save_params_v2(&self.store, st_tensor::StorageEncoding::F32, out)
     }
 
     /// Restores parameters from a checkpoint written by [`STTransRec::save`].

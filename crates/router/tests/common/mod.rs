@@ -123,8 +123,9 @@ impl FleetFixture {
             ModelConfig::test_small(),
             &self.ckpt,
         );
-        let model = reloader.load().expect("load ckpt");
-        let engine = Engine::new(self.dataset.clone(), model, Some(reloader), &config);
+        let (frozen, bytes) = reloader.load_frozen().expect("load ckpt");
+        let engine =
+            Engine::new_frozen(self.dataset.clone(), frozen, bytes, Some(reloader), &config);
         let server = Server::start(engine, &config).expect("start replica");
         (server, injector)
     }

@@ -39,37 +39,12 @@ use st_data::{PoiId, UserId};
 /// The ranking rule of `recommend_top_k`, at the path the batcher has
 /// always exported it from.
 pub use st_transrec_core::rank_top_k;
-use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, STTransRec};
+use st_transrec_core::{InferCtx, Recommendation};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Scores `(user, poi)` pairs given as parallel slices in one forward
-/// pass. This is the surface the micro-batcher needs from a model; it is
-/// a trait so tests can drive the batcher with synthetic scorers.
-pub trait PairScorer: Send + Sync {
-    /// Scores each `(users[i], pois[i])` pair; output is parallel to the
-    /// inputs and must not depend on how pairs are batched together.
-    fn score_pairs(&self, users: &[UserId], pois: &[PoiId]) -> Vec<f32>;
-}
-
-impl PairScorer for STTransRec {
-    fn score_pairs(&self, users: &[UserId], pois: &[PoiId]) -> Vec<f32> {
-        let user_rows: Vec<usize> = users.iter().map(|u| u.idx()).collect();
-        let poi_rows: Vec<usize> = pois.iter().map(|p| p.idx()).collect();
-        self.predict(&user_rows, &poi_rows)
-    }
-}
-
-impl PairScorer for ModelSnapshot {
-    fn score_pairs(&self, users: &[UserId], pois: &[PoiId]) -> Vec<f32> {
-        // Inherent method of the same name; resolves to the snapshot's own
-        // tape-free scoring, not back into this trait impl.
-        ModelSnapshot::score_pairs(self, users, pois)
-    }
-}
 
 /// One recommendation request as the batcher sees it.
 #[derive(Debug, Clone)]
@@ -146,13 +121,13 @@ struct Shared {
     arrived: Condvar,
 }
 
-/// Takes the guard out of a queue-lock result whether or not the lock is
+/// Takes the guard out of a lock result whether or not the lock is
 /// poisoned. [`QueueState`] is a `VecDeque`, a flag and a count, each
 /// changed by one whole operation (`push_back`, `drain`, an assignment),
-/// so it is consistent wherever a holder unwinds; refusing the guard
-/// would only turn one thread's panic into every scorer's and every
-/// HTTP worker's.
-fn recover<G>(result: LockResult<G>) -> G {
+/// so it is consistent wherever a holder unwinds (as is `snapshot`'s
+/// one-pointer cell); refusing the guard would only turn one thread's
+/// panic into every scorer's and every HTTP worker's.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -477,7 +452,7 @@ mod tests {
     use super::*;
     use st_data::synth::{generate, SynthConfig};
     use st_data::{CityId, CrossingCitySplit};
-    use st_transrec_core::{recommend_top_k, ModelConfig};
+    use st_transrec_core::{recommend_top_k, ModelConfig, STTransRec};
 
     fn cell() -> (Arc<ModelCell>, st_data::Dataset, CrossingCitySplit) {
         let cfg = SynthConfig::tiny();
@@ -485,7 +460,11 @@ mod tests {
         let split = CrossingCitySplit::build(&d, CityId(cfg.target_city as u16));
         let mut model = STTransRec::new(&d, &split, ModelConfig::test_small());
         model.train_epoch(&d);
-        (Arc::new(ModelCell::new(model)), d, split)
+        (
+            Arc::new(ModelCell::from_frozen(model.snapshot(), None, None)),
+            d,
+            split,
+        )
     }
 
     fn request(user: UserId, candidates: &Arc<Vec<PoiId>>, k: usize) -> BatchRequest {

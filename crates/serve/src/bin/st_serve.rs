@@ -11,9 +11,11 @@
 //! curl 'http://127.0.0.1:8080/recommend?user=0&city=1&k=5'
 //! ```
 //!
-//! The model architecture must match the checkpoint: pick it with
-//! `--config test-small|foursquare|yelp` (default `test-small`, which is
-//! what `--gen-demo` trains) and optionally `--embedding-dim`.
+//! The checkpoint is the frozen container a trainer or `st-online`
+//! publishes (`st_tensor::save_params_atomic_as`): it is memory-mapped
+//! and carries every shape the server needs, so no architecture flag is
+//! given — only the dataset it was trained on. Replace it by rename,
+//! never in place: the running server maps the file.
 
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_serve::server::{Engine, ServeConfig, Server};
@@ -39,8 +41,6 @@ struct Args {
     degrade_watermark: usize,
     cache_capacity: usize,
     watch_interval_ms: u64,
-    config: String,
-    embedding_dim: Option<usize>,
     demo_epochs: usize,
     snapshot_format: StorageEncoding,
     max_candidates: usize,
@@ -64,8 +64,6 @@ impl Default for Args {
             degrade_watermark: 0,
             cache_capacity: 4096,
             watch_interval_ms: 0,
-            config: "test-small".into(),
-            embedding_dim: None,
             demo_epochs: 1,
             snapshot_format: StorageEncoding::F32,
             max_candidates: RetrievalConfig::default().max_candidates,
@@ -83,8 +81,8 @@ USAGE:
 
 OPTIONS:
   --data FILE             dataset in the st-data text format
-  --checkpoint FILE       model checkpoint (v2 containers are served
-                          memory-mapped; legacy v1 is parsed)
+  --checkpoint FILE       model checkpoint container, served memory-
+                          mapped (replace it by rename, never in place)
   --addr HOST:PORT        bind address      [default: 127.0.0.1:8080]
   --target-city ID        held-out target city id          [default: 1]
   --workers N             HTTP worker threads              [default: 4]
@@ -106,8 +104,6 @@ OPTIONS:
   --grid-rings N          geo-grid ring radius around the query anchor
                                                            [default: 2]
   --watch-interval-ms MS  checkpoint mtime watcher (0=off) [default: 0]
-  --config NAME           test-small | foursquare | yelp
-  --embedding-dim D       override the preset's embedding size
   --gen-demo DIR          write DIR/checkins.tsv + DIR/model.bin and exit
   --demo-epochs N         training epochs for --gen-demo   [default: 1]
   --snapshot-format F     demo checkpoint encoding: f32 | f16 | int8
@@ -193,14 +189,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| fail("--watch-interval-ms must be an integer"))
             }
-            "--config" => args.config = value("--config"),
-            "--embedding-dim" => {
-                args.embedding_dim = Some(
-                    value("--embedding-dim")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--embedding-dim must be an integer")),
-                )
-            }
             "--demo-epochs" => {
                 args.demo_epochs = value("--demo-epochs")
                     .parse()
@@ -219,21 +207,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn model_config(args: &Args) -> ModelConfig {
-    let mut config = match args.config.as_str() {
-        "test-small" => ModelConfig::test_small(),
-        "foursquare" => ModelConfig::foursquare(),
-        "yelp" => ModelConfig::yelp(),
-        other => fail(&format!(
-            "unknown --config {other:?} (expected test-small, foursquare, or yelp)"
-        )),
-    };
-    if let Some(dim) = args.embedding_dim {
-        config = config.with_embedding_dim(dim);
-    }
-    config
 }
 
 /// Writes a runnable demo: tiny synthetic dataset + trained checkpoint.
@@ -304,13 +277,11 @@ fn main() {
     if dataset.cities().len() < 2 {
         fail("dataset needs at least two cities (one source, one target)");
     }
+    // `Reloader::new` reads neither the split nor the model config
+    // (ROADMAP 7(d)); the container carries its own shapes.
     let split = Arc::new(CrossingCitySplit::build(&dataset, target));
-    let config = model_config(&args);
-
-    let reloader = Reloader::new(dataset.clone(), split.clone(), config.clone(), ckpt_path);
+    let reloader = Reloader::new(dataset.clone(), split, ModelConfig::test_small(), ckpt_path);
     eprintln!("loading checkpoint {}...", ckpt_path.display());
-    // v2 containers are memory-mapped (zero-copy, no training state);
-    // v1 falls back to rebuild-and-restore inside `load_frozen`.
     let (frozen, snapshot_bytes) = reloader
         .load_frozen()
         .unwrap_or_else(|e| fail(&format!("cannot load checkpoint: {e}")));

@@ -69,7 +69,9 @@
 //! model.fit(&dataset);
 //!
 //! let config = ServeConfig::default();
-//! let engine = Engine::new(Arc::new(dataset), model, None, &config);
+//! let frozen = model.snapshot();
+//! let bytes = frozen.table_bytes() as u64;
+//! let engine = Engine::new_frozen(Arc::new(dataset), frozen, bytes, None, &config);
 //! let server = Server::start(engine, &config).unwrap();
 //! println!("serving on http://{}", server.local_addr());
 //! server.wait();
@@ -87,7 +89,7 @@ pub mod metrics;
 pub mod server;
 pub mod snapshot;
 
-pub use batcher::{BatchConfig, BatchReply, BatchRequest, MicroBatcher, PairScorer, SubmitError};
+pub use batcher::{BatchConfig, BatchReply, BatchRequest, MicroBatcher, SubmitError};
 pub use client::{HttpClient, HttpResponse};
 pub use fault::FaultInjector;
 pub use httpd::{Handler, HttpServer};

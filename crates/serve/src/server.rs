@@ -32,7 +32,7 @@ use crate::lru::LruCache;
 use crate::metrics::{Metrics, StatusTally, LATENCY_BUCKETS_US};
 use crate::snapshot::{ModelCell, ReloadOutcome, Reloader};
 use st_data::{CityId, Dataset, UserId};
-use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, RetrievalConfig, STTransRec};
+use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, RetrievalConfig};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -135,26 +135,12 @@ fn elapsed_us(started: Instant) -> u64 {
 }
 
 impl Engine {
-    /// Builds an engine around an already loaded model. `reloader` is
-    /// `None` when no checkpoint path is configured (reload disabled).
-    pub fn new(
-        dataset: Arc<Dataset>,
-        model: STTransRec,
-        reloader: Option<Reloader>,
-        config: &ServeConfig,
-    ) -> Arc<Self> {
-        let cell = Arc::new(match config.retrieval.clone() {
-            Some(cfg) => ModelCell::with_retrieval(model, dataset.clone(), cfg),
-            None => ModelCell::new(model),
-        });
-        Self::from_cell(dataset, cell, reloader, config)
-    }
-
-    /// Builds an engine straight from a frozen generation — the v2
-    /// startup path ([`Reloader::load_frozen`]), which serves out of the
-    /// mapped checkpoint without ever materializing a training model.
+    /// Builds an engine from a frozen generation — what
+    /// [`Reloader::load_frozen`] returns, served out of the mapped
+    /// checkpoint without ever materializing a training model.
     /// `snapshot_bytes` is the container file size reported by the
-    /// snapshot gauges.
+    /// snapshot gauges; `reloader` is `None` when no checkpoint path is
+    /// configured (reload disabled).
     pub fn new_frozen(
         dataset: Arc<Dataset>,
         frozen: ModelSnapshot,
@@ -168,15 +154,6 @@ impl Engine {
             Some(snapshot_bytes),
             retrieval,
         ));
-        Self::from_cell(dataset, cell, reloader, config)
-    }
-
-    fn from_cell(
-        dataset: Arc<Dataset>,
-        cell: Arc<ModelCell>,
-        reloader: Option<Reloader>,
-        config: &ServeConfig,
-    ) -> Arc<Self> {
         let metrics = Arc::new(Metrics::new());
         metrics
             .last_reload_unix
@@ -207,11 +184,6 @@ impl Engine {
     /// The serving metrics (shared with the batcher).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Current model epoch.
-    pub fn model_epoch(&self) -> u64 {
-        self.cell.epoch()
     }
 
     /// The model cell (snapshot access for tests and embedding tools).

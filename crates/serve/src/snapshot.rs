@@ -9,19 +9,20 @@
 //! a reload every cached entry is unreachable immediately (invalidation
 //! is free) and LRU pressure reclaims the slots.
 //!
-//! [`Reloader`] restores serving state from a checkpoint on disk,
-//! dispatching on the container version: a v2 checkpoint is
-//! memory-mapped and becomes a [`ModelSnapshot`] directly — no
-//! [`STTransRec`] is built, no training state allocated, and table
-//! bytes are paged in lazily as they are gathered — while a legacy v1
-//! checkpoint takes the historical rebuild-and-restore path. A corrupt
-//! or truncated checkpoint surfaces as `io::Error` *before* any swap
-//! happens, so the old model keeps serving.
+//! [`Reloader`] memory-maps the checkpoint container on disk into a
+//! [`ModelSnapshot`] directly — no training model is built, and table
+//! bytes are paged in lazily as they are gathered. That is the one way
+//! parameters enter a server, at start-up and on every reload. A
+//! corrupt, truncated or wrong-version checkpoint surfaces as
+//! `io::Error` *before* any swap happens, so the old model keeps
+//! serving. Because the serving generation maps the file, a checkpoint
+//! is only ever replaced by rename, never rewritten in place.
 
+use crate::batcher::recover;
 use st_data::{CrossingCitySplit, Dataset};
 use st_tensor::StorageEncoding;
-use st_transrec_core::{ModelConfig, ModelSnapshot, RetrievalConfig, RetrievalIndex, STTransRec};
-use std::path::{Path, PathBuf};
+use st_transrec_core::{ModelConfig, ModelSnapshot, RetrievalConfig, RetrievalIndex};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
@@ -29,9 +30,8 @@ use std::time::SystemTime;
 /// One immutable generation of the serving model.
 pub struct ServingGeneration {
     /// The frozen parameters all of this generation's scoring runs
-    /// through: the tape-free [`ModelSnapshot`] captured at swap time (or
-    /// mapped straight from a v2 checkpoint), so the hot path never
-    /// touches the autodiff tape.
+    /// through: the tape-free [`ModelSnapshot`] mapped straight from the
+    /// checkpoint, so the hot path never touches the autodiff tape.
     pub frozen: ModelSnapshot,
     /// Monotone generation number, starting at 1.
     pub epoch: u64,
@@ -40,9 +40,9 @@ pub struct ServingGeneration {
     /// created without retrieval — every query then falls back to the
     /// exact sharded scan.
     pub retrieval: Option<Arc<RetrievalIndex>>,
-    /// Bytes backing this generation's parameters: the v2 container
-    /// size when loaded from a checkpoint, else the resident table
-    /// bytes of a live capture. Exported as `st_serve_snapshot_bytes`.
+    /// Bytes backing this generation's parameters: the container size
+    /// when loaded from a checkpoint, else the resident table bytes of
+    /// an in-memory snapshot. Exported as `st_serve_snapshot_bytes`.
     pub snapshot_bytes: u64,
     /// True when the tables are served zero-copy out of a mapped file.
     pub mapped: bool,
@@ -67,8 +67,7 @@ pub struct ReloadOutcome {
     pub epoch: u64,
     /// Storage encoding of the generation now serving (f32 / f16 / int8).
     pub format: StorageEncoding,
-    /// Bytes backing the new generation (container size for mapped v2
-    /// loads, resident table bytes otherwise).
+    /// Bytes backing the new generation (the container's size).
     pub snapshot_bytes: u64,
     /// True when the new generation serves zero-copy out of a mapped file.
     pub mapped: bool,
@@ -102,6 +101,9 @@ impl ReloadOutcome {
 
 /// The atomically swappable current snapshot.
 pub struct ModelCell {
+    /// One `Arc` pointer, replaced by a single assignment, so it is
+    /// consistent wherever a holder unwinds: a poisoned lock is
+    /// [`recover`]ed, not propagated to every reader.
     current: RwLock<Arc<ServingGeneration>>,
     epoch: AtomicU64,
     /// Dataset + knobs needed to rebuild the retrieval index for each
@@ -132,23 +134,10 @@ impl ModelCell {
         }
     }
 
-    /// Wraps `model` as epoch 1, with no retrieval index (every query
-    /// scans the full catalog).
-    pub fn new(model: STTransRec) -> Self {
-        Self::from_frozen(model.snapshot(), None, None)
-    }
-
-    /// Wraps `model` as epoch 1 and builds a retrieval index for this
-    /// and every future generation from `dataset` with `cfg`.
-    pub fn with_retrieval(model: STTransRec, dataset: Arc<Dataset>, cfg: RetrievalConfig) -> Self {
-        Self::from_frozen(model.snapshot(), None, Some((dataset, cfg)))
-    }
-
-    /// Wraps an already-frozen model as epoch 1 — the v2 startup path,
-    /// which never materializes a training model. `snapshot_bytes`
-    /// overrides the byte gauge as in [`ModelCell::swap_frozen`];
-    /// `retrieval` enables index builds for this and every future
-    /// generation.
+    /// Wraps a frozen model as epoch 1. `snapshot_bytes` overrides the
+    /// byte gauge as in [`ModelCell::swap_frozen`]; `retrieval` enables
+    /// index builds for this and every future generation (`None`: every
+    /// query scans the full catalog).
     pub fn from_frozen(
         frozen: ModelSnapshot,
         snapshot_bytes: Option<u64>,
@@ -164,7 +153,7 @@ impl ModelCell {
     /// The current snapshot. Cheap: one read-lock acquisition and an
     /// `Arc` clone; scoring happens after the lock is released.
     pub fn current(&self) -> Arc<ServingGeneration> {
-        self.current.read().expect("model cell poisoned").clone()
+        recover(self.current.read()).clone()
     }
 
     /// Current epoch without taking the snapshot lock.
@@ -172,22 +161,17 @@ impl ModelCell {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Atomically replaces the model, returning the new epoch. In-flight
-    /// holders of the old `Arc` keep scoring against the old weights.
-    pub fn swap(&self, model: STTransRec) -> u64 {
-        self.swap_frozen(model.snapshot(), None)
-    }
-
-    /// Atomically publishes an already-frozen generation — the v2 mmap
-    /// reload path, which never materializes an [`STTransRec`].
-    /// `snapshot_bytes` overrides the reported byte gauge (the container
-    /// file size for mapped loads); `None` reports the frozen tables'
-    /// own storage bytes. The new generation's retrieval index (when
-    /// the cell has one) is built *before* the write lock is taken, so
-    /// readers are never blocked behind an index build.
+    /// Atomically publishes a frozen generation, returning the new
+    /// epoch; in-flight holders of the old `Arc` keep scoring against
+    /// the old weights. `snapshot_bytes` overrides the reported byte
+    /// gauge (the container file size for mapped loads); `None` reports
+    /// the frozen tables' own storage bytes. The new generation's
+    /// retrieval index (when the cell has one) is built *before* the
+    /// write lock is taken, so readers are never blocked behind an
+    /// index build.
     pub fn swap_frozen(&self, frozen: ModelSnapshot, snapshot_bytes: Option<u64>) -> u64 {
         let mut next = Self::wrap(frozen, 0, snapshot_bytes, &self.retrieval_ctx);
-        let mut guard = self.current.write().expect("model cell poisoned");
+        let mut guard = recover(self.current.write());
         next.epoch = guard.epoch + 1;
         let epoch = next.epoch;
         *guard = Arc::new(next);
@@ -196,100 +180,63 @@ impl ModelCell {
     }
 }
 
-/// Rebuilds and restores models from a checkpoint file on demand.
+/// Maps the checkpoint file into frozen serving models on demand.
 pub struct Reloader {
     dataset: Arc<Dataset>,
-    split: Arc<CrossingCitySplit>,
-    config: ModelConfig,
     path: PathBuf,
     /// Modification time of the last checkpoint we loaded (for the
     /// mtime watcher); `None` until the first load through this reloader.
+    /// One `Option` set by assignment: [`recover`]ed when poisoned.
     last_mtime: Mutex<Option<SystemTime>>,
 }
 
 impl Reloader {
-    /// Creates a reloader for `path` with the architecture the server
-    /// was launched with (a checkpoint can only restore into an
-    /// identically shaped model).
+    /// Creates a reloader for `path`, serving `dataset`.
+    // ROADMAP 7(d): `_split` and `_config` are unread, kept for benchmark/.
     pub fn new(
         dataset: Arc<Dataset>,
-        split: Arc<CrossingCitySplit>,
-        config: ModelConfig,
+        _split: Arc<CrossingCitySplit>,
+        _config: ModelConfig,
         path: impl Into<PathBuf>,
     ) -> Self {
         Self {
             dataset,
-            split,
-            config,
             path: path.into(),
             last_mtime: Mutex::new(None),
         }
     }
 
-    /// The checkpoint path being watched.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Loads the checkpoint into a freshly built model (full training
-    /// state — the migration/offline path; the serving reload goes
-    /// through [`Reloader::load_frozen`] instead). Any failure —
-    /// missing file, corrupt bytes, architecture mismatch — returns
-    /// `Err` without touching the cell it would have been swapped into.
-    pub fn load(&self) -> std::io::Result<STTransRec> {
-        let mtime = std::fs::metadata(&self.path)
-            .and_then(|m| m.modified())
-            .ok();
-        let file = std::fs::File::open(&self.path)?;
-        let mut model = STTransRec::new(&self.dataset, &self.split, self.config.clone());
-        model.restore(std::io::BufReader::new(file))?;
-        *self.last_mtime.lock().expect("mtime lock poisoned") = mtime;
-        Ok(model)
-    }
-
     /// Loads the checkpoint as a frozen serving model, returning it with
-    /// the byte count to report for the snapshot gauge. Dispatches on
-    /// the container version: **v2** is memory-mapped and becomes a
-    /// [`ModelSnapshot`] directly — O(header) validation, no training
-    /// state, tables paged in on demand — while **v1** takes the legacy
-    /// rebuild-and-restore path. Either way a bad checkpoint errors out
+    /// the container's byte count for the snapshot gauge. The file is
+    /// memory-mapped and becomes a [`ModelSnapshot`] directly —
+    /// O(header) validation, no training state, tables paged in on
+    /// demand. A bad checkpoint (or one for another dataset) errors out
     /// before anything is swapped.
     pub fn load_frozen(&self) -> std::io::Result<(ModelSnapshot, u64)> {
         let mtime = std::fs::metadata(&self.path)
             .and_then(|m| m.modified())
             .ok();
-        let version = st_tensor::checkpoint::snapshot_version(&self.path)?;
-        let loaded = if version >= 2 {
-            let mapped = st_tensor::map_params(&self.path)?;
-            let frozen = ModelSnapshot::from_mapped(&mapped)?;
-            // The checkpoint must describe the dataset this server was
-            // launched with; a mismatched table would panic on the first
-            // out-of-range gather (or silently truncate the catalog).
-            if frozen.num_users() != self.dataset.num_users()
-                || frozen.num_pois() != self.dataset.num_pois()
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "checkpoint tables ({} users, {} pois) do not match the dataset ({}, {})",
-                        frozen.num_users(),
-                        frozen.num_pois(),
-                        self.dataset.num_users(),
-                        self.dataset.num_pois()
-                    ),
-                ));
-            }
-            (frozen, mapped.file_bytes() as u64)
-        } else {
-            let file = std::fs::File::open(&self.path)?;
-            let mut model = STTransRec::new(&self.dataset, &self.split, self.config.clone());
-            model.restore(std::io::BufReader::new(file))?;
-            let frozen = model.snapshot();
-            let bytes = frozen.table_bytes() as u64;
-            (frozen, bytes)
-        };
-        *self.last_mtime.lock().expect("mtime lock poisoned") = mtime;
-        Ok(loaded)
+        let mapped = st_tensor::map_params(&self.path)?;
+        let frozen = ModelSnapshot::from_mapped(&mapped)?;
+        // The checkpoint must describe the dataset this server was
+        // launched with; a mismatched table would panic on the first
+        // out-of-range gather (or silently truncate the catalog).
+        if frozen.num_users() != self.dataset.num_users()
+            || frozen.num_pois() != self.dataset.num_pois()
+        {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint tables ({} users, {} pois) do not match the dataset ({}, {})",
+                    frozen.num_users(),
+                    frozen.num_pois(),
+                    self.dataset.num_users(),
+                    self.dataset.num_pois()
+                ),
+            ));
+        }
+        *recover(self.last_mtime.lock()) = mtime;
+        Ok((frozen, mapped.file_bytes() as u64))
     }
 
     /// Loads and swaps in one step, returning the verified outcome: the
@@ -317,7 +264,7 @@ impl Reloader {
         let Ok(mtime) = meta.modified() else {
             return false;
         };
-        *self.last_mtime.lock().expect("mtime lock poisoned") != Some(mtime)
+        *recover(self.last_mtime.lock()) != Some(mtime)
     }
 }
 
@@ -328,12 +275,33 @@ mod tests {
     use st_data::CityId;
     use st_data::UserId;
     use st_eval::Scorer;
+    use st_transrec_core::STTransRec;
 
     fn setup() -> (Arc<Dataset>, Arc<CrossingCitySplit>) {
         let cfg = SynthConfig::tiny();
         let (d, _) = generate(&cfg);
         let split = CrossingCitySplit::build(&d, CityId(cfg.target_city as u16));
         (Arc::new(d), Arc::new(split))
+    }
+
+    /// An untrained model's frozen tables.
+    fn fresh(d: &Dataset, s: &CrossingCitySplit) -> ModelSnapshot {
+        STTransRec::new(d, s, ModelConfig::test_small()).snapshot()
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("st-serve-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Puts `bytes` at `path` the way a publish does — temp file, then
+    /// rename — because a generation may be mapping the file there now,
+    /// and writing in place would truncate the inode under it.
+    fn publish(path: &std::path::Path, bytes: &[u8]) {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, bytes).unwrap();
+        std::fs::rename(&tmp, path).unwrap();
     }
 
     #[test]
@@ -363,10 +331,10 @@ mod tests {
     #[test]
     fn swap_bumps_epoch_and_old_arcs_survive() {
         let (d, s) = setup();
-        let cell = ModelCell::new(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        let cell = ModelCell::from_frozen(fresh(&d, &s), None, None);
         assert_eq!(cell.epoch(), 1);
         let old = cell.current();
-        let epoch = cell.swap(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        let epoch = cell.swap_frozen(fresh(&d, &s), None);
         assert_eq!(epoch, 2);
         assert_eq!(cell.epoch(), 2);
         assert_eq!(old.epoch, 1);
@@ -382,7 +350,7 @@ mod tests {
         model.train_epoch(&d);
         let pois = d.pois_in_city(s.target_city);
         let want = model.score_batch(UserId(0), pois);
-        let cell = ModelCell::new(model);
+        let cell = ModelCell::from_frozen(model.snapshot(), None, None);
         let snap = cell.current();
         assert_eq!(snap.frozen.score_batch(UserId(0), pois), want);
         assert_eq!(snap.format(), st_tensor::StorageEncoding::F32);
@@ -391,63 +359,119 @@ mod tests {
     }
 
     #[test]
-    fn with_retrieval_builds_an_index_per_generation() {
+    fn a_cell_with_retrieval_builds_an_index_per_generation() {
         let (d, s) = setup();
         let cfg = RetrievalConfig {
             min_catalog: 1,
             ..RetrievalConfig::default()
         };
-        let cell = ModelCell::with_retrieval(
-            STTransRec::new(&d, &s, ModelConfig::test_small()),
-            d.clone(),
-            cfg,
-        );
+        let cell = ModelCell::from_frozen(fresh(&d, &s), None, Some((d.clone(), cfg)));
         let first = cell.current();
         let idx1 = first.retrieval.as_ref().expect("index built at epoch 1");
         assert!(idx1.covers(s.target_city));
-        cell.swap(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        cell.swap_frozen(fresh(&d, &s), None);
         let second = cell.current();
         let idx2 = second.retrieval.as_ref().expect("index rebuilt on swap");
         assert!(!Arc::ptr_eq(idx1, idx2), "swap must rebuild the index");
         // Cells created without retrieval stay index-free.
-        let plain = ModelCell::new(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        let plain = ModelCell::from_frozen(fresh(&d, &s), None, None);
         assert!(plain.current().retrieval.is_none());
     }
 
+    /// The images `crates/core/tests/checkpoint_fuzz.rs` feeds the owned
+    /// loader, fed to the mapped one the server uses — except flips in
+    /// tensor data, which the mapped path leaves to the publish protocol
+    /// (it validates header + index only, by design). Each arrives by
+    /// rename over the file generation 2 is mapping.
     #[test]
-    fn reloader_rejects_corrupt_checkpoint_without_swapping() {
+    fn reloader_rejects_mangled_checkpoints_without_swapping() {
         let (d, s) = setup();
-        let dir = std::env::temp_dir().join(format!("st-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("mangled");
         let path = dir.join("ckpt.bin");
 
         let mut trained = STTransRec::new(&d, &s, ModelConfig::test_small());
         trained.train_epoch(&d);
-        let mut bytes = Vec::new();
-        trained.save(&mut bytes).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
+        let mut good = Vec::new();
+        trained.save(&mut good).unwrap();
+        publish(&path, &good);
 
-        let cell = ModelCell::new(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        let cell = ModelCell::from_frozen(fresh(&d, &s), None, None);
         let reloader = Reloader::new(d.clone(), s.clone(), ModelConfig::test_small(), &path);
         let outcome = reloader.reload_into(&cell).unwrap();
         assert_eq!(outcome.epoch, 2);
-        assert_eq!(outcome.format, st_tensor::StorageEncoding::F32);
-        assert!(!outcome.mapped, "v1 checkpoints rebuild in memory");
+        assert!(outcome.mapped);
+        let pois = d.pois_in_city(s.target_city);
+        let want = trained.score_batch(UserId(0), pois);
 
-        // Corrupt the file: reload fails, epoch unchanged.
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(reloader.reload_into(&cell).is_err());
+        let index_end = 32 + u64::from_le_bytes(good[16..24].try_into().unwrap()) as usize;
+        let mut images: Vec<(String, Vec<u8>)> = (0..64)
+            .chain((64..good.len()).step_by(97))
+            .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
+            .collect();
+        for pos in (0..32).chain((32..index_end).step_by(7)) {
+            let mut flipped = good.clone();
+            flipped[pos] ^= 1 << (pos % 8);
+            images.push((format!("bit flip at byte {pos}"), flipped));
+        }
+        images.push(("garbage".into(), vec![0xA5; 4096]));
+        for (what, image) in &images {
+            publish(&path, image);
+            let err = reloader.reload_into(&cell).expect_err(what);
+            let _ = err.to_string(); // clean, displayable io::Error
+            assert_eq!(cell.epoch(), 2, "{what}: a failed reload must not swap");
+        }
+
+        // The retired streaming format's version number is refused by
+        // name, like any unknown version.
+        let mut v1 = good.clone();
+        v1[4] = 1;
+        publish(&path, &v1);
+        let err = reloader.load_frozen().unwrap_err().to_string();
+        assert!(err.contains("unsupported checkpoint version 1"), "{err}");
+
+        // Generation 2 still serves out of its unlinked inode.
         assert_eq!(cell.epoch(), 2);
-
+        assert_eq!(cell.current().frozen.score_batch(UserId(0), pois), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn v2_checkpoints_reload_mapped_and_score_like_the_source_model() {
-        use st_tensor::StorageEncoding;
+    fn a_poisoned_lock_does_not_stop_reads_or_reloads() {
         let (d, s) = setup();
-        let dir = std::env::temp_dir().join(format!("st-serve-v2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("poison");
+        let path = dir.join("ckpt.bin");
+        st_tensor::save_params_atomic(
+            STTransRec::new(&d, &s, ModelConfig::test_small()).params(),
+            &path,
+        )
+        .unwrap();
+        let cell = ModelCell::from_frozen(fresh(&d, &s), None, None);
+        let reloader = Reloader::new(d.clone(), s.clone(), ModelConfig::test_small(), &path);
+
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _cell = cell.current.write().unwrap();
+                    let _mtime = reloader.last_mtime.lock().unwrap();
+                    panic!("poisoning the cell and the mtime lock (expected)");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cell.current.is_poisoned() && reloader.last_mtime.is_poisoned());
+
+        assert_eq!(cell.current().epoch, 1);
+        assert!(reloader.mtime_changed());
+        assert_eq!(reloader.reload_into(&cell).unwrap().epoch, 2);
+        assert_eq!(cell.current().epoch, 2);
+        assert!(!reloader.mtime_changed());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoints_reload_mapped_and_score_like_the_source_model() {
+        let (d, s) = setup();
+        let dir = scratch_dir("v2");
         let path = dir.join("ckpt.bin");
 
         let mut trained = STTransRec::new(&d, &s, ModelConfig::test_small());
@@ -455,23 +479,23 @@ mod tests {
         let pois = d.pois_in_city(s.target_city);
         let want = trained.score_batch(UserId(0), pois);
 
-        let cell = ModelCell::new(STTransRec::new(&d, &s, ModelConfig::test_small()));
+        let cell = ModelCell::from_frozen(fresh(&d, &s), None, None);
         let reloader = Reloader::new(d.clone(), s.clone(), ModelConfig::test_small(), &path);
 
-        // f32 v2: mapped zero-copy reload, bit-identical scores.
+        // f32: mapped zero-copy reload, bit-identical scores.
         st_tensor::save_params_atomic(trained.params(), &path).unwrap();
         let outcome = reloader.reload_into(&cell).unwrap();
         assert_eq!(outcome.epoch, 2);
         assert_eq!(outcome.format, StorageEncoding::F32);
         assert!(outcome.mapped, "outcome must report the mapped load");
         let snap = cell.current();
-        assert!(snap.mapped, "v2 reload must map, not parse");
+        assert!(snap.mapped, "a reload must map, not parse");
         assert_eq!(snap.format(), StorageEncoding::F32);
         assert_eq!(snap.frozen.score_batch(UserId(0), pois), want);
         let file_len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(snap.snapshot_bytes, file_len);
 
-        // int8 v2: mapped, quantized format surfaced, scores close.
+        // int8: mapped, quantized format surfaced, scores close.
         st_tensor::save_params_atomic_as(trained.params(), &path, StorageEncoding::I8).unwrap();
         let outcome = reloader.reload_into(&cell).unwrap();
         assert_eq!(outcome.epoch, 3);

@@ -67,8 +67,8 @@ fn start_server(fx: &Fixture, config: &ServeConfig) -> Server {
         ModelConfig::test_small(),
         &fx.ckpt,
     );
-    let model = reloader.load().expect("load ckpt");
-    let engine = Engine::new(fx.dataset.clone(), model, Some(reloader), config);
+    let (frozen, bytes) = reloader.load_frozen().expect("load ckpt");
+    let engine = Engine::new_frozen(fx.dataset.clone(), frozen, bytes, Some(reloader), config);
     Server::start(engine, config).expect("start server")
 }
 

@@ -67,8 +67,8 @@ fn start_server(fx: &Fixture, config: &ServeConfig) -> Server {
         ModelConfig::test_small(),
         &fx.ckpt,
     );
-    let model = reloader.load().expect("load ckpt");
-    let engine = Engine::new(fx.dataset.clone(), model, Some(reloader), config);
+    let (frozen, bytes) = reloader.load_frozen().expect("load ckpt");
+    let engine = Engine::new_frozen(fx.dataset.clone(), frozen, bytes, Some(reloader), config);
     Server::start(engine, config).expect("start server")
 }
 
@@ -213,6 +213,60 @@ fn concurrent_clients_with_inflight_reload() {
         .find_map(|l| l.strip_prefix("st_serve_last_reload_duration_seconds "))
         .and_then(|v| v.parse::<f64>().ok());
     assert!(took.is_some_and(|s| s > 0.0), "reload duration: {took:?}");
+
+    server.shutdown();
+}
+
+#[test]
+fn rejected_reloads_leave_the_mapped_generation_serving() {
+    let fx = fixture("rejected", 1);
+    let server = start_server(&fx, &ServeConfig::default());
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let first = client.get("/recommend?user=0&city=1&k=5").expect("request");
+    assert_eq!(first.body, expected_body(&fx, 0, 1, 5, 1));
+
+    // Bad bytes arrive the way a publish does — temp file, then rename:
+    // generation 1 maps the checkpoint, and a write in place would
+    // truncate the inode under it.
+    let good = std::fs::read(&fx.ckpt).expect("read ckpt");
+    let truncated = good[..good.len() / 2].to_vec();
+    let mut flipped = good.clone();
+    flipped[32 + 2] ^= 0xff; // inside the index, under its checksum
+    for (n, bad) in [truncated, flipped].iter().enumerate() {
+        let tmp = fx.ckpt.with_extension("tmp");
+        std::fs::write(&tmp, bad).expect("write bad ckpt");
+        std::fs::rename(&tmp, &fx.ckpt).expect("rename bad ckpt");
+        let reload = client.post("/admin/reload").expect("reload");
+        assert_eq!(reload.status, 500, "bad checkpoint {n}: {}", reload.body);
+    }
+    let page = client.get("/metrics").expect("metrics").body;
+    for line in [
+        "st_serve_reloads_failed_total 2",
+        "st_serve_model_epoch 1",
+        "st_serve_snapshot_mapped 1",
+    ] {
+        assert!(page.lines().any(|l| l == line), "no {line:?} in:\n{page}");
+    }
+    // A question not asked before is scored now, out of the file that no
+    // longer has a name: byte-identical to the oracle, still epoch 1.
+    let fresh = client.get("/recommend?user=3&city=1&k=7").expect("request");
+    assert_eq!(fresh.header("x-cache"), Some("MISS"));
+    assert_eq!(fresh.header("x-model-epoch"), Some("1"));
+    assert_eq!(fresh.body, expected_body(&fx, 3, 1, 7, 1));
+
+    // A good container — int8 this time — goes live on the next reload.
+    st_tensor::save_params_atomic_as(fx.oracle.params(), &fx.ckpt, st_tensor::StorageEncoding::I8)
+        .expect("save int8 ckpt");
+    let reload = client.post("/admin/reload").expect("reload");
+    assert_eq!(reload.status, 200, "body: {}", reload.body);
+    assert!(reload.body.contains("\"model_epoch\":2"), "{}", reload.body);
+    assert!(
+        reload.body.contains("\"snapshot_format\":\"int8\""),
+        "{}",
+        reload.body
+    );
+    let after = client.get("/recommend?user=3&city=1&k=7").expect("request");
+    assert_eq!(after.header("x-model-epoch"), Some("2"));
 
     server.shutdown();
 }

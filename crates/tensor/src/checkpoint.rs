@@ -1,22 +1,12 @@
-//! Parameter checkpointing: the streaming v1 format and the
-//! memory-mappable v2 container.
+//! Parameter checkpointing: one memory-mappable container format.
 //!
-//! A [`ParamStore`] serializes to a self-describing binary format so
-//! trained models can be saved and restored without retraining. Two
-//! versions share the `"STPK"` magic:
-//!
-//! **v1** — the original streaming format, kept as the migration read
-//! path (and as the read-and-parse baseline the snapshot bench compares
-//! against):
-//!
-//! ```text
-//! magic "STPK" | u32 version=1 | u32 count |
-//!   per param: u32 name_len | name bytes | u32 rows | u32 cols | f32 data...
-//! ```
-//!
-//! **v2** — a page-aligned, checksummed container designed to be
-//! memory-mapped, so snapshot reload becomes [`map_params`] (validate
-//! the header + index, wrap byte ranges) instead of parsing every float:
+//! A [`ParamStore`] serializes to a self-describing, page-aligned,
+//! checksummed container designed to be memory-mapped, so a snapshot
+//! reload is [`map_params`] (validate the header + index, wrap byte
+//! ranges) instead of parsing every float. The version field is `2`:
+//! version 1 was a streaming format nothing writes any more, and a file
+//! carrying it is refused like any other unknown version
+//! ([`CheckpointError::Version`]).
 //!
 //! ```text
 //! header (32 bytes):
@@ -49,6 +39,12 @@
 //! [`MappedParams::verify_data_checksums`]; the mmap fast path skips
 //! them by design (reload cost must stay O(header), and the atomic
 //! temp+fsync+rename publish protocol already rules out torn files).
+//!
+//! A checkpoint is only ever *replaced by rename*
+//! ([`save_params_atomic_as`]), never rewritten in place: a server maps
+//! the file it serves from, and truncating a mapped inode turns the next
+//! gather from it into a `SIGBUS`. Renaming a new file over the path
+//! leaves the old inode whole until its last mapping drops.
 
 use crate::storage::{Bytes, Mmap, StorageEncoding, TableStorage};
 use crate::{Matrix, ParamStore};
@@ -57,7 +53,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"STPK";
-const VERSION: u32 = 1;
 const VERSION_V2: u32 = 2;
 /// Fixed v2 header length in bytes.
 const V2_HEADER_LEN: usize = 32;
@@ -139,23 +134,6 @@ impl From<CheckpointError> for std::io::Error {
             other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
         }
     }
-}
-
-/// Writes every parameter (name, shape, weights) to `out`.
-pub fn save_params<W: Write>(store: &ParamStore, mut out: W) -> std::io::Result<()> {
-    out.write_all(MAGIC)?;
-    out.write_all(&VERSION.to_le_bytes())?;
-    out.write_all(&(store.len() as u32).to_le_bytes())?;
-    for (_, name, value) in store.iter() {
-        out.write_all(&(name.len() as u32).to_le_bytes())?;
-        out.write_all(name.as_bytes())?;
-        out.write_all(&(value.rows() as u32).to_le_bytes())?;
-        out.write_all(&(value.cols() as u32).to_le_bytes())?;
-        for &x in value.as_slice() {
-            out.write_all(&x.to_le_bytes())?;
-        }
-    }
-    Ok(())
 }
 
 /// Writes a checkpoint to `path` crash-safely in the v2 container with
@@ -364,95 +342,16 @@ pub fn save_params_v2<W: Write>(
 }
 
 /// Reads a checkpoint into a fresh [`ParamStore`], preserving parameter
-/// order (so ids match the store that was saved). Dispatches on the
-/// version field: v1 streams; v2 reads the container into memory,
-/// verifies every checksum, and decodes all tensors (quantized tables
-/// dequantize) into owned matrices. For zero-copy v2 access use
-/// [`map_params`] instead.
+/// order (so ids match the store that was saved): reads the container
+/// into memory, verifies every checksum, and decodes all tensors
+/// (quantized tables dequantize) into owned matrices. For zero-copy
+/// access use [`map_params`] instead.
 pub fn load_params<R: Read>(mut input: R) -> Result<ParamStore, CheckpointError> {
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    let version = read_u32(&mut input)?;
-    if version == VERSION_V2 {
-        // Reconstruct the full byte image (offsets are absolute) and
-        // parse through the shared v2 path with full verification.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V2.to_le_bytes());
-        input.read_to_end(&mut bytes)?;
-        let params = MappedParams::from_owned(bytes)?;
-        params.verify_data_checksums()?;
-        return Ok(params.to_store());
-    }
-    if version != VERSION {
-        return Err(CheckpointError::Version(version));
-    }
-    let count = read_u32(&mut input)? as usize;
-    if count > 1_000_000 {
-        return Err(CheckpointError::Corrupt(format!(
-            "implausible param count {count}"
-        )));
-    }
-    let mut store = ParamStore::new();
-    for _ in 0..count {
-        let name_len = read_u32(&mut input)? as usize;
-        if name_len > 4096 {
-            return Err(CheckpointError::Corrupt("implausible name length".into()));
-        }
-        let mut name = vec![0u8; name_len];
-        input.read_exact(&mut name)?;
-        let name = String::from_utf8(name)
-            .map_err(|_| CheckpointError::Corrupt("non-UTF8 parameter name".into()))?;
-        let rows = read_u32(&mut input)? as usize;
-        let cols = read_u32(&mut input)? as usize;
-        let len = rows
-            .checked_mul(cols)
-            .ok_or_else(|| CheckpointError::Corrupt("shape overflow".into()))?;
-        if len > 1 << 30 {
-            return Err(CheckpointError::Corrupt("implausible matrix size".into()));
-        }
-        // Read weights incrementally: `len` comes from untrusted bytes,
-        // so a corrupt shape must fail at EOF instead of first committing
-        // to a multi-gigabyte zeroed buffer the stream cannot back.
-        const CHUNK: usize = 1024;
-        let mut data: Vec<f32> = Vec::with_capacity(len.min(CHUNK));
-        let mut bytes = [0u8; 4 * CHUNK];
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK);
-            let buf = &mut bytes[..4 * take];
-            input.read_exact(buf)?;
-            data.extend(
-                buf.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-            remaining -= take;
-        }
-        store.register_value(name, Matrix::from_vec(rows, cols, data));
-    }
-    Ok(store)
-}
-
-fn read_u32<R: Read>(input: &mut R) -> Result<u32, CheckpointError> {
-    let mut buf = [0u8; 4];
-    input.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// Reads just the version field of the checkpoint at `path` (8 bytes of
-/// I/O) — how the serve reloader decides between the v2 mmap path and
-/// the v1 legacy restore without touching the rest of the file.
-pub fn snapshot_version(path: &Path) -> Result<u32, CheckpointError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; 8];
-    file.read_exact(&mut head)?;
-    if &head[..4] != MAGIC {
-        return Err(CheckpointError::Corrupt("bad magic".into()));
-    }
-    Ok(u32::from_le_bytes([head[4], head[5], head[6], head[7]]))
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    let params = MappedParams::from_owned(bytes)?;
+    params.verify_data_checksums()?;
+    Ok(params.to_store())
 }
 
 /// One parsed v2 index entry (absolute offsets, already bounds-checked).
@@ -489,6 +388,9 @@ fn parse_v2(bytes: &[u8]) -> Result<Vec<RawEntry>, CheckpointError> {
     let count = u32_at(8) as usize;
     if count > 1_000_000 {
         return Err(corrupt("implausible param count"));
+    }
+    if u32_at(12) != 0 {
+        return Err(corrupt("reserved header field is not zero"));
     }
     let index_len = usize::try_from(u64_at(16)).map_err(|_| corrupt("index length overflow"))?;
     let index_end = V2_HEADER_LEN
@@ -678,8 +580,8 @@ impl MappedParams {
     }
 
     /// Decodes every parameter into an owned [`ParamStore`], preserving
-    /// checkpoint order — the migration path back to full-precision
-    /// training state.
+    /// checkpoint order — the way back to full-precision training
+    /// state.
     pub fn to_store(&self) -> ParamStore {
         let mut store = ParamStore::new();
         for (name, table, _) in &self.entries {
@@ -718,9 +620,7 @@ impl MappedParams {
 /// Memory-maps the v2 checkpoint at `path` and returns zero-copy views
 /// of its tensors. Cost is O(header + index): the magic, version, index
 /// checksum and all entry bounds are validated, but tensor bytes are
-/// not touched (and thus not paged in) until gathered. Returns
-/// [`CheckpointError::Version`] for a v1 file — callers fall back to
-/// [`load_params`] for migration.
+/// not touched (and thus not paged in) until gathered.
 pub fn map_params(path: &Path) -> Result<MappedParams, CheckpointError> {
     let file = std::fs::File::open(path)?;
     let map = Arc::new(Mmap::map(&file)?);
@@ -737,41 +637,25 @@ mod tests {
     use crate::Init;
     use rand::{rngs::SmallRng, SeedableRng};
 
-    fn sample_store() -> ParamStore {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        store.register("emb", 5, 4, Init::Gaussian { std: 1.0 }, &mut rng);
-        store.register("w", 4, 2, Init::XavierUniform, &mut rng);
-        store.register("b", 1, 2, Init::Zeros, &mut rng);
-        store
-    }
-
-    #[test]
-    fn roundtrip_is_exact() {
-        let store = sample_store();
-        let mut buf = Vec::new();
-        save_params(&store, &mut buf).unwrap();
-        let loaded = load_params(buf.as_slice()).unwrap();
-        assert_eq!(loaded.len(), store.len());
-        for ((_, name_a, val_a), (_, name_b, val_b)) in store.iter().zip(loaded.iter()) {
-            assert_eq!(name_a, name_b);
-            assert_eq!(val_a, val_b, "bit-exact weights for {name_a}");
-        }
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = load_params(&b"NOPE\x01\x00\x00\x00"[..]).unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt(_)));
-    }
-
+    /// Version 1 (the retired streaming format) is refused exactly as an
+    /// unknown version is, by the owned and the mapped read path alike.
     #[test]
     fn rejects_wrong_version() {
+        let dir = std::env::temp_dir().join(format!("st-tensor-ver-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bin");
         let mut buf = Vec::new();
-        save_params(&sample_store(), &mut buf).unwrap();
-        buf[4] = 99; // clobber version
-        let err = load_params(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Version(99)));
+        save_params_v2(&model_like_store(), StorageEncoding::F32, &mut buf).unwrap();
+        for version in [1u8, 99] {
+            buf[4] = version;
+            let want = u32::from(version);
+            let err = load_params(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, CheckpointError::Version(v) if v == want));
+            std::fs::write(&path, &buf).unwrap();
+            let err = map_params(&path).unwrap_err();
+            assert!(matches!(err, CheckpointError::Version(v) if v == want));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -784,7 +668,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.bin");
 
-        let store = sample_store();
+        let store = model_like_store();
         save_params_atomic(&store, &path).unwrap();
         let loaded = load_params(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(loaded.len(), store.len());
@@ -814,16 +698,7 @@ mod tests {
             .join(format!("st-tensor-ckpt-noexist-{}", std::process::id()))
             .join("sub")
             .join("model.bin");
-        assert!(save_params_atomic(&sample_store(), &path).is_err());
-    }
-
-    #[test]
-    fn rejects_truncated_stream() {
-        let mut buf = Vec::new();
-        save_params(&sample_store(), &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        let err = load_params(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Io(_)));
+        assert!(save_params_atomic(&model_like_store(), &path).is_err());
     }
 
     /// A store shaped like the model's: embedding tables (which lossy
@@ -960,17 +835,11 @@ mod tests {
             Err(CheckpointError::Corrupt(_))
         ));
 
-        // Wrong version byte reports the version, for both read paths.
-        let mut ver = buf.clone();
-        ver[4] = 77;
-        assert!(matches!(
-            MappedParams::from_owned(ver.clone()),
-            Err(CheckpointError::Version(77))
-        ));
-        assert!(matches!(
-            load_params(ver.as_slice()),
-            Err(CheckpointError::Version(77))
-        ));
+        // A clobbered magic is named as such.
+        let mut magic = buf.clone();
+        magic[..4].copy_from_slice(b"NOPE");
+        let err = MappedParams::from_owned(magic).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt(m) if m == "bad magic"));
 
         // Every failure converts to a clean io::Error for serving paths.
         let mut t = buf.clone();
@@ -993,26 +862,6 @@ mod tests {
             map_params(&path),
             Err(CheckpointError::Corrupt(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_version_peeks_both_formats() {
-        let dir = std::env::temp_dir().join(format!("st-tensor-ver-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = sample_store();
-
-        let v1 = dir.join("v1.bin");
-        let mut f = std::fs::File::create(&v1).unwrap();
-        save_params(&store, &mut f).unwrap();
-        assert_eq!(snapshot_version(&v1).unwrap(), 1);
-
-        let v2 = dir.join("v2.bin");
-        save_params_atomic(&store, &v2).unwrap();
-        assert_eq!(snapshot_version(&v2).unwrap(), 2);
-
-        std::fs::write(&v1, b"JUNKJUNK").unwrap();
-        assert!(snapshot_version(&v1).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

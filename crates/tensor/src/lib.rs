@@ -65,8 +65,8 @@ pub mod quant;
 pub mod storage;
 
 pub use checkpoint::{
-    load_params, map_params, save_params, save_params_atomic, save_params_atomic_as,
-    save_params_v2, CheckpointError, MappedParams,
+    load_params, map_params, save_params_atomic, save_params_atomic_as, save_params_v2,
+    CheckpointError, MappedParams,
 };
 pub use grad_check::{assert_gradients_close, check_gradients, GradCheckReport};
 pub use infer::{InferCtx, PairTower};
