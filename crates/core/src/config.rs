@@ -2,12 +2,12 @@
 //! the ablation variants of Sec. 4.2.2.
 
 /// Which MMD estimator the transfer layer uses (Sec. 3.2 argues for the
-/// linear-time statistic of [16] to reach O(D) per iteration).
+/// linear-time statistic of \[16\] to reach O(D) per iteration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmdEstimator {
     /// Full quadratic U-statistic over the batch (Eq. 10).
     Quadratic,
-    /// Linear-time paired statistic (Gretton et al. [15], Sec. 6).
+    /// Linear-time paired statistic (Gretton et al. \[15\], Sec. 6).
     Linear,
 }
 
@@ -76,18 +76,6 @@ pub struct ModelConfig {
     pub variant: Variant,
     /// RNG seed for initialization and batch sampling.
     pub seed: u64,
-    /// Row-sparse gradient buffers: embedding gradients store only the
-    /// rows a step touched, so per-step cost and memory scale with the
-    /// batch, not the table. `false` forces the dense-oracle buffers.
-    pub sparse_gradients: bool,
-    /// Lazy Adam: untouched embedding rows cost nothing per step, with
-    /// decayed-moment catch-up when next touched (see st-tensor's optim
-    /// docs for the exact semantics). `false` selects the dense oracle
-    /// that walks every weight of every touched parameter.
-    pub lazy_optimizer: bool,
-    /// Row-range shards for the optimizer apply on large embedding
-    /// tables (1 = single-threaded; must be >= 1).
-    pub optimizer_shards: usize,
 }
 
 impl ModelConfig {
@@ -118,9 +106,6 @@ impl ModelConfig {
             unigram_power: 0.75,
             variant: Variant::Full,
             seed: 1,
-            sparse_gradients: true,
-            lazy_optimizer: true,
-            optimizer_shards: 1,
         }
     }
 
@@ -152,9 +137,6 @@ impl ModelConfig {
             unigram_power: 0.75,
             variant: Variant::Full,
             seed: 1,
-            sparse_gradients: true,
-            lazy_optimizer: true,
-            optimizer_shards: 1,
         }
     }
 
@@ -181,9 +163,6 @@ impl ModelConfig {
             unigram_power: 0.75,
             variant: Variant::Full,
             seed: 1,
-            sparse_gradients: true,
-            lazy_optimizer: true,
-            optimizer_shards: 1,
         }
     }
 
@@ -256,7 +235,6 @@ impl ModelConfig {
         assert!((0.0..1.0).contains(&self.dropout));
         assert!(self.mmd_sigma > 0.0);
         assert!(self.lambda >= 0.0);
-        assert!(self.optimizer_shards >= 1, "optimizer_shards must be >= 1");
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! Two estimators are provided, matching the paper's complexity analysis
 //! (Sec. 3.2): the full quadratic U-statistic and the O(D) linear-time
-//! paired statistic from Gretton et al. [15, Sec. 6] as used by JAN [16].
+//! paired statistic from Gretton et al. \[15, Sec. 6\] as used by JAN \[16\].
 
 use crate::MmdEstimator;
 use st_tensor::{Matrix, Tape, Var};
@@ -18,9 +18,8 @@ use st_tensor::{Matrix, Tape, Var};
 ///
 /// The quadratic estimator runs through the fused
 /// [`Tape::gaussian_kernel`] op (single pairwise-distance kernel forward,
-/// analytic backward). [`mmd_loss_reference`] is the same statistic built
-/// from tape primitives over the naive matmul kernels, kept as the
-/// differential-test and benchmark baseline.
+/// analytic backward); the linear estimator reads alternate rows with
+/// [`Tape::gather_rows`] and costs O(n) in the batch size.
 ///
 /// Returns a `1 x 1` scalar variable. For [`MmdEstimator::Linear`], both
 /// batches are truncated to the same even length.
@@ -34,47 +33,15 @@ pub fn mmd_loss(
     sigma: f32,
     estimator: MmdEstimator,
 ) -> Var {
-    mmd_loss_impl(tape, source, target, sigma, estimator, true)
-}
-
-/// Reference implementation of [`mmd_loss`]: the quadratic path uses the
-/// composite Gaussian kernel over the naive matmul kernels. Functionally
-/// identical (same statistic, same gradients up to float rounding);
-/// exists so benches and tests can compare the fused path end to end.
-pub fn mmd_loss_reference(
-    tape: &mut Tape<'_>,
-    source: Var,
-    target: Var,
-    sigma: f32,
-    estimator: MmdEstimator,
-) -> Var {
-    mmd_loss_impl(tape, source, target, sigma, estimator, false)
-}
-
-fn mmd_loss_impl(
-    tape: &mut Tape<'_>,
-    source: Var,
-    target: Var,
-    sigma: f32,
-    estimator: MmdEstimator,
-    fused: bool,
-) -> Var {
     let (ns, d) = tape.value(source).shape();
     let (nt, dt) = tape.value(target).shape();
     assert_eq!(d, dt, "embedding dims differ");
     assert!(ns >= 2 && nt >= 2, "MMD needs at least 2 samples per side");
     match estimator {
         MmdEstimator::Quadratic => {
-            let kernel = |t: &mut Tape<'_>, a: Var, b: Var| {
-                if fused {
-                    t.gaussian_kernel(a, b, sigma)
-                } else {
-                    t.gaussian_kernel_composite(a, b, sigma)
-                }
-            };
-            let kss = kernel(tape, source, source);
-            let ktt = kernel(tape, target, target);
-            let kst = kernel(tape, source, target);
+            let kss = tape.gaussian_kernel(source, source, sigma);
+            let ktt = tape.gaussian_kernel(target, target, sigma);
+            let kst = tape.gaussian_kernel(source, target, sigma);
             let mss = tape.mean_all(kss);
             let mtt = tape.mean_all(ktt);
             let mst = tape.mean_all(kst);
@@ -86,8 +53,12 @@ fn mmd_loss_impl(
             // h((x1,y1),(x2,y2)) = k(x1,x2) + k(y1,y2) - k(x1,y2) - k(x2,y1),
             // averaged over consecutive non-overlapping pairs.
             let m = (ns.min(nt) / 2) * 2;
-            let (even, odd) = split_even_odd_rows(tape, source, m);
-            let (teven, todd) = split_even_odd_rows(tape, target, m);
+            let even_rows: Vec<usize> = (0..m).step_by(2).collect();
+            let odd_rows: Vec<usize> = (1..m).step_by(2).collect();
+            let even = tape.gather_rows(source, &even_rows);
+            let odd = tape.gather_rows(source, &odd_rows);
+            let teven = tape.gather_rows(target, &even_rows);
+            let todd = tape.gather_rows(target, &odd_rows);
             let kxx = rowwise_gaussian(tape, even, odd, sigma);
             let kyy = rowwise_gaussian(tape, teven, todd, sigma);
             let kxy = rowwise_gaussian(tape, even, todd, sigma);
@@ -98,23 +69,6 @@ fn mmd_loss_impl(
             tape.mean_all(h)
         }
     }
-}
-
-/// Splits the first `m` rows (m even) of `x` into even rows and odd rows.
-fn split_even_odd_rows(tape: &mut Tape<'_>, x: Var, m: usize) -> (Var, Var) {
-    // Gathers through a selection matrix would lose sparsity; instead we
-    // exploit that MMD batches come from `gather_param` anyway — but here
-    // `x` is an arbitrary node, so we build selection via two constant
-    // 0/1 matrices and matmul (differentiable, and m is small).
-    let cols = tape.value(x).rows();
-    let half = m / 2;
-    let se = tape.input_with(half, cols, |sel| {
-        (0..half).for_each(|i| sel.set(i, 2 * i, 1.0))
-    });
-    let so = tape.input_with(half, cols, |sel| {
-        (0..half).for_each(|i| sel.set(i, 2 * i + 1, 1.0))
-    });
-    (tape.matmul(se, x), tape.matmul(so, x))
 }
 
 /// Rowwise Gaussian kernel between corresponding rows of `a` and `b`
@@ -243,6 +197,19 @@ mod tests {
         let s = store.register("s", 12, 5, Init::Gaussian { std: 1.0 }, &mut rng);
         let t = store.register("t", 10, 5, Init::Gaussian { std: 1.0 }, &mut rng);
 
+        // The same statistic with every kernel matrix built from tape
+        // primitives, so each backward rule is the primitive's own.
+        let composite = |tape: &mut Tape<'_>, a: Var, b: Var| -> Var {
+            let kss = tape.gaussian_kernel_composite(a, a, 1.1);
+            let ktt = tape.gaussian_kernel_composite(b, b, 1.1);
+            let kst = tape.gaussian_kernel_composite(a, b, 1.1);
+            let mss = tape.mean_all(kss);
+            let mtt = tape.mean_all(ktt);
+            let mst = tape.mean_all(kst);
+            let sum = tape.add(mss, mtt);
+            let neg = tape.scale(mst, -2.0);
+            tape.add(sum, neg)
+        };
         let run = |fused: bool| -> (f32, Matrix, Matrix) {
             let mut tape = Tape::new(&store);
             let a = tape.param(s);
@@ -250,7 +217,7 @@ mod tests {
             let loss = if fused {
                 mmd_loss(&mut tape, a, b, 1.1, MmdEstimator::Quadratic)
             } else {
-                mmd_loss_reference(&mut tape, a, b, 1.1, MmdEstimator::Quadratic)
+                composite(&mut tape, a, b)
             };
             let v = tape.value(loss).item();
             let mut grads = Gradients::zeros_like(&store);
@@ -332,7 +299,7 @@ mod tests {
 }
 
 /// The median heuristic for the Gaussian bandwidth: the median pairwise
-/// distance between rows of the pooled sample (Gretton et al. [15]).
+/// distance between rows of the pooled sample (Gretton et al. \[15\]).
 ///
 /// The paper fixes `sigma`; this extension (DESIGN.md §6) adapts it to
 /// the current embedding scale, which matters because embeddings grow

@@ -195,15 +195,10 @@ impl STTransRec {
         };
 
         let steps_per_epoch = (split.train.len() / config.batch_size).max(1);
-        let grads = if config.sparse_gradients {
-            Gradients::zeros_like(&store)
-        } else {
-            Gradients::dense_like(&store)
-        };
-        let optimizer = Adam::new(config.learning_rate)
-            .with_weight_decay(config.weight_decay)
-            .with_lazy(config.lazy_optimizer)
-            .with_shards(config.optimizer_shards);
+        // Row-sparse gradients and lazy Adam: a step stores, merges and
+        // updates only the embedding rows it touched.
+        let grads = Gradients::zeros_like(&store);
+        let optimizer = Adam::new(config.learning_rate).with_weight_decay(config.weight_decay);
 
         Self {
             config,
@@ -228,16 +223,24 @@ impl STTransRec {
         }
     }
 
-    /// A fresh gradient buffer matching the configured representation:
-    /// row-sparse by default, or the dense oracle when
-    /// `sparse_gradients` is off. The parallel trainer uses this so its
-    /// per-worker buffers follow the model's configuration.
+    /// A fresh row-sparse gradient buffer over the model's parameters,
+    /// as [`STTransRec::train_step`] uses (the parallel trainer gives one
+    /// to each worker).
     pub fn new_grad_buffer(&self) -> Gradients {
-        if self.config.sparse_gradients {
-            Gradients::zeros_like(&self.store)
-        } else {
-            Gradients::dense_like(&self.store)
-        }
+        Gradients::zeros_like(&self.store)
+    }
+
+    /// The model with dense gradient buffers and the dense (non-lazy)
+    /// Adam walk: the oracle the row-sparse, lazy training path is held
+    /// to.
+    #[cfg(test)]
+    fn new_dense_oracle(dataset: &Dataset, split: &CrossingCitySplit, config: ModelConfig) -> Self {
+        let mut model = Self::new(dataset, split, config);
+        model.grads = Gradients::dense_like(&model.store);
+        model.optimizer = Adam::new(model.config.learning_rate)
+            .with_weight_decay(model.config.weight_decay)
+            .with_lazy(false);
+        model
     }
 
     /// The configuration the model was built with.
@@ -284,21 +287,12 @@ impl STTransRec {
     /// Computes gradients for one joint step into `grads`, returning the
     /// loss values. Uses the supplied RNG (the parallel trainer gives each
     /// worker its own stream). Does NOT apply the optimizer.
-    pub fn accumulate_step(
-        &self,
-        dataset: &Dataset,
-        grads: &mut Gradients,
-        rng: &mut SmallRng,
-    ) -> StepLosses {
-        let mut pool = MatrixPool::new();
-        self.accumulate_step_with_pool(dataset, grads, rng, &mut pool)
-    }
-
-    /// As [`STTransRec::accumulate_step`], with the step's tape drawing
-    /// every matrix from `pool` and handing every one back to it. Callers
-    /// that keep the pool across steps — [`STTransRec::train_step`], the
-    /// parallel trainer's workers — take no pool miss after the first
-    /// step, and the pool stops growing there.
+    ///
+    /// The step's tape draws every matrix from `pool` and hands every
+    /// one back to it. Callers keep the pool across steps —
+    /// [`STTransRec::train_step`], the parallel trainer's workers — so
+    /// they take no pool miss after the first step, and the pool stops
+    /// growing there.
     pub fn accumulate_step_with_pool(
         &self,
         dataset: &Dataset,
@@ -373,7 +367,7 @@ impl STTransRec {
 
     /// One optimizer step over the joint objective.
     pub fn train_step(&mut self, dataset: &Dataset) -> StepLosses {
-        // Borrow juggling: accumulate_step needs &self while rng, the pool
+        // Borrow juggling: the accumulate step needs &self while rng, the pool
         // and the gradient buffer need &mut, so all are moved out for the
         // call. The buffer is cleared (storage retained) and put back, so
         // steady-state steps allocate nothing.
@@ -395,11 +389,10 @@ impl STTransRec {
     ///
     /// Only the interaction-tower objective runs (`L_I` of Eq. 13): the
     /// text and MMD terms need the full offline graph/resampler context
-    /// and are already baked into the warm-started parameters. With
-    /// `sparse_gradients` + `lazy_optimizer` configured (the defaults)
-    /// the step touches exactly the user/POI embedding rows in `batch`
-    /// plus the tower — per-event cost scales with the micro-batch, not
-    /// the tables. Returns the batch BCE loss.
+    /// and are already baked into the warm-started parameters. The step
+    /// touches exactly the user/POI embedding rows in `batch` plus the
+    /// tower (row-sparse gradients, lazy Adam) — per-event cost scales
+    /// with the micro-batch, not the tables. Returns the batch BCE loss.
     ///
     /// # Panics
     /// Panics on an empty batch.
@@ -519,9 +512,10 @@ impl STTransRec {
     }
 
     /// [`STTransRec::predict`] evaluated on the autodiff tape — the
-    /// differential-testing and benchmark oracle the tape-free path is
-    /// held bit-identical to. Not used on any serving path.
-    pub fn predict_tape(&self, users: &[usize], pois: &[usize]) -> Vec<f32> {
+    /// differential-testing oracle the tape-free path is held
+    /// bit-identical to.
+    #[cfg(test)]
+    pub(crate) fn predict_tape(&self, users: &[usize], pois: &[usize]) -> Vec<f32> {
         assert_eq!(users.len(), pois.len(), "pair slices must be parallel");
         let mut tape = Tape::new(&self.store);
         let u = tape.gather_param(self.user_emb.table(), users);
@@ -868,10 +862,12 @@ mod tests {
     fn lazy_sparse_training_converges_like_dense_oracle() {
         let (d, split) = setup();
         let run = |sparse: bool| -> (f32, f32) {
-            let mut cfg = ModelConfig::test_small();
-            cfg.sparse_gradients = sparse;
-            cfg.lazy_optimizer = sparse;
-            let mut m = STTransRec::new(&d, &split, cfg);
+            let cfg = ModelConfig::test_small();
+            let mut m = if sparse {
+                STTransRec::new(&d, &split, cfg)
+            } else {
+                STTransRec::new_dense_oracle(&d, &split, cfg)
+            };
             // The very first step's losses are computed before any update,
             // so the two paths must agree exactly there.
             let step0 = m.train_step(&d);

@@ -55,8 +55,8 @@ impl ParallelTrainer {
         self.pools.iter().map(MatrixPool::pool_stats).collect()
     }
 
-    /// Primes the per-worker gradient buffers for `model` (the buffers
-    /// follow the model's configured representation). Buffers left over
+    /// Primes the per-worker gradient buffers for `model` (row-sparse,
+    /// as the model's own). Buffers left over
     /// from a previous step are kept; a buffer whose arity does not match
     /// the model (different store, defaulted trainer) is replaced.
     fn ensure_buffers(&mut self, model: &STTransRec) {

@@ -316,7 +316,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,
@@ -331,7 +331,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `HashSet<T>`: distinct elements, sized like [`vec`].
+    /// Strategy for `HashSet<T>`: distinct elements, sized like [`vec()`].
     /// Gives up (with fewer elements) if the element domain is too small
     /// to reach the requested size, mirroring proptest's behaviour of
     /// bounded rejection.

@@ -1,7 +1,7 @@
 //! Router-tier metrics in the same plain-text exposition style as
 //! `st-serve`'s `/metrics`, under the `st_router_` prefix. Counters are
 //! lock-free atomics; per-replica gauges (health, breaker state, epoch,
-//! generation) are read live from the [`Fleet`](crate::fleet::Fleet) at
+//! generation) are read live from the [`Fleet`] at
 //! render time so the exposition can never drift from routing reality.
 
 use crate::breaker::BreakerState;

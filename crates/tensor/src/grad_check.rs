@@ -197,6 +197,20 @@ mod tests {
     }
 
     #[test]
+    fn gather_rows_gradient() {
+        let (mut store, mut rng) = seeded_store();
+        let p = store.register("p", 5, 3, Init::Gaussian { std: 0.5 }, &mut rng);
+        let ids = vec![4usize, 1, 1, 0];
+        assert_gradients_close(&mut store, EPS, TOL, move |tape| {
+            let v = tape.param(p);
+            let t = tape.tanh(v); // gather from a computed node
+            let g = tape.gather_rows(t, &ids);
+            let sq = tape.mul_elem(g, g);
+            tape.mean_all(sq)
+        });
+    }
+
+    #[test]
     fn bce_with_logits_gradient() {
         let (mut store, mut rng) = seeded_store();
         let p = store.register("logits_src", 5, 1, Init::Gaussian { std: 1.0 }, &mut rng);

@@ -257,7 +257,7 @@ impl InferCtx {
         let left_buf = &mut left_buf[..left_cols];
         left.copy_row_into(left_row, left_buf);
         let prefix = &mut prefix[..width];
-        kernels::matmul_packed(left_buf, &tower.left, None, prefix, 1, |c, acc, _| {
+        kernels::matmul_packed(left_buf, &tower.left, None, prefix, 1, |c, acc, _, _| {
             c.copy_from_slice(acc)
         });
 

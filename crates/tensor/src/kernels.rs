@@ -13,18 +13,23 @@
 //!
 //! # The summation-order invariant
 //!
-//! Every element the packed product writes is
-//! `init + a[0]*b[0] + a[1]*b[1] + ...` evaluated left to right: one
-//! accumulator per output element, terms added in ascending `k`, a
-//! separate multiply and add per term (never `mul_add`, which rounds
-//! once instead of twice). The tile shape decides only which elements
-//! share a loop, so every tile width and height — and the plain
-//! `*_naive` loops kept in [`crate::Matrix`] — produce the same bits,
-//! and a product may be split at any `k`: run the first terms, then
-//! pass the result as the `init` row of the rest. Scoring one user
-//! against many candidates rests on exactly that
-//! ([`crate::PairTower`]): the user's half of the first layer is
-//! computed once and seeds every candidate's accumulators. The
+//! There is one product micro-kernel family. All three shapes — `a * b`
+//! ([`matmul_blocked`], [`matmul_packed`]), `a^T * b`
+//! ([`matmul_transpose_a_blocked`]) and `a * b^T`
+//! ([`crate::Matrix::matmul_transpose_b_into`]) — pack their right-hand
+//! side into column panels and run the same register tiles over them
+//! (`panel_product`; there is no dot-product tile), and every
+//! element they write is `init + a[0]*b[0] + a[1]*b[1] + ...` evaluated
+//! left to right: one accumulator per output element, terms added in
+//! ascending `k`, a separate multiply and add per term (never
+//! `mul_add`, which rounds once instead of twice). The tile shape
+//! decides only which elements share a loop, so every tile width and
+//! height — and the plain `*_naive` loops kept in [`crate::Matrix`] —
+//! produce the same bits for every shape, and a product may be split at
+//! any `k`: run the first terms, then pass the result as the `init` row
+//! of the rest. Scoring one user against many candidates rests on
+//! exactly that ([`crate::PairTower`]): the user's half of the first
+//! layer is computed once and seeds every candidate's accumulators. The
 //! differential proptests assert all of this by `to_bits`.
 //!
 //! Tile sizes are chosen for the x86-64 baseline (SSE2, 16 XMM
@@ -75,6 +80,14 @@ fn pack_panel(b: &[f32], n: usize, j: usize, w: usize, dst: &mut [f32]) {
     }
 }
 
+/// Copies rows `j..j+live` of the row-major `n x k` matrix `rows` into
+/// the first `live` columns of the `k x w` panel `dst`: the panel of
+/// columns `j..j+w` of `rows^T`, built without a transposed copy of
+/// `rows`. Columns `live..w` of `dst` are left as they are.
+fn pack_rows_panel(rows: &[f32], k: usize, j: usize, live: usize, w: usize, dst: &mut [f32]) {
+    transpose_strided(&rows[j * k..(j + live) * k], dst, live, k, w);
+}
+
 /// A `k x n` right-hand side packed once into the panels the
 /// micro-kernels stream, for weights multiplied many times
 /// ([`matmul_packed`]).
@@ -108,13 +121,8 @@ impl PackedB {
         assert_eq!(rows.len(), n * k, "PackedB::pack_rows: buffer is not n x k");
         assert!(width >= n, "PackedB::pack_rows: width {width} < {n} rows");
         let mut data = vec![0.0f32; k * width];
-        for (j, w) in panels(width) {
-            let panel = &mut data[k * j..k * (j + w)];
-            for l in 0..w.min(n.saturating_sub(j)) {
-                for (p, &v) in rows[(j + l) * k..(j + l + 1) * k].iter().enumerate() {
-                    panel[p * w + l] = v;
-                }
-            }
+        for (j, w) in panels(width).take_while(|&(j, _)| j < n) {
+            pack_rows_panel(rows, k, j, w.min(n - j), w, &mut data[k * j..k * (j + w)]);
         }
         Self { k, n: width, data }
     }
@@ -152,8 +160,8 @@ pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// The write-back of [`matmul_blocked`]: `c += acc`.
-fn accumulate(c: &mut [f32], acc: &[f32], _j: usize) {
+/// The accumulating write-back, `c += acc`.
+pub(crate) fn accumulate(c: &mut [f32], acc: &[f32], _i: usize, _j: usize) {
     for (o, &v) in c.iter_mut().zip(acc) {
         *o += v;
     }
@@ -175,7 +183,7 @@ pub fn matmul_packed(
     init: Option<&[f32]>,
     c: &mut [f32],
     m: usize,
-    write: impl Fn(&mut [f32], &[f32], usize),
+    write: impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     assert_eq!(a.len(), m * b.k, "matmul_packed: a is not m x k");
     assert_eq!(c.len(), m * b.n, "matmul_packed: c is not m x n");
@@ -203,7 +211,7 @@ fn panel_product(
     n: usize,
     j: usize,
     w: usize,
-    write: &impl Fn(&mut [f32], &[f32], usize),
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     let init = init.map(|row| &row[j..j + w]);
     match w {
@@ -245,7 +253,7 @@ fn narrow_bands<const W: usize>(
     k: usize,
     n: usize,
     j: usize,
-    write: &impl Fn(&mut [f32], &[f32], usize),
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     let init = init_row::<W>(init);
     let mut i = 0;
@@ -276,7 +284,7 @@ fn micro_kernel_wide(
     n: usize,
     i: usize,
     j: usize,
-    write: &impl Fn(&mut [f32], &[f32], usize),
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     let a0 = &a[i * k..(i + 1) * k];
     let a1 = &a[(i + 1) * k..(i + 2) * k];
@@ -295,7 +303,7 @@ fn micro_kernel_wide(
     }
     for (r, accr) in [acc0, acc1, acc2, acc3].iter().enumerate() {
         let off = (i + r) * n + j;
-        write(&mut c[off..off + NR], accr, j);
+        write(&mut c[off..off + NR], accr, i + r, j);
     }
 }
 
@@ -314,7 +322,7 @@ fn micro_kernel<const R: usize, const W: usize>(
     n: usize,
     i: usize,
     j: usize,
-    write: &impl Fn(&mut [f32], &[f32], usize),
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
     let mut acc = [init; R];
@@ -329,76 +337,36 @@ fn micro_kernel<const R: usize, const W: usize>(
     }
     for (r, accr) in acc.iter().enumerate() {
         let off = (i + r) * n + j;
-        write(&mut c[off..off + W], accr, j);
+        write(&mut c[off..off + W], accr, i + r, j);
     }
 }
 
-/// `c += a * b^T` for row-major buffers, `a: m x k`, `b: n x k`, `c: m x n`.
+/// The product `a * b^T` for row-major buffers (`a: m x k`, `b: n x k`,
+/// `c: m x n`), each finished tile row handed to `write` as in
+/// [`matmul_packed`] ([`accumulate`] for `c += a * b^T`).
 ///
-/// Dot-product shape: each output element is a length-`k` dot of two
-/// rows. The kernel pairs one `a`-row with four `b`-rows and keeps four
-/// 8-wide partial-sum vectors, so each `a` vector load feeds 4 FMAs.
-pub fn matmul_transpose_b_blocked(
+/// Each output is a dot of two rows, computed as every other product
+/// is: each column panel of `b^T` is packed straight from `b`'s rows
+/// into one scratch buffer ([`matmul_blocked`]'s loop with the other
+/// packing routine), then every row band of `a` streams through it.
+pub(crate) fn matmul_transpose_b_blocked(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
+    write: impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
-    const JB: usize = 4; // b-rows per block
-    const KW: usize = 8; // k unroll width
 
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + JB <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            // Four 8-wide accumulators: 4 x 8 f32 = 8 XMM registers.
-            let mut acc = [[0.0f32; KW]; JB];
-            let chunks = k / KW;
-            for p in 0..chunks {
-                let o = p * KW;
-                let av: &[f32; KW] = a_row[o..o + KW].try_into().expect("KW chunk");
-                for (accr, brow) in acc.iter_mut().zip([b0, b1, b2, b3]) {
-                    let bv: &[f32; KW] = brow[o..o + KW].try_into().expect("KW chunk");
-                    for l in 0..KW {
-                        accr[l] += av[l] * bv[l];
-                    }
-                }
-            }
-            let mut dots = [0.0f32; JB];
-            for (d, accr) in dots.iter_mut().zip(&acc) {
-                *d = accr.iter().sum();
-            }
-            for p in chunks * KW..k {
-                let av = a_row[p];
-                dots[0] += av * b0[p];
-                dots[1] += av * b1[p];
-                dots[2] += av * b2[p];
-                dots[3] += av * b3[p];
-            }
-            for (o, &d) in c_row[j..j + JB].iter_mut().zip(&dots) {
-                *o += d;
-            }
-            j += JB;
-        }
-        // Remaining b-rows: plain dot products.
-        for (jj, o) in c_row.iter_mut().enumerate().skip(j) {
-            let b_row = &b[jj * k..(jj + 1) * k];
-            let mut dot = 0.0f32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                dot += x * y;
-            }
-            *o += dot;
-        }
+    let mut scratch = vec![0.0f32; k * NR.min(n)];
+    for (j, w) in panels(n) {
+        let panel = &mut scratch[..k * w];
+        pack_rows_panel(b, k, j, w, w, panel);
+        panel_product(a, panel, None, c, m, k, n, j, w, &write);
     }
 }
 
@@ -425,13 +393,20 @@ pub fn matmul_transpose_a_blocked(
 }
 
 /// Tiled out-of-place transpose: `dst[c][r] = src[r][c]`, `src: rows x cols`.
+pub fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    debug_assert_eq!(dst.len(), rows * cols);
+    transpose_strided(src, dst, rows, cols, rows);
+}
+
+/// [`transpose_blocked`] into a `dst` whose rows are `stride >= rows`
+/// long: `dst[c * stride + r] = src[r * cols + c]`, the rest untouched.
 ///
 /// Processes `TR x TR` blocks so both source reads and destination
 /// writes stay within a few cache lines per tile instead of striding
 /// the full matrix width on every element.
-pub fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+fn transpose_strided(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, stride: usize) {
     debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(dst.len(), rows * cols);
+    debug_assert!(stride >= rows && dst.len() >= cols * stride);
     let mut rb = 0;
     while rb < rows {
         let r_end = (rb + TR).min(rows);
@@ -440,7 +415,7 @@ pub fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize)
             let c_end = (cb + TR).min(cols);
             for r in rb..r_end {
                 for c in cb..c_end {
-                    dst[c * rows + r] = src[r * cols + c];
+                    dst[c * stride + r] = src[r * cols + c];
                 }
             }
             cb += TR;
@@ -493,23 +468,29 @@ mod tests {
 
     #[test]
     fn blocked_transpose_variants_match_naive() {
-        for &(m, k, n) in &[(1, 1, 1), (4, 8, 4), (7, 10, 5), (13, 17, 9)] {
-            let a = seq(m * k);
-            let bt = seq(n * k); // b^T laid out n x k
+        // Off-grid values: the sums round, so equality holds only if the
+        // order of summation is the naive loop's.
+        let frac = |len: usize| -> Vec<f32> { seq(len).iter().map(|v| v / 7.0).collect() };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for &(m, k, n) in &[(1, 1, 1), (4, 8, 4), (7, 10, 5), (13, 17, 9), (5, 9, 70)] {
+            let a = frac(m * k);
+            let bt = frac(n * k); // b^T laid out n x k
             let mut c = vec![0.0f32; m * n];
-            matmul_transpose_b_blocked(&a, &bt, &mut c, m, k, n);
+            matmul_transpose_b_blocked(&a, &bt, &mut c, m, k, n, accumulate);
             // Reference: transpose bt into k x n then plain matmul.
             let mut b = vec![0.0f32; k * n];
             transpose_blocked(&bt, &mut b, n, k);
-            assert_eq!(c, naive_matmul(&a, &b, m, k, n), "t_b shape {m}x{k}x{n}");
+            let want = naive_matmul(&a, &b, m, k, n);
+            assert_eq!(bits(&c), bits(&want), "t_b shape {m}x{k}x{n}");
 
-            let at = seq(k * m); // a^T laid out k x m
+            let at = frac(k * m); // a^T laid out k x m
             let mut c2 = vec![0.0f32; m * n];
-            let b2 = seq(k * n);
+            let b2 = frac(k * n);
             matmul_transpose_a_blocked(&at, &b2, &mut c2, m, k, n);
             let mut a2 = vec![0.0f32; m * k];
             transpose_blocked(&at, &mut a2, k, m);
-            assert_eq!(c2, naive_matmul(&a2, &b2, m, k, n), "t_a shape {m}x{k}x{n}");
+            let want = naive_matmul(&a2, &b2, m, k, n);
+            assert_eq!(bits(&c2), bits(&want), "t_a shape {m}x{k}x{n}");
         }
     }
 

@@ -268,8 +268,9 @@ impl Matrix {
         out
     }
 
-    /// `self * other^T` without materializing the transpose
-    /// ([`kernels::matmul_transpose_b_blocked`]).
+    /// `self * other^T` without materializing the transpose: `other`'s
+    /// rows are packed into the panels of the one packed kernel family
+    /// (see [`kernels`]).
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         self.matmul_transpose_b_into(other, &mut out);
@@ -300,6 +301,7 @@ impl Matrix {
             self.rows,
             self.cols,
             other.rows,
+            kernels::accumulate,
         );
     }
 
@@ -392,35 +394,28 @@ impl Matrix {
     /// `out[i][j] = ||self_i - other_j||^2`, shape `m x n`.
     ///
     /// Uses the expansion `||x||^2 + ||y||^2 - 2 x.y` so the O(m.n.d)
-    /// work runs through the blocked `x * y^T` kernel and the row norms
+    /// work runs through the packed `x * y^T` product and the row norms
     /// are computed once instead of per pair. Clamped at zero to absorb
     /// the expansion's floating-point cancellation.
     ///
     /// # Panics
     /// Panics if the row widths differ.
     pub fn pairwise_sq_dist(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.pairwise_sq_dist_into(other, &mut out);
-        out
-    }
-
-    /// [`Self::pairwise_sq_dist`] writing into a caller-provided `out`
-    /// (which must be zero-filled, as pool buffers are) of shape
-    /// `rows x other.rows`.
-    ///
-    /// # Panics
-    /// Panics on any shape mismatch.
-    pub fn pairwise_sq_dist_into(&self, other: &Matrix, out: &mut Matrix) {
         let mut x_norms = Vec::with_capacity(self.rows);
         self.row_sq_norms_into(&mut x_norms);
         let mut y_norms = Vec::with_capacity(other.rows);
         other.row_sq_norms_into(&mut y_norms);
-        self.pairwise_sq_dist_with_norms_into(other, &x_norms, &y_norms, out);
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        self.pairwise_sq_dist_with_norms_into(other, &x_norms, &y_norms, &mut out);
+        out
     }
 
-    /// [`Self::pairwise_sq_dist_into`] given the squared row norms of both
-    /// operands (from [`Self::row_sq_norms_into`]), so a caller that owns
-    /// scratch buffers allocates nothing here.
+    /// [`Self::pairwise_sq_dist`] into a caller-provided `out` of shape
+    /// `rows x other.rows` (every element is overwritten), given the
+    /// squared row norms of both operands (from
+    /// [`Self::row_sq_norms_into`]): a caller that owns scratch buffers
+    /// allocates only the product's pack panel here. The distance is
+    /// formed as each register tile of `x * y^T` is stored.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
@@ -438,13 +433,25 @@ impl Matrix {
         );
         assert_eq!(x_norms.len(), self.rows, "x_norms length mismatch");
         assert_eq!(y_norms.len(), other.rows, "y_norms length mismatch");
-        self.matmul_transpose_b_into(other, out);
-        for (i, &xn) in x_norms.iter().enumerate() {
-            let row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            for (o, &yn) in row.iter_mut().zip(y_norms) {
-                *o = (xn + yn - 2.0 * *o).max(0.0);
-            }
-        }
+        assert_eq!(
+            out.shape(),
+            (self.rows, other.rows),
+            "pairwise_sq_dist output shape mismatch"
+        );
+        kernels::matmul_transpose_b_blocked(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            other.rows,
+            |c, acc, i, j| {
+                let xn = x_norms[i];
+                for ((o, &dot), &yn) in c.iter_mut().zip(acc).zip(&y_norms[j..]) {
+                    *o = (xn + yn - 2.0 * dot).max(0.0);
+                }
+            },
+        );
     }
 
     /// Appends the squared L2 norm of every row to `out`.
@@ -846,15 +853,18 @@ mod tests {
     fn blocked_kernels_match_naive_references() {
         let a = Matrix::from_vec(5, 7, (0..35).map(|i| (i as f32) * 0.3 - 4.0).collect());
         let b = Matrix::from_vec(7, 9, (0..63).map(|i| 2.0 - (i as f32) * 0.17).collect());
-        assert!(a.matmul(&b).approx_eq(&a.matmul_naive(&b), 1e-4));
+        let bits = |m: Matrix| -> Vec<u32> { m.data.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(a.matmul(&b)), bits(a.matmul_naive(&b)));
         let bt = b.transpose();
-        assert!(a
-            .matmul_transpose_b(&bt)
-            .approx_eq(&a.matmul_transpose_b_naive(&bt), 1e-4));
+        assert_eq!(
+            bits(a.matmul_transpose_b(&bt)),
+            bits(a.matmul_transpose_b_naive(&bt))
+        );
         let at = a.transpose();
-        assert!(at
-            .matmul_transpose_a(&b)
-            .approx_eq(&at.matmul_transpose_a_naive(&b), 1e-4));
+        assert_eq!(
+            bits(at.matmul_transpose_a(&b)),
+            bits(at.matmul_transpose_a_naive(&b))
+        );
         assert_eq!(a.transpose(), a.transpose_naive());
     }
 
@@ -883,6 +893,18 @@ mod tests {
                 assert!((d.get(i, j) - direct).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn pairwise_sq_dist_overwrites_a_non_zero_output() {
+        let x = m(3, 2, &[0.0, 0.0, 1.0, 1.0, -2.0, 0.5]);
+        let y = m(2, 2, &[1.0, 0.0, 0.0, -1.0]);
+        let (mut x_norms, mut y_norms) = (Vec::new(), Vec::new());
+        x.row_sq_norms_into(&mut x_norms);
+        y.row_sq_norms_into(&mut y_norms);
+        let mut out = Matrix::full(3, 2, 7.5);
+        x.pairwise_sq_dist_with_norms_into(&y, &x_norms, &y_norms, &mut out);
+        assert_eq!(out, x.pairwise_sq_dist(&y));
     }
 
     #[test]

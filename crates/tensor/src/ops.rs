@@ -113,7 +113,7 @@ pub fn linear_packed(
     m: usize,
 ) {
     assert_eq!(bias.len(), w.n(), "linear_packed bias width mismatch");
-    kernels::matmul_packed(x, w, init, out, m, |c, acc, j| {
+    kernels::matmul_packed(x, w, init, out, m, |c, acc, _, j| {
         for ((o, &a), &b) in c.iter_mut().zip(acc).zip(&bias[j..]) {
             *o = a + b;
         }
@@ -211,8 +211,8 @@ pub fn nearest_centroids<P: RowSource + ?Sized>(
         for r in 0..bs {
             points.copy_row_into(start + r, &mut block[r * dim..(r + 1) * dim]);
         }
-        let keys = &mut keys[..bs * width];
-        kernels::matmul_packed(&block[..bs * dim], &packed, None, keys, bs, |c, acc, j| {
+        let (tile, keys) = (&block[..bs * dim], &mut keys[..bs * width]);
+        kernels::matmul_packed(tile, &packed, None, keys, bs, |c, acc, _, j| {
             for ((o, &dot), &sq) in c.iter_mut().zip(acc).zip(&csq[j..]) {
                 *o = sq - 2.0 * dot;
             }

@@ -24,14 +24,6 @@
 //! - **Dense (non-lazy) Adam** is kept verbatim as the differential
 //!   oracle: row-sparse slots are materialized dense and walked element
 //!   by element, moment buffers and all.
-//!
-//! ## Sharded apply
-//!
-//! With [`Adam::with_shards`] > 1, the per-row update of large sparse
-//! slots is split by contiguous row range across `std::thread::scope`
-//! workers (disjoint `split_at_mut` slices of the parameter and moment
-//! buffers — no locks, no unsafe). Row updates are independent, so the
-//! result is bit-identical to the single-threaded apply.
 
 use crate::{GradSlot, Gradients, Matrix, ParamId, ParamStore, SparseRows};
 
@@ -118,22 +110,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Below this many touched scalars a sharded apply is not worth the
-/// thread-spawn overhead and runs single-threaded.
-const MIN_SHARD_ELEMS: usize = 16_384;
-
-/// Hyperparameters snapshot passed into the (possibly threaded) row apply.
-#[derive(Clone, Copy)]
-struct AdamHyper {
-    lr: f32,
-    b1: f32,
-    b2: f32,
-    eps: f32,
-    wd: f32,
-    /// Per-parameter step count for bias correction.
-    t: u64,
-}
-
 /// Adam (Kingma & Ba, 2015) with bias correction.
 ///
 /// Supports two update modes for row-sparse gradients (see the module
@@ -159,13 +135,11 @@ pub struct Adam {
     last: Vec<Vec<u64>>,
     /// Lazy per-row updates (true) vs dense-oracle updates (false).
     lazy: bool,
-    /// Row-range shards for the sparse apply (1 = single-threaded).
-    shards: usize,
 }
 
 impl Adam {
     /// Creates Adam with the paper-standard betas (0.9, 0.999) and eps 1e-8,
-    /// in lazy mode with a single-threaded apply.
+    /// in lazy mode.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Self {
@@ -179,7 +153,6 @@ impl Adam {
             t: Vec::new(),
             last: Vec::new(),
             lazy: true,
-            shards: 1,
         }
     }
 
@@ -205,20 +178,6 @@ impl Adam {
         self
     }
 
-    /// Shards the sparse-slot apply by row range across this many scoped
-    /// threads (1 = single-threaded; small slots stay single-threaded
-    /// regardless).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shards must be >= 1");
-        self.shards = shards;
-        self
-    }
-
-    /// True when per-row lazy updates are enabled.
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
-    }
-
     fn ensure_state(&mut self, id: ParamId, shape: (usize, usize)) {
         let idx = id.index();
         if self.m.len() <= idx {
@@ -234,157 +193,106 @@ impl Adam {
         }
     }
 
-    /// The dense element walk shared by dense slots and the oracle path.
-    fn dense_update(&mut self, store: &mut ParamStore, id: ParamId, g: &Matrix) {
-        let idx = id.index();
-        let t = self.t[idx] as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let m = self.m[idx].as_mut().expect("state allocated");
-        let v = self.v[idx].as_mut().expect("state allocated");
-        let p = store.get_mut(id);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        for ((w, &gv), (mi, vi)) in p
-            .as_mut_slice()
-            .iter_mut()
-            .zip(g.as_slice())
-            .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()))
-        {
-            *mi = b1 * *mi + (1.0 - b1) * gv;
-            *vi = b2 * *vi + (1.0 - b2) * gv * gv;
-            let m_hat = *mi / bc1;
-            let v_hat = *vi / bc2;
-            *w -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * *w);
-        }
-    }
-
-    /// Catches every row's moments up to step `t - 1` (lazy mode, ahead
-    /// of a full-matrix update): `k-1` skipped zero-gradient updates
-    /// collapse to one `beta^(k-1)` decay per moment.
-    fn catch_up_all_rows(&mut self, idx: usize, cols: usize) {
+    /// This step's constants for parameter `idx` (whose step count has
+    /// already been advanced).
+    fn step_of(&self, idx: usize) -> AdamStep {
         let t = self.t[idx];
-        let (b1, b2) = (self.beta1, self.beta2);
-        let m = self.m[idx].as_mut().expect("state allocated");
-        let v = self.v[idx].as_mut().expect("state allocated");
-        for (row, lastv) in self.last[idx].iter_mut().enumerate() {
-            let behind = t - 1 - (*lastv).min(t - 1);
-            if behind > 0 {
-                let (dm, dv) = (b1.powf(behind as f32), b2.powf(behind as f32));
-                for x in &mut m.as_mut_slice()[row * cols..(row + 1) * cols] {
-                    *x *= dm;
-                }
-                for x in &mut v.as_mut_slice()[row * cols..(row + 1) * cols] {
-                    *x *= dv;
-                }
-            }
-            *lastv = t;
-        }
-    }
-
-    /// Lazy per-row apply of a sparse slot, sharded by row range when the
-    /// touched volume is large enough.
-    fn sparse_update(&mut self, store: &mut ParamStore, id: ParamId, sr: &SparseRows) {
-        let idx = id.index();
-        let (_, cols) = store.get(id).shape();
-        // (table_row, packed_slot) in ascending row order, so contiguous
-        // chunks map to disjoint row ranges of the buffers.
-        let mut pairs: Vec<(usize, usize)> = sr
-            .row_ids()
-            .iter()
-            .enumerate()
-            .map(|(slot, &row)| (row, slot))
-            .collect();
-        pairs.sort_unstable_by_key(|&(row, _)| row);
-        let hyper = AdamHyper {
+        AdamStep {
             lr: self.lr,
             b1: self.beta1,
             b2: self.beta2,
             eps: self.eps,
             wd: self.weight_decay,
-            t: self.t[idx],
-        };
-        let p = store.get_mut(id).as_mut_slice();
-        let m = self.m[idx]
-            .as_mut()
-            .expect("state allocated")
-            .as_mut_slice();
-        let v = self.v[idx]
-            .as_mut()
-            .expect("state allocated")
-            .as_mut_slice();
-        let last = self.last[idx].as_mut_slice();
-
-        let shards = self.shards.min(pairs.len()).max(1);
-        if shards == 1 || pairs.len() * cols < MIN_SHARD_ELEMS {
-            lazy_row_apply(p, m, v, last, 0, cols, &pairs, sr, hyper);
-            return;
+            t,
+            bc1: 1.0 - self.beta1.powf(t as f32),
+            bc2: 1.0 - self.beta2.powf(t as f32),
         }
-        let chunk = pairs.len().div_ceil(shards);
-        std::thread::scope(|scope| {
-            let (mut p, mut m, mut v, mut last) = (p, m, v, last);
-            let mut base = 0usize;
-            for pc in pairs.chunks(chunk) {
-                // This shard owns rows [base, hi]; cut the buffers there.
-                let hi = pc.last().expect("non-empty chunk").0;
-                let take = hi + 1 - base;
-                let (ps, pr) = p.split_at_mut(take * cols);
-                let (ms, mr) = m.split_at_mut(take * cols);
-                let (vs, vr) = v.split_at_mut(take * cols);
-                let (ls, lr_rest) = last.split_at_mut(take);
-                let shard_base = base;
-                scope
-                    .spawn(move || lazy_row_apply(ps, ms, vs, ls, shard_base, cols, pc, sr, hyper));
-                (p, m, v, last) = (pr, mr, vr, lr_rest);
-                base = hi + 1;
-            }
-        });
+    }
+
+    /// The dense element walk shared by dense slots and the oracle path.
+    fn dense_update(&mut self, store: &mut ParamStore, id: ParamId, g: &Matrix) {
+        let idx = id.index();
+        let step = self.step_of(idx);
+        let m = self.m[idx].as_mut().expect("state allocated");
+        let v = self.v[idx].as_mut().expect("state allocated");
+        let p = store.get_mut(id).as_mut_slice();
+        step.update(p, g.as_slice(), m.as_mut_slice(), v.as_mut_slice());
+    }
+
+    /// Catches every row's moments up to step `t - 1` (lazy mode, ahead
+    /// of a full-matrix update).
+    fn catch_up_all_rows(&mut self, idx: usize, cols: usize) {
+        let step = self.step_of(idx);
+        let m = self.m[idx].as_mut().expect("state allocated");
+        let v = self.v[idx].as_mut().expect("state allocated");
+        for (row, last) in self.last[idx].iter_mut().enumerate() {
+            let span = row * cols..(row + 1) * cols;
+            step.catch_up(
+                &mut m.as_mut_slice()[span.clone()],
+                &mut v.as_mut_slice()[span],
+                last,
+            );
+        }
+    }
+
+    /// Lazy per-row apply of a sparse slot: catch-up decay, then the
+    /// standard Adam step, on the touched rows only.
+    fn sparse_update(&mut self, store: &mut ParamStore, id: ParamId, sr: &SparseRows) {
+        let idx = id.index();
+        let step = self.step_of(idx);
+        let (_, cols) = store.get(id).shape();
+        let p = store.get_mut(id).as_mut_slice();
+        let m = self.m[idx].as_mut().expect("state allocated");
+        let v = self.v[idx].as_mut().expect("state allocated");
+        for (row, packed) in sr.iter() {
+            let span = row * cols..(row + 1) * cols;
+            let (mm, vm) = (
+                &mut m.as_mut_slice()[span.clone()],
+                &mut v.as_mut_slice()[span.clone()],
+            );
+            step.catch_up(mm, vm, &mut self.last[idx][row]);
+            step.update(&mut p[span], packed, mm, vm);
+        }
     }
 }
 
-/// Updates the given `(table_row, packed_slot)` pairs against buffer
-/// slices that start at `base` table rows in: catch-up decay, then the
-/// standard Adam step. Row-independent, so shards compose bit-identically.
-#[allow(clippy::too_many_arguments)]
-fn lazy_row_apply(
-    p: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    last: &mut [u64],
-    base: usize,
-    cols: usize,
-    pairs: &[(usize, usize)],
-    sr: &SparseRows,
-    hp: AdamHyper,
-) {
-    let t = hp.t as f32;
-    let bc1 = 1.0 - hp.b1.powf(t);
-    let bc2 = 1.0 - hp.b2.powf(t);
-    for &(row, slot) in pairs {
-        let local = row - base;
-        let span = local * cols..(local + 1) * cols;
-        let (pm, mm, vm) = (&mut p[span.clone()], &mut m[span.clone()], &mut v[span]);
-        // k-1 skipped steps decay the moments by beta^(k-1) each.
-        let behind = hp.t - 1 - last[local].min(hp.t - 1);
+/// One Adam step's constants: hyperparameters, the parameter's step
+/// count `t`, and the bias corrections `1 - beta^t`.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    wd: f32,
+    t: u64,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep {
+    /// Brings one row's moments, last updated at step `last`, up to step
+    /// `t - 1`: `k-1` skipped zero-gradient updates collapse to one
+    /// `beta^(k-1)` decay per moment.
+    fn catch_up(&self, m: &mut [f32], v: &mut [f32], last: &mut u64) {
+        let behind = self.t - 1 - (*last).min(self.t - 1);
         if behind > 0 {
-            let (dm, dv) = (hp.b1.powf(behind as f32), hp.b2.powf(behind as f32));
-            for x in mm.iter_mut() {
-                *x *= dm;
-            }
-            for x in vm.iter_mut() {
-                *x *= dv;
-            }
+            let (dm, dv) = (self.b1.powf(behind as f32), self.b2.powf(behind as f32));
+            m.iter_mut().for_each(|x| *x *= dm);
+            v.iter_mut().for_each(|x| *x *= dv);
         }
-        last[local] = hp.t;
-        for ((w, &gv), (mi, vi)) in pm
-            .iter_mut()
-            .zip(sr.packed_row(slot))
-            .zip(mm.iter_mut().zip(vm.iter_mut()))
-        {
-            *mi = hp.b1 * *mi + (1.0 - hp.b1) * gv;
-            *vi = hp.b2 * *vi + (1.0 - hp.b2) * gv * gv;
-            let m_hat = *mi / bc1;
-            let v_hat = *vi / bc2;
-            *w -= hp.lr * (m_hat / (v_hat.sqrt() + hp.eps) + hp.wd * *w);
+        *last = self.t;
+    }
+
+    /// The standard update of parameters `p` under gradient `g`.
+    fn update(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
+        let s = self;
+        for ((w, &gv), (mi, vi)) in p.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
+            *mi = s.b1 * *mi + (1.0 - s.b1) * gv;
+            *vi = s.b2 * *vi + (1.0 - s.b2) * gv * gv;
+            let m_hat = *mi / s.bc1;
+            let v_hat = *vi / s.bc2;
+            *w -= s.lr * (m_hat / (v_hat.sqrt() + s.eps) + s.wd * *w);
         }
     }
 }
@@ -575,37 +483,6 @@ mod tests {
             a.approx_eq(&b, 0.05),
             "lazy drifted too far from dense oracle"
         );
-    }
-
-    #[test]
-    fn sharded_apply_is_bit_identical_to_single_threaded() {
-        const ROWS: usize = 512;
-        const COLS: usize = 64; // 32k touched scalars => sharding engages
-        let rng = SmallRng::seed_from_u64(3);
-        let run = |shards: usize| {
-            let mut store = ParamStore::new();
-            let t = store.register(
-                "t",
-                ROWS,
-                COLS,
-                Init::Uniform { limit: 0.5 },
-                &mut rng.clone(),
-            );
-            let mut opt = Adam::new(0.02).with_shards(shards);
-            let mut grng = SmallRng::seed_from_u64(11);
-            for _ in 0..3 {
-                let mut g = Gradients::zeros_like(&store);
-                for r in 0..ROWS {
-                    let delta: Vec<f32> = (0..COLS).map(|_| grng.gen_range(-1.0..1.0)).collect();
-                    g.accumulate_row(t, ROWS, COLS, r, &delta);
-                }
-                opt.step(&mut store, &g);
-            }
-            store.get(t).clone()
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(one.approx_eq(&four, 0.0), "sharded apply changed results");
     }
 
     #[test]

@@ -371,12 +371,6 @@ impl Gradients {
         self.grads.len()
     }
 
-    /// True when this buffer forces dense slots (see
-    /// [`Gradients::dense_like`]).
-    pub fn is_force_dense(&self) -> bool {
-        self.force_dense
-    }
-
     /// The accumulated slot for `id`, if any backward pass touched it.
     pub fn slot(&self, id: ParamId) -> Option<&GradSlot> {
         self.grads.get(id.0).and_then(Option::as_ref)

@@ -53,13 +53,12 @@ enum Op {
         pid: ParamId,
         indices: Vec<usize>,
     },
-    MatMul {
+    /// Read of selected rows of another node.
+    GatherRows {
         a: Var,
-        b: Var,
+        indices: Vec<usize>,
     },
-    /// Reference matmul through the scalar naive kernels (baseline for
-    /// benchmarking the blocked path end to end, forward and backward).
-    MatMulNaive {
+    MatMul {
         a: Var,
         b: Var,
     },
@@ -317,14 +316,6 @@ impl<'s> Tape<'s> {
         self.push(value, Op::Input)
     }
 
-    /// Records a constant `rows x cols` input built in place: `init`
-    /// receives a zero-filled pooled matrix and sets what is not zero.
-    pub fn input_with(&mut self, rows: usize, cols: usize, init: impl FnOnce(&mut Matrix)) -> Var {
-        let mut value = self.alloc(rows, cols);
-        init(&mut value);
-        self.push(value, Op::Input)
-    }
-
     /// Records a dense read of parameter `pid`. The node borrows the
     /// store's matrix for the tape's lifetime; nothing is copied.
     pub fn param(&mut self, pid: ParamId) -> Var {
@@ -358,15 +349,6 @@ impl<'s> Tape<'s> {
         let mut out = self.alloc(self.value(a).rows(), self.value(b).cols());
         ops::matmul(self.value(a), self.value(b), &mut out);
         self.push(out, Op::MatMul { a, b })
-    }
-
-    /// Matrix product through the scalar reference kernels, forward and
-    /// backward. Functionally identical to [`Tape::matmul`]; exists so
-    /// benches and differential tests can drive a whole computation
-    /// (e.g. an MMD step) through the naive baseline.
-    pub fn matmul_naive(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).matmul_naive(self.value(b));
-        self.push(value, Op::MatMulNaive { a, b })
     }
 
     /// Transpose.
@@ -476,6 +458,26 @@ impl<'s> Tape<'s> {
         self.push(value, Op::ConcatRows { a, b })
     }
 
+    /// Records a row gather: rows `indices` of node `a`, in that order
+    /// (repeats allowed). The backward pass adds each output row's
+    /// gradient back onto the row it was read from.
+    ///
+    /// # Panics
+    /// Panics if any index is out of bounds.
+    pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
+        let av = self.value(a);
+        let value = self.alloc_with(indices.len(), av.cols(), |buf| {
+            av.gather_rows_into(indices, buf)
+        });
+        self.push(
+            value,
+            Op::GatherRows {
+                a,
+                indices: indices.to_vec(),
+            },
+        )
+    }
+
     // ---- reductions ------------------------------------------------------
 
     /// Sum of all elements, as a `1 x 1` matrix.
@@ -567,8 +569,8 @@ impl<'s> Tape<'s> {
     /// between the rows of `x` (`n x d`) and `y` (`m x d`).
     ///
     /// Fused: the forward pass is one [`Matrix::pairwise_sq_dist`] (row
-    /// norms computed once, cross terms through the blocked `x * y^T`
-    /// kernel) plus an in-place `exp`; the backward pass is analytic,
+    /// norms computed once, cross terms through the packed `x * y^T`
+    /// product) plus an in-place `exp`; the backward pass is analytic,
     /// so none of the composite formulation's intermediate `n x m`
     /// matrices are materialized or differentiated through.
     pub fn gaussian_kernel(&mut self, x: Var, y: Var, sigma: f32) -> Var {
@@ -585,13 +587,13 @@ impl<'s> Tape<'s> {
         self.push(k, Op::GaussianKernel { x, y, sigma })
     }
 
-    /// The Gaussian kernel built from tape primitives (reference for the
-    /// fused [`Tape::gaussian_kernel`]), with its matmul routed through
-    /// the naive kernels: `||x_i - y_j||^2 = |x_i|^2 + |y_j|^2 - 2 x_i . y_j`.
+    /// The Gaussian kernel built from tape primitives:
+    /// `||x_i - y_j||^2 = |x_i|^2 + |y_j|^2 - 2 x_i . y_j`.
     ///
-    /// Gradients flow into both operands through each primitive, which
-    /// makes this the end-to-end baseline the fused op is benchmarked
-    /// and differentially tested against.
+    /// Gradients flow into both operands through each primitive's own
+    /// backward rule, which makes this the reference the fused
+    /// [`Tape::gaussian_kernel`]'s analytic backward pass is
+    /// differentially tested against.
     pub fn gaussian_kernel_composite(&mut self, x: Var, y: Var, sigma: f32) -> Var {
         assert!(sigma > 0.0, "kernel bandwidth must be positive");
         let xx = self.mul_elem(x, x);
@@ -600,7 +602,7 @@ impl<'s> Tape<'s> {
         let sy = self.sum_cols(yy); // m x 1
         let syt = self.transpose(sy); // 1 x m
         let yt = self.transpose(y);
-        let xyt = self.matmul_naive(x, yt); // n x m
+        let xyt = self.matmul(x, yt); // n x m
         let minus2xy = self.scale(xyt, -2.0);
         let with_rows = self.add_row_broadcast(minus2xy, syt);
         let sqdist = self.add_col_broadcast(with_rows, sx);
@@ -678,21 +680,22 @@ impl<'s> Tape<'s> {
                     grads.accumulate_row(*pid, rows, cols, src_row, g.row(out_row));
                 }
             }
+            Op::GatherRows { a, indices } => {
+                let (rows, cols) = self.value(*a).shape();
+                let mut da = self.alloc(rows, cols);
+                for (out_row, &src_row) in indices.iter().enumerate() {
+                    for (o, &gv) in da.row_mut(src_row).iter_mut().zip(g.row(out_row)) {
+                        *o += gv;
+                    }
+                }
+                self.add_adj(adj, *a, da);
+            }
             Op::MatMul { a, b } => {
                 let (av, bv) = (self.value(*a), self.value(*b));
                 let mut da = self.alloc(av.rows(), av.cols());
                 g.matmul_transpose_b_into(bv, &mut da);
                 let mut db = self.alloc(bv.rows(), bv.cols());
                 self.matmul_transpose_a_into(av, g, &mut db);
-                self.add_adj(adj, *a, da);
-                self.add_adj(adj, *b, db);
-            }
-            Op::MatMulNaive { a, b } => {
-                // Reference path: the naive kernels allocate their own
-                // results, which then pass through the pool as foreign
-                // buffers.
-                let da = g.matmul_transpose_b_naive(self.value(*b));
-                let db = self.value(*a).matmul_transpose_a_naive(g);
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
@@ -912,6 +915,28 @@ mod tests {
     }
 
     #[test]
+    fn gather_rows_reads_and_scatters_back() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut store = ParamStore::new();
+        let p = store.register("p", 4, 2, Init::Gaussian { std: 1.0 }, &mut rng);
+
+        let mut tape = Tape::new(&store);
+        let v = tape.param(p);
+        let doubled = tape.scale(v, 2.0); // gather from a computed node
+        let picked = tape.gather_rows(doubled, &[3, 0, 3]);
+        assert_eq!(tape.value(picked).row(0), tape.value(doubled).row(3));
+        assert_eq!(tape.value(picked).row(1), tape.value(doubled).row(0));
+        let loss = tape.sum_all(picked);
+        let mut grads = Gradients::zeros_like(&store);
+        tape.backward(loss, &mut grads);
+
+        let g = grads.get(p).unwrap();
+        assert_eq!(g.row(0), &[2.0, 2.0]);
+        assert_eq!(g.row(1), &[0.0, 0.0], "row 1 was never read");
+        assert_eq!(g.row(3), &[4.0, 4.0], "row 3 read twice");
+    }
+
+    #[test]
     fn bce_with_logits_matches_naive_formula() {
         let store = ParamStore::new();
         let mut tape = Tape::new(&store);
@@ -1091,40 +1116,6 @@ mod tests {
         );
         let pool = tape.into_pool();
         assert_eq!(pool.stats(), (0, 0), "a parameter read touched the pool");
-    }
-
-    #[test]
-    fn matmul_naive_op_matches_blocked_op() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let mut store = ParamStore::new();
-        let a = store.register("a", 9, 7, Init::Gaussian { std: 1.0 }, &mut rng);
-        let b = store.register("b", 7, 5, Init::Gaussian { std: 1.0 }, &mut rng);
-
-        let run = |naive: bool| -> (Matrix, Gradients) {
-            let mut tape = Tape::new(&store);
-            let av = tape.param(a);
-            let bv = tape.param(b);
-            let c = if naive {
-                tape.matmul_naive(av, bv)
-            } else {
-                tape.matmul(av, bv)
-            };
-            let loss = tape.mean_all(c);
-            let mut grads = Gradients::zeros_like(&store);
-            tape.backward(loss, &mut grads);
-            (tape.value(c).clone(), grads)
-        };
-        let (c_naive, g_naive) = run(true);
-        let (c_blocked, g_blocked) = run(false);
-        assert!(c_naive.approx_eq(&c_blocked, 1e-5));
-        assert!(g_naive
-            .get(a)
-            .unwrap()
-            .approx_eq(g_blocked.get(a).unwrap(), 1e-5));
-        assert!(g_naive
-            .get(b)
-            .unwrap()
-            .approx_eq(g_blocked.get(b).unwrap(), 1e-5));
     }
 
     #[test]
