@@ -43,7 +43,7 @@ mod trainer;
 pub use config::{MmdEstimator, ModelConfig, Variant};
 pub use interaction::{InteractionBatch, InteractionSampler};
 pub use mmd::{median_heuristic_sigma, mmd_loss, mmd_value};
-pub use model::{EpochStats, STTransRec, StepLosses};
+pub use model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses};
 pub use recommend::{
     case_study, poi_top_words, rank_top_k, recommend_top_k, user_profile_words, CaseStudy,
     CaseStudyEntry, Recommendation,

@@ -1,8 +1,8 @@
 //! ST-TransRec: the unified model of Fig. 1b.
 //!
 //! One [`st_tensor::ParamStore`] holds the user, POI and word embedding
-//! tables plus the interaction MLP. Each training step assembles the
-//! joint objective of Eq. 3 on a single tape:
+//! tables plus the interaction MLP. Each training step differentiates
+//! the joint objective of Eq. 3,
 //!
 //! ```text
 //! L = L_I^s + L_Gvw^s + L_I^t + L_Gvw^t + lambda * D(P, Q)
@@ -10,15 +10,27 @@
 //!
 //! with the MMD term fed by density-resampled POI batches (Sec. 3.1.4-5)
 //! and each ablation variant dropping its corresponding term.
+//!
+//! A step is *prologue → two lanes → merge → apply*
+//! ([`STTransRec::accumulate_step`]): the prologue makes every random
+//! draw of the step from one stream, the source lane (`L_I^s`, `L_Gvw^s`,
+//! `lambda * D`) and the target lane (`L_I^t`, `L_Gvw^t`) each
+//! differentiate their terms, one tape per term, into their own gradient
+//! buffer, the target lane's buffer is summed into the source lane's, and
+//! Adam applies once. The lanes share nothing but read-only parameters,
+//! so they may run on two threads ([`Schedule`]); what is summed with
+//! what never depends on that.
 
-use crate::interaction::InteractionSampler;
+use crate::interaction::{InteractionBatch, InteractionSampler};
 use crate::mmd::mmd_loss;
 use crate::resample::{CityResampler, MultiCityResampler};
 use crate::skipgram::skipgram_loss;
 use crate::{ModelConfig, Variant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use st_data::{CityId, CrossingCitySplit, Dataset, PoiId, TextualContextGraph, UserId};
+use st_data::{
+    CityId, ContextBatch, CrossingCitySplit, Dataset, PoiId, TextualContextGraph, UserId,
+};
 use st_eval::Scorer;
 use st_tensor::{
     Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, PairTower,
@@ -66,6 +78,110 @@ pub struct EpochStats {
     pub pool: PoolStats,
 }
 
+/// Where the target lane of a step runs. The arithmetic is the same
+/// either way — always two gradient buffers, always merged target into
+/// source — so the schedule moves wall time and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Both lanes on the calling thread, source lane first.
+    Inline,
+    /// The target lane on a scoped thread beside the source lane.
+    Concurrent,
+}
+
+impl Schedule {
+    /// [`Schedule::Concurrent`] when the process may run on more than
+    /// one CPU.
+    fn for_this_process() -> Self {
+        match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+            1 => Schedule::Inline,
+            _ => Schedule::Concurrent,
+        }
+    }
+}
+
+/// What one lane of a step computes with.
+#[derive(Debug, Default)]
+struct Lane {
+    grads: Gradients,
+    /// Each term's tape takes every matrix it needs from the pool and
+    /// gives every one back, so from the second step on the tape
+    /// allocates nothing and the pool stops growing — at the widest
+    /// *term* of the lane, not the sum of its terms.
+    pool: MatrixPool,
+}
+
+/// The gradient buffers and tape pools of [`STTransRec::accumulate_step`],
+/// kept across steps by whoever drives it ([`STTransRec::train_step`],
+/// each [`crate::ParallelTrainer`] worker) so that a steady-state step
+/// allocates no matrix and no gradient storage.
+#[derive(Debug, Default)]
+pub struct StepBuffers {
+    /// Source lane, target lane. Under [`Schedule::Inline`] the target
+    /// lane's tapes draw from the source lane's pool too and its own
+    /// stays empty.
+    lanes: [Lane; 2],
+}
+
+impl StepBuffers {
+    fn over(store: &ParamStore) -> Self {
+        let lane = || Lane {
+            grads: Gradients::zeros_like(store),
+            pool: MatrixPool::new(),
+        };
+        Self {
+            lanes: [lane(), lane()],
+        }
+    }
+
+    /// The step's gradient: after [`STTransRec::accumulate_step`], both
+    /// lanes' sum.
+    pub fn grads(&self) -> &Gradients {
+        &self.lanes[0].grads
+    }
+
+    /// Mutable access to the step's gradient (merging workers, scaling,
+    /// clipping).
+    pub fn grads_mut(&mut self) -> &mut Gradients {
+        &mut self.lanes[0].grads
+    }
+
+    /// Empties the step's gradient, storage retained, for the next step.
+    pub fn clear(&mut self) {
+        self.lanes[0].grads.clear();
+    }
+
+    /// Gradient storage held, in scalar elements, both lanes summed (see
+    /// [`Gradients::allocated_elems`]).
+    pub fn allocated_grad_elems(&self) -> usize {
+        self.lanes.iter().map(|l| l.grads.allocated_elems()).sum()
+    }
+
+    /// What the tape pools have done and hold, both lanes summed.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.lanes.iter().map(|l| l.pool.pool_stats()).sum()
+    }
+}
+
+/// One lane's share of a step's random draws, made by the prologue.
+#[derive(Default)]
+struct LaneDraws {
+    /// The interaction batch, and the stream positioned at the first of
+    /// the term's dropout draws.
+    interaction: Option<(InteractionBatch, SmallRng)>,
+    context: Option<ContextBatch>,
+    /// Resampled source- and target-city POI rows (source lane only).
+    mmd: Option<(Vec<usize>, Vec<usize>)>,
+}
+
+/// One lane's loss values (zero for terms it does not run).
+#[derive(Default)]
+struct LaneLosses {
+    interaction: f32,
+    context: f32,
+    mmd: f32,
+}
+
 /// The trained model.
 pub struct STTransRec {
     config: ModelConfig,
@@ -85,14 +201,15 @@ pub struct STTransRec {
     rng: SmallRng,
     steps_per_epoch: usize,
     history: Vec<EpochStats>,
-    /// Buffer pool carried across training steps: each step's tape takes
-    /// every matrix it needs from it and gives every one back, so from
-    /// the second step on the tape allocates nothing and the pool stops
-    /// growing.
-    pool: MatrixPool,
-    /// Gradient buffer carried across [`STTransRec::train_step`] calls;
+    /// Carried across [`STTransRec::train_step`] calls; the gradient is
     /// cleared (storage retained) after each apply.
-    grads: Gradients,
+    buffers: StepBuffers,
+    /// How [`STTransRec::train_step`] runs its lanes; read once, here.
+    schedule: Schedule,
+    /// Dropout draws one interaction-batch row takes: the width of every
+    /// tower layer that has a mask (the embedding layer and each hidden
+    /// layer), or 0 without dropout.
+    dropout_draws_per_row: usize,
 }
 
 impl STTransRec {
@@ -195,10 +312,14 @@ impl STTransRec {
         };
 
         let steps_per_epoch = (split.train.len() / config.batch_size).max(1);
-        // Row-sparse gradients and lazy Adam: a step stores, merges and
+        // Lazy Adam over row-sparse gradients: a step stores, merges and
         // updates only the embedding rows it touched.
-        let grads = Gradients::zeros_like(&store);
         let optimizer = Adam::new(config.learning_rate).with_weight_decay(config.weight_decay);
+        let buffers = StepBuffers::over(&store);
+        let dropout_draws_per_row = match config.dropout > 0.0 {
+            true => config.tower_widths().iter().rev().skip(1).sum(),
+            false => 0,
+        };
 
         Self {
             config,
@@ -214,20 +335,25 @@ impl STTransRec {
             target_sampler,
             source_resampler,
             target_resampler,
-            grads,
             optimizer,
             rng,
             steps_per_epoch,
             history: Vec::new(),
-            pool: MatrixPool::new(),
+            buffers,
+            schedule: Schedule::for_this_process(),
+            dropout_draws_per_row,
         }
     }
 
-    /// A fresh row-sparse gradient buffer over the model's parameters,
-    /// as [`STTransRec::train_step`] uses (the parallel trainer gives one
-    /// to each worker).
+    /// A fresh row-sparse gradient buffer over the model's parameters.
     pub fn new_grad_buffer(&self) -> Gradients {
         Gradients::zeros_like(&self.store)
+    }
+
+    /// Fresh buffers for [`STTransRec::accumulate_step`] over the model's
+    /// parameters (row-sparse gradients, empty pools).
+    pub fn new_step_buffers(&self) -> StepBuffers {
+        StepBuffers::over(&self.store)
     }
 
     /// The model with dense gradient buffers and the dense (non-lazy)
@@ -236,7 +362,9 @@ impl STTransRec {
     #[cfg(test)]
     fn new_dense_oracle(dataset: &Dataset, split: &CrossingCitySplit, config: ModelConfig) -> Self {
         let mut model = Self::new(dataset, split, config);
-        model.grads = Gradients::dense_like(&model.store);
+        for lane in &mut model.buffers.lanes {
+            lane.grads = Gradients::dense_like(&model.store);
+        }
         model.optimizer = Adam::new(model.config.learning_rate)
             .with_weight_decay(model.config.weight_decay)
             .with_lazy(false);
@@ -258,10 +386,10 @@ impl STTransRec {
         &self.store
     }
 
-    /// What the carried tape buffer pool has done and holds (see
-    /// [`PoolStats`]) — an observation, not a setting.
+    /// What the carried tape buffer pools have done and hold, both lanes
+    /// summed (see [`PoolStats`]) — an observation, not a setting.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.pool_stats()
+        self.buffers.pool_stats()
     }
 
     /// Number of optimizer steps per epoch.
@@ -284,15 +412,47 @@ impl STTransRec {
         self.store.get(self.user_emb.table()).row(user.idx())
     }
 
-    /// Computes gradients for one joint step into `grads`, returning the
-    /// loss values. Uses the supplied RNG (the parallel trainer gives each
-    /// worker its own stream). Does NOT apply the optimizer.
+    /// Computes the gradient of one joint step into `buffers` (read it
+    /// with [`StepBuffers::grads`]), returning the loss values. Does NOT
+    /// apply the optimizer, and does not clear `buffers` first.
     ///
-    /// The step's tape draws every matrix from `pool` and hands every
-    /// one back to it. Callers keep the pool across steps —
-    /// [`STTransRec::train_step`], the parallel trainer's workers — so
-    /// they take no pool miss after the first step, and the pool stops
-    /// growing there.
+    /// The prologue makes every random draw of the step from `rng`, on
+    /// the calling thread, in one fixed order; the source lane then runs
+    /// `L_I^s`, `L_Gvw^s` and `lambda * D`, the target lane `L_I^t` and
+    /// `L_Gvw^t`, each into its own gradient buffer, and the target
+    /// lane's is summed into the source lane's. `schedule` says where the
+    /// target lane runs and changes no bit of the result.
+    pub fn accumulate_step(
+        &self,
+        dataset: &Dataset,
+        rng: &mut SmallRng,
+        buffers: &mut StepBuffers,
+        schedule: Schedule,
+    ) -> StepLosses {
+        let [source_draws, target_draws] = self.draw_step(dataset, rng);
+        let [source, target] = &mut buffers.lanes;
+        let (s, t) = match schedule {
+            Schedule::Inline => (
+                self.run_lane(source_draws, &mut source.grads, &mut source.pool),
+                self.run_lane(target_draws, &mut target.grads, &mut source.pool),
+            ),
+            Schedule::Concurrent => std::thread::scope(|scope| {
+                let target_lane = scope
+                    .spawn(|| self.run_lane(target_draws, &mut target.grads, &mut target.pool));
+                let s = self.run_lane(source_draws, &mut source.grads, &mut source.pool);
+                (s, target_lane.join().expect("target lane panicked"))
+            }),
+        };
+        source.grads.merge_from(&mut target.grads);
+        step_losses(s, t)
+    }
+
+    /// [`STTransRec::accumulate_step`] under [`Schedule::Inline`] for a
+    /// caller that holds one gradient buffer and one pool: both lanes'
+    /// tapes draw from `pool`, the step's gradient is summed into
+    /// `grads`, and the target lane's gradient buffer is made per call —
+    /// an allocation a [`StepBuffers`] kept across steps does not make.
+    /// Same bits as `accumulate_step`.
     pub fn accumulate_step_with_pool(
         &self,
         dataset: &Dataset,
@@ -300,85 +460,112 @@ impl STTransRec {
         rng: &mut SmallRng,
         pool: &mut MatrixPool,
     ) -> StepLosses {
-        let cfg = &self.config;
-        let mut losses = StepLosses::default();
-        // One tape per loss term: forward, backward, buffers back to the
-        // pool. The pool then holds the widest *term*, not the sum of all
-        // five. Sampling and dropout draw from `rng` in the order a single
-        // shared tape would see (backward passes draw nothing), and the
-        // terms' gradients land in `grads` in the same order.
+        let [source_draws, target_draws] = self.draw_step(dataset, rng);
+        let mut target_grads = self.new_grad_buffer();
+        let s = self.run_lane(source_draws, grads, pool);
+        let t = self.run_lane(target_draws, &mut target_grads, pool);
+        grads.merge_from(&mut target_grads);
+        step_losses(s, t)
+    }
 
-        // L_I^s and L_I^t.
-        for (sampler, slot) in [
-            (&self.source_sampler, &mut losses.interaction_source),
-            (&self.target_sampler, &mut losses.interaction_target),
-        ] {
+    /// The prologue: every random draw of one step, from one stream, in
+    /// the order a step that ran its five terms one after another on
+    /// `rng` would make them — interaction batch and dropout masks,
+    /// source then target; context batches, source then target; MMD
+    /// batches. Which batches a model sees decides what it learns (a
+    /// stream per term trains a measurably different model), so the lanes
+    /// are handed their draws instead of streams of their own.
+    fn draw_step(&self, dataset: &Dataset, rng: &mut SmallRng) -> [LaneDraws; 2] {
+        let cfg = &self.config;
+        let mut lanes = [LaneDraws::default(), LaneDraws::default()];
+        for (sampler, lane) in [&self.source_sampler, &self.target_sampler]
+            .into_iter()
+            .zip(&mut lanes)
+        {
             if sampler.is_empty() {
                 continue;
             }
             let batch = sampler.sample_batch(dataset, cfg.batch_size, cfg.negatives, rng);
+            // The lane draws the term's masks from a copy of the stream;
+            // this one steps over them.
+            let masks = rng.clone();
+            self.skip_dropout_draws(batch.len(), rng);
+            lane.interaction = Some((batch, masks));
+        }
+        for (graph, lane) in [&self.source_graph, &self.target_graph]
+            .into_iter()
+            .zip(&mut lanes)
+        {
+            let Some(graph) = graph else { continue };
+            lane.context = Some(graph.sample_batch(cfg.context_batch, cfg.context_negatives, rng));
+        }
+        if let (Some(src), Some(tgt)) = (&self.source_resampler, &self.target_resampler) {
+            let rows = |pois: Vec<PoiId>| pois.into_iter().map(PoiId::idx).collect();
+            let src_rows = rows(src.sample_batch(cfg.mmd_batch, rng));
+            let tgt_rows = rows(tgt.sample_batch(cfg.mmd_batch, rng));
+            lanes[0].mmd = Some((src_rows, tgt_rows));
+        }
+        lanes
+    }
+
+    /// Advances `rng` by the draws [`STTransRec::interaction_loss`] makes
+    /// on a batch of `rows` pairs: [`Tape::dropout`] draws one `f32` per
+    /// element of every masked layer.
+    fn skip_dropout_draws(&self, rows: usize, rng: &mut SmallRng) {
+        for _ in 0..rows * self.dropout_draws_per_row {
+            rng.gen::<f32>();
+        }
+    }
+
+    /// Runs one lane's terms in order — interaction, context, MMD — one
+    /// tape per term: forward, backward into `grads`, buffers back to
+    /// `pool`.
+    fn run_lane(
+        &self,
+        draws: LaneDraws,
+        grads: &mut Gradients,
+        pool: &mut MatrixPool,
+    ) -> LaneLosses {
+        let cfg = &self.config;
+        let mut losses = LaneLosses::default();
+        if let Some((batch, mut masks)) = draws.interaction {
             let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-            let loss = self.interaction_loss(&mut tape, &batch, rng);
-            *slot = finish_term(tape, loss, 1.0, grads, pool);
+            let loss = self.interaction_loss(&mut tape, &batch, &mut masks);
+            losses.interaction = finish_term(tape, loss, 1.0, grads, pool);
         }
-
-        // L_Gvw^s and L_Gvw^t.
-        if cfg.use_text() {
-            for (graph, slot) in [
-                (&self.source_graph, &mut losses.context_source),
-                (&self.target_graph, &mut losses.context_target),
-            ] {
-                let Some(graph) = graph else { continue };
-                let batch = graph.sample_batch(cfg.context_batch, cfg.context_negatives, rng);
-                let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-                let loss = skipgram_loss(
-                    &mut tape,
-                    self.poi_emb.table(),
-                    self.word_emb.table(),
-                    graph,
-                    &batch,
-                );
-                *slot = finish_term(tape, loss, 1.0, grads, pool);
-            }
+        if let Some(batch) = draws.context {
+            let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
+            let loss = skipgram_loss(
+                &mut tape,
+                self.poi_emb.table(),
+                self.word_emb.table(),
+                &batch,
+            );
+            losses.context = finish_term(tape, loss, 1.0, grads, pool);
         }
-
         // lambda * D(P, Q) over resampled POI embedding batches.
-        if cfg.use_mmd() {
-            if let (Some(src), Some(tgt)) = (&self.source_resampler, &self.target_resampler) {
-                let src_pois: Vec<usize> = src
-                    .sample_batch(cfg.mmd_batch, rng)
-                    .into_iter()
-                    .map(PoiId::idx)
-                    .collect();
-                let tgt_pois: Vec<usize> = tgt
-                    .sample_batch(cfg.mmd_batch, rng)
-                    .into_iter()
-                    .map(PoiId::idx)
-                    .collect();
-                let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-                let se = tape.gather_param(self.poi_emb.table(), &src_pois);
-                let te = tape.gather_param(self.poi_emb.table(), &tgt_pois);
-                let loss = mmd_loss(&mut tape, se, te, cfg.mmd_sigma, cfg.mmd_estimator);
-                losses.mmd = finish_term(tape, loss, cfg.lambda, grads, pool);
-            }
+        if let Some((src_rows, tgt_rows)) = draws.mmd {
+            let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
+            let se = tape.gather_param(self.poi_emb.table(), &src_rows);
+            let te = tape.gather_param(self.poi_emb.table(), &tgt_rows);
+            let loss = mmd_loss(&mut tape, se, te, cfg.mmd_sigma, cfg.mmd_estimator);
+            losses.mmd = finish_term(tape, loss, cfg.lambda, grads, pool);
         }
         losses
     }
 
-    /// One optimizer step over the joint objective.
+    /// One optimizer step over the joint objective: the lanes on two
+    /// threads when the process may run on more than one CPU, on this one
+    /// otherwise — the same parameters either way.
     pub fn train_step(&mut self, dataset: &Dataset) -> StepLosses {
-        // Borrow juggling: the accumulate step needs &self while rng, the pool
-        // and the gradient buffer need &mut, so all are moved out for the
-        // call. The buffer is cleared (storage retained) and put back, so
-        // steady-state steps allocate nothing.
-        let mut grads = std::mem::take(&mut self.grads);
+        // The accumulate step needs &self while the buffers need &mut, so
+        // they are moved out for the call and put back cleared.
+        let mut buffers = std::mem::take(&mut self.buffers);
         let mut rng = SmallRng::seed_from_u64(self.rng.gen());
-        let mut pool = std::mem::take(&mut self.pool);
-        let losses = self.accumulate_step_with_pool(dataset, &mut grads, &mut rng, &mut pool);
-        self.pool = pool;
-        self.apply(&grads);
-        grads.clear();
-        self.grads = grads;
+        let losses = self.accumulate_step(dataset, &mut rng, &mut buffers, self.schedule);
+        self.apply(buffers.grads());
+        buffers.clear();
+        self.buffers = buffers;
         losses
     }
 
@@ -396,16 +583,17 @@ impl STTransRec {
     ///
     /// # Panics
     /// Panics on an empty batch.
-    pub fn train_on_interactions(&mut self, batch: &crate::interaction::InteractionBatch) -> f32 {
+    pub fn train_on_interactions(&mut self, batch: &InteractionBatch) -> f32 {
         assert!(!batch.is_empty(), "empty incremental batch");
-        let mut grads = std::mem::take(&mut self.grads);
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let Lane { grads, pool } = &mut buffers.lanes[0];
         let mut rng = SmallRng::seed_from_u64(self.rng.gen());
-        let mut tape = Tape::with_pool(&self.store, std::mem::take(&mut self.pool));
+        let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
         let loss = self.interaction_loss(&mut tape, batch, &mut rng);
-        let loss_value = finish_term(tape, loss, 1.0, &mut grads, &mut self.pool);
-        self.apply(&grads);
-        grads.clear();
-        self.grads = grads;
+        let loss_value = finish_term(tape, loss, 1.0, grads, pool);
+        self.apply(grads);
+        buffers.clear();
+        self.buffers = buffers;
         loss_value
     }
 
@@ -427,6 +615,17 @@ impl STTransRec {
             sum.context_target += l.context_target;
             sum.mmd += l.mmd;
         }
+        self.record_epoch(sum, steps, self.pool_stats())
+    }
+
+    /// Appends to the history the epoch of `steps` steps whose losses
+    /// summed to `sum`, numbered by its place there.
+    pub(crate) fn record_epoch(
+        &mut self,
+        sum: StepLosses,
+        steps: usize,
+        pool: PoolStats,
+    ) -> EpochStats {
         let n = steps as f32;
         let stats = EpochStats {
             epoch: self.history.len(),
@@ -438,7 +637,7 @@ impl STTransRec {
                 mmd: sum.mmd / n,
             },
             steps,
-            pool: self.pool_stats(),
+            pool,
         };
         self.history.push(stats.clone());
         stats
@@ -458,7 +657,7 @@ impl STTransRec {
     fn interaction_loss(
         &self,
         tape: &mut Tape<'_>,
-        batch: &crate::interaction::InteractionBatch,
+        batch: &InteractionBatch,
         rng: &mut SmallRng,
     ) -> st_tensor::Var {
         let users = tape.gather_param(self.user_emb.table(), &batch.users);
@@ -604,6 +803,17 @@ fn finish_term(
     value
 }
 
+/// A step's losses, assembled from its two lanes'.
+fn step_losses(source: LaneLosses, target: LaneLosses) -> StepLosses {
+    StepLosses {
+        interaction_source: source.interaction,
+        interaction_target: target.interaction,
+        context_source: source.context,
+        context_target: target.context,
+        mmd: source.mmd,
+    }
+}
+
 impl Scorer for STTransRec {
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
         let users = vec![user.idx(); pois.len()];
@@ -696,6 +906,35 @@ mod tests {
         );
         let l = m.train_step(&d);
         assert_eq!(l.mmd, 0.0);
+    }
+
+    /// The prologue steps the stream over an interaction term's masks by
+    /// count; the count must be the draws the term makes, whatever the
+    /// tower's depth.
+    #[test]
+    fn prologue_steps_over_exactly_the_draws_a_term_makes() {
+        let (d, split) = setup();
+        for config in [
+            ModelConfig::test_small(),
+            ModelConfig::foursquare(),
+            ModelConfig::foursquare().with_depth(1),
+            ModelConfig::yelp().with_depth(4),
+        ] {
+            let m = STTransRec::new(&d, &split, config);
+            let mut rng = SmallRng::seed_from_u64(9);
+            let batch = m.source_sampler.sample_batch(&d, 7, 2, &mut rng);
+            let mut masks = rng.clone();
+            m.skip_dropout_draws(batch.len(), &mut rng);
+            let mut tape = Tape::new(&m.store);
+            m.interaction_loss(&mut tape, &batch, &mut masks);
+            assert_eq!(
+                masks.gen::<u64>(),
+                rng.gen::<u64>(),
+                "dropout {} tower {:?}",
+                m.config.dropout,
+                m.config.tower_widths()
+            );
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! `log P(w|v)` in Eq. 4). POIs sharing context words are thereby pulled
 //! toward similar embeddings.
 
-use st_data::{ContextSample, PoiId, TextualContextGraph};
+use st_data::ContextBatch;
 use st_tensor::{ParamId, Tape, Var};
 
-/// Builds the skipgram loss for a batch of context samples.
+/// Builds the skipgram loss for a batch of `(poi, word)` pairs as
+/// [`st_data::TextualContextGraph::sample_batch`] lays them out.
 ///
-/// `poi_table` and `word_table` are embedding-table parameters;
-/// `graph` maps each sample's local `poi_index` back to a dense
-/// [`PoiId`]. Returns a `1 x 1` mean loss.
+/// `poi_table` and `word_table` are embedding-table parameters. The
+/// logits are computed from the two tables in place
+/// ([`Tape::gather_row_dot`]): the term copies no embedding row, forward
+/// or backward. Returns a `1 x 1` mean loss.
 ///
 /// # Panics
 /// Panics on an empty batch.
@@ -21,30 +23,11 @@ pub fn skipgram_loss(
     tape: &mut Tape<'_>,
     poi_table: ParamId,
     word_table: ParamId,
-    graph: &TextualContextGraph,
-    batch: &[ContextSample],
+    batch: &ContextBatch,
 ) -> Var {
     assert!(!batch.is_empty(), "empty skipgram batch");
-    // One row per (poi, word) pair: the positive then its negatives.
-    let pairs: usize = batch.iter().map(|s| 1 + s.negatives.len()).sum();
-    let mut poi_rows: Vec<usize> = Vec::with_capacity(pairs);
-    let mut word_rows: Vec<usize> = Vec::with_capacity(pairs);
-    let mut targets: Vec<f32> = Vec::with_capacity(pairs);
-    for s in batch {
-        let poi: PoiId = graph.pois()[s.poi_index];
-        poi_rows.push(poi.idx());
-        word_rows.push(s.positive.idx());
-        targets.push(1.0);
-        for w in &s.negatives {
-            poi_rows.push(poi.idx());
-            word_rows.push(w.idx());
-            targets.push(0.0);
-        }
-    }
-    let pois = tape.gather_param(poi_table, &poi_rows);
-    let words = tape.gather_param(word_table, &word_rows);
-    let logits = tape.row_dot(pois, words);
-    tape.bce_with_logits(logits, &targets)
+    let logits = tape.gather_row_dot(poi_table, &batch.poi_rows, word_table, &batch.word_rows);
+    tape.bce_with_logits(logits, &batch.targets)
 }
 
 #[cfg(test)]
@@ -83,7 +66,7 @@ mod tests {
         );
         let batch = g.sample_batch(64, 3, &mut rng);
         let mut tape = Tape::new(&store);
-        let loss = skipgram_loss(&mut tape, pt, wt, &g, &batch);
+        let loss = skipgram_loss(&mut tape, pt, wt, &batch);
         let v = tape.value(loss).item();
         assert!(v.is_finite() && v > 0.0);
         // Near-zero embeddings -> logits ~ 0 -> loss ~ ln 2.
@@ -119,7 +102,7 @@ mod tests {
         for _ in 0..150 {
             let batch = g.sample_batch(128, 4, &mut rng);
             let mut tape = Tape::new(&store);
-            let loss = skipgram_loss(&mut tape, pt, wt, &g, &batch);
+            let loss = skipgram_loss(&mut tape, pt, wt, &batch);
             last = tape.value(loss).item();
             first.get_or_insert(last);
             let mut grads = Gradients::zeros_like(&store);
@@ -167,12 +150,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty skipgram batch")]
     fn rejects_empty_batch() {
-        let (d, g) = setup();
+        let (d, _) = setup();
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let pt = store.register("poi", d.num_pois(), 4, Init::Zeros, &mut rng);
         let wt = store.register("word", d.vocab().len(), 4, Init::Zeros, &mut rng);
         let mut tape = Tape::new(&store);
-        skipgram_loss(&mut tape, pt, wt, &g, &[]);
+        skipgram_loss(&mut tape, pt, wt, &ContextBatch::default());
     }
 }

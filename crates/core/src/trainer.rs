@@ -6,30 +6,29 @@
 //! parameter snapshot. Gradients are averaged and applied once — exactly
 //! the synchronous multi-GPU semantics whose ~2x scaling Table 2 reports.
 //!
-//! The trainer is stateful: it keeps one [`MatrixPool`] and one
-//! [`Gradients`] buffer per worker across steps and epochs, so after the
-//! first step no worker's tape allocates a matrix, no worker pool grows,
-//! and gradient storage is not zero-filled again. Worker results are
-//! combined with [`Gradients::merge_from`], which **moves** slots instead
-//! of cloning — with row-sparse buffers the merge cost is O(touched
-//! rows), never O(table).
+//! The trainer is stateful: it keeps one [`StepBuffers`] per worker
+//! across steps and epochs, so after the first step no worker's tape
+//! allocates a matrix, no worker pool grows, and gradient storage is not
+//! zero-filled again. A worker is one thread: it runs both lanes of its
+//! step inline ([`Schedule::Inline`]), so Table 2's one-worker column is
+//! one thread and its `w`-worker column `w`. Worker results are combined
+//! with [`st_tensor::Gradients::merge_from`] — with row-sparse buffers
+//! the merge cost is O(touched rows), never O(table) — which leaves each
+//! worker's buffer cleared with its storage kept for the next step.
 
-use crate::model::{EpochStats, STTransRec, StepLosses};
+use crate::model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::Dataset;
-use st_tensor::{Gradients, MatrixPool, PoolStats};
+use st_tensor::PoolStats;
 use std::time::{Duration, Instant};
 
 /// Data-parallel trainer over `workers` threads.
 #[derive(Debug)]
 pub struct ParallelTrainer {
-    workers: usize,
-    /// One tape-buffer pool per worker, reused across steps.
-    pools: Vec<MatrixPool>,
-    /// One gradient buffer per worker, cleared (storage retained) after
-    /// each step.
-    grads: Vec<Gradients>,
+    /// One per worker: its gradient buffers and tape pools, reused
+    /// across steps.
+    buffers: Vec<StepBuffers>,
 }
 
 impl ParallelTrainer {
@@ -38,37 +37,19 @@ impl ParallelTrainer {
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         Self {
-            workers,
-            pools: (0..workers).map(|_| MatrixPool::new()).collect(),
-            grads: Vec::new(),
+            buffers: (0..workers).map(|_| StepBuffers::default()).collect(),
         }
     }
 
     /// Worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.buffers.len()
     }
 
-    /// What each worker's tape buffer pool has done and holds, in worker
+    /// What each worker's tape buffer pools have done and hold, in worker
     /// order.
     pub fn pool_stats(&self) -> Vec<PoolStats> {
-        self.pools.iter().map(MatrixPool::pool_stats).collect()
-    }
-
-    /// Primes the per-worker gradient buffers for `model` (row-sparse,
-    /// as the model's own). Buffers left over
-    /// from a previous step are kept; a buffer whose arity does not match
-    /// the model (different store, defaulted trainer) is replaced.
-    fn ensure_buffers(&mut self, model: &STTransRec) {
-        let arity = model.params().len();
-        while self.grads.len() < self.workers {
-            self.grads.push(model.new_grad_buffer());
-        }
-        for g in &mut self.grads {
-            if g.arity() != arity {
-                *g = model.new_grad_buffer();
-            }
-        }
+        self.buffers.iter().map(StepBuffers::pool_stats).collect()
     }
 
     /// One synchronous step: every worker computes a full joint-loss
@@ -80,56 +61,47 @@ impl ParallelTrainer {
         dataset: &Dataset,
         master_rng: &mut SmallRng,
     ) -> StepLosses {
-        self.ensure_buffers(model);
-        let seeds: Vec<u64> = (0..self.workers).map(|_| master_rng.gen()).collect();
-        let losses = {
-            let shared: &STTransRec = model;
-            if self.workers == 1 {
-                let mut rng = SmallRng::seed_from_u64(seeds[0]);
-                let losses = shared.accumulate_step_with_pool(
-                    dataset,
-                    &mut self.grads[0],
-                    &mut rng,
-                    &mut self.pools[0],
-                );
-                vec![losses]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = seeds
-                        .iter()
-                        .zip(self.pools.iter_mut())
-                        .zip(self.grads.iter_mut())
-                        .map(|((&seed, pool), grads)| {
-                            scope.spawn(move || {
-                                let mut rng = SmallRng::seed_from_u64(seed);
-                                shared.accumulate_step_with_pool(dataset, grads, &mut rng, pool)
-                            })
-                        })
-                        .collect();
+        // Buffers made for another model (or not made yet) are replaced.
+        for b in &mut self.buffers {
+            if b.grads().arity() != model.params().len() {
+                *b = model.new_step_buffers();
+            }
+        }
+        let seeds: Vec<u64> = self.buffers.iter().map(|_| master_rng.gen()).collect();
+        let shared: &STTransRec = model;
+        let step = |seed: u64, buffers: &mut StepBuffers| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            shared.accumulate_step(dataset, &mut rng, buffers, Schedule::Inline)
+        };
+        let (first, rest) = self.buffers.split_first_mut().expect("at least one worker");
+        let losses: Vec<StepLosses> = std::thread::scope(|scope| {
+            let handles: Vec<_> = seeds[1..]
+                .iter()
+                .zip(rest.iter_mut())
+                .map(|(&seed, buffers)| scope.spawn(move || step(seed, buffers)))
+                .collect();
+            // Worker 0 is the calling thread.
+            let mine = step(seeds[0], first);
+            std::iter::once(mine)
+                .chain(
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect::<Vec<_>>()
-                })
-            }
-        };
-        // Move worker 0's buffer out, fold the rest in slot-by-slot (no
-        // clones, sparse stays sparse), average, apply, and hand the
-        // cleared union buffer back to worker 0 so its row capacity grows
-        // toward the steady-state touch pattern.
-        let mut merged = std::mem::take(&mut self.grads[0]);
-        for g in &mut self.grads[1..] {
-            merged.merge_from(std::mem::take(g));
+                        .map(|h| h.join().expect("worker panicked")),
+                )
+                .collect()
+        });
+        // Fold the other workers' gradients into worker 0's (sparse stays
+        // sparse), average, apply. Worker 0's buffer holds the union of
+        // touched rows, so its row capacity grows toward the steady-state
+        // touch pattern.
+        for b in rest {
+            first.grads_mut().merge_from(b.grads_mut());
         }
-        if self.workers > 1 {
-            merged.scale(1.0 / self.workers as f32);
+        if losses.len() > 1 {
+            first.grads_mut().scale(1.0 / losses.len() as f32);
         }
-        model.apply(&merged);
-        merged.clear();
-        self.grads[0] = merged;
-        // Workers 1.. lost their buffers to the merge; re-prime them so
-        // the next step's threads start with matching arity.
-        self.ensure_buffers(model);
+        model.apply(first.grads());
+        first.clear();
         average_losses(&losses)
     }
 
@@ -137,7 +109,7 @@ impl ParallelTrainer {
     /// per-epoch step count shrinks by `w` — same data budget, less wall
     /// clock, which is what Table 2 measures.
     pub fn train_epoch(&mut self, model: &mut STTransRec, dataset: &Dataset) -> TimedEpoch {
-        let steps = (model.steps_per_epoch() / self.workers).max(1);
+        let steps = (model.steps_per_epoch() / self.workers()).max(1);
         let mut master_rng = SmallRng::seed_from_u64(model.config().seed ^ 0x9E3779B97F4A7C15);
         let start = Instant::now();
         let mut sum = StepLosses::default();
@@ -150,19 +122,8 @@ impl ParallelTrainer {
             sum.mmd += l.mmd;
         }
         let wall = start.elapsed();
-        let n = steps as f32;
-        let stats = EpochStats {
-            epoch: model.history().len(),
-            losses: StepLosses {
-                interaction_source: sum.interaction_source / n,
-                interaction_target: sum.interaction_target / n,
-                context_source: sum.context_source / n,
-                context_target: sum.context_target / n,
-                mmd: sum.mmd / n,
-            },
-            steps,
-            pool: self.pool_stats().into_iter().sum(),
-        };
+        let pool = self.pool_stats().into_iter().sum();
+        let stats = model.record_epoch(sum, steps, pool);
         TimedEpoch { stats, wall }
     }
 }
@@ -203,6 +164,14 @@ mod tests {
         (d, split)
     }
 
+    fn grad_elems(trainer: &ParallelTrainer) -> usize {
+        let per_worker = trainer
+            .buffers
+            .iter()
+            .map(StepBuffers::allocated_grad_elems);
+        per_worker.sum()
+    }
+
     #[test]
     fn parallel_step_trains_and_stays_finite() {
         let (d, split) = setup();
@@ -221,6 +190,19 @@ mod tests {
         let e1 = ParallelTrainer::new(1).train_epoch(&mut m, &d);
         let e2 = ParallelTrainer::new(2).train_epoch(&mut m, &d);
         assert_eq!(e2.stats.steps, (e1.stats.steps / 2).max(1));
+    }
+
+    #[test]
+    fn epochs_are_numbered_and_recorded_in_the_history() {
+        let (d, split) = setup();
+        let mut m = STTransRec::new(&d, &split, ModelConfig::test_small());
+        let mut trainer = ParallelTrainer::new(2);
+        let e0 = trainer.train_epoch(&mut m, &d).stats;
+        let e1 = trainer.train_epoch(&mut m, &d).stats;
+        // The model's own epochs and the trainer's share one numbering.
+        let e2 = m.train_epoch(&d);
+        assert_eq!([e0.epoch, e1.epoch, e2.epoch], [0, 1, 2]);
+        assert_eq!(m.history(), [e0, e1, e2]);
     }
 
     #[test]
@@ -249,11 +231,11 @@ mod tests {
         for _ in 0..3 {
             trainer.train_step(&mut m, &d, &mut rng);
         }
-        let warmed: usize = trainer.grads.iter().map(Gradients::allocated_elems).sum();
+        let warmed = grad_elems(&trainer);
         for _ in 0..3 {
             trainer.train_step(&mut m, &d, &mut rng);
         }
-        let after: usize = trainer.grads.iter().map(Gradients::allocated_elems).sum();
+        let after = grad_elems(&trainer);
         assert!(warmed > 0, "buffers never materialized");
         // Batches vary, so allow the union to keep growing a little, but
         // it must stay the same order of magnitude (no per-step refill).

@@ -78,45 +78,62 @@ impl TextualContextGraph {
         &self.words_per_poi[i]
     }
 
-    /// Samples a batch of training tuples: for each tuple, a POI (by its
-    /// local index), one positive word, and `negatives` negative words not
-    /// in the POI's description.
+    /// Samples `batch` training tuples — a POI, one positive word, and
+    /// `negatives` negative words not in the POI's description — laid
+    /// out as the rows the skipgram loss gathers: per tuple, the positive
+    /// pair then its negative pairs.
     ///
     /// Positive edges are drawn uniformly so every edge contributes
     /// equally to `L_Gvw`, as in Eq. 4's sum over `E_vw`.
-    pub fn sample_batch(
-        &self,
-        batch: usize,
-        negatives: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<ContextSample> {
-        (0..batch)
-            .map(|_| {
-                let &(pi, word) = &self.edges[rng.gen_range(0..self.edges.len())];
-                let exclude = &self.words_per_poi[pi as usize];
-                let negs = (0..negatives)
-                    .map(|_| self.negative_table.sample_excluding(exclude, rng))
-                    .collect();
-                ContextSample {
-                    poi_index: pi as usize,
-                    positive: word,
-                    negatives: negs,
-                }
-            })
-            .collect()
+    pub fn sample_batch(&self, batch: usize, negatives: usize, rng: &mut impl Rng) -> ContextBatch {
+        let pairs = batch * (1 + negatives);
+        let mut out = ContextBatch {
+            poi_rows: Vec::with_capacity(pairs),
+            word_rows: Vec::with_capacity(pairs),
+            targets: Vec::with_capacity(pairs),
+        };
+        for _ in 0..batch {
+            let &(pi, word) = &self.edges[rng.gen_range(0..self.edges.len())];
+            let poi = self.pois[pi as usize].idx();
+            out.push(poi, word, 1.0);
+            let exclude = &self.words_per_poi[pi as usize];
+            for _ in 0..negatives {
+                out.push(poi, self.negative_table.sample_excluding(exclude, rng), 0.0);
+            }
+        }
+        out
     }
 }
 
-/// One skipgram training tuple produced by
-/// [`TextualContextGraph::sample_batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContextSample {
-    /// Index into [`TextualContextGraph::pois`] (NOT a dense dataset id).
-    pub poi_index: usize,
-    /// A word actually describing the POI.
-    pub positive: WordId,
-    /// Sampled words not describing the POI.
-    pub negatives: Vec<WordId>,
+/// A skipgram mini-batch produced by [`TextualContextGraph::sample_batch`],
+/// flattened for embedding lookups: row `i` pairs POI-table row
+/// `poi_rows[i]` with word-table row `word_rows[i]` under `targets[i]`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ContextBatch {
+    /// POI table row per pair (a dense dataset id, not a graph-local one).
+    pub poi_rows: Vec<usize>,
+    /// Word table row per pair.
+    pub word_rows: Vec<usize>,
+    /// 1.0 for a word describing the POI, 0.0 for a sampled negative.
+    pub targets: Vec<f32>,
+}
+
+impl ContextBatch {
+    /// Number of labelled pairs.
+    pub fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// True when the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    fn push(&mut self, poi_row: usize, word: WordId, target: f32) {
+        self.poi_rows.push(poi_row);
+        self.word_rows.push(word.idx());
+        self.targets.push(target);
+    }
 }
 
 #[cfg(test)]
@@ -141,15 +158,18 @@ mod tests {
         let d = tiny_dataset();
         let g = TextualContextGraph::build(&d, &[PoiId(0), PoiId(1), PoiId(2), PoiId(3)], 0.75);
         let mut rng = SmallRng::seed_from_u64(5);
-        for s in g.sample_batch(200, 3, &mut rng) {
-            let words = g.poi_words(s.poi_index);
-            assert!(
-                words.contains(&s.positive),
-                "positive must describe the POI"
-            );
-            assert_eq!(s.negatives.len(), 3);
-            for n in &s.negatives {
-                assert!(!words.contains(n), "negative must not describe the POI");
+        let b = g.sample_batch(200, 3, &mut rng);
+        assert_eq!(b.len(), 200 * 4);
+        assert_eq!(b.poi_rows.len(), b.len());
+        assert_eq!(b.word_rows.len(), b.len());
+        for (i, tuple) in b.targets.chunks(4).enumerate() {
+            assert_eq!(tuple, [1.0, 0.0, 0.0, 0.0], "positive, then its negatives");
+            let poi = b.poi_rows[4 * i];
+            let words = &d.poi(PoiId(poi as u32)).words;
+            for j in 0..4 {
+                assert_eq!(b.poi_rows[4 * i + j], poi, "a tuple is about one POI");
+                let describes = words.iter().any(|w| w.idx() == b.word_rows[4 * i + j]);
+                assert_eq!(describes, j == 0, "pair {j} of tuple {i}");
             }
         }
     }
@@ -159,10 +179,12 @@ mod tests {
         let d = tiny_dataset();
         let g = TextualContextGraph::build(&d, &[PoiId(0), PoiId(2)], 0.0);
         let mut rng = SmallRng::seed_from_u64(6);
-        let mut seen = std::collections::HashSet::new();
-        for s in g.sample_batch(300, 1, &mut rng) {
-            seen.insert((s.poi_index, s.positive));
-        }
+        let b = g.sample_batch(300, 1, &mut rng);
+        let seen: std::collections::HashSet<_> = (b.poi_rows.iter().zip(&b.word_rows))
+            .zip(&b.targets)
+            .filter(|(_, &t)| t == 1.0)
+            .map(|(pair, _)| pair)
+            .collect();
         assert_eq!(
             seen.len(),
             g.num_edges(),

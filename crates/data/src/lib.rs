@@ -29,7 +29,7 @@ mod stats;
 pub mod synth;
 mod vocab;
 
-pub use context_graph::{ContextSample, TextualContextGraph};
+pub use context_graph::{ContextBatch, TextualContextGraph};
 pub use dataset::Dataset;
 pub use io::{read_dataset, write_dataset, IoError};
 pub use model::{Checkin, City, CityId, Poi, PoiId, UserId, WordId};

@@ -197,6 +197,19 @@ mod tests {
     }
 
     #[test]
+    fn gather_row_dot_gradient() {
+        let (mut store, mut rng) = seeded_store();
+        let pois = store.register("pois", 6, 3, Init::Gaussian { std: 0.5 }, &mut rng);
+        let words = store.register("words", 4, 3, Init::Gaussian { std: 0.5 }, &mut rng);
+        let (poi_rows, word_rows) = (vec![0usize, 4, 4, 2, 0], vec![3usize, 3, 1, 0, 3]);
+        let targets = [1.0, 0.0, 0.0, 1.0, 0.0];
+        assert_gradients_close(&mut store, EPS, TOL, move |tape| {
+            let logits = tape.gather_row_dot(pois, &poi_rows, words, &word_rows);
+            tape.bce_with_logits(logits, &targets)
+        });
+    }
+
+    #[test]
     fn gather_rows_gradient() {
         let (mut store, mut rng) = seeded_store();
         let p = store.register("p", 5, 3, Init::Gaussian { std: 0.5 }, &mut rng);

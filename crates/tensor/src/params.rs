@@ -459,6 +459,31 @@ impl Gradients {
         row: usize,
         delta_row: &[f32],
     ) {
+        for (g, &d) in self.row_mut(id, rows, cols, row).iter_mut().zip(delta_row) {
+            *g += d;
+        }
+    }
+
+    /// Accumulates `c * src_row` into row `row` of the slot: each element
+    /// is multiplied, then added — the bits [`Gradients::accumulate_row`]
+    /// leaves when handed the product row, without the product row.
+    pub fn accumulate_row_scaled(
+        &mut self,
+        id: ParamId,
+        rows: usize,
+        cols: usize,
+        row: usize,
+        src_row: &[f32],
+        c: f32,
+    ) {
+        for (g, &x) in self.row_mut(id, rows, cols, row).iter_mut().zip(src_row) {
+            *g += x * c;
+        }
+    }
+
+    /// Row `row` of the slot for `id`, the slot created on first touch
+    /// and the row zeroed on its first.
+    fn row_mut(&mut self, id: ParamId, rows: usize, cols: usize, row: usize) -> &mut [f32] {
         if self.grads[id.0].is_none() {
             let fresh = match self.cached_slot(id.0, self.force_dense) {
                 Some(slot) => slot,
@@ -470,13 +495,11 @@ impl Gradients {
         match self.grads[id.0].as_mut().expect("slot just ensured") {
             GradSlot::Dense(m) => {
                 debug_assert_eq!(m.shape(), (rows, cols));
-                for (g, &d) in m.row_mut(row).iter_mut().zip(delta_row) {
-                    *g += d;
-                }
+                m.row_mut(row)
             }
             GradSlot::Sparse(s) => {
                 debug_assert_eq!(s.shape(), (rows, cols));
-                s.add_row(row, delta_row);
+                s.row_mut_or_insert(row)
             }
         }
     }
@@ -490,50 +513,36 @@ impl Gradients {
         }
     }
 
-    /// Merges another gradient buffer into this one (summing), cloning
-    /// the other buffer's storage on first touch. Prefer
-    /// [`Gradients::merge_from`] when the other buffer can be consumed.
-    pub fn merge(&mut self, other: &Gradients) {
-        assert_eq!(
-            self.grads.len(),
-            other.grads.len(),
-            "gradient arity mismatch"
-        );
-        for (i, g) in other.grads.iter().enumerate() {
-            let Some(g) = g else { continue };
-            match (&mut self.grads[i], g) {
-                (Some(GradSlot::Sparse(a)), GradSlot::Sparse(b)) => a.merge(b),
-                (slot @ None, g) => *slot = Some(g.clone()),
-                // Mixed or dense pairs go through the dense accumulate.
-                (Some(_), g) => self.accumulate(ParamId(i), &g.to_dense()),
-            }
-        }
-    }
-
-    /// Merges `other` into this buffer by **moving** its slots: slots this
-    /// buffer lacks are taken wholesale (no clone, no zero-fill), matching
-    /// slots are summed in place. This is the data-parallel worker merge —
-    /// in steady state every worker touches the same parameters, so the
-    /// move only happens on the first step.
-    pub fn merge_from(&mut self, mut other: Gradients) {
+    /// Sums `other` into this buffer and leaves `other` cleared, its
+    /// storage cached for its next step (as [`Gradients::clear`] would):
+    /// matching slots are summed in place, rows in `other`'s touch order.
+    /// A slot this buffer lacks is moved over whole (no clone, no
+    /// zero-fill) — the one case where `other` gives its storage up. In
+    /// steady state the two lanes of a step, and the workers of a
+    /// data-parallel step, touch the same parameters, so that happens on
+    /// a first step at most.
+    pub fn merge_from(&mut self, other: &mut Gradients) {
         assert_eq!(
             self.grads.len(),
             other.grads.len(),
             "gradient arity mismatch"
         );
         for i in 0..other.grads.len() {
-            let Some(theirs) = other.grads[i].take() else {
+            let Some(mut theirs) = other.grads[i].take() else {
                 continue;
             };
-            match (&mut self.grads[i], theirs) {
-                (slot @ None, theirs) => *slot = Some(theirs),
-                (Some(GradSlot::Sparse(a)), GradSlot::Sparse(b)) => a.merge(&b),
-                (Some(GradSlot::Dense(a)), GradSlot::Dense(b)) => a.axpy(1.0, &b),
-                (Some(GradSlot::Dense(a)), GradSlot::Sparse(b)) => b.add_to_dense(a),
-                (Some(GradSlot::Sparse(_)), GradSlot::Dense(b)) => {
-                    self.accumulate(ParamId(i), &b);
-                }
+            let Some(ours) = &mut self.grads[i] else {
+                self.grads[i] = Some(theirs);
+                continue;
+            };
+            match (ours, &theirs) {
+                (GradSlot::Sparse(a), GradSlot::Sparse(b)) => a.merge(b),
+                (GradSlot::Dense(a), GradSlot::Dense(b)) => a.axpy(1.0, b),
+                (GradSlot::Dense(a), GradSlot::Sparse(b)) => b.add_to_dense(a),
+                (GradSlot::Sparse(_), GradSlot::Dense(b)) => self.accumulate(ParamId(i), b),
             }
+            theirs.clear();
+            other.cache[i] = Some(theirs);
         }
     }
 
@@ -637,7 +646,7 @@ mod tests {
 
         let mut g2 = Gradients::zeros_like(&s);
         g2.accumulate(b, &Matrix::full(1, 3, 5.0));
-        g1.merge(&g2);
+        g1.merge_from(&mut g2);
         assert!(g1.get(b).unwrap().approx_eq(&Matrix::full(1, 3, 5.0), 0.0));
     }
 
@@ -702,11 +711,40 @@ mod tests {
         let mut g2 = Gradients::zeros_like(&s);
         g2.accumulate_row(a, 2, 2, 1, &[2.0, 2.0]);
         g2.accumulate(b, &Matrix::full(1, 3, 4.0));
-        g1.merge_from(g2);
+        g1.merge_from(&mut g2);
         let m = g1.to_dense(a).unwrap();
         assert_eq!(m.row(0), &[1.0, 1.0]);
         assert_eq!(m.row(1), &[2.0, 2.0]);
         assert!(g1.get(b).unwrap().approx_eq(&Matrix::full(1, 3, 4.0), 0.0));
+        // The merged-from buffer is empty and keeps the storage of the
+        // slot that was summed (the moved one is gone): refilling it
+        // starts from zero.
+        assert!(g2.slot(a).is_none() && g2.slot(b).is_none());
+        assert!(g2.allocated_elems() >= 2);
+        g2.accumulate_row(a, 2, 2, 1, &[5.0, 0.0]);
+        assert_eq!(g2.to_dense(a).unwrap().row(1), &[5.0, 0.0]);
+    }
+
+    #[test]
+    fn accumulate_row_scaled_matches_the_product_row_bitwise() {
+        let (s, a, _) = store();
+        let (src, c) = ([0.3f32, -1.7], 0.37f32);
+        for dense in [false, true] {
+            let fresh = || match dense {
+                true => Gradients::dense_like(&s),
+                false => Gradients::zeros_like(&s),
+            };
+            let (mut fused, mut composed) = (fresh(), fresh());
+            for _ in 0..3 {
+                fused.accumulate_row_scaled(a, 2, 2, 1, &src, c);
+                composed.accumulate_row(a, 2, 2, 1, &[src[0] * c, src[1] * c]);
+            }
+            let bits = |g: &Gradients| -> Vec<u32> {
+                let m = g.to_dense(a).unwrap();
+                m.row(1).iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&fused), bits(&composed));
+        }
     }
 
     #[test]

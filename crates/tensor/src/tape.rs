@@ -53,6 +53,14 @@ enum Op {
         pid: ParamId,
         indices: Vec<usize>,
     },
+    /// Rowwise dot products of selected rows of two parameters: the
+    /// gathers and the product in one node, nothing copied.
+    GatherRowDot {
+        a: ParamId,
+        a_rows: Vec<usize>,
+        b: ParamId,
+        b_rows: Vec<usize>,
+    },
     /// Read of selected rows of another node.
     GatherRows {
         a: Var,
@@ -341,6 +349,47 @@ impl<'s> Tape<'s> {
         )
     }
 
+    /// Records `out[r] = a[a_rows[r]] . b[b_rows[r]]` (`n x 1`) over two
+    /// embedding tables — what [`Tape::gather_param`] twice and
+    /// [`Tape::row_dot`] compute, to the bit in value and in both
+    /// gradients, without the two `n x cols` gathered copies or the two
+    /// of the backward pass: the dot products read the tables in place,
+    /// and the backward pass adds `g[r] * row` straight into the
+    /// row-sparse gradient, in the same `r` order, `b` first.
+    ///
+    /// # Panics
+    /// Panics if the index lists or the tables' widths differ, or an
+    /// index is out of bounds.
+    pub fn gather_row_dot(
+        &mut self,
+        a: ParamId,
+        a_rows: &[usize],
+        b: ParamId,
+        b_rows: &[usize],
+    ) -> Var {
+        let (at, bt) = (self.store.get(a), self.store.get(b));
+        assert_eq!(a_rows.len(), b_rows.len(), "gather_row_dot length mismatch");
+        assert_eq!(at.cols(), bt.cols(), "gather_row_dot width mismatch");
+        let value = self.alloc_with(a_rows.len(), 1, |buf| {
+            buf.extend(a_rows.iter().zip(b_rows).map(|(&ar, &br)| {
+                at.row(ar)
+                    .iter()
+                    .zip(bt.row(br))
+                    .map(|(&x, &y)| x * y)
+                    .sum::<f32>()
+            }))
+        });
+        self.push(
+            value,
+            Op::GatherRowDot {
+                a,
+                a_rows: a_rows.to_vec(),
+                b,
+                b_rows: b_rows.to_vec(),
+            },
+        )
+    }
+
     // ---- linear algebra --------------------------------------------------
 
     /// Matrix product (forward math shared with the inference executor
@@ -516,8 +565,10 @@ impl<'s> Tape<'s> {
     /// Inverted dropout with keep-probability `1 - p`.
     ///
     /// At `p == 0.0` this is the identity (no node is recorded). Kept units
-    /// are scaled by `1/(1-p)` so inference needs no rescaling. One draw
-    /// per element, in row-major order.
+    /// are scaled by `1/(1-p)` so inference needs no rescaling. Exactly
+    /// one `rng.gen::<f32>()` per element, in row-major order — callers
+    /// that must leave a stream where a masked forward pass would
+    /// (ST-TransRec's step prologue) count on it.
     pub fn dropout(&mut self, a: Var, p: f32, rng: &mut impl Rng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
         if p == 0.0 {
@@ -678,6 +729,23 @@ impl<'s> Tape<'s> {
                 let (rows, cols) = self.store.get(*pid).shape();
                 for (out_row, &src_row) in indices.iter().enumerate() {
                     grads.accumulate_row(*pid, rows, cols, src_row, g.row(out_row));
+                }
+            }
+            Op::GatherRowDot {
+                a,
+                a_rows,
+                b,
+                b_rows,
+            } => {
+                // The composition's backward pass reaches `b`'s gather
+                // node before `a`'s; each gets `g[r] * (other row)`.
+                let (at, bt) = (self.store.get(*a), self.store.get(*b));
+                let g = g.as_slice();
+                for ((&br, &ar), &gr) in b_rows.iter().zip(a_rows).zip(g) {
+                    grads.accumulate_row_scaled(*b, bt.rows(), bt.cols(), br, at.row(ar), gr);
+                }
+                for ((&ar, &br), &gr) in a_rows.iter().zip(b_rows).zip(g) {
+                    grads.accumulate_row_scaled(*a, at.rows(), at.cols(), ar, bt.row(br), gr);
                 }
             }
             Op::GatherRows { a, indices } => {
@@ -912,6 +980,59 @@ mod tests {
         assert_eq!(g.row(1), &[1.0, 1.0]);
         assert_eq!(g.row(3), &[2.0, 2.0], "row 3 gathered twice");
         assert_eq!(g.row(4), &[0.0, 0.0]);
+    }
+
+    /// The in-place text-term op against the three ops it replaces:
+    /// value and both tables' gradients equal by `to_bits`, with rows
+    /// repeated within and across the two index lists, for sparse and
+    /// dense buffers, and with one table on both sides.
+    #[test]
+    fn gather_row_dot_matches_gather_gather_row_dot_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut store = ParamStore::new();
+        let pois = store.register("pois", 7, 5, Init::Gaussian { std: 0.7 }, &mut rng);
+        let words = store.register("words", 4, 5, Init::Gaussian { std: 0.7 }, &mut rng);
+        let a_rows = [6usize, 2, 2, 0, 6, 6, 3, 2];
+        let b_rows = [1usize, 3, 1, 1, 0, 3, 3, 1];
+        let targets = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0];
+
+        for (a, b) in [(pois, words), (words, words)] {
+            let a_rows = a_rows.map(|r| r % store.get(a).rows());
+            for dense in [false, true] {
+                let run = |fused: bool| -> (Vec<u32>, Vec<Vec<u32>>) {
+                    let mut tape = Tape::new(&store);
+                    let logits = if fused {
+                        tape.gather_row_dot(a, &a_rows, b, &b_rows)
+                    } else {
+                        let av = tape.gather_param(a, &a_rows);
+                        let bv = tape.gather_param(b, &b_rows);
+                        tape.row_dot(av, bv)
+                    };
+                    let loss = tape.bce_with_logits(logits, &targets);
+                    let mut grads = match dense {
+                        true => Gradients::dense_like(&store),
+                        false => Gradients::zeros_like(&store),
+                    };
+                    tape.backward_scaled(loss, 0.7, &mut grads);
+                    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect();
+                    let mut out = vec![bits(tape.value(loss))];
+                    for id in [a, b] {
+                        out.push(bits(&grads.to_dense(id).unwrap()));
+                    }
+                    (bits(tape.value(logits)), out)
+                };
+                assert_eq!(run(true), run(false), "same table {}", a == b);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_row_dot length mismatch")]
+    fn gather_row_dot_rejects_unequal_index_lists() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut store = ParamStore::new();
+        let t = store.register("t", 3, 2, Init::Zeros, &mut rng);
+        Tape::new(&store).gather_row_dot(t, &[0, 1], t, &[0]);
     }
 
     #[test]

@@ -326,7 +326,7 @@ fn bit_equal(a: &Matrix, b: &Matrix) -> bool {
 }
 
 proptest! {
-    /// merge / scale / global_norm / clip_global_norm agree bit for bit
+    /// merge_from / scale / global_norm / clip_global_norm agree bit for bit
     /// between the sparse path and the dense oracle over arbitrary
     /// row-touch patterns.
     #[test]
@@ -337,15 +337,21 @@ proptest! {
     ) {
         let (store, table, w) = table_store();
         let (mut sp1, mut de1) = fill_pair(&store, table, &s1);
-        let (sp2, de2) = fill_pair(&store, table, &s2);
+        let (mut sp2, mut de2) = fill_pair(&store, table, &s2);
         // A dense-slot param rides along to cover mixed buffers.
         let full = Matrix::from_vec(2, 4, (0..8).map(|i| i as f32 * 0.5 - 2.0).collect());
         sp1.accumulate(w, &full);
         de1.accumulate(w, &full);
 
-        sp1.merge(&sp2);
-        de1.merge(&de2);
+        sp1.merge_from(&mut sp2);
+        de1.merge_from(&mut de2);
         prop_assert_eq!(sp1.global_norm().to_bits(), de1.global_norm().to_bits());
+        prop_assert!(bit_equal(
+            &sp1.to_dense(table).unwrap(),
+            &de1.to_dense(table).unwrap()
+        ));
+        // The merged-from buffers are empty, ready for their next step.
+        prop_assert!(sp2.slot(table).is_none() && de2.slot(table).is_none());
 
         sp1.scale(0.5);
         de1.scale(0.5);
@@ -360,28 +366,6 @@ proptest! {
         prop_assert!(bit_equal(
             &sp1.to_dense(w).unwrap(),
             &de1.to_dense(w).unwrap()
-        ));
-    }
-
-    /// The by-value, slot-moving `merge_from` produces exactly what the
-    /// cloning `merge` produces.
-    #[test]
-    fn merge_from_matches_merge(
-        s1 in touch_script(T_ROWS, T_COLS, 14),
-        s2 in touch_script(T_ROWS, T_COLS, 14),
-    ) {
-        let (store, table, _) = table_store();
-        let (mut a_ref, _) = fill_pair(&store, table, &s1);
-        let (b_ref, _) = fill_pair(&store, table, &s2);
-        a_ref.merge(&b_ref);
-
-        let (mut a_mv, _) = fill_pair(&store, table, &s1);
-        let (b_mv, _) = fill_pair(&store, table, &s2);
-        a_mv.merge_from(b_mv);
-
-        prop_assert!(bit_equal(
-            &a_mv.to_dense(table).unwrap(),
-            &a_ref.to_dense(table).unwrap()
         ));
     }
 

@@ -1,12 +1,14 @@
 //! A handful of layer timings to read beside the benchmark: the three
-//! product shapes, one IVF assignment pass, and the two MMD estimators.
+//! product shapes, one IVF assignment pass, the two MMD estimators, and
+//! a training step by variant and schedule.
 //!
 //! ```text
 //! cargo run --release --example perf_probe
 //! ```
 
 use rand::{rngs::SmallRng, SeedableRng};
-use st_transrec::core::{mmd_loss, MmdEstimator};
+use st_transrec::core::{mmd_loss, MmdEstimator, ModelConfig, STTransRec, Schedule, Variant};
+use st_transrec::data::{synth, CityId, CrossingCitySplit};
 use st_transrec::tensor::{ops, Gradients, Init, Matrix, MatrixPool, ParamStore, Tape};
 use std::time::Instant;
 
@@ -102,6 +104,34 @@ fn main() {
             "mmd fwd+bwd n={n:<3} quadratic {:.1} us, linear {:.1} us",
             quadratic * 1e6,
             linear * 1e6
+        );
+    }
+
+    // One training step (accumulate + apply) on `train_paper`'s data, by
+    // variant, with the lanes inline and on two threads. Inline, Full
+    // minus NoText is the two text terms and Full minus NoMmd the MMD
+    // term; concurrent, a step costs its longer lane plus the prologue,
+    // the merge and the apply. With one CPU the two columns read alike.
+    let synth_cfg = synth::SynthConfig::foursquare_like().with_scale(0.15);
+    let (dataset, _) = synth::generate(&synth_cfg);
+    let split = CrossingCitySplit::build(&dataset, CityId(synth_cfg.target_city as u16));
+    for variant in [Variant::Full, Variant::NoText, Variant::NoMmd] {
+        let [inline, concurrent] = [Schedule::Inline, Schedule::Concurrent].map(|schedule| {
+            let config = ModelConfig::foursquare().with_variant(variant);
+            let mut model = STTransRec::new(&dataset, &split, config);
+            let mut buffers = model.new_step_buffers();
+            let mut rng = SmallRng::seed_from_u64(1);
+            let mut step = || {
+                model.accumulate_step(&dataset, &mut rng, &mut buffers, schedule);
+                model.apply(buffers.grads());
+                buffers.clear();
+            };
+            (0..10).for_each(|_| step());
+            best_of(60, step) * 1e3
+        });
+        println!(
+            "train_step {:<7} inline {inline:.2} ms, concurrent {concurrent:.2} ms",
+            format!("{variant:?}")
         );
     }
 }
