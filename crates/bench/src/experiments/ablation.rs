@@ -79,6 +79,7 @@ mod tests {
     use crate::runner::{load_at, DatasetKind};
 
     #[test]
+    #[ignore = "soak: trains four models, ~11 s in debug; run with --ignored"]
     fn all_four_variants_run() {
         let mut loaded = load_at(DatasetKind::Yelp, 0.012);
         loaded.model_config = st_transrec_core::ModelConfig::test_small();

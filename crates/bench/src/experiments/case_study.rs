@@ -105,6 +105,7 @@ mod tests {
     use crate::runner::{load_at, DatasetKind};
 
     #[test]
+    #[ignore = "soak: trains two models, ~6 s in debug; run with --ignored"]
     fn case_study_assembles_both_columns() {
         let mut loaded = load_at(DatasetKind::Yelp, 0.012);
         loaded.model_config = st_transrec_core::ModelConfig::test_small();

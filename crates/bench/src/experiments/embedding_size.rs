@@ -44,6 +44,7 @@ mod tests {
     use crate::runner::{load_at, DatasetKind};
 
     #[test]
+    #[ignore = "soak: trains one model per grid point, ~5 s in debug; run with --ignored"]
     fn sweep_runs_on_micro_grid() {
         let mut loaded = load_at(DatasetKind::Yelp, 0.012);
         loaded.model_config = st_transrec_core::ModelConfig::test_small();

@@ -83,6 +83,7 @@ mod tests {
     use crate::runner::{load_at, DatasetKind};
 
     #[test]
+    #[ignore = "soak: trains with one and two workers, ~5 s in debug; run with --ignored"]
     fn timing_harness_produces_positive_times() {
         let mut loaded = load_at(DatasetKind::Yelp, 0.012);
         loaded.model_config = st_transrec_core::ModelConfig::test_small();

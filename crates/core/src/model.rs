@@ -487,7 +487,7 @@ impl STTransRec {
             }
             let batch = sampler.sample_batch(dataset, cfg.batch_size, cfg.negatives, rng);
             // The lane draws the term's masks from a copy of the stream;
-            // this one steps over them.
+            // this one jumps over them.
             let masks = rng.clone();
             self.skip_dropout_draws(batch.len(), rng);
             lane.interaction = Some((batch, masks));
@@ -509,12 +509,10 @@ impl STTransRec {
     }
 
     /// Advances `rng` by the draws [`STTransRec::interaction_loss`] makes
-    /// on a batch of `rows` pairs: [`Tape::dropout`] draws one `f32` per
+    /// on a batch of `rows` pairs: [`Tape::dropout`] draws one `u64` per
     /// element of every masked layer.
     fn skip_dropout_draws(&self, rows: usize, rng: &mut SmallRng) {
-        for _ in 0..rows * self.dropout_draws_per_row {
-            rng.gen::<f32>();
-        }
+        rng.advance((rows * self.dropout_draws_per_row) as u64);
     }
 
     /// Runs one lane's terms in order — interaction, context, MMD — one

@@ -86,11 +86,20 @@ impl Vocabulary {
 /// Samples word ids with probability proportional to `count^power`
 /// (`power = 0.75` is the word2vec default; `power = 0` gives uniform).
 ///
-/// Implemented as a cumulative table with binary search: O(log V) per
-/// sample, no aliasing precision issues, and cheap to rebuild.
+/// Implemented as a cumulative table searched through a guide table: the
+/// uniform draw's top bits pick a bucket, and a binary search over the
+/// few cumulative entries that bucket can land in finishes — O(1)
+/// expected per sample, exactly the index a search of the whole table
+/// returns, no aliasing precision issues, and cheap to rebuild.
 #[derive(Debug, Clone)]
 pub struct NegativeTable {
     cumulative: Vec<f64>,
+    /// `guide[j]` is the first index whose cumulative weight exceeds
+    /// `j / buckets * total`; bucket `j` holds the draws
+    /// `u ∈ [j / buckets, (j + 1) / buckets)`, `guide.len() == buckets + 1`.
+    guide: Vec<u32>,
+    /// `64 - log2(buckets)`: a raw draw's bucket is `bits >> shift`.
+    shift: u32,
 }
 
 impl NegativeTable {
@@ -110,7 +119,26 @@ impl NegativeTable {
             cumulative.push(acc);
         }
         assert!(acc > 0.0, "degenerate sampling weights");
-        Self { cumulative }
+        // A draw `u` maps to `fl(u * total)`, which never decreases as
+        // `u` grows, and the search's answer never decreases as that
+        // does: every draw in a bucket lands between the answers for its
+        // two edges, each itself a draw (`j / buckets` is a multiple of
+        // 2^-53), so the guide holds exactly those answers.
+        let buckets = counts.len().next_power_of_two().max(2);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for j in 0..=buckets {
+            let edge = (j as f64 / buckets as f64) * acc;
+            while i < cumulative.len() && cumulative[i] <= edge {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("word ids fit in u32"));
+        }
+        Self {
+            cumulative,
+            guide,
+            shift: 64 - buckets.trailing_zeros(),
+        }
     }
 
     /// Number of sampleable ids.
@@ -126,8 +154,13 @@ impl NegativeTable {
     /// Draws one word id.
     pub fn sample(&self, rng: &mut impl Rng) -> WordId {
         let total = *self.cumulative.last().expect("non-empty table");
-        let x = rng.gen::<f64>() * total;
-        let pos = self.cumulative.partition_point(|&c| c <= x);
+        let bits = rng.next_u64();
+        // The `f64` `rng.gen::<f64>()` makes of the same draw; its top
+        // bits are the bucket.
+        let x = ((bits >> 11) as f64) * (1.0 / (1u64 << 53) as f64) * total;
+        let j = (bits >> self.shift) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let pos = lo + self.cumulative[lo..hi].partition_point(|&c| c <= x);
         WordId(pos.min(self.cumulative.len() - 1) as u32)
     }
 
@@ -230,6 +263,34 @@ mod tests {
         let table = v.negative_table(0.75);
         let mut rng = SmallRng::seed_from_u64(3);
         table.sample_excluding(&[a], &mut rng);
+    }
+
+    /// The guide table changes where the search starts, never what it
+    /// returns: a search of the whole cumulative table is the oracle.
+    #[test]
+    fn sample_matches_a_search_of_the_whole_table() {
+        let skewed: Vec<u64> = (1..=1000u64).map(|i| 1_000_000 / (i * i)).collect();
+        let varied: Vec<u64> = (0..300u64).map(|i| i * 7 % 31).collect();
+        let mut eps = vec![0u64; 500];
+        eps[17] = 1 << 40;
+        eps[250] = 3;
+        for (counts, power) in [
+            (&skewed, 0.75),
+            (&varied, 0.0),
+            (&eps, 0.75),
+            (&vec![5], 0.75),
+        ] {
+            let table = NegativeTable::from_counts(counts, power);
+            let total = *table.cumulative.last().unwrap();
+            let mut rng = SmallRng::seed_from_u64(counts.len() as u64);
+            let mut reference = rng.clone();
+            for _ in 0..1_000_000 {
+                let x = reference.gen::<f64>() * total;
+                let pos = table.cumulative.partition_point(|&c| c <= x);
+                let expected = WordId(pos.min(table.len() - 1) as u32);
+                assert_eq!(table.sample(&mut rng), expected, "{} words", counts.len());
+            }
+        }
     }
 
     #[test]

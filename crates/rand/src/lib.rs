@@ -10,6 +10,10 @@
 //! construction real `rand` uses for `SmallRng` on 64-bit targets, chosen
 //! here for speed and statistical quality, not for compatibility of the
 //! exact output stream.
+//!
+//! One item goes beyond rand 0.8: [`rngs::SmallRng::advance`], an exact
+//! jump of the stream by any number of outputs in a few microseconds,
+//! which rand's `SmallRng` does not offer.
 
 #![warn(missing_docs)]
 
@@ -194,6 +198,176 @@ pub mod rngs {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^ (z >> 31)
         }
+
+        /// The state map `T` one output applies: linear over GF(2).
+        #[inline]
+        fn step(&mut self) {
+            let s = &mut self.s;
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+        }
+
+        /// Moves the stream `n` outputs ahead: afterwards the generator
+        /// yields exactly what it would after `n` calls of
+        /// [`RngCore::next_u64`], in a few microseconds whatever `n` is.
+        ///
+        /// `T^n` equals `r(T)` for `r = x^n mod P`, where `P` is the
+        /// degree-256 characteristic polynomial of the state map. `r` is
+        /// the product of the cached `x^(2^k) mod P` over `n`'s set bits,
+        /// and one 256-step walk applies it: the construction behind the
+        /// reference `jump()` of xoshiro's authors, for any `n`.
+        pub fn advance(&mut self, n: u64) {
+            let r = jump::x_pow_mod(n);
+            let mut acc = [0u64; 4];
+            for i in 0..256 {
+                let keep = 0u64.wrapping_sub((r[i / 64] >> (i % 64)) & 1);
+                for (a, s) in acc.iter_mut().zip(self.s) {
+                    *a ^= keep & s;
+                }
+                self.step();
+            }
+            self.s = acc;
+        }
+    }
+
+    /// Polynomial arithmetic behind [`SmallRng::advance`].
+    mod jump {
+        use super::SmallRng;
+        use std::sync::OnceLock;
+
+        /// A polynomial over GF(2) of degree below 256: bit `i` of word
+        /// `i / 64` is the coefficient of `x^i`.
+        type Poly = [u64; 4];
+
+        struct Tables {
+            /// `P - x^256`: the characteristic polynomial without its
+            /// leading term.
+            p: Poly,
+            /// `x^(2^k) mod P` for `k < 64`.
+            pow2: [Poly; 64],
+        }
+
+        fn tables() -> &'static Tables {
+            static TABLES: OnceLock<Tables> = OnceLock::new();
+            TABLES.get_or_init(|| {
+                let p = characteristic_polynomial();
+                let mut pow2 = [[0; 4]; 64];
+                pow2[0][0] = 0b10; // x
+                for k in 1..64 {
+                    pow2[k] = mul_mod(&pow2[k - 1], &pow2[k - 1], &p);
+                }
+                Tables { p, pow2 }
+            })
+        }
+
+        /// `x^n mod P`: `popcount(n) - 1` products.
+        pub(super) fn x_pow_mod(n: u64) -> Poly {
+            let t = tables();
+            let mut bits = (0..64).filter(|k| (n >> k) & 1 == 1);
+            match bits.next() {
+                None => [1, 0, 0, 0],
+                Some(k) => bits.fold(t.pow2[k], |r, k| mul_mod(&r, &t.pow2[k], &t.p)),
+            }
+        }
+
+        /// `a * b mod P` by Horner's rule over `a`'s bits, high to low,
+        /// given `p = P - x^256`.
+        fn mul_mod(a: &Poly, b: &Poly, p: &Poly) -> Poly {
+            let mut r = [0u64; 4];
+            for i in (0..256).rev() {
+                // r * x: shift up one, folding a carried-out x^256 back in
+                // as p, since x^256 = p (mod P) over GF(2).
+                let carry = 0u64.wrapping_sub(r[3] >> 63);
+                r = [
+                    r[0] << 1,
+                    (r[1] << 1) | (r[0] >> 63),
+                    (r[2] << 1) | (r[1] >> 63),
+                    (r[3] << 1) | (r[2] >> 63),
+                ];
+                let add = 0u64.wrapping_sub((a[i / 64] >> (i % 64)) & 1);
+                for ((r, p), b) in r.iter_mut().zip(p).zip(b) {
+                    *r ^= (carry & p) ^ (add & b);
+                }
+            }
+            r
+        }
+
+        /// The characteristic polynomial `P` of the state map, as its
+        /// coefficients below the leading `x^256`.
+        ///
+        /// Berlekamp–Massey over 512 successive values of one state bit
+        /// finds the shortest linear recurrence that bit obeys. The
+        /// generator has full period `2^256 - 1`, so `P` is primitive,
+        /// any nonzero bit sequence of the state has `P` as its minimal
+        /// polynomial, and the recurrence found is `P` itself.
+        fn characteristic_polynomial() -> Poly {
+            let mut rng = SmallRng { s: [1, 0, 0, 0] };
+            let bits: Vec<u8> = (0..512)
+                .map(|_| {
+                    let bit = (rng.s[0] & 1) as u8;
+                    rng.step();
+                    bit
+                })
+                .collect();
+            let n = bits.len();
+            // Connection polynomial C(x) = 1 + c_1 x + ... + c_len x^len
+            // of the shortest recurrence so far, and B, C before the last
+            // length change, `shift` steps ago.
+            let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+            c[0] = 1;
+            b[0] = 1;
+            let (mut len, mut shift) = (0, 1);
+            for i in 0..n {
+                let discrepancy = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+                if discrepancy == 0 {
+                    shift += 1;
+                    continue;
+                }
+                let before = c.clone();
+                for j in 0..=n - shift {
+                    c[j + shift] ^= b[j];
+                }
+                if 2 * len <= i {
+                    len = i + 1 - len;
+                    b = before;
+                    shift = 1;
+                } else {
+                    shift += 1;
+                }
+            }
+            assert_eq!(len, 256, "xoshiro256's state map has degree 256");
+            // P(x) = x^256 C(1/x): its coefficient of x^k is c_(256 - k).
+            let mut p = [0u64; 4];
+            for (k, &ck) in c[1..=256].iter().rev().enumerate() {
+                p[k / 64] |= u64::from(ck) << (k % 64);
+            }
+            p
+        }
+
+        #[cfg(test)]
+        mod tests {
+            use super::*;
+
+            /// `characteristic_polynomial` asserts the recurrence it finds
+            /// has degree 256. Modulo a primitive `P` of that degree, `x`
+            /// has order `2^256 - 1`, so `x^(2^k) = x` for `k = 256` and
+            /// no smaller `k`: the table's squarings must show exactly that.
+            #[test]
+            fn characteristic_polynomial_has_degree_256() {
+                let p = characteristic_polynomial();
+                let x: Poly = [0b10, 0, 0, 0];
+                let mut power = x;
+                for k in 1..=256 {
+                    power = mul_mod(&power, &power, &p);
+                    assert_eq!(power == x, k == 256, "x^(2^{k}) mod P");
+                }
+            }
+        }
     }
 
     impl SeedableRng for SmallRng {
@@ -213,16 +387,11 @@ pub mod rngs {
     }
 
     impl RngCore for SmallRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
+            let s = &self.s;
             let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
+            self.step();
             result
         }
     }
@@ -459,7 +628,7 @@ mod tests {
     use super::distributions::{Distribution, WeightedIndex};
     use super::rngs::SmallRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn seeding_is_deterministic() {
@@ -536,6 +705,39 @@ mod tests {
             v, sorted,
             "shuffle left the slice sorted (astronomically unlikely)"
         );
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        let mut picks = SmallRng::seed_from_u64(6);
+        let fixed = [0, 1, 2, 63, 64, 255, 256, 257, 153_600, (1 << 20) + 7];
+        let random: Vec<u64> = (0..6).map(|_| picks.gen_range(0..1 << 18)).collect();
+        for seed in [0, 7, 42, u64::MAX] {
+            for &n in fixed.iter().chain(&random) {
+                let mut stepped = SmallRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                let mut jumped = SmallRng::seed_from_u64(seed);
+                jumped.advance(n);
+                assert_eq!(jumped, stepped, "seed {seed}, n {n}");
+            }
+        }
+    }
+
+    /// Jumps too long to check by stepping: two jumps make their sum.
+    #[test]
+    fn advance_composes() {
+        let mut picks = SmallRng::seed_from_u64(8);
+        for _ in 0..8 {
+            let (a, b) = (picks.gen::<u64>() >> 1, picks.gen::<u64>() >> 1);
+            let mut twice = SmallRng::seed_from_u64(a ^ b);
+            twice.advance(a);
+            twice.advance(b);
+            let mut once = SmallRng::seed_from_u64(a ^ b);
+            once.advance(a + b);
+            assert_eq!(once, twice, "{a} + {b}");
+        }
     }
 
     #[test]

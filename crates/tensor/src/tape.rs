@@ -566,9 +566,10 @@ impl<'s> Tape<'s> {
     ///
     /// At `p == 0.0` this is the identity (no node is recorded). Kept units
     /// are scaled by `1/(1-p)` so inference needs no rescaling. Exactly
-    /// one `rng.gen::<f32>()` per element, in row-major order — callers
+    /// one `rng.next_u64()` per element, in row-major order — callers
     /// that must leave a stream where a masked forward pass would
-    /// (ST-TransRec's step prologue) count on it.
+    /// (ST-TransRec's step prologue) count on it — and an element is kept
+    /// exactly when `rng.gen::<f32>() < 1 - p` would have kept it.
     pub fn dropout(&mut self, a: Var, p: f32, rng: &mut impl Rng) -> Var {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
         if p == 0.0 {
@@ -576,19 +577,24 @@ impl<'s> Tape<'s> {
         }
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
+        let below = keep_below(keep);
         let (r, c) = self.value(a).shape();
-        // Mask and product are written together, one pass over `a`.
-        let (mut mask, mut value) = {
-            let mut pool = self.pool.borrow_mut();
-            (pool.acquire_buffer(r * c), pool.acquire_buffer(r * c))
-        };
-        for &x in self.value(a).as_slice() {
-            let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-            mask.push(m);
-            value.push(x * m);
+        // The mask in a pass of its own, so nothing but the generator's
+        // draws and the mask's stores run in the loop, with `rng` a
+        // parameter (not a closure capture) so its state stays in
+        // registers.
+        let mut mask = self.pool.borrow_mut().acquire_buffer(r * c);
+        mask.resize(r * c, 0.0);
+        for m in &mut mask {
+            *m = if (rng.next_u64() >> 40) < below {
+                scale
+            } else {
+                0.0
+            };
         }
         let mask = Matrix::from_vec(r, c, mask);
-        self.push(Matrix::from_vec(r, c, value), Op::Dropout { a, mask })
+        let value = self.alloc_zip(self.value(a), &mask, |x, m| x * m);
+        self.push(value, Op::Dropout { a, mask })
     }
 
     /// Mean binary cross-entropy between `logits` and `targets` (one
@@ -910,11 +916,19 @@ impl<'s> Tape<'s> {
     }
 }
 
+/// The draws [`Tape::dropout`] keeps are those whose top 24 bits `k` are
+/// below this: `gen::<f32>()` is `k * 2^-24` and `keep * 2^24` is exact
+/// in `f32`, so `k * 2^-24 < keep` holds exactly when
+/// `k < ceil(keep * 2^24)`.
+fn keep_below(keep: f32) -> u64 {
+    (keep * (1 << 24) as f32).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Init;
-    use rand::{rngs::SmallRng, SeedableRng};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
     fn stable_sigmoid_extremes() {
@@ -1098,6 +1112,63 @@ mod tests {
         let d = tape.dropout(a, 0.3, &mut rng);
         let mean = tape.value(d).mean();
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
+    }
+
+    /// Dropout as one `gen::<f32>()` comparison per element: the oracle
+    /// [`Tape::dropout`]'s integer threshold is held to.
+    fn dropout_reference(x: &Matrix, p: f32, rng: &mut SmallRng) -> (Vec<f32>, Vec<f32>) {
+        let keep = 1.0 - p;
+        let scale = 1.0 / keep;
+        let (mut mask, mut value) = (Vec::new(), Vec::new());
+        for &x in x.as_slice() {
+            let m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+            mask.push(m);
+            value.push(x * m);
+        }
+        (mask, value)
+    }
+
+    #[test]
+    fn dropout_matches_the_per_element_reference() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let store = ParamStore::new();
+        let mut init = SmallRng::seed_from_u64(12);
+        for p in [0.1, 0.2, 0.5] {
+            for (r, c) in [(0, 5), (1, 1), (3, 7), (640, 16)] {
+                let x = Matrix::from_vec(r, c, (0..r * c).map(|_| init.gen()).collect());
+                let mut tape = Tape::new(&store);
+                let xv = tape.input(x.clone());
+                let mut rng = SmallRng::seed_from_u64(r as u64 * 31 + c as u64);
+                let mut reference = rng.clone();
+                let d = tape.dropout(xv, p, &mut rng);
+                let (mask, value) = dropout_reference(&x, p, &mut reference);
+                let Op::Dropout { mask: m, .. } = &tape.nodes[d.0].op else {
+                    panic!("dropout recorded no mask");
+                };
+                assert_eq!(bits(m.as_slice()), bits(&mask), "mask, p {p}, {r}x{c}");
+                assert_eq!(
+                    bits(tape.value(d).as_slice()),
+                    bits(&value),
+                    "p {p}, {r}x{c}"
+                );
+                assert_eq!(rng, reference, "draws made, p {p}, {r}x{c}");
+            }
+        }
+    }
+
+    /// Every 24-bit draw `k` against the threshold [`Tape::dropout`]
+    /// derives: `k < keep_below(keep)` exactly when `k * 2^-24 < keep`,
+    /// at p ∈ {0.1, 0.2, 0.5}. Every `1 - p` is a multiple of 2^-24;
+    /// `keep = 0.1` is not, so the rounding up is tested too.
+    #[test]
+    fn dropout_threshold_agrees_on_every_24_bit_draw() {
+        for keep in [1.0 - 0.1f32, 1.0 - 0.2, 1.0 - 0.5, 0.1] {
+            let below = keep_below(keep);
+            let unit = 1.0 / (1u64 << 24) as f32;
+            for k in 0..1u64 << 24 {
+                assert_eq!(k < below, (k as f32) * unit < keep, "keep {keep}, k {k}");
+            }
+        }
     }
 
     #[test]

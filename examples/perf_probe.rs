@@ -1,12 +1,13 @@
 //! A handful of layer timings to read beside the benchmark: the three
-//! product shapes, one IVF assignment pass, the two MMD estimators, and
-//! a training step by variant and schedule.
+//! product shapes, one IVF assignment pass, the two MMD estimators, a
+//! training step's random draws, and a training step by variant and
+//! schedule.
 //!
 //! ```text
 //! cargo run --release --example perf_probe
 //! ```
 
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use st_transrec::core::{mmd_loss, MmdEstimator, ModelConfig, STTransRec, Schedule, Variant};
 use st_transrec::data::{synth, CityId, CrossingCitySplit};
 use st_transrec::tensor::{ops, Gradients, Init, Matrix, MatrixPool, ParamStore, Tape};
@@ -107,14 +108,50 @@ fn main() {
         );
     }
 
+    // A training step's random draws. Each lane's interaction term masks
+    // the paper's 640-row batch at the tower's four widths (153 600
+    // draws); the prologue jumps the stream over the same count for both
+    // lanes; each context term draws 4 096 negative words.
+    let mut store = ParamStore::new();
+    let widths = [128, 64, 32, 16];
+    let layers = widths.map(|w| store.register("h", 640, w, Init::Zeros, &mut rng));
+    let mut pool = MatrixPool::new();
+    let t = best_of(200, || {
+        let mut tape = Tape::with_pool(&store, std::mem::take(&mut pool));
+        for &h in &layers {
+            let h = tape.param(h);
+            tape.dropout(h, 0.1, &mut rng);
+        }
+        pool = tape.into_pool();
+    });
+    println!("dropout 640x{widths:?}: {:.1} us per lane", t * 1e6);
+    let draws = 640 * widths.iter().sum::<usize>() as u64;
+    let jump = best_of(200, || rng.advance(draws));
+    let stepping = best_of(20, || (0..draws).for_each(|_| _ = rng.next_u64()));
+    println!(
+        "advance({draws}) {:.1} us, stepping {:.1} us",
+        jump * 1e6,
+        stepping * 1e6
+    );
+
+    let synth_cfg = synth::SynthConfig::foursquare_like().with_scale(0.15);
+    let (dataset, _) = synth::generate(&synth_cfg);
+    let split = CrossingCitySplit::build(&dataset, CityId(synth_cfg.target_city as u16));
+    let table = dataset.vocab().negative_table(0.75);
+    let t = best_of(200, || {
+        (0..8192).map(|_| table.sample(&mut rng).0).sum::<u32>()
+    });
+    println!(
+        "negatives: 8192 draws over {} words {:.1} us",
+        table.len(),
+        t * 1e6
+    );
+
     // One training step (accumulate + apply) on `train_paper`'s data, by
     // variant, with the lanes inline and on two threads. Inline, Full
     // minus NoText is the two text terms and Full minus NoMmd the MMD
     // term; concurrent, a step costs its longer lane plus the prologue,
     // the merge and the apply. With one CPU the two columns read alike.
-    let synth_cfg = synth::SynthConfig::foursquare_like().with_scale(0.15);
-    let (dataset, _) = synth::generate(&synth_cfg);
-    let split = CrossingCitySplit::build(&dataset, CityId(synth_cfg.target_city as u16));
     for variant in [Variant::Full, Variant::NoText, Variant::NoMmd] {
         let [inline, concurrent] = [Schedule::Inline, Schedule::Concurrent].map(|schedule| {
             let config = ModelConfig::foursquare().with_variant(variant);
