@@ -1,40 +1,13 @@
-//! One module per table/figure of the paper's evaluation section.
+//! The paper's evaluation section: one module per kind of computation.
 //!
 //! | Module | Reproduces |
 //! |--------|-----------|
 //! | [`table1`] | Table 1 — dataset statistics |
 //! | [`table2`] | Table 2 — multi-worker training time |
-//! | [`comparison`] | Figs. 3-4 — nine-method comparison |
-//! | [`ablation`] | Figs. 5-6 — ST-TransRec variants |
 //! | [`case_study`] | Table 3 — word-level case study |
-//! | [`resample_rate`] | Figs. 7-8 — alpha sweep |
-//! | [`dropout`] | Fig. 9 — dropout sweep |
-//! | [`embedding_size`] | Table 4 — embedding-size sweep |
-//! | [`depth`] | Table 5 — tower-depth sweep |
+//! | [`grid`] | Figs. 3-9, Tables 4-5 — every metric grid: the nine-method comparison, the ablation variants and the alpha, dropout, embedding-size and depth sweeps |
 
-pub mod ablation;
 pub mod case_study;
-pub mod comparison;
-pub mod depth;
-pub mod dropout;
-pub mod embedding_size;
-pub mod resample_rate;
+pub mod grid;
 pub mod table1;
 pub mod table2;
-
-use crate::runner::Loaded;
-use st_eval::{evaluate, MetricReport};
-use st_transrec_core::{ModelConfig, STTransRec};
-
-/// Trains ST-TransRec under `config` on the loaded split and evaluates it
-/// with the shared protocol.
-pub fn train_and_eval(loaded: &Loaded, config: ModelConfig) -> MetricReport {
-    let mut model = STTransRec::new(&loaded.dataset, &loaded.split, config);
-    model.fit(&loaded.dataset);
-    evaluate(
-        &model,
-        &loaded.dataset,
-        &loaded.split,
-        &crate::eval_config(),
-    )
-}

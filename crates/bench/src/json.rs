@@ -15,7 +15,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; non-finite values serialize as `null` like serde_json.
+    /// An integer; every Rust integer up to 64 bits fits.
+    Int(i128),
+    /// A float: the shortest text that reads back as it, with a `.0` when
+    /// integral; non-finite values serialize as `null` like serde_json.
     Num(f64),
     /// A string.
     Str(String),
@@ -37,17 +40,31 @@ impl ToJson for bool {
     }
 }
 
-macro_rules! num_to_json {
+macro_rules! int_to_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+                Json::Int(*self as i128)
             }
         }
     )*};
 }
 
-num_to_json!(f32, f64, usize, u8, u16, u32, u64, i8, i16, i32, i64, isize);
+int_to_json!(usize, u8, u16, u32, u64, i8, i16, i32, i64, isize);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+impl ToJson for f32 {
+    /// Widened through its shortest decimal text, not bit for bit, so
+    /// `0.1f32` records as `0.1` rather than `0.10000000149011612`.
+    fn to_json(&self) -> Json {
+        Json::Num(self.to_string().parse().expect("a float's text parses"))
+    }
+}
 
 impl ToJson for String {
     fn to_json(&self) -> Json {
@@ -176,7 +193,9 @@ fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: Option<usize>) -> fm
     match v {
         Json::Null => write!(f, "null"),
         Json::Bool(b) => write!(f, "{b}"),
-        Json::Num(n) => write_number(f, *n),
+        Json::Int(i) => write!(f, "{i}"),
+        Json::Num(n) if n.is_finite() => write!(f, "{n:?}"),
+        Json::Num(_) => write!(f, "null"),
         Json::Str(s) => write_string(f, s),
         Json::Arr(items) if items.is_empty() => write!(f, "[]"),
         Json::Arr(items) => {
@@ -215,16 +234,6 @@ fn newline(f: &mut fmt::Formatter<'_>, depth: Option<usize>) -> fmt::Result {
     Ok(())
 }
 
-fn write_number(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
-    if !n.is_finite() {
-        write!(f, "null")
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        write!(f, "{}", n as i64)
-    } else {
-        write!(f, "{n}")
-    }
-}
-
 fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")?;
     for c in s.chars() {
@@ -247,11 +256,21 @@ mod tests {
 
     #[test]
     fn scalars_and_strings_render() {
-        assert_eq!(Json::Num(3.0).to_string(), "3");
-        assert_eq!(Json::Num(0.25).to_string(), "0.25");
+        assert_eq!(Json::Int(3).to_string(), "3");
+        assert_eq!(Json::Num(3.0).to_string(), "3.0");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Str("a\"b\nc".into()).to_string(), r#""a\"b\nc""#);
         assert_eq!(Json::Bool(true).to_string(), "true");
+    }
+
+    /// As serde printed the tracked `results/` files: integers bare,
+    /// floats with a fraction, an `f32` by its own shortest text.
+    #[test]
+    fn numbers_print_like_the_tracked_results() {
+        assert_eq!(0.1f32.to_json().to_string(), "0.1");
+        assert_eq!(0.0f64.to_json().to_string(), "0.0");
+        assert_eq!(3usize.to_json().to_string(), "3");
+        assert_eq!(0.25f64.to_json().to_string(), "0.25");
     }
 
     #[test]

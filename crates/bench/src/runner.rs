@@ -4,7 +4,6 @@
 
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit, Dataset};
-use st_eval::EvalConfig;
 use st_transrec_core::ModelConfig;
 
 /// The two evaluation datasets of Sec. 4.1.
@@ -91,12 +90,6 @@ pub fn dataset_config(kind: DatasetKind, scale: f64) -> SynthConfig {
     } else {
         base.with_scale(scale)
     }
-}
-
-/// The shared evaluation protocol (100 negatives, k in {2,...,10}, fixed
-/// seed so candidate sets are identical across methods).
-pub fn eval_config() -> EvalConfig {
-    EvalConfig::default()
 }
 
 /// A loaded experiment environment.

@@ -6,7 +6,7 @@
 //! serve the traffic we just saw?". [`evaluate_window`] answers that
 //! over a held-out window of recent events — for each event, the true
 //! POI is ranked against seeded same-city negatives the scorer also
-//! sees, yielding hit-rate@k and MRR.
+//! sees, yielding hit-rate@k.
 //!
 //! Determinism is the load-bearing property: the negative sets depend
 //! only on `(events, seed)`, never on the scorer, so a candidate and the
@@ -17,6 +17,7 @@ use crate::Scorer;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{Checkin, Dataset, PoiId};
+use std::cmp::Ordering;
 
 /// Shadow-evaluation knobs.
 #[derive(Debug, Clone)]
@@ -47,17 +48,17 @@ pub struct WindowReport {
     pub events: usize,
     /// Fraction of events whose true POI ranked in the top `k`.
     pub hit_rate: f64,
-    /// Mean reciprocal rank of the true POI.
-    pub mrr: f64,
 }
 
 /// Ranks each event's true POI against `config.negatives` seeded
 /// distinct same-city POIs (the true POI excluded from the negatives)
-/// and aggregates hit-rate@k and MRR over the window.
+/// and aggregates hit-rate@k over the window.
 ///
 /// Ties rank the true POI first, matching the stable ordering of
-/// [`crate::rank_metrics`]. An empty window reports zero events and
-/// zero metrics — callers gate on `events` before trusting the rates.
+/// [`crate::rank_metrics`]; a NaN on either side of a comparison ranks
+/// the negative first, so a scorer that returns NaN misses. An empty
+/// window reports zero events and a zero rate — callers gate on
+/// `events` before trusting it.
 pub fn evaluate_window(
     scorer: &dyn Scorer,
     dataset: &Dataset,
@@ -70,12 +71,10 @@ pub fn evaluate_window(
         return WindowReport {
             events: 0,
             hit_rate: 0.0,
-            mrr: 0.0,
         };
     }
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut hits = 0usize;
-    let mut rr_sum = 0.0f64;
     let mut candidates: Vec<PoiId> = Vec::with_capacity(config.negatives + 1);
     for event in events {
         let truth = event.poi;
@@ -91,19 +90,18 @@ pub fn evaluate_window(
         );
         let scores = scorer.score_batch(event.user, &candidates);
         debug_assert_eq!(scores.len(), candidates.len());
-        // Rank of the truth (index 0) under descending score, ties
-        // resolved in candidate order — i.e. in the truth's favour.
-        let rank = scores[1..].iter().filter(|&&s| s > scores[0]).count();
+        // Rank of the truth (index 0) under descending score: a negative
+        // outranks it unless the truth scores at least as high, so ties
+        // go the truth's way and NaN (incomparable) goes against it.
+        let at_least = |s: &f32| scores[0].partial_cmp(s).is_some_and(Ordering::is_ge);
+        let rank = scores[1..].iter().filter(|s| !at_least(s)).count();
         if rank < config.k {
             hits += 1;
         }
-        rr_sum += 1.0 / (rank + 1) as f64;
     }
-    let n = events.len() as f64;
     WindowReport {
         events: events.len(),
-        hit_rate: hits as f64 / n,
-        mrr: rr_sum / n,
+        hit_rate: hits as f64 / events.len() as f64,
     }
 }
 
@@ -188,7 +186,6 @@ mod tests {
         );
         assert_eq!(report.events, events.len());
         assert_eq!(report.hit_rate, 1.0);
-        assert_eq!(report.mrr, 1.0);
 
         let anti = evaluate_window(
             &Oracle {
@@ -204,7 +201,6 @@ mod tests {
             "anti-oracle hit rate {}",
             anti.hit_rate
         );
-        assert!(anti.mrr < 0.5, "anti-oracle mrr {}", anti.mrr);
     }
 
     #[test]

@@ -169,6 +169,20 @@ mod tests {
         assert!(parity.accept, "parity within tolerance publishes");
     }
 
+    /// A diverged candidate: NaN for every POI. NaN compares false both
+    /// ways, so counting only negatives scored `>` the truth ranked its
+    /// truth first on every event and the gate published it.
+    #[test]
+    fn nan_scoring_candidate_is_rejected() {
+        let (d, _) = generate(&SynthConfig::tiny());
+        let mut w = ShadowWindow::new(64);
+        w.extend(&CheckinStream::new(&d, 4).next_batch(64));
+        let nan = gate(&Flat(f32::NAN), &ByIdAsc, &d, &w, &GateConfig::default(), 1);
+        assert_eq!(nan.candidate.hit_rate, 0.0);
+        assert!(nan.baseline.hit_rate > 0.0);
+        assert!(!nan.accept, "a NaN-scoring candidate must be rejected");
+    }
+
     #[test]
     fn thin_window_accepts_and_decisions_replay() {
         let (d, _) = generate(&SynthConfig::tiny());
