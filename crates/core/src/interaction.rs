@@ -11,7 +11,7 @@ use st_data::{Checkin, CityId, Dataset, PoiId, UserId};
 
 /// A mini-batch of labelled (user, POI) pairs, flattened for embedding
 /// lookups: row `i` pairs `users[i]` with `pois[i]` under `labels[i]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InteractionBatch {
     /// User table row per pair.
     pub users: Vec<usize>,
@@ -108,12 +108,33 @@ impl InteractionSampler {
         negatives: usize,
         rng: &mut impl Rng,
     ) -> InteractionBatch {
+        let mut out = InteractionBatch::default();
+        self.sample_batch_into(dataset, batch, negatives, rng, &mut out);
+        out
+    }
+
+    /// [`InteractionSampler::sample_batch`] into `out`, replacing what it
+    /// held: the same draws, with `out`'s storage reused, so a caller
+    /// that keeps one batch across steps allocates once.
+    ///
+    /// # Panics
+    /// Panics if the sampler is empty.
+    pub(crate) fn sample_batch_into(
+        &self,
+        dataset: &Dataset,
+        batch: usize,
+        negatives: usize,
+        rng: &mut impl Rng,
+        out: &mut InteractionBatch,
+    ) {
         assert!(!self.is_empty(), "no positives to sample");
-        let mut out = InteractionBatch {
-            users: Vec::with_capacity(batch * (1 + negatives)),
-            pois: Vec::with_capacity(batch * (1 + negatives)),
-            labels: Vec::with_capacity(batch * (1 + negatives)),
-        };
+        let pairs = batch * (1 + negatives);
+        out.users.clear();
+        out.pois.clear();
+        out.labels.clear();
+        out.users.reserve_exact(pairs);
+        out.pois.reserve_exact(pairs);
+        out.labels.reserve_exact(pairs);
         for _ in 0..batch {
             let (user, poi) = self.positives[rng.gen_range(0..self.positives.len())];
             out.users.push(user.idx());
@@ -127,7 +148,6 @@ impl InteractionSampler {
                 out.labels.push(0.0);
             }
         }
-        out
     }
 
     /// Uniform unobserved negative; falls back to any pool POI when the

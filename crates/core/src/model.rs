@@ -20,6 +20,12 @@
 //! Adam applies once. The lanes share nothing but read-only parameters,
 //! so they may run on two threads ([`Schedule`]); what is summed with
 //! what never depends on that.
+//!
+//! The prologue reads no parameter — only the model's seed stream and the
+//! samplers, graphs and resamplers fixed at [`STTransRec::new`] — so
+//! [`STTransRec::train_step`] makes the *next* step's draws while this
+//! step merges and applies: *two lanes → merge → apply ‖ next prologue*.
+//! The draws are the ones the next step would have made itself.
 
 use crate::interaction::{InteractionBatch, InteractionSampler};
 use crate::mmd::mmd_loss;
@@ -78,14 +84,18 @@ pub struct EpochStats {
     pub pool: PoolStats,
 }
 
-/// Where the target lane of a step runs. The arithmetic is the same
-/// either way — always two gradient buffers, always merged target into
-/// source — so the schedule moves wall time and nothing else.
+/// Where the target lane of a step runs, and where
+/// [`STTransRec::train_step`] makes the next step's draws. The arithmetic
+/// is the same either way — always two gradient buffers, always merged
+/// target into source, always the same draws — so the schedule moves wall
+/// time and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Both lanes on the calling thread, source lane first.
+    /// Both lanes on the calling thread, source lane first; the next
+    /// step's draws after the apply.
     Inline,
-    /// The target lane on a scoped thread beside the source lane.
+    /// The target lane on a scoped thread beside the source lane; the
+    /// next step's draws on a scoped thread beside the merge and apply.
     Concurrent,
 }
 
@@ -151,6 +161,12 @@ impl StepBuffers {
         self.lanes[0].grads.clear();
     }
 
+    /// Sums the target lane's gradient into the source lane's.
+    fn merge_lanes(&mut self) {
+        let [source, target] = &mut self.lanes;
+        source.grads.merge_from(&mut target.grads);
+    }
+
     /// Gradient storage held, in scalar elements, both lanes summed (see
     /// [`Gradients::allocated_elems`]).
     pub fn allocated_grad_elems(&self) -> usize {
@@ -182,6 +198,76 @@ struct LaneLosses {
     mmd: f32,
 }
 
+/// Everything a step's random draws are made from besides the stream:
+/// the samplers, graphs and resamplers fixed at [`STTransRec::new`], and
+/// the batch sizes. No parameter is among them, so one step's draws can
+/// be made while another step's update is applied.
+struct Prologue {
+    /// Source side, target side.
+    samplers: [InteractionSampler; 2],
+    /// Source side, target side; `None` without the text loss.
+    graphs: [Option<TextualContextGraph>; 2],
+    source_resampler: Option<MultiCityResampler>,
+    target_resampler: Option<CityResampler>,
+    batch_size: usize,
+    negatives: usize,
+    context_batch: usize,
+    context_negatives: usize,
+    mmd_batch: usize,
+    /// Dropout draws one interaction-batch row takes: the width of every
+    /// tower layer that has a mask (the embedding layer and each hidden
+    /// layer), or 0 without dropout.
+    dropout_draws_per_row: usize,
+}
+
+impl Prologue {
+    /// Every random draw of one step, from one stream, in the order a
+    /// step that ran its five terms one after another on `rng` would make
+    /// them — interaction batch and dropout masks, source then target;
+    /// context batches, source then target; MMD batches. Which batches a
+    /// model sees decides what it learns (a stream per term trains a
+    /// measurably different model), so the lanes are handed their draws
+    /// instead of streams of their own.
+    ///
+    /// The draws replace what `lanes` held, in its storage: draws kept
+    /// across steps and refilled allocate nothing after the first step —
+    /// which also keeps a thread that refills them out of the allocator.
+    fn draw_step(&self, dataset: &Dataset, rng: &mut SmallRng, lanes: &mut [LaneDraws; 2]) {
+        for (sampler, lane) in self.samplers.iter().zip(lanes.iter_mut()) {
+            if sampler.is_empty() {
+                continue;
+            }
+            let (batch, masks) = lane
+                .interaction
+                .get_or_insert_with(|| (InteractionBatch::default(), rng.clone()));
+            sampler.sample_batch_into(dataset, self.batch_size, self.negatives, rng, batch);
+            // The lane draws the term's masks from a copy of the stream;
+            // this one jumps over them.
+            *masks = rng.clone();
+            self.skip_dropout_draws(batch.len(), rng);
+        }
+        for (graph, lane) in self.graphs.iter().zip(lanes.iter_mut()) {
+            let Some(graph) = graph else { continue };
+            let batch = lane.context.get_or_insert_with(ContextBatch::default);
+            graph.sample_batch_into(self.context_batch, self.context_negatives, rng, batch);
+        }
+        if let (Some(src), Some(tgt)) = (&self.source_resampler, &self.target_resampler) {
+            let (src_rows, tgt_rows) = lanes[0].mmd.get_or_insert_with(Default::default);
+            src_rows.clear();
+            src_rows.extend((0..self.mmd_batch).map(|_| src.sample_poi(rng).idx()));
+            tgt_rows.clear();
+            tgt_rows.extend((0..self.mmd_batch).map(|_| tgt.sample_poi(rng).idx()));
+        }
+    }
+
+    /// Advances `rng` by the draws [`STTransRec::interaction_loss`] makes
+    /// on a batch of `rows` pairs: [`Tape::dropout`] draws one `u64` per
+    /// element of every masked layer.
+    fn skip_dropout_draws(&self, rows: usize, rng: &mut SmallRng) {
+        rng.advance((rows * self.dropout_draws_per_row) as u64);
+    }
+}
+
 /// The trained model.
 pub struct STTransRec {
     config: ModelConfig,
@@ -191,12 +277,7 @@ pub struct STTransRec {
     poi_emb: Embedding,
     word_emb: Embedding,
     tower: Mlp,
-    source_graph: Option<TextualContextGraph>,
-    target_graph: Option<TextualContextGraph>,
-    source_sampler: InteractionSampler,
-    target_sampler: InteractionSampler,
-    source_resampler: Option<MultiCityResampler>,
-    target_resampler: Option<CityResampler>,
+    prologue: Prologue,
     optimizer: Adam,
     rng: SmallRng,
     steps_per_epoch: usize,
@@ -206,10 +287,12 @@ pub struct STTransRec {
     buffers: StepBuffers,
     /// How [`STTransRec::train_step`] runs its lanes; read once, here.
     schedule: Schedule,
-    /// Dropout draws one interaction-batch row takes: the width of every
-    /// tower layer that has a mask (the embedding layer and each hidden
-    /// layer), or 0 without dropout.
-    dropout_draws_per_row: usize,
+    /// `rng` as it is once the next step has taken its seed, and that
+    /// step's draws, made by [`STTransRec::train_step`] beside its apply
+    /// in the storage of the draws it had just trained on: the next
+    /// `train_step` commits the stream and uses the draws. Anything else
+    /// that reads `rng` drops them uncommitted first.
+    ahead: Option<(SmallRng, [LaneDraws; 2])>,
 }
 
 impl STTransRec {
@@ -316,9 +399,20 @@ impl STTransRec {
         // updates only the embedding rows it touched.
         let optimizer = Adam::new(config.learning_rate).with_weight_decay(config.weight_decay);
         let buffers = StepBuffers::over(&store);
-        let dropout_draws_per_row = match config.dropout > 0.0 {
-            true => config.tower_widths().iter().rev().skip(1).sum(),
-            false => 0,
+        let prologue = Prologue {
+            samplers: [source_sampler, target_sampler],
+            graphs: [source_graph, target_graph],
+            source_resampler,
+            target_resampler,
+            batch_size: config.batch_size,
+            negatives: config.negatives,
+            context_batch: config.context_batch,
+            context_negatives: config.context_negatives,
+            mmd_batch: config.mmd_batch,
+            dropout_draws_per_row: match config.dropout > 0.0 {
+                true => config.tower_widths().iter().rev().skip(1).sum(),
+                false => 0,
+            },
         };
 
         Self {
@@ -329,19 +423,14 @@ impl STTransRec {
             poi_emb,
             word_emb,
             tower,
-            source_graph,
-            target_graph,
-            source_sampler,
-            target_sampler,
-            source_resampler,
-            target_resampler,
+            prologue,
             optimizer,
             rng,
             steps_per_epoch,
             history: Vec::new(),
             buffers,
             schedule: Schedule::for_this_process(),
-            dropout_draws_per_row,
+            ahead: None,
         }
     }
 
@@ -429,7 +518,21 @@ impl STTransRec {
         buffers: &mut StepBuffers,
         schedule: Schedule,
     ) -> StepLosses {
-        let [source_draws, target_draws] = self.draw_step(dataset, rng);
+        let mut draws = Default::default();
+        self.prologue.draw_step(dataset, rng, &mut draws);
+        let losses = self.run_lanes(&draws, buffers, schedule);
+        buffers.merge_lanes();
+        losses
+    }
+
+    /// Runs the two lanes of a step on its draws, each into its own
+    /// gradient buffer in `buffers`, left unmerged.
+    fn run_lanes(
+        &self,
+        [source_draws, target_draws]: &[LaneDraws; 2],
+        buffers: &mut StepBuffers,
+        schedule: Schedule,
+    ) -> StepLosses {
         let [source, target] = &mut buffers.lanes;
         let (s, t) = match schedule {
             Schedule::Inline => (
@@ -443,7 +546,6 @@ impl STTransRec {
                 (s, target_lane.join().expect("target lane panicked"))
             }),
         };
-        source.grads.merge_from(&mut target.grads);
         step_losses(s, t)
     }
 
@@ -460,7 +562,9 @@ impl STTransRec {
         rng: &mut SmallRng,
         pool: &mut MatrixPool,
     ) -> StepLosses {
-        let [source_draws, target_draws] = self.draw_step(dataset, rng);
+        let mut draws = Default::default();
+        self.prologue.draw_step(dataset, rng, &mut draws);
+        let [source_draws, target_draws] = &draws;
         let mut target_grads = self.new_grad_buffer();
         let s = self.run_lane(source_draws, grads, pool);
         let t = self.run_lane(target_draws, &mut target_grads, pool);
@@ -468,100 +572,100 @@ impl STTransRec {
         step_losses(s, t)
     }
 
-    /// The prologue: every random draw of one step, from one stream, in
-    /// the order a step that ran its five terms one after another on
-    /// `rng` would make them — interaction batch and dropout masks,
-    /// source then target; context batches, source then target; MMD
-    /// batches. Which batches a model sees decides what it learns (a
-    /// stream per term trains a measurably different model), so the lanes
-    /// are handed their draws instead of streams of their own.
-    fn draw_step(&self, dataset: &Dataset, rng: &mut SmallRng) -> [LaneDraws; 2] {
-        let cfg = &self.config;
-        let mut lanes = [LaneDraws::default(), LaneDraws::default()];
-        for (sampler, lane) in [&self.source_sampler, &self.target_sampler]
-            .into_iter()
-            .zip(&mut lanes)
-        {
-            if sampler.is_empty() {
-                continue;
-            }
-            let batch = sampler.sample_batch(dataset, cfg.batch_size, cfg.negatives, rng);
-            // The lane draws the term's masks from a copy of the stream;
-            // this one jumps over them.
-            let masks = rng.clone();
-            self.skip_dropout_draws(batch.len(), rng);
-            lane.interaction = Some((batch, masks));
-        }
-        for (graph, lane) in [&self.source_graph, &self.target_graph]
-            .into_iter()
-            .zip(&mut lanes)
-        {
-            let Some(graph) = graph else { continue };
-            lane.context = Some(graph.sample_batch(cfg.context_batch, cfg.context_negatives, rng));
-        }
-        if let (Some(src), Some(tgt)) = (&self.source_resampler, &self.target_resampler) {
-            let rows = |pois: Vec<PoiId>| pois.into_iter().map(PoiId::idx).collect();
-            let src_rows = rows(src.sample_batch(cfg.mmd_batch, rng));
-            let tgt_rows = rows(tgt.sample_batch(cfg.mmd_batch, rng));
-            lanes[0].mmd = Some((src_rows, tgt_rows));
-        }
-        lanes
-    }
-
-    /// Advances `rng` by the draws [`STTransRec::interaction_loss`] makes
-    /// on a batch of `rows` pairs: [`Tape::dropout`] draws one `u64` per
-    /// element of every masked layer.
-    fn skip_dropout_draws(&self, rows: usize, rng: &mut SmallRng) {
-        rng.advance((rows * self.dropout_draws_per_row) as u64);
-    }
-
     /// Runs one lane's terms in order — interaction, context, MMD — one
     /// tape per term: forward, backward into `grads`, buffers back to
     /// `pool`.
     fn run_lane(
         &self,
-        draws: LaneDraws,
+        draws: &LaneDraws,
         grads: &mut Gradients,
         pool: &mut MatrixPool,
     ) -> LaneLosses {
         let cfg = &self.config;
         let mut losses = LaneLosses::default();
-        if let Some((batch, mut masks)) = draws.interaction {
+        if let Some((batch, masks)) = &draws.interaction {
             let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-            let loss = self.interaction_loss(&mut tape, &batch, &mut masks);
+            let loss = self.interaction_loss(&mut tape, batch, &mut masks.clone());
             losses.interaction = finish_term(tape, loss, 1.0, grads, pool);
         }
-        if let Some(batch) = draws.context {
+        if let Some(batch) = &draws.context {
             let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
             let loss = skipgram_loss(
                 &mut tape,
                 self.poi_emb.table(),
                 self.word_emb.table(),
-                &batch,
+                batch,
             );
             losses.context = finish_term(tape, loss, 1.0, grads, pool);
         }
         // lambda * D(P, Q) over resampled POI embedding batches.
-        if let Some((src_rows, tgt_rows)) = draws.mmd {
+        if let Some((src_rows, tgt_rows)) = &draws.mmd {
             let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
-            let se = tape.gather_param(self.poi_emb.table(), &src_rows);
-            let te = tape.gather_param(self.poi_emb.table(), &tgt_rows);
+            let se = tape.gather_param(self.poi_emb.table(), src_rows);
+            let te = tape.gather_param(self.poi_emb.table(), tgt_rows);
             let loss = mmd_loss(&mut tape, se, te, cfg.mmd_sigma, cfg.mmd_estimator);
             losses.mmd = finish_term(tape, loss, cfg.lambda, grads, pool);
         }
         losses
     }
 
-    /// One optimizer step over the joint objective: the lanes on two
-    /// threads when the process may run on more than one CPU, on this one
-    /// otherwise — the same parameters either way.
+    /// One optimizer step over the joint objective, seeded from the
+    /// model's stream: the step's two lanes, then the merge and apply
+    /// beside the *next* step's draws, which that step uses instead of
+    /// drawing them itself. With more than one CPU available to the
+    /// process the target lane and the next draws each get a scoped
+    /// thread; with one, everything runs on this thread, the draws after
+    /// the apply. The same parameters and losses either way, and the same
+    /// as [`STTransRec::accumulate_step`] + [`STTransRec::apply`] on
+    /// `SmallRng::seed_from_u64(stream.gen())` per step.
+    ///
+    /// The next step's draws come from this call's `dataset`: every call
+    /// must pass the dataset the model was built on.
     pub fn train_step(&mut self, dataset: &Dataset) -> StepLosses {
-        // The accumulate step needs &self while the buffers need &mut, so
-        // they are moved out for the call and put back cleared.
+        debug_assert!(
+            dataset.num_users() == self.store.get(self.user_emb.table()).rows()
+                && dataset.num_pois() == self.store.get(self.poi_emb.table()).rows(),
+            "train_step on a dataset other than the model's"
+        );
+        let mut draws = match self.ahead.take() {
+            Some((stream, draws)) => {
+                self.rng = stream;
+                draws
+            }
+            None => {
+                let mut draws = Default::default();
+                let mut rng = SmallRng::seed_from_u64(self.rng.gen());
+                self.prologue.draw_step(dataset, &mut rng, &mut draws);
+                draws
+            }
+        };
+        // The lanes need &self while the buffers need &mut, so they are
+        // moved out for the step and put back cleared.
         let mut buffers = std::mem::take(&mut self.buffers);
-        let mut rng = SmallRng::seed_from_u64(self.rng.gen());
-        let losses = self.accumulate_step(dataset, &mut rng, &mut buffers, self.schedule);
-        self.apply(buffers.grads());
+        let losses = self.run_lanes(&draws, &mut buffers, self.schedule);
+        // The next step's seed, taken from a copy of the stream that step
+        // commits; its draws overwrite this step's, which the lanes are
+        // done with.
+        let mut stream = self.rng.clone();
+        let mut rng = SmallRng::seed_from_u64(stream.gen());
+        let mut draw_ahead = || self.prologue.draw_step(dataset, &mut rng, &mut draws);
+        let mut apply = || {
+            buffers.merge_lanes();
+            self.optimizer.step(&mut self.store, buffers.grads());
+        };
+        match self.schedule {
+            Schedule::Inline => {
+                apply();
+                draw_ahead();
+            }
+            Schedule::Concurrent => std::thread::scope(|scope| {
+                let drawing = scope.spawn(draw_ahead);
+                apply();
+                drawing.join().expect("the next step's draws panicked");
+            }),
+        }
+        debug_assert!(!self.store.has_non_finite(), "parameters diverged");
+        self.ahead = Some((stream, draws));
         buffers.clear();
         self.buffers = buffers;
         losses
@@ -585,6 +689,10 @@ impl STTransRec {
         assert!(!batch.is_empty(), "empty incremental batch");
         let mut buffers = std::mem::take(&mut self.buffers);
         let Lane { grads, pool } = &mut buffers.lanes[0];
+        // Draws made ahead for a `train_step` are dropped uncommitted:
+        // this step takes the seed they were made from, and the next
+        // `train_step` draws its own.
+        self.ahead = None;
         let mut rng = SmallRng::seed_from_u64(self.rng.gen());
         let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
         let loss = self.interaction_loss(&mut tape, batch, &mut rng);
@@ -822,9 +930,8 @@ mod tests {
     fn builds_with_all_components() {
         let (d, split) = setup();
         let m = STTransRec::new(&d, &split, ModelConfig::test_small());
-        assert!(m.source_graph.is_some());
-        assert!(m.target_graph.is_some());
-        assert!(m.source_resampler.is_some());
+        assert!(m.prologue.graphs.iter().all(Option::is_some));
+        assert!(m.prologue.source_resampler.is_some());
         assert!(m.steps_per_epoch() >= 1);
         assert_eq!(m.poi_embedding(PoiId(0)).len(), 16);
         assert_eq!(m.user_embedding(UserId(0)).len(), 16);
@@ -838,16 +945,16 @@ mod tests {
             &split,
             ModelConfig::test_small().with_variant(Variant::NoMmd),
         );
-        assert!(m1.source_resampler.is_none());
-        assert!(m1.source_graph.is_some());
+        assert!(m1.prologue.source_resampler.is_none());
+        assert!(m1.prologue.graphs[0].is_some());
 
         let m2 = STTransRec::new(
             &d,
             &split,
             ModelConfig::test_small().with_variant(Variant::NoText),
         );
-        assert!(m2.source_graph.is_none());
-        assert!(m2.source_resampler.is_some());
+        assert!(m2.prologue.graphs[0].is_none());
+        assert!(m2.prologue.source_resampler.is_some());
 
         let m3 = STTransRec::new(
             &d,
@@ -892,11 +999,11 @@ mod tests {
         assert_eq!(l.mmd, 0.0);
     }
 
-    /// The prologue steps the stream over an interaction term's masks by
-    /// count; the count must be the draws the term makes, whatever the
-    /// tower's depth.
+    /// The prologue jumps the stream over an interaction term's masks by
+    /// count (`SmallRng::advance`); the count must be the draws the term
+    /// makes, whatever the tower's depth.
     #[test]
-    fn prologue_steps_over_exactly_the_draws_a_term_makes() {
+    fn prologue_jumps_over_exactly_the_draws_a_term_makes() {
         let (d, split) = setup();
         for config in [
             ModelConfig::test_small(),
@@ -906,9 +1013,9 @@ mod tests {
         ] {
             let m = STTransRec::new(&d, &split, config);
             let mut rng = SmallRng::seed_from_u64(9);
-            let batch = m.source_sampler.sample_batch(&d, 7, 2, &mut rng);
+            let batch = m.prologue.samplers[0].sample_batch(&d, 7, 2, &mut rng);
             let mut masks = rng.clone();
-            m.skip_dropout_draws(batch.len(), &mut rng);
+            m.prologue.skip_dropout_draws(batch.len(), &mut rng);
             let mut tape = Tape::new(&m.store);
             m.interaction_loss(&mut tape, &batch, &mut masks);
             assert_eq!(

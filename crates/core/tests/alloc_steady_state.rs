@@ -112,25 +112,28 @@ fn training_step_memory_is_flat_and_allocation_light() {
     );
 
     // (b) What a steady-state step still asks the allocator for, as
-    // measured, on all its threads: 69 calls for the step itself — 16 for
-    // the prologue's batches (three vectors per interaction and context
-    // batch, four for the MMD rows), one node list and one adjoint list
-    // per loss term (10), the gather nodes' index copies (10), and one
-    // pack panel per product (33: twelve per interaction term, nine in
-    // the MMD term) — and 6 when the target lane gets a thread of its
-    // own: `thread::scope`'s shared state, the spawn's thread handle,
-    // result slot and boxed closure, and 2 for the test harness's output
+    // measured, on all its threads: 53 calls for the step itself — one
+    // node list and one adjoint list per loss term (10), the gather nodes'
+    // index copies (10), and one pack panel per product (33: twelve per
+    // interaction term, nine in the MMD term); the prologue's batches are
+    // refilled in place, so they cost nothing after the first step — and
+    // 6 for each of the two scoped threads a step spawns when the process
+    // has a second CPU, the target lane's and the next step's draws':
+    // `thread::scope`'s shared state, the spawn's thread handle, result
+    // slot and boxed closure, and 2 for the test harness's output
     // capture, which every thread spawned under it sets up (gone with
-    // `--nocapture`). 1.02 MB in all, nearly all of it panels. The two lanes' pools hold 13.2 MB of matrices for this step
-    // (6.7 MB, one pool, when the lanes run inline); one matrix allocated
-    // outside them (the smallest recurring one is 40 KiB) or one extra
-    // call fails here. No term of it grows with `context_batch`.
+    // `--nocapture`). On one CPU nothing is spawned and the count is 53.
+    // 0.79 MB in all, nearly all of it panels. The two lanes' pools hold
+    // 13.2 MB of matrices for this step (6.7 MB, one pool, when the lanes
+    // run inline); one matrix allocated outside them (the smallest
+    // recurring one is 40 KiB) or one extra call fails here. No term of it
+    // grows with `context_batch`.
     assert!(
-        worst_calls <= 69 + 4 + 2,
+        worst_calls <= 53 + 2 * (4 + 2),
         "a steady-state step made {worst_calls} allocator calls"
     );
     assert!(
-        worst_bytes <= 1_025_000,
+        worst_bytes <= 793_000,
         "a steady-state step requested {worst_bytes} B from the allocator"
     );
     assert!(pool_after_1.pooled_bytes <= 13_300_000, "{pool_after_1:?}");

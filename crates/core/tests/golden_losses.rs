@@ -14,8 +14,10 @@
 //! `ST_GOLDEN_PRINT=1 cargo test -p st-transrec-core --test golden_losses -- --nocapture`.
 
 use st_data::synth::{generate, SynthConfig};
-use st_data::{CityId, CrossingCitySplit};
-use st_transrec_core::{MmdEstimator, ModelConfig, STTransRec, StepLosses, Variant};
+use st_data::{CityId, CrossingCitySplit, Dataset};
+use st_transrec_core::{
+    InteractionBatch, MmdEstimator, ModelConfig, STTransRec, StepLosses, Variant,
+};
 
 const STEPS: usize = 5;
 
@@ -29,21 +31,29 @@ fn bits(l: &StepLosses) -> [u32; 5] {
     ]
 }
 
-fn run(config: ModelConfig) -> Vec<[u32; 5]> {
+fn model(config: ModelConfig) -> (Dataset, STTransRec) {
     let synth = SynthConfig::tiny();
     let (dataset, _) = generate(&synth);
     let split = CrossingCitySplit::build(&dataset, CityId(synth.target_city as u16));
-    let mut model = STTransRec::new(&dataset, &split, config);
+    let model = STTransRec::new(&dataset, &split, config);
+    (dataset, model)
+}
+
+fn run(config: ModelConfig) -> Vec<[u32; 5]> {
+    let (dataset, mut model) = model(config);
     (0..STEPS)
         .map(|_| bits(&model.train_step(&dataset)))
         .collect()
 }
 
-fn check(name: &str, config: ModelConfig, golden: &[[u32; 5]; STEPS]) {
-    let got = run(config);
+fn check(name: &str, config: ModelConfig, golden: &[[u32; 5]]) {
+    compare(name, &run(config), golden);
+}
+
+fn compare(name: &str, got: &[[u32; 5]], golden: &[[u32; 5]]) {
     if std::env::var_os("ST_GOLDEN_PRINT").is_some() {
         println!("// {name}");
-        for row in &got {
+        for row in got {
             println!(
                 "[{:#010x}, {:#010x}, {:#010x}, {:#010x}, {:#010x}],",
                 row[0], row[1], row[2], row[3], row[4]
@@ -51,6 +61,7 @@ fn check(name: &str, config: ModelConfig, golden: &[[u32; 5]; STEPS]) {
         }
         return;
     }
+    assert_eq!(got.len(), golden.len(), "{name}: step count");
     for (step, (g, w)) in got.iter().zip(golden).enumerate() {
         assert_eq!(
             g, w,
@@ -101,6 +112,31 @@ fn linear_mmd_losses_are_pinned() {
     check("LinearMmd", config, &GOLDEN_LINEAR_MMD);
 }
 
+/// An online step between offline ones: `train_step` x3, one
+/// `train_on_interactions` on a fixed batch, `train_step` x2. The online
+/// step draws its seed from the model's stream, so whatever `train_step`
+/// prepares for a later step from that stream must leave it where a
+/// model that prepared nothing would be. Row 3 is the online step's loss,
+/// in the first column.
+#[test]
+fn an_online_step_between_train_steps_is_pinned() {
+    let (dataset, mut model) = model(foursquare(Variant::Full));
+    let batch = InteractionBatch {
+        users: vec![0, 0, 1, 1, 2, 2],
+        pois: vec![0, 1, 2, 3, 4, 5],
+        labels: vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    };
+    let mut got: Vec<[u32; 5]> = Vec::new();
+    for _ in 0..3 {
+        got.push(bits(&model.train_step(&dataset)));
+    }
+    got.push([model.train_on_interactions(&batch).to_bits(), 0, 0, 0, 0]);
+    for _ in 0..2 {
+        got.push(bits(&model.train_step(&dataset)));
+    }
+    compare("Full, online step 3", &got, &GOLDEN_ONLINE_BETWEEN);
+}
+
 const GOLDEN_FULL: [[u32; 5]; STEPS] = [
     [0x3f3124ff, 0x3f313f59, 0x3f31720d, 0x3f3171bb, 0x3a62f800],
     [0x3f30472e, 0x3f304f0d, 0x3f316fb9, 0x3f316f82, 0x3a166000],
@@ -128,6 +164,16 @@ const GOLDEN_NO_RESAMPLE: [[u32; 5]; STEPS] = [
     [0x3f2f4c77, 0x3f2f6800, 0x3f316ce4, 0x3f316d85, 0x3a333800],
     [0x3f2e4b1c, 0x3f2e6d60, 0x3f316bce, 0x3f316a3f, 0x39f0d000],
     [0x3f2d25c2, 0x3f2d3ada, 0x3f316993, 0x3f31687a, 0x399cb000],
+];
+/// Recorded at the commit before `train_step` began preparing the next
+/// step's draws: the first three rows are `GOLDEN_FULL`'s.
+const GOLDEN_ONLINE_BETWEEN: [[u32; 5]; STEPS + 1] = [
+    [0x3f3124ff, 0x3f313f59, 0x3f31720d, 0x3f3171bb, 0x3a62f800],
+    [0x3f30472e, 0x3f304f0d, 0x3f316fb9, 0x3f316f82, 0x3a166000],
+    [0x3f2f4d4e, 0x3f2f68c4, 0x3f316ce4, 0x3f316d75, 0x3a3bd800],
+    [0x3f31d12d, 0x00000000, 0x00000000, 0x00000000, 0x00000000],
+    [0x3f2db215, 0x3f2dc20d, 0x3f316c1c, 0x3f316b29, 0x39b8f000],
+    [0x3f2cc0ee, 0x3f2ceaf5, 0x3f3168c9, 0x3f3167cc, 0x39a49000],
 ];
 const GOLDEN_LINEAR_MMD: [[u32; 5]; STEPS] = [
     [0x3f3124ff, 0x3f313f59, 0x3f31720d, 0x3f3171bb, 0xb71fb000],

@@ -86,12 +86,28 @@ impl TextualContextGraph {
     /// Positive edges are drawn uniformly so every edge contributes
     /// equally to `L_Gvw`, as in Eq. 4's sum over `E_vw`.
     pub fn sample_batch(&self, batch: usize, negatives: usize, rng: &mut impl Rng) -> ContextBatch {
+        let mut out = ContextBatch::default();
+        self.sample_batch_into(batch, negatives, rng, &mut out);
+        out
+    }
+
+    /// [`TextualContextGraph::sample_batch`] into `out`, replacing what it
+    /// held: the same draws, with `out`'s storage reused, so a caller
+    /// that keeps one batch across steps allocates once.
+    pub fn sample_batch_into(
+        &self,
+        batch: usize,
+        negatives: usize,
+        rng: &mut impl Rng,
+        out: &mut ContextBatch,
+    ) {
         let pairs = batch * (1 + negatives);
-        let mut out = ContextBatch {
-            poi_rows: Vec::with_capacity(pairs),
-            word_rows: Vec::with_capacity(pairs),
-            targets: Vec::with_capacity(pairs),
-        };
+        out.poi_rows.clear();
+        out.word_rows.clear();
+        out.targets.clear();
+        out.poi_rows.reserve_exact(pairs);
+        out.word_rows.reserve_exact(pairs);
+        out.targets.reserve_exact(pairs);
         for _ in 0..batch {
             let &(pi, word) = &self.edges[rng.gen_range(0..self.edges.len())];
             let poi = self.pois[pi as usize].idx();
@@ -101,7 +117,6 @@ impl TextualContextGraph {
                 out.push(poi, self.negative_table.sample_excluding(exclude, rng), 0.0);
             }
         }
-        out
     }
 }
 

@@ -1,7 +1,7 @@
 //! A handful of layer timings to read beside the benchmark: the three
 //! product shapes, one IVF assignment pass, the two MMD estimators, a
 //! training step's random draws, and a training step by variant and
-//! schedule.
+//! schedule, beside `train_step` itself.
 //!
 //! ```text
 //! cargo run --release --example perf_probe
@@ -147,15 +147,18 @@ fn main() {
         t * 1e6
     );
 
-    // One training step (accumulate + apply) on `train_paper`'s data, by
-    // variant, with the lanes inline and on two threads. Inline, Full
-    // minus NoText is the two text terms and Full minus NoMmd the MMD
-    // term; concurrent, a step costs its longer lane plus the prologue,
-    // the merge and the apply. With one CPU the two columns read alike.
+    // One training step on `train_paper`'s data, by variant: accumulate
+    // + apply with the lanes inline and on two threads, then `train_step`
+    // itself. Inline, Full minus NoText is the two text terms and Full
+    // minus NoMmd the MMD term; concurrent, a step costs its longer lane
+    // plus the prologue, the merge and the apply. `train_step` makes the
+    // next step's prologue beside this one's merge and apply, so it costs
+    // its longer lane plus the longer of those two. With one CPU the
+    // three columns read alike.
     for variant in [Variant::Full, Variant::NoText, Variant::NoMmd] {
+        let config = ModelConfig::foursquare().with_variant(variant);
         let [inline, concurrent] = [Schedule::Inline, Schedule::Concurrent].map(|schedule| {
-            let config = ModelConfig::foursquare().with_variant(variant);
-            let mut model = STTransRec::new(&dataset, &split, config);
+            let mut model = STTransRec::new(&dataset, &split, config.clone());
             let mut buffers = model.new_step_buffers();
             let mut rng = SmallRng::seed_from_u64(1);
             let mut step = || {
@@ -166,8 +169,12 @@ fn main() {
             (0..10).for_each(|_| step());
             best_of(60, step) * 1e3
         });
+        let mut model = STTransRec::new(&dataset, &split, config);
+        (0..10).for_each(|_| _ = model.train_step(&dataset));
+        let pipelined = best_of(60, || model.train_step(&dataset)) * 1e3;
         println!(
-            "train_step {:<7} inline {inline:.2} ms, concurrent {concurrent:.2} ms",
+            "train_step {:<7} inline {inline:.2} ms, concurrent {concurrent:.2} ms, \
+             train_step {pipelined:.2} ms",
             format!("{variant:?}")
         );
     }
