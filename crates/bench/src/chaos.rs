@@ -540,7 +540,6 @@ fn run_pass(fx: &ChaosFixture, plan: &FaultPlan) -> (ChaosCounts, Vec<u64>, Vec<
         // exceed the deepest possible overload (capacity + watermark).
         workers: 2 * QUEUE_CAPACITY + 8,
         batch: BatchConfig {
-            window: Duration::ZERO,
             queue_capacity: QUEUE_CAPACITY,
             deadline: DEADLINE,
             ..BatchConfig::default()

@@ -10,20 +10,17 @@
 //! the queue, it does not cascade into a convoy of doomed work.
 //!
 //! One scorer thread per CPU the process may run on drains the queue.
-//! A scorer takes the first queued request, waits up to the configured
-//! window for more to arrive — only when no other scorer is idle, since
-//! an idle scorer takes the next arrival sooner than any window could —
-//! leaving early when `max_batch` fills, then scores every request of
-//! the batch — one user against its candidates, the shape the tower
-//! computes — against the one generation's frozen
+//! A scorer woken by an arrival takes what is queued, up to `max_batch`,
+//! and scores it at once — it never waits for companions, so a batch is
+//! the backlog that built up while every scorer was busy. It scores each
+//! request of the batch — one user against its candidates, the shape the
+//! tower computes — against the one generation's frozen
 //! [`st_transrec_core::ModelSnapshot`]: tape-free `InferCtx` execution
 //! over scratch buffers the scorer owns and reuses for its whole
-//! lifetime. A process confined to one CPU has one scorer, which always
-//! holds the door. The scoring path takes candidates in fixed
-//! cache-resident row tiles, so neither a request's size nor the batch's
-//! moves its memory or its per-pair cost. Scores are ranked by
-//! `recommend_top_k`'s own rule, so a batched response is bit-identical
-//! to an unbatched one.
+//! lifetime. The scoring path takes candidates in fixed cache-resident
+//! row tiles, so neither a request's size nor the batch's moves its
+//! memory or its per-pair cost. Scores are ranked by `recommend_top_k`'s
+//! own rule, so a batched response is bit-identical to an unbatched one.
 //!
 //! Every submitted job reaches exactly one terminal outcome: scored,
 //! shed at admission, expired in queue, failed by an injected fault, or
@@ -112,8 +109,6 @@ struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     shutdown: bool,
-    /// Scorers parked on an empty queue right now.
-    idle: usize,
 }
 
 struct Shared {
@@ -122,11 +117,11 @@ struct Shared {
 }
 
 /// Takes the guard out of a lock result whether or not the lock is
-/// poisoned. [`QueueState`] is a `VecDeque`, a flag and a count, each
-/// changed by one whole operation (`push_back`, `drain`, an assignment),
-/// so it is consistent wherever a holder unwinds (as is `snapshot`'s
-/// one-pointer cell); refusing the guard would only turn one thread's
-/// panic into every scorer's and every HTTP worker's.
+/// poisoned. [`QueueState`] is a `VecDeque` and a flag, each changed by
+/// one whole operation (`push_back`, `drain`, an assignment), so it is
+/// consistent wherever a holder unwinds (as is `snapshot`'s one-pointer
+/// cell); refusing the guard would only turn one thread's panic into
+/// every scorer's and every HTTP worker's.
 pub(crate) fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -139,16 +134,11 @@ pub struct MicroBatcher {
     scorers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Batching knobs.
+/// Queue and batch bounds. There is no coalescing delay: a scorer takes
+/// what is queued when it looks, so batches form only from the backlog
+/// that accumulates while every scorer is busy.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Upper bound on how long a scorer holds a batch open for
-    /// companions after the first request, which it does only while no
-    /// other scorer is idle; it fires early once arrivals pause. Zero
-    /// disables the coalescing delay entirely (each pass takes whatever
-    /// is already queued — batches still form naturally from the backlog
-    /// that accumulates while every scorer is busy).
-    pub window: Duration,
     /// Most requests one scorer takes in one pass. 1 reproduces
     /// one-request-at-a-time scoring through the identical code path.
     pub max_batch: usize,
@@ -165,7 +155,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         Self {
-            window: Duration::from_micros(500),
             max_batch: 64,
             queue_capacity: 4096,
             deadline: Duration::ZERO,
@@ -213,7 +202,6 @@ impl MicroBatcher {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 shutdown: false,
-                idle: 0,
             }),
             arrived: Condvar::new(),
         });
@@ -259,8 +247,8 @@ impl MicroBatcher {
                 .queue_depth
                 .store(state.jobs.len() as u64, Relaxed);
         }
-        // One job needs one scorer: an idle one if there is any, else the
-        // one holding the door.
+        // One job needs one scorer: wake a parked one, if any. A busy
+        // scorer looks at the queue again when its batch is done.
         self.shared.arrived.notify_one();
         // A closed channel without a message can only mean the scorer
         // died; report it as a shutdown rather than hanging or panicking.
@@ -309,14 +297,12 @@ fn scorer_loop(
             if state.shutdown {
                 return;
             }
-            state.idle += 1;
             state = recover(
                 shared
                     .arrived
                     .wait_timeout(state, Duration::from_millis(50)),
             )
             .0;
-            state.idle -= 1;
         }
 
         // Fault gate, checked with jobs in hand and before any drain:
@@ -332,36 +318,9 @@ fn scorer_loop(
             }
         }
 
-        // Coalesce: hold the door open up to `window` for more arrivals,
-        // leaving as soon as the batch is full — or as soon as arrivals
-        // pause. Waiting out the whole window when no more requests are
-        // coming just parks every blocked caller behind a timer, so the
-        // wait runs in short quanta and fires once a quantum passes with
-        // no growth. And only when no other scorer is idle: one that is
-        // takes the next arrival at once, so holding the door would cost
-        // this batch the wait and save the next one nothing.
-        if !config.window.is_zero() {
-            let deadline = Instant::now() + config.window;
-            let quantum = (config.window / 8).max(Duration::from_micros(20));
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero()
-                    || state.idle > 0
-                    || state.jobs.len() >= config.max_batch
-                    || state.shutdown
-                {
-                    break;
-                }
-                let before = state.jobs.len();
-                state = recover(shared.arrived.wait_timeout(state, remaining.min(quantum))).0;
-                if state.jobs.len() <= before {
-                    // Arrivals paused: score what we have (nothing, if
-                    // another scorer holding the door took the lot).
-                    break;
-                }
-            }
-        }
-
+        // The backlog is the batch: take what is queued and score it now.
+        // Scoring is per job, so waiting for companions would buy no
+        // arithmetic and only park every blocked caller behind a timer.
         let take = state.jobs.len().min(config.max_batch);
         let mut batch: Vec<Job> = state.jobs.drain(..take).collect();
         metrics.queue_depth.store(state.jobs.len() as u64, Relaxed);
@@ -406,7 +365,7 @@ fn scorer_loop(
     }
 }
 
-/// Scores, ranks and answers every job of one coalesced batch, all
+/// Scores, ranks and answers every job of one drained batch, all
 /// against one model snapshot, through the generation's frozen
 /// parameters and the scorer's reusable scratch.
 fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut InferCtx) {
@@ -489,7 +448,6 @@ mod tests {
                 cell.clone(),
                 metrics.clone(),
                 BatchConfig {
-                    window: Duration::from_millis(2),
                     max_batch: 16,
                     ..BatchConfig::default()
                 },
@@ -497,7 +455,7 @@ mod tests {
                 scorers,
             );
 
-            // Concurrent submissions from several threads coalesce or
+            // Concurrent submissions from several threads queue up or
             // spread over the scorers; either way each reply must equal
             // the offline recommend_top_k ranking.
             std::thread::scope(|scope| {
@@ -573,10 +531,7 @@ mod tests {
             let batcher = MicroBatcher::spawn(
                 cell.clone(),
                 metrics.clone(),
-                BatchConfig {
-                    window: Duration::ZERO,
-                    ..BatchConfig::default()
-                },
+                BatchConfig::default(),
                 Some(injector.clone()),
                 scorers,
             );
@@ -608,7 +563,7 @@ mod tests {
             });
             // The backlog is the batch: whichever scorer sees the thaw
             // first takes all of it.
-            assert_eq!(metrics.batches.load(Relaxed), 1, "one coalesced batch");
+            assert_eq!(metrics.batches.load(Relaxed), 1, "one batch");
             assert_eq!(metrics.batched_requests.load(Relaxed), 8);
         }
     }
@@ -621,7 +576,6 @@ mod tests {
             cell.clone(),
             metrics.clone(),
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 1,
                 ..BatchConfig::default()
             },
@@ -654,39 +608,31 @@ mod tests {
     fn malformed_jobs_get_invalid_request_without_hurting_batchmates() {
         let (cell, d, split) = cell();
         let metrics = Arc::new(Metrics::new());
-        let batcher = MicroBatcher::start(
+        let injector = Arc::new(FaultInjector::new(1));
+        injector.freeze();
+        let batcher = MicroBatcher::start_with_faults(
             cell.clone(),
-            metrics,
-            BatchConfig {
-                window: Duration::from_millis(5),
-                max_batch: 8,
-                ..BatchConfig::default()
-            },
+            metrics.clone(),
+            BatchConfig::default(),
+            Some(injector.clone()),
         );
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
         let good_user = split.test_users[0];
         let ghost_user = UserId(d.num_users() as u32 + 7);
         let ghost_poi = Arc::new(vec![PoiId(d.num_pois() as u32)]);
 
-        // Submit a malformed and a well-formed job concurrently so they
-        // coalesce into one batch: the bad one errors, the good one is
-        // answered exactly like an unbatched request.
+        // Park two malformed jobs and a well-formed one behind the freeze,
+        // so the thaw drains them as one batch: the bad ones error, the
+        // good one is answered exactly like an unbatched request.
         std::thread::scope(|scope| {
-            let bad_user = {
-                let batcher = &batcher;
-                let candidates = candidates.clone();
-                scope.spawn(move || batcher.submit(request(ghost_user, &candidates, 3)))
-            };
-            let bad_poi = {
-                let batcher = &batcher;
-                let ghost_poi = ghost_poi.clone();
-                scope.spawn(move || batcher.submit(request(good_user, &ghost_poi, 3)))
-            };
-            let good = {
-                let batcher = &batcher;
-                let candidates = candidates.clone();
-                scope.spawn(move || batcher.submit(request(good_user, &candidates, 3)))
-            };
+            let batcher = &batcher;
+            let bad_user = scope.spawn(|| batcher.submit(request(ghost_user, &candidates, 3)));
+            let bad_poi = scope.spawn(|| batcher.submit(request(good_user, &ghost_poi, 3)));
+            let good = scope.spawn(|| batcher.submit(request(good_user, &candidates, 3)));
+            while batcher.queue_depth() < 3 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            injector.thaw();
             assert_eq!(bad_user.join().unwrap(), Err(SubmitError::InvalidRequest));
             assert_eq!(bad_poi.join().unwrap(), Err(SubmitError::InvalidRequest));
             let reply = good.join().unwrap().expect("valid batchmate served");
@@ -700,6 +646,9 @@ mod tests {
             );
             assert_eq!(reply.recs, expected);
         });
+        // They really were batchmates: one batch of three.
+        assert_eq!(metrics.batch_size.count(), 1);
+        assert_eq!(metrics.batch_size.sum(), 3);
     }
 
     #[test]
@@ -712,7 +661,6 @@ mod tests {
             cell,
             metrics.clone(),
             BatchConfig {
-                window: Duration::ZERO,
                 queue_capacity: 3,
                 ..BatchConfig::default()
             },
@@ -757,7 +705,6 @@ mod tests {
             cell,
             metrics.clone(),
             BatchConfig {
-                window: Duration::ZERO,
                 deadline: Duration::from_millis(30),
                 ..BatchConfig::default()
             },
@@ -798,10 +745,7 @@ mod tests {
         let batcher = MicroBatcher::start_with_faults(
             cell,
             metrics.clone(),
-            BatchConfig {
-                window: Duration::ZERO,
-                ..BatchConfig::default()
-            },
+            BatchConfig::default(),
             Some(injector.clone()),
         );
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
@@ -847,7 +791,6 @@ mod tests {
                 cell.clone(),
                 metrics.clone(),
                 BatchConfig {
-                    window: Duration::ZERO,
                     max_batch: 4,
                     ..BatchConfig::default()
                 },
@@ -921,7 +864,6 @@ mod tests {
             cell.clone(),
             Arc::new(Metrics::new()),
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 1,
                 ..BatchConfig::default()
             },
@@ -958,42 +900,36 @@ mod tests {
         assert!(two < 3 * pad, "two scorers take the pads in pairs: {two:?}");
     }
 
-    /// How long a lone `submit` takes under a 200 ms window once every
-    /// scorer is parked on the empty queue.
-    fn lone_submit_latency(
-        cell: &Arc<ModelCell>,
-        candidates: &Arc<Vec<PoiId>>,
-        scorers: usize,
-    ) -> Duration {
-        let batcher = MicroBatcher::spawn(
-            cell.clone(),
-            Arc::new(Metrics::new()),
-            BatchConfig {
-                window: Duration::from_millis(200),
-                ..BatchConfig::default()
-            },
-            None,
-            scorers,
-        );
-        while recover(batcher.shared.state.lock()).idle < scorers {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        let started = Instant::now();
-        assert!(batcher.submit(request(UserId(0), candidates, 3)).is_ok());
-        started.elapsed()
-    }
-
     #[test]
-    fn the_door_is_held_only_when_no_other_scorer_is_idle() {
+    fn a_lone_submit_is_scored_at_once() {
         let (cell, d, split) = cell();
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
-        // One scorer: nobody else could take a companion, so it waits a
-        // quantum (window / 8) for one before scoring.
-        let held = lone_submit_latency(&cell, &candidates, 1);
-        assert!(held >= Duration::from_millis(25), "door not held: {held:?}");
-        // Two: the other is idle and would take the next arrival at once.
-        let open = lone_submit_latency(&cell, &candidates, 2);
-        assert!(open < Duration::from_millis(100), "door held: {open:?}");
+        for scorers in SCORER_COUNTS {
+            let batcher = MicroBatcher::spawn(
+                cell.clone(),
+                Arc::new(Metrics::new()),
+                BatchConfig::default(),
+                None,
+                scorers,
+            );
+            // No scorer waits for companions, a lone one included: after
+            // a pause that parks every scorer on the empty queue, a
+            // submit is scored as soon as one wakes. The fastest of three
+            // keeps a busy test host from reading as a hold.
+            let fastest = (0..3)
+                .map(|_| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    let started = Instant::now();
+                    assert!(batcher.submit(request(UserId(0), &candidates, 3)).is_ok());
+                    started.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(
+                fastest < Duration::from_millis(20),
+                "{scorers} scorers held a lone submit for {fastest:?}"
+            );
+        }
     }
 
     #[test]
@@ -1005,10 +941,7 @@ mod tests {
         let batcher = MicroBatcher::spawn(
             cell,
             metrics.clone(),
-            BatchConfig {
-                window: Duration::ZERO,
-                ..BatchConfig::default()
-            },
+            BatchConfig::default(),
             Some(injector.clone()),
             4,
         );

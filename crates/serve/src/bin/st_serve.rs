@@ -34,7 +34,6 @@ struct Args {
     addr: String,
     target_city: u16,
     workers: usize,
-    batch_window_us: u64,
     max_batch: usize,
     queue_capacity: usize,
     deadline_ms: u64,
@@ -57,7 +56,6 @@ impl Default for Args {
             addr: "127.0.0.1:8080".into(),
             target_city: 1,
             workers: 4,
-            batch_window_us: 500,
             max_batch: 64,
             queue_capacity: 4096,
             deadline_ms: 0,
@@ -86,8 +84,9 @@ OPTIONS:
   --addr HOST:PORT        bind address      [default: 127.0.0.1:8080]
   --target-city ID        held-out target city id          [default: 1]
   --workers N             HTTP worker threads              [default: 4]
-  --batch-window-us U     micro-batch coalescing window  [default: 500]
-  --max-batch N           max requests per forward pass   [default: 64]
+  --max-batch N           most queued requests one scorer takes at once;
+                          a miss is scored on arrival, never held for
+                          companions                      [default: 64]
   --queue-capacity N      batcher queue bound; overflow sheds with 429
                           (0 = unbounded)               [default: 4096]
   --deadline-ms MS        queued-request deadline; expired jobs get 503
@@ -138,11 +137,6 @@ fn parse_args() -> Args {
                 args.workers = value("--workers")
                     .parse()
                     .unwrap_or_else(|_| fail("--workers must be an integer"))
-            }
-            "--batch-window-us" => {
-                args.batch_window_us = value("--batch-window-us")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--batch-window-us must be an integer"))
             }
             "--max-batch" => {
                 args.max_batch = value("--max-batch")
@@ -292,7 +286,6 @@ fn main() {
         addr: args.addr.clone(),
         workers: args.workers,
         batch: BatchConfig {
-            window: Duration::from_micros(args.batch_window_us),
             max_batch: args.max_batch.max(1),
             queue_capacity: args.queue_capacity,
             deadline: Duration::from_millis(args.deadline_ms),

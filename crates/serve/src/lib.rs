@@ -23,9 +23,9 @@
 //! On top of it, the serving engine:
 //!
 //! - [`batcher`] — one bounded queue drained by a scorer thread per
-//!   CPU the process may run on: a `/recommend` miss is scored at once
-//!   while a scorer is free, and requests coalesce into batches (bounded,
-//!   deadlined, sheddable) only when arrivals outrun every scorer.
+//!   CPU the process may run on: a `/recommend` miss is scored on
+//!   arrival, never held for companions; batches (bounded, deadlined,
+//!   sheddable) are the backlog that builds while every scorer is busy.
 //! - [`lru`] — an LRU result cache keyed by
 //!   `(user, city, k, model_epoch)`; the epoch component makes cache
 //!   invalidation on hot-reload free.

@@ -46,7 +46,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads.
     pub workers: usize,
-    /// Micro-batching window and batch cap.
+    /// Batcher queue bound, batch cap and queued-job deadline.
     pub batch: BatchConfig,
     /// LRU result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,

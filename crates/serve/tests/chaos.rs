@@ -78,13 +78,11 @@ fn expected_body(fx: &Fixture, user: u32, k: usize, epoch: u64) -> String {
 }
 
 /// Overload-tuned config: enough HTTP workers that every parked client
-/// holds a worker without starving the driver's own connections, and a
-/// zero coalescing window so drains are immediate once thawed.
+/// holds a worker without starving the driver's own connections.
 fn chaos_config(injector: &Arc<FaultInjector>, queue_capacity: usize) -> ServeConfig {
     ServeConfig {
         workers: queue_capacity + 8,
         batch: BatchConfig {
-            window: Duration::ZERO,
             queue_capacity,
             ..BatchConfig::default()
         },

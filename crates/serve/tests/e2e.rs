@@ -144,10 +144,9 @@ fn concurrent_clients_with_inflight_reload() {
         .collect();
 
     // Serve generation 1 (the checkpoint on disk predates the extra
-    // epoch), with a small batching window so requests coalesce.
+    // epoch).
     let config = ServeConfig {
         batch: BatchConfig {
-            window: Duration::from_micros(300),
             max_batch: 16,
             ..BatchConfig::default()
         },
