@@ -30,7 +30,7 @@
 //! asserts end to end.
 
 use crate::fault::FaultInjector;
-use crate::metrics::{Metrics, BATCH_BUCKETS};
+use crate::metrics::{Metrics, Stage};
 use crate::snapshot::ModelCell;
 use st_data::{PoiId, UserId};
 /// The ranking rule of `recommend_top_k`, at the path the batcher has
@@ -325,6 +325,9 @@ fn scorer_loop(
         let mut batch: Vec<Job> = state.jobs.drain(..take).collect();
         metrics.queue_depth.store(state.jobs.len() as u64, Relaxed);
         drop(state);
+        for job in &batch {
+            metrics.stage(Stage::Queue).observe_since(job.enqueued_at);
+        }
 
         // Deadline pass: drop jobs that aged out while queued, so a slow
         // or stalled batch ahead of them cannot cascade into scoring
@@ -378,9 +381,7 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
     metrics
         .batched_requests
         .fetch_add(batch.len() as u64, Relaxed);
-    metrics
-        .batch_size
-        .observe(batch.len() as u64, &BATCH_BUCKETS);
+    metrics.batch_size.observe(batch.len() as u64);
 
     for job in batch {
         let BatchRequest {
@@ -393,12 +394,18 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
         // answered `InvalidRequest` on its own channel — an error reply,
         // never a worker panic, and the rest of the batch scores
         // normally.
-        let reply = snapshot
-            .frozen
-            .try_score_user_with(ctx, *user, candidates)
-            .map(|scores| BatchReply {
-                epoch: snapshot.epoch,
-                recs: rank_top_k(candidates, &scores, *k),
+        let scoring = Instant::now();
+        let scored = snapshot.frozen.try_score_user_with(ctx, *user, candidates);
+        metrics.stage(Stage::Score).observe_since(scoring);
+        let reply = scored
+            .map(|scores| {
+                let ranking = Instant::now();
+                let recs = rank_top_k(candidates, &scores, *k);
+                metrics.stage(Stage::Topk).observe_since(ranking);
+                BatchReply {
+                    epoch: snapshot.epoch,
+                    recs,
+                }
             })
             .map_err(|_| SubmitError::InvalidRequest);
         // A dropped receiver (client hung up) is not an error.

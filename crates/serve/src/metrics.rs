@@ -1,88 +1,121 @@
 //! Lock-free serving metrics with a plain-text exposition format.
 //!
 //! Counters are relaxed atomics — metrics are observability, not
-//! synchronization — and histograms are fixed cumulative buckets in the
-//! Prometheus style (`le` upper bounds, `+Inf` implicit in `_count`),
-//! so `GET /metrics` renders without stopping the request path.
+//! synchronization — and every distribution is one [`Histogram`]:
+//! log-spaced buckets that an observation lands in with one atomic
+//! increment, made cumulative (Prometheus `le` upper bounds) only when
+//! `GET /metrics` renders them, so the request path never stops for a
+//! scrape and never walks a bucket list.
 
 use st_tensor::StorageEncoding;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::{Duration, Instant};
 
-/// Upper bounds (inclusive) of the request-latency buckets, microseconds.
-pub const LATENCY_BUCKETS_US: [u64; 10] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
-];
+/// Buckets of a [`Histogram`]: the values 0..16 one each, then eight per
+/// power of two up to `u64::MAX`.
+const BUCKETS: usize = 8 * 62;
 
-/// Upper bounds (inclusive) of the batch-size buckets, requests.
-pub const BATCH_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// Whole microseconds in `d`, saturating.
+pub fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
 
-/// Upper bounds (inclusive) of the candidate-set-size buckets, POIs per
-/// ranked request. Sized around the default `max_candidates` of 4096:
-/// the low buckets show sparse grid/IVF hits, the top ones show
-/// budget-saturated or exact-fallback-sized sets.
-pub const CANDIDATE_BUCKETS: [u64; 8] = [64, 128, 256, 512, 1_024, 2_048, 4_096, 16_384];
+/// The bucket `value` lands in: itself below 16; above, its leading bit
+/// picks the power of two and the next three bits one of its eight
+/// sub-buckets (widths 1/8 of the power, so a bound is within 12.5 % of
+/// every value under it).
+fn bucket_of(value: u64) -> usize {
+    if value < 8 {
+        return value as usize;
+    }
+    let e = value.ilog2() as usize;
+    8 * (e - 2) + ((value >> (e - 3)) & 7) as usize
+}
 
-/// A fixed-bucket cumulative histogram.
+/// The largest value of bucket `index` (inclusive), the inverse of
+/// [`bucket_of`].
+fn upper_bound(index: usize) -> u64 {
+    if index < 8 {
+        return index as u64;
+    }
+    let step = 1u64 << (index / 8 - 1);
+    (8 + (index % 8) as u64) * step + (step - 1)
+}
+
+/// A log-bucketed histogram of `u64` observations (microseconds, sizes).
 #[derive(Debug)]
-pub struct Histogram<const N: usize> {
-    buckets: [AtomicU64; N],
-    count: AtomicU64,
+pub struct Histogram {
+    /// Observations per bucket, not cumulative: one increment each.
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
-impl<const N: usize> Default for Histogram<N> {
+impl Default for Histogram {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 }
 
-impl<const N: usize> Histogram<N> {
-    /// Records one observation.
-    pub fn observe(&self, value: u64, bounds: &[u64; N]) {
-        for (bucket, &bound) in self.buckets.iter().zip(bounds) {
-            if value <= bound {
-                bucket.fetch_add(1, Relaxed);
-            }
-        }
-        self.count.fetch_add(1, Relaxed);
+impl Histogram {
+    /// Records one observation: one bucket increment and one add to the
+    /// sum. The count is the buckets' total, read at render.
+    pub fn observe(&self, value: u64) {
+        self.buckets[bucket_of(value)].fetch_add(1, Relaxed);
         // The sum saturates instead of wrapping: a wrapped counter reads
         // as a reset mid-scrape, a pinned one reads as "huge", which is
-        // the honest answer once u64 overflows.
-        let mut cur = self.sum.load(Relaxed);
-        loop {
-            let next = cur.saturating_add(value);
-            match self.sum.compare_exchange_weak(cur, next, Relaxed, Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+        // the honest answer once u64 overflows. Any add to a pinned sum
+        // overflows again and re-pins it.
+        if self
+            .sum
+            .fetch_add(value, Relaxed)
+            .checked_add(value)
+            .is_none()
+        {
+            self.sum.store(u64::MAX, Relaxed);
         }
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`) as the upper bound of the first
-    /// bucket whose cumulative count reaches `q * count`. Observations
-    /// above every bound report the largest bound (the histogram cannot
-    /// resolve further). `None` until something was observed.
-    pub fn quantile(&self, q: f64, bounds: &[u64; N]) -> Option<u64> {
-        let count = self.count();
+    /// Records the whole microseconds since `started`.
+    pub fn observe_since(&self, started: Instant) {
+        self.observe(micros(started.elapsed()));
+    }
+
+    /// The buckets as they stand, one load each.
+    fn counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Relaxed))
+    }
+
+    /// The `q`-quantile (`q` in `[0, 1]`) of `counts`: the upper bound of
+    /// the first bucket whose cumulative count reaches `q * count`.
+    fn quantile_of(counts: &[u64; BUCKETS], q: f64) -> Option<u64> {
+        let count: u64 = counts.iter().sum();
         if count == 0 {
             return None;
         }
         let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-        for (bucket, &bound) in self.buckets.iter().zip(bounds) {
-            if bucket.load(Relaxed) >= rank {
-                return Some(bound);
-            }
-        }
-        bounds.last().copied()
+        let mut seen = 0;
+        counts
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= rank
+            })
+            .map(upper_bound)
+    }
+
+    /// The `q`-quantile (`q` in `[0, 1]`) as the upper bound of the first
+    /// bucket whose cumulative count reaches `q * count`; `None` until
+    /// something was observed.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        Self::quantile_of(&self.counts(), q)
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
+        self.counts().iter().sum()
     }
 
     /// Sum of observed values.
@@ -90,18 +123,86 @@ impl<const N: usize> Histogram<N> {
         self.sum.load(Relaxed)
     }
 
-    fn render_into(&self, out: &mut String, name: &str, bounds: &[u64; N]) {
+    /// Renders the family `name` under `labels` (`stage="score"`, or empty):
+    /// the cumulative count at the bound of every non-empty bucket, `+Inf`,
+    /// `_sum`, `_count`, and the `_p50` / `_p99` gauges.
+    fn render_into(&self, out: &mut String, name: &str, labels: &str) {
         use std::fmt::Write;
-        for (bucket, bound) in self.buckets.iter().zip(bounds) {
+        let counts = self.counts();
+        let (open, sep) = if labels.is_empty() {
+            ("", "")
+        } else {
+            ("{", ",")
+        };
+        let close = if labels.is_empty() { "" } else { "}" };
+        let mut cumulative = 0;
+        for (i, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            cumulative += n;
             let _ = writeln!(
                 out,
-                "{name}_bucket{{le=\"{bound}\"}} {}",
-                bucket.load(Relaxed)
+                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
+                upper_bound(i)
             );
         }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", self.count());
-        let _ = writeln!(out, "{name}_sum {}", self.sum());
-        let _ = writeln!(out, "{name}_count {}", self.count());
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+        );
+        let _ = writeln!(out, "{name}_sum{open}{labels}{close} {}", self.sum());
+        let _ = writeln!(out, "{name}_count{open}{labels}{close} {cumulative}");
+        for (suffix, q) in [("p50", 0.50), ("p99", 0.99)] {
+            if let Some(v) = Self::quantile_of(&counts, q) {
+                let _ = writeln!(out, "{name}_{suffix}{open}{labels}{close} {v}");
+            }
+        }
+    }
+}
+
+/// The stages of a `/recommend` request that `st_serve_stage_us` times,
+/// in the order a miss passes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The request's checks and the result-cache lookup (hits and
+    /// misses).
+    Cache,
+    /// Candidate generation: the retrieval index, or the exact catalog.
+    Retrieval,
+    /// A miss's wait in the batcher queue, enqueue to drain.
+    Queue,
+    /// Row gather and the tower over the candidates
+    /// (`try_score_user_with`).
+    Score,
+    /// Ranking the scores (`rank_top_k`).
+    Topk,
+    /// Rendering a miss's JSON body.
+    Render,
+    /// Writing and flushing the response to the socket.
+    Write,
+}
+
+impl Stage {
+    /// Every stage, in [`Metrics::stages`] order.
+    pub const ALL: [Stage; 7] = [
+        Stage::Cache,
+        Stage::Retrieval,
+        Stage::Queue,
+        Stage::Score,
+        Stage::Topk,
+        Stage::Render,
+        Stage::Write,
+    ];
+
+    /// The `stage` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::Cache => "cache",
+            Stage::Retrieval => "retrieval",
+            Stage::Queue => "queue",
+            Stage::Score => "score",
+            Stage::Topk => "topk",
+            Stage::Render => "render",
+            Stage::Write => "write",
+        }
     }
 }
 
@@ -218,11 +319,13 @@ pub struct Metrics {
     /// memory-mapped checkpoint (zero-copy reload), else 0.
     pub snapshot_mapped: AtomicU64,
     /// Batch-size distribution.
-    pub batch_size: Histogram<7>,
+    pub batch_size: Histogram,
     /// Candidate-set-size distribution (POIs re-ranked per request).
-    pub candidate_size: Histogram<8>,
+    pub candidate_size: Histogram,
     /// `/recommend` latency distribution, microseconds.
-    pub latency_us: Histogram<10>,
+    pub latency_us: Histogram,
+    /// Per-stage `/recommend` time, microseconds, indexed by [`Stage`].
+    stages: [Histogram; Stage::ALL.len()],
 }
 
 impl Metrics {
@@ -240,6 +343,11 @@ impl Metrics {
         self.snapshot_mapped.store(u64::from(mapped), Relaxed);
     }
 
+    /// The histogram of one request stage.
+    pub fn stage(&self, stage: Stage) -> &Histogram {
+        &self.stages[stage as usize]
+    }
+
     /// Cache hit rate over all lookups so far, in [0, 1].
     pub fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_hits.load(Relaxed) as f64;
@@ -255,7 +363,7 @@ impl Metrics {
     /// by the server (model epoch, live cache entries).
     pub fn render(&self, model_epoch: u64, cache_len: usize) -> String {
         use std::fmt::Write;
-        let mut out = String::with_capacity(2048);
+        let mut out = String::with_capacity(8192);
         let mut counter = |name: &str, v: u64| {
             let _ = writeln!(out, "{name} {v}");
         };
@@ -308,14 +416,6 @@ impl Metrics {
         );
         self.responses
             .render_into(&mut out, "st_serve_responses_total");
-        for (name, q) in [
-            ("st_serve_request_latency_us_p50", 0.50),
-            ("st_serve_request_latency_us_p99", 0.99),
-        ] {
-            if let Some(v) = self.latency_us.quantile(q, &LATENCY_BUCKETS_US) {
-                let _ = writeln!(out, "{name} {v}");
-            }
-        }
         let _ = writeln!(out, "st_serve_cache_hit_rate {}", self.cache_hit_rate());
         let _ = writeln!(out, "st_serve_model_epoch {model_epoch}");
         let _ = writeln!(
@@ -354,14 +454,18 @@ impl Metrics {
             self.snapshot_mapped.load(Relaxed)
         );
         self.batch_size
-            .render_into(&mut out, "st_serve_batch_size", &BATCH_BUCKETS);
-        self.candidate_size.render_into(
-            &mut out,
-            "st_serve_candidate_set_size",
-            &CANDIDATE_BUCKETS,
-        );
+            .render_into(&mut out, "st_serve_batch_size", "");
+        self.candidate_size
+            .render_into(&mut out, "st_serve_candidate_set_size", "");
         self.latency_us
-            .render_into(&mut out, "st_serve_request_latency_us", &LATENCY_BUCKETS_US);
+            .render_into(&mut out, "st_serve_request_latency_us", "");
+        for stage in Stage::ALL {
+            self.stage(stage).render_into(
+                &mut out,
+                "st_serve_stage_us",
+                &format!("stage=\"{}\"", stage.label()),
+            );
+        }
         out
     }
 }
@@ -372,88 +476,104 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let h: Histogram<7> = Histogram::default();
-        h.observe(1, &BATCH_BUCKETS);
-        h.observe(3, &BATCH_BUCKETS);
-        h.observe(1000, &BATCH_BUCKETS); // above every bound: only +Inf
+        let h = Histogram::default();
+        h.observe(1);
+        h.observe(3);
+        h.observe(1000); // in [960, 1023]
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 1004);
         let mut out = String::new();
-        h.render_into(&mut out, "x", &BATCH_BUCKETS);
-        assert!(out.contains("x_bucket{le=\"1\"} 1"));
-        assert!(out.contains("x_bucket{le=\"4\"} 2"));
-        assert!(out.contains("x_bucket{le=\"64\"} 2"));
-        assert!(out.contains("x_bucket{le=\"+Inf\"} 3"));
-        assert!(out.contains("x_count 3"));
+        h.render_into(&mut out, "x", "");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "x_bucket{le=\"1\"} 1",
+                "x_bucket{le=\"3\"} 2",
+                "x_bucket{le=\"1023\"} 3",
+                "x_bucket{le=\"+Inf\"} 3",
+                "x_sum 1004",
+                "x_count 3",
+                "x_p50 3",
+                "x_p99 1023",
+            ],
+            "empty buckets are skipped, +Inf is kept"
+        );
+        let mut out = String::new();
+        h.render_into(&mut out, "y", "stage=\"score\"");
+        assert!(out.contains("y_bucket{stage=\"score\",le=\"3\"} 2\n"));
+        assert!(out.contains("y_bucket{stage=\"score\",le=\"+Inf\"} 3\n"));
+        assert!(out.contains("y_count{stage=\"score\"} 3\n"));
+        assert!(out.contains("y_p99{stage=\"score\"} 1023\n"));
     }
 
     #[test]
     fn boundary_values_land_in_their_bucket() {
-        // A value exactly equal to a bound belongs to that bucket
-        // (bounds are inclusive upper limits), and one past it does not.
-        for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-            let h: Histogram<10> = Histogram::default();
-            h.observe(bound, &LATENCY_BUCKETS_US);
+        // Bounds are inclusive upper limits: a bucket's bound lands in it
+        // and one past the bound in the next bucket, across the whole u64
+        // range, and no bucket is wider than 1/8 of the values under it.
+        assert_eq!(upper_bound(BUCKETS - 1), u64::MAX);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        for v in 0..16 {
+            assert_eq!((bucket_of(v), upper_bound(v as usize)), (v as usize, v));
+        }
+        for i in 0..BUCKETS - 1 {
+            let bound = upper_bound(i);
+            assert_eq!(bucket_of(bound), i, "bound {bound} missed bucket {i}");
             assert_eq!(
-                h.buckets[i].load(Relaxed),
-                1,
-                "value {bound} missed bucket {i}"
-            );
-            let h: Histogram<10> = Histogram::default();
-            h.observe(bound + 1, &LATENCY_BUCKETS_US);
-            assert_eq!(
-                h.buckets[i].load(Relaxed),
-                0,
-                "value {} leaked into bucket {i}",
+                bucket_of(bound + 1),
+                i + 1,
+                "{} leaked into bucket {i}",
                 bound + 1
             );
+            let lower = if i == 0 { 0 } else { upper_bound(i - 1) + 1 };
+            let width = bound - lower;
+            assert!(width <= bound / 8, "bucket {i} is {width} wide at {bound}");
         }
-        // Zero lands in every bucket (cumulative) including the first.
-        let h: Histogram<10> = Histogram::default();
-        h.observe(0, &LATENCY_BUCKETS_US);
-        for (i, b) in h.buckets.iter().enumerate() {
-            assert_eq!(b.load(Relaxed), 1, "bucket {i}");
-        }
+        assert_eq!(
+            [100, 1_000, 1_100, 4_096, 250_000].map(|v| upper_bound(bucket_of(v))),
+            [103, 1_023, 1_151, 4_607, 262_143]
+        );
     }
 
     #[test]
     fn quantiles_on_known_distributions() {
-        let h: Histogram<10> = Histogram::default();
-        assert_eq!(h.quantile(0.5, &LATENCY_BUCKETS_US), None, "empty");
+        let h = Histogram::default();
+        assert_eq!(h.quantile(0.5), None, "empty");
 
-        // 100 observations of exactly 100us: every quantile is the 100us
-        // bucket bound.
+        // 100 observations of exactly 100us: every quantile is the bound
+        // of 100's bucket, [96, 103].
         for _ in 0..100 {
-            h.observe(100, &LATENCY_BUCKETS_US);
+            h.observe(100);
         }
-        assert_eq!(h.quantile(0.0, &LATENCY_BUCKETS_US), Some(100));
-        assert_eq!(h.quantile(0.5, &LATENCY_BUCKETS_US), Some(100));
-        assert_eq!(h.quantile(0.99, &LATENCY_BUCKETS_US), Some(100));
+        assert_eq!(h.quantile(0.0), Some(103));
+        assert_eq!(h.quantile(0.5), Some(103));
+        assert_eq!(h.quantile(0.99), Some(103));
 
         // 90 fast + 10 slow: p50 stays fast, p99 reports the slow bucket.
-        let h: Histogram<10> = Histogram::default();
+        let h = Histogram::default();
         for _ in 0..90 {
-            h.observe(40, &LATENCY_BUCKETS_US); // <= 50us bucket
+            h.observe(40); // [40, 43]
         }
         for _ in 0..10 {
-            h.observe(9_000, &LATENCY_BUCKETS_US); // <= 10ms bucket
+            h.observe(9_000); // [8 192, 9 215]
         }
-        assert_eq!(h.quantile(0.50, &LATENCY_BUCKETS_US), Some(50));
-        assert_eq!(h.quantile(0.90, &LATENCY_BUCKETS_US), Some(50));
-        assert_eq!(h.quantile(0.99, &LATENCY_BUCKETS_US), Some(10_000));
+        assert_eq!(h.quantile(0.50), Some(43));
+        assert_eq!(h.quantile(0.90), Some(43));
+        assert_eq!(h.quantile(0.99), Some(9_215));
 
-        // Observations above every bound saturate at the largest bound.
-        let h: Histogram<10> = Histogram::default();
-        h.observe(u64::MAX, &LATENCY_BUCKETS_US);
-        assert_eq!(h.quantile(0.5, &LATENCY_BUCKETS_US), Some(250_000));
+        // The top bucket ends at u64::MAX.
+        let h = Histogram::default();
+        h.observe(u64::MAX);
+        assert_eq!(h.quantile(0.5), Some(u64::MAX));
     }
 
     #[test]
     fn sum_saturates_instead_of_wrapping() {
-        let h: Histogram<7> = Histogram::default();
-        h.observe(u64::MAX, &BATCH_BUCKETS);
-        h.observe(u64::MAX, &BATCH_BUCKETS);
-        h.observe(7, &BATCH_BUCKETS);
+        let h = Histogram::default();
+        h.observe(u64::MAX);
+        h.observe(u64::MAX);
+        h.observe(7);
         // Count keeps exact track; the sum pins at the ceiling rather
         // than wrapping to a small number.
         assert_eq!(h.count(), 3);
@@ -474,9 +594,10 @@ mod tests {
         m.degraded_total.fetch_add(1, Relaxed);
         m.queue_depth.store(9, Relaxed);
         m.batcher_scorers.store(2, Relaxed);
-        m.latency_us.observe(120, &LATENCY_BUCKETS_US);
+        m.latency_us.observe(120);
+        m.stage(Stage::Score).observe(1_000);
         m.retrieval_fallback_total.fetch_add(4, Relaxed);
-        m.candidate_size.observe(300, &CANDIDATE_BUCKETS);
+        m.candidate_size.observe(300);
         m.last_reload_unix.store(1_700_000_000, Relaxed);
         m.last_reload_duration_us.store(527_250, Relaxed);
         m.stamp_snapshot(StorageEncoding::I8, 4096, true);
@@ -494,8 +615,8 @@ mod tests {
         assert!(text.contains("st_serve_injected_failures_total 0"));
         assert!(text.contains("st_serve_queue_depth 9"));
         assert!(text.contains("st_serve_batcher_scorers 2"));
-        assert!(text.contains("st_serve_request_latency_us_p50 250"));
-        assert!(text.contains("st_serve_request_latency_us_p99 250"));
+        assert!(text.contains("st_serve_request_latency_us_p50 127"));
+        assert!(text.contains("st_serve_request_latency_us_p99 127"));
         assert!(text.contains("st_serve_request_latency_us_count 1"));
         assert!(text.contains("st_serve_retrieval_fallback_total 4"));
         assert!(text.contains("st_serve_last_reload_timestamp_seconds 1700000000"));
@@ -503,7 +624,9 @@ mod tests {
         assert!(Metrics::new()
             .render(1, 0)
             .contains("st_serve_last_reload_duration_seconds 0.000000\n"));
-        assert!(text.contains("st_serve_candidate_set_size_bucket{le=\"512\"} 1"));
+        assert!(text.contains("st_serve_candidate_set_size_bucket{le=\"319\"} 1"));
+        assert!(text.contains("st_serve_stage_us_p50{stage=\"score\"} 1023\n"));
+        assert!(text.contains("st_serve_stage_us_count{stage=\"topk\"} 0\n"));
         assert!(text.contains("st_serve_candidate_set_size_count 1"));
         assert!(text.contains("st_serve_snapshot_bytes 4096"));
         assert!(text.contains("st_serve_snapshot_format{format=\"int8\"} 1"));

@@ -29,7 +29,7 @@ use crate::fault::FaultInjector;
 use crate::http::{Request, Response};
 use crate::httpd::{Handler, HttpServer};
 use crate::lru::LruCache;
-use crate::metrics::{Metrics, StatusTally, LATENCY_BUCKETS_US};
+use crate::metrics::{micros, Metrics, Stage, StatusTally};
 use crate::snapshot::{ModelCell, ReloadOutcome, Reloader};
 use st_data::{CityId, Dataset, UserId};
 use st_transrec_core::{InferCtx, ModelSnapshot, Recommendation, RetrievalConfig};
@@ -117,11 +117,6 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Whole microseconds since `started`, saturating.
-fn elapsed_us(started: Instant) -> u64 {
-    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-}
-
 impl Engine {
     /// Builds an engine from a frozen generation — what
     /// [`Reloader::load_frozen`] returns, served out of the mapped
@@ -194,7 +189,7 @@ impl Engine {
             Ok(outcome) => {
                 self.metrics
                     .last_reload_duration_us
-                    .store(elapsed_us(started), Ordering::Relaxed);
+                    .store(micros(started.elapsed()), Ordering::Relaxed);
                 self.metrics.reloads_ok.fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .last_reload_unix
@@ -210,9 +205,10 @@ impl Engine {
         }
     }
 
-    fn route(&self, req: &Request, ctx: &mut InferCtx) -> Response {
+    /// Answers `req`, whose handling began at `started`.
+    fn route(&self, req: &Request, ctx: &mut InferCtx, started: Instant) -> Response {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/recommend") => self.handle_recommend(req, ctx),
+            ("GET", "/recommend") => self.handle_recommend(req, ctx, started),
             ("GET", "/healthz") => {
                 self.metrics
                     .healthz_requests
@@ -249,19 +245,10 @@ impl Engine {
         }
     }
 
-    fn handle_recommend(&self, req: &Request, ctx: &mut InferCtx) -> Response {
+    fn handle_recommend(&self, req: &Request, ctx: &mut InferCtx, started: Instant) -> Response {
         self.metrics
             .recommend_requests
             .fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let response = self.recommend_response(req, ctx);
-        self.metrics
-            .latency_us
-            .observe(elapsed_us(started), &LATENCY_BUCKETS_US);
-        response
-    }
-
-    fn recommend_response(&self, req: &Request, ctx: &mut InferCtx) -> Response {
         // Parse and validate request input; none of it may panic.
         let user = match req.int_param("user") {
             Ok(u) => UserId(u),
@@ -287,16 +274,22 @@ impl Engine {
         }
 
         // Cache lookup: an answer scored by the serving epoch is a hit.
+        // The cache stage is timed from the request's start, checks
+        // included: they cost less than another clock read would.
         let key = (user, city, k);
         let epoch = self.cell.epoch();
         let stale = match recover(self.cache.lock()).get(&key) {
             Some((scored, body)) if *scored == epoch => {
+                self.metrics.stage(Stage::Cache).observe_since(started);
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Response::json(200, body.as_bytes().to_vec())
                     .with_header("X-Cache", "HIT")
                     .with_header("X-Model-Epoch", &epoch.to_string());
             }
-            other => other.cloned(),
+            other => {
+                self.metrics.stage(Stage::Cache).observe_since(started);
+                other.cloned()
+            }
         };
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
@@ -322,6 +315,7 @@ impl Engine {
         // Miss: generate candidates (two-stage retrieval when this
         // generation carries an index, exact full catalog otherwise),
         // then score through the micro-batcher.
+        let retrieving = Instant::now();
         let generation = self.cell.current();
         let retrieved = generation
             .retrieval
@@ -339,8 +333,9 @@ impl Engine {
             }
         };
         self.metrics
-            .candidate_size
-            .observe(candidates.len() as u64, &crate::metrics::CANDIDATE_BUCKETS);
+            .stage(Stage::Retrieval)
+            .observe_since(retrieving);
+        self.metrics.candidate_size.observe(candidates.len() as u64);
         let reply = match self.batcher.submit(BatchRequest {
             user,
             candidates,
@@ -371,7 +366,9 @@ impl Engine {
                 return Response::error(400, "request not scorable by the serving model");
             }
         };
+        let rendering = Instant::now();
         let body: Arc<str> = render_recommend_body(user, city, k, reply.epoch, &reply.recs).into();
+        self.metrics.stage(Stage::Render).observe_since(rendering);
         // Tag with the epoch that actually scored the batch: a reload
         // racing this request must not pass old-model results off as the
         // new generation's hits.
@@ -420,9 +417,19 @@ impl Handler for Engine {
         out: &mut W,
         keep_alive: bool,
     ) -> std::io::Result<()> {
-        let response = self.route(req, ctx);
+        // One clock read before routing and one after it time a
+        // `/recommend`'s latency, and the second starts its write stage.
+        let started = Instant::now();
+        let response = self.route(req, ctx, started);
         self.metrics.responses.record(response.status);
-        response.write_to(out, keep_alive)
+        if (req.method.as_str(), req.path.as_str()) != ("GET", "/recommend") {
+            return response.write_to(out, keep_alive);
+        }
+        let routed = Instant::now();
+        self.metrics.latency_us.observe(micros(routed - started));
+        let written = response.write_to(out, keep_alive);
+        self.metrics.stage(Stage::Write).observe_since(routed);
+        written
     }
 
     fn responses(&self) -> &StatusTally {
@@ -498,12 +505,43 @@ mod tests {
         let req = read_request(&mut raw.as_bytes())
             .expect("well-formed")
             .expect("one request");
-        engine.route(&req, &mut InferCtx::new())
+        engine.route(&req, &mut InferCtx::new(), Instant::now())
     }
 
     fn header<'a>(response: &'a Response, name: &str) -> Option<&'a str> {
         let found = response.extra_headers.iter().find(|(n, _)| n == name);
         found.map(|(_, v)| v.as_str())
+    }
+
+    /// A miss passes every stage once; a hit only looks up the cache and
+    /// writes. Other routes time nothing.
+    #[test]
+    fn a_miss_times_every_stage_and_a_hit_only_lookup_and_write() {
+        let cfg = SynthConfig::tiny();
+        let (d, _) = generate(&cfg);
+        let split = CrossingCitySplit::build(&d, CityId(cfg.target_city as u16));
+        let model = STTransRec::new(&d, &split, ModelConfig::test_small());
+        let engine = Engine::new_frozen(
+            Arc::new(d),
+            model.snapshot(),
+            0,
+            None,
+            &ServeConfig::default(),
+        );
+        let target = format!("/recommend?user=0&city={}&k=5", cfg.target_city);
+        for path in [target.as_str(), target.as_str(), "/healthz"] {
+            let raw = format!("GET {path} HTTP/1.1\r\n\r\n");
+            let req = read_request(&mut raw.as_bytes())
+                .expect("well-formed")
+                .expect("one request");
+            let mut wire = Vec::new();
+            engine
+                .handle(&req, &mut InferCtx::new(), &mut wire, true)
+                .expect("written");
+        }
+        let counts = Stage::ALL.map(|stage| engine.metrics().stage(stage).count());
+        // cache, retrieval, queue, score, topk, render, write
+        assert_eq!(counts, [2, 1, 1, 1, 1, 1, 2]);
     }
 
     /// A request thread that panics holding the cache lock must not take
