@@ -215,22 +215,12 @@ fn panel_product(
 ) {
     let init = init.map(|row| &row[j..j + w]);
     match w {
-        NR => {
-            let init = init_row::<NR>(init);
-            let mut i = 0;
-            while i + MR <= m {
-                micro_kernel_wide(a, panel, init, c, k, n, i, j, write);
-                i += MR;
-            }
-            for i in i..m {
-                micro_kernel::<1, NR>(a, panel, init, c, k, n, i, j, write);
-            }
-        }
-        16 => narrow_bands::<16>(a, panel, init, c, m, k, n, j, write),
-        8 => narrow_bands::<8>(a, panel, init, c, m, k, n, j, write),
-        4 => narrow_bands::<4>(a, panel, init, c, m, k, n, j, write),
-        2 => narrow_bands::<2>(a, panel, init, c, m, k, n, j, write),
-        1 => narrow_bands::<1>(a, panel, init, c, m, k, n, j, write),
+        NR => bands::<MR, NR>(a, panel, init, c, m, k, n, j, write),
+        16 => bands::<MR_NARROW, 16>(a, panel, init, c, m, k, n, j, write),
+        8 => bands::<MR_NARROW, 8>(a, panel, init, c, m, k, n, j, write),
+        4 => bands::<MR_NARROW, 4>(a, panel, init, c, m, k, n, j, write),
+        2 => bands::<MR_NARROW, 2>(a, panel, init, c, m, k, n, j, write),
+        1 => bands::<MR_NARROW, 1>(a, panel, init, c, m, k, n, j, write),
         _ => unreachable!("panels() yields NR or a power of two below it"),
     }
 }
@@ -241,10 +231,11 @@ fn init_row<const W: usize>(init: Option<&[f32]>) -> [f32; W] {
     init.map_or([0.0; W], |row| row.try_into().expect("W-wide init"))
 }
 
-/// [`panel_product`] for a `W < NR` panel: bands of `MR_NARROW` rows.
+/// [`panel_product`] for a `W`-wide panel: bands of `R` rows through
+/// [`band_tile`], then the rows left over one at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn narrow_bands<const W: usize>(
+fn bands<const R: usize, const W: usize>(
     a: &[f32],
     panel: &[f32],
     init: Option<&[f32]>,
@@ -257,12 +248,39 @@ fn narrow_bands<const W: usize>(
 ) {
     let init = init_row::<W>(init);
     let mut i = 0;
-    while i + MR_NARROW <= m {
-        micro_kernel::<MR_NARROW, W>(a, panel, init, c, k, n, i, j, write);
-        i += MR_NARROW;
+    while i + R <= m {
+        band_tile::<R, W>(a, panel, init, c, k, n, i, j, write);
+        i += R;
     }
     for i in i..m {
         micro_kernel::<1, W>(a, panel, init, c, k, n, i, j, write);
+    }
+}
+
+/// The `R x W` tile of one full row band: on an AVX-512 build the
+/// 16- and 32-wide panels run [`zmm::tile`]; every other panel, and
+/// every panel on other builds, runs the generic tiles.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn band_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    panel: &[f32],
+    init: [f32; W],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
+) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if W.is_multiple_of(zmm::LANE) {
+        return zmm::tile::<R, W>(a, panel, &init, c, k, n, i, j, write);
+    }
+    if W == NR {
+        micro_kernel_wide(a, panel, &init, c, k, n, i, j, write)
+    } else {
+        micro_kernel::<R, W>(a, panel, init, c, k, n, i, j, write)
     }
 }
 
@@ -278,7 +296,7 @@ fn narrow_bands<const W: usize>(
 fn micro_kernel_wide(
     a: &[f32],
     panel: &[f32],
-    init: [f32; NR],
+    init: &[f32],
     c: &mut [f32],
     k: usize,
     n: usize,
@@ -286,6 +304,7 @@ fn micro_kernel_wide(
     j: usize,
     write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
+    let init: [f32; NR] = init.try_into().expect("NR-wide init");
     let a0 = &a[i * k..(i + 1) * k];
     let a1 = &a[(i + 1) * k..(i + 2) * k];
     let a2 = &a[(i + 2) * k..(i + 3) * k];
@@ -338,6 +357,125 @@ fn micro_kernel<const R: usize, const W: usize>(
     for (r, accr) in acc.iter().enumerate() {
         let off = (i + r) * n + j;
         write(&mut c[off..off + W], accr, i + r, j);
+    }
+}
+
+/// The register tiles written with AVX-512 intrinsics, for builds whose
+/// target has `avx512f` (`-C target-cpu=native` on a host that has it).
+///
+/// LLVM's tuning for many AVX-512 cores (`prefer-256-bit`) keeps its
+/// autovectoriser at 256-bit even where 512-bit registers exist, so the
+/// generic tiles above compile to ymm ops there. These spell the same
+/// arithmetic in zmm registers: one accumulator per output element,
+/// started from `init`, then per `k` in ascending order a separate
+/// `_mm512_mul_ps` and `_mm512_add_ps` — never `_mm512_fmadd_ps`, which
+/// rounds once instead of twice — so they write the generic tiles' bits.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use super::NR;
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// `f32` lanes in one zmm register.
+    pub(super) const LANE: usize = 16;
+    /// Most zmm registers one tile row spans.
+    const LANES: usize = NR / LANE;
+
+    // The intrinsics below are `#[target_feature(enable = "avx512f")]`
+    // functions, so each call is `unsafe`: its requirement is that the CPU
+    // running it has AVX-512F. This module compiles only when the build
+    // targets `avx512f`, a promise the whole binary already makes (the
+    // compiler may emit AVX-512 anywhere in it).
+
+    /// Sixteen zeros.
+    #[inline(always)]
+    fn zero() -> __m512 {
+        // SAFETY: avx512f is enabled for the whole build (module cfg).
+        unsafe { _mm512_setzero_ps() }
+    }
+
+    /// `x` in all sixteen lanes.
+    #[inline(always)]
+    fn splat(x: f32) -> __m512 {
+        // SAFETY: avx512f is enabled for the whole build (module cfg).
+        unsafe { _mm512_set1_ps(x) }
+    }
+
+    /// `acc + v * b` lane by lane, rounded after the multiply and again
+    /// after the add, as `acc += v * b` is on `f32`s.
+    #[inline(always)]
+    fn add_product(acc: __m512, v: __m512, b: __m512) -> __m512 {
+        // SAFETY: avx512f is enabled for the whole build (module cfg).
+        unsafe { _mm512_add_ps(acc, _mm512_mul_ps(v, b)) }
+    }
+
+    /// Loads 16 floats from `src[at..at + 16]`.
+    #[inline(always)]
+    fn load(src: &[f32], at: usize) -> __m512 {
+        let lane: &[f32; LANE] = src[at..at + LANE].try_into().expect("16 floats");
+        // SAFETY: `lane` is a reference to 16 initialised `f32`s, exactly
+        // the 64 bytes the unaligned load reads; avx512f is enabled for
+        // the whole build (module cfg).
+        unsafe { _mm512_loadu_ps(lane.as_ptr()) }
+    }
+
+    /// Stores `v` into `dst[at..at + 16]`.
+    #[inline(always)]
+    fn store(dst: &mut [f32], at: usize, v: __m512) {
+        let lane: &mut [f32; LANE] = (&mut dst[at..at + LANE]).try_into().expect("16 floats");
+        // SAFETY: `lane` is a mutable reference to 16 `f32`s, exactly the
+        // 64 bytes the unaligned store writes; avx512f is enabled for the
+        // whole build (module cfg).
+        unsafe { _mm512_storeu_ps(lane.as_mut_ptr(), v) }
+    }
+
+    /// `R x W` register-tile product (`W` a multiple of 16 up to `NR`) of
+    /// rows `i..i+R` of `a` with the packed panel of columns `j..j+W`:
+    /// [`super::micro_kernel`]'s arithmetic with `R x W/16` zmm
+    /// accumulators.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn tile<const R: usize, const W: usize>(
+        a: &[f32],
+        panel: &[f32],
+        init: &[f32; W],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        i: usize,
+        j: usize,
+        write: &impl Fn(&mut [f32], &[f32], usize, usize),
+    ) {
+        debug_assert!(W.is_multiple_of(LANE) && W <= NR);
+        let lanes = W / LANE;
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let mut start = [zero(); LANES];
+        for (l, s) in start.iter_mut().enumerate().take(lanes) {
+            *s = load(init, l * LANE);
+        }
+        let mut acc = [start; R];
+        for (p, bp) in panel.chunks_exact(W).enumerate() {
+            let mut b = [zero(); LANES];
+            for (l, b) in b.iter_mut().enumerate().take(lanes) {
+                *b = load(bp, l * LANE);
+            }
+            for (row, acc) in rows.iter().zip(&mut acc) {
+                let v = splat(row[p]);
+                for (acc, &b) in acc.iter_mut().zip(&b).take(lanes) {
+                    *acc = add_product(*acc, v, b);
+                }
+            }
+        }
+        let mut out = [0.0f32; W];
+        for (r, acc) in acc.iter().enumerate() {
+            for (l, &acc) in acc.iter().enumerate().take(lanes) {
+                store(&mut out, l * LANE, acc);
+            }
+            let off = (i + r) * n + j;
+            write(&mut c[off..off + W], &out, i + r, j);
+        }
     }
 }
 
@@ -491,6 +629,84 @@ mod tests {
             transpose_blocked(&at, &mut a2, k, m);
             let want = naive_matmul(&a2, &b2, m, k, n);
             assert_eq!(bits(&c2), bits(&want), "t_a shape {m}x{k}x{n}");
+        }
+    }
+
+    /// The register tiles' arithmetic shows in the bits of edge values:
+    /// `0 * Inf` is NaN only where the multiply runs, a sum stays `-0.0`
+    /// only if it starts there, subnormal products round away, and a
+    /// fused multiply-add would keep bits a separate multiply drops.
+    /// Full bands of the `MR x NR` and `MR_NARROW x 16` tiles (plus a tail
+    /// row) over such values, with and without an `init` row, must write
+    /// exactly the bits of the naive references. NaNs compare as NaN:
+    /// their sign and payload are not specified by the language.
+    #[test]
+    fn register_tiles_keep_the_naive_bits_on_edge_values() {
+        let edge = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 5.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.0 + f32::EPSILON,
+            -3.0e38,
+            1.0e-20,
+            0.1,
+            -7.5,
+        ];
+        // Mostly ordinary values, so most outputs stay finite and their
+        // rounding is what is compared; one value in 13 is an edge one.
+        let pick = |len: usize, seed: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| {
+                    let h = (i * 2_654_435_761 + seed * 40_503) % 1_000_003;
+                    if h.is_multiple_of(13) {
+                        edge[h / 13 % edge.len()]
+                    } else {
+                        (h % 2_001) as f32 / 97.0 - 10.3
+                    }
+                })
+                .collect()
+        };
+        let key = |x: f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        let keys = |v: &[f32]| -> Vec<u32> { v.iter().map(|&x| key(x)).collect() };
+        for (m, n) in [(MR + 1, NR), (MR_NARROW + 1, 16)] {
+            let k = 23;
+            let a = crate::Matrix::from_vec(m, k, pick(m * k, 1));
+            let bt = crate::Matrix::from_vec(n, k, pick(n * k, 2));
+            let want = a.matmul_transpose_b_naive(&bt);
+            let mut got = crate::Matrix::zeros(m, n);
+            a.matmul_transpose_b_into(&bt, &mut got);
+            assert_eq!(keys(got.as_slice()), keys(want.as_slice()), "{m}x{k}x{n}");
+
+            // With an init row: the accumulators start at `init[j]`.
+            let mut b = vec![0.0f32; k * n];
+            transpose_blocked(bt.as_slice(), &mut b, n, k);
+            let init = pick(n, 3);
+            let mut got = vec![0.0f32; m * n];
+            let packed = PackedB::pack(&b, k, n);
+            matmul_packed(
+                a.as_slice(),
+                &packed,
+                Some(&init),
+                &mut got,
+                m,
+                |c, acc, _, _| c.copy_from_slice(acc),
+            );
+            let want: Vec<f32> = (0..m * n)
+                .map(|e| {
+                    let (i, j) = (e / n, e % n);
+                    let mut acc = init[j];
+                    for p in 0..k {
+                        acc += a.as_slice()[i * k + p] * b[p * n + j];
+                    }
+                    acc
+                })
+                .collect();
+            assert_eq!(keys(&got), keys(&want), "{m}x{k}x{n} with init");
+            assert!(got.iter().any(|x| x.is_nan()) && got.iter().any(|x| x.is_finite()));
         }
     }
 

@@ -1,7 +1,8 @@
-//! A handful of layer timings to read beside the benchmark: the three
-//! product shapes, one IVF assignment pass, the two MMD estimators, a
-//! training step's random draws, and a training step by variant and
-//! schedule, beside `train_step` itself.
+//! A handful of layer timings to read beside the benchmark: the register
+//! tiles this build compiled and the scoring tower's four products, the
+//! three product shapes, one IVF assignment pass, the two MMD
+//! estimators, a training step's random draws, and a training step by
+//! variant and schedule, beside `train_step` itself.
 //!
 //! ```text
 //! cargo run --release --example perf_probe
@@ -10,6 +11,7 @@
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use st_transrec::core::{mmd_loss, MmdEstimator, ModelConfig, STTransRec, Schedule, Variant};
 use st_transrec::data::{synth, CityId, CrossingCitySplit};
+use st_transrec::tensor::kernels::{self, PackedB, TILE_ROWS};
 use st_transrec::tensor::{ops, Gradients, Init, Matrix, MatrixPool, ParamStore, Tape};
 use std::time::Instant;
 
@@ -32,13 +34,44 @@ fn lcg(len: usize, seed: usize) -> Vec<f32> {
 }
 
 fn main() {
+    let gflops = |m: usize, k: usize, n: usize, secs: f64| 2.0 * (m * k * n) as f64 / secs / 1e9;
+
+    // Which register tiles this build runs: the 16- and 32-wide panels
+    // take zmm intrinsics when the target has AVX-512F, the generic
+    // autovectorised tiles otherwise. Then the scoring tower's four
+    // products (128 -> 64 -> 32 -> 16 -> 1, the user's half of the first
+    // layer seeding the accumulators) on one row tile of candidates.
+    println!(
+        "register tiles: {}",
+        if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+            "avx512f (zmm intrinsics for 16/32-wide panels)"
+        } else {
+            "generic (autovectorised)"
+        }
+    );
+    for (k, n) in [(64, 64), (64, 32), (32, 16), (16, 1)] {
+        let a = lcg(TILE_ROWS * k, 3);
+        let w = PackedB::pack(&lcg(k * n, 5), k, n);
+        let init = lcg(n, 9);
+        let mut c = vec![0.0f32; TILE_ROWS * n];
+        let t = best_of(20_000, || {
+            kernels::matmul_packed(&a, &w, Some(&init), &mut c, TILE_ROWS, |c, acc, _, _| {
+                c.copy_from_slice(acc)
+            })
+        });
+        println!(
+            "score tile {TILE_ROWS}x{k}x{n}: {:.1} GFLOP/s ({:.2} us)",
+            gflops(TILE_ROWS, k, n, t),
+            t * 1e6
+        );
+    }
+
     // All three shapes run the one packed kernel family, so they should
     // read alike; `a * b^T` well under the others means a dot-product
     // path is back.
     let n = 256;
     let a = Matrix::from_vec(n, n, lcg(n * n, 3));
     let b = Matrix::from_vec(n, n, lcg(n * n, 5));
-    let gflops = |m: usize, k: usize, n: usize, secs: f64| 2.0 * (m * k * n) as f64 / secs / 1e9;
     let t = best_of(7, || a.matmul(&b));
     println!(
         "a*b    {n}x{n} * {n}x{n}: {:.1} GFLOP/s",
