@@ -181,7 +181,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in [`Metrics::stages`] order.
+    /// Every stage, in the order `/metrics` renders them.
     pub const ALL: [Stage; 7] = [
         Stage::Cache,
         Stage::Retrieval,

@@ -11,6 +11,14 @@
 //!   statically in range and check-free.
 //! - **Contiguous streaming.** All inner loops walk unit-stride memory.
 //!
+//! The one exception is the private `zmm` module, compiled only when the
+//! build targets AVX-512F: it writes the 16- and 32-wide band tiles —
+//! which carry nearly all of a scoring pass — with `core::arch`
+//! intrinsics, because LLVM's tuning for many AVX-512 cores
+//! (`prefer-256-bit`) caps its autovectorizer at 256-bit registers even
+//! there. Its `unsafe` covers the intrinsic calls and the 64-byte loads
+//! and stores from fixed-size arrays, nothing else.
+//!
 //! # The summation-order invariant
 //!
 //! There is one product micro-kernel family. All three shapes — `a * b`
@@ -21,8 +29,8 @@
 //! (`panel_product`; there is no dot-product tile), and every
 //! element they write is `init + a[0]*b[0] + a[1]*b[1] + ...` evaluated
 //! left to right: one accumulator per output element, terms added in
-//! ascending `k`, a separate multiply and add per term (never
-//! `mul_add`, which rounds once instead of twice). The tile shape
+//! ascending `k`, a separate multiply and add per term (never a fused
+//! multiply-add, which rounds once instead of twice). The tile shape
 //! decides only which elements share a loop, so every tile width and
 //! height — and the plain `*_naive` loops kept in [`crate::Matrix`] —
 //! produce the same bits for every shape, and a product may be split at
@@ -34,8 +42,10 @@
 //!
 //! Tile sizes are chosen for the x86-64 baseline (SSE2, 16 XMM
 //! registers): a 4x8 `f32` accumulator block is 8 vector registers,
-//! leaving room for operand broadcasts. On wider ISAs (AVX2/AVX-512 via
-//! `-C target-cpu=native`) the same code compiles to fewer, wider ops.
+//! leaving room for operand broadcasts. With AVX2 (`-C target-cpu=native`
+//! on such a host) the generic tiles compile to ymm ops; with AVX-512F
+//! the `MR x NR` and `MR_NARROW x 16` tiles are the `zmm` module's, eight
+//! zmm accumulators each, and the narrower tiles stay generic.
 
 /// Rows per full-width register tile (micro-kernel height).
 pub const MR: usize = 4;
@@ -368,8 +378,9 @@ fn micro_kernel<const R: usize, const W: usize>(
 /// generic tiles above compile to ymm ops there. These spell the same
 /// arithmetic in zmm registers: one accumulator per output element,
 /// started from `init`, then per `k` in ascending order a separate
-/// `_mm512_mul_ps` and `_mm512_add_ps` — never `_mm512_fmadd_ps`, which
-/// rounds once instead of twice — so they write the generic tiles' bits.
+/// `_mm512_mul_ps` and `_mm512_add_ps` — never the fused multiply-add
+/// intrinsic, which rounds once instead of twice — so they write the
+/// generic tiles' bits.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod zmm {
     use super::NR;
