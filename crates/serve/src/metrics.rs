@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 const BUCKETS: usize = 8 * 62;
 
 /// Whole microseconds in `d`, saturating.
-pub fn micros(d: Duration) -> u64 {
+pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -161,7 +161,7 @@ impl Histogram {
 /// The stages of a `/recommend` request that `st_serve_stage_us` times,
 /// in the order a miss passes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     /// The request's checks and the result-cache lookup (hits and
     /// misses).
     Cache,
@@ -344,7 +344,7 @@ impl Metrics {
     }
 
     /// The histogram of one request stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
+    pub(crate) fn stage(&self, stage: Stage) -> &Histogram {
         &self.stages[stage as usize]
     }
 
