@@ -15,11 +15,11 @@ use st_geo::GeoPoint;
 
 /// CRCF hyperparameters.
 #[derive(Debug, Clone)]
-pub struct CrcfConfig {
+pub(crate) struct CrcfConfig {
     /// Distance-decay scale in km for the location preference.
-    pub decay_km: f64,
+    pub(crate) decay_km: f64,
     /// Mixing weight of content interest vs location preference.
-    pub content_weight: f32,
+    pub(crate) content_weight: f32,
 }
 
 impl Default for CrcfConfig {
@@ -33,7 +33,7 @@ impl Default for CrcfConfig {
 
 /// The fitted, self-contained CRCF scorer.
 #[derive(Debug)]
-pub struct Crcf {
+pub(crate) struct Crcf {
     profiles: Vec<Vec<(u32, f32)>>,
     /// POI words snapshotted at fit time so scoring needs no dataset.
     poi_words: Vec<Vec<WordId>>,
@@ -46,7 +46,12 @@ pub struct Crcf {
 impl Crcf {
     /// Fits CRCF: word profiles from training check-ins plus the
     /// distance-decay prior toward `target` city's centre.
-    pub fn fit(dataset: &Dataset, train: &[Checkin], target: CityId, config: CrcfConfig) -> Self {
+    pub(crate) fn fit(
+        dataset: &Dataset,
+        train: &[Checkin],
+        target: CityId,
+        config: CrcfConfig,
+    ) -> Self {
         assert!(config.decay_km > 0.0, "decay scale must be positive");
         assert!((0.0..=1.0).contains(&config.content_weight));
         let profiles = user_word_profiles(dataset, train);
@@ -68,11 +73,6 @@ impl Crcf {
             location_pref,
             content_weight: config.content_weight,
         }
-    }
-
-    /// The location-preference component for a POI.
-    pub fn location_preference(&self, poi: PoiId) -> f32 {
-        self.location_pref[poi.idx()]
     }
 }
 
@@ -121,10 +121,10 @@ mod tests {
                 worst_d = dist;
             }
         }
-        assert!(m.location_preference(best) > m.location_preference(worst));
+        assert!(m.location_pref[best.idx()] > m.location_pref[worst.idx()]);
         // Source-city POIs get zero location preference.
         let src = d.pois_in_city(CityId(0))[0];
-        assert_eq!(m.location_preference(src), 0.0);
+        assert_eq!(m.location_pref[src.idx()], 0.0);
     }
 
     #[test]

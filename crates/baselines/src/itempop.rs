@@ -24,11 +24,6 @@ impl ItemPop {
             popularity: counts.iter().map(|&c| c as f32 / max.max(1.0)).collect(),
         }
     }
-
-    /// Normalized popularity of a POI.
-    pub fn popularity(&self, poi: PoiId) -> f32 {
-        self.popularity[poi.idx()]
-    }
 }
 
 impl Scorer for ItemPop {

@@ -13,23 +13,23 @@ use st_transrec_core::InteractionSampler;
 
 /// LCE hyperparameters.
 #[derive(Debug, Clone)]
-pub struct LceConfig {
+pub(crate) struct LceConfig {
     /// Latent dimensionality.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// SGD epochs.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// Interaction samples per epoch.
-    pub samples_per_epoch: usize,
+    pub(crate) samples_per_epoch: usize,
     /// Negatives per positive (both matrices).
-    pub negatives: usize,
+    pub(crate) negatives: usize,
     /// Learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// L2 regularization.
-    pub reg: f32,
+    pub(crate) reg: f32,
     /// Weight of the content factorization term.
-    pub content_weight: f32,
+    pub(crate) content_weight: f32,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for LceConfig {
@@ -49,15 +49,18 @@ impl Default for LceConfig {
 
 /// The trained LCE model.
 #[derive(Debug)]
-pub struct Lce {
+pub(crate) struct Lce {
     mf: MfCore,
+    /// The word factors of the content factorization; scoring reads
+    /// only `mf`, so they are kept for this module's tests.
+    #[cfg(test)]
     words: Factors,
 }
 
 impl Lce {
     /// Fits LCE on the training split (all cities jointly; the shared POI
     /// factors tie target POIs to source preferences through words).
-    pub fn fit(dataset: &Dataset, train: &[Checkin], config: &LceConfig) -> Self {
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], config: &LceConfig) -> Self {
         let mut rng = seeded(config.seed);
         let cities: Vec<CityId> = dataset.cities().iter().map(|c| c.id).collect();
         let sampler = InteractionSampler::new(dataset, train, &cities);
@@ -111,17 +114,11 @@ impl Lce {
                 }
             }
         }
-        Self { mf, words }
-    }
-
-    /// The latent representation of a POI.
-    pub fn poi_factor(&self, poi: PoiId) -> &[f32] {
-        self.mf.pois.row(poi.idx())
-    }
-
-    /// Content reconstruction logit (for tests).
-    pub fn content_logit(&self, poi: PoiId, word: usize) -> f32 {
-        self.mf.pois.dot(poi.idx(), &self.words, word)
+        Self {
+            mf,
+            #[cfg(test)]
+            words,
+        }
     }
 }
 
@@ -182,8 +179,9 @@ mod tests {
         let mut n = 0;
         for poi in d.pois().iter().take(40) {
             for &w in poi.words.iter().take(2) {
-                own += m.content_logit(poi.id, w.idx());
-                other += m.content_logit(poi.id, (w.idx() + 13) % d.vocab().len());
+                let logit = |word| m.mf.pois.dot(poi.id.idx(), &m.words, word);
+                own += logit(w.idx());
+                other += logit((w.idx() + 13) % d.vocab().len());
                 n += 1;
             }
         }

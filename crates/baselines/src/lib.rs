@@ -4,16 +4,16 @@
 //! all exposed through `st_eval::Scorer` so the harness evaluates every
 //! method on identical candidate sets:
 //!
-//! | Method   | Family        | Module |
+//! | Method   | Family        | Type |
 //! |----------|---------------|--------|
 //! | ItemPop  | popularity    | [`ItemPop`] |
-//! | LCE      | CF + content  | [`Lce`] |
-//! | CRCF     | CF + location | [`Crcf`] |
-//! | PR-UIDT  | CF + transfer | [`PrUidt`] |
-//! | ST-LDA   | topic model   | [`TopicModel`] (`TopicConfig::st_lda`) |
-//! | CTLM     | topic + transfer | [`TopicModel`] (`TopicConfig::ctlm`) |
-//! | SH-CDL   | deep content  | [`ShCdl`] |
-//! | PACE     | deep NCF + context | [`Pace`] |
+//! | LCE      | CF + content  | `Lce` |
+//! | CRCF     | CF + location | `Crcf` |
+//! | PR-UIDT  | CF + transfer | `PrUidt` |
+//! | ST-LDA   | topic model   | `TopicModel` (`TopicConfig::st_lda`) |
+//! | CTLM     | topic + transfer | `TopicModel` (`TopicConfig::ctlm`) |
+//! | SH-CDL   | deep content  | `ShCdl` |
+//! | PACE     | deep NCF + context | `Pace` |
 //!
 //! [`fit_method`] is the one-call factory the experiment harness uses.
 
@@ -28,14 +28,13 @@ mod pr_uidt;
 mod sh_cdl;
 mod topic;
 
-pub use crcf::{Crcf, CrcfConfig};
+pub(crate) use crcf::{Crcf, CrcfConfig};
 pub use itempop::ItemPop;
-pub use lce::{Lce, LceConfig};
-pub use mf::{Factors, MfCore};
-pub use pace::{Pace, PaceConfig};
-pub use pr_uidt::{PrUidt, PrUidtConfig};
-pub use sh_cdl::{ShCdl, ShCdlConfig};
-pub use topic::{TopicConfig, TopicModel};
+pub(crate) use lce::{Lce, LceConfig};
+pub(crate) use pace::{Pace, PaceConfig};
+pub(crate) use pr_uidt::{PrUidt, PrUidtConfig};
+pub(crate) use sh_cdl::{ShCdl, ShCdlConfig};
+pub(crate) use topic::{TopicConfig, TopicModel};
 
 use st_data::{CrossingCitySplit, Dataset};
 use st_eval::Scorer;

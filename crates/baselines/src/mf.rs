@@ -8,47 +8,46 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{Checkin, Dataset};
-use st_transrec_core::InteractionSampler;
 
 /// Dense latent factors with per-row SGD updates.
 #[derive(Debug, Clone)]
-pub struct Factors {
+pub(crate) struct Factors {
     data: Vec<f32>,
     dim: usize,
 }
 
 impl Factors {
     /// `count` rows of dimension `dim`, Gaussian-initialized.
-    pub fn new(count: usize, dim: usize, std: f32, rng: &mut SmallRng) -> Self {
+    pub(crate) fn new(count: usize, dim: usize, std: f32, rng: &mut SmallRng) -> Self {
         let data = (0..count * dim).map(|_| std * gaussian(rng)).collect();
         Self { data, dim }
     }
 
     /// Factor dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Number of rows.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.data.len() / self.dim
     }
 
     /// Row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
+    pub(crate) fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Mutable row `i`.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f32] {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Dot product of rows from two factor matrices.
     #[inline]
-    pub fn dot(&self, i: usize, other: &Factors, j: usize) -> f32 {
+    pub(crate) fn dot(&self, i: usize, other: &Factors, j: usize) -> f32 {
         self.row(i)
             .iter()
             .zip(other.row(j))
@@ -59,18 +58,18 @@ impl Factors {
 
 /// Logistic MF: `P(y=1 | u, v) = sigma(p_u . q_v + b_v)`.
 #[derive(Debug, Clone)]
-pub struct MfCore {
+pub(crate) struct MfCore {
     /// User factors.
-    pub users: Factors,
+    pub(crate) users: Factors,
     /// POI factors.
-    pub pois: Factors,
+    pub(crate) pois: Factors,
     /// POI popularity biases.
-    pub poi_bias: Vec<f32>,
+    pub(crate) poi_bias: Vec<f32>,
 }
 
 impl MfCore {
     /// Allocates factors for the dataset.
-    pub fn new(num_users: usize, num_pois: usize, dim: usize, rng: &mut SmallRng) -> Self {
+    pub(crate) fn new(num_users: usize, num_pois: usize, dim: usize, rng: &mut SmallRng) -> Self {
         Self {
             users: Factors::new(num_users, dim, 0.1, rng),
             pois: Factors::new(num_pois, dim, 0.1, rng),
@@ -80,12 +79,19 @@ impl MfCore {
 
     /// Prediction logit for a (user, POI) pair.
     #[inline]
-    pub fn logit(&self, user: usize, poi: usize) -> f32 {
+    pub(crate) fn logit(&self, user: usize, poi: usize) -> f32 {
         self.users.dot(user, &self.pois, poi) + self.poi_bias[poi]
     }
 
     /// One pointwise logistic SGD update; returns the example loss.
-    pub fn sgd_update(&mut self, user: usize, poi: usize, label: f32, lr: f32, reg: f32) -> f32 {
+    pub(crate) fn sgd_update(
+        &mut self,
+        user: usize,
+        poi: usize,
+        label: f32,
+        lr: f32,
+        reg: f32,
+    ) -> f32 {
         let z = self.logit(user, poi);
         let p = sigmoid(z);
         let err = p - label; // d loss / d z
@@ -100,46 +106,11 @@ impl MfCore {
         self.poi_bias[poi] -= lr * (err + reg * self.poi_bias[poi]);
         bce(p, label)
     }
-
-    /// Trains on interaction samples for `epochs` passes over
-    /// `samples_per_epoch` positives with `negatives` negatives each.
-    /// Returns the mean loss of the final epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train(
-        &mut self,
-        dataset: &Dataset,
-        sampler: &InteractionSampler,
-        epochs: usize,
-        samples_per_epoch: usize,
-        negatives: usize,
-        lr: f32,
-        reg: f32,
-        rng: &mut SmallRng,
-    ) -> f32 {
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            let mut n = 0usize;
-            let mut remaining = samples_per_epoch;
-            while remaining > 0 {
-                let chunk = remaining.min(512);
-                let batch = sampler.sample_batch(dataset, chunk, negatives, rng);
-                for i in 0..batch.len() {
-                    total +=
-                        self.sgd_update(batch.users[i], batch.pois[i], batch.labels[i], lr, reg);
-                    n += 1;
-                }
-                remaining -= chunk;
-            }
-            last = total / n.max(1) as f32;
-        }
-        last
-    }
 }
 
 /// Overflow-safe sigmoid (shared by the classic-ML baselines).
 #[inline]
-pub fn sigmoid(z: f32) -> f32 {
+pub(crate) fn sigmoid(z: f32) -> f32 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
     } else {
@@ -150,13 +121,13 @@ pub fn sigmoid(z: f32) -> f32 {
 
 /// Pointwise binary cross-entropy with probability clamping.
 #[inline]
-pub fn bce(p: f32, label: f32) -> f32 {
+pub(crate) fn bce(p: f32, label: f32) -> f32 {
     let p = p.clamp(1e-7, 1.0 - 1e-7);
     -(label * p.ln() + (1.0 - label) * (1.0 - p).ln())
 }
 
 /// Standard normal via Box-Muller.
-pub fn gaussian(rng: &mut SmallRng) -> f32 {
+pub(crate) fn gaussian(rng: &mut SmallRng) -> f32 {
     loop {
         let u1: f32 = rng.gen();
         if u1 <= f32::MIN_POSITIVE {
@@ -168,13 +139,13 @@ pub fn gaussian(rng: &mut SmallRng) -> f32 {
 }
 
 /// Deterministic RNG for a baseline run.
-pub fn seeded(seed: u64) -> SmallRng {
+pub(crate) fn seeded(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
 /// Builds a per-user word-frequency profile from training check-ins,
 /// L2-normalized (shared by the content-based baselines).
-pub fn user_word_profiles(dataset: &Dataset, train: &[Checkin]) -> Vec<Vec<(u32, f32)>> {
+pub(crate) fn user_word_profiles(dataset: &Dataset, train: &[Checkin]) -> Vec<Vec<(u32, f32)>> {
     use std::collections::HashMap;
     let mut raw: Vec<HashMap<u32, f32>> = vec![HashMap::new(); dataset.num_users()];
     for c in train {
@@ -194,7 +165,7 @@ pub fn user_word_profiles(dataset: &Dataset, train: &[Checkin]) -> Vec<Vec<(u32,
 
 /// Cosine similarity between a sparse profile and a POI's word set
 /// (each POI word weighted 1/sqrt(|words|)).
-pub fn profile_poi_cosine(profile: &[(u32, f32)], poi_words: &[st_data::WordId]) -> f32 {
+pub(crate) fn profile_poi_cosine(profile: &[(u32, f32)], poi_words: &[st_data::WordId]) -> f32 {
     if poi_words.is_empty() {
         return 0.0;
     }
@@ -213,6 +184,32 @@ mod tests {
     use super::*;
     use st_data::synth::{generate, SynthConfig};
     use st_data::{CityId, CrossingCitySplit};
+    use st_transrec_core::InteractionSampler;
+
+    /// `epochs` passes of 2 000 sampled positives (4 negatives each)
+    /// through [`MfCore::sgd_update`]; the mean loss of the last pass.
+    fn train(
+        mf: &mut MfCore,
+        d: &Dataset,
+        s: &InteractionSampler,
+        epochs: usize,
+        rng: &mut SmallRng,
+    ) -> f32 {
+        let mut last = 0.0;
+        for _ in 0..epochs {
+            let (mut total, mut n) = (0.0, 0usize);
+            for _ in 0..4 {
+                let batch = s.sample_batch(d, 500, 4, rng);
+                for i in 0..batch.len() {
+                    total +=
+                        mf.sgd_update(batch.users[i], batch.pois[i], batch.labels[i], 0.05, 1e-4);
+                    n += 1;
+                }
+            }
+            last = total / n as f32;
+        }
+        last
+    }
 
     #[test]
     fn sgd_moves_logit_toward_label() {
@@ -250,9 +247,9 @@ mod tests {
         let sampler = InteractionSampler::new(&d, &split.train, &[CityId(0), CityId(1)]);
         let mut rng = seeded(2);
         let mut mf = MfCore::new(d.num_users(), d.num_pois(), 16, &mut rng);
-        let first = mf.train(&d, &sampler, 1, 2000, 4, 0.05, 1e-4, &mut rng);
+        let first = train(&mut mf, &d, &sampler, 1, &mut rng);
         let mut rng2 = seeded(3);
-        let last = mf.train(&d, &sampler, 4, 2000, 4, 0.05, 1e-4, &mut rng2);
+        let last = train(&mut mf, &d, &sampler, 4, &mut rng2);
         assert!(last < first, "MF loss did not drop: {first} -> {last}");
     }
 

@@ -21,22 +21,22 @@ use st_transrec_core::{ModelConfig, STTransRec, Variant};
 
 /// PACE hyperparameters.
 #[derive(Debug, Clone)]
-pub struct PaceConfig {
+pub(crate) struct PaceConfig {
     /// Base neural configuration (tower, embeddings, epochs...).
-    pub base: ModelConfig,
+    pub(crate) base: ModelConfig,
     /// Neighbour-context radius in km ("limited distance").
-    pub neighbor_km: f64,
+    pub(crate) neighbor_km: f64,
     /// Max spatial neighbours kept per POI.
-    pub max_neighbors: usize,
+    pub(crate) max_neighbors: usize,
     /// Spatial-context pairs per training step.
-    pub spatial_batch: usize,
+    pub(crate) spatial_batch: usize,
 }
 
 impl PaceConfig {
     /// Derives the PACE setup from an ST-TransRec configuration (the
     /// paper sets PACE's hyperparameters "the same to those of
     /// ST-TransRec").
-    pub fn from_model(base: ModelConfig) -> Self {
+    pub(crate) fn from_model(base: ModelConfig) -> Self {
         Self {
             base: base.with_variant(Variant::NoMmd),
             neighbor_km: 2.0,
@@ -47,7 +47,7 @@ impl PaceConfig {
 }
 
 /// The trained PACE model.
-pub struct Pace {
+pub(crate) struct Pace {
     inner: STTransRec,
     /// Flat spatial-context edges (poi, neighbour poi).
     spatial_edges: Vec<(u32, u32)>,
@@ -56,7 +56,7 @@ pub struct Pace {
 
 impl Pace {
     /// Builds PACE over the training split.
-    pub fn new(dataset: &Dataset, split: &CrossingCitySplit, config: PaceConfig) -> Self {
+    pub(crate) fn new(dataset: &Dataset, split: &CrossingCitySplit, config: PaceConfig) -> Self {
         let inner = STTransRec::new(dataset, split, config.base.clone());
         let spatial_edges = build_spatial_edges(dataset, config.neighbor_km, config.max_neighbors);
         Self {
@@ -66,14 +66,9 @@ impl Pace {
         }
     }
 
-    /// Number of spatial context edges discovered.
-    pub fn num_spatial_edges(&self) -> usize {
-        self.spatial_edges.len()
-    }
-
     /// Trains for the configured number of epochs: the inner NCF + word
     /// context losses, plus the spatial neighbour-context loss.
-    pub fn fit(&mut self, dataset: &Dataset) {
+    pub(crate) fn fit(&mut self, dataset: &Dataset) {
         let epochs = self.config.base.epochs;
         let steps = self.inner.steps_per_epoch();
         let mut rng = SmallRng::seed_from_u64(self.config.base.seed ^ 0x9ACE);
@@ -199,7 +194,7 @@ mod tests {
         assert!(!cfg.base.use_mmd());
         assert!(cfg.base.use_text());
         let p = Pace::new(&d, &split, cfg);
-        assert!(p.num_spatial_edges() > 0, "no spatial context found");
+        assert!(!p.spatial_edges.is_empty(), "no spatial context found");
     }
 
     #[test]

@@ -15,22 +15,22 @@ use st_transrec_core::InteractionSampler;
 
 /// PR-UIDT hyperparameters.
 #[derive(Debug, Clone)]
-pub struct PrUidtConfig {
+pub(crate) struct PrUidtConfig {
     /// Latent dimensionality.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// SGD epochs.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// Interaction samples per epoch (positives + negatives).
-    pub samples_per_epoch: usize,
+    pub(crate) samples_per_epoch: usize,
     /// Negatives per positive.
-    pub negatives: usize,
+    pub(crate) negatives: usize,
     /// Learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// L2 regularization; the drift factor gets `10x` this (it must stay
     /// small relative to the shared interest — the paper's drift prior).
-    pub reg: f32,
+    pub(crate) reg: f32,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for PrUidtConfig {
@@ -49,7 +49,7 @@ impl Default for PrUidtConfig {
 
 /// The trained PR-UIDT model.
 #[derive(Debug)]
-pub struct PrUidt {
+pub(crate) struct PrUidt {
     shared: Factors,
     /// One drift block per city, laid out `[city][user]`.
     drift: Vec<Factors>,
@@ -59,7 +59,7 @@ pub struct PrUidt {
 
 impl PrUidt {
     /// Fits on all training interactions, learning per-city drift.
-    pub fn fit(dataset: &Dataset, train: &[Checkin], config: &PrUidtConfig) -> Self {
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], config: &PrUidtConfig) -> Self {
         let mut rng = seeded(config.seed);
         let mut model = Self {
             shared: Factors::new(dataset.num_users(), config.dim, 0.1, &mut rng),
@@ -112,26 +112,6 @@ impl PrUidt {
         self.poi_bias[poi] -= lr * (err + reg * self.poi_bias[poi]);
         bce(p, label)
     }
-
-    /// L2 norm of a user's shared factor (diagnostics).
-    pub fn shared_norm(&self, user: UserId) -> f32 {
-        self.shared
-            .row(user.idx())
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// L2 norm of a user's drift factor in a city (diagnostics).
-    pub fn drift_norm(&self, user: UserId, city: CityId) -> f32 {
-        self.drift[city.idx()]
-            .row(user.idx())
-            .iter()
-            .map(|x| x * x)
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 impl Scorer for PrUidt {
@@ -171,11 +151,12 @@ mod tests {
     fn drift_stays_smaller_than_shared_interest() {
         let (d, split) = setup();
         let m = PrUidt::fit(&d, &split.train, &quick());
+        let norm = |row: &[f32]| row.iter().map(|x| x * x).sum::<f32>().sqrt();
         let mut shared_sum = 0.0;
         let mut drift_sum = 0.0;
-        for u in 0..d.num_users() as u32 {
-            shared_sum += m.shared_norm(UserId(u));
-            drift_sum += m.drift_norm(UserId(u), CityId(0));
+        for u in 0..d.num_users() {
+            shared_sum += norm(m.shared.row(u));
+            drift_sum += norm(m.drift[0].row(u));
         }
         assert!(
             drift_sum < shared_sum,

@@ -21,27 +21,27 @@ use st_transrec_core::InteractionSampler;
 
 /// SH-CDL hyperparameters.
 #[derive(Debug, Clone)]
-pub struct ShCdlConfig {
+pub(crate) struct ShCdlConfig {
     /// Latent code width (also the user-factor width).
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Autoencoder epochs over POI content.
-    pub ae_epochs: usize,
+    pub(crate) ae_epochs: usize,
     /// Autoencoder batch size.
-    pub ae_batch: usize,
+    pub(crate) ae_batch: usize,
     /// MF epochs.
-    pub mf_epochs: usize,
+    pub(crate) mf_epochs: usize,
     /// Interaction samples per MF epoch.
-    pub samples_per_epoch: usize,
+    pub(crate) samples_per_epoch: usize,
     /// Negatives per positive.
-    pub negatives: usize,
+    pub(crate) negatives: usize,
     /// Autoencoder learning rate.
-    pub ae_lr: f32,
+    pub(crate) ae_lr: f32,
     /// MF learning rate.
-    pub mf_lr: f32,
+    pub(crate) mf_lr: f32,
     /// MF L2 regularization.
-    pub reg: f32,
+    pub(crate) reg: f32,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for ShCdlConfig {
@@ -63,7 +63,7 @@ impl Default for ShCdlConfig {
 
 /// The trained SH-CDL model.
 #[derive(Debug)]
-pub struct ShCdl {
+pub(crate) struct ShCdl {
     /// Frozen deep POI codes, one row per POI.
     codes: Vec<Vec<f32>>,
     users: Factors,
@@ -74,7 +74,7 @@ pub struct ShCdl {
 
 impl ShCdl {
     /// Fits the two stages: autoencoder on POI content, then MF on codes.
-    pub fn fit(dataset: &Dataset, train: &[Checkin], config: &ShCdlConfig) -> Self {
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], config: &ShCdlConfig) -> Self {
         let mut rng = seeded(config.seed);
         let codes = train_autoencoder(dataset, config, &mut rng);
 
@@ -117,11 +117,6 @@ impl ShCdl {
             poi_bias,
             dim: config.dim,
         }
-    }
-
-    /// The deep content code of a POI.
-    pub fn poi_code(&self, poi: PoiId) -> &[f32] {
-        &self.codes[poi.idx()]
     }
 }
 
@@ -256,7 +251,7 @@ mod tests {
         let (mut s_sim, mut s_n, mut o_sim, mut o_n) = (0.0, 0, 0.0, 0);
         for a in 0..d.num_pois() {
             for b in (a + 1)..d.num_pois() {
-                let c = cosine(m.poi_code(PoiId(a as u32)), m.poi_code(PoiId(b as u32)));
+                let c = cosine(&m.codes[a], &m.codes[b]);
                 if share(a, b) {
                     s_sim += c;
                     s_n += 1;

@@ -17,23 +17,23 @@ use st_eval::Scorer;
 
 /// Configuration of the Gibbs-sampled topic models.
 #[derive(Debug, Clone)]
-pub struct TopicConfig {
+pub(crate) struct TopicConfig {
     /// Number of *common* topics.
-    pub common_topics: usize,
+    pub(crate) common_topics: usize,
     /// City-specific topics per city (0 = plain LDA, i.e. ST-LDA).
-    pub city_topics: usize,
+    pub(crate) city_topics: usize,
     /// Dirichlet prior on document-topic distributions.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Dirichlet prior on topic-word distributions.
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// Gibbs sweeps.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Max tokens per user document (subsampled beyond this).
-    pub max_tokens_per_user: usize,
+    pub(crate) max_tokens_per_user: usize,
     /// Crowd/popularity mixing weight in the final score.
-    pub crowd_weight: f32,
+    pub(crate) crowd_weight: f32,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for TopicConfig {
@@ -53,13 +53,13 @@ impl Default for TopicConfig {
 
 impl TopicConfig {
     /// ST-LDA preset: all topics common.
-    pub fn st_lda() -> Self {
+    pub(crate) fn st_lda() -> Self {
         Self::default()
     }
 
     /// CTLM preset: common topics plus per-city specific topics that
     /// absorb city-dependent words.
-    pub fn ctlm() -> Self {
+    pub(crate) fn ctlm() -> Self {
         Self {
             common_topics: 16,
             city_topics: 4,
@@ -70,10 +70,7 @@ impl TopicConfig {
 
 /// A fitted topic-model recommender (either preset).
 #[derive(Debug)]
-pub struct TopicModel {
-    /// Total topics: `common + num_cities * city_topics`.
-    num_topics: usize,
-    common_topics: usize,
+pub(crate) struct TopicModel {
     /// `theta[user][topic]`, renormalized over common topics for scoring.
     theta_common: Vec<Vec<f32>>,
     /// Per-POI common-topic affinity: mean of `phi_t[w]` over the POI's
@@ -86,7 +83,12 @@ pub struct TopicModel {
 
 impl TopicModel {
     /// Fits the model on training check-ins with Gibbs sampling.
-    pub fn fit(dataset: &Dataset, train: &[Checkin], target: CityId, config: &TopicConfig) -> Self {
+    pub(crate) fn fit(
+        dataset: &Dataset,
+        train: &[Checkin],
+        target: CityId,
+        config: &TopicConfig,
+    ) -> Self {
         assert!(config.common_topics >= 1, "need at least one common topic");
         assert!(config.iterations >= 1);
         let mut rng = seeded(config.seed);
@@ -257,28 +259,11 @@ impl TopicModel {
         }
 
         Self {
-            num_topics,
-            common_topics: c,
             theta_common,
             poi_topic_score,
             crowd,
             crowd_weight: config.crowd_weight,
         }
-    }
-
-    /// Total topic count (common + all city blocks).
-    pub fn num_topics(&self) -> usize {
-        self.num_topics
-    }
-
-    /// Common topic count used for transfer scoring.
-    pub fn common_topics(&self) -> usize {
-        self.common_topics
-    }
-
-    /// A user's posterior over common topics.
-    pub fn user_topics(&self, user: UserId) -> &[f32] {
-        &self.theta_common[user.idx()]
     }
 }
 
@@ -319,20 +304,24 @@ mod tests {
     #[test]
     fn st_lda_has_no_city_topics() {
         let (d, split) = setup();
-        let m = TopicModel::fit(&d, &split.train, CityId(1), &quick(TopicConfig::st_lda()));
-        assert_eq!(m.num_topics(), m.common_topics());
+        let cfg = quick(TopicConfig::st_lda());
+        assert_eq!(cfg.city_topics, 0);
+        let m = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
+        assert!(m.theta_common.iter().all(|t| t.len() == cfg.common_topics));
     }
 
     #[test]
     fn ctlm_partitions_topics_per_city() {
         let (d, split) = setup();
         let cfg = quick(TopicConfig::ctlm());
+        assert!(cfg.city_topics > 0);
         let m = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
-        assert_eq!(
-            m.num_topics(),
-            cfg.common_topics + d.cities().len() * cfg.city_topics
-        );
-        assert_eq!(m.common_topics(), cfg.common_topics);
+        // Scoring reads only the common block, split off the city blocks.
+        assert!(m.theta_common.iter().all(|t| t.len() == cfg.common_topics));
+        assert!(m
+            .poi_topic_score
+            .iter()
+            .all(|t| t.len() == cfg.common_topics));
     }
 
     #[test]
@@ -340,7 +329,7 @@ mod tests {
         let (d, split) = setup();
         let m = TopicModel::fit(&d, &split.train, CityId(1), &quick(TopicConfig::st_lda()));
         for u in 0..d.num_users() as u32 {
-            let theta = m.user_topics(UserId(u));
+            let theta = &m.theta_common[u as usize];
             let sum: f32 = theta.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "theta sums to {sum}");
             assert!(theta.iter().all(|&p| p > 0.0));
@@ -364,6 +353,6 @@ mod tests {
         let cfg = quick(TopicConfig::st_lda());
         let a = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
         let b = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
-        assert_eq!(a.user_topics(UserId(0)), b.user_topics(UserId(0)));
+        assert_eq!(a.theta_common[0], b.theta_common[0]);
     }
 }

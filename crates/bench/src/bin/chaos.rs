@@ -2,7 +2,7 @@
 //! metrics agreement and bit-identical counts:
 //!
 //! - `chaos serve` — [`st_bench::chaos`]: one server under the seeded
-//!   [`st_bench::chaos::FaultPlan`].
+//!   `st_bench::chaos::FaultPlan`.
 //! - `chaos fleet` — [`st_bench::fleet`]: a rolling rollout under load
 //!   over replicas behind an `st-router`, and the seeded fleet plan.
 //! - `chaos online` — [`st_bench::online_loop`]: the ingest → train →

@@ -1,4 +1,4 @@
-//! Seeded chaos harness: the [`FaultPlan`] schedule and the executor
+//! Seeded chaos harness: the `FaultPlan` schedule and the executor
 //! that replays it against a real `st-serve` server and asserts the
 //! overload invariants.
 //!
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 /// harness derives the expected terminal outcome of every request in the
 /// phase from the phase parameters alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosPhase {
+pub(crate) enum ChaosPhase {
     /// Plain traffic with distinct users: every request scores, `200`.
     Normal {
         /// Requests to issue.
@@ -97,11 +97,11 @@ pub enum ChaosPhase {
 
 /// A seed-reproducible chaos schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     /// The seed that generated (and reproduces) this plan.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Phases in execution order.
-    pub phases: Vec<ChaosPhase>,
+    pub(crate) phases: Vec<ChaosPhase>,
 }
 
 impl FaultPlan {
@@ -115,7 +115,7 @@ impl FaultPlan {
     /// parameters so each phase's outcome is exact: queued counts never
     /// exceed the capacity, burst excess is at least 1, and degraded
     /// phases never warm more keys than the watermark leaves room for.
-    pub fn from_seed(
+    pub(crate) fn from_seed(
         seed: u64,
         queue_capacity: usize,
         degrade_watermark: usize,
@@ -208,11 +208,11 @@ pub(crate) fn seeded_deck<P>(
 /// Serving limits the chaos plan is sized against. Small on purpose:
 /// tiny queues overflow (and recover) quickly, so every fault mode is
 /// exercised in seconds.
-pub const QUEUE_CAPACITY: usize = 6;
+pub(crate) const QUEUE_CAPACITY: usize = 6;
 /// Queue depth at which requests degrade to stale cached results.
-pub const DEGRADE_WATERMARK: usize = 4;
+pub(crate) const DEGRADE_WATERMARK: usize = 4;
 /// Queued-request deadline during the run.
-pub const DEADLINE: Duration = Duration::from_millis(300);
+pub(crate) const DEADLINE: Duration = Duration::from_millis(300);
 
 /// Terminal-outcome tallies for one chaos pass. Conservation means the
 /// last five sum to `submitted`.
@@ -243,7 +243,7 @@ json_object_impl!(ChaosCounts {
 
 impl ChaosCounts {
     /// Whether every submission reached exactly one terminal outcome.
-    pub fn conserved(&self) -> bool {
+    pub(crate) fn conserved(&self) -> bool {
         self.served + self.shed + self.expired + self.degraded + self.failed == self.submitted
     }
 }
@@ -252,17 +252,17 @@ impl ChaosCounts {
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Schema tag for downstream tooling.
-    pub schema: String,
+    pub(crate) schema: String,
     /// The seed that generated (and reproduces) the plan.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Phases executed per pass.
     pub phases: usize,
     /// Queue bound the server ran with.
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
     /// Degradation watermark the server ran with.
-    pub degrade_watermark: usize,
+    pub(crate) degrade_watermark: usize,
     /// Queued-request deadline, milliseconds.
-    pub deadline_ms: u64,
+    pub(crate) deadline_ms: u64,
     /// Outcome tallies of the first pass.
     pub counts: ChaosCounts,
     /// p99 client-side latency of shed (`429`) responses, microseconds

@@ -11,13 +11,13 @@ use st_transrec_core::{case_study, CaseStudy, STTransRec, Variant};
 #[derive(Debug, Clone)]
 pub struct Table3 {
     /// The studied user.
-    pub user: u32,
+    pub(crate) user: u32,
     /// Top-10 source-city profile words.
-    pub profile_words: Vec<String>,
+    pub(crate) profile_words: Vec<String>,
     /// Full-model column: (POI name, top-5 words, is ground truth).
-    pub full_model: Vec<(String, Vec<String>, bool)>,
+    pub(crate) full_model: Vec<(String, Vec<String>, bool)>,
     /// ST-TransRec-2 column.
-    pub no_text: Vec<(String, Vec<String>, bool)>,
+    pub(crate) no_text: Vec<(String, Vec<String>, bool)>,
 }
 
 crate::json_object_impl!(Table3 {
@@ -29,7 +29,7 @@ crate::json_object_impl!(Table3 {
 
 /// Picks a test user with a rich profile (most training check-ins), in
 /// the spirit of the paper's user #377.
-pub fn pick_user(loaded: &Loaded) -> (usize, UserId) {
+pub(crate) fn pick_user(loaded: &Loaded) -> (usize, UserId) {
     loaded
         .split
         .test_users

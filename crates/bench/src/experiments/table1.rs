@@ -10,19 +10,19 @@ use st_data::DatasetStats;
 
 /// Paper-reported reference values for one dataset.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperStats {
+pub(crate) struct PaperStats {
     /// #Users row.
-    pub users: usize,
+    pub(crate) users: usize,
     /// #POIs row.
-    pub pois: usize,
+    pub(crate) pois: usize,
     /// #Words row.
-    pub words: usize,
+    pub(crate) words: usize,
     /// #Check-ins row.
-    pub checkins: usize,
+    pub(crate) checkins: usize,
     /// Crossing-city #Users row.
-    pub crossing_users: usize,
+    pub(crate) crossing_users: usize,
     /// Crossing-city #Check-ins row.
-    pub crossing_checkins: usize,
+    pub(crate) crossing_checkins: usize,
 }
 
 crate::json_object_impl!(PaperStats {
@@ -35,7 +35,7 @@ crate::json_object_impl!(PaperStats {
 });
 
 /// Table 1's published numbers.
-pub fn paper_reference(kind: DatasetKind) -> PaperStats {
+pub(crate) fn paper_reference(kind: DatasetKind) -> PaperStats {
     match kind {
         DatasetKind::Foursquare => PaperStats {
             users: 3_600,
@@ -60,11 +60,11 @@ pub fn paper_reference(kind: DatasetKind) -> PaperStats {
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Dataset name.
-    pub dataset: String,
+    pub(crate) dataset: String,
     /// Our generated statistics.
-    pub measured: DatasetStats,
+    pub(crate) measured: DatasetStats,
     /// The paper's statistics.
-    pub paper: PaperStats,
+    pub(crate) paper: PaperStats,
 }
 
 crate::json_object_impl!(Table1Row {

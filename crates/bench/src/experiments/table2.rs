@@ -18,9 +18,9 @@ pub struct Table2Row {
     /// Seconds per epoch with two workers.
     pub two_worker_s: f64,
     /// Paper's single-GPU seconds.
-    pub paper_single_s: f64,
+    pub(crate) paper_single_s: f64,
     /// Paper's two-GPU seconds.
-    pub paper_multi_s: f64,
+    pub(crate) paper_multi_s: f64,
 }
 
 crate::json_object_impl!(Table2Row {
@@ -39,7 +39,7 @@ impl Table2Row {
 }
 
 /// The paper's reference timings.
-pub fn paper_reference(kind: crate::DatasetKind) -> (f64, f64) {
+pub(crate) fn paper_reference(kind: crate::DatasetKind) -> (f64, f64) {
     match kind {
         crate::DatasetKind::Foursquare => (94.29, 50.74),
         crate::DatasetKind::Yelp => (275.44, 153.73),

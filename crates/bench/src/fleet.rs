@@ -6,12 +6,12 @@
 //! - **Zero-loss rolling reload** — a full rolling snapshot rollout runs
 //!   while clients hammer the router; every submitted request must come
 //!   back `200`.
-//! - **Reproducible fleet chaos** — a seeded [`FleetFaultPlan`] replays
+//! - **Reproducible fleet chaos** — a seeded `FleetFaultPlan` replays
 //!   replica kills, batcher hangs, and rolling reloads twice against
 //!   fresh fleets; both passes must produce bit-identical count
 //!   signatures, conservation must balance, and the router's own ledger
 //!   must agree with the client tallies. The plan extends
-//!   [`crate::chaos::FaultPlan`] one tier up and lives here, beside the
+//!   `crate::chaos::FaultPlan` one tier up and lives here, beside the
 //!   `run_phase` that gives its phases their meaning.
 
 use crate::chaos::{seeded_deck, Deal};
@@ -37,23 +37,23 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Router-breaker threshold used across the suite.
-pub const BREAKER_THRESHOLD: u32 = 3;
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
 /// Probe sweeps before a dead replica is marked down.
-pub const DOWN_AFTER: u32 = 2;
+pub(crate) const DOWN_AFTER: u32 = 2;
 /// Batcher queue capacity in the chaos fleet.
-pub const QUEUE_CAPACITY: usize = 6;
+pub(crate) const QUEUE_CAPACITY: usize = 6;
 /// Batcher deadline in the chaos fleet (hang phases expire against it).
-pub const DEADLINE: Duration = Duration::from_millis(300);
+pub(crate) const DEADLINE: Duration = Duration::from_millis(300);
 
 /// Concurrent clients per shard in the rollout run.
-pub const CLIENTS_PER_SHARD: usize = 2;
+pub(crate) const CLIENTS_PER_SHARD: usize = 2;
 /// Injected per-batch scoring cost in the rollout run, µs: keeps
 /// requests in flight across each replica's swap.
 const ROLLOUT_PAD_US: u64 = 1000;
 
 /// One phase of a fleet chaos schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetChaosPhase {
+pub(crate) enum FleetChaosPhase {
     /// Baseline traffic spread across every shard; all answers 200.
     Normal {
         /// Requests per replica's key space.
@@ -102,13 +102,11 @@ pub enum FleetChaosPhase {
 
 /// A seeded fleet chaos schedule.
 #[derive(Debug, Clone)]
-pub struct FleetFaultPlan {
-    /// The seed the phases were expanded from.
-    pub seed: u64,
+pub(crate) struct FleetFaultPlan {
     /// Fleet size the plan was sized for.
-    pub replicas: u16,
+    pub(crate) replicas: u16,
     /// Phases in execution order.
-    pub phases: Vec<FleetChaosPhase>,
+    pub(crate) phases: Vec<FleetChaosPhase>,
 }
 
 impl FleetFaultPlan {
@@ -121,7 +119,7 @@ impl FleetFaultPlan {
     /// so every scheduled fault actually manifests: dark windows are
     /// long enough to trip breakers, hang phases fit in the victim's
     /// batcher queue.
-    pub fn from_seed(
+    pub(crate) fn from_seed(
         seed: u64,
         replicas: u16,
         breaker_threshold: u32,
@@ -161,11 +159,7 @@ impl FleetFaultPlan {
         let mut phases = seeded_deck(&mut rng, 4, extra_phases, Deal::ShuffleThenDraw, draw);
         // Always end on normal traffic: proves the fleet recovered.
         phases.push(FleetChaosPhase::Normal { per_shard: 2 });
-        Self {
-            seed,
-            replicas,
-            phases,
-        }
+        Self { replicas, phases }
     }
 }
 
@@ -362,7 +356,7 @@ pub struct RolloutLossResult {
     /// The router's own request ledger matches the client tallies.
     pub ledger_consistent: bool,
     /// `non_200 == 0 && rollout_completed`.
-    pub zero_loss: bool,
+    pub(crate) zero_loss: bool,
 }
 
 json_object_impl!(RolloutLossResult {
@@ -480,11 +474,11 @@ pub struct FleetCounts {
     /// 5xx: these are what trip the breaker in hang phases).
     pub failed_500: usize,
     /// Breaker open transitions observed.
-    pub breaker_opened: usize,
+    pub(crate) breaker_opened: usize,
     /// Breakers closed again via half-open probes.
-    pub breaker_closed: usize,
+    pub(crate) breaker_closed: usize,
     /// Rolling reloads driven to completion.
-    pub rollouts_completed: usize,
+    pub(crate) rollouts_completed: usize,
 }
 
 json_object_impl!(FleetCounts {
@@ -504,19 +498,19 @@ json_object_impl!(FleetCounts {
 #[derive(Debug, Clone)]
 pub struct FleetChaosReport {
     /// Seed the plan was expanded from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Fleet size.
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Phases executed per pass.
     pub phases: usize,
     /// First pass's count signature.
     pub counts: FleetCounts,
     /// `submitted = served + served_remapped + every shed/error class`.
-    pub conservation_ok: bool,
+    pub(crate) conservation_ok: bool,
     /// Router metrics agree with the client-side tallies.
-    pub metrics_consistent: bool,
+    pub(crate) metrics_consistent: bool,
     /// Both passes produced identical signatures.
-    pub reproducible: bool,
+    pub(crate) reproducible: bool,
 }
 
 json_object_impl!(FleetChaosReport {
@@ -531,7 +525,7 @@ json_object_impl!(FleetChaosReport {
 
 impl FleetChaosReport {
     /// Every chaos invariant held.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.conservation_ok && self.metrics_consistent && self.reproducible
     }
 }
@@ -930,11 +924,11 @@ json_object_impl!(FleetAcceptance {
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
     /// Schema tag for downstream tooling.
-    pub schema: String,
+    pub(crate) schema: String,
     /// Hardware threads on the benching host (= scorers per replica).
-    pub host_threads: usize,
+    pub(crate) host_threads: usize,
     /// Concurrent clients per shard in the rollout run.
-    pub clients_per_shard: usize,
+    pub(crate) clients_per_shard: usize,
     /// Rolling reload under load.
     pub rollout: RolloutLossResult,
     /// Two-pass seeded chaos replay.

@@ -6,7 +6,7 @@
 //!   regenerates the paper's tables and figures: Tables 1-3 each have a
 //!   module under [`experiments`], and every metric grid (Figs. 3-9,
 //!   Tables 4-5) is rows of data run by the one [`experiments::grid`]
-//!   runner. Shared dataset loading ([`runner`]), ASCII rendering in the
+//!   runner. Shared dataset loading (`runner`), ASCII rendering in the
 //!   paper's layout and JSON dumps under `results/` ([`table`]) keep
 //!   EXPERIMENTS.md numbers regenerable and diffable. A bare run uses the
 //!   scale and epochs the tracked result was recorded at and rewrites it;
@@ -28,8 +28,8 @@ pub mod experiments;
 pub mod fleet;
 pub mod json;
 pub mod online_loop;
-pub mod runner;
+pub(crate) mod runner;
 pub mod table;
 
-pub use runner::{dataset_config, load, DatasetKind, Loaded, Settings};
+pub use runner::{load, DatasetKind, Loaded, Settings};
 pub use table::{render_metric_table, render_rows, save_json};

@@ -25,13 +25,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct OnlineLoopOptions {
     /// Master seed for stream, faults, gate, and inits.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Publish cycles per run (>= 3: the seeded plan needs room for one
     /// clean publish, one regression, and one crash).
     pub cycles: usize,
     /// Dataset scale for the Foursquare-like preset; `None` uses the
     /// tiny two-city preset (CI smoke).
-    pub scale: Option<f64>,
+    pub(crate) scale: Option<f64>,
 }
 
 impl OnlineLoopOptions {
@@ -94,13 +94,13 @@ json_object_impl!(OnlineAcceptance {
 #[derive(Debug, Clone)]
 pub struct OnlineBenchReport {
     /// Schema tag for downstream tooling.
-    pub schema: String,
+    pub(crate) schema: String,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Cycles per run.
-    pub cycles: usize,
+    pub(crate) cycles: usize,
     /// The two runs (identical modulo wall-clock fields).
-    pub runs: Vec<OnlineReport>,
+    pub(crate) runs: Vec<OnlineReport>,
     /// Gate evaluation.
     pub acceptance: OnlineAcceptance,
 }

@@ -56,7 +56,7 @@ impl Settings {
     /// [`Settings::with_env`] on explicit values. A value outside
     /// `(0, 1]` / `>= 1` is an error, not a silent fall-back: the caller
     /// asked for a run the harness cannot do.
-    pub fn overridden(
+    pub(crate) fn overridden(
         mut self,
         scale: Option<&str>,
         epochs: Option<&str>,
@@ -80,7 +80,7 @@ impl Settings {
 }
 
 /// The synthetic config for a dataset at a given scale.
-pub fn dataset_config(kind: DatasetKind, scale: f64) -> SynthConfig {
+pub(crate) fn dataset_config(kind: DatasetKind, scale: f64) -> SynthConfig {
     let base = match kind {
         DatasetKind::Foursquare => SynthConfig::foursquare_like(),
         DatasetKind::Yelp => SynthConfig::yelp_like(),
@@ -97,9 +97,9 @@ pub struct Loaded {
     /// Which dataset.
     pub kind: DatasetKind,
     /// The generated dataset.
-    pub dataset: Dataset,
+    pub(crate) dataset: Dataset,
     /// Crossing-city train/test split.
-    pub split: CrossingCitySplit,
+    pub(crate) split: CrossingCitySplit,
     /// The paper's model config for this dataset.
     pub model_config: ModelConfig,
 }
@@ -113,7 +113,7 @@ pub fn load(kind: DatasetKind, settings: Settings) -> Loaded {
 }
 
 /// Generates at an explicit scale with the paper's own epoch budget.
-pub fn load_at(kind: DatasetKind, scale: f64) -> Loaded {
+pub(crate) fn load_at(kind: DatasetKind, scale: f64) -> Loaded {
     let cfg = dataset_config(kind, scale);
     let (dataset, _) = generate(&cfg);
     let target = CityId(cfg.target_city as u16);

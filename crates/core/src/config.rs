@@ -201,7 +201,7 @@ impl ModelConfig {
     }
 
     /// Full tower widths including the concatenated input and scalar head.
-    pub fn tower_widths(&self) -> Vec<usize> {
+    pub(crate) fn tower_widths(&self) -> Vec<usize> {
         let mut widths = Vec::with_capacity(self.hidden.len() + 2);
         widths.push(2 * self.embedding_dim);
         widths.extend_from_slice(&self.hidden);
@@ -220,7 +220,7 @@ impl ModelConfig {
     }
 
     /// Validates invariants; called by the model constructor.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.embedding_dim > 0);
         assert!(!self.hidden.is_empty(), "tower needs hidden layers");
         assert!(self.learning_rate > 0.0);

@@ -87,12 +87,12 @@ impl InteractionSampler {
     }
 
     /// True when the side has no training data (e.g. no target locals).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.positives.is_empty()
     }
 
     /// Whether `user` has an observed interaction with `poi` on this side.
-    pub fn is_positive(&self, user: UserId, poi: PoiId) -> bool {
+    pub(crate) fn is_positive(&self, user: UserId, poi: PoiId) -> bool {
         self.visited[user.idx()].binary_search(&poi).is_ok()
     }
 

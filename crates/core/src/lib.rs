@@ -4,7 +4,7 @@
 //! network for crossing-city POI recommendation combining
 //!
 //! - skipgram context prediction over the textual context graph
-//!   ([`skipgram_loss`], Eq. 4),
+//!   (`skipgram_loss`, Eq. 4),
 //! - density-based spatial resampling over uniformly accessible regions
 //!   ([`CityResampler`], Sec. 3.1.4, Eq. 6-9),
 //! - an MMD transfer layer aligning source- and target-city POI embedding
@@ -45,15 +45,13 @@ pub use interaction::{InteractionBatch, InteractionSampler};
 pub use mmd::{mmd_loss, mmd_value};
 pub use model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses};
 pub use recommend::{
-    case_study, poi_top_words, rank_top_k, recommend_top_k, user_profile_words, CaseStudy,
-    CaseStudyEntry, Recommendation,
+    case_study, rank_top_k, recommend_top_k, CaseStudy, CaseStudyEntry, Recommendation,
 };
-pub use resample::{CityResampler, MultiCityResampler};
+pub use resample::CityResampler;
 pub use retrieval::{
     recommend_top_k_retrieved, retrieval_recall_at_k, Candidates, RetrievalConfig, RetrievalIndex,
     RetrievalOutcome,
 };
-pub use skipgram::skipgram_loss;
 pub use snapshot::{ModelSnapshot, PredictError};
 pub use trainer::{ParallelTrainer, TimedEpoch};
 

@@ -31,7 +31,7 @@ use crate::interaction::{InteractionBatch, InteractionSampler};
 use crate::mmd::mmd_loss;
 use crate::resample::{CityResampler, MultiCityResampler};
 use crate::skipgram::skipgram_loss;
-use crate::{ModelConfig, Variant};
+use crate::ModelConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{
@@ -77,11 +77,11 @@ pub struct EpochStats {
     /// Mean step losses.
     pub losses: StepLosses,
     /// Steps taken.
-    pub steps: usize,
+    pub(crate) steps: usize,
     /// The tape buffer pool(s) at the end of the epoch, counters since
     /// the model (or trainer) was built: in a healthy run `misses` stops
     /// moving after the first step and `pooled_bytes` stays flat.
-    pub pool: PoolStats,
+    pub(crate) pool: PoolStats,
 }
 
 /// Where the target lane of a step runs, and where
@@ -152,7 +152,7 @@ impl StepBuffers {
 
     /// Mutable access to the step's gradient (merging workers, scaling,
     /// clipping).
-    pub fn grads_mut(&mut self) -> &mut Gradients {
+    pub(crate) fn grads_mut(&mut self) -> &mut Gradients {
         &mut self.lanes[0].grads
     }
 
@@ -167,14 +167,8 @@ impl StepBuffers {
         source.grads.merge_from(&mut target.grads);
     }
 
-    /// Gradient storage held, in scalar elements, both lanes summed (see
-    /// [`Gradients::allocated_elems`]).
-    pub fn allocated_grad_elems(&self) -> usize {
-        self.lanes.iter().map(|l| l.grads.allocated_elems()).sum()
-    }
-
     /// What the tape pools have done and hold, both lanes summed.
-    pub fn pool_stats(&self) -> PoolStats {
+    pub(crate) fn pool_stats(&self) -> PoolStats {
         self.lanes.iter().map(|l| l.pool.pool_stats()).sum()
     }
 }
@@ -271,7 +265,6 @@ impl Prologue {
 /// The trained model.
 pub struct STTransRec {
     config: ModelConfig,
-    target_city: CityId,
     store: ParamStore,
     user_emb: Embedding,
     poi_emb: Embedding,
@@ -417,7 +410,6 @@ impl STTransRec {
 
         Self {
             config,
-            target_city,
             store,
             user_emb,
             poi_emb,
@@ -461,13 +453,8 @@ impl STTransRec {
     }
 
     /// The configuration the model was built with.
-    pub fn config(&self) -> &ModelConfig {
+    pub(crate) fn config(&self) -> &ModelConfig {
         &self.config
-    }
-
-    /// The held-out city.
-    pub fn target_city(&self) -> CityId {
-        self.target_city
     }
 
     /// The parameter store (read access, e.g. for embedding inspection).
@@ -486,19 +473,9 @@ impl STTransRec {
         self.steps_per_epoch
     }
 
-    /// Per-epoch training history so far.
-    pub fn history(&self) -> &[EpochStats] {
-        &self.history
-    }
-
     /// The embedding vector of a POI (current parameters).
     pub fn poi_embedding(&self, poi: PoiId) -> &[f32] {
         self.store.get(self.poi_emb.table()).row(poi.idx())
-    }
-
-    /// The embedding vector of a user (current parameters).
-    pub fn user_embedding(&self, user: UserId) -> &[f32] {
-        self.store.get(self.user_emb.table()).row(user.idx())
     }
 
     /// Computes the gradient of one joint step into `buffers` (read it
@@ -821,11 +798,6 @@ impl STTransRec {
         &self.poi_emb
     }
 
-    /// Convenience accessor for the ablation variant in use.
-    pub fn variant(&self) -> Variant {
-        self.config.variant
-    }
-
     /// Saves all trained parameters (embedding tables + tower weights) to
     /// a writer in the `st-tensor` checkpoint container, tables as f32.
     pub fn save<W: std::io::Write>(&self, out: W) -> std::io::Result<()> {
@@ -917,6 +889,7 @@ impl Scorer for STTransRec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Variant;
     use st_data::synth::{generate, SynthConfig};
 
     fn setup() -> (Dataset, CrossingCitySplit) {
@@ -934,7 +907,7 @@ mod tests {
         assert!(m.prologue.source_resampler.is_some());
         assert!(m.steps_per_epoch() >= 1);
         assert_eq!(m.poi_embedding(PoiId(0)).len(), 16);
-        assert_eq!(m.user_embedding(UserId(0)).len(), 16);
+        assert_eq!(m.store.get(m.user_emb.table()).cols(), 16);
     }
 
     #[test]
@@ -1071,7 +1044,8 @@ mod tests {
             pois: vec![0, 1, 2, 3, 4, 5],
             labels: vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
         };
-        let untouched_user = m.user_embedding(UserId(7)).to_vec();
+        let user_row = |m: &STTransRec| m.store.get(m.user_emb.table()).row(7).to_vec();
+        let untouched_user = user_row(&m);
         let first = m.train_on_interactions(&batch);
         let mut last = first;
         for _ in 0..30 {
@@ -1083,8 +1057,8 @@ mod tests {
             "incremental loss did not descend: {first} -> {last}"
         );
         assert_eq!(
-            m.user_embedding(UserId(7)),
-            untouched_user.as_slice(),
+            user_row(&m),
+            untouched_user,
             "lazy sparse step touched an un-batched user row"
         );
         assert!(!m.params().has_non_finite());

@@ -84,7 +84,7 @@ pub fn rank_top_k(candidates: &[PoiId], scores: &[f32], k: usize) -> Vec<Recomme
 
 /// The user's top-n profile words: word frequencies aggregated over the
 /// POIs of their training check-ins (Table 3's "Training Data" column).
-pub fn user_profile_words(
+pub(crate) fn user_profile_words(
     dataset: &Dataset,
     train: &[Checkin],
     user: UserId,
@@ -106,7 +106,7 @@ pub fn user_profile_words(
 }
 
 /// A POI's first `n` descriptive words (Table 3's "Textual Descriptions").
-pub fn poi_top_words(dataset: &Dataset, poi: PoiId, n: usize) -> Vec<String> {
+pub(crate) fn poi_top_words(dataset: &Dataset, poi: PoiId, n: usize) -> Vec<String> {
     dataset
         .poi(poi)
         .words
@@ -119,8 +119,6 @@ pub fn poi_top_words(dataset: &Dataset, poi: PoiId, n: usize) -> Vec<String> {
 /// Everything Table 3 prints for one user under one model.
 #[derive(Debug, Clone)]
 pub struct CaseStudy {
-    /// The user studied.
-    pub user: UserId,
     /// Top profile words from source-city training check-ins.
     pub profile_words: Vec<String>,
     /// Top-k recommendations with name, words, and ground-truth marks.
@@ -130,8 +128,6 @@ pub struct CaseStudy {
 /// One row of the case study.
 #[derive(Debug, Clone)]
 pub struct CaseStudyEntry {
-    /// The recommended POI.
-    pub poi: PoiId,
     /// Its display name.
     pub name: String,
     /// Its top descriptive words.
@@ -156,14 +152,12 @@ pub fn case_study(
     let entries = recs
         .into_iter()
         .map(|r| CaseStudyEntry {
-            poi: r.poi,
             name: dataset.poi(r.poi).name.clone(),
             words: poi_top_words(dataset, r.poi, words_per_poi),
             is_ground_truth: ground_truth.contains(&r.poi),
         })
         .collect();
     CaseStudy {
-        user,
         profile_words: user_profile_words(dataset, train, user, 10),
         entries,
     }

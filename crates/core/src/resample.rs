@@ -23,7 +23,6 @@ use st_geo::{
 /// A per-city density-balanced POI sampler.
 #[derive(Debug)]
 pub struct CityResampler {
-    city: CityId,
     grid: Grid,
     segmentation: Segmentation,
     densities: RegionDensities,
@@ -38,7 +37,6 @@ pub struct CityResampler {
     region_poi_dists: Vec<Option<WeightedIndex<f64>>>,
     /// `alpha * total_quota`, the expected number of resampled draws.
     resample_mass: f64,
-    alpha: f64,
 }
 
 impl CityResampler {
@@ -121,7 +119,6 @@ impl CityResampler {
         let resample_mass = alpha * densities.total_quota() as f64;
 
         Self {
-            city,
             grid,
             segmentation,
             densities,
@@ -132,13 +129,7 @@ impl CityResampler {
             region_pois,
             region_poi_dists,
             resample_mass,
-            alpha,
         }
-    }
-
-    /// The city this sampler covers.
-    pub fn city(&self) -> CityId {
-        self.city
     }
 
     /// The segmentation Algorithm 1 produced.
@@ -149,16 +140,6 @@ impl CityResampler {
     /// Region densities.
     pub fn densities(&self) -> &RegionDensities {
         &self.densities
-    }
-
-    /// The grid used for segmentation.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    /// The punishment rate this sampler was built with.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Number of raw training check-ins covered.
@@ -172,7 +153,7 @@ impl CityResampler {
     }
 
     /// True if the city had any usable training check-ins.
-    pub fn is_usable(&self) -> bool {
+    pub(crate) fn is_usable(&self) -> bool {
         self.raw_dist.is_some()
     }
 
@@ -181,7 +162,7 @@ impl CityResampler {
     /// # Panics
     /// Panics if the city has no training check-ins (check
     /// [`CityResampler::is_usable`]).
-    pub fn sample_poi(&self, rng: &mut impl Rng) -> PoiId {
+    pub(crate) fn sample_poi(&self, rng: &mut impl Rng) -> PoiId {
         let raw = self.raw_dist.as_ref().expect("city has no check-ins");
         let total = self.raw_count as f64 + self.resample_mass;
         let use_resampled =
@@ -219,7 +200,7 @@ impl CityResampler {
 /// all non-target cities together), drawing a city proportional to its
 /// balanced mass, then a POI from that city's resampler.
 #[derive(Debug)]
-pub struct MultiCityResampler {
+pub(crate) struct MultiCityResampler {
     cities: Vec<CityResampler>,
     city_dist: WeightedIndex<f64>,
 }
@@ -229,7 +210,7 @@ impl MultiCityResampler {
     ///
     /// # Panics
     /// Panics if every city is empty.
-    pub fn new(cities: Vec<CityResampler>) -> Self {
+    pub(crate) fn new(cities: Vec<CityResampler>) -> Self {
         let cities: Vec<CityResampler> = cities.into_iter().filter(|c| c.is_usable()).collect();
         assert!(!cities.is_empty(), "no usable cities for resampling");
         let weights: Vec<f64> = cities
@@ -240,20 +221,10 @@ impl MultiCityResampler {
         Self { cities, city_dist }
     }
 
-    /// Per-city samplers retained.
-    pub fn cities(&self) -> &[CityResampler] {
-        &self.cities
-    }
-
     /// Draws one POI.
-    pub fn sample_poi(&self, rng: &mut impl Rng) -> PoiId {
+    pub(crate) fn sample_poi(&self, rng: &mut impl Rng) -> PoiId {
         let ci = self.city_dist.sample(rng);
         self.cities[ci].sample_poi(rng)
-    }
-
-    /// Draws a batch of POIs.
-    pub fn sample_batch(&self, n: usize, rng: &mut impl Rng) -> Vec<PoiId> {
-        (0..n).map(|_| self.sample_poi(rng)).collect()
     }
 }
 
@@ -284,7 +255,6 @@ mod tests {
         assert!(r.is_usable());
         assert!(r.segmentation().num_regions() >= 1);
         assert!(r.raw_checkins() > 100);
-        assert_eq!(r.alpha(), 0.1);
     }
 
     #[test]
@@ -355,8 +325,8 @@ mod tests {
         let r0 = CityResampler::build(&d, &split.train, CityId(0), 8, 0.1, 0.1, &mut rng);
         let r1 = CityResampler::build(&d, &split.train, CityId(1), 8, 0.1, 0.1, &mut rng);
         let multi = MultiCityResampler::new(vec![r0, r1]);
-        assert_eq!(multi.cities().len(), 2);
-        let batch = multi.sample_batch(400, &mut rng);
+        assert_eq!(multi.cities.len(), 2);
+        let batch: Vec<PoiId> = (0..400).map(|_| multi.sample_poi(&mut rng)).collect();
         let c0 = batch
             .iter()
             .filter(|&&p| d.poi(p).city == CityId(0))

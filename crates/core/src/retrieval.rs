@@ -99,7 +99,7 @@ pub struct Candidates {
     /// How many came from the grid stage.
     pub from_grid: usize,
     /// How many came from the IVF stage (after dedup against the grid).
-    pub from_ivf: usize,
+    pub(crate) from_ivf: usize,
 }
 
 /// How a retrieved ranking was produced — surfaced into serving metrics
@@ -157,11 +157,6 @@ impl RetrievalIndex {
             );
         }
         Self { cities, cfg }
-    }
-
-    /// The configuration the index was built with.
-    pub fn config(&self) -> &RetrievalConfig {
-        &self.cfg
     }
 
     /// Number of cities that were indexed.

@@ -19,7 +19,7 @@ use st_tensor::{ParamId, Tape, Var};
 ///
 /// # Panics
 /// Panics on an empty batch.
-pub fn skipgram_loss(
+pub(crate) fn skipgram_loss(
     tape: &mut Tape<'_>,
     poi_table: ParamId,
     word_table: ParamId,

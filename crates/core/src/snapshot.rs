@@ -97,7 +97,7 @@ impl std::error::Error for PredictError {}
 /// entry per request shape.
 ///
 /// Capture one with [`STTransRec::snapshot`] (or
-/// [`ModelSnapshot::capture`]) after training or a checkpoint restore;
+/// `ModelSnapshot::capture`) after training or a checkpoint restore;
 /// the snapshot stays valid — and unchanged — however the live model
 /// trains on.
 #[derive(Debug, Clone)]
@@ -112,7 +112,7 @@ pub struct ModelSnapshot {
 impl ModelSnapshot {
     /// Copies the current parameters of `model` into a frozen snapshot
     /// (owned f32 tables — the lossless live-capture path).
-    pub fn capture(model: &STTransRec) -> Self {
+    pub(crate) fn capture(model: &STTransRec) -> Self {
         let store = model.params();
         Self {
             user_table: TableStorage::F32(store.get(model.user_emb().table()).clone()),

@@ -42,20 +42,20 @@ impl ParallelTrainer {
     }
 
     /// Worker count.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.buffers.len()
     }
 
     /// What each worker's tape buffer pools have done and hold, in worker
     /// order.
-    pub fn pool_stats(&self) -> Vec<PoolStats> {
+    pub(crate) fn pool_stats(&self) -> Vec<PoolStats> {
         self.buffers.iter().map(StepBuffers::pool_stats).collect()
     }
 
     /// One synchronous step: every worker computes a full joint-loss
     /// gradient on its own batches; gradients are averaged and applied.
     /// Worker pools and gradient buffers persist across calls.
-    pub fn train_step(
+    pub(crate) fn train_step(
         &mut self,
         model: &mut STTransRec,
         dataset: &Dataset,
@@ -165,10 +165,7 @@ mod tests {
     }
 
     fn grad_elems(trainer: &ParallelTrainer) -> usize {
-        let per_worker = trainer
-            .buffers
-            .iter()
-            .map(StepBuffers::allocated_grad_elems);
+        let per_worker = trainer.buffers.iter().map(|b| b.grads().allocated_elems());
         per_worker.sum()
     }
 
@@ -202,7 +199,8 @@ mod tests {
         // The model's own epochs and the trainer's share one numbering.
         let e2 = m.train_epoch(&d);
         assert_eq!([e0.epoch, e1.epoch, e2.epoch], [0, 1, 2]);
-        assert_eq!(m.history(), [e0, e1, e2]);
+        // `fit` returns the whole history: these three, then its own.
+        assert_eq!(m.fit(&d)[..3], [e0, e1, e2]);
     }
 
     #[test]

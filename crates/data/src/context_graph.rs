@@ -54,30 +54,6 @@ impl TextualContextGraph {
         }
     }
 
-    /// Member POIs.
-    pub fn pois(&self) -> &[PoiId] {
-        &self.pois
-    }
-
-    /// Number of POI-word edges (`|E_vw|`).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Average POI degree (`n` in the paper's complexity analysis).
-    pub fn avg_degree(&self) -> f64 {
-        if self.pois.is_empty() {
-            0.0
-        } else {
-            self.edges.len() as f64 / self.pois.len() as f64
-        }
-    }
-
-    /// Words of the `i`-th member POI.
-    pub fn poi_words(&self, i: usize) -> &[WordId] {
-        &self.words_per_poi[i]
-    }
-
     /// Samples `batch` training tuples — a POI, one positive word, and
     /// `negatives` negative words not in the POI's description — laid
     /// out as the rows the skipgram loss gathers: per tuple, the positive
@@ -134,11 +110,6 @@ pub struct ContextBatch {
 }
 
 impl ContextBatch {
-    /// Number of labelled pairs.
-    pub fn len(&self) -> usize {
-        self.targets.len()
-    }
-
     /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.targets.is_empty()
@@ -162,10 +133,9 @@ mod tests {
         let d = tiny_dataset();
         let g = TextualContextGraph::build(&d, &[PoiId(2), PoiId(3)], 0.75);
         // p2 has 2 words, p3 has 1.
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.pois(), &[PoiId(2), PoiId(3)]);
-        assert!((g.avg_degree() - 1.5).abs() < 1e-12);
-        assert_eq!(g.poi_words(1), d.poi(PoiId(3)).words);
+        assert_eq!(g.edges.len(), 3);
+        assert_eq!(g.pois, [PoiId(2), PoiId(3)]);
+        assert_eq!(g.words_per_poi[1], d.poi(PoiId(3)).words);
     }
 
     #[test]
@@ -174,9 +144,9 @@ mod tests {
         let g = TextualContextGraph::build(&d, &[PoiId(0), PoiId(1), PoiId(2), PoiId(3)], 0.75);
         let mut rng = SmallRng::seed_from_u64(5);
         let b = g.sample_batch(200, 3, &mut rng);
-        assert_eq!(b.len(), 200 * 4);
-        assert_eq!(b.poi_rows.len(), b.len());
-        assert_eq!(b.word_rows.len(), b.len());
+        assert_eq!(b.targets.len(), 200 * 4);
+        assert_eq!(b.poi_rows.len(), b.targets.len());
+        assert_eq!(b.word_rows.len(), b.targets.len());
         for (i, tuple) in b.targets.chunks(4).enumerate() {
             assert_eq!(tuple, [1.0, 0.0, 0.0, 0.0], "positive, then its negatives");
             let poi = b.poi_rows[4 * i];
@@ -202,7 +172,7 @@ mod tests {
             .collect();
         assert_eq!(
             seen.len(),
-            g.num_edges(),
+            g.edges.len(),
             "uniform edge sampling covers all"
         );
     }

@@ -25,7 +25,7 @@ impl Dataset {
     /// # Panics
     /// Panics on referential violations: a check-in naming an unknown user
     /// or POI, a POI naming an unknown city or word, or non-dense POI ids.
-    pub fn new(
+    pub(crate) fn new(
         cities: Vec<City>,
         pois: Vec<Poi>,
         vocab: Vocabulary,
@@ -115,20 +115,8 @@ impl Dataset {
             .map(|&i| &self.checkins[i as usize])
     }
 
-    /// Number of check-ins by a user.
-    pub fn user_checkin_count(&self, user: UserId) -> usize {
-        self.by_user[user.idx()].len()
-    }
-
-    /// Check-ins at a POI.
-    pub fn poi_checkins(&self, poi: PoiId) -> impl Iterator<Item = &Checkin> {
-        self.by_poi[poi.idx()]
-            .iter()
-            .map(|&i| &self.checkins[i as usize])
-    }
-
     /// Popularity of a POI (its check-in count) — the ItemPop signal.
-    pub fn poi_popularity(&self, poi: PoiId) -> usize {
+    pub(crate) fn poi_popularity(&self, poi: PoiId) -> usize {
         self.by_poi[poi.idx()].len()
     }
 
@@ -138,7 +126,7 @@ impl Dataset {
     }
 
     /// The distinct cities a user has checked into, ascending.
-    pub fn user_cities(&self, user: UserId) -> Vec<CityId> {
+    pub(crate) fn user_cities(&self, user: UserId) -> Vec<CityId> {
         let mut cities: Vec<CityId> = self
             .user_checkins(user)
             .map(|c| self.poi(c.poi).city)
@@ -162,7 +150,7 @@ impl Dataset {
 
     /// Users who have checked into both `target` and at least one other
     /// city — the paper's *crossing-city users*.
-    pub fn crossing_city_users(&self, target: CityId) -> Vec<UserId> {
+    pub(crate) fn crossing_city_users(&self, target: CityId) -> Vec<UserId> {
         (0..self.num_users as u32)
             .map(UserId)
             .filter(|&u| {
@@ -180,7 +168,7 @@ pub(crate) mod test_fixtures {
 
     /// Two cities, four POIs, three users; user 2 is a crossing-city user
     /// of city 1.
-    pub fn tiny_dataset() -> Dataset {
+    pub(crate) fn tiny_dataset() -> Dataset {
         let cities = vec![
             City {
                 id: CityId(0),
@@ -274,7 +262,7 @@ mod tests {
         assert_eq!(d.num_users(), 3);
         assert_eq!(d.num_pois(), 4);
         assert_eq!(d.checkins().len(), 6);
-        assert_eq!(d.user_checkin_count(UserId(2)), 3);
+        assert_eq!(d.user_checkins(UserId(2)).count(), 3);
         assert_eq!(d.poi_popularity(PoiId(0)), 3);
         assert_eq!(d.pois_in_city(CityId(1)), &[PoiId(2), PoiId(3)]);
     }

@@ -8,16 +8,16 @@
 
 /// A named topic with its city-independent vocabulary.
 #[derive(Debug, Clone, Copy)]
-pub struct Topic {
+pub(crate) struct Topic {
     /// Short topic name (also a word itself).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// City-independent words evocative of the topic.
-    pub shared_words: &'static [&'static str],
+    pub(crate) shared_words: &'static [&'static str],
 }
 
 /// The built-in topics. Chosen to echo the paper's running examples
 /// (museums, parks, casinos, theatres, Italian restaurants...).
-pub const TOPICS: &[Topic] = &[
+pub(crate) const TOPICS: &[Topic] = &[
     Topic {
         name: "museum",
         shared_words: &[
@@ -259,14 +259,14 @@ pub const TOPICS: &[Topic] = &[
 ];
 
 /// Number of built-in topics.
-pub fn num_topics() -> usize {
+pub(crate) fn num_topics() -> usize {
     TOPICS.len()
 }
 
 /// Deterministically generates `count` city-dependent words for
 /// (`city_name`, topic). These play the role of "golden gate bridge" /
 /// "hollywood sign": strings no other city shares.
-pub fn city_words(city_name: &str, topic: &Topic, count: usize) -> Vec<String> {
+pub(crate) fn city_words(city_name: &str, topic: &Topic, count: usize) -> Vec<String> {
     let slug: String = city_name
         .chars()
         .filter(|c| c.is_ascii_alphanumeric())

@@ -21,8 +21,8 @@
 
 mod context_graph;
 mod dataset;
-pub mod io;
-pub mod lexicon;
+pub(crate) mod io;
+pub(crate) mod lexicon;
 mod model;
 mod split;
 mod stats;

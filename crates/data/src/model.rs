@@ -86,7 +86,7 @@ pub struct Checkin {
     /// Where.
     pub poi: PoiId,
     /// Ordinal timestamp (only ordering matters to the model).
-    pub time: u32,
+    pub(crate) time: u32,
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub struct CrossingCitySplit {
     pub test_users: Vec<UserId>,
     /// Parallel to `test_users`: distinct ground-truth POIs each visited
     /// in the target city.
-    pub ground_truth: Vec<Vec<PoiId>>,
+    pub(crate) ground_truth: Vec<Vec<PoiId>>,
 }
 
 impl CrossingCitySplit {

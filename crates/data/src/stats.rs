@@ -34,16 +34,6 @@ impl DatasetStats {
             crossing_checkins: split.held_out_checkins(dataset),
         }
     }
-
-    /// Fraction of all check-ins that are crossing-city (the paper cites
-    /// figures below 1%, motivating the sparsity challenge).
-    pub fn crossing_fraction(&self) -> f64 {
-        if self.checkins == 0 {
-            0.0
-        } else {
-            self.crossing_checkins as f64 / self.checkins as f64
-        }
-    }
 }
 
 impl fmt::Display for DatasetStats {
@@ -77,7 +67,6 @@ mod tests {
                 crossing_checkins: 1,
             }
         );
-        assert!((s.crossing_fraction() - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

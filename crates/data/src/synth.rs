@@ -45,15 +45,15 @@ use st_geo::{BoundingBox, GeoPoint};
 #[derive(Debug, Clone)]
 pub struct CitySpec {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Geographic centre.
-    pub center: (f64, f64),
+    pub(crate) center: (f64, f64),
     /// Half-extent in degrees (bbox is `center ± extent`).
-    pub extent: f64,
+    pub(crate) extent: f64,
     /// Fraction of all POIs placed here.
-    pub poi_share: f64,
+    pub(crate) poi_share: f64,
     /// Fraction of all users living here.
-    pub user_share: f64,
+    pub(crate) user_share: f64,
 }
 
 impl CitySpec {
@@ -281,17 +281,15 @@ impl SynthConfig {
 /// diagnostics (a recommender never sees this).
 #[derive(Debug, Clone)]
 pub struct SynthMeta {
-    /// Per-user topic preference vectors (rows sum to 1).
-    pub user_prefs: Vec<Vec<f32>>,
-    /// Home city of each user.
-    pub user_home: Vec<CityId>,
     /// Users that received target-city check-ins.
     pub crossing_users: Vec<UserId>,
-    /// Topic of each POI.
-    pub poi_topic: Vec<u16>,
+    /// Home city of each user (read by this module's tests only).
+    #[cfg(test)]
+    user_home: Vec<CityId>,
     /// District (accessibility tier) of each POI within its city;
-    /// 0 = downtown (most accessible).
-    pub poi_district: Vec<u16>,
+    /// 0 = downtown (most accessible). Read by this module's tests only.
+    #[cfg(test)]
+    poi_district: Vec<u16>,
 }
 
 /// The generator: produces a [`Dataset`] plus its latent [`SynthMeta`].
@@ -591,10 +589,10 @@ pub fn generate(config: &SynthConfig) -> (Dataset, SynthMeta) {
 
     let dataset = Dataset::new(cities, pois, vocab, config.users, checkins);
     let meta = SynthMeta {
-        user_prefs,
-        user_home,
         crossing_users: crossing,
-        poi_topic,
+        #[cfg(test)]
+        user_home,
+        #[cfg(test)]
         poi_district,
     };
     (dataset, meta)
@@ -697,15 +695,10 @@ impl CheckinStream {
         }
     }
 
-    /// The timestamp the next event will carry.
-    pub fn next_time(&self) -> u32 {
-        self.next_time
-    }
-
     /// Draws the next event: a historically active user checking in at a
     /// popularity-weighted POI of their home city, at the next strictly
     /// increasing timestamp.
-    pub fn next_event(&mut self) -> Checkin {
+    pub(crate) fn next_event(&mut self) -> Checkin {
         loop {
             let user = self.user_dist.sample(&mut self.rng) as u32;
             let city = self.user_city[user as usize];
@@ -822,12 +815,10 @@ mod tests {
 
     #[test]
     fn tiny_dataset_generates_and_validates() {
-        let (d, meta) = generate(&SynthConfig::tiny());
+        let (d, _) = generate(&SynthConfig::tiny());
         assert_eq!(d.num_users(), 60);
         assert_eq!(d.num_pois(), 80);
         assert!(d.checkins().len() >= 1_000, "got {}", d.checkins().len());
-        assert_eq!(meta.user_prefs.len(), 60);
-        assert_eq!(meta.poi_topic.len(), 80);
     }
 
     #[test]
@@ -888,8 +879,8 @@ mod tests {
         let (d, _) = generate(&SynthConfig::tiny());
         let max_time = d.checkins().iter().map(|c| c.time).max().unwrap();
         let mut stream = CheckinStream::new(&d, 7);
-        assert_eq!(stream.next_time(), max_time + 1);
         let events = stream.next_batch(400);
+        assert_eq!(events[0].time, max_time + 1);
         let mut prev = max_time;
         for e in &events {
             assert!(e.user.idx() < d.num_users());
@@ -1067,7 +1058,7 @@ mod tests {
             (40.0..75.0).contains(&per_user),
             "check-ins/user {per_user}"
         );
-        assert!(stats.crossing_fraction() < 0.05);
+        assert!((stats.crossing_checkins as f64) < 0.05 * stats.checkins as f64);
         assert!(stats.words > 500, "vocabulary too small: {}", stats.words);
     }
 

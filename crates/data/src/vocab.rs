@@ -32,14 +32,14 @@ impl Vocabulary {
     }
 
     /// Interns `word` and counts one occurrence.
-    pub fn observe(&mut self, word: &str) -> WordId {
+    pub(crate) fn observe(&mut self, word: &str) -> WordId {
         let id = self.intern(word);
         self.counts[id.idx()] += 1;
         id
     }
 
     /// Counts `n` additional occurrences of an already-interned word.
-    pub fn add_count(&mut self, id: WordId, n: u64) {
+    pub(crate) fn add_count(&mut self, id: WordId, n: u64) {
         self.counts[id.idx()] += n;
     }
 
@@ -53,11 +53,6 @@ impl Vocabulary {
         &self.words[id.idx()]
     }
 
-    /// Occurrence count for an id.
-    pub fn count(&self, id: WordId) -> u64 {
-        self.counts[id.idx()]
-    }
-
     /// Number of distinct words.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -66,15 +61,6 @@ impl Vocabulary {
     /// True when no words are interned.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// Iterates `(id, word, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (WordId, &str, u64)> {
-        self.words
-            .iter()
-            .zip(&self.counts)
-            .enumerate()
-            .map(|(i, (w, &c))| (WordId(i as u32), w.as_str(), c))
     }
 
     /// Builds a negative-sampling table over this vocabulary.
@@ -166,7 +152,7 @@ impl NegativeTable {
 
     /// Draws a negative that differs from every id in `exclude`, retrying
     /// a bounded number of times before falling back to a linear scan.
-    pub fn sample_excluding(&self, exclude: &[WordId], rng: &mut impl Rng) -> WordId {
+    pub(crate) fn sample_excluding(&self, exclude: &[WordId], rng: &mut impl Rng) -> WordId {
         for _ in 0..32 {
             let id = self.sample(rng);
             if !exclude.contains(&id) {
@@ -207,8 +193,8 @@ mod tests {
         let a = v.observe("pizza");
         v.observe("pizza");
         v.observe("bar");
-        assert_eq!(v.count(a), 2);
-        assert_eq!(v.iter().count(), 2);
+        assert_eq!(v.counts[a.idx()], 2);
+        assert_eq!(v.len(), 2);
     }
 
     #[test]

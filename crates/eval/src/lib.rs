@@ -17,7 +17,7 @@ mod window;
 
 pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
 pub use metrics::{
-    metric_at_k, overlap_at_k, rank_metrics, Metric, MetricAccumulator, MetricReport, UserMetrics,
+    overlap_at_k, rank_metrics, Metric, MetricAccumulator, MetricReport, UserMetrics,
 };
 pub use protocol::{evaluate, score_sharded, EvalConfig, Scorer};
 pub use window::{evaluate_window, WindowEvalConfig, WindowReport};

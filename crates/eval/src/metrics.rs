@@ -37,7 +37,7 @@ impl Metric {
 /// `ranked` is the candidate list in descending score order; `relevant`
 /// marks which candidates are ground truth (parallel to `ranked`'s
 /// index space — see [`rank_metrics`] for the usual entry point).
-pub fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k: usize) -> f64 {
+pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k: usize) -> f64 {
     assert!(k > 0, "cutoff k must be positive");
     if num_relevant == 0 {
         return 0.0;
@@ -107,7 +107,7 @@ pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetr
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserMetrics {
     /// Cutoffs evaluated.
-    pub ks: Vec<usize>,
+    pub(crate) ks: Vec<usize>,
     /// Indexed by [`Metric::ALL`] order, then by cutoff.
     pub values: Vec<Vec<f64>>,
 }
@@ -139,11 +139,6 @@ impl MetricAccumulator {
             }
         }
         self.users += 1;
-    }
-
-    /// Number of users accumulated.
-    pub fn num_users(&self) -> usize {
-        self.users
     }
 
     /// Finalizes into averages.

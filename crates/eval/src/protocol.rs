@@ -77,12 +77,12 @@ impl<S: Scorer + ?Sized> Scorer for Box<S> {
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
     /// Negatives sampled per user (paper: 100).
-    pub negatives: usize,
+    pub(crate) negatives: usize,
     /// Cutoffs (paper: 2, 4, 6, 8, 10).
-    pub ks: Vec<usize>,
+    pub(crate) ks: Vec<usize>,
     /// Seed for negative sampling: fixed seed = identical candidate sets
     /// across methods, which is what makes the comparison figures fair.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for EvalConfig {

@@ -45,7 +45,7 @@ impl Default for WindowEvalConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowReport {
     /// Events evaluated (zero for an empty window).
-    pub events: usize,
+    pub(crate) events: usize,
     /// Fraction of events whose true POI ranked in the top `k`.
     pub hit_rate: f64,
 }

@@ -50,7 +50,7 @@ impl RegionDensities {
     }
 
     /// Number of regions.
-    pub fn num_regions(&self) -> usize {
+    pub(crate) fn num_regions(&self) -> usize {
         self.counts.len()
     }
 

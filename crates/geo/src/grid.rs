@@ -106,21 +106,6 @@ impl Grid {
         Self { bbox, n1, n2 }
     }
 
-    /// The covered bounding box.
-    pub fn bbox(&self) -> &BoundingBox {
-        &self.bbox
-    }
-
-    /// Rows (latitude bands).
-    pub fn n1(&self) -> usize {
-        self.n1
-    }
-
-    /// Columns (longitude bands).
-    pub fn n2(&self) -> usize {
-        self.n2
-    }
-
     /// Total number of cells.
     pub fn num_cells(&self) -> usize {
         self.n1 * self.n2
@@ -161,7 +146,7 @@ impl Grid {
     }
 
     /// 4-neighbourhood (von Neumann) of a cell, clipped to the grid.
-    pub fn neighbors(&self, cell: GridCell) -> impl Iterator<Item = GridCell> + '_ {
+    pub(crate) fn neighbors(&self, cell: GridCell) -> impl Iterator<Item = GridCell> + '_ {
         let (r, c) = (cell.row as isize, cell.col as isize);
         [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
             .into_iter()
@@ -181,7 +166,7 @@ impl Grid {
     /// This is the expansion step of grid-based candidate retrieval: ring
     /// 0 is the query cell, ring 1 its 8-neighbourhood shell, and so on
     /// outward until the candidate budget fills.
-    pub fn ring(&self, center: GridCell, r: usize) -> impl Iterator<Item = GridCell> + '_ {
+    pub(crate) fn ring(&self, center: GridCell, r: usize) -> impl Iterator<Item = GridCell> + '_ {
         let (cr, cc) = (center.row as isize, center.col as isize);
         let r = r as isize;
         let rows = cr - r..=cr + r;
@@ -342,7 +327,7 @@ mod tests {
     fn rings_within_covers_every_cell_exactly_once() {
         let g = unit_grid();
         let c = GridCell { row: 1, col: 3 };
-        let max_r = g.n1().max(g.n2());
+        let max_r = 5; // the larger of unit_grid's 5 x 4
         let mut seen = std::collections::HashSet::new();
         let mut last_dist = 0usize;
         for cell in g.rings_within(c, max_r) {

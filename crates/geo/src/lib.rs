@@ -30,8 +30,5 @@ mod region;
 
 pub use density::RegionDensities;
 pub use grid::{BoundingBox, Grid, GridCell};
-pub use point::{GeoPoint, EARTH_RADIUS_KM};
-pub use region::{
-    build_cell_user_index, segment_regions, CellUserIndex, Region, RegionId, SeedOrder,
-    Segmentation,
-};
+pub use point::GeoPoint;
+pub use region::{segment_regions, CellUserIndex, Region, RegionId, SeedOrder, Segmentation};

@@ -1,7 +1,7 @@
 //! Geographic points and great-circle distances.
 
 /// Mean Earth radius in kilometres (IUGG).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
+pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// A WGS-84 geographic point (degrees).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -49,7 +49,7 @@ impl CellUserIndex {
     }
 
     /// Number of cells.
-    pub fn num_cells(&self) -> usize {
+    pub(crate) fn num_cells(&self) -> usize {
         self.users.len()
     }
 
@@ -59,12 +59,12 @@ impl CellUserIndex {
     }
 
     /// Check-ins recorded in a cell.
-    pub fn checkin_count(&self, cell: usize) -> usize {
+    pub(crate) fn checkin_count(&self, cell: usize) -> usize {
         self.checkins[cell]
     }
 
     /// Number of users visiting both cells (sorted-merge intersection).
-    pub fn overlap(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn overlap(&self, a: usize, b: usize) -> usize {
         let (mut i, mut j, mut n) = (0, 0, 0);
         let (ua, ub) = (&self.users[a], &self.users[b]);
         while i < ua.len() && j < ub.len() {
@@ -111,7 +111,7 @@ pub struct Region {
 
 impl Region {
     /// Number of grid cells in the region (`S_r` in Eq. 6).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.cells.len()
     }
 }
@@ -122,7 +122,7 @@ pub struct Segmentation {
     /// All regions, in creation order.
     pub regions: Vec<Region>,
     /// For each flat cell index, its region (None for cells with no visitors).
-    pub cell_region: Vec<Option<RegionId>>,
+    pub(crate) cell_region: Vec<Option<RegionId>>,
 }
 
 impl Segmentation {
@@ -134,11 +134,6 @@ impl Segmentation {
     /// The region of a flat cell index, if assigned.
     pub fn region_of_cell(&self, cell: usize) -> Option<RegionId> {
         self.cell_region.get(cell).copied().flatten()
-    }
-
-    /// The cells of a region.
-    pub fn region(&self, id: RegionId) -> &Region {
-        &self.regions[id.0]
     }
 }
 
@@ -209,21 +204,6 @@ pub fn segment_regions(
         regions,
         cell_region,
     }
-}
-
-/// Convenience: maps points to cells and builds the [`CellUserIndex`] in
-/// one pass, skipping points outside the grid.
-pub fn build_cell_user_index<'a>(
-    grid: &Grid,
-    checkins: impl IntoIterator<Item = (&'a crate::GeoPoint, u32)>,
-) -> CellUserIndex {
-    let mut index = CellUserIndex::new(grid.num_cells());
-    for (point, user) in checkins {
-        if let Some(cell) = grid.cell_of(point) {
-            index.record(grid.flat_index(cell), user);
-        }
-    }
-    index
 }
 
 #[cfg(test)]
@@ -324,7 +304,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let seg = segment_regions(&grid, &idx, 0.0, SeedOrder::DenseFirst, &mut rng);
         assert_eq!(seg.num_regions(), 1);
-        assert_eq!(seg.region(RegionId(0)).size(), 9);
+        assert_eq!(seg.regions[0].size(), 9);
     }
 
     #[test]
@@ -346,7 +326,7 @@ mod tests {
             match seg.region_of_cell(cell) {
                 Some(r) => {
                     assert!(idx.user_count(cell) > 0);
-                    assert!(seg.region(r).cells.contains(&cell));
+                    assert!(seg.regions[r.0].cells.contains(&cell));
                     seen[r.0] += 1;
                 }
                 None => assert_eq!(idx.user_count(cell), 0),
@@ -387,7 +367,12 @@ mod tests {
         let grid = grid_3x3();
         let inside = crate::GeoPoint::new(0.5, 0.5);
         let outside = crate::GeoPoint::new(50.0, 50.0);
-        let idx = build_cell_user_index(&grid, [(&inside, 1u32), (&outside, 2u32)]);
+        let mut idx = CellUserIndex::new(grid.num_cells());
+        for (point, user) in [(&inside, 1u32), (&outside, 2u32)] {
+            if let Some(cell) = grid.cell_of(point) {
+                idx.record(grid.flat_index(cell), user);
+            }
+        }
         assert_eq!(idx.checkin_count(0), 1);
         let total: usize = (0..9).map(|c| idx.checkin_count(c)).sum();
         assert_eq!(total, 1);

@@ -84,7 +84,7 @@ impl FaultPlan {
     }
 
     /// The fault scheduled for `cycle` (clean past the end of the plan).
-    pub fn fault_for(&self, cycle: usize) -> PublishFault {
+    pub(crate) fn fault_for(&self, cycle: usize) -> PublishFault {
         self.faults
             .get(cycle)
             .copied()

@@ -11,10 +11,10 @@
 //! The subsystem is built from the pieces the rest of the workspace
 //! already proves out:
 //!
-//! - [`IncrementalTrainer`] — streamed events → positives + unvisited
+//! - `IncrementalTrainer` — streamed events → positives + unvisited
 //!   same-city negatives → one sparse/lazy optimizer step per
 //!   micro-batch (`st-transrec-core`).
-//! - [`ShadowWindow`] + [`gate`] — held-out events the trainer never
+//! - `ShadowWindow` + `gate` — held-out events the trainer never
 //!   sees, scored with `st-eval`'s seeded windowed protocol; a candidate
 //!   that regresses hit-rate beyond tolerance is rejected before any
 //!   byte is written.
@@ -23,7 +23,7 @@
 //!   what actually serves.
 //! - [`FaultPlan`] — seeded publish-path chaos (regressing candidates,
 //!   crashes mid-write) so every run exercises the defenses.
-//! - [`run_online_loop`] / [`run_embedded`] — the cycle orchestration,
+//! - `run_online_loop` / [`run_embedded`] — the cycle orchestration,
 //!   reproducible end to end under a fixed seed.
 
 #![warn(missing_docs)]
@@ -35,9 +35,5 @@ mod shadow;
 mod trainer;
 
 pub use fault::{FaultPlan, PublishFault};
-pub use pipeline::{
-    run_embedded, run_online_loop, CycleOutcome, CycleRecord, OnlineLoopConfig, OnlineReport,
-};
+pub use pipeline::{run_embedded, CycleOutcome, CycleRecord, OnlineLoopConfig, OnlineReport};
 pub use publisher::{PublishOutcome, Publisher};
-pub use shadow::{gate, GateConfig, GateDecision, ShadowWindow};
-pub use trainer::{IncrementalTrainer, MicroBatchStats};

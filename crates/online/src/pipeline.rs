@@ -28,28 +28,28 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct OnlineLoopConfig {
     /// Master seed: stream, trainer, impostor inits all derive from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Architecture/optimizer config for the model and every impostor.
-    pub model: ModelConfig,
+    pub(crate) model: ModelConfig,
     /// Full offline epochs before the stream starts (generation 1).
     pub warmup_epochs: usize,
     /// Events per training micro-batch.
-    pub micro_batch: usize,
+    pub(crate) micro_batch: usize,
     /// Training micro-batches per publish cycle.
-    pub train_batches_per_cycle: usize,
+    pub(crate) train_batches_per_cycle: usize,
     /// Events held out into the shadow window per cycle.
-    pub shadow_batch: usize,
+    pub(crate) shadow_batch: usize,
     /// Shadow window capacity (oldest events evicted beyond it).
-    pub shadow_capacity: usize,
+    pub(crate) shadow_capacity: usize,
     /// Negatives per streamed positive.
-    pub negatives: usize,
+    pub(crate) negatives: usize,
     /// Publish-gate policy.
-    pub gate: GateConfig,
+    pub(crate) gate: GateConfig,
     /// Per-cycle fault schedule; its length is the number of cycles.
     pub faults: FaultPlan,
     /// v2 container encoding for every published checkpoint: f32 by
     /// default, f16/int8 to shrink what the serving tier maps.
-    pub snapshot_format: StorageEncoding,
+    pub(crate) snapshot_format: StorageEncoding,
 }
 
 impl OnlineLoopConfig {
@@ -178,7 +178,7 @@ impl OnlineReport {
 /// `model` must be the generation the server is currently serving (the
 /// warmed-up model whose checkpoint `ckpt` holds); the loop trains it
 /// incrementally and publishes through `ckpt`.
-pub fn run_online_loop(
+pub(crate) fn run_online_loop(
     dataset: &Arc<Dataset>,
     split: &Arc<CrossingCitySplit>,
     server: &Server,

@@ -38,10 +38,8 @@ pub struct Publisher {
 /// A confirmed publish.
 #[derive(Debug, Clone, Copy)]
 pub struct PublishOutcome {
-    /// Serving epoch after the swap, as reported by the reload response.
-    pub epoch: u64,
     /// Wall time from checkpoint write to confirmed swap.
-    pub latency: Duration,
+    pub(crate) latency: Duration,
 }
 
 impl Publisher {
@@ -58,23 +56,13 @@ impl Publisher {
     /// Sets the container encoding for every subsequent publish. Lossy
     /// encodings (f16/int8) apply to the embedding tables only; tower
     /// weights always stay f32.
-    pub fn with_format(mut self, format: StorageEncoding) -> Self {
+    pub(crate) fn with_format(mut self, format: StorageEncoding) -> Self {
         self.format = format;
         self
     }
 
-    /// The checkpoint path this publisher writes.
-    pub fn checkpoint(&self) -> &Path {
-        &self.ckpt
-    }
-
-    /// The container encoding this publisher writes.
-    pub fn format(&self) -> StorageEncoding {
-        self.format
-    }
-
     /// Atomically writes `model` to the checkpoint and swaps it into the
-    /// server, returning the confirmed new epoch.
+    /// server, returning once the reload response confirms the swap.
     pub fn publish(&self, model: &STTransRec) -> std::io::Result<PublishOutcome> {
         let start = Instant::now();
         st_tensor::save_params_atomic_as(model.params(), &self.ckpt, self.format)?;
@@ -86,10 +74,10 @@ impl Publisher {
                 resp.status, resp.body
             )));
         }
-        let outcome = ReloadOutcome::parse(&resp.body)
+        // A 200 whose body is not a reload outcome did not confirm a swap.
+        ReloadOutcome::parse(&resp.body)
             .ok_or_else(|| invalid_data(format!("unreadable reload response: {}", resp.body)))?;
         Ok(PublishOutcome {
-            epoch: outcome.epoch,
             latency: start.elapsed(),
         })
     }
@@ -98,7 +86,7 @@ impl Publisher {
     /// candidate's serialized bytes land in a `.crash-` temp file beside
     /// the checkpoint, no rename happens, no reload is issued. Returns
     /// the torn file's path so tests can assert it is quarantined.
-    pub fn crash_mid_publish(&self, model: &STTransRec) -> std::io::Result<PathBuf> {
+    pub(crate) fn crash_mid_publish(&self, model: &STTransRec) -> std::io::Result<PathBuf> {
         let mut bytes = Vec::new();
         model.save(&mut bytes)?;
         bytes.truncate(bytes.len() / 2);
@@ -117,17 +105,8 @@ impl Publisher {
 
     /// The epoch the server is actually serving, per `/metrics`.
     pub fn served_epoch(&self) -> std::io::Result<u64> {
-        self.scrape("st_serve_model_epoch")
-    }
-
-    /// Unix seconds of the server's last successful (re)load.
-    pub fn last_reload_unix(&self) -> std::io::Result<u64> {
-        self.scrape("st_serve_last_reload_timestamp_seconds")
-    }
-
-    fn scrape(&self, gauge: &str) -> std::io::Result<u64> {
         let page = st_serve::client::get(self.addr, "/metrics")?.body;
-        scrape_gauge(&page, gauge)
-            .ok_or_else(|| invalid_data(format!("gauge {gauge:?} missing from /metrics")))
+        scrape_gauge(&page, "st_serve_model_epoch")
+            .ok_or_else(|| invalid_data("gauge \"st_serve_model_epoch\" missing from /metrics"))
     }
 }

@@ -13,14 +13,14 @@ use st_eval::{evaluate_window, Scorer, WindowEvalConfig, WindowReport};
 
 /// Bounded FIFO of the most recent held-out events.
 #[derive(Debug, Clone)]
-pub struct ShadowWindow {
+pub(crate) struct ShadowWindow {
     capacity: usize,
     events: Vec<Checkin>,
 }
 
 impl ShadowWindow {
     /// An empty window keeping at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "shadow window needs capacity");
         Self {
             capacity,
@@ -29,7 +29,7 @@ impl ShadowWindow {
     }
 
     /// Appends events, evicting the oldest beyond capacity.
-    pub fn extend(&mut self, events: &[Checkin]) {
+    pub(crate) fn extend(&mut self, events: &[Checkin]) {
         self.events.extend_from_slice(events);
         if self.events.len() > self.capacity {
             let excess = self.events.len() - self.capacity;
@@ -38,32 +38,27 @@ impl ShadowWindow {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> &[Checkin] {
+    pub(crate) fn events(&self) -> &[Checkin] {
         &self.events
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Whether the window holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
 /// Gate policy for publishing a candidate snapshot.
 #[derive(Debug, Clone)]
-pub struct GateConfig {
+pub(crate) struct GateConfig {
     /// Shadow-evaluation protocol (negatives, k, base seed).
-    pub eval: WindowEvalConfig,
+    pub(crate) eval: WindowEvalConfig,
     /// Additive slack: accept while `candidate + tolerance >= baseline`
     /// on hit-rate, so sampling noise cannot starve publishing.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Below this many held-out events the window is too thin to judge;
     /// the gate accepts (publishes) rather than stalling on no evidence.
-    pub min_events: usize,
+    pub(crate) min_events: usize,
 }
 
 impl Default for GateConfig {
@@ -78,13 +73,13 @@ impl Default for GateConfig {
 
 /// The gate's verdict, with both sides' evidence attached.
 #[derive(Debug, Clone, Copy)]
-pub struct GateDecision {
+pub(crate) struct GateDecision {
     /// Shadow metrics of the candidate snapshot.
-    pub candidate: WindowReport,
+    pub(crate) candidate: WindowReport,
     /// Shadow metrics of the serving baseline on identical candidates.
-    pub baseline: WindowReport,
+    pub(crate) baseline: WindowReport,
     /// Whether the candidate may be published.
-    pub accept: bool,
+    pub(crate) accept: bool,
 }
 
 /// Shadow-evaluates `candidate` against `baseline` on the window.
@@ -93,7 +88,7 @@ pub struct GateDecision {
 /// do not reuse one fixed candidate set (a candidate could overfit it),
 /// while staying a pure function of `(config.eval.seed, cycle)` — the
 /// whole accept/reject sequence replays identically under a fixed seed.
-pub fn gate(
+pub(crate) fn gate(
     candidate: &dyn Scorer,
     baseline: &dyn Scorer,
     dataset: &Dataset,

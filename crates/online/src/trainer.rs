@@ -16,13 +16,13 @@ use st_transrec_core::{InteractionBatch, STTransRec};
 
 /// What one [`IncrementalTrainer::ingest`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MicroBatchStats {
+pub(crate) struct MicroBatchStats {
     /// Streamed events consumed (positives).
-    pub events: usize,
+    pub(crate) events: usize,
     /// Training examples after negative expansion.
-    pub examples: usize,
+    pub(crate) examples: usize,
     /// Mean BCE loss of the step.
-    pub loss: f32,
+    pub(crate) loss: f32,
 }
 
 /// Turns streamed events into incremental sparse training steps.
@@ -32,7 +32,7 @@ pub struct MicroBatchStats {
 /// ingested event, so negative sampling ("a same-city POI this user has
 /// not visited") stays truthful as the stream moves past the snapshot
 /// the dataset froze.
-pub struct IncrementalTrainer {
+pub(crate) struct IncrementalTrainer {
     negatives: usize,
     /// Per-user visited POIs, sorted for binary-search membership.
     visited: Vec<Vec<PoiId>>,
@@ -46,7 +46,7 @@ pub struct IncrementalTrainer {
 impl IncrementalTrainer {
     /// Builds a trainer seeded for reproducible negative sampling, with
     /// visit history initialized from `dataset`.
-    pub fn new(dataset: &Dataset, negatives: usize, seed: u64) -> Self {
+    pub(crate) fn new(dataset: &Dataset, negatives: usize, seed: u64) -> Self {
         assert!(negatives > 0, "need at least one negative per positive");
         let mut visited: Vec<Vec<PoiId>> = (0..dataset.num_users())
             .map(|u| {
@@ -73,8 +73,9 @@ impl IncrementalTrainer {
     }
 
     /// Whether `user` has visited `poi` from the trainer's point of view
-    /// (dataset history plus every ingested event).
-    pub fn has_visited(&self, user: st_data::UserId, poi: PoiId) -> bool {
+    /// (dataset history plus every ingested event). A test oracle.
+    #[cfg(test)]
+    pub(crate) fn has_visited(&self, user: st_data::UserId, poi: PoiId) -> bool {
         self.visited[user.idx()].binary_search(&poi).is_ok()
     }
 
@@ -82,7 +83,11 @@ impl IncrementalTrainer {
     /// folds the events into the visit history. The batch lives in the
     /// trainer and is overwritten by the next call. Public mainly so tests
     /// and tools can audit exactly what a step would train on.
-    pub fn build_batch(&mut self, dataset: &Dataset, events: &[Checkin]) -> &InteractionBatch {
+    pub(crate) fn build_batch(
+        &mut self,
+        dataset: &Dataset,
+        events: &[Checkin],
+    ) -> &InteractionBatch {
         let batch = &mut self.batch;
         batch.users.clear();
         batch.pois.clear();
@@ -122,7 +127,7 @@ impl IncrementalTrainer {
     }
 
     /// Trains `model` on one micro-batch of streamed events.
-    pub fn ingest(
+    pub(crate) fn ingest(
         &mut self,
         model: &mut STTransRec,
         dataset: &Dataset,

@@ -15,7 +15,7 @@
 //! deterministically under a fixed seed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Breaker tuning knobs.
@@ -87,7 +87,9 @@ pub struct CircuitBreaker {
     pub opened_total: AtomicU64,
     /// Open → HalfOpen transitions.
     pub half_opened_total: AtomicU64,
-    /// HalfOpen → Closed transitions.
+    /// Open/HalfOpen → Closed transitions: a success closes the breaker
+    /// from either (one admitted before the breaker tripped can land
+    /// while it is Open). [`CircuitBreaker::reset`] is not counted.
     pub closed_total: AtomicU64,
 }
 
@@ -108,14 +110,20 @@ impl CircuitBreaker {
         }
     }
 
+    // Nothing panics while `inner` is held (field assignments and
+    // comparisons only), so the lock is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap()
+    }
+
     /// Current state.
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().unwrap().state
+        self.lock().state
     }
 
     /// Decides whether one request may go to this replica at `now`.
     pub fn admit(&self, now: Instant) -> Admission {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         match inner.state {
             BreakerState::Closed => Admission::Allow,
             BreakerState::Open => {
@@ -145,7 +153,7 @@ impl CircuitBreaker {
     /// Forces an open breaker to half-open, as if the cooldown elapsed.
     /// The chaos suite uses this instead of sleeping through cooldowns.
     pub fn force_half_open(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if inner.state == BreakerState::Open {
             inner.state = BreakerState::HalfOpen;
             inner.probe_in_flight = false;
@@ -153,9 +161,10 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a successful forward (2xx/4xx answer from the replica).
+    /// Records a successful forward (2xx/4xx answer from the replica):
+    /// closes the breaker from any state.
     pub fn record_success(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if inner.state != BreakerState::Closed {
             self.closed_total.fetch_add(1, Ordering::Relaxed);
         }
@@ -167,7 +176,7 @@ impl CircuitBreaker {
 
     /// Records a failed forward (transport error or backend 5xx) at `now`.
     pub fn record_failure(&self, now: Instant) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.probe_in_flight = false;
         match inner.state {
             BreakerState::Open => {}
@@ -190,7 +199,7 @@ impl CircuitBreaker {
     /// Resets to Closed with counters cleared. Used when a replica
     /// rejoins the fleet (probe confirms it is back).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
         inner.opened_at = None;

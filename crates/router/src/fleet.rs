@@ -1,7 +1,7 @@
 //! Fleet membership, health, and routing policy.
 //!
 //! A [`Fleet`] holds the configured replica set (addresses + per-replica
-//! state: health flag, circuit breaker, last verified epoch/format,
+//! state: health flag, circuit breaker, last verified epoch,
 //! rollout generation) plus the static consistent-hash [`HashRing`].
 //! Routing walks the key's ring-successor order:
 //!
@@ -26,7 +26,7 @@ use st_tensor::StorageEncoding;
 use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Rollout generation label for one replica.
@@ -54,19 +54,17 @@ impl Generation {
 #[derive(Debug)]
 pub struct Replica {
     /// Stable fleet position; also the ring identity.
-    pub id: ReplicaId,
+    pub(crate) id: ReplicaId,
     addr: Mutex<SocketAddr>,
     healthy: AtomicBool,
     probe_failures: AtomicU32,
     /// Per-replica circuit breaker.
     pub breaker: CircuitBreaker,
     /// Model epoch last verified via probe or reload (0 = unknown).
-    pub last_epoch: AtomicU64,
-    /// `StorageEncoding::code + 1` last verified (0 = unknown).
-    last_format: AtomicU8,
+    pub(crate) last_epoch: AtomicU64,
     generation: AtomicU8,
     /// Requests forwarded to this replica.
-    pub forwarded_total: AtomicU64,
+    pub(crate) forwarded_total: AtomicU64,
 }
 
 impl Replica {
@@ -78,7 +76,6 @@ impl Replica {
             probe_failures: AtomicU32::new(0),
             breaker: CircuitBreaker::new(breaker),
             last_epoch: AtomicU64::new(0),
-            last_format: AtomicU8::new(0),
             generation: AtomicU8::new(0),
             forwarded_total: AtomicU64::new(0),
         }
@@ -86,6 +83,7 @@ impl Replica {
 
     /// Current address (replicas may rejoin on a fresh port).
     pub fn addr(&self) -> SocketAddr {
+        // Never poisoned: the lock only ever guards a copy or a store.
         *self.addr.lock().unwrap()
     }
 
@@ -95,7 +93,7 @@ impl Replica {
     }
 
     /// Rollout generation label.
-    pub fn generation(&self) -> Generation {
+    pub(crate) fn generation(&self) -> Generation {
         Generation::from_u8(self.generation.load(Ordering::Acquire))
     }
 
@@ -106,18 +104,6 @@ impl Replica {
             Generation::New => 2,
         };
         self.generation.store(v, Ordering::Release);
-    }
-
-    /// Snapshot format last verified on this replica, if known.
-    pub fn last_format(&self) -> Option<StorageEncoding> {
-        match self.last_format.load(Ordering::Acquire) {
-            0 => None,
-            v => StorageEncoding::from_code(v - 1),
-        }
-    }
-
-    pub(crate) fn set_last_format(&self, format: StorageEncoding) {
-        self.last_format.store(format.code() + 1, Ordering::Release);
     }
 }
 
@@ -164,12 +150,10 @@ pub enum RouteError {
 #[derive(Debug, Clone)]
 pub struct RouteDecision {
     /// Target replica index into [`Fleet::replicas`].
-    pub replica: usize,
-    /// Breaker admission for this forward.
-    pub admission: Admission,
+    pub(crate) replica: usize,
     /// Whether the target differs from the key's static ring owner
     /// (health remap or rollout diversion).
-    pub remapped: bool,
+    pub(crate) remapped: bool,
 }
 
 /// The replica set plus routing state.
@@ -177,7 +161,7 @@ pub struct Fleet {
     replicas: Vec<Replica>,
     ring: HashRing,
     /// Fleet config (public for the router and rollout driver).
-    pub config: FleetConfig,
+    pub(crate) config: FleetConfig,
     rollout_active: AtomicBool,
     /// Key hashes that have been served a new-generation response during
     /// the active rollout; cleared when the rollout finishes.
@@ -203,7 +187,7 @@ impl Fleet {
     }
 
     /// All replicas in id order.
-    pub fn replicas(&self) -> &[Replica] {
+    pub(crate) fn replicas(&self) -> &[Replica] {
         &self.replicas
     }
 
@@ -213,18 +197,19 @@ impl Fleet {
     }
 
     /// Fleet size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.replicas.len()
     }
 
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
+    /// Count of probe-healthy replicas.
+    pub(crate) fn healthy_count(&self) -> usize {
+        self.replicas.iter().filter(|r| r.healthy()).count()
     }
 
-    /// Count of probe-healthy replicas.
-    pub fn healthy_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.healthy()).count()
+    // Never poisoned: the set is only probed, grown, counted and cleared
+    // under the lock, none of which panics.
+    fn pins(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.pins.lock().unwrap()
     }
 
     /// Whether a rolling rollout is in progress.
@@ -241,6 +226,7 @@ impl Fleet {
     /// Re-points a replica id at a new address (rejoin after restart).
     /// Ring position is unchanged — identity is the id, not the socket.
     pub fn update_addr(&self, id: ReplicaId, addr: SocketAddr) {
+        // Never poisoned: the lock only ever guards a copy or a store.
         *self.replica(id).addr.lock().unwrap() = addr;
     }
 
@@ -281,7 +267,7 @@ impl Fleet {
                     target = old;
                 }
             }
-            let pinned = self.pins.lock().unwrap().contains(&hash);
+            let pinned = self.pins().contains(&hash);
             if pinned && self.replica(target).generation() != Generation::New {
                 // This user has seen the new model; never answer from
                 // the old one. A bounded 503 beats an epoch regression.
@@ -292,9 +278,8 @@ impl Fleet {
         let replica = self.replica(target);
         match replica.breaker.admit(now) {
             Admission::Reject => Err(RouteError::ShardDark(target)),
-            admission => Ok(RouteDecision {
+            _ => Ok(RouteDecision {
                 replica: target.0 as usize,
-                admission,
                 remapped: Some(target) != static_owner,
             }),
         }
@@ -302,38 +287,38 @@ impl Fleet {
 
     /// Records that `key` was served by `replica` (post-forward): pins
     /// the user to the new generation if that is what answered.
-    pub fn note_served(&self, key: RouteKey, replica: ReplicaId) {
+    pub(crate) fn note_served(&self, key: RouteKey, replica: ReplicaId) {
         if self.rollout_active() && self.replica(replica).generation() == Generation::New {
-            self.pins.lock().unwrap().insert(key.hash());
+            self.pins().insert(key.hash());
         }
     }
 
     /// Marks the start of a rolling rollout: every replica is labeled
     /// old-generation and the pin set is cleared.
-    pub fn begin_rollout(&self) {
+    pub(crate) fn begin_rollout(&self) {
         for r in &self.replicas {
             r.set_generation(Generation::Old);
         }
-        self.pins.lock().unwrap().clear();
+        self.pins().clear();
         self.rollout_active.store(true, Ordering::Release);
     }
 
     /// Marks the end of a rollout: labels reset, pins dropped.
-    pub fn finish_rollout(&self) {
+    pub(crate) fn finish_rollout(&self) {
         self.rollout_active.store(false, Ordering::Release);
         for r in &self.replicas {
             r.set_generation(Generation::Old);
         }
-        self.pins.lock().unwrap().clear();
+        self.pins().clear();
     }
 
     /// Number of keys currently pinned to the new generation.
     pub fn pinned_count(&self) -> usize {
-        self.pins.lock().unwrap().len()
+        self.pins().len()
     }
 
     /// Probes one replica's `/metrics` endpoint. Success refreshes the
-    /// verified epoch/format and (re)marks the replica healthy, resetting
+    /// verified epoch and (re)marks the replica healthy, resetting
     /// its breaker on a down→up transition; `down_after` consecutive
     /// failures mark it down.
     pub fn probe(&self, id: ReplicaId) -> bool {
@@ -343,9 +328,6 @@ impl Fleet {
             Ok(scrape) => {
                 replica.probe_failures.store(0, Ordering::Release);
                 replica.last_epoch.store(scrape.epoch, Ordering::Release);
-                if let Some(format) = scrape.format {
-                    replica.set_last_format(format);
-                }
                 if !replica.healthy.swap(true, Ordering::AcqRel) {
                     // Rejoin: the breaker's failure history belongs to
                     // the dead incarnation.
@@ -375,9 +357,9 @@ impl Fleet {
 /// What one `/metrics` probe learned.
 pub struct MetricsScrape {
     /// `st_serve_model_epoch`.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The one-hot `st_serve_snapshot_format` label, if present.
-    pub format: Option<StorageEncoding>,
+    pub(crate) format: Option<StorageEncoding>,
 }
 
 /// Scrapes `st_serve_model_epoch` and the snapshot-format one-hot from a

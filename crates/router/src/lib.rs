@@ -15,10 +15,10 @@
 //!
 //! Five layers:
 //!
-//! - [`ring`] — a deterministic consistent-hash ring with virtual
+//! - `ring` — a deterministic consistent-hash ring with virtual
 //!   nodes; key ownership is a pure function of the configured fleet,
 //!   and losing a replica remaps only its own keys (≤ ~1/N).
-//! - [`breaker`] — clock-free per-replica circuit breakers (closed →
+//! - `breaker` — clock-free per-replica circuit breakers (closed →
 //!   open on consecutive failures → half-open probe → closed), the
 //!   PR 5 shed/degrade philosophy applied across the fleet: a dark
 //!   shard answers `503` + `Retry-After` instead of thrashing caches
@@ -29,24 +29,23 @@
 //! - [`rollout`] — the resumable rolling-upgrade state machine:
 //!   divert → reload → verify (epoch gauge + snapshot-format one-hot)
 //!   → admit; failures pause the rollout at the unverified shard.
-//! - [`proxy`] — the [`Router`] handler and the [`RouterServer`] that
+//! - `proxy` — the [`Router`] handler and the [`RouterServer`] that
 //!   owns its loop: shard choice, per-worker backend connection pools,
 //!   breaker accounting, byte-faithful relay (hop-by-hop headers
 //!   stripped, `X-Router-Replica` stamped), `st_router_*` metrics
-//!   ([`metrics`]).
+//!   (`metrics`).
 
 #![warn(missing_docs)]
 
-pub mod breaker;
+pub(crate) mod breaker;
 pub mod fleet;
-pub mod metrics;
-pub mod proxy;
-pub mod ring;
+pub(crate) mod metrics;
+pub(crate) mod proxy;
+pub(crate) mod ring;
 pub mod rollout;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use fleet::{Fleet, FleetConfig, Generation, Replica, RouteError};
-pub use metrics::RouterMetrics;
 pub use proxy::{Router, RouterConfig, RouterServer};
 pub use ring::{HashRing, PartitionMode, ReplicaId, RouteKey};
 pub use rollout::{RolloutConfig, RolloutDriver, RolloutReport, RolloutStep};

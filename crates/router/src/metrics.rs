@@ -12,47 +12,47 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Router request/forward counters.
 #[derive(Debug, Default)]
-pub struct RouterMetrics {
+pub(crate) struct RouterMetrics {
     /// All requests handled (any route).
-    pub requests_total: AtomicU64,
+    pub(crate) requests_total: AtomicU64,
     /// `GET /recommend` requests.
-    pub recommend_requests: AtomicU64,
+    pub(crate) recommend_requests: AtomicU64,
     /// Requests forwarded to a replica (includes breaker probes).
-    pub forwarded_total: AtomicU64,
+    pub(crate) forwarded_total: AtomicU64,
     /// Forwards that landed on a replica other than the key's static
     /// ring owner (health remap or rollout diversion).
-    pub remapped_total: AtomicU64,
+    pub(crate) remapped_total: AtomicU64,
     /// 503s shed because the shard's breaker was open.
-    pub dark_total: AtomicU64,
+    pub(crate) dark_total: AtomicU64,
     /// 503s shed to protect a user's epoch pin during a rollout.
-    pub pin_total: AtomicU64,
+    pub(crate) pin_total: AtomicU64,
     /// 503s with no eligible replica at all.
-    pub unroutable_total: AtomicU64,
+    pub(crate) unroutable_total: AtomicU64,
     /// Forwards that failed at the transport layer (counted toward the
     /// target's breaker).
-    pub forward_errors_total: AtomicU64,
+    pub(crate) forward_errors_total: AtomicU64,
     /// Stale pooled backend connections silently replaced (not failures).
-    pub conn_retries_total: AtomicU64,
+    pub(crate) conn_retries_total: AtomicU64,
     /// Rolling rollouts started fresh.
-    pub rollouts_started: AtomicU64,
+    pub(crate) rollouts_started: AtomicU64,
     /// Reload POSTs that resumed an already-active (paused) rollout.
-    pub rollouts_resumed: AtomicU64,
+    pub(crate) rollouts_resumed: AtomicU64,
     /// Rollouts that upgraded every replica.
-    pub rollouts_completed: AtomicU64,
+    pub(crate) rollouts_completed: AtomicU64,
     /// Rollout steps that paused (replica down or verify failed).
-    pub rollouts_paused: AtomicU64,
+    pub(crate) rollouts_paused: AtomicU64,
     /// Responses by status class.
-    pub responses: StatusTally,
+    pub(crate) responses: StatusTally,
 }
 
 impl RouterMetrics {
     /// Fresh zeroed metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Renders the exposition, joining counters with live fleet gauges.
-    pub fn render(&self, fleet: &Fleet) -> String {
+    pub(crate) fn render(&self, fleet: &Fleet) -> String {
         let mut out = String::with_capacity(2048);
         let counters: [(&str, &AtomicU64); 13] = [
             ("st_router_requests_total", &self.requests_total),

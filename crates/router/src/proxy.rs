@@ -73,14 +73,14 @@ impl Default for RouterConfig {
 
 /// Per-worker backend connection pool, keyed by replica index. The
 /// stored address detects rejoin-at-new-port and drops the old socket.
-pub type ConnPool = HashMap<usize, (SocketAddr, HttpClient)>;
+pub(crate) type ConnPool = HashMap<usize, (SocketAddr, HttpClient)>;
 
 /// The routing engine shared by all router workers.
 pub struct Router {
     /// Fleet membership + routing state.
     pub fleet: Arc<Fleet>,
     /// Router-tier counters.
-    pub metrics: Arc<RouterMetrics>,
+    pub(crate) metrics: Arc<RouterMetrics>,
     config: RouterConfig,
     /// Serializes rolling rollouts; `try_lock` failure means one is
     /// already running and the request gets `409`.
@@ -99,7 +99,7 @@ impl Router {
     }
 
     /// The router config.
-    pub fn config(&self) -> &RouterConfig {
+    pub(crate) fn config(&self) -> &RouterConfig {
         &self.config
     }
 
@@ -355,7 +355,7 @@ impl RouterServer {
             // real health/epoch data.
             http.every("st-router-probe", interval, move || {
                 router.fleet.probe_all();
-            });
+            })?;
         }
         Ok(RouterServer { http })
     }

@@ -76,14 +76,14 @@ pub struct RolloutReport {
     /// Whether every replica upgraded.
     pub completed: bool,
     /// `(replica, verified epoch)` per upgraded shard, in order.
-    pub upgraded: Vec<(ReplicaId, u64)>,
+    pub(crate) upgraded: Vec<(ReplicaId, u64)>,
     /// The pause point, when not completed.
     pub paused: Option<(ReplicaId, String)>,
 }
 
 impl RolloutReport {
     /// Renders the report as the `/admin/reload` response body.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(128);
         let _ = write!(out, "{{\"completed\":{},\"upgraded\":[", self.completed);
@@ -123,11 +123,6 @@ impl<'a> RolloutDriver<'a> {
             next: 0,
             active: false,
         }
-    }
-
-    /// Index of the next replica to upgrade.
-    pub fn position(&self) -> usize {
-        self.next
     }
 
     /// Advances the rollout by (at most) one shard.
@@ -170,9 +165,8 @@ impl<'a> RolloutDriver<'a> {
         }
         replica.set_generation(Generation::InFlight);
         match self.reload_and_verify(replica.addr()) {
-            Ok((epoch, format)) => {
+            Ok(epoch) => {
                 replica.last_epoch.store(epoch, Ordering::Release);
-                replica.set_last_format(format);
                 replica.set_generation(Generation::New);
                 self.next += 1;
                 RolloutStep::Upgraded { replica: id, epoch }
@@ -224,7 +218,7 @@ impl<'a> RolloutDriver<'a> {
 
     /// Issues the reload RPC and cross-checks the reported outcome
     /// against the replica's own `/metrics` gauges.
-    fn reload_and_verify(&self, addr: SocketAddr) -> Result<(u64, StorageEncoding), String> {
+    fn reload_and_verify(&self, addr: SocketAddr) -> Result<u64, String> {
         let timeout = self.config.rpc_timeout.unwrap_or(Duration::from_secs(30));
         let resp = HttpClient::connect_with(addr, Duration::from_secs(1), timeout)
             .map_err(|e| format!("reload connect failed: {e}"))?
@@ -258,7 +252,7 @@ impl<'a> RolloutDriver<'a> {
                 scrape.format.map(|f| f.to_string())
             ));
         }
-        Ok((epoch, format))
+        Ok(epoch)
     }
 }
 
@@ -289,7 +283,7 @@ mod tests {
             RolloutStep::Paused { replica, .. } => assert_eq!(replica, ReplicaId(1)),
             other => panic!("expected pause at shard 1, got {other:?}"),
         }
-        assert_eq!(driver.position(), 1);
+        assert_eq!(driver.next, 1);
         assert_eq!(fleet.replica(ReplicaId(0)).generation(), Generation::New);
         assert_eq!(fleet.pinned_count(), 1, "resume must not clear pins");
         assert!(fleet.rollout_active());

@@ -176,7 +176,7 @@ impl MicroBatcher {
     /// [`start`](MicroBatcher::start) with fault-injection hooks
     /// attached; the chaos harness and tests drive `injector` to freeze
     /// the drain path, pad scoring latency, or force batch failures.
-    pub fn start_with_faults(
+    pub(crate) fn start_with_faults(
         cell: Arc<ModelCell>,
         metrics: Arc<Metrics>,
         config: BatchConfig,
@@ -210,6 +210,8 @@ impl MicroBatcher {
             .map(|i| {
                 let (shared, cell, metrics) = (shared.clone(), cell.clone(), metrics.clone());
                 let injector = injector.clone();
+                // Fires only if the OS refuses a thread at start-up, before
+                // anything is served; `start` has no error path to return it on.
                 std::thread::Builder::new()
                     .name(format!("st-serve-scorer-{i}"))
                     .spawn(move || scorer_loop(shared, cell, metrics, config, injector))
@@ -256,14 +258,14 @@ impl MicroBatcher {
     }
 
     /// Live queue depth (jobs admitted but not yet drained).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.metrics.queue_depth.load(Relaxed) as usize
     }
 
     /// Stops the scorers, answering queued jobs first: jobs already
     /// admitted are scored (or expired) before the last scorer exits, and
     /// submissions from then on get [`SubmitError::ShuttingDown`].
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         recover(self.shared.state.lock()).shutdown = true;
         self.shared.arrived.notify_all();
         for scorer in self.scorers.drain(..) {

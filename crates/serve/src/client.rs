@@ -49,7 +49,7 @@ impl HttpClient {
     }
 
     /// Issues one request on the shared connection and reads the reply.
-    pub fn request(&mut self, method: &str, path: &str) -> std::io::Result<HttpResponse> {
+    pub(crate) fn request(&mut self, method: &str, path: &str) -> std::io::Result<HttpResponse> {
         // One write, so the request leaves as one segment (the socket is
         // TCP_NODELAY) and a peer never sees it torn.
         let request = format!("{method} {path} HTTP/1.1\r\nHost: st-serve\r\n\r\n");

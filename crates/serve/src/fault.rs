@@ -65,7 +65,7 @@ impl FaultInjector {
     }
 
     /// Whether the gate is currently closed.
-    pub fn frozen(&self) -> bool {
+    pub(crate) fn frozen(&self) -> bool {
         self.frozen.load(Ordering::Acquire)
     }
 
@@ -76,7 +76,7 @@ impl FaultInjector {
 
     /// Consumes one unit of the failure budget; `true` means the caller
     /// must fail the batch it is about to score.
-    pub fn take_batch_failure(&self) -> bool {
+    pub(crate) fn take_batch_failure(&self) -> bool {
         self.fail_batches
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
             .is_ok()
@@ -92,7 +92,7 @@ impl FaultInjector {
 
     /// The pad to apply to the batch about to score, if any. Draws one
     /// jitter sample from the seeded RNG per padded batch.
-    pub fn next_pad(&self) -> Option<Duration> {
+    pub(crate) fn next_pad(&self) -> Option<Duration> {
         let base = self.pad_base_us.load(Ordering::Acquire);
         let jitter = self.pad_jitter_us.load(Ordering::Acquire);
         if base == 0 && jitter == 0 {
@@ -101,6 +101,8 @@ impl FaultInjector {
         let extra = if jitter == 0 {
             0
         } else {
+            // Never poisoned: the lock is held for one draw from a
+            // non-empty range.
             self.rng
                 .lock()
                 .expect("fault rng poisoned")

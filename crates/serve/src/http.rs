@@ -21,7 +21,7 @@ use std::io::{BufRead, Read, Write};
 /// Longest accepted request, status or header line, bytes.
 pub const MAX_LINE: usize = 8 * 1024;
 /// Most accepted headers per message.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 /// Largest accepted request body, bytes.
 pub const MAX_BODY: usize = 64 * 1024;
 /// Largest accepted response body, bytes. A `/recommend` answer at the
@@ -39,7 +39,7 @@ pub struct Request {
     /// string, undecoded), so a reverse proxy can forward it verbatim.
     pub target: String,
     /// Decoded query parameters in order of appearance.
-    pub query: Vec<(String, String)>,
+    pub(crate) query: Vec<(String, String)>,
     /// Header lines in arrival order and original case, without CRLF.
     pub headers: Vec<String>,
     /// Request body (empty unless `Content-Length` was sent).
@@ -73,12 +73,12 @@ impl Request {
     }
 
     /// First header named `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         find_header(&self.headers, name)
     }
 
     /// Whether the peer asked to close the connection after this request.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -278,7 +278,7 @@ pub struct Response {
     /// Status code (200, 400, ...).
     pub status: u16,
     /// `Content-Type` value.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Extra headers (name, value).
     pub extra_headers: Vec<(String, String)>,
     /// Response body.
@@ -430,7 +430,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse
 }
 
 /// Canonical reason phrase for the status codes this server emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

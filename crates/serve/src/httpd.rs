@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -55,6 +55,12 @@ pub trait Handler: Send + Sync + 'static {
 /// force-close a blocked keep-alive read instead of waiting out its
 /// idle timeout.
 type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+// Never poisoned: the registry is only inserted into, removed from and
+// drained under the lock, none of which panics.
+fn registry(conns: &ConnRegistry) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    conns.lock().expect("conn registry poisoned")
+}
 
 /// A running server; dropping it (or calling [`HttpServer::shutdown`])
 /// stops the listener, the workers and the tickers.
@@ -91,26 +97,23 @@ impl<H: Handler> HttpServer<H> {
             .map(|i| {
                 let rx = conn_rx.clone();
                 let handler = handler.clone();
-                let registry = conns.clone();
+                let conns = conns.clone();
                 std::thread::Builder::new()
                     .name(format!("{name}-worker-{i}"))
                     .spawn(move || {
                         let mut worker = H::Worker::default();
                         loop {
+                            // Never poisoned: the lock is held only across `recv`.
                             let conn = rx.lock().expect("conn rx poisoned").recv();
                             let Ok((conn_id, stream)) = conn else {
                                 return; // accept thread gone: shutdown
                             };
                             handle_connection(&*handler, &mut worker, stream, idle_timeout);
-                            registry
-                                .lock()
-                                .expect("conn registry poisoned")
-                                .remove(&conn_id);
+                            registry(&conns).remove(&conn_id);
                         }
                     })
-                    .expect("spawn worker")
             })
-            .collect();
+            .collect::<std::io::Result<_>>()?;
 
         let accept_stop = stop.clone();
         let accept_conns = conns.clone();
@@ -126,18 +129,14 @@ impl<H: Handler> HttpServer<H> {
                     let conn_id = next_id;
                     next_id += 1;
                     if let Ok(clone) = stream.try_clone() {
-                        accept_conns
-                            .lock()
-                            .expect("conn registry poisoned")
-                            .insert(conn_id, clone);
+                        registry(&accept_conns).insert(conn_id, clone);
                     }
                     if conn_tx.send((conn_id, stream)).is_err() {
                         break;
                     }
                 }
                 // Dropping conn_tx unblocks every worker.
-            })
-            .expect("spawn accept thread");
+            })?;
 
         Ok(Self {
             addr,
@@ -150,13 +149,14 @@ impl<H: Handler> HttpServer<H> {
     }
 
     /// Runs `tick` on a thread of its own (named `name`) now and then
-    /// once per `interval` until the server stops.
+    /// once per `interval` until the server stops. Fails only when the
+    /// thread cannot be spawned.
     pub fn every(
         &mut self,
         name: &str,
         interval: Duration,
         mut tick: impl FnMut() + Send + 'static,
-    ) {
+    ) -> std::io::Result<()> {
         let stop = self.stop.clone();
         let handle = std::thread::Builder::new()
             .name(name.to_string())
@@ -170,9 +170,9 @@ impl<H: Handler> HttpServer<H> {
                         waited += slice;
                     }
                 }
-            })
-            .expect("spawn ticker");
+            })?;
         self.handles.push(handle);
+        Ok(())
     }
 
     /// The bound address (use this to learn an ephemeral port).
@@ -206,7 +206,7 @@ impl<H: Handler> HttpServer<H> {
         }
         // Force-close live keep-alive connections so blocked worker
         // reads fail now rather than at their idle timeout.
-        for (_, stream) in self.conns.lock().expect("conn registry poisoned").drain() {
+        for (_, stream) in registry(&self.conns).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in self.handles.drain(..) {

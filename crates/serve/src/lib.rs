@@ -13,7 +13,7 @@
 //! - [`http`] — the HTTP/1.1 wire codec in both directions: request and
 //!   response readers with hard limits and one strict framing rule,
 //!   response writers (including the byte-faithful relay).
-//! - [`httpd`] — the server loop, [`httpd::HttpServer`]: accept thread,
+//! - `httpd` — the server loop, [`httpd::HttpServer`]: accept thread,
 //!   fixed worker pool, keep-alive, force-close shutdown, and the
 //!   interval ticker; a tier plugs in as a [`httpd::Handler`].
 //! - [`client`] — the keep-alive [`client::HttpClient`] every hop to a
@@ -26,7 +26,7 @@
 //!   CPU the process may run on: a `/recommend` miss is scored on
 //!   arrival, never held for companions; batches (bounded, deadlined,
 //!   sheddable) are the backlog that builds while every scorer is busy.
-//! - [`lru`] — an LRU result cache keyed by
+//! - `lru` — an LRU result cache keyed by
 //!   `(user, city, k, model_epoch)`; the epoch component makes cache
 //!   invalidation on hot-reload free.
 //! - [`snapshot`] — checkpoint hot-reload: the model lives behind an
@@ -83,8 +83,8 @@ pub mod batcher;
 pub mod client;
 pub mod fault;
 pub mod http;
-pub mod httpd;
-pub mod lru;
+pub(crate) mod httpd;
+pub(crate) mod lru;
 pub mod metrics;
 pub mod server;
 pub mod snapshot;
@@ -95,5 +95,4 @@ pub use fault::FaultInjector;
 pub use httpd::{Handler, HttpServer};
 pub use lru::LruCache;
 pub use metrics::{Metrics, StatusTally};
-pub use server::{render_recommend_body, Engine, ServeConfig, Server};
 pub use snapshot::{ModelCell, ReloadOutcome, Reloader, ServingGeneration};

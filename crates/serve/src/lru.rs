@@ -44,18 +44,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Unlinks `slot` from the recency list.
@@ -139,14 +129,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.link_front(slot);
         None
     }
-
-    /// Drops every entry, keeping the map allocation.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.head = NONE;
-        self.tail = NONE;
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +175,7 @@ mod tests {
         let mut c = LruCache::new(0);
         assert!(c.insert(1, "a").is_some());
         assert!(c.get(&1).is_none());
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -206,9 +188,6 @@ mod tests {
             assert_eq!(c.get(&(i % 13)), Some(&i));
         }
         assert_eq!(c.len(), 8);
-        assert_eq!(c.capacity(), 8);
-        c.clear();
-        assert!(c.is_empty());
     }
 }
 
@@ -312,7 +291,6 @@ mod proptests {
                 }
                 prop_assert!(cache.len() <= cap, "capacity exceeded: {} > {cap}", cache.len());
                 prop_assert_eq!(cache.len(), oracle.map.len());
-                prop_assert_eq!(cache.is_empty(), oracle.map.is_empty());
             }
         }
 

@@ -182,7 +182,7 @@ pub(crate) enum Stage {
 
 impl Stage {
     /// Every stage, in the order `/metrics` renders them.
-    pub const ALL: [Stage; 7] = [
+    pub(crate) const ALL: [Stage; 7] = [
         Stage::Cache,
         Stage::Retrieval,
         Stage::Queue,
@@ -193,7 +193,7 @@ impl Stage {
     ];
 
     /// The `stage` label value.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Stage::Cache => "cache",
             Stage::Retrieval => "retrieval",
@@ -233,7 +233,7 @@ impl StatusTally {
 }
 
 /// Reads the unlabelled integer sample `name` back out of a `/metrics`
-/// page — the reader of what [`Metrics::render`] writes.
+/// page — the reader of what `Metrics::render` writes.
 pub fn scrape_gauge(page: &str, name: &str) -> Option<u64> {
     page.lines()
         .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
@@ -257,22 +257,22 @@ pub struct Metrics {
     /// `GET /recommend` requests.
     pub recommend_requests: AtomicU64,
     /// `GET /healthz` requests.
-    pub healthz_requests: AtomicU64,
+    pub(crate) healthz_requests: AtomicU64,
     /// `GET /metrics` requests.
-    pub metrics_requests: AtomicU64,
+    pub(crate) metrics_requests: AtomicU64,
     /// `POST /admin/reload` requests.
-    pub reload_requests: AtomicU64,
+    pub(crate) reload_requests: AtomicU64,
     /// Responses by status class (4xx includes the 400s for malformed
     /// requests).
-    pub responses: StatusTally,
+    pub(crate) responses: StatusTally,
     /// Result-cache hits.
-    pub cache_hits: AtomicU64,
+    pub(crate) cache_hits: AtomicU64,
     /// Result-cache misses.
-    pub cache_misses: AtomicU64,
+    pub(crate) cache_misses: AtomicU64,
     /// Forward passes executed by the micro-batcher.
-    pub batches: AtomicU64,
+    pub(crate) batches: AtomicU64,
     /// Requests served through those batches.
-    pub batched_requests: AtomicU64,
+    pub(crate) batched_requests: AtomicU64,
     /// Successful hot-reloads.
     pub reloads_ok: AtomicU64,
     /// Rejected hot-reloads (bad checkpoint kept the old model).
@@ -294,36 +294,36 @@ pub struct Metrics {
     /// Ranked requests that fell back to the exact full-catalog scan
     /// (no retrieval index for the city, retrieval disabled, or an
     /// unindexable query) — degraded-to-exact serving made observable.
-    pub retrieval_fallback_total: AtomicU64,
+    pub(crate) retrieval_fallback_total: AtomicU64,
     /// Unix time (seconds) of the last successful model (re)load:
     /// stamped at startup and on each accepted `/admin/reload`. Together
     /// with `st_serve_model_epoch` this tells an online publisher — and
     /// any staleness alert — exactly which generation is serving and how
     /// long it has been serving it.
-    pub last_reload_unix: AtomicU64,
+    pub(crate) last_reload_unix: AtomicU64,
     /// How long the last accepted `/admin/reload` took — load, index
     /// build and swap — in microseconds; 0 until the first one. Exported
     /// as `st_serve_last_reload_duration_seconds`, so the cost of a
     /// generation is on the page and not only on the caller's stopwatch.
-    pub last_reload_duration_us: AtomicU64,
+    pub(crate) last_reload_duration_us: AtomicU64,
     /// Bytes backing the serving snapshot (container size for mapped v2
     /// checkpoints, resident table bytes for live captures). Stamped at
     /// startup and on each accepted reload; exported as
     /// `st_serve_snapshot_bytes`.
-    pub snapshot_bytes: AtomicU64,
+    pub(crate) snapshot_bytes: AtomicU64,
     /// [`StorageEncoding::code`] of the serving snapshot's tables,
     /// exported as the one-hot `st_serve_snapshot_format{format=...}`
     /// family. Stamped alongside `snapshot_bytes`.
-    pub snapshot_format: AtomicU64,
+    pub(crate) snapshot_format: AtomicU64,
     /// 1 when the serving snapshot reads its tables out of a
     /// memory-mapped checkpoint (zero-copy reload), else 0.
-    pub snapshot_mapped: AtomicU64,
+    pub(crate) snapshot_mapped: AtomicU64,
     /// Batch-size distribution.
-    pub batch_size: Histogram,
+    pub(crate) batch_size: Histogram,
     /// Candidate-set-size distribution (POIs re-ranked per request).
-    pub candidate_size: Histogram,
+    pub(crate) candidate_size: Histogram,
     /// `/recommend` latency distribution, microseconds.
-    pub latency_us: Histogram,
+    pub(crate) latency_us: Histogram,
     /// Per-stage `/recommend` time, microseconds, indexed by [`Stage`].
     stages: [Histogram; Stage::ALL.len()],
 }
@@ -336,7 +336,7 @@ impl Metrics {
 
     /// Stamps the snapshot gauges for the generation that just became
     /// current — called at startup and after each accepted reload.
-    pub fn stamp_snapshot(&self, format: StorageEncoding, bytes: u64, mapped: bool) {
+    pub(crate) fn stamp_snapshot(&self, format: StorageEncoding, bytes: u64, mapped: bool) {
         self.snapshot_format
             .store(u64::from(format.code()), Relaxed);
         self.snapshot_bytes.store(bytes, Relaxed);
@@ -349,7 +349,7 @@ impl Metrics {
     }
 
     /// Cache hit rate over all lookups so far, in [0, 1].
-    pub fn cache_hit_rate(&self) -> f64 {
+    pub(crate) fn cache_hit_rate(&self) -> f64 {
         let hits = self.cache_hits.load(Relaxed) as f64;
         let total = hits + self.cache_misses.load(Relaxed) as f64;
         if total == 0.0 {
@@ -361,7 +361,7 @@ impl Metrics {
 
     /// Renders the plain-text exposition, with current gauges supplied
     /// by the server (model epoch, live cache entries).
-    pub fn render(&self, model_epoch: u64, cache_len: usize) -> String {
+    pub(crate) fn render(&self, model_epoch: u64, cache_len: usize) -> String {
         use std::fmt::Write;
         let mut out = String::with_capacity(8192);
         let mut counter = |name: &str, v: u64| {

@@ -10,7 +10,7 @@
 //!   old model and reports `500`.
 //!
 //! The [`Engine`] is a [`Handler`] over the fleet's one server loop
-//! ([`crate::httpd`]: worker pool, keep-alive, `400` + close for
+//! (`crate::httpd`: worker pool, keep-alive, `400` + close for
 //! malformed requests, shutdown). Responses carry `X-Cache: HIT|MISS`
 //! (or `STALE` for degraded answers) and `X-Model-Epoch` headers so
 //! clients (and the load generator) can see cache and reload behaviour
@@ -466,7 +466,7 @@ impl Server {
                     // next tick retries.
                     let _ = engine.reload();
                 }
-            });
+            })?;
         }
         Ok(Server { http })
     }

@@ -34,7 +34,7 @@ pub struct ServingGeneration {
     /// checkpoint, so the hot path never touches the autodiff tape.
     pub frozen: ModelSnapshot,
     /// Monotone generation number, starting at 1.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// This generation's two-stage retrieval index, built from the
     /// frozen embeddings at capture time. `None` when the cell was
     /// created without retrieval — every query then falls back to the
@@ -43,15 +43,15 @@ pub struct ServingGeneration {
     /// Bytes backing this generation's parameters: the container size
     /// when loaded from a checkpoint, else the resident table bytes of
     /// an in-memory snapshot. Exported as `st_serve_snapshot_bytes`.
-    pub snapshot_bytes: u64,
+    pub(crate) snapshot_bytes: u64,
     /// True when the tables are served zero-copy out of a mapped file.
-    pub mapped: bool,
+    pub(crate) mapped: bool,
 }
 
 impl ServingGeneration {
     /// The embedding tables' storage encoding (f32 / f16 / int8),
     /// exported as the `st_serve_snapshot_format` gauge label.
-    pub fn format(&self) -> StorageEncoding {
+    pub(crate) fn format(&self) -> StorageEncoding {
         self.frozen.encoding()
     }
 }
@@ -68,21 +68,21 @@ pub struct ReloadOutcome {
     /// Storage encoding of the generation now serving (f32 / f16 / int8).
     pub format: StorageEncoding,
     /// Bytes backing the new generation (the container's size).
-    pub snapshot_bytes: u64,
+    pub(crate) snapshot_bytes: u64,
     /// True when the new generation serves zero-copy out of a mapped file.
-    pub mapped: bool,
+    pub(crate) mapped: bool,
 }
 
 impl ReloadOutcome {
     /// Renders the outcome as the `/admin/reload` success body.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             "{{\"reloaded\":true,\"model_epoch\":{},\"snapshot_format\":\"{}\",\"snapshot_bytes\":{},\"snapshot_mapped\":{}}}",
             self.epoch, self.format, self.snapshot_bytes, self.mapped
         )
     }
 
-    /// Reads an outcome back out of the body [`ReloadOutcome::to_json`]
+    /// Reads an outcome back out of the body `ReloadOutcome::to_json`
     /// wrote; `None` when any field is missing or unparsable.
     pub fn parse(body: &str) -> Option<Self> {
         // The value right after `"key":`, up to the next `,` or `}`.
@@ -138,7 +138,7 @@ impl ModelCell {
     /// byte gauge as in [`ModelCell::swap_frozen`]; `retrieval` enables
     /// index builds for this and every future generation (`None`: every
     /// query scans the full catalog).
-    pub fn from_frozen(
+    pub(crate) fn from_frozen(
         frozen: ModelSnapshot,
         snapshot_bytes: Option<u64>,
         retrieval: Option<(Arc<Dataset>, RetrievalConfig)>,
@@ -157,7 +157,7 @@ impl ModelCell {
     }
 
     /// Current epoch without taking the snapshot lock.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -169,7 +169,7 @@ impl ModelCell {
     /// retrieval index (when the cell has one) is built *before* the
     /// write lock is taken, so readers are never blocked behind an
     /// index build.
-    pub fn swap_frozen(&self, frozen: ModelSnapshot, snapshot_bytes: Option<u64>) -> u64 {
+    pub(crate) fn swap_frozen(&self, frozen: ModelSnapshot, snapshot_bytes: Option<u64>) -> u64 {
         let mut next = Self::wrap(frozen, 0, snapshot_bytes, &self.retrieval_ctx);
         let mut guard = recover(self.current.write());
         next.epoch = guard.epoch + 1;
@@ -241,7 +241,7 @@ impl Reloader {
 
     /// Loads and swaps in one step, returning the verified outcome: the
     /// new epoch plus the snapshot-format gauges of what is now serving.
-    pub fn reload_into(&self, cell: &ModelCell) -> std::io::Result<ReloadOutcome> {
+    pub(crate) fn reload_into(&self, cell: &ModelCell) -> std::io::Result<ReloadOutcome> {
         let (frozen, bytes) = self.load_frozen()?;
         let format = frozen.encoding();
         let mapped = frozen.is_mapped();
@@ -257,7 +257,7 @@ impl Reloader {
     /// True when the checkpoint file's mtime differs from the last load
     /// (the mtime watcher's trigger). Unreadable metadata reads as
     /// "unchanged" so a transient stat failure does not force a reload.
-    pub fn mtime_changed(&self) -> bool {
+    pub(crate) fn mtime_changed(&self) -> bool {
         let Ok(meta) = std::fs::metadata(&self.path) else {
             return false;
         };

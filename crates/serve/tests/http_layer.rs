@@ -99,9 +99,11 @@ fn shutdown_closes_parked_and_queued_connections_promptly() {
 fn tickers_run_at_once_and_stop_with_the_server() {
     let mut server = echo_server(1);
     let (tx, rx) = std::sync::mpsc::channel();
-    server.every("test-ticker", Duration::from_secs(10), move || {
-        let _ = tx.send(());
-    });
+    server
+        .every("test-ticker", Duration::from_secs(10), move || {
+            let _ = tx.send(());
+        })
+        .expect("spawn ticker");
     rx.recv_timeout(Duration::from_secs(5))
         .expect("first tick runs without waiting out the interval");
     let started = Instant::now();

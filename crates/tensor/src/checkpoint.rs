@@ -27,7 +27,7 @@
 //! int8 (1 B/elem + one f32 scale per row). A lossy encoding applies
 //! only to embedding tables — parameters whose name ends in `_emb`, the
 //! repo-wide naming convention — while dense tower weights and biases
-//! always stay f32 (see [`is_table_param`]).
+//! always stay f32 (see `is_table_param`).
 //!
 //! All integers are little-endian; offsets are absolute file offsets.
 //! [`map_params`] validates the magic/version, the index checksum, and
@@ -68,7 +68,7 @@ const V2_TENSOR_ALIGN: usize = 64;
 /// a lossy [`StorageEncoding`] applies to. Dense tower weights and
 /// biases always serialize as f32 — they are tiny next to the tables
 /// and matmul precision is worth more than their bytes.
-pub fn is_table_param(name: &str) -> bool {
+pub(crate) fn is_table_param(name: &str) -> bool {
     name.ends_with("_emb")
 }
 
@@ -144,7 +144,7 @@ impl From<CheckpointError> for std::io::Error {
 /// checkpoint or a stray `.tmp-*` file — never a torn checkpoint a
 /// serve-side watcher could load halfway written.
 ///
-/// The rename-only publish protocol is also what keeps live [`Mmap`]s
+/// The rename-only publish protocol is also what keeps live `Mmap`s
 /// of the previous checkpoint valid: the old inode is never truncated
 /// in place, only unlinked once the last mapping drops.
 pub fn save_params_atomic(store: &ParamStore, path: &Path) -> std::io::Result<()> {
@@ -154,7 +154,7 @@ pub fn save_params_atomic(store: &ParamStore, path: &Path) -> std::io::Result<()
 /// [`save_params_atomic`] with an explicit table encoding — the writer
 /// the online publisher uses to produce whatever format the serving
 /// tier requests. Lossy encodings apply to `*_emb` tables only (see
-/// [`is_table_param`]).
+/// `is_table_param`).
 pub fn save_params_atomic_as(
     store: &ParamStore,
     path: &Path,
@@ -487,16 +487,10 @@ fn parse_v2(bytes: &[u8]) -> Result<Vec<RawEntry>, CheckpointError> {
 pub struct MappedParams {
     entries: Vec<(String, TableStorage, u64)>,
     file_bytes: usize,
-    mapped: bool,
 }
 
 impl MappedParams {
-    fn build(
-        raw: Vec<RawEntry>,
-        file_bytes: usize,
-        mapped: bool,
-        mk: impl Fn(usize, usize) -> Bytes,
-    ) -> Self {
+    fn build(raw: Vec<RawEntry>, file_bytes: usize, mk: impl Fn(usize, usize) -> Bytes) -> Self {
         let entries = raw
             .into_iter()
             .map(|e| {
@@ -525,7 +519,6 @@ impl MappedParams {
         Self {
             entries,
             file_bytes,
-            mapped,
         }
     }
 
@@ -535,29 +528,14 @@ impl MappedParams {
         let raw = parse_v2(&bytes)?;
         let len = bytes.len();
         let buf = Arc::new(bytes);
-        Ok(Self::build(raw, len, false, |off, n| {
+        Ok(Self::build(raw, len, |off, n| {
             Bytes::from_arc(buf.clone(), off, n)
         }))
-    }
-
-    /// Number of parameters.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the checkpoint holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total container size in bytes (header + index + padding + data).
     pub fn file_bytes(&self) -> usize {
         self.file_bytes
-    }
-
-    /// True when tensors are served out of a memory-mapped file.
-    pub fn is_mapped(&self) -> bool {
-        self.mapped
     }
 
     /// Iterates `(name, storage)` in checkpoint order.
@@ -582,7 +560,7 @@ impl MappedParams {
     /// Decodes every parameter into an owned [`ParamStore`], preserving
     /// checkpoint order — the way back to full-precision training
     /// state.
-    pub fn to_store(&self) -> ParamStore {
+    pub(crate) fn to_store(&self) -> ParamStore {
         let mut store = ParamStore::new();
         for (name, table, _) in &self.entries {
             store.register_value(name.clone(), table.to_matrix());
@@ -626,7 +604,7 @@ pub fn map_params(path: &Path) -> Result<MappedParams, CheckpointError> {
     let map = Arc::new(Mmap::map(&file)?);
     let raw = parse_v2(map.as_slice())?;
     let len = map.len();
-    Ok(MappedParams::build(raw, len, true, |off, n| {
+    Ok(MappedParams::build(raw, len, |off, n| {
         Bytes::from_mmap(map.clone(), off, n)
     }))
 }
@@ -758,8 +736,8 @@ mod tests {
         save_params_atomic_as(&store, &path, StorageEncoding::I8).unwrap();
 
         let mapped = map_params(&path).unwrap();
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.len(), store.len());
+        assert!(mapped.iter().all(|(_, t)| t.is_mapped()));
+        assert_eq!(mapped.iter().count(), store.len());
         mapped.verify_data_checksums().unwrap();
         let via_map = mapped.to_store();
         let via_read = load_params(std::fs::File::open(&path).unwrap()).unwrap();

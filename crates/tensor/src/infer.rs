@@ -306,18 +306,20 @@ mod tests {
     fn linear_ping_pong_matches_matrix_math() {
         let x = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 3.0, 0.0, -1.0]);
         let w = Matrix::from_vec(3, 2, vec![0.5, 1.0, -1.0, 0.25, 2.0, -0.5]);
-        let b = Matrix::row_vec(&[0.1, -0.2]);
+        let b = Matrix::from_vec(1, 2, vec![0.1, -0.2]);
         let mut ctx = InferCtx::new();
         ctx.set_input(&x);
         ctx.linear(&w, &b);
-        assert_eq!(ctx.value(), &x.matmul(&w).add_row_broadcast(&b));
+        let mut expected = x.matmul(&w);
+        crate::ops::add_row_broadcast_assign(&mut expected, &b);
+        assert_eq!(ctx.value(), &expected);
     }
 
     #[test]
     fn scratch_reaches_zero_allocation_steady_state() {
         let x = Matrix::from_vec(4, 3, vec![0.25; 12]);
         let w = Matrix::from_vec(3, 3, vec![0.5; 9]);
-        let b = Matrix::row_vec(&[0.0; 3]);
+        let b = Matrix::zeros(1, 3);
         let mut ctx = InferCtx::new();
         for _ in 0..3 {
             ctx.set_input(&x);
@@ -337,7 +339,7 @@ mod tests {
     fn empty_batch_is_harmless() {
         let table = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let w = Matrix::from_vec(4, 1, vec![1.0; 4]);
-        let b = Matrix::row_vec(&[0.0]);
+        let b = Matrix::zeros(1, 1);
         let mut ctx = InferCtx::new();
         ctx.gather_concat2(&table, &[], &table, &[]);
         ctx.linear(&w, &b);

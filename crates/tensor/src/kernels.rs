@@ -23,7 +23,7 @@
 //!
 //! There is one product micro-kernel family. All three shapes — `a * b`
 //! ([`matmul_blocked`], [`matmul_packed`]), `a^T * b`
-//! ([`matmul_transpose_a_blocked`]) and `a * b^T`
+//! (`matmul_transpose_a_blocked`) and `a * b^T`
 //! ([`crate::Matrix::matmul_transpose_b_into`]) — pack their right-hand
 //! side into column panels and run the same register tiles over them
 //! (`panel_product`; there is no dot-product tile), and every
@@ -48,22 +48,22 @@
 //! zmm accumulators each, and the narrower tiles stay generic.
 
 /// Rows per full-width register tile (micro-kernel height).
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns per full-width register tile (micro-kernel width): two
 /// AVX-512 lanes, four AVX2 lanes — wide enough to keep the FMA ports
 /// busy while the `MR x NR` accumulator block still fits the vector
 /// register file.
-pub const NR: usize = 32;
+pub(crate) const NR: usize = 32;
 /// Rows per narrow register tile: the `n mod NR` remainder columns run
 /// as 16/8/4/2/1-wide tiles, which leave registers for twice the rows.
-pub const MR_NARROW: usize = 8;
+pub(crate) const MR_NARROW: usize = 8;
 /// Candidate rows [`crate::InferCtx::score_run`] takes through the whole
 /// tower at a time: one tile's input and activations (~100 KB for the
 /// paper's tower) stay cache-resident from gather to sigmoid. 64–256
 /// measure within 5 % of each other.
 pub const TILE_ROWS: usize = 128;
 /// Block edge for the tiled transpose.
-pub const TR: usize = 8;
+pub(crate) const TR: usize = 8;
 
 /// The column panels of an `n`-wide product, left to right, as
 /// `(first column, width)`: `NR`-wide while that many columns remain,
@@ -127,7 +127,7 @@ impl PackedB {
     /// kernels stream. A caller that pads to whole [`NR`] panels never
     /// runs a narrow remainder tile; the padding columns come out as
     /// `init + 0`.
-    pub fn pack_rows(rows: &[f32], n: usize, k: usize, width: usize) -> Self {
+    pub(crate) fn pack_rows(rows: &[f32], n: usize, k: usize, width: usize) -> Self {
         assert_eq!(rows.len(), n * k, "PackedB::pack_rows: buffer is not n x k");
         assert!(width >= n, "PackedB::pack_rows: width {width} < {n} rows");
         let mut data = vec![0.0f32; k * width];
@@ -138,12 +138,12 @@ impl PackedB {
     }
 
     /// Rows of the packed matrix (the product's inner dimension).
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// Columns of the packed matrix (the product's width).
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 }
@@ -525,7 +525,7 @@ pub(crate) fn matmul_transpose_b_blocked(
 /// `a` are strided), so the kernel materializes `a^T` once with the
 /// tiled transpose — O(k·m), negligible next to the O(m·k·n) product —
 /// and runs the packed matmul.
-pub fn matmul_transpose_a_blocked(
+pub(crate) fn matmul_transpose_a_blocked(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -542,7 +542,7 @@ pub fn matmul_transpose_a_blocked(
 }
 
 /// Tiled out-of-place transpose: `dst[c][r] = src[r][c]`, `src: rows x cols`.
-pub fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+pub(crate) fn transpose_blocked(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(dst.len(), rows * cols);
     transpose_strided(src, dst, rows, cols, rows);
 }
@@ -575,7 +575,7 @@ fn transpose_strided(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, str
 
 /// Appends the squared L2 norm of each length-`k` row of `a` (`m` rows)
 /// to `out`.
-pub fn row_sq_norms_into(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
+pub(crate) fn row_sq_norms_into(a: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     debug_assert_eq!(a.len(), m * k);
     out.extend((0..m).map(|i| {
         let row = &a[i * k..(i + 1) * k];

@@ -16,11 +16,11 @@
 //! - [`InferCtx`]: the tape-free inference executor — same ops, reusable
 //!   scratch buffers, bit-identical outputs, zero steady-state
 //!   allocations.
-//! - [`nn`]: [`Linear`], [`Mlp`], [`Embedding`] layers over a shared
+//! - `nn`: [`Linear`], [`Mlp`], [`Embedding`] layers over a shared
 //!   [`ParamStore`].
-//! - [`optim`]: [`Sgd`] and [`Adam`] with sparse-aware bias correction.
-//! - [`grad_check`]: finite-difference verification used throughout the
-//!   test suite.
+//! - `optim`: [`Sgd`] and [`Adam`] with sparse-aware bias correction.
+//! - `grad_check` (unit tests only): finite-difference verification of
+//!   every backward rule.
 //!
 //! ## Example
 //!
@@ -48,19 +48,20 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod grad_check;
 mod infer;
 mod matrix;
 mod tape;
 
 pub mod checkpoint;
-pub mod grad_check;
 pub mod init;
 pub mod kernels;
-pub mod nn;
+pub(crate) mod nn;
 pub mod ops;
-pub mod optim;
-pub mod params;
-pub mod pool;
+pub(crate) mod optim;
+pub(crate) mod params;
+pub(crate) mod pool;
 pub mod quant;
 pub mod storage;
 
@@ -68,14 +69,12 @@ pub use checkpoint::{
     load_params, map_params, save_params_atomic, save_params_atomic_as, save_params_v2,
     CheckpointError, MappedParams,
 };
-pub use grad_check::{assert_gradients_close, check_gradients, GradCheckReport};
 pub use infer::{InferCtx, PairTower};
 pub use init::Init;
 pub use matrix::Matrix;
 pub use nn::{Activation, Embedding, Linear, Mlp};
-pub use ops::stable_sigmoid;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{GradSlot, Gradients, ParamId, ParamStore, SparseRows};
 pub use pool::{MatrixPool, PoolStats};
-pub use storage::{Bytes, Mmap, RowSource, StorageEncoding, TableStorage};
+pub use storage::{Bytes, RowSource, StorageEncoding, TableStorage};
 pub use tape::{Tape, Var};

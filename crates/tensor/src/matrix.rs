@@ -62,28 +62,9 @@ impl Matrix {
         }
     }
 
-    /// Creates a `1 x 1` matrix holding a single scalar.
-    pub fn scalar(value: f32) -> Self {
-        Self::from_vec(1, 1, vec![value])
-    }
-
     /// Creates an `n x 1` column vector from a slice.
     pub fn column(values: &[f32]) -> Self {
         Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
-    /// Creates a `1 x n` row vector from a slice.
-    pub fn row_vec(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
     }
 
     /// Number of rows.
@@ -140,13 +121,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Sets the element at `(r, c)`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Immutable view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -183,7 +157,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         assert_eq!(
             out.shape(),
             (self.cols, self.rows),
@@ -221,7 +195,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on any shape mismatch.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -329,7 +303,7 @@ impl Matrix {
     }
 
     /// `self^T * other` without materializing the transpose
-    /// ([`kernels::matmul_transpose_a_blocked`]).
+    /// (`kernels::matmul_transpose_a_blocked`).
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
         self.matmul_transpose_a_into(other, &mut out);
@@ -342,7 +316,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on any shape mismatch.
-    pub fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_transpose_a shape mismatch: ({}x{})^T * {}x{}",
@@ -419,7 +393,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on any shape mismatch.
-    pub fn pairwise_sq_dist_with_norms_into(
+    pub(crate) fn pairwise_sq_dist_with_norms_into(
         &self,
         other: &Matrix,
         x_norms: &[f32],
@@ -455,7 +429,7 @@ impl Matrix {
     }
 
     /// Appends the squared L2 norm of every row to `out`.
-    pub fn row_sq_norms_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn row_sq_norms_into(&self, out: &mut Vec<f32>) {
         kernels::row_sq_norms_into(&self.data, self.rows, self.cols, out);
     }
 
@@ -467,7 +441,7 @@ impl Matrix {
     }
 
     /// Appends `f` of every element to `out`, in row-major order.
-    pub fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Vec<f32>) {
+    pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, out: &mut Vec<f32>) {
         out.extend(self.data.iter().map(|&x| f(x)));
     }
 
@@ -479,7 +453,7 @@ impl Matrix {
     }
 
     /// Elementwise binary combination with a same-shaped matrix.
-    pub fn zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+    pub(crate) fn zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         let mut data = Vec::with_capacity(self.len());
         self.zip_into(other, f, &mut data);
         Matrix::from_vec(self.rows, self.cols, data)
@@ -490,7 +464,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip_into(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32, out: &mut Vec<f32>) {
+    pub(crate) fn zip_into(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32, out: &mut Vec<f32>) {
         assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
         out.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
     }
@@ -516,7 +490,7 @@ impl Matrix {
     }
 
     /// `self += alpha * other`, in place (the BLAS `axpy` primitive).
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
@@ -545,7 +519,7 @@ impl Matrix {
     }
 
     /// Appends the sum of every row to `out`.
-    pub fn sum_cols_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn sum_cols_into(&self, out: &mut Vec<f32>) {
         out.extend((0..self.rows).map(|r| self.row(r).iter().sum::<f32>()));
     }
 
@@ -561,7 +535,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
         assert_eq!(
             out.shape(),
             (1, self.cols),
@@ -575,7 +549,7 @@ impl Matrix {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
+    pub(crate) fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
@@ -598,7 +572,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if any index is out of bounds.
-    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
+    pub(crate) fn gather_rows_into(&self, indices: &[usize], out: &mut Vec<f32>) {
         for &src in indices {
             assert!(
                 src < self.rows,
@@ -620,48 +594,12 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on row-count mismatch.
-    pub fn concat_cols_into(&self, other: &Matrix, out: &mut Vec<f32>) {
+    pub(crate) fn concat_cols_into(&self, other: &Matrix, out: &mut Vec<f32>) {
         assert_eq!(self.rows, other.rows, "concat_cols row mismatch");
         for r in 0..self.rows {
             out.extend_from_slice(self.row(r));
             out.extend_from_slice(other.row(r));
         }
-    }
-
-    /// Vertical concatenation (same column count).
-    pub fn concat_rows(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "concat_rows col mismatch");
-        let mut data = Vec::with_capacity(self.len() + other.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix::from_vec(self.rows + other.rows, self.cols, data)
-    }
-
-    /// Adds a `1 x cols` row vector to every row.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1, "broadcast operand must be 1 x cols");
-        assert_eq!(row.cols, self.cols, "broadcast col mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
-                *o += b;
-            }
-        }
-        out
-    }
-
-    /// Adds a `rows x 1` column vector to every column.
-    pub fn add_col_broadcast(&self, col: &Matrix) -> Matrix {
-        assert_eq!(col.cols, 1, "broadcast operand must be rows x 1");
-        assert_eq!(col.rows, self.rows, "broadcast row mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let b = col.data[r];
-            for o in out.row_mut(r) {
-                *o += b;
-            }
-        }
-        out
     }
 
     /// Rowwise dot products of two same-shaped matrices: `n x 1` output.
@@ -676,7 +614,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn row_dot_into(&self, other: &Matrix, out: &mut Vec<f32>) {
+    pub(crate) fn row_dot_into(&self, other: &Matrix, out: &mut Vec<f32>) {
         assert_eq!(self.shape(), other.shape(), "row_dot shape mismatch");
         out.extend((0..self.rows).map(|r| {
             self.row(r)
@@ -698,7 +636,7 @@ impl Matrix {
     }
 
     /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
+    pub(crate) fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
 }
@@ -730,7 +668,7 @@ mod tests {
     #[test]
     fn identity_is_matmul_neutral() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let i = Matrix::identity(2);
+        let i = m(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
     }
@@ -823,23 +761,16 @@ mod tests {
         let a = m(2, 1, &[1.0, 2.0]);
         let b = m(2, 2, &[3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.concat_cols(&b), m(2, 3, &[1.0, 3.0, 4.0, 2.0, 5.0, 6.0]));
-        let c = m(1, 1, &[9.0]);
-        assert_eq!(a.concat_rows(&c.transpose()), m(3, 1, &[1.0, 2.0, 9.0]));
     }
 
     #[test]
     fn broadcasts() {
-        let a = m(2, 3, &[0.0; 6]);
-        let row = m(1, 3, &[1.0, 2.0, 3.0]);
-        assert_eq!(
-            a.add_row_broadcast(&row),
-            m(2, 3, &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
-        );
-        let col = m(2, 1, &[1.0, 2.0]);
-        assert_eq!(
-            a.add_col_broadcast(&col),
-            m(2, 3, &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-        );
+        let mut a = m(2, 3, &[0.0; 6]);
+        crate::ops::add_row_broadcast_assign(&mut a, &m(1, 3, &[1.0, 2.0, 3.0]));
+        assert_eq!(a, m(2, 3, &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]));
+        let mut a = m(2, 3, &[0.0; 6]);
+        crate::ops::add_col_broadcast_assign(&mut a, &m(2, 1, &[1.0, 2.0]));
+        assert_eq!(a, m(2, 3, &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]));
     }
 
     #[test]
@@ -871,7 +802,7 @@ mod tests {
     #[test]
     fn matmul_into_accumulates() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::identity(2);
+        let b = m(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         let mut out = Matrix::full(2, 2, 10.0);
         a.matmul_into(&b, &mut out);
         assert_eq!(out, m(2, 2, &[11.0, 12.0, 13.0, 14.0]));
@@ -911,7 +842,7 @@ mod tests {
     fn non_finite_detection() {
         let mut a = Matrix::zeros(1, 2);
         assert!(!a.has_non_finite());
-        a.set(0, 1, f32::NAN);
+        a.as_mut_slice()[1] = f32::NAN;
         assert!(a.has_non_finite());
     }
 }

@@ -14,12 +14,11 @@ pub struct Linear {
     w: ParamId,
     b: ParamId,
     in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
     /// Registers a `in_dim -> out_dim` affine layer (Xavier weights, zero bias).
-    pub fn new(
+    pub(crate) fn new(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
@@ -35,22 +34,7 @@ impl Linear {
             rng,
         );
         let b = store.register(format!("{name}.b"), 1, out_dim, Init::Zeros, rng);
-        Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+        Self { w, b, in_dim }
     }
 
     /// Weight parameter id.
@@ -64,7 +48,7 @@ impl Linear {
     }
 
     /// Applies the layer to a `batch x in_dim` input.
-    pub fn forward(&self, tape: &mut Tape<'_>, x: Var) -> Var {
+    pub(crate) fn forward(&self, tape: &mut Tape<'_>, x: Var) -> Var {
         assert_eq!(
             tape.value(x).cols(),
             self.in_dim,
@@ -144,21 +128,6 @@ impl Mlp {
         }
     }
 
-    /// Number of affine layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Input width of the first layer.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
-    }
-
-    /// Output width of the last layer.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
-    }
-
     /// The affine layers, first to last (snapshot capture reads weights
     /// through these ids).
     pub fn layers(&self) -> &[Linear] {
@@ -224,7 +193,6 @@ impl Mlp {
 #[derive(Debug, Clone)]
 pub struct Embedding {
     table: ParamId,
-    count: usize,
     dim: usize,
 }
 
@@ -240,12 +208,7 @@ impl Embedding {
     ) -> Self {
         assert!(count > 0 && dim > 0, "embedding dims must be positive");
         let table = store.register(name, count, dim, Init::Gaussian { std: 0.01 }, rng);
-        Self { table, count, dim }
-    }
-
-    /// Number of rows.
-    pub fn count(&self) -> usize {
-        self.count
+        Self { table, dim }
     }
 
     /// Embedding dimensionality.
@@ -256,17 +219,6 @@ impl Embedding {
     /// The underlying parameter id (for direct reads at inference time).
     pub fn table(&self) -> ParamId {
         self.table
-    }
-
-    /// Looks up a batch of ids, producing a `ids.len() x dim` matrix.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range.
-    pub fn forward(&self, tape: &mut Tape<'_>, ids: &[usize]) -> Var {
-        for &id in ids {
-            assert!(id < self.count, "embedding id {id} out of {}", self.count);
-        }
-        tape.gather_param(self.table, ids)
     }
 }
 
@@ -281,7 +233,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, "l", 3, 2, &mut rng);
-        assert_eq!((lin.in_dim(), lin.out_dim()), (3, 2));
         let mut tape = Tape::new(&store);
         let x = tape.input(Matrix::zeros(5, 3));
         let y = lin.forward(&mut tape, x);
@@ -312,9 +263,7 @@ mod tests {
             0.1,
             &mut rng,
         );
-        assert_eq!(mlp.depth(), 4);
-        assert_eq!(mlp.in_dim(), 128);
-        assert_eq!(mlp.out_dim(), 1);
+        assert_eq!(mlp.layers().len(), 4);
         let mut tape = Tape::new(&store);
         let x = tape.input(Matrix::zeros(7, 128));
         let y = mlp.forward_train(&mut tape, x, &mut rng);
@@ -394,10 +343,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let emb = Embedding::new(&mut store, "e", 10, 4, &mut rng);
-        assert_eq!((emb.count(), emb.dim()), (10, 4));
+        assert_eq!(emb.dim(), 4);
+        assert_eq!(store.get(emb.table()).shape(), (10, 4));
         let expected = store.get(emb.table()).gather_rows(&[7, 2]);
         let mut tape = Tape::new(&store);
-        let v = emb.forward(&mut tape, &[7, 2]);
+        let v = tape.gather_param(emb.table(), &[7, 2]);
         assert_eq!(tape.value(v), &expected);
     }
 
@@ -408,6 +358,6 @@ mod tests {
         let mut store = ParamStore::new();
         let emb = Embedding::new(&mut store, "e", 10, 4, &mut rng);
         let mut tape = Tape::new(&store);
-        emb.forward(&mut tape, &[10]);
+        tape.gather_param(emb.table(), &[10]);
     }
 }

@@ -28,7 +28,7 @@ use crate::Matrix;
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+pub(crate) fn matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     a.matmul_into(b, out);
 }
 
@@ -36,7 +36,7 @@ pub fn matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn add_row_broadcast_assign(x: &mut Matrix, row: &Matrix) {
+pub(crate) fn add_row_broadcast_assign(x: &mut Matrix, row: &Matrix) {
     assert_eq!(row.rows(), 1, "broadcast operand must be 1 x cols");
     assert_eq!(row.cols(), x.cols(), "broadcast col mismatch");
     for r in 0..x.rows() {
@@ -50,7 +50,7 @@ pub fn add_row_broadcast_assign(x: &mut Matrix, row: &Matrix) {
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn add_col_broadcast_assign(x: &mut Matrix, col: &Matrix) {
+pub(crate) fn add_col_broadcast_assign(x: &mut Matrix, col: &Matrix) {
     assert_eq!(col.cols(), 1, "broadcast operand must be rows x 1");
     assert_eq!(col.rows(), x.rows(), "broadcast row mismatch");
     for (r, &b) in col.as_slice().iter().enumerate() {
@@ -61,23 +61,23 @@ pub fn add_col_broadcast_assign(x: &mut Matrix, col: &Matrix) {
 }
 
 /// `max(0, x)` elementwise, in place.
-pub fn relu_assign(x: &mut Matrix) {
+pub(crate) fn relu_assign(x: &mut Matrix) {
     activate(Activation::Relu, x.as_mut_slice());
 }
 
 /// Hyperbolic tangent elementwise, in place.
-pub fn tanh_assign(x: &mut Matrix) {
+pub(crate) fn tanh_assign(x: &mut Matrix) {
     activate(Activation::Tanh, x.as_mut_slice());
 }
 
 /// Overflow-safe logistic sigmoid elementwise, in place.
-pub fn sigmoid_assign(x: &mut Matrix) {
+pub(crate) fn sigmoid_assign(x: &mut Matrix) {
     activate(Activation::Sigmoid, x.as_mut_slice());
 }
 
 /// Applies `act` elementwise, in place ([`Activation::Identity`] is a
 /// no-op).
-pub fn activation_assign(act: Activation, x: &mut Matrix) {
+pub(crate) fn activation_assign(act: Activation, x: &mut Matrix) {
     activate(act, x.as_mut_slice());
 }
 
@@ -103,7 +103,7 @@ fn activate(act: Activation, xs: &mut [f32]) {
 ///
 /// # Panics
 /// Panics on shape mismatch.
-pub fn linear_packed(
+pub(crate) fn linear_packed(
     x: &[f32],
     w: &PackedB,
     init: Option<&[f32]>,
@@ -135,7 +135,7 @@ pub fn linear_packed(
 /// # Panics
 /// Panics if the index slices differ in length, any index is out of
 /// range, or `out` has the wrong shape.
-pub fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized>(
+pub(crate) fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized>(
     a: &A,
     ai: &[usize],
     b: &B,
@@ -168,7 +168,7 @@ pub fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized>(
 /// register-tile kernel: `centroids^T` is packed once per call, the
 /// points are decoded [`kernels::TILE_ROWS`] at a time into one reused
 /// buffer, and the key is formed as each tile is stored. The packed
-/// side is padded to whole [`kernels::NR`] panels whose keys are `+inf`
+/// side is padded to whole `kernels::NR` panels whose keys are `+inf`
 /// (never below any running minimum), so no narrow remainder tile runs.
 /// By the summation-order invariant of [`crate::kernels`] the result is
 /// exactly `argmin_j (sum_k c_jk^2 - 2 * sum_k x_k c_jk)` with every sum
@@ -253,7 +253,7 @@ fn first_min(row: &[f32]) -> u32 {
 }
 
 /// Overflow-safe logistic sigmoid.
-pub fn stable_sigmoid(z: f32) -> f32 {
+pub(crate) fn stable_sigmoid(z: f32) -> f32 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
     } else {
@@ -269,10 +269,13 @@ mod tests {
     #[test]
     fn add_row_broadcast_assign_matches_out_of_place() {
         let x = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::row_vec(&[0.5, -1.0, 2.0]);
+        let b = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
         let mut y = x.clone();
         add_row_broadcast_assign(&mut y, &b);
-        assert_eq!(y, x.add_row_broadcast(&b));
+        let out_of_place: Vec<f32> = (0..2)
+            .flat_map(|r| x.row(r).iter().zip(b.as_slice()).map(|(&v, &c)| v + c))
+            .collect();
+        assert_eq!(y, Matrix::from_vec(2, 3, out_of_place));
     }
 
     #[test]

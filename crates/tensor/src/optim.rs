@@ -9,10 +9,8 @@
 //! ## Sparse-update semantics
 //!
 //! - **SGD** on a row-sparse slot is **bit-identical** to SGD on the
-//!   equivalent dense gradient when `weight_decay == 0` (untouched rows
-//!   see an exact `+(-lr)·0.0` no-op on the dense path). With
-//!   `weight_decay > 0`, decay applies only to touched rows, whereas the
-//!   dense path decays every row of a touched parameter.
+//!   equivalent dense gradient (untouched rows see an exact `+(-lr)·0.0`
+//!   no-op on the dense path).
 //! - **Lazy Adam** keeps a per-row last-update step and, when a row is
 //!   touched after `k` skipped steps, first decays its moments by
 //!   `beta^(k-1)` — exactly what `k-1` dense zero-gradient updates would
@@ -25,7 +23,8 @@
 //!   oracle: row-sparse slots are materialized dense and walked element
 //!   by element, moment buffers and all.
 
-use crate::{GradSlot, Gradients, Matrix, ParamId, ParamStore, SparseRows};
+use crate::params::{GradSlot, SparseRows};
+use crate::{Gradients, Matrix, ParamId, ParamStore};
 
 /// An optimizer that applies accumulated gradients to parameters.
 pub trait Optimizer {
@@ -39,61 +38,33 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional L2 weight decay.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    weight_decay: f32,
 }
 
 impl Sgd {
-    /// Creates SGD with the given learning rate and no weight decay.
+    /// Creates SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Adds L2 weight decay (applied only to parameters/rows that
-    /// received gradient, keeping embedding updates sparse).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        assert!(wd >= 0.0);
-        self.weight_decay = wd;
-        self
+        Self { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        let neg_lr = -lr;
+        let neg_lr = -self.lr;
         for (id, slot) in grads.iter_slots() {
             let p = store.get_mut(id);
             match slot {
-                GradSlot::Dense(g) => {
-                    if wd > 0.0 {
-                        for (w, &gv) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                            *w -= lr * (gv + wd * *w);
-                        }
-                    } else {
-                        p.axpy(neg_lr, g);
-                    }
-                }
+                GradSlot::Dense(g) => p.axpy(neg_lr, g),
                 GradSlot::Sparse(s) => {
                     for (row, packed) in s.iter() {
-                        let pr = p.row_mut(row);
-                        if wd > 0.0 {
-                            for (w, &gv) in pr.iter_mut().zip(packed) {
-                                *w -= lr * (gv + wd * *w);
-                            }
-                        } else {
-                            // Mirrors axpy's `y += a*x` form so touched
-                            // rows are bit-identical to the dense path.
-                            for (w, &gv) in pr.iter_mut().zip(packed) {
-                                *w += neg_lr * gv;
-                            }
+                        // Mirrors axpy's `y += a*x` form so touched rows
+                        // are bit-identical to the dense path.
+                        for (w, &gv) in p.row_mut(row).iter_mut().zip(packed) {
+                            *w += neg_lr * gv;
                         }
                     }
                 }
@@ -347,7 +318,7 @@ mod tests {
         for _ in 0..steps {
             let mut tape = Tape::new(&store);
             let v = tape.param(p);
-            let tgt = tape.input(Matrix::scalar(5.0));
+            let tgt = tape.input(Matrix::full(1, 1, 5.0));
             let d = tape.sub(v, tgt);
             let sq = tape.mul_elem(d, d);
             let loss = tape.sum_all(sq);
@@ -373,19 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_weight_decay_shrinks_weights() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let p = store.register("p", 1, 1, Init::Constant(1.0), &mut rng);
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut grads = Gradients::zeros_like(&store);
-        grads.accumulate(p, &Matrix::scalar(0.0));
-        opt.step(&mut store, &grads);
-        // w <- w - lr*(0 + wd*w) = 1 - 0.05 = 0.95
-        assert!((store.get(p).item() - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
     fn adam_skips_untouched_params() {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut store = ParamStore::new();
@@ -393,7 +351,7 @@ mod tests {
         let b = store.register("b", 1, 1, Init::Constant(1.0), &mut rng);
         let mut opt = Adam::new(0.1);
         let mut grads = Gradients::zeros_like(&store);
-        grads.accumulate(a, &Matrix::scalar(1.0));
+        grads.accumulate(a, &Matrix::full(1, 1, 1.0));
         opt.step(&mut store, &grads);
         assert!(store.get(a).item() < 1.0, "touched param moved");
         assert_eq!(store.get(b).item(), 1.0, "untouched param unchanged");
@@ -407,7 +365,7 @@ mod tests {
         let p = store.register("p", 1, 1, Init::Constant(0.0), &mut rng);
         let mut opt = Adam::new(0.01);
         let mut grads = Gradients::zeros_like(&store);
-        grads.accumulate(p, &Matrix::scalar(1234.0));
+        grads.accumulate(p, &Matrix::full(1, 1, 1234.0));
         opt.step(&mut store, &grads);
         assert!((store.get(p).item().abs() - 0.01).abs() < 1e-4);
     }

@@ -22,7 +22,7 @@ pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
     /// Raw index (stable for the lifetime of the store).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -53,7 +53,7 @@ impl ParamStore {
     }
 
     /// Registers a parameter with an explicit initial value.
-    pub fn register_value(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
+    pub(crate) fn register_value(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         let id = ParamId(self.values.len());
         self.values.push(value);
         self.names.push(name.into());
@@ -70,11 +70,6 @@ impl ParamStore {
         self.values.is_empty()
     }
 
-    /// Total number of scalar weights across all parameters.
-    pub fn num_weights(&self) -> usize {
-        self.values.iter().map(Matrix::len).sum()
-    }
-
     /// Immutable access to a parameter's current value.
     pub fn get(&self, id: ParamId) -> &Matrix {
         &self.values[id.0]
@@ -86,7 +81,7 @@ impl ParamStore {
     }
 
     /// The name a parameter was registered under.
-    pub fn name(&self, id: ParamId) -> &str {
+    pub(crate) fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
     }
 
@@ -131,7 +126,7 @@ pub struct SparseRows {
 
 impl SparseRows {
     /// An empty row-sparse gradient for a `rows x cols` parameter.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -142,27 +137,22 @@ impl SparseRows {
     }
 
     /// Full parameter shape this gradient is sparse over.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
-    /// Touched table-row ids in touch order.
-    pub fn row_ids(&self) -> &[usize] {
-        &self.touched
-    }
-
-    /// The packed data for touched row `slot` (see [`SparseRows::row_ids`]).
-    pub fn packed_row(&self, slot: usize) -> &[f32] {
+    /// The packed data for touched row `slot` (slots are in touch order).
+    pub(crate) fn packed_row(&self, slot: usize) -> &[f32] {
         &self.data[slot * self.cols..(slot + 1) * self.cols]
     }
 
     /// Allocated gradient storage in scalar elements.
-    pub fn allocated_elems(&self) -> usize {
+    pub(crate) fn allocated_elems(&self) -> usize {
         self.data.capacity()
     }
 
     /// The packed row for table row `row`, inserted (zeroed) on first touch.
-    pub fn row_mut_or_insert(&mut self, row: usize) -> &mut [f32] {
+    pub(crate) fn row_mut_or_insert(&mut self, row: usize) -> &mut [f32] {
         debug_assert!(row < self.rows, "row {row} out of {}", self.rows);
         let cols = self.cols;
         let slot = match self.index.get(&row) {
@@ -179,14 +169,14 @@ impl SparseRows {
     }
 
     /// Accumulates `delta_row` into table row `row`.
-    pub fn add_row(&mut self, row: usize, delta_row: &[f32]) {
+    pub(crate) fn add_row(&mut self, row: usize, delta_row: &[f32]) {
         for (g, &d) in self.row_mut_or_insert(row).iter_mut().zip(delta_row) {
             *g += d;
         }
     }
 
     /// Iterates `(table_row, packed_row)` in touch order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[f32])> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[f32])> {
         self.touched
             .iter()
             .enumerate()
@@ -197,21 +187,21 @@ impl SparseRows {
     /// match a dense full-matrix sweep bit for bit (norms, differential
     /// tests) iterate in this order; untouched rows contribute exact
     /// zeros in the dense sweep, so the sorted fold is identical.
-    pub fn sorted_slots(&self) -> Vec<usize> {
+    pub(crate) fn sorted_slots(&self) -> Vec<usize> {
         let mut slots: Vec<usize> = (0..self.touched.len()).collect();
         slots.sort_unstable_by_key(|&s| self.touched[s]);
         slots
     }
 
     /// Scales every stored element by `c`.
-    pub fn scale(&mut self, c: f32) {
+    pub(crate) fn scale(&mut self, c: f32) {
         for x in &mut self.data {
             *x *= c;
         }
     }
 
     /// Materializes the equivalent dense gradient matrix.
-    pub fn to_dense(&self) -> Matrix {
+    pub(crate) fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for (row, packed) in self.iter() {
             out.row_mut(row).copy_from_slice(packed);
@@ -220,7 +210,7 @@ impl SparseRows {
     }
 
     /// Adds every stored row into the matching row of a dense matrix.
-    pub fn add_to_dense(&self, dense: &mut Matrix) {
+    pub(crate) fn add_to_dense(&self, dense: &mut Matrix) {
         debug_assert_eq!(dense.shape(), (self.rows, self.cols));
         for (row, packed) in self.iter() {
             for (g, &d) in dense.row_mut(row).iter_mut().zip(packed) {
@@ -230,7 +220,7 @@ impl SparseRows {
     }
 
     /// Merges another row-sparse gradient into this one (summing).
-    pub fn merge(&mut self, other: &SparseRows) {
+    pub(crate) fn merge(&mut self, other: &SparseRows) {
         debug_assert_eq!(self.shape(), other.shape());
         for (row, packed) in other.iter() {
             self.add_row(row, packed);
@@ -240,15 +230,10 @@ impl SparseRows {
     /// Empties the gradient while keeping the allocated storage, so a
     /// buffer reused across training steps stops allocating once it has
     /// seen its steady-state touch pattern.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.touched.clear();
         self.data.clear();
-    }
-
-    /// True if any stored element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 
@@ -263,7 +248,7 @@ pub enum GradSlot {
 
 impl GradSlot {
     /// Allocated gradient storage in scalar elements.
-    pub fn allocated_elems(&self) -> usize {
+    pub(crate) fn allocated_elems(&self) -> usize {
         match self {
             GradSlot::Dense(m) => m.len(),
             GradSlot::Sparse(s) => s.allocated_elems(),
@@ -271,7 +256,7 @@ impl GradSlot {
     }
 
     /// Materializes the slot as a dense matrix.
-    pub fn to_dense(&self) -> Matrix {
+    pub(crate) fn to_dense(&self) -> Matrix {
         match self {
             GradSlot::Dense(m) => m.clone(),
             GradSlot::Sparse(s) => s.to_dense(),
@@ -462,7 +447,7 @@ impl Gradients {
     /// Accumulates `c * src_row` into row `row` of the slot: each element
     /// is multiplied, then added — the bits [`Gradients::accumulate_row`]
     /// leaves when handed the product row, without the product row.
-    pub fn accumulate_row_scaled(
+    pub(crate) fn accumulate_row_scaled(
         &mut self,
         id: ParamId,
         rows: usize,
@@ -556,26 +541,11 @@ impl Gradients {
 
     /// Iterates over parameters that received gradient, exposing the slot
     /// representation (optimizers handle sparse slots row by row).
-    pub fn iter_slots(&self) -> impl Iterator<Item = (ParamId, &GradSlot)> {
+    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = (ParamId, &GradSlot)> {
         self.grads
             .iter()
             .enumerate()
             .filter_map(|(i, g)| g.as_ref().map(|g| (ParamId(i), g)))
-    }
-
-    /// Iterates over parameters that received **dense** gradient.
-    ///
-    /// # Panics
-    /// Panics on the first row-sparse slot; use
-    /// [`Gradients::iter_slots`] for representation-agnostic iteration.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
-        self.iter_slots().map(|(id, slot)| match slot {
-            GradSlot::Dense(m) => (id, m),
-            GradSlot::Sparse(_) => panic!(
-                "gradient slot {} is row-sparse; use Gradients::iter_slots",
-                id.0
-            ),
-        })
     }
 
     /// Global L2 norm over all accumulated gradients. Bit-identical
@@ -597,14 +567,6 @@ impl Gradients {
             self.scale(max_norm / norm);
         }
     }
-
-    /// True if any stored gradient element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.grads.iter().flatten().any(|g| match g {
-            GradSlot::Dense(m) => m.has_non_finite(),
-            GradSlot::Sparse(s) => s.has_non_finite(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -624,7 +586,6 @@ mod tests {
     fn register_and_lookup() {
         let (s, a, b) = store();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.num_weights(), 7);
         assert_eq!(s.name(a), "a");
         assert_eq!(s.get(b).shape(), (1, 3));
         assert_eq!(s.ids().count(), 2);

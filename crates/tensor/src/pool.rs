@@ -106,7 +106,7 @@ impl MatrixPool {
     /// caller pushes exactly the elements it wants and wraps the buffer
     /// with [`Matrix::from_vec`]; hand it back through
     /// [`MatrixPool::release`].
-    pub fn acquire_buffer(&mut self, n: usize) -> Vec<f32> {
+    pub(crate) fn acquire_buffer(&mut self, n: usize) -> Vec<f32> {
         if n == 0 {
             return Vec::new();
         }

@@ -20,7 +20,7 @@
 /// Converts an `f32` to IEEE 754 binary16 bits, rounding to
 /// nearest-even. Overflow saturates to infinity; NaN maps to a quiet
 /// NaN.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
+pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xff) as i32;
@@ -65,7 +65,7 @@ fn round_bit(mant: u32, shift: u32) -> u32 {
 
 /// Converts IEEE 754 binary16 bits back to `f32` (exact — every f16
 /// value is representable in f32).
-pub fn f16_bits_to_f32(bits: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = u32::from(bits & 0x8000) << 16;
     let exp = (bits >> 10) & 0x1f;
     let mant = u32::from(bits & 0x03ff);

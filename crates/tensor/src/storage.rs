@@ -16,9 +16,9 @@
 //!   dequantized on gather.
 //!
 //! Byte-backed variants share their backing region through [`Bytes`],
-//! which is either an owned buffer or a slice of a [`Mmap`]; cloning a
+//! which is either an owned buffer or a slice of a `Mmap`; cloning a
 //! storage clones an `Arc`, never table bytes. The gather kernels
-//! ([`crate::ops::gather_concat2_assign`], [`crate::ops::nearest_centroids`])
+//! (`crate::ops::gather_concat2_assign`, [`crate::ops::nearest_centroids`])
 //! are generic over [`RowSource`], so dequantization happens *inside*
 //! the gather — fused, row at a time, straight into the destination
 //! buffer — and quantized tables never materialize as `f32` matrices on
@@ -45,7 +45,7 @@ use std::sync::Arc;
 /// the old path; the mapped inode is never truncated in place, so an
 /// established mapping stays valid for its lifetime.
 #[derive(Debug)]
-pub struct Mmap {
+pub(crate) struct Mmap {
     #[cfg(unix)]
     ptr: *mut core::ffi::c_void,
     #[cfg(unix)]
@@ -57,10 +57,10 @@ pub struct Mmap {
 #[cfg(unix)]
 mod sys {
     use core::ffi::c_void;
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_PRIVATE: i32 = 2;
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -68,7 +68,7 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
 
@@ -76,7 +76,7 @@ impl Mmap {
     /// Maps `file` read-only in its entirety. Zero-length files map to an
     /// empty slice without calling `mmap` (which rejects length 0).
     #[cfg(unix)]
-    pub fn map(file: &std::fs::File) -> std::io::Result<Self> {
+    pub(crate) fn map(file: &std::fs::File) -> std::io::Result<Self> {
         use std::os::unix::io::AsRawFd;
         let len = file.metadata()?.len();
         let len = usize::try_from(len).map_err(|_| {
@@ -108,7 +108,7 @@ impl Mmap {
 
     /// Fallback for non-unix targets: reads the file into memory.
     #[cfg(not(unix))]
-    pub fn map(file: &std::fs::File) -> std::io::Result<Self> {
+    pub(crate) fn map(file: &std::fs::File) -> std::io::Result<Self> {
         use std::io::Read;
         let mut buf = Vec::new();
         let mut f = file;
@@ -117,7 +117,7 @@ impl Mmap {
     }
 
     /// The mapped bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         #[cfg(unix)]
         {
             if self.len == 0 {
@@ -135,13 +135,8 @@ impl Mmap {
     }
 
     /// Mapped length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_slice().len()
-    }
-
-    /// True for an empty mapping.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -197,7 +192,7 @@ impl Bytes {
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
-    pub fn from_arc(buf: Arc<Vec<u8>>, offset: usize, len: usize) -> Self {
+    pub(crate) fn from_arc(buf: Arc<Vec<u8>>, offset: usize, len: usize) -> Self {
         assert!(offset.checked_add(len).is_some_and(|end| end <= buf.len()));
         Self {
             backing: BytesBacking::Owned(buf),
@@ -210,7 +205,7 @@ impl Bytes {
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
-    pub fn from_mmap(map: Arc<Mmap>, offset: usize, len: usize) -> Self {
+    pub(crate) fn from_mmap(map: Arc<Mmap>, offset: usize, len: usize) -> Self {
         assert!(offset.checked_add(len).is_some_and(|end| end <= map.len()));
         Self {
             backing: BytesBacking::Mapped(map),
@@ -220,7 +215,7 @@ impl Bytes {
     }
 
     /// The viewed bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         let full = match &self.backing {
             BytesBacking::Owned(v) => v.as_slice(),
             BytesBacking::Mapped(m) => m.as_slice(),
@@ -229,18 +224,13 @@ impl Bytes {
     }
 
     /// Length of the view in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True for an empty view.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// True when the view reads straight out of a memory-mapped file
     /// (zero-copy) rather than an owned buffer.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         matches!(self.backing, BytesBacking::Mapped(_))
     }
 }
@@ -278,19 +268,11 @@ impl StorageEncoding {
 
     /// Bytes of element data per row of `cols` columns (excluding the
     /// per-row scale for [`StorageEncoding::I8`]).
-    pub fn row_data_bytes(self, cols: usize) -> usize {
+    pub(crate) fn row_data_bytes(self, cols: usize) -> usize {
         match self {
             StorageEncoding::F32 => 4 * cols,
             StorageEncoding::F16 => 2 * cols,
             StorageEncoding::I8 => cols,
-        }
-    }
-
-    /// Total stored bytes per row, including per-row scales.
-    pub fn bytes_per_row(self, cols: usize) -> usize {
-        match self {
-            StorageEncoding::I8 => cols + 4,
-            other => other.row_data_bytes(cols),
         }
     }
 }
@@ -434,7 +416,7 @@ impl TableStorage {
     }
 
     /// Table height.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self {
             TableStorage::F32(m) => m.rows(),
             TableStorage::F32Bytes { rows, .. }
@@ -596,9 +578,9 @@ mod tests {
 
     #[test]
     fn bytes_per_row_accounting() {
-        assert_eq!(StorageEncoding::F32.bytes_per_row(64), 256);
-        assert_eq!(StorageEncoding::F16.bytes_per_row(64), 128);
-        assert_eq!(StorageEncoding::I8.bytes_per_row(64), 68);
+        assert_eq!(StorageEncoding::F32.row_data_bytes(64), 256);
+        assert_eq!(StorageEncoding::F16.row_data_bytes(64), 128);
+        assert_eq!(StorageEncoding::I8.row_data_bytes(64), 64);
     }
 
     #[test]
@@ -611,7 +593,7 @@ mod tests {
         // Empty files map to an empty slice.
         std::fs::write(&path, b"").unwrap();
         let empty = Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap();
-        assert!(empty.is_empty());
+        assert!(empty.as_slice().is_empty());
         std::fs::remove_file(&path).ok();
     }
 

@@ -89,9 +89,6 @@ enum Op {
         a: Var,
         c: f32,
     },
-    AddScalar {
-        a: Var,
-    },
     AddRowBroadcast {
         a: Var,
         row: Var,
@@ -112,14 +109,7 @@ enum Op {
     Exp {
         a: Var,
     },
-    Ln {
-        a: Var,
-    },
     ConcatCols {
-        a: Var,
-        b: Var,
-    },
-    ConcatRows {
         a: Var,
         b: Var,
     },
@@ -130,9 +120,6 @@ enum Op {
         a: Var,
     },
     SumCols {
-        a: Var,
-    },
-    SumRows {
         a: Var,
     },
     RowDot {
@@ -289,16 +276,6 @@ impl<'s> Tape<'s> {
         self.pool.borrow_mut().release(m);
     }
 
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
         match &self.nodes[v.0].value {
@@ -393,7 +370,7 @@ impl<'s> Tape<'s> {
     // ---- linear algebra --------------------------------------------------
 
     /// Matrix product (forward math shared with the inference executor
-    /// through [`crate::ops::matmul`]).
+    /// through `crate::ops::matmul`).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let mut out = self.alloc(self.value(a).rows(), self.value(b).cols());
         ops::matmul(self.value(a), self.value(b), &mut out);
@@ -401,7 +378,7 @@ impl<'s> Tape<'s> {
     }
 
     /// Transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
+    pub(crate) fn transpose(&mut self, a: Var) -> Var {
         let value = self.alloc_transpose(self.value(a));
         self.push(value, Op::Transpose { a })
     }
@@ -430,21 +407,15 @@ impl<'s> Tape<'s> {
         self.push(value, Op::Scale { a, c })
     }
 
-    /// Adds the constant `c` to all elements.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let value = self.alloc_map(self.value(a), |x| x + c);
-        self.push(value, Op::AddScalar { a })
-    }
-
     /// Adds a `1 x m` row vector to each row of an `n x m` matrix (bias add).
-    pub fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
+    pub(crate) fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
         let mut value = self.alloc_copy(self.value(a));
         ops::add_row_broadcast_assign(&mut value, self.value(row));
         self.push(value, Op::AddRowBroadcast { a, row })
     }
 
     /// Adds an `n x 1` column vector to each column of an `n x m` matrix.
-    pub fn add_col_broadcast(&mut self, a: Var, col: Var) -> Var {
+    pub(crate) fn add_col_broadcast(&mut self, a: Var, col: Var) -> Var {
         let mut value = self.alloc_copy(self.value(a));
         ops::add_col_broadcast_assign(&mut value, self.value(col));
         self.push(value, Op::AddColBroadcast { a, col })
@@ -453,7 +424,7 @@ impl<'s> Tape<'s> {
     // ---- nonlinearities --------------------------------------------------
 
     /// `max(0, x)` elementwise.
-    pub fn relu(&mut self, a: Var) -> Var {
+    pub(crate) fn relu(&mut self, a: Var) -> Var {
         let mut value = self.alloc_copy(self.value(a));
         ops::relu_assign(&mut value);
         self.push(value, Op::Relu { a })
@@ -479,12 +450,6 @@ impl<'s> Tape<'s> {
         self.push(value, Op::Exp { a })
     }
 
-    /// `ln(x)` elementwise. Inputs must be positive.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.alloc_map(self.value(a), f32::ln);
-        self.push(value, Op::Ln { a })
-    }
-
     // ---- structure -------------------------------------------------------
 
     /// Horizontal concatenation `[a | b]`.
@@ -494,17 +459,6 @@ impl<'s> Tape<'s> {
             av.concat_cols_into(bv, buf)
         });
         self.push(value, Op::ConcatCols { a, b })
-    }
-
-    /// Vertical concatenation.
-    pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let (av, bv) = (self.value(a), self.value(b));
-        assert_eq!(av.cols(), bv.cols(), "concat_rows col mismatch");
-        let value = self.alloc_with(av.rows() + bv.rows(), av.cols(), |buf| {
-            buf.extend_from_slice(av.as_slice());
-            buf.extend_from_slice(bv.as_slice());
-        });
-        self.push(value, Op::ConcatRows { a, b })
     }
 
     /// Records a row gather: rows `indices` of node `a`, in that order
@@ -545,12 +499,6 @@ impl<'s> Tape<'s> {
     pub fn sum_cols(&mut self, a: Var) -> Var {
         let value = self.alloc_sum_cols(self.value(a));
         self.push(value, Op::SumCols { a })
-    }
-
-    /// Per-column sums (`1 x m`).
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let value = self.alloc_sum_rows(self.value(a));
-        self.push(value, Op::SumRows { a })
     }
 
     /// Rowwise dot products of two same-shaped matrices (`n x 1`).
@@ -617,7 +565,7 @@ impl<'s> Tape<'s> {
     // ---- composites -------------------------------------------------------
 
     /// Affine map `x W + b` where `b` is a `1 x out` bias row.
-    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
+    pub(crate) fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
         let xw = self.matmul(x, w);
         self.add_row_broadcast(xw, b)
     }
@@ -787,7 +735,6 @@ impl<'s> Tape<'s> {
                 self.add_adj(adj, *b, self.alloc_zip(g, self.value(*a), |g, a| g * a));
             }
             Op::Scale { a, c } => self.add_adj(adj, *a, self.alloc_map(g, |x| x * *c)),
-            Op::AddScalar { a } => self.add_adj(adj, *a, self.alloc_copy(g)),
             Op::AddRowBroadcast { a, row } => {
                 self.add_adj(adj, *a, self.alloc_copy(g));
                 self.add_adj(adj, *row, self.alloc_sum_rows(g));
@@ -809,10 +756,6 @@ impl<'s> Tape<'s> {
                 self.add_adj(adj, *a, da);
             }
             Op::Exp { a } => self.add_adj(adj, *a, self.alloc_zip(g, value, |g, y| g * y)),
-            Op::Ln { a } => {
-                let da = self.alloc_zip(g, self.value(*a), |g, x| g / x);
-                self.add_adj(adj, *a, da);
-            }
             Op::ConcatCols { a, b } => {
                 let ca = self.value(*a).cols();
                 let cb = self.value(*b).cols();
@@ -823,15 +766,6 @@ impl<'s> Tape<'s> {
                 let db = self.alloc_with(rows, cb, |buf| {
                     (0..rows).for_each(|r| buf.extend_from_slice(&g.row(r)[ca..]))
                 });
-                self.add_adj(adj, *a, da);
-                self.add_adj(adj, *b, db);
-            }
-            Op::ConcatRows { a, b } => {
-                let ra = self.value(*a).rows();
-                let cols = g.cols();
-                let (top, bottom) = g.as_slice().split_at(ra * cols);
-                let da = self.alloc_with(ra, cols, |buf| buf.extend_from_slice(top));
-                let db = self.alloc_with(g.rows() - ra, cols, |buf| buf.extend_from_slice(bottom));
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
             }
@@ -850,13 +784,6 @@ impl<'s> Tape<'s> {
                     for &gr in g.as_slice() {
                         buf.resize(buf.len() + c, gr);
                     }
-                });
-                self.add_adj(adj, *a, da);
-            }
-            Op::SumRows { a } => {
-                let (r, c) = self.value(*a).shape();
-                let da = self.alloc_with(r, c, |buf| {
-                    (0..r).for_each(|_| buf.extend_from_slice(g.as_slice()))
                 });
                 self.add_adj(adj, *a, da);
             }
