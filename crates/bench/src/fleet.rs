@@ -20,8 +20,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_router::{
-    BreakerConfig, BreakerState, Fleet, FleetConfig, PartitionMode, ReplicaId, RolloutConfig,
-    RolloutDriver, RolloutStep, RouteKey, Router, RouterConfig, RouterServer,
+    BreakerConfig, BreakerState, Fleet, FleetConfig, ReplicaId, RolloutConfig, RolloutDriver,
+    RolloutStep, RouteKey, Router, RouterConfig, RouterServer, DOWN_AFTER,
 };
 use st_serve::client::HttpClient;
 use st_serve::fault::FaultInjector;
@@ -38,8 +38,6 @@ use std::time::{Duration, Instant};
 
 /// Router-breaker threshold used across the suite.
 pub(crate) const BREAKER_THRESHOLD: u32 = 3;
-/// Probe sweeps before a dead replica is marked down.
-pub(crate) const DOWN_AFTER: u32 = 2;
 /// Batcher queue capacity in the chaos fleet.
 pub(crate) const QUEUE_CAPACITY: usize = 6;
 /// Batcher deadline in the chaos fleet (hang phases expire against it).
@@ -324,15 +322,12 @@ impl FleetHarness {
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         vnodes: 128,
-        partition: PartitionMode::ByUser,
         breaker: BreakerConfig {
             failure_threshold: BREAKER_THRESHOLD,
             // Recovery is probe- and harness-driven, never clock-driven,
             // so the chaos signatures cannot race the cooldown.
             cooldown: Duration::from_secs(3600),
         },
-        down_after: DOWN_AFTER,
-        probe_timeout: Duration::from_millis(500),
     }
 }
 

@@ -82,11 +82,17 @@ pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k:
 ///
 /// `scores` and `relevant` are parallel: `relevant[i]` says whether
 /// candidate `i` is ground truth. Ties are broken by candidate order
-/// (stable sort), which keeps evaluation deterministic.
+/// (stable sort), which keeps evaluation deterministic. A NaN score (a
+/// diverged model) ranks below every number, so it can neither win nor
+/// abort the evaluation.
 pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetrics {
     assert_eq!(scores.len(), relevant.len(), "scores/relevance mismatch");
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite scores"));
+    order.sort_by(|&a, &b| {
+        let (a, b) = (scores[a], scores[b]);
+        b.partial_cmp(&a)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    });
     let hits: Vec<bool> = order.iter().map(|&i| relevant[i]).collect();
     let num_relevant = relevant.iter().filter(|&&r| r).count();
     let values = Metric::ALL
@@ -220,6 +226,31 @@ pub fn overlap_at_k<T: Eq + std::hash::Hash>(candidate: &[T], reference: &[T], k
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// NaN ranks below every number: a NaN negative never outranks a
+    /// finite truth, and a NaN truth falls below every finite negative.
+    /// Finite ties (±0 included) keep candidate order.
+    #[test]
+    fn nan_scores_rank_last_and_ties_keep_candidate_order() {
+        // One relevant candidate: Recall@k (first in `Metric::ALL`) is
+        // 1 exactly when it ranks within the top k.
+        let hit_at = |scores: &[f32], relevant: &[bool], k| {
+            rank_metrics(scores, relevant, &[k]).values[0][0]
+        };
+        let nan = f32::NAN;
+        // Truth at -1e30 still beats two NaN negatives.
+        assert_eq!(hit_at(&[nan, -1e30, nan], &[false, true, false], 1), 1.0);
+        assert_eq!(hit_at(&[nan, f32::NEG_INFINITY], &[false, true], 1), 1.0);
+        // A NaN truth ranks below every finite negative: last of four.
+        let truth_nan = [nan, -3.0, 0.5, f32::NEG_INFINITY];
+        let relevant = [true, false, false, false];
+        assert_eq!(hit_at(&truth_nan, &relevant, 3), 0.0);
+        assert_eq!(hit_at(&truth_nan, &relevant, 4), 1.0);
+        // ±0 tie: the earlier candidate wins either way round.
+        assert_eq!(hit_at(&[0.0, -0.0], &[true, false], 1), 1.0);
+        assert_eq!(hit_at(&[-0.0, 0.0], &[true, false], 1), 1.0);
+        assert_eq!(hit_at(&[0.0, -0.0], &[false, true], 1), 0.0);
+    }
 
     /// Candidates: [GT, neg, GT, neg, neg]; scores put GT at ranks 1 and 3.
     fn example() -> (Vec<f32>, Vec<bool>) {

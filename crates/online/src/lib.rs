@@ -24,7 +24,9 @@
 //! - [`FaultPlan`] — seeded publish-path chaos (regressing candidates,
 //!   crashes mid-write) so every run exercises the defenses.
 //! - `run_online_loop` / [`run_embedded`] — the cycle orchestration,
-//!   reproducible end to end under a fixed seed.
+//!   reproducible end to end under a fixed seed. [`OnlineLoopConfig`]
+//!   holds what a caller chooses (seed, warm-up epochs, fault plan);
+//!   batch sizes, negatives and the gate tolerance are constants.
 
 #![warn(missing_docs)]
 

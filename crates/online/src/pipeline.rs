@@ -18,38 +18,21 @@ use st_data::synth::CheckinStream;
 use st_data::{CrossingCitySplit, Dataset};
 use st_serve::server::{Engine, ServeConfig, Server};
 use st_serve::snapshot::Reloader;
-use st_tensor::StorageEncoding;
 use st_transrec_core::{ModelConfig, ModelSnapshot, STTransRec};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything that parameterizes one run of the loop.
+/// What a caller chooses about one run of the loop. Everything else
+/// is one of the constants beside [`run_embedded`].
 #[derive(Debug, Clone)]
 pub struct OnlineLoopConfig {
     /// Master seed: stream, trainer, impostor inits all derive from it.
     pub(crate) seed: u64,
-    /// Architecture/optimizer config for the model and every impostor.
-    pub(crate) model: ModelConfig,
     /// Full offline epochs before the stream starts (generation 1).
     pub warmup_epochs: usize,
-    /// Events per training micro-batch.
-    pub(crate) micro_batch: usize,
-    /// Training micro-batches per publish cycle.
-    pub(crate) train_batches_per_cycle: usize,
-    /// Events held out into the shadow window per cycle.
-    pub(crate) shadow_batch: usize,
-    /// Shadow window capacity (oldest events evicted beyond it).
-    pub(crate) shadow_capacity: usize,
-    /// Negatives per streamed positive.
-    pub(crate) negatives: usize,
-    /// Publish-gate policy.
-    pub(crate) gate: GateConfig,
     /// Per-cycle fault schedule; its length is the number of cycles.
     pub faults: FaultPlan,
-    /// v2 container encoding for every published checkpoint: f32 by
-    /// default, f16/int8 to shrink what the serving tier maps.
-    pub(crate) snapshot_format: StorageEncoding,
 }
 
 impl OnlineLoopConfig {
@@ -59,24 +42,8 @@ impl OnlineLoopConfig {
     pub fn smoke(seed: u64) -> Self {
         Self {
             seed,
-            model: ModelConfig::test_small(),
             warmup_epochs: 2,
-            micro_batch: 128,
-            train_batches_per_cycle: 3,
-            shadow_batch: 64,
-            shadow_capacity: 128,
-            negatives: 4,
-            // A 64-event window quantizes hit-rate in ~0.016 steps, so
-            // the default 0.01 tolerance is below one quantum and a
-            // single flipped event can veto a healthy candidate. Three
-            // quanta of slack keeps clean publishes flowing while an
-            // untrained impostor (tens of quanta worse) still rejects.
-            gate: GateConfig {
-                tolerance: 0.05,
-                ..GateConfig::default()
-            },
             faults: FaultPlan::seeded(4, seed),
-            snapshot_format: StorageEncoding::F32,
         }
     }
 }
@@ -186,15 +153,19 @@ pub(crate) fn run_online_loop(
     model: &mut STTransRec,
     config: &OnlineLoopConfig,
 ) -> std::io::Result<OnlineReport> {
-    let publisher = Publisher::new(server.local_addr(), ckpt).with_format(config.snapshot_format);
+    let publisher = Publisher::new(server.local_addr(), ckpt);
+    let gate_config = GateConfig {
+        tolerance: GATE_TOLERANCE,
+        ..GateConfig::default()
+    };
     // The baseline mirrors what is serving: it starts as the published
     // warmup generation and is reloaded from the checkpoint after every
     // confirmed publish.
     let mut baseline = load_baseline(ckpt)?;
 
     let mut stream = CheckinStream::new(dataset, config.seed);
-    let mut trainer = IncrementalTrainer::new(dataset, config.negatives, config.seed ^ 0x7EA1);
-    let mut shadow = ShadowWindow::new(config.shadow_capacity);
+    let mut trainer = IncrementalTrainer::new(dataset, NEGATIVES, config.seed ^ 0x7EA1);
+    let mut shadow = ShadowWindow::new(SHADOW_CAPACITY);
 
     let mut cycles = Vec::with_capacity(config.faults.len());
     let mut events_ingested = 0usize;
@@ -205,8 +176,8 @@ pub(crate) fn run_online_loop(
         let mut loss_sum = 0.0f32;
         let mut events_trained = 0usize;
         let train_start = Instant::now();
-        for _ in 0..config.train_batches_per_cycle {
-            let events = stream.next_batch(config.micro_batch);
+        for _ in 0..TRAIN_BATCHES_PER_CYCLE {
+            let events = stream.next_batch(MICRO_BATCH);
             let stats = trainer.ingest(model, dataset, &events);
             loss_sum += stats.loss;
             events_trained += stats.events;
@@ -214,7 +185,7 @@ pub(crate) fn run_online_loop(
         train_time += train_start.elapsed();
         events_ingested += events_trained;
         // Held out: the trainer never sees these, the gate judges on them.
-        shadow.extend(&stream.next_batch(config.shadow_batch));
+        shadow.extend(&stream.next_batch(SHADOW_BATCH));
 
         let fault = config.faults.fault_for(cycle);
         // Under Regress the real candidate is swapped for an untrained
@@ -223,7 +194,7 @@ pub(crate) fn run_online_loop(
         let impostor = (fault == PublishFault::Regress).then(|| {
             let cfg = ModelConfig {
                 seed: config.seed ^ (cycle as u64).wrapping_add(0xBAD5EED),
-                ..config.model.clone()
+                ..ModelConfig::test_small()
             };
             STTransRec::new(dataset, split, cfg)
         });
@@ -233,7 +204,7 @@ pub(crate) fn run_online_loop(
             &baseline,
             dataset,
             &shadow,
-            &config.gate,
+            &gate_config,
             cycle as u64,
         );
 
@@ -261,7 +232,7 @@ pub(crate) fn run_online_loop(
             fault,
             outcome,
             events_trained,
-            loss: loss_sum / config.train_batches_per_cycle as f32,
+            loss: loss_sum / TRAIN_BATCHES_PER_CYCLE as f32,
             candidate_hit_rate: decision.candidate.hit_rate,
             baseline_hit_rate: decision.baseline.hit_rate,
             served_epoch: publisher.served_epoch()?,
@@ -291,6 +262,23 @@ fn load_baseline(ckpt: &Path) -> std::io::Result<ModelSnapshot> {
     ModelSnapshot::from_mapped(&mapped)
 }
 
+/// Events per training micro-batch.
+const MICRO_BATCH: usize = 128;
+/// Training micro-batches per publish cycle.
+const TRAIN_BATCHES_PER_CYCLE: usize = 3;
+/// Events held out into the shadow window per cycle.
+const SHADOW_BATCH: usize = 64;
+/// Shadow window capacity (oldest events evicted beyond it).
+const SHADOW_CAPACITY: usize = 128;
+/// Negatives per streamed positive.
+const NEGATIVES: usize = 4;
+/// The publish gate's hit-rate slack. A 64-event window quantizes
+/// hit-rate in ~0.016 steps, so the gate's default 0.01 tolerance is
+/// below one quantum and a single flipped event can veto a healthy
+/// candidate. Three quanta of slack keeps clean publishes flowing while
+/// an untrained impostor (tens of quanta worse) still rejects.
+const GATE_TOLERANCE: f64 = 0.05;
+
 /// Warm-up + serve + loop in one call: trains `config.warmup_epochs`
 /// offline, publishes generation 1 into `scratch/model.bin`, starts an
 /// embedded server on an ephemeral loopback port, runs the online loop
@@ -303,17 +291,22 @@ pub fn run_embedded(
     config: &OnlineLoopConfig,
 ) -> std::io::Result<OnlineReport> {
     let ckpt = scratch.join("model.bin");
-    let mut model = STTransRec::new(dataset, split, config.model.clone());
+    let mut model = STTransRec::new(dataset, split, ModelConfig::test_small());
     for _ in 0..config.warmup_epochs {
         model.train_epoch(dataset);
     }
-    st_tensor::save_params_atomic_as(model.params(), &ckpt, config.snapshot_format)?;
+    st_tensor::save_params_atomic(model.params(), &ckpt)?;
 
     let serve_config = ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     };
-    let reloader = Reloader::new(dataset.clone(), split.clone(), config.model.clone(), &ckpt);
+    let reloader = Reloader::new(
+        dataset.clone(),
+        split.clone(),
+        ModelConfig::test_small(),
+        &ckpt,
+    );
     let (frozen, snapshot_bytes) = reloader.load_frozen()?;
     let engine = Engine::new_frozen(
         dataset.clone(),

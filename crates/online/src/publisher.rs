@@ -2,14 +2,10 @@
 //!
 //! A publish is two steps, each individually safe:
 //!
-//! 1. **Atomic checkpoint write** — [`st_tensor::save_params_atomic_as`]
-//!    puts the candidate's bytes in a same-directory temp file and
+//! 1. **Atomic checkpoint write** — [`st_tensor::save_params_atomic`]
+//!    puts the candidate's f32 bytes in a same-directory temp file and
 //!    renames it over the serving checkpoint. A crash at any instant
 //!    leaves either the old checkpoint or the new one, never a torn mix.
-//!    The publisher picks the v2 container encoding
-//!    ([`Publisher::with_format`]): f32 by default, or f16/int8 to
-//!    shrink the serving footprint — the server maps whatever encoding
-//!    arrives and dequantizes on gather.
 //! 2. **Reload RPC** — `POST /admin/reload` makes the server load the
 //!    checkpoint into a fresh frozen snapshot (with retrieval index) and
 //!    atomically swap it in, bumping the serving epoch.
@@ -22,7 +18,6 @@ use st_serve::client::HttpClient;
 use st_serve::http::invalid_data;
 use st_serve::metrics::scrape_gauge;
 use st_serve::ReloadOutcome;
-use st_tensor::StorageEncoding;
 use st_transrec_core::STTransRec;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -32,7 +27,6 @@ use std::time::{Duration, Instant};
 pub struct Publisher {
     addr: SocketAddr,
     ckpt: PathBuf,
-    format: StorageEncoding,
 }
 
 /// A confirmed publish.
@@ -43,29 +37,19 @@ pub struct PublishOutcome {
 }
 
 impl Publisher {
-    /// A publisher for the server at `addr` reloading from `ckpt`,
-    /// writing f32 v2 containers.
+    /// A publisher for the server at `addr` reloading from `ckpt`.
     pub fn new(addr: SocketAddr, ckpt: &Path) -> Self {
         Self {
             addr,
             ckpt: ckpt.to_path_buf(),
-            format: StorageEncoding::F32,
         }
-    }
-
-    /// Sets the container encoding for every subsequent publish. Lossy
-    /// encodings (f16/int8) apply to the embedding tables only; tower
-    /// weights always stay f32.
-    pub(crate) fn with_format(mut self, format: StorageEncoding) -> Self {
-        self.format = format;
-        self
     }
 
     /// Atomically writes `model` to the checkpoint and swaps it into the
     /// server, returning once the reload response confirms the swap.
     pub fn publish(&self, model: &STTransRec) -> std::io::Result<PublishOutcome> {
         let start = Instant::now();
-        st_tensor::save_params_atomic_as(model.params(), &self.ckpt, self.format)?;
+        st_tensor::save_params_atomic(model.params(), &self.ckpt)?;
         let mut client = HttpClient::connect(self.addr)?;
         let resp = client.post("/admin/reload")?;
         if resp.status != 200 {

@@ -2,12 +2,10 @@
 //!
 //! ```text
 //! st-router --replica 127.0.0.1:8080 --replica 127.0.0.1:8081 \
-//!           --addr 127.0.0.1:8070 --partition user
+//!           --addr 127.0.0.1:8070
 //! ```
 
-use st_router::{
-    BreakerConfig, Fleet, FleetConfig, PartitionMode, Router, RouterConfig, RouterServer,
-};
+use st_router::{BreakerConfig, Fleet, FleetConfig, Router, RouterConfig, RouterServer};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,17 +16,17 @@ st-router: consistent-hash reverse proxy over st-serve replicas
 USAGE:
     st-router --replica ADDR [--replica ADDR ...] [OPTIONS]
 
+Routes each /recommend by its user parameter. A replica is down after 2
+failed probes; every shed answer carries Retry-After: 1.
+
 OPTIONS:
     --replica ADDR          backend replica address (repeatable, required)
     --addr ADDR             bind address [default: 127.0.0.1:8070]
-    --partition user|city   routing key [default: user]
     --vnodes N              virtual nodes per replica [default: 128]
     --workers N             HTTP worker threads [default: 8]
     --breaker-threshold N   consecutive failures to open a breaker [default: 3]
     --breaker-cooldown-ms N open-breaker cooldown [default: 2000]
-    --down-after N          failed probes before a replica is down [default: 2]
     --probe-interval-ms N   health-probe period, 0 disables [default: 1000]
-    --retry-after SECS      Retry-After on shed responses [default: 1]
     -h, --help              print this help
 ";
 
@@ -41,14 +39,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut replicas: Vec<SocketAddr> = Vec::new();
     let mut addr = "127.0.0.1:8070".to_string();
-    let mut partition = PartitionMode::ByUser;
     let mut vnodes: u32 = 128;
     let mut workers: usize = 8;
     let mut breaker_threshold: u32 = 3;
     let mut breaker_cooldown_ms: u64 = 2_000;
-    let mut down_after: u32 = 2;
     let mut probe_interval_ms: u64 = 1_000;
-    let mut retry_after: u32 = 1;
 
     let mut i = 0;
     while i < args.len() {
@@ -68,10 +63,6 @@ fn main() {
                 }
             }
             "--addr" => addr = value("--addr"),
-            "--partition" => match value("--partition").parse() {
-                Ok(p) => partition = p,
-                Err(e) => fail(&e),
-            },
             "--vnodes" => match value("--vnodes").parse() {
                 Ok(n) => vnodes = n,
                 Err(_) => fail("--vnodes must be an integer"),
@@ -88,17 +79,9 @@ fn main() {
                 Ok(n) => breaker_cooldown_ms = n,
                 Err(_) => fail("--breaker-cooldown-ms must be an integer"),
             },
-            "--down-after" => match value("--down-after").parse() {
-                Ok(n) => down_after = n,
-                Err(_) => fail("--down-after must be an integer"),
-            },
             "--probe-interval-ms" => match value("--probe-interval-ms").parse() {
                 Ok(n) => probe_interval_ms = n,
                 Err(_) => fail("--probe-interval-ms must be an integer"),
-            },
-            "--retry-after" => match value("--retry-after").parse() {
-                Ok(n) => retry_after = n,
-                Err(_) => fail("--retry-after must be an integer"),
             },
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -116,13 +99,10 @@ fn main() {
         &replicas,
         FleetConfig {
             vnodes,
-            partition,
             breaker: BreakerConfig {
                 failure_threshold: breaker_threshold,
                 cooldown: Duration::from_millis(breaker_cooldown_ms),
             },
-            down_after,
-            probe_timeout: Duration::from_millis(500),
         },
     ));
     let router = Router::new(
@@ -130,7 +110,6 @@ fn main() {
         RouterConfig {
             addr,
             workers,
-            retry_after_secs: retry_after,
             probe_interval: (probe_interval_ms > 0)
                 .then(|| Duration::from_millis(probe_interval_ms)),
             ..RouterConfig::default()

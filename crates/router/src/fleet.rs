@@ -18,7 +18,7 @@
 //!   (a dark `503` beats an epoch regression).
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
-use crate::ring::{HashRing, PartitionMode, ReplicaId, RouteKey};
+use crate::ring::{HashRing, ReplicaId, RouteKey};
 use st_serve::http::invalid_data;
 use st_serve::metrics::{scrape_gauge, scrape_snapshot_format};
 use st_serve::HttpClient;
@@ -28,6 +28,19 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Consecutive failed probes before a replica is marked down.
+pub const DOWN_AFTER: u32 = 2;
+/// Connect and read timeout of a health probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+/// Connect timeout of every other socket to a replica: the proxy's
+/// forward and the rollout's reload RPC.
+pub(crate) const BACKEND_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Read timeout of those sockets — generous, because an overloaded
+/// replica answers via its own deadline machinery (503
+/// deadline-exceeded) and the router must relay that rather than racing
+/// it, and because a reload maps a whole checkpoint.
+pub(crate) const BACKEND_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Rollout generation label for one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,24 +125,15 @@ impl Replica {
 pub struct FleetConfig {
     /// Virtual nodes per replica on the hash ring.
     pub vnodes: u32,
-    /// Request-to-key mapping.
-    pub partition: PartitionMode,
     /// Per-replica breaker config.
     pub breaker: BreakerConfig,
-    /// Consecutive failed probes before a replica is marked down.
-    pub down_after: u32,
-    /// Probe connect/read timeout.
-    pub probe_timeout: Duration,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             vnodes: 128,
-            partition: PartitionMode::ByUser,
             breaker: BreakerConfig::default(),
-            down_after: 2,
-            probe_timeout: Duration::from_millis(500),
         }
     }
 }
@@ -160,8 +164,6 @@ pub struct RouteDecision {
 pub struct Fleet {
     replicas: Vec<Replica>,
     ring: HashRing,
-    /// Fleet config (public for the router and rollout driver).
-    pub(crate) config: FleetConfig,
     rollout_active: AtomicBool,
     /// Key hashes that have been served a new-generation response during
     /// the active rollout; cleared when the rollout finishes.
@@ -180,7 +182,6 @@ impl Fleet {
         Self {
             replicas,
             ring,
-            config,
             rollout_active: AtomicBool::new(false),
             pins: Mutex::new(HashSet::new()),
         }
@@ -319,12 +320,12 @@ impl Fleet {
 
     /// Probes one replica's `/metrics` endpoint. Success refreshes the
     /// verified epoch and (re)marks the replica healthy, resetting
-    /// its breaker on a down→up transition; `down_after` consecutive
+    /// its breaker on a down→up transition; [`DOWN_AFTER`] consecutive
     /// failures mark it down.
     pub fn probe(&self, id: ReplicaId) -> bool {
         let replica = self.replica(id);
         let addr = replica.addr();
-        match probe_metrics(addr, self.config.probe_timeout) {
+        match probe_metrics(addr, PROBE_TIMEOUT) {
             Ok(scrape) => {
                 replica.probe_failures.store(0, Ordering::Release);
                 replica.last_epoch.store(scrape.epoch, Ordering::Release);
@@ -337,7 +338,7 @@ impl Fleet {
             }
             Err(_) => {
                 let fails = replica.probe_failures.fetch_add(1, Ordering::AcqRel) + 1;
-                if fails >= self.config.down_after {
+                if fails >= DOWN_AFTER {
                     replica.healthy.store(false, Ordering::Release);
                 }
                 false
@@ -425,7 +426,7 @@ mod tests {
         let user = (0..1000u32)
             .find(|u| fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(0)))
             .unwrap();
-        for _ in 0..fleet.config.breaker.failure_threshold {
+        for _ in 0..BreakerConfig::default().failure_threshold {
             fleet.replica(ReplicaId(0)).breaker.record_failure(now);
         }
         let err = fleet.route(RouteKey::User(user), now).unwrap_err();

@@ -1,7 +1,7 @@
 //! # st-router
 //!
 //! The horizontally sharded serving front tier: a reverse proxy that
-//! consistent-hashes users (or cities) across a fleet of `st-serve`
+//! consistent-hashes users across a fleet of `st-serve`
 //! replicas, with health-checked membership, per-replica circuit
 //! breakers, and a rolling snapshot-rollout driver that upgrades
 //! replicas one at a time without ever serving mixed model generations
@@ -45,7 +45,7 @@ pub(crate) mod ring;
 pub mod rollout;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use fleet::{Fleet, FleetConfig, Generation, Replica, RouteError};
+pub use fleet::{Fleet, FleetConfig, Generation, Replica, RouteError, DOWN_AFTER};
 pub use proxy::{Router, RouterConfig, RouterServer};
-pub use ring::{HashRing, PartitionMode, ReplicaId, RouteKey};
+pub use ring::{HashRing, ReplicaId, RouteKey};
 pub use rollout::{RolloutConfig, RolloutDriver, RolloutReport, RolloutStep};

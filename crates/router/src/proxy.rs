@@ -21,11 +21,11 @@
 //!   (`?format=f32|f16|int8` pins the expected snapshot format); the
 //!   fleet acts as one logical server behind this endpoint.
 
-use crate::fleet::{Fleet, RouteError};
+use crate::fleet::{Fleet, RouteError, BACKEND_CONNECT_TIMEOUT, BACKEND_READ_TIMEOUT};
 use crate::metrics::RouterMetrics;
-use crate::ring::{PartitionMode, ReplicaId, RouteKey};
+use crate::ring::{ReplicaId, RouteKey};
 use crate::rollout::{RolloutConfig, RolloutDriver};
-use st_serve::http::{HttpResponse, Request, Response};
+use st_serve::http::{HttpResponse, Request, Response, RETRY_AFTER_SECS};
 use st_serve::{Handler, HttpClient, HttpServer, StatusTally};
 use st_tensor::StorageEncoding;
 use std::collections::HashMap;
@@ -44,14 +44,6 @@ pub struct RouterConfig {
     pub workers: usize,
     /// Keep-alive idle timeout on client connections.
     pub idle_timeout: Duration,
-    /// Backend connect timeout.
-    pub connect_timeout: Duration,
-    /// Backend read timeout — generous, because an overloaded replica
-    /// answers via its own deadline machinery (503 deadline-exceeded)
-    /// and the router must relay that rather than racing it.
-    pub read_timeout: Duration,
-    /// `Retry-After` value on shed responses, seconds.
-    pub retry_after_secs: u32,
     /// Background health-probe interval; `None` disables the probe
     /// thread (tests and the chaos harness drive probes explicitly).
     pub probe_interval: Option<Duration>,
@@ -63,9 +55,6 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
             idle_timeout: Duration::from_secs(5),
-            connect_timeout: Duration::from_secs(1),
-            read_timeout: Duration::from_secs(30),
-            retry_after_secs: 1,
             probe_interval: None,
         }
     }
@@ -103,11 +92,6 @@ impl Router {
         &self.config
     }
 
-    fn shed(&self, status: u16, message: &str) -> Response {
-        Response::error(status, message)
-            .with_header("Retry-After", &self.config.retry_after_secs.to_string())
-    }
-
     /// Answers the router's own routes (`/recommend` is
     /// [`Router::proxy`]'s).
     fn route(&self, req: &Request) -> Response {
@@ -142,16 +126,6 @@ impl Router {
         }
     }
 
-    /// Extracts the routing key per the fleet's partition mode. The
-    /// router validates only the key parameter; everything else is the
-    /// backend's to judge (and relay back).
-    fn route_key(&self, req: &Request) -> Result<RouteKey, Response> {
-        match self.fleet.config.partition {
-            PartitionMode::ByUser => req.int_param("user").map(RouteKey::User),
-            PartitionMode::ByCity => req.int_param("city").map(RouteKey::City),
-        }
-    }
-
     /// Routes one `/recommend` to its shard: the replica's reply to relay
     /// and who gave it, or the router's own answer when none could.
     fn proxy(
@@ -162,7 +136,9 @@ impl Router {
         self.metrics
             .recommend_requests
             .fetch_add(1, Ordering::Relaxed);
-        let key = self.route_key(req)?;
+        // The router validates only the key parameter; everything else
+        // is the backend's to judge (and relay back).
+        let key = req.int_param("user").map(RouteKey::User)?;
         let decision = self.fleet.route(key, Instant::now()).map_err(|e| {
             let (counter, why) = match e {
                 RouteError::NoReplica => (
@@ -179,7 +155,7 @@ impl Router {
                 ),
             };
             counter.fetch_add(1, Ordering::Relaxed);
-            self.shed(503, &why)
+            Response::shed(503, &why)
         })?;
         let replica = &self.fleet.replicas()[decision.replica];
         let id = replica.id;
@@ -217,7 +193,10 @@ impl Router {
                     .forward_errors_total
                     .fetch_add(1, Ordering::Relaxed);
                 replica.breaker.record_failure(Instant::now());
-                Err(self.shed(503, &format!("shard {id} unreachable, retry later")))
+                Err(Response::shed(
+                    503,
+                    &format!("shard {id} unreachable, retry later"),
+                ))
             }
         }
     }
@@ -247,7 +226,7 @@ impl Router {
             pool.remove(&idx);
         }
         let mut conn =
-            HttpClient::connect_with(addr, self.config.connect_timeout, self.config.read_timeout)?;
+            HttpClient::connect_with(addr, BACKEND_CONNECT_TIMEOUT, BACKEND_READ_TIMEOUT)?;
         let raw = conn.get(target)?;
         pool.insert(idx, (addr, conn));
         Ok(raw)
@@ -276,13 +255,7 @@ impl Router {
                 .rollouts_started
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let mut driver = RolloutDriver::new(
-            &self.fleet,
-            RolloutConfig {
-                expect_format,
-                rpc_timeout: Some(self.config.read_timeout),
-            },
-        );
+        let mut driver = RolloutDriver::new(&self.fleet, RolloutConfig { expect_format });
         let report = driver.run();
         if report.completed {
             self.metrics
@@ -295,7 +268,7 @@ impl Router {
             // re-POST once the blocking shard rejoins. 503 tells the
             // operator the fleet is not yet on the new snapshot.
             Response::json(503, report.to_json())
-                .with_header("Retry-After", &self.config.retry_after_secs.to_string())
+                .with_header("Retry-After", &RETRY_AFTER_SECS.to_string())
         }
     }
 }

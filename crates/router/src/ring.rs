@@ -1,7 +1,7 @@
 //! Deterministic consistent-hash ring with virtual nodes.
 //!
-//! The router partitions traffic by hashing a routing key (user id, or
-//! city id in partition-by-city mode) onto a ring of hash points. Each
+//! The router partitions traffic by hashing a routing key (the user id)
+//! onto a ring of hash points. Each
 //! replica owns a fixed set of virtual nodes, so key ownership depends
 //! only on the configured replica set — never on boot order or wall
 //! clock — and removing one replica remaps only the keys it owned
@@ -23,46 +23,21 @@ impl std::fmt::Display for ReplicaId {
     }
 }
 
-/// How requests map onto routing keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionMode {
-    /// Hash the `user` query parameter: per-user cache affinity and the
-    /// per-user epoch-monotonicity guarantee during rollouts.
-    #[default]
-    ByUser,
-    /// Hash the `city` query parameter: all traffic for one city lands
-    /// on one replica (useful when city catalogs are sharded).
-    ByCity,
-}
-
-impl std::str::FromStr for PartitionMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "user" => Ok(PartitionMode::ByUser),
-            "city" => Ok(PartitionMode::ByCity),
-            other => Err(format!("unknown partition mode {other:?} (user|city)")),
-        }
-    }
-}
-
-/// A concrete routing key extracted from one request.
+/// The routing key of one request: its `user` query parameter. One
+/// user's traffic lands on one replica in every city they ask about,
+/// which is what gives per-user cache affinity and the per-user
+/// epoch-monotonicity guarantee during rollouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteKey {
-    /// Partition-by-user key.
+    /// The user id.
     User(u32),
-    /// Partition-by-city key.
-    City(u16),
 }
 
 impl RouteKey {
-    /// Stable 64-bit hash of the key, domain-separated per key kind so
-    /// user 7 and city 7 land on unrelated ring points.
+    /// Stable 64-bit hash of the key.
     pub fn hash(self) -> u64 {
-        match self {
-            RouteKey::User(u) => mix64(0x755b_a176_9d7f_3a21 ^ u as u64),
-            RouteKey::City(c) => mix64(0xc3a5_c85c_97cb_3127 ^ c as u64),
-        }
+        let RouteKey::User(u) = self;
+        mix64(0x755b_a176_9d7f_3a21 ^ u as u64)
     }
 }
 
@@ -228,8 +203,12 @@ mod tests {
         }
     }
 
+    /// Key ownership must survive a release: these are the points every
+    /// deployed ring has placed users 0, 7 and 42 on.
     #[test]
-    fn user_and_city_domains_are_separated() {
-        assert_ne!(RouteKey::User(7).hash(), RouteKey::City(7).hash());
+    fn user_key_hashes_are_pinned() {
+        assert_eq!(RouteKey::User(0).hash(), 0xf22d_3dcd_702c_387c);
+        assert_eq!(RouteKey::User(7).hash(), 0x0999_23e7_2a4d_6d26);
+        assert_eq!(RouteKey::User(42).hash(), 0xd06a_f6d0_4b99_d4b0);
     }
 }

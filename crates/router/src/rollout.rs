@@ -28,13 +28,12 @@
 //! each `POST /admin/reload` build its own short-lived driver and still
 //! continue a paused rollout instead of restarting it.
 
-use crate::fleet::{Fleet, Generation};
+use crate::fleet::{Fleet, Generation, BACKEND_CONNECT_TIMEOUT, BACKEND_READ_TIMEOUT};
 use crate::ring::ReplicaId;
 use st_serve::{HttpClient, ReloadOutcome};
 use st_tensor::StorageEncoding;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// Rollout tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,9 +41,6 @@ pub struct RolloutConfig {
     /// When set, every replica must land on exactly this snapshot format
     /// or the rollout pauses.
     pub expect_format: Option<StorageEncoding>,
-    /// Reload/verify RPC timeout; `None` uses a generous default
-    /// (reloads deserialize whole checkpoints).
-    pub rpc_timeout: Option<Duration>,
 }
 
 /// Outcome of one [`RolloutDriver::step`].
@@ -219,8 +215,7 @@ impl<'a> RolloutDriver<'a> {
     /// Issues the reload RPC and cross-checks the reported outcome
     /// against the replica's own `/metrics` gauges.
     fn reload_and_verify(&self, addr: SocketAddr) -> Result<u64, String> {
-        let timeout = self.config.rpc_timeout.unwrap_or(Duration::from_secs(30));
-        let resp = HttpClient::connect_with(addr, Duration::from_secs(1), timeout)
+        let resp = HttpClient::connect_with(addr, BACKEND_CONNECT_TIMEOUT, BACKEND_READ_TIMEOUT)
             .map_err(|e| format!("reload connect failed: {e}"))?
             .post("/admin/reload")
             .map_err(|e| format!("reload rpc failed: {e}"))?;
@@ -238,7 +233,7 @@ impl<'a> RolloutDriver<'a> {
         }
         // Independent verification: what the replica *reports serving*
         // must match what the reload claimed to install.
-        let scrape = crate::fleet::probe_metrics(addr, timeout)
+        let scrape = crate::fleet::probe_metrics(addr, BACKEND_READ_TIMEOUT)
             .map_err(|e| format!("verification scrape failed: {e}"))?;
         if scrape.epoch != epoch {
             return Err(format!(

@@ -7,8 +7,8 @@
 
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_router::{
-    BreakerConfig, Fleet, FleetConfig, PartitionMode, ReplicaId, RouteKey, Router, RouterConfig,
-    RouterServer,
+    BreakerConfig, Fleet, FleetConfig, ReplicaId, RouteKey, Router, RouterConfig, RouterServer,
+    DOWN_AFTER,
 };
 use st_serve::fault::FaultInjector;
 use st_serve::server::{Engine, ServeConfig, Server};
@@ -54,8 +54,6 @@ pub struct FleetFixture {
 /// Breaker threshold used by every fixture (small so dark windows are
 /// short, large enough that a single stale connection never trips it).
 pub const BREAKER_THRESHOLD: u32 = 3;
-/// Probe failures before a replica is marked down.
-pub const DOWN_AFTER: u32 = 2;
 
 impl FleetFixture {
     /// Builds a fleet of `n` replicas under `serve_config` (addr is
@@ -219,13 +217,10 @@ impl FleetFixture {
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         vnodes: 128,
-        partition: PartitionMode::ByUser,
         breaker: BreakerConfig {
             failure_threshold: BREAKER_THRESHOLD,
             // Never auto-half-opens: tests use probes/force_half_open.
             cooldown: Duration::from_secs(3600),
         },
-        down_after: DOWN_AFTER,
-        probe_timeout: Duration::from_millis(500),
     }
 }

@@ -96,16 +96,4 @@ proptest! {
         prop_assert_eq!(a.assign(hash), b.assign(hash));
         prop_assert_eq!(a.successors(hash), b.successors(hash));
     }
-
-    /// City keys get the same three guarantees; spot-check determinism
-    /// and totality on the city domain.
-    #[test]
-    fn city_keys_are_stable_too(replicas in 2u16..7, city in 0u16..5_000) {
-        let a = HashRing::with_members(replicas, 128);
-        let b = HashRing::with_members(replicas, 128);
-        let hash = RouteKey::City(city).hash();
-        let owner = a.assign(hash).unwrap();
-        prop_assert_eq!(owner, b.assign(hash).unwrap());
-        prop_assert!(a.members().contains(&owner));
-    }
 }

@@ -4,9 +4,11 @@
 //! 1. The rollout **pauses** at the dead shard (it never skips ahead or
 //!    abandons verification) and resumes exactly there after rejoin.
 //! 2. **Epochs never mix for one user**: every user's observed
-//!    `X-Model-Epoch` sequence is non-decreasing for the whole run, and
-//!    a user pinned to the new generation is shed (`503` + Retry-After)
-//!    rather than answered by an old-generation replica.
+//!    `X-Model-Epoch` sequence is non-decreasing for the whole run, in
+//!    every city they ask about — the crossing-city traveller is one
+//!    user, wherever they go — and a user pinned to the new generation
+//!    is shed (`503` + Retry-After) rather than answered by an
+//!    old-generation replica.
 //! 3. **Conservation**: every submitted request is accounted for —
 //!    `submitted = served + shed` — and the router's ledger agrees
 //!    with the client-side tally.
@@ -31,33 +33,39 @@ struct Tally {
     served: usize,
 }
 
-/// One request per tracked user: everyone must be served (`200`), and
-/// nobody's `X-Model-Epoch` may regress — the client-visible form of
-/// "epochs never mix per user", which holds across remaps too.
+/// One request per tracked user and city of the fixture: everyone must
+/// be served (`200`), and nobody's `X-Model-Epoch` may regress — the
+/// client-visible form of "epochs never mix per user", which holds
+/// across remaps and across cities too. The floor is per user, not per
+/// (user, city): a traveller who saw the new generation in one city
+/// must not meet the old one in the next.
 fn sweep(
     client: &mut HttpClient,
     users: &[u32],
+    cities: usize,
     last_epoch: &mut HashMap<u32, u64>,
     tally: &mut Tally,
 ) {
     for &user in users {
-        tally.submitted += 1;
-        let resp = client
-            .get(&format!("/recommend?user={user}&city=1&k=4"))
-            .expect("request resolves");
-        assert_eq!(resp.status, 200, "user {user}: {}", resp.body);
-        tally.served += 1;
-        let epoch: u64 = resp
-            .header("x-model-epoch")
-            .expect("epoch header")
-            .parse()
-            .expect("numeric epoch");
-        let floor = last_epoch.entry(user).or_insert(epoch);
-        assert!(
-            epoch >= *floor,
-            "user {user} regressed from epoch {floor} to {epoch}"
-        );
-        *floor = epoch;
+        for city in 0..cities {
+            tally.submitted += 1;
+            let resp = client
+                .get(&format!("/recommend?user={user}&city={city}&k=4"))
+                .expect("request resolves");
+            assert_eq!(resp.status, 200, "user {user} city {city}: {}", resp.body);
+            tally.served += 1;
+            let epoch: u64 = resp
+                .header("x-model-epoch")
+                .expect("epoch header")
+                .parse()
+                .expect("numeric epoch");
+            let floor = last_epoch.entry(user).or_insert(epoch);
+            assert!(
+                epoch >= *floor,
+                "user {user} regressed from epoch {floor} to {epoch} in city {city}"
+            );
+            *floor = epoch;
+        }
     }
 }
 
@@ -68,12 +76,14 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
     let mut users: Vec<u32> = fx.users_owned_by(0, 2);
     users.push(fx.user_owned_by(1));
     users.push(fx.user_owned_by(2));
+    let cities = fx.dataset.cities().len();
+    assert!(cities >= 2, "a traveller needs a city besides home");
     let mut client = HttpClient::connect(fx.router_addr()).expect("connect router");
     let mut last_epoch = HashMap::new();
     let mut tally = Tally::default();
 
     // Baseline traffic at epoch 1.
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
 
     // Publish generation 2 and start the rollout.
     fx.oracle.train_epoch(&fx.dataset.clone());
@@ -83,7 +93,6 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
         &fleet,
         RolloutConfig {
             expect_format: Some(StorageEncoding::F32),
-            rpc_timeout: None,
         },
     );
 
@@ -97,7 +106,7 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
         },
         "first step"
     );
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     assert!(fx.fleet.pinned_count() >= 2, "shard-0 users are pinned");
 
     // Replica 1 dies before its turn. The rollout pauses — and keeps
@@ -118,7 +127,7 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
     // Mid-pause traffic: shard 1's user remaps to a live successor (old
     // or new generation — either is fine for an unpinned user) and
     // nobody's epoch regresses.
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
 
     // The corpse rejoins on a fresh port; the driver resumes exactly
     // where it paused — shard 1, then shard 2 — and verification still
@@ -133,7 +142,7 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
         },
         "resumes at the paused shard"
     );
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     let step = driver.step();
     assert_eq!(
         step,
@@ -147,13 +156,14 @@ fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
     assert_eq!(fx.fleet.pinned_count(), 0, "pins drop with the rollout");
 
     // Post-rollout traffic: everyone lands on epoch 2.
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     for (&user, &epoch) in &last_epoch {
         assert_eq!(epoch, 2, "user {user} never reached the new generation");
     }
 
     // Conservation: nothing was lost across death, pause, and resume —
     // and the router's ledger agrees with the client-side tally.
+    assert_eq!(tally.submitted, 5 * users.len() * cities, "five sweeps");
     assert_eq!(tally.submitted, tally.served);
     let metrics = client.get("/metrics").expect("metrics");
     let scrape = |name: &str| -> usize {
@@ -186,10 +196,12 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
     // pins) instead of restarting it.
     let mut fx = FleetFixture::start("rollout-resume", 3, ServeConfig::default());
     let users: Vec<u32> = (0..3).map(|shard| fx.user_owned_by(shard)).collect();
+    let cities = fx.dataset.cities().len();
+    assert!(cities >= 2, "a traveller needs a city besides home");
     let mut client = HttpClient::connect(fx.router_addr()).expect("connect router");
     let mut last_epoch = HashMap::new();
     let mut tally = Tally::default();
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
 
     // Publish generation 2, kill shard 1, and start the rollout: shard 0
     // upgrades, then the rollout pauses at the corpse.
@@ -211,7 +223,7 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
     );
 
     // Shard 0's user is served by the new generation and pins to it.
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     assert_eq!(last_epoch[&users[0]], 2);
     assert!(fx.fleet.pinned_count() >= 1, "shard-0 user is pinned");
 
@@ -226,7 +238,7 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
         still.body
     );
     assert!(fx.fleet.pinned_count() >= 1, "resume must not clear pins");
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     assert_eq!(
         last_epoch[&users[0]], 2,
         "shard 0 must not be reloaded twice"
@@ -246,10 +258,11 @@ fn reposting_admin_reload_resumes_paused_rollout_over_http() {
         done.body
     );
     assert!(!fx.fleet.rollout_active());
-    sweep(&mut client, &users, &mut last_epoch, &mut tally);
+    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
     for (&user, &epoch) in &last_epoch {
         assert_eq!(epoch, 2, "user {user} never reached the new generation");
     }
+    assert_eq!(tally.submitted, 4 * users.len() * cities, "four sweeps");
     assert_eq!(tally.submitted, tally.served, "nothing lost across resume");
 
     // The ledger distinguishes the fresh start from the two resumes.

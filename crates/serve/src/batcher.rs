@@ -142,9 +142,8 @@ pub struct BatchConfig {
     /// Most requests one scorer takes in one pass. 1 reproduces
     /// one-request-at-a-time scoring through the identical code path.
     pub max_batch: usize,
-    /// Most jobs the queue will hold; submissions beyond this are shed
-    /// with [`SubmitError::QueueFull`]. 0 disables the bound (the
-    /// pre-overload-control behaviour; not recommended in production).
+    /// Most jobs the queue will hold, at least 1; submissions beyond
+    /// this are shed with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
     /// How long a job may wait in the queue before the drain path drops
     /// it with [`SubmitError::DeadlineExceeded`] instead of scoring it.
@@ -197,6 +196,10 @@ impl MicroBatcher {
         scorers: usize,
     ) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
+        assert!(
+            config.queue_capacity >= 1,
+            "queue_capacity must be at least 1"
+        );
         assert!(scorers >= 1, "a batcher needs a scorer");
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -236,7 +239,7 @@ impl MicroBatcher {
             if state.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            if self.config.queue_capacity > 0 && state.jobs.len() >= self.config.queue_capacity {
+            if state.jobs.len() >= self.config.queue_capacity {
                 self.metrics.shed_total.fetch_add(1, Relaxed);
                 return Err(SubmitError::QueueFull);
             }
@@ -658,6 +661,19 @@ mod tests {
         // They really were batchmates: one batch of three.
         assert_eq!(metrics.batch_size.count(), 1);
         assert_eq!(metrics.batch_size.sum(), 3);
+    }
+
+    /// An unbounded queue is not a configuration: capacity 0 is refused
+    /// at start-up, like a zero `max_batch`.
+    #[test]
+    #[should_panic(expected = "queue_capacity must be at least 1")]
+    fn a_zero_queue_capacity_is_refused() {
+        let (cell, _, _) = cell();
+        let config = BatchConfig {
+            queue_capacity: 0,
+            ..BatchConfig::default()
+        };
+        MicroBatcher::start(cell, Arc::new(Metrics::new()), config);
     }
 
     #[test]

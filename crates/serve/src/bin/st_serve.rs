@@ -39,7 +39,6 @@ struct Args {
     deadline_ms: u64,
     degrade_watermark: usize,
     cache_capacity: usize,
-    watch_interval_ms: u64,
     demo_epochs: usize,
     snapshot_format: StorageEncoding,
     max_candidates: usize,
@@ -61,7 +60,6 @@ impl Default for Args {
             deadline_ms: 0,
             degrade_watermark: 0,
             cache_capacity: 4096,
-            watch_interval_ms: 0,
             demo_epochs: 1,
             snapshot_format: StorageEncoding::F32,
             max_candidates: RetrievalConfig::default().max_candidates,
@@ -87,8 +85,8 @@ OPTIONS:
   --max-batch N           most queued requests one scorer takes at once;
                           a miss is scored on arrival, never held for
                           companions                      [default: 64]
-  --queue-capacity N      batcher queue bound; overflow sheds with 429
-                          (0 = unbounded)               [default: 4096]
+  --queue-capacity N      batcher queue bound, at least 1; overflow
+                          sheds with 429                [default: 4096]
   --deadline-ms MS        queued-request deadline; expired jobs get 503
                           (0 = off)                        [default: 0]
   --degrade-watermark N   queue depth above which requests fall back to
@@ -102,7 +100,6 @@ OPTIONS:
                                                            [default: 8]
   --grid-rings N          geo-grid ring radius around the query anchor
                                                            [default: 2]
-  --watch-interval-ms MS  checkpoint mtime watcher (0=off) [default: 0]
   --gen-demo DIR          write DIR/checkins.tsv + DIR/model.bin and exit
   --demo-epochs N         training epochs for --gen-demo   [default: 1]
   --snapshot-format F     demo checkpoint encoding: f32 | f16 | int8
@@ -146,7 +143,9 @@ fn parse_args() -> Args {
             "--queue-capacity" => {
                 args.queue_capacity = value("--queue-capacity")
                     .parse()
-                    .unwrap_or_else(|_| fail("--queue-capacity must be an integer"))
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| fail("--queue-capacity must be an integer >= 1"))
             }
             "--deadline-ms" => {
                 args.deadline_ms = value("--deadline-ms")
@@ -177,11 +176,6 @@ fn parse_args() -> Args {
                 args.grid_rings = value("--grid-rings")
                     .parse()
                     .unwrap_or_else(|_| fail("--grid-rings must be an integer"))
-            }
-            "--watch-interval-ms" => {
-                args.watch_interval_ms = value("--watch-interval-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--watch-interval-ms must be an integer"))
             }
             "--demo-epochs" => {
                 args.demo_epochs = value("--demo-epochs")
@@ -291,8 +285,6 @@ fn main() {
             deadline: Duration::from_millis(args.deadline_ms),
         },
         cache_capacity: args.cache_capacity,
-        watch_interval: (args.watch_interval_ms > 0)
-            .then(|| Duration::from_millis(args.watch_interval_ms)),
         degrade_watermark: args.degrade_watermark,
         retrieval: (args.max_candidates > 0).then(|| RetrievalConfig {
             max_candidates: args.max_candidates,

@@ -25,8 +25,10 @@ pub(crate) const MAX_HEADERS: usize = 64;
 /// Largest accepted request body, bytes.
 pub const MAX_BODY: usize = 64 * 1024;
 /// Largest accepted response body, bytes. A `/recommend` answer at the
-/// default `max_k` or a `/metrics` page is tens of KiB.
+/// largest `k` or a `/metrics` page is tens of KiB.
 pub const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
+/// `Retry-After` on every deliberate shed, seconds, at both tiers.
+pub const RETRY_AFTER_SECS: u32 = 1;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -309,6 +311,14 @@ impl Response {
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, message: &str) -> Self {
         Self::json(status, format!("{{\"error\":{}}}", json_string(message)))
+    }
+
+    /// A deliberate overload shed: [`Response::error`] plus
+    /// `Retry-After: RETRY_AFTER_SECS`. The header is the marker: it says
+    /// the server is alive and protecting itself, so the router keeps a
+    /// replica's shed out of its circuit breaker.
+    pub fn shed(status: u16, message: &str) -> Self {
+        Self::error(status, message).with_header("Retry-After", &RETRY_AFTER_SECS.to_string())
     }
 
     /// Adds a header.
@@ -623,8 +633,7 @@ mod tests {
     #[test]
     fn written_responses_read_back() {
         let mut wire = Vec::new();
-        Response::error(503, "deadline-exceeded")
-            .with_header("Retry-After", "1")
+        Response::shed(503, "deadline-exceeded")
             .write_to(&mut wire, false)
             .unwrap();
         let resp = read_response(&mut &wire[..]).unwrap();

@@ -31,8 +31,8 @@
 //!   invalidation on hot-reload free.
 //! - [`snapshot`] — checkpoint hot-reload: the model lives behind an
 //!   `Arc`-swapped [`snapshot::ServingGeneration`], so `POST
-//!   /admin/reload` (or the checkpoint-mtime watcher) swaps a new model
-//!   in without dropping in-flight requests.
+//!   /admin/reload` swaps a new model in without dropping in-flight
+//!   requests.
 //! - [`server`] — the [`server::Engine`] (routing, cache, reload: a
 //!   `Handler`) and the [`server::Server`] that owns its loop;
 //!   [`metrics`] is the `/metrics` page (request counts, cache hit

@@ -50,15 +50,6 @@ pub struct ServeConfig {
     pub batch: BatchConfig,
     /// LRU result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Poll interval for the checkpoint-mtime watcher; `None` disables
-    /// the watcher (reloads happen only via `POST /admin/reload`).
-    pub watch_interval: Option<Duration>,
-    /// Keep-alive idle timeout per connection.
-    pub idle_timeout: Duration,
-    /// Default `k` when the query omits it.
-    pub default_k: usize,
-    /// Largest accepted `k`.
-    pub max_k: usize,
     /// Queue depth at which requests degrade to stale cached results
     /// instead of queueing (0 disables degradation).
     pub degrade_watermark: usize,
@@ -78,16 +69,19 @@ impl Default for ServeConfig {
             workers: 4,
             batch: BatchConfig::default(),
             cache_capacity: 4096,
-            watch_interval: None,
-            idle_timeout: Duration::from_secs(5),
-            default_k: 10,
-            max_k: 1000,
             degrade_watermark: 0,
             retrieval: Some(RetrievalConfig::default()),
             fault: None,
         }
     }
 }
+
+/// `k` when the query omits it.
+const DEFAULT_K: usize = 10;
+/// Largest accepted `k`.
+const MAX_K: usize = 1000;
+/// Keep-alive idle timeout per connection.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The question a `/recommend` request asks.
 type CacheKey = (UserId, CityId, usize);
@@ -104,8 +98,6 @@ pub struct Engine {
     cache: Mutex<LruCache<CacheKey, (u64, Arc<str>)>>,
     metrics: Arc<Metrics>,
     batcher: MicroBatcher,
-    default_k: usize,
-    max_k: usize,
     degrade_watermark: usize,
 }
 
@@ -157,8 +149,6 @@ impl Engine {
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             metrics,
             batcher,
-            default_k: config.default_k,
-            max_k: config.max_k,
             degrade_watermark: config.degrade_watermark,
         })
     }
@@ -261,10 +251,10 @@ impl Engine {
         let k = match req.query_param("k").map(|_| req.int_param("k")) {
             Some(Ok(k)) => k,
             Some(Err(response)) => return response,
-            None => self.default_k,
+            None => DEFAULT_K,
         };
-        if k > self.max_k {
-            return Response::error(400, &format!("k exceeds maximum {}", self.max_k));
+        if k > MAX_K {
+            return Response::error(400, &format!("k exceeds maximum {MAX_K}"));
         }
         if user.idx() >= self.dataset.num_users() {
             return Response::error(404, &format!("unknown user {}", user.0));
@@ -343,15 +333,12 @@ impl Engine {
         }) {
             Ok(reply) => reply,
             Err(SubmitError::QueueFull) => {
-                return Response::error(429, "queue full, retry later")
-                    .with_header("Retry-After", "1");
+                return Response::shed(429, "queue full, retry later");
             }
             Err(SubmitError::DeadlineExceeded) => {
-                // Retry-After marks this as a deliberate overload shed
-                // (like the 429 above): the server is alive, the job
-                // just aged out. The router relies on this marker to
-                // keep deliberate sheds out of its circuit breakers.
-                return Response::error(503, "deadline-exceeded").with_header("Retry-After", "1");
+                // A shed like the 429 above: the server is alive, the
+                // job just aged out.
+                return Response::shed(503, "deadline-exceeded");
             }
             Err(SubmitError::ShuttingDown) => {
                 return Response::error(503, "server shutting down");
@@ -437,10 +424,9 @@ impl Handler for Engine {
     }
 }
 
-/// A running server: the shared [`HttpServer`] loop over an [`Engine`],
-/// plus the checkpoint watcher. Dropping it (or calling
-/// [`Server::shutdown`]) stops the listener, workers, batcher, and
-/// watcher.
+/// A running server: the shared [`HttpServer`] loop over an [`Engine`].
+/// Dropping it (or calling [`Server::shutdown`]) stops the listener,
+/// workers and batcher.
 pub struct Server {
     http: HttpServer<Engine>,
 }
@@ -448,26 +434,13 @@ pub struct Server {
 impl Server {
     /// Binds and starts serving `engine` under `config`.
     pub fn start(engine: Arc<Engine>, config: &ServeConfig) -> std::io::Result<Server> {
-        let mut http = HttpServer::start(
+        let http = HttpServer::start(
             "st-serve",
-            engine.clone(),
+            engine,
             &config.addr,
             config.workers,
-            config.idle_timeout,
+            IDLE_TIMEOUT,
         )?;
-        if let (Some(interval), true) = (config.watch_interval, engine.reloader.is_some()) {
-            http.every("st-serve-watcher", interval, move || {
-                if engine
-                    .reloader
-                    .as_ref()
-                    .is_some_and(Reloader::mtime_changed)
-                {
-                    // A broken half-written checkpoint is rejected; the
-                    // next tick retries.
-                    let _ = engine.reload();
-                }
-            })?;
-        }
         Ok(Server { http })
     }
 

@@ -24,8 +24,7 @@ use st_tensor::StorageEncoding;
 use st_transrec_core::{ModelConfig, ModelSnapshot, RetrievalConfig, RetrievalIndex};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::SystemTime;
+use std::sync::{Arc, RwLock};
 
 /// One immutable generation of the serving model.
 pub struct ServingGeneration {
@@ -184,10 +183,6 @@ impl ModelCell {
 pub struct Reloader {
     dataset: Arc<Dataset>,
     path: PathBuf,
-    /// Modification time of the last checkpoint we loaded (for the
-    /// mtime watcher); `None` until the first load through this reloader.
-    /// One `Option` set by assignment: [`recover`]ed when poisoned.
-    last_mtime: Mutex<Option<SystemTime>>,
 }
 
 impl Reloader {
@@ -202,7 +197,6 @@ impl Reloader {
         Self {
             dataset,
             path: path.into(),
-            last_mtime: Mutex::new(None),
         }
     }
 
@@ -213,9 +207,6 @@ impl Reloader {
     /// demand. A bad checkpoint (or one for another dataset) errors out
     /// before anything is swapped.
     pub fn load_frozen(&self) -> std::io::Result<(ModelSnapshot, u64)> {
-        let mtime = std::fs::metadata(&self.path)
-            .and_then(|m| m.modified())
-            .ok();
         let mapped = st_tensor::map_params(&self.path)?;
         let frozen = ModelSnapshot::from_mapped(&mapped)?;
         // The checkpoint must describe the dataset this server was
@@ -235,7 +226,6 @@ impl Reloader {
                 ),
             ));
         }
-        *recover(self.last_mtime.lock()) = mtime;
         Ok((frozen, mapped.file_bytes() as u64))
     }
 
@@ -252,19 +242,6 @@ impl Reloader {
             snapshot_bytes: bytes,
             mapped,
         })
-    }
-
-    /// True when the checkpoint file's mtime differs from the last load
-    /// (the mtime watcher's trigger). Unreadable metadata reads as
-    /// "unchanged" so a transient stat failure does not force a reload.
-    pub(crate) fn mtime_changed(&self) -> bool {
-        let Ok(meta) = std::fs::metadata(&self.path) else {
-            return false;
-        };
-        let Ok(mtime) = meta.modified() else {
-            return false;
-        };
-        *recover(self.last_mtime.lock()) != Some(mtime)
     }
 }
 
@@ -452,19 +429,16 @@ mod tests {
             scope
                 .spawn(|| {
                     let _cell = cell.current.write().unwrap();
-                    let _mtime = reloader.last_mtime.lock().unwrap();
-                    panic!("poisoning the cell and the mtime lock (expected)");
+                    panic!("poisoning the cell lock (expected)");
                 })
                 .join()
         });
         assert!(panicked.is_err());
-        assert!(cell.current.is_poisoned() && reloader.last_mtime.is_poisoned());
+        assert!(cell.current.is_poisoned());
 
         assert_eq!(cell.current().epoch, 1);
-        assert!(reloader.mtime_changed());
         assert_eq!(reloader.reload_into(&cell).unwrap().epoch, 2);
         assert_eq!(cell.current().epoch, 2);
-        assert!(!reloader.mtime_changed());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,7 +19,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A fresh scratch directory per test (std-only: no tempfile crate).
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -384,24 +383,4 @@ fn malformed_and_invalid_requests() {
     assert!(metrics.body.contains("st_serve_request_latency_us_count"));
 
     server.shutdown();
-}
-
-#[test]
-fn shutdown_does_not_wait_out_the_watch_interval() {
-    let fx = fixture("watcher", 0);
-    let config = ServeConfig {
-        watch_interval: Some(Duration::from_secs(10)),
-        ..ServeConfig::default()
-    };
-    let server = start_server(&fx, &config);
-    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
-
-    let started = std::time::Instant::now();
-    server.shutdown();
-    let took = started.elapsed();
-    assert!(
-        took < Duration::from_secs(1),
-        "shutdown waited {took:?} behind the checkpoint watcher's sleep"
-    );
 }

@@ -152,9 +152,8 @@ pub fn save_params_atomic(store: &ParamStore, path: &Path) -> std::io::Result<()
 }
 
 /// [`save_params_atomic`] with an explicit table encoding — the writer
-/// the online publisher uses to produce whatever format the serving
-/// tier requests. Lossy encodings apply to `*_emb` tables only (see
-/// `is_table_param`).
+/// behind `st-serve --gen-demo --snapshot-format`. Lossy encodings
+/// apply to `*_emb` tables only (see `is_table_param`).
 pub fn save_params_atomic_as(
     store: &ParamStore,
     path: &Path,
