@@ -1,9 +1,9 @@
 //! Dependency-free JSON serialization for result dumps.
 //!
-//! The harness only ever *writes* JSON (`results/` dumps, `chaos`
-//! reports), so instead of pulling in a serde stack it builds a [`Json`]
-//! value tree and prints it: `{}` on one line, `{:#}` indented. Structs
-//! opt in with [`crate::json_object_impl!`], which mirrors what
+//! The harness only ever *writes* JSON (the `results/` dumps), so
+//! instead of pulling in a serde stack it builds a [`Json`] value tree
+//! and prints it: `{}` on one line, `{:#}` indented. Structs opt in
+//! with [`crate::json_object_impl!`], which mirrors what
 //! `#[derive(Serialize)]` produced before.
 
 use std::fmt;
@@ -146,38 +146,6 @@ json_object_impl!(st_data::DatasetStats {
     crossing_users,
     crossing_checkins,
 });
-json_object_impl!(st_online::CycleRecord {
-    cycle,
-    fault,
-    outcome,
-    events_trained,
-    loss,
-    candidate_hit_rate,
-    baseline_hit_rate,
-    served_epoch,
-    publish_latency_us,
-    staleness_us,
-});
-json_object_impl!(st_online::OnlineReport {
-    cycles,
-    events_ingested,
-    events_per_sec,
-    final_served_epoch,
-    reloads_ok,
-    reloads_failed,
-});
-
-impl ToJson for st_online::PublishFault {
-    fn to_json(&self) -> Json {
-        self.label().to_json()
-    }
-}
-
-impl ToJson for st_online::CycleOutcome {
-    fn to_json(&self) -> Json {
-        self.label().to_json()
-    }
-}
 
 impl fmt::Display for Json {
     /// `{}` renders on one line, `{:#}` indented two spaces per level.

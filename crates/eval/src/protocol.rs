@@ -126,9 +126,10 @@ pub fn evaluate(
     acc.finish()
 }
 
-/// Candidate set: all ground-truth POIs plus `negatives` distinct unvisited
-/// target-city POIs (fewer if the city is too small).
-fn sample_candidates(
+/// Candidate set: all ground-truth POIs plus `negatives` distinct POIs of
+/// `target_pois` outside the truth (fewer if the city is too small), drawn
+/// by a partial Fisher-Yates.
+pub(crate) fn sample_candidates(
     target_pois: &[PoiId],
     truth: &[PoiId],
     negatives: usize,

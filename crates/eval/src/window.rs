@@ -13,9 +13,10 @@
 //! serving baseline are compared on *identical* candidate lists and the
 //! publish gate's accept/reject decision is reproducible run to run.
 
+use crate::protocol::sample_candidates;
 use crate::Scorer;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use st_data::{Checkin, Dataset, PoiId};
 use std::cmp::Ordering;
 
@@ -75,19 +76,11 @@ pub fn evaluate_window(
     }
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut hits = 0usize;
-    let mut candidates: Vec<PoiId> = Vec::with_capacity(config.negatives + 1);
     for event in events {
         let truth = event.poi;
         let city_pois = dataset.pois_in_city(dataset.poi(truth).city);
-        candidates.clear();
-        candidates.push(truth);
-        sample_negatives(
-            city_pois,
-            truth,
-            config.negatives,
-            &mut rng,
-            &mut candidates,
-        );
+        let candidates: Vec<PoiId> =
+            sample_candidates(city_pois, &[truth], config.negatives, &mut rng);
         let scores = scorer.score_batch(event.user, &candidates);
         debug_assert_eq!(scores.len(), candidates.len());
         // Rank of the truth (index 0) under descending score: a negative
@@ -102,25 +95,6 @@ pub fn evaluate_window(
     WindowReport {
         events: events.len(),
         hit_rate: hits as f64 / events.len() as f64,
-    }
-}
-
-/// Appends up to `negatives` distinct same-city POIs (excluding `truth`)
-/// via partial Fisher-Yates over a scratch index vector.
-fn sample_negatives(
-    city_pois: &[PoiId],
-    truth: PoiId,
-    negatives: usize,
-    rng: &mut SmallRng,
-    out: &mut Vec<PoiId>,
-) {
-    let pool: Vec<PoiId> = city_pois.iter().copied().filter(|&p| p != truth).collect();
-    let k = negatives.min(pool.len());
-    let mut idx: Vec<usize> = (0..pool.len()).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..idx.len());
-        idx.swap(i, j);
-        out.push(pool[idx[i]]);
     }
 }
 

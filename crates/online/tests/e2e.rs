@@ -159,6 +159,42 @@ fn same_seed_runs_reproduce_identical_publish_sequences() {
 }
 
 #[test]
+fn smoke_suite_passes_every_gate() {
+    // The seed-42 smoke run twice. The seeded plan injects one
+    // regression and one crash into four cycles; every regression must
+    // be rejected, no rejected or crashed cycle may move the serving
+    // epoch, both checkpoints must load, and the runs must match.
+    let (dataset, split) = tiny();
+    let config = OnlineLoopConfig::smoke(42);
+    let (dir_a, dir_b) = (scratch_dir("smoke-a"), scratch_dir("smoke-b"));
+    let a = run_embedded(&dataset, &split, &dir_a, &config).expect("run a");
+    let b = run_embedded(&dataset, &split, &dir_b, &config).expect("run b");
+
+    let outcomes = [
+        CycleOutcome::Published,
+        CycleOutcome::Rejected,
+        CycleOutcome::Crashed,
+    ];
+    assert_eq!(outcomes.map(|o| a.count(o)), [2, 1, 1]);
+    for (i, c) in a.cycles.iter().enumerate() {
+        if c.fault == PublishFault::Regress {
+            assert_eq!(c.outcome, CycleOutcome::Rejected, "cycle {i}");
+        }
+        if c.outcome != CycleOutcome::Published {
+            // Epoch 1 serves before the first cycle.
+            let before = i.checked_sub(1).map_or(1, |p| a.cycles[p].served_epoch);
+            assert_eq!(c.served_epoch, before, "cycle {i} moved the epoch");
+        }
+    }
+    for dir in [&dir_a, &dir_b] {
+        let file = std::fs::File::open(dir.join("model.bin")).expect("checkpoint exists");
+        st_tensor::load_params(file).expect("checkpoint loads");
+    }
+    assert_eq!((a.reloads_failed, b.reloads_failed), (0, 0));
+    assert_eq!(a.signature(), b.signature());
+}
+
+#[test]
 fn publisher_surfaces_a_reply_it_cannot_frame() {
     // A "server" whose replies carry no Content-Length. The lax reader
     // took them for empty 200 bodies and reported "no model_epoch" /

@@ -173,17 +173,21 @@ impl FleetFixture {
 
     /// The first `count` dataset users statically owned by replica `id`.
     pub fn users_owned_by(&self, id: usize, count: usize) -> Vec<u32> {
-        let total = self.dataset.num_users() as u32;
-        let users: Vec<u32> = (0..total)
-            .filter(|u| self.fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(id as u16)))
-            .take(count)
-            .collect();
-        assert_eq!(
-            users.len(),
-            count,
-            "replica {id} owns fewer than {count} of {total} users"
+        let mut users = self.all_users_owned_by(id);
+        assert!(
+            users.len() >= count,
+            "replica {id} owns {} users, fewer than {count}",
+            users.len()
         );
+        users.truncate(count);
         users
+    }
+
+    /// Every dataset user statically owned by replica `id`.
+    pub fn all_users_owned_by(&self, id: usize) -> Vec<u32> {
+        (0..self.dataset.num_users() as u32)
+            .filter(|&u| self.fleet.static_owner(RouteKey::User(u)) == Some(ReplicaId(id as u16)))
+            .collect()
     }
 
     /// Blocks until replica `id`'s batcher queue holds exactly `depth`

@@ -53,8 +53,8 @@
 //! configurable queue watermark requests fall back to possibly-stale
 //! cached results marked `"degraded": true` instead of queueing.
 //! [`fault`] provides the deterministic fault-injection hooks (latency
-//! pads, forced scorer errors, queue freezes) that the chaos test suite
-//! and st-bench's seeded `chaos serve` replay use to prove those
+//! pads, forced scorer errors, queue freezes) that the chaos tests, the
+//! scripted scenarios and the seeded replay, use to prove those
 //! behaviors reproducibly.
 //!
 //! ```no_run
