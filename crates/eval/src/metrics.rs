@@ -83,15 +83,18 @@ pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k:
 /// `scores` and `relevant` are parallel: `relevant[i]` says whether
 /// candidate `i` is ground truth. Ties are broken by candidate order
 /// (stable sort), which keeps evaluation deterministic. A NaN score (a
-/// diverged model) ranks below every number, so it can neither win nor
-/// abort the evaluation.
+/// diverged model) ranks below every number, and a NaN truth below every
+/// NaN negative too, so NaN can neither win nor abort the evaluation —
+/// [`crate::evaluate_window`]'s rule.
 pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetrics {
     assert_eq!(scores.len(), relevant.len(), "scores/relevance mismatch");
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| {
-        let (a, b) = (scores[a], scores[b]);
-        b.partial_cmp(&a)
-            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+        // Only reached with a NaN on one side: NaN last, truths last among NaNs.
+        let nan_last = |i: usize| (scores[i].is_nan(), relevant[i]);
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or_else(|| nan_last(a).cmp(&nan_last(b)))
     });
     let hits: Vec<bool> = order.iter().map(|&i| relevant[i]).collect();
     let num_relevant = relevant.iter().filter(|&&r| r).count();
@@ -246,6 +249,13 @@ mod tests {
         let relevant = [true, false, false, false];
         assert_eq!(hit_at(&truth_nan, &relevant, 3), 0.0);
         assert_eq!(hit_at(&truth_nan, &relevant, 4), 1.0);
+        // And below every NaN negative: a diverged model that scores all
+        // of `evaluate`'s 101 candidates NaN, truth first, misses.
+        let mut relevant = [false; 101];
+        relevant[0] = true;
+        let all_nan = rank_metrics(&[nan; 101], &relevant, &[10]);
+        assert_eq!(all_nan.values, vec![vec![0.0]; Metric::ALL.len()]);
+        assert_eq!(hit_at(&[nan; 101], &relevant, 101), 1.0);
         // ±0 tie: the earlier candidate wins either way round.
         assert_eq!(hit_at(&[0.0, -0.0], &[true, false], 1), 1.0);
         assert_eq!(hit_at(&[-0.0, 0.0], &[true, false], 1), 1.0);

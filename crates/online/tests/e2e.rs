@@ -11,10 +11,14 @@
 
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit, Dataset};
-use st_online::{run_embedded, CycleOutcome, FaultPlan, OnlineLoopConfig, PublishFault};
-use std::path::PathBuf;
+use st_online::{
+    run_embedded, CycleOutcome, FaultPlan, OnlineLoopConfig, OnlineReport, PublishFault,
+};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use CycleOutcome::{Crashed, Published, Rejected};
+use PublishFault::{Clean, Crash, Regress};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -34,111 +38,94 @@ fn tiny() -> (Arc<Dataset>, Arc<CrossingCitySplit>) {
     (dataset, split)
 }
 
+/// Runs the smoke loop for `seed` in a fresh directory, with `faults`
+/// in place of the seeded plan if given.
+fn run(seed: u64, faults: Option<&[PublishFault]>) -> (OnlineReport, PathBuf) {
+    let (dataset, split) = tiny();
+    let dir = scratch_dir("run");
+    let mut config = OnlineLoopConfig::smoke(seed);
+    if let Some(faults) = faults {
+        config.faults = FaultPlan::explicit(faults.to_vec());
+    }
+    let report = run_embedded(&dataset, &split, &dir, &config).expect("loop runs");
+    (report, dir)
+}
+
+/// The seed-42 smoke run, twice, each in its own directory.
+fn smoke_pair() -> &'static [(OnlineReport, PathBuf); 2] {
+    static PAIR: OnceLock<[(OnlineReport, PathBuf); 2]> = OnceLock::new();
+    PAIR.get_or_init(|| [run(42, None), run(42, None)])
+}
+
+fn outcomes(report: &OnlineReport) -> Vec<CycleOutcome> {
+    report.cycles.iter().map(|c| c.outcome).collect()
+}
+
+/// What a defended run keeps, whatever its faults: each crash leaves
+/// one torn `.crash-` artifact that fails to load beside a checkpoint
+/// that loads; each regression is rejected, measurably worse than the
+/// baseline; no cycle that did not publish moves the serving epoch; and
+/// the serving tier took exactly one clean reload per publish.
+fn assert_defended(report: &OnlineReport, dir: &Path) {
+    let torn: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_string_lossy().contains(".crash-"))
+        .collect();
+    assert_eq!(torn.len(), report.count(Crashed), "{torn:?}");
+    for path in &torn {
+        let torn = st_tensor::load_params(std::fs::read(path).unwrap().as_slice());
+        assert!(torn.is_err(), "{path:?}");
+    }
+    let file = std::fs::File::open(dir.join("model.bin")).expect("checkpoint exists");
+    let store = st_tensor::load_params(file).expect("checkpoint loads");
+    assert!(!store.is_empty());
+
+    for (i, c) in report.cycles.iter().enumerate() {
+        if c.fault == Regress {
+            assert_eq!(c.outcome, Rejected, "cycle {i}");
+            assert!(
+                c.candidate_hit_rate < c.baseline_hit_rate,
+                "cycle {i}: impostor {} vs baseline {}",
+                c.candidate_hit_rate,
+                c.baseline_hit_rate
+            );
+        }
+        if c.outcome != Published {
+            // Epoch 1 serves before the first cycle.
+            let before = i
+                .checked_sub(1)
+                .map_or(1, |p| report.cycles[p].served_epoch);
+            assert_eq!(c.served_epoch, before, "cycle {i} moved the epoch");
+        }
+    }
+    let published = report.count(Published) as u64;
+    assert_eq!(report.final_served_epoch, 1 + published);
+    assert_eq!((report.reloads_ok, report.reloads_failed), (published, 0));
+}
+
 #[test]
 fn regressing_candidate_is_rejected_and_never_served() {
-    let (dataset, split) = tiny();
-    let scratch = scratch_dir("regress");
-    let mut config = OnlineLoopConfig::smoke(42);
-    // Pin the schedule: clean publish, then a regressing impostor, then
-    // a clean publish to prove the loop recovers.
-    config.faults = FaultPlan::explicit(vec![
-        PublishFault::Clean,
-        PublishFault::Regress,
-        PublishFault::Clean,
-    ]);
-
-    let report = run_embedded(&dataset, &split, &scratch, &config).expect("loop runs");
-
-    let regress = &report.cycles[1];
-    assert_eq!(regress.fault, PublishFault::Regress);
-    assert_eq!(
-        regress.outcome,
-        CycleOutcome::Rejected,
-        "untrained impostor must lose the shadow gate: candidate {} vs baseline {}",
-        regress.candidate_hit_rate,
-        regress.baseline_hit_rate
-    );
-    assert!(
-        regress.candidate_hit_rate < regress.baseline_hit_rate,
-        "impostor should measurably regress"
-    );
-    // Never served: the epoch after the regress cycle equals the epoch
-    // after the first publish — no reload happened for the impostor.
-    assert_eq!(regress.served_epoch, report.cycles[0].served_epoch);
-
-    // The loop recovers: both clean cycles published, and the serving
-    // tier saw exactly those two reloads, none failed.
-    assert_eq!(report.cycles[0].outcome, CycleOutcome::Published);
-    assert_eq!(report.cycles[2].outcome, CycleOutcome::Published);
-    assert_eq!(report.count(CycleOutcome::Published), 2);
-    assert_eq!(report.count(CycleOutcome::Rejected), 1);
-    assert_eq!(report.reloads_ok, 2);
-    assert_eq!(report.reloads_failed, 0);
-    assert_eq!(
-        report.final_served_epoch, 3,
-        "start epoch 1 + two publishes"
-    );
+    // A clean publish, a regressing impostor, and a clean publish to
+    // prove the loop recovers.
+    let (report, dir) = run(42, Some(&[Clean, Regress, Clean]));
+    assert_defended(&report, &dir);
+    assert_eq!(outcomes(&report), [Published, Rejected, Published]);
 }
 
 #[test]
 fn crash_mid_publish_leaves_serving_tier_intact() {
-    let (dataset, split) = tiny();
-    let scratch = scratch_dir("crash");
-    let mut config = OnlineLoopConfig::smoke(43);
-    config.faults = FaultPlan::explicit(vec![
-        PublishFault::Clean,
-        PublishFault::Crash,
-        PublishFault::Clean,
-    ]);
-
-    let report = run_embedded(&dataset, &split, &scratch, &config).expect("loop runs");
-
-    let crash = &report.cycles[1];
-    assert_eq!(crash.outcome, CycleOutcome::Crashed);
-    // The crash happened *after* the gate accepted — the dangerous case:
-    // a good candidate died halfway through its write.
-    assert_eq!(
-        crash.served_epoch, report.cycles[0].served_epoch,
-        "crash must not move the serving epoch"
-    );
-
-    // The torn temp file exists and is NOT the checkpoint: the atomic
-    // path never exposes partial bytes under the checkpoint name.
-    let torn: Vec<_> = std::fs::read_dir(&scratch)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().contains(".crash-"))
-        .collect();
-    assert_eq!(torn.len(), 1, "exactly one torn publish artifact");
-
-    // The checkpoint still loads cleanly — it is the *previous*
-    // generation's bytes, untouched by the crashed publish.
-    let store = st_tensor::load_params(std::fs::File::open(scratch.join("model.bin")).unwrap())
-        .expect("checkpoint survives the crash");
-    assert!(!store.is_empty());
-    // And the torn bytes would have been rejected had they ever been
-    // renamed into place (truncated stream -> load error).
-    let torn_bytes = std::fs::read(torn[0].path()).unwrap();
-    assert!(st_tensor::load_params(torn_bytes.as_slice()).is_err());
-
-    // Cycle 2 recovers with a clean publish on top of the old generation.
-    assert_eq!(report.cycles[2].outcome, CycleOutcome::Published);
-    assert_eq!(report.final_served_epoch, 3);
-    assert_eq!(report.reloads_failed, 0);
+    // The crash comes after the gate accepted — a good candidate dies
+    // halfway through its write — and the next cycle publishes on top
+    // of the old generation.
+    let (report, dir) = run(43, Some(&[Clean, Crash, Clean]));
+    assert_defended(&report, &dir);
+    assert_eq!(outcomes(&report), [Published, Crashed, Published]);
 }
 
 #[test]
 fn same_seed_runs_reproduce_identical_publish_sequences() {
-    let (dataset, split) = tiny();
-    let config = OnlineLoopConfig::smoke(44);
-    // The seeded smoke plan carries at least one regression and one
-    // crash; both runs must walk the exact same path through them.
-    assert!(config.faults.count(PublishFault::Regress) >= 1);
-    assert_eq!(config.faults.count(PublishFault::Crash), 1);
-
-    let a = run_embedded(&dataset, &split, &scratch_dir("repro-a"), &config).expect("run a");
-    let b = run_embedded(&dataset, &split, &scratch_dir("repro-b"), &config).expect("run b");
-
+    let [(a, _), (b, _)] = smoke_pair();
     assert_eq!(
         a.signature(),
         b.signature(),
@@ -149,8 +136,7 @@ fn same_seed_runs_reproduce_identical_publish_sequences() {
 
     // And a different seed takes a different path (stream, faults, and
     // gate seeds all derive from it).
-    let other = OnlineLoopConfig::smoke(45);
-    let c = run_embedded(&dataset, &split, &scratch_dir("repro-c"), &other).expect("run c");
+    let (c, _) = run(45, None);
     assert_ne!(
         a.signature(),
         c.signature(),
@@ -160,38 +146,15 @@ fn same_seed_runs_reproduce_identical_publish_sequences() {
 
 #[test]
 fn smoke_suite_passes_every_gate() {
-    // The seed-42 smoke run twice. The seeded plan injects one
-    // regression and one crash into four cycles; every regression must
-    // be rejected, no rejected or crashed cycle may move the serving
-    // epoch, both checkpoints must load, and the runs must match.
-    let (dataset, split) = tiny();
-    let config = OnlineLoopConfig::smoke(42);
-    let (dir_a, dir_b) = (scratch_dir("smoke-a"), scratch_dir("smoke-b"));
-    let a = run_embedded(&dataset, &split, &dir_a, &config).expect("run a");
-    let b = run_embedded(&dataset, &split, &dir_b, &config).expect("run b");
-
-    let outcomes = [
-        CycleOutcome::Published,
-        CycleOutcome::Rejected,
-        CycleOutcome::Crashed,
-    ];
-    assert_eq!(outcomes.map(|o| a.count(o)), [2, 1, 1]);
-    for (i, c) in a.cycles.iter().enumerate() {
-        if c.fault == PublishFault::Regress {
-            assert_eq!(c.outcome, CycleOutcome::Rejected, "cycle {i}");
-        }
-        if c.outcome != CycleOutcome::Published {
-            // Epoch 1 serves before the first cycle.
-            let before = i.checked_sub(1).map_or(1, |p| a.cycles[p].served_epoch);
-            assert_eq!(c.served_epoch, before, "cycle {i} moved the epoch");
-        }
-    }
-    for dir in [&dir_a, &dir_b] {
-        let file = std::fs::File::open(dir.join("model.bin")).expect("checkpoint exists");
-        st_tensor::load_params(file).expect("checkpoint loads");
-    }
-    assert_eq!((a.reloads_failed, b.reloads_failed), (0, 0));
-    assert_eq!(a.signature(), b.signature());
+    // The seeded plan injects one regression and one crash into four
+    // cycles; both runs must keep every defence.
+    let [(a, dir_a), (b, dir_b)] = smoke_pair();
+    assert_eq!(
+        [Published, Rejected, Crashed].map(|o| a.count(o)),
+        [2, 1, 1]
+    );
+    assert_defended(a, dir_a);
+    assert_defended(b, dir_b);
 }
 
 #[test]

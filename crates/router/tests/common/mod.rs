@@ -191,16 +191,23 @@ impl FleetFixture {
     }
 
     /// Blocks until replica `id`'s batcher queue holds exactly `depth`
-    /// jobs (used with a frozen injector gate).
+    /// jobs (used with a frozen injector gate). A depth that never
+    /// arrives thaws the gate before failing, so the parked clients
+    /// resolve and the test reports the stuck depth instead of waiting
+    /// out their timeouts.
     pub fn wait_for_depth(&self, id: usize, depth: usize) {
         let server = self.replicas[id].server.as_ref().expect("replica alive");
         let metrics = server.engine().metrics();
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while metrics.queue_depth.load(Ordering::Relaxed) != depth as u64 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "replica {id} queue never reached {depth}"
-            );
+        loop {
+            let now = metrics.queue_depth.load(Ordering::Relaxed);
+            if now == depth as u64 {
+                return;
+            }
+            if std::time::Instant::now() >= deadline {
+                self.replicas[id].injector.thaw();
+                panic!("replica {id} queue stuck at {now}, wanted {depth}");
+            }
             std::thread::sleep(Duration::from_micros(200));
         }
     }

@@ -1,20 +1,28 @@
 //! The micro-batcher: one queue of recommendation requests in front of
 //! the scorer threads, behind overload-safe admission control.
 //!
-//! HTTP workers submit [`BatchRequest`]s and block on a per-request
-//! channel. Admission is bounded: a queue at `queue_capacity` sheds new
-//! submissions synchronously with [`SubmitError::QueueFull`] instead of
-//! growing without limit, and every queued job carries its enqueue time
-//! so the drain path can drop jobs whose `deadline` passed before
-//! scoring ([`SubmitError::DeadlineExceeded`]) — one slow batch delays
-//! the queue, it does not cascade into a convoy of doomed work.
+//! The batcher is two layers. `Queue` is the whole queueing policy and
+//! reads no clock: every operation takes `now`. It admits a job unless
+//! the batcher is shutting down ([`SubmitError::ShuttingDown`]) or the
+//! queue holds `queue_capacity` jobs, in which case the submission is
+//! shed synchronously ([`SubmitError::QueueFull`]) instead of growing the
+//! queue without limit. A drain takes the oldest `min(queued, max_batch)`
+//! jobs and expires those among them that waited longer than `deadline`
+//! ([`SubmitError::DeadlineExceeded`]), so one slow batch delays the
+//! queue but does not cascade into a convoy of doomed work. The model
+//! test below drives it through random admit / take / shutdown / clock
+//! sequences against a reference FIFO.
 //!
-//! One scorer thread per CPU the process may run on drains the queue.
-//! A scorer woken by an arrival takes what is queued, up to `max_batch`,
-//! and scores it at once — it never waits for companions, so a batch is
-//! the backlog that built up while every scorer was busy. It scores each
-//! request of the batch — one user against its candidates, the shape the
-//! tower computes — against the one generation's frozen
+//! [`MicroBatcher`] is the threaded shell around it: the mutex and
+//! condvar, the fault gate, the reply channels and the metrics. It reads
+//! the clock once per submit and once per drain. HTTP workers submit
+//! [`BatchRequest`]s and block on a per-request channel. One scorer
+//! thread per CPU the process may run on drains the queue. A scorer
+//! woken by an arrival takes what is queued and scores it at once — it
+//! never waits for companions, so a batch is the backlog that built up
+//! while every scorer was busy. It scores each request of the batch —
+//! one user against its candidates, the shape the tower computes —
+//! against the one generation's frozen
 //! [`st_transrec_core::ModelSnapshot`]: tape-free `InferCtx` execution
 //! over scratch buffers the scorer owns and reuses for its whole
 //! lifetime. The scoring path takes candidates in fixed cache-resident
@@ -24,13 +32,13 @@
 //!
 //! Every submitted job reaches exactly one terminal outcome: scored,
 //! shed at admission, expired in queue, failed by an injected fault, or
-//! answered with a shutdown error. The shutdown flag lives under the
-//! same mutex as the queue, so no job can slip in between the stop flag
-//! and the final drain — the conservation invariant the chaos harness
-//! asserts end to end.
+//! answered with a shutdown error. The shutdown flag is part of the
+//! queue, under its one mutex, so no job can slip in between the stop
+//! flag and the final drain — the conservation invariant the chaos
+//! harness asserts end to end.
 
 use crate::fault::FaultInjector;
-use crate::metrics::{Metrics, Stage};
+use crate::metrics::{micros, Metrics, Stage};
 use crate::snapshot::ModelCell;
 use st_data::{PoiId, UserId};
 /// The ranking rule of `recommend_top_k`, at the path the batcher has
@@ -100,28 +108,90 @@ impl std::fmt::Display for SubmitError {
 struct Job {
     req: BatchRequest,
     tx: mpsc::Sender<Result<BatchReply, SubmitError>>,
-    enqueued_at: Instant,
 }
 
-/// Queue and shutdown flag under ONE mutex: `submit` checks the flag and
-/// enqueues atomically, so a job either lands before the scorers' final
-/// drain (and gets answered) or is rejected — never silently parked.
-struct QueueState {
-    jobs: VecDeque<Job>,
+/// The batcher's queue: admission, expiry and shutdown, with the time
+/// passed in. Jobs and the shutdown flag live together, so under the
+/// shell's one mutex `admit` checks the flag and enqueues atomically: a
+/// job either lands before the scorers' final drain (and gets answered)
+/// or is refused — never silently parked.
+struct Queue<T> {
+    /// Admitted jobs, oldest first, each with its admission time.
+    jobs: VecDeque<(Instant, T)>,
+    capacity: usize,
+    /// Zero means no expiry.
+    deadline: Duration,
     shutdown: bool,
 }
 
+/// What one drain took: the oldest `min(queued, max_batch)` jobs, each
+/// with how long it waited, split by the deadline. Both lists are oldest
+/// first.
+struct Drain<T> {
+    fresh: Vec<(Duration, T)>,
+    expired: Vec<(Duration, T)>,
+}
+
+impl<T> Queue<T> {
+    fn new(capacity: usize, deadline: Duration) -> Self {
+        Self {
+            jobs: VecDeque::new(),
+            capacity,
+            deadline,
+            shutdown: false,
+        }
+    }
+
+    /// Admits `job` at `now`. After shutdown every submission is refused;
+    /// a full queue sheds it.
+    fn admit(&mut self, now: Instant, job: T) -> Result<(), SubmitError> {
+        if self.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        if self.jobs.len() >= self.capacity {
+            return Err(SubmitError::QueueFull);
+        }
+        self.jobs.push_back((now, job));
+        Ok(())
+    }
+
+    /// Takes the oldest `min(queued, max_batch)` jobs at `now`. Those that
+    /// waited longer than the deadline are expired, and still count
+    /// toward `max_batch`.
+    fn take(&mut self, now: Instant, max_batch: usize) -> Drain<T> {
+        let n = self.jobs.len().min(max_batch);
+        let mut drain = Drain {
+            fresh: Vec::with_capacity(n),
+            expired: Vec::new(),
+        };
+        for (admitted, job) in self.jobs.drain(..n) {
+            let waited = now.saturating_duration_since(admitted);
+            if !self.deadline.is_zero() && waited > self.deadline {
+                drain.expired.push((waited, job));
+            } else {
+                drain.fresh.push((waited, job));
+            }
+        }
+        drain
+    }
+
+    /// Refuses every later admission; jobs already queued stay to be
+    /// drained.
+    fn shut_down(&mut self) {
+        self.shutdown = true;
+    }
+}
+
 struct Shared {
-    state: Mutex<QueueState>,
+    queue: Mutex<Queue<Job>>,
     arrived: Condvar,
 }
 
 /// Takes the guard out of a lock result whether or not the lock is
-/// poisoned. [`QueueState`] is a `VecDeque` and a flag, each changed by
-/// one whole operation (`push_back`, `drain`, an assignment), so it is
-/// consistent wherever a holder unwinds (as is `snapshot`'s one-pointer
-/// cell); refusing the guard would only turn one thread's panic into
-/// every scorer's and every HTTP worker's.
+/// poisoned. [`Queue`] changes by whole operations (`push_back`, `drain`,
+/// an assignment), so it is consistent wherever a holder unwinds (as is
+/// `snapshot`'s one-pointer cell); refusing the guard would only turn
+/// one thread's panic into every scorer's and every HTTP worker's.
 pub(crate) fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -130,7 +200,6 @@ pub(crate) fn recover<G>(result: LockResult<G>) -> G {
 pub struct MicroBatcher {
     shared: Arc<Shared>,
     metrics: Arc<Metrics>,
-    config: BatchConfig,
     scorers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -202,10 +271,7 @@ impl MicroBatcher {
         );
         assert!(scorers >= 1, "a batcher needs a scorer");
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
+            queue: Mutex::new(Queue::new(config.queue_capacity, config.deadline)),
             arrived: Condvar::new(),
         });
         metrics.batcher_scorers.store(scorers as u64, Relaxed);
@@ -224,7 +290,6 @@ impl MicroBatcher {
         Self {
             shared,
             metrics,
-            config,
             scorers,
         }
     }
@@ -234,23 +299,18 @@ impl MicroBatcher {
     /// error from the drain path (deadline, injected fault, shutdown).
     pub fn submit(&self, req: BatchRequest) -> Result<BatchReply, SubmitError> {
         let (tx, rx) = mpsc::channel();
+        let now = Instant::now();
         {
-            let mut state = recover(self.shared.state.lock());
-            if state.shutdown {
-                return Err(SubmitError::ShuttingDown);
+            let mut queue = recover(self.shared.queue.lock());
+            if let Err(refused) = queue.admit(now, Job { req, tx }) {
+                if refused == SubmitError::QueueFull {
+                    self.metrics.shed_total.fetch_add(1, Relaxed);
+                }
+                return Err(refused);
             }
-            if state.jobs.len() >= self.config.queue_capacity {
-                self.metrics.shed_total.fetch_add(1, Relaxed);
-                return Err(SubmitError::QueueFull);
-            }
-            state.jobs.push_back(Job {
-                req,
-                tx,
-                enqueued_at: Instant::now(),
-            });
             self.metrics
                 .queue_depth
-                .store(state.jobs.len() as u64, Relaxed);
+                .store(queue.jobs.len() as u64, Relaxed);
         }
         // One job needs one scorer: wake a parked one, if any. A busy
         // scorer looks at the queue again when its batch is done.
@@ -269,7 +329,7 @@ impl MicroBatcher {
     /// admitted are scored (or expired) before the last scorer exits, and
     /// submissions from then on get [`SubmitError::ShuttingDown`].
     pub(crate) fn shutdown(&mut self) {
-        recover(self.shared.state.lock()).shutdown = true;
+        recover(self.shared.queue.lock()).shut_down();
         self.shared.arrived.notify_all();
         for scorer in self.scorers.drain(..) {
             let _ = scorer.join();
@@ -297,15 +357,15 @@ fn scorer_loop(
         // Wait for the first request (or shutdown). Because the shutdown
         // flag shares the queue mutex, "empty and shutting down" is a
         // stable exit condition: nothing can be enqueued after it.
-        let mut state = recover(shared.state.lock());
-        while state.jobs.is_empty() {
-            if state.shutdown {
+        let mut queue = recover(shared.queue.lock());
+        while queue.jobs.is_empty() {
+            if queue.shutdown {
                 return;
             }
-            state = recover(
+            queue = recover(
                 shared
                     .arrived
-                    .wait_timeout(state, Duration::from_millis(50)),
+                    .wait_timeout(queue, Duration::from_millis(50)),
             )
             .0;
         }
@@ -316,8 +376,8 @@ fn scorer_loop(
         // no new drain can start. Shutdown overrides the freeze so a
         // frozen server still stops cleanly.
         if let Some(inj) = injector.as_deref() {
-            if inj.frozen() && !state.shutdown {
-                drop(state);
+            if inj.frozen() && !queue.shutdown {
+                drop(queue);
                 std::thread::sleep(FREEZE_POLL);
                 continue;
             }
@@ -326,28 +386,20 @@ fn scorer_loop(
         // The backlog is the batch: take what is queued and score it now.
         // Scoring is per job, so waiting for companions would buy no
         // arithmetic and only park every blocked caller behind a timer.
-        let take = state.jobs.len().min(config.max_batch);
-        let mut batch: Vec<Job> = state.jobs.drain(..take).collect();
-        metrics.queue_depth.store(state.jobs.len() as u64, Relaxed);
-        drop(state);
-        for job in &batch {
-            metrics.stage(Stage::Queue).observe_since(job.enqueued_at);
+        // Jobs that aged out while queued are answered here, so a slow or
+        // stalled batch ahead of them cannot cascade into scoring work
+        // whose clients have already given up.
+        let drain = queue.take(Instant::now(), config.max_batch);
+        metrics.queue_depth.store(queue.jobs.len() as u64, Relaxed);
+        drop(queue);
+        for (waited, _) in drain.fresh.iter().chain(&drain.expired) {
+            metrics.stage(Stage::Queue).observe(micros(*waited));
         }
-
-        // Deadline pass: drop jobs that aged out while queued, so a slow
-        // or stalled batch ahead of them cannot cascade into scoring
-        // work whose clients have already given up.
-        if !config.deadline.is_zero() {
-            batch.retain(|job| {
-                if job.enqueued_at.elapsed() > config.deadline {
-                    metrics.expired_total.fetch_add(1, Relaxed);
-                    let _ = job.tx.send(Err(SubmitError::DeadlineExceeded));
-                    false
-                } else {
-                    true
-                }
-            });
+        for (_, job) in drain.expired {
+            metrics.expired_total.fetch_add(1, Relaxed);
+            let _ = job.tx.send(Err(SubmitError::DeadlineExceeded));
         }
+        let batch: Vec<Job> = drain.fresh.into_iter().map(|(_, job)| job).collect();
         if batch.is_empty() {
             continue;
         }
@@ -421,6 +473,7 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use st_data::synth::{generate, SynthConfig};
     use st_data::{CityId, CrossingCitySplit};
     use st_transrec_core::{recommend_top_k, ModelConfig, STTransRec};
@@ -581,27 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_one_serves_one_at_a_time() {
-        let (cell, d, split) = cell();
-        let metrics = Arc::new(Metrics::new());
-        let batcher = MicroBatcher::start(
-            cell.clone(),
-            metrics.clone(),
-            BatchConfig {
-                max_batch: 1,
-                ..BatchConfig::default()
-            },
-        );
-        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
-        for &user in split.test_users.iter().take(3) {
-            let reply = batcher.submit(request(user, &candidates, 3)).unwrap();
-            assert_eq!(reply.recs.len(), 3);
-        }
-        let batches = metrics.batches.load(Relaxed);
-        assert_eq!(batches, 3, "every request is its own batch");
-    }
-
-    #[test]
     fn k_zero_and_empty_candidates_are_harmless() {
         let (cell, d, split) = cell();
         let batcher = MicroBatcher::start(cell, Arc::new(Metrics::new()), BatchConfig::default());
@@ -674,91 +706,6 @@ mod tests {
             ..BatchConfig::default()
         };
         MicroBatcher::start(cell, Arc::new(Metrics::new()), config);
-    }
-
-    #[test]
-    fn full_queue_sheds_synchronously() {
-        let (cell, d, split) = cell();
-        let metrics = Arc::new(Metrics::new());
-        let injector = Arc::new(FaultInjector::new(1));
-        injector.freeze();
-        let batcher = MicroBatcher::start_with_faults(
-            cell,
-            metrics.clone(),
-            BatchConfig {
-                queue_capacity: 3,
-                ..BatchConfig::default()
-            },
-            Some(injector.clone()),
-        );
-        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
-
-        // With the drain frozen, park `capacity` submitters in the queue
-        // from background threads, then overflow from this one.
-        std::thread::scope(|scope| {
-            let mut parked = Vec::new();
-            for &user in split.test_users.iter().take(3) {
-                let batcher = &batcher;
-                let candidates = candidates.clone();
-                parked.push(scope.spawn(move || batcher.submit(request(user, &candidates, 3))));
-            }
-            while batcher.queue_depth() < 3 {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            for _ in 0..4 {
-                assert_eq!(
-                    batcher.submit(request(split.test_users[0], &candidates, 3)),
-                    Err(SubmitError::QueueFull)
-                );
-            }
-            assert_eq!(metrics.shed_total.load(Relaxed), 4);
-            injector.thaw();
-            for h in parked {
-                assert!(h.join().unwrap().is_ok(), "parked submitter served");
-            }
-        });
-        assert_eq!(metrics.queue_depth.load(Relaxed), 0);
-    }
-
-    #[test]
-    fn frozen_batcher_expires_queued_jobs_past_deadline() {
-        let (cell, d, split) = cell();
-        let metrics = Arc::new(Metrics::new());
-        let injector = Arc::new(FaultInjector::new(1));
-        injector.freeze();
-        let batcher = MicroBatcher::start_with_faults(
-            cell,
-            metrics.clone(),
-            BatchConfig {
-                deadline: Duration::from_millis(30),
-                ..BatchConfig::default()
-            },
-            Some(injector.clone()),
-        );
-        let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
-
-        std::thread::scope(|scope| {
-            let mut parked = Vec::new();
-            for &user in split.test_users.iter().take(3) {
-                let batcher = &batcher;
-                let candidates = candidates.clone();
-                parked.push(scope.spawn(move || batcher.submit(request(user, &candidates, 3))));
-            }
-            while batcher.queue_depth() < 3 {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            // Hold the freeze well past the deadline, then let the drain
-            // path discover the expired jobs.
-            std::thread::sleep(Duration::from_millis(80));
-            injector.thaw();
-            for h in parked {
-                assert_eq!(h.join().unwrap(), Err(SubmitError::DeadlineExceeded));
-            }
-        });
-        assert_eq!(metrics.expired_total.load(Relaxed), 3);
-        // A fresh request after the storm scores normally.
-        let reply = batcher.submit(request(split.test_users[0], &candidates, 3));
-        assert!(reply.is_ok());
     }
 
     #[test]
@@ -848,10 +795,10 @@ mod tests {
                 }
                 // Let some traffic through, then stop mid-flight.
                 std::thread::sleep(Duration::from_millis(2 + round as u64));
-                // Trigger shutdown through the shared state exactly like
+                // Trigger shutdown through the shared queue exactly like
                 // `shutdown()` does, without taking `&mut` (submitters
                 // hold shared borrows).
-                recover(batcher.shared.state.lock()).shutdown = true;
+                recover(batcher.shared.queue.lock()).shut_down();
                 batcher.shared.arrived.notify_all();
 
                 let mut served = 0usize;
@@ -1017,11 +964,11 @@ mod tests {
         );
         let shared = batcher.shared.clone();
         let panicked = std::thread::spawn(move || {
-            let _held = shared.state.lock().unwrap();
+            let _held = shared.queue.lock().unwrap();
             panic!("poisoning the batcher queue on purpose");
         })
         .join();
-        assert!(panicked.is_err() && batcher.shared.state.is_poisoned());
+        assert!(panicked.is_err() && batcher.shared.queue.is_poisoned());
 
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
         let reply = batcher.submit(request(split.test_users[0], &candidates, 3));
@@ -1032,5 +979,189 @@ mod tests {
             batcher.submit(request(split.test_users[0], &candidates, 3)),
             Err(SubmitError::ShuttingDown)
         );
+    }
+
+    /// One operation on a [`Queue`]: admit the next job, take up to
+    /// `max_batch`, shut down, or move the clock.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Admit,
+        Take(usize),
+        ShutDown,
+        Advance(Duration),
+    }
+
+    /// The queue's contract written plainly: admitted `(at, id)` pairs in
+    /// arrival order, a capacity, a deadline and a closed flag.
+    struct Reference {
+        capacity: usize,
+        deadline: Duration,
+        queued: Vec<(Instant, u64)>,
+        closed: bool,
+    }
+
+    /// `(waited, id)` pairs, oldest first.
+    type Taken = Vec<(Duration, u64)>;
+
+    impl Reference {
+        fn admit(&mut self, now: Instant, id: u64) -> Result<(), SubmitError> {
+            if self.closed {
+                Err(SubmitError::ShuttingDown)
+            } else if self.queued.len() == self.capacity {
+                Err(SubmitError::QueueFull)
+            } else {
+                self.queued.push((now, id));
+                Ok(())
+            }
+        }
+
+        /// `(fresh, expired)`: the oldest `max_batch` jobs, split by age.
+        fn take(&mut self, now: Instant, max_batch: usize) -> (Taken, Taken) {
+            let n = max_batch.min(self.queued.len());
+            let deadline = self.deadline;
+            self.queued
+                .drain(..n)
+                .map(|(at, id)| (now - at, id))
+                .partition(|&(waited, _)| deadline.is_zero() || waited <= deadline)
+        }
+    }
+
+    /// Terminal outcomes the queue handed out over one replay.
+    #[derive(Debug, Default, PartialEq)]
+    struct Tally {
+        admitted: usize,
+        shed: usize,
+        refused: usize,
+        taken: usize,
+        expired: usize,
+    }
+
+    /// Runs `ops` on a fresh queue and on the reference side by side.
+    /// Every admission answer and every drain (order, waits, expiry) must
+    /// match, and after every step `admitted = taken + expired + pending`.
+    fn replay(capacity: usize, deadline: Duration, ops: &[Op]) -> Result<Tally, TestCaseError> {
+        let mut queue = Queue::new(capacity, deadline);
+        let mut reference = Reference {
+            capacity,
+            deadline,
+            queued: Vec::new(),
+            closed: false,
+        };
+        let mut now = Instant::now();
+        let (mut next_id, mut tally) = (0u64, Tally::default());
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Admit => {
+                    let (got, want) = (queue.admit(now, next_id), reference.admit(now, next_id));
+                    prop_assert_eq!(got, want, "op {}: admit; ops {:?}", i, ops);
+                    match got {
+                        Ok(()) => tally.admitted += 1,
+                        Err(SubmitError::QueueFull) => tally.shed += 1,
+                        Err(_) => tally.refused += 1,
+                    }
+                    next_id += 1;
+                }
+                Op::Take(max_batch) => {
+                    let drain = queue.take(now, max_batch);
+                    let got = (drain.fresh, drain.expired);
+                    let want = reference.take(now, max_batch);
+                    prop_assert_eq!(&got, &want, "op {}: take; ops {:?}", i, ops);
+                    tally.taken += got.0.len();
+                    tally.expired += got.1.len();
+                }
+                Op::ShutDown => {
+                    queue.shut_down();
+                    reference.closed = true;
+                }
+                Op::Advance(dt) => now += dt,
+            }
+            let pending = queue.jobs.len();
+            prop_assert_eq!(
+                pending,
+                reference.queued.len(),
+                "op {}: depth; ops {:?}",
+                i,
+                ops
+            );
+            prop_assert_eq!(
+                tally.admitted,
+                tally.taken + tally.expired + pending,
+                "op {}: conservation {:?}; ops {:?}",
+                i,
+                tally,
+                ops
+            );
+        }
+        Ok(tally)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn queue_matches_the_reference_fifo(
+            capacity in 1usize..6,
+            deadline_ms in 0u64..5,
+            ops in collection::vec((0u8..20, 0u64..5), 1..120),
+        ) {
+            // Admit 40 %, take 25 %, advance 30 %, shut down 5 %.
+            let ops: Vec<Op> = ops
+                .iter()
+                .map(|&(code, x)| match code {
+                    0..=7 => Op::Admit,
+                    8..=12 => Op::Take(1 + x as usize),
+                    13..=18 => Op::Advance(Duration::from_millis(x)),
+                    _ => Op::ShutDown,
+                })
+                .collect();
+            replay(capacity, Duration::from_millis(deadline_ms), &ops)?;
+        }
+    }
+
+    #[test]
+    fn full_queue_sheds_synchronously() {
+        let mut ops = vec![Op::Admit; 7];
+        ops.push(Op::Take(64));
+        let tally = replay(3, Duration::ZERO, &ops).unwrap();
+        let want = Tally {
+            admitted: 3,
+            shed: 4,
+            taken: 3,
+            ..Tally::default()
+        };
+        assert_eq!(tally, want);
+    }
+
+    #[test]
+    fn frozen_batcher_expires_queued_jobs_past_deadline() {
+        // A job exactly at the deadline is still scored; past it, every
+        // queued job expires; a fresh one after the storm is scored.
+        let ms = Duration::from_millis;
+        let ops = [
+            [Op::Admit; 3].as_slice(),
+            &[Op::Advance(ms(30)), Op::Take(1)],
+            &[Op::Advance(ms(50)), Op::Take(64), Op::Admit, Op::Take(64)],
+        ]
+        .concat();
+        let tally = replay(64, ms(30), &ops).unwrap();
+        let want = Tally {
+            admitted: 4,
+            taken: 2,
+            expired: 2,
+            ..Tally::default()
+        };
+        assert_eq!(tally, want);
+    }
+
+    #[test]
+    fn max_batch_one_serves_one_at_a_time() {
+        let ops = [[Op::Admit; 3], [Op::Take(1); 3]].concat();
+        let tally = replay(64, Duration::ZERO, &ops).unwrap();
+        let want = Tally {
+            admitted: 3,
+            taken: 3,
+            ..Tally::default()
+        };
+        assert_eq!(tally, want);
     }
 }

@@ -11,10 +11,10 @@
 //! `Option` check per batch.
 //!
 //! The injector carries no clock and no thread of its own: all timing
-//! comes from whoever drives it (the chaos tests, scripted and seeded,
-//! open and close the gate around deterministic queue states), which is
-//! what makes the chaos scenarios reproducible instead of
-//! schedule-dependent. The seeded schedules live beside their executors
+//! comes from whoever drives it (the chaos tests' fault plans, named
+//! and seeded, open and close the gate around deterministic queue
+//! states), which is what makes the chaos scenarios reproducible
+//! instead of schedule-dependent. The plans live beside their executors
 //! in the tests of the tier they exercise.
 
 use rand::rngs::SmallRng;

@@ -53,9 +53,9 @@
 //! configurable queue watermark requests fall back to possibly-stale
 //! cached results marked `"degraded": true` instead of queueing.
 //! [`fault`] provides the deterministic fault-injection hooks (latency
-//! pads, forced scorer errors, queue freezes) that the chaos tests, the
-//! scripted scenarios and the seeded replay, use to prove those
-//! behaviors reproducibly.
+//! pads, forced scorer errors, queue freezes) that the chaos tests'
+//! fault plans, named and seeded, use to prove those behaviors
+//! reproducibly.
 //!
 //! ```no_run
 //! use std::sync::Arc;

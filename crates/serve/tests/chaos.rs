@@ -1,32 +1,38 @@
 //! Chaos end-to-end tests: a real server on loopback TCP driven through
-//! fault-injection scenarios — burst over capacity, deadline expiry,
-//! hot-reload mid-burst, degraded serving, and a forced scorer failure —
-//! first one scripted scenario per test, then a seeded [`FaultPlan`]
-//! that mixes them all and is replayed twice.
+//! a [`FaultPlan`] of fault-injection phases — plain and latency-padded
+//! traffic, a burst over capacity, deadline expiry, hot-reload mid-burst,
+//! degraded serving, and a forced scorer failure. Each named plan is one
+//! scenario with its counts pinned; the seeded plan mixes them all and
+//! is replayed twice.
 //!
-//! Every scenario asserts the **conservation invariant**: each submitted
+//! Every pass asserts the **conservation invariant**: each submitted
 //! request reaches exactly one terminal outcome (served, shed `429`,
 //! expired `503`, degraded `200`, or failed `500`) — no request is lost,
 //! no client hangs, and the outcome counts add up to the submissions.
+//! Every answer is checked as well: a served body is byte-identical to
+//! the oracle's at the epoch that served it, a refusal carries its
+//! status, message and `Retry-After`, and a degraded answer is the older
+//! epoch's body with the marker spliced in. After the pass, the server's
+//! `/metrics` scrape must agree with the driver's tallies.
 //!
 //! Determinism comes from the [`FaultInjector`] freeze gate, not from
 //! racing timers: the gate holds the batcher off the queue, the driver
 //! waits for exact queue depths via metrics, and only then injects the
-//! next event. The same script therefore yields the same outcome counts
+//! next event. The same plan therefore yields the same outcome counts
 //! on every run, loaded machine or not.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::{synth, CityId, CrossingCitySplit, Dataset, UserId};
-use st_serve::client::HttpClient;
+use st_serve::client::{HttpClient, HttpResponse};
 use st_serve::server::{render_recommend_body, Engine, ServeConfig, Server};
 use st_serve::snapshot::Reloader;
 use st_serve::{BatchConfig, FaultInjector};
 use st_transrec_core::{recommend_top_k, ModelConfig, STTransRec};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// A fresh scratch directory per test (std-only: no tempfile crate).
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -80,24 +86,17 @@ fn expected_body(fx: &Fixture, user: u32, k: usize, epoch: u64) -> String {
     render_recommend_body(UserId(user), CityId(1), k, epoch, &recs)
 }
 
-/// Overload-tuned config: enough HTTP workers that every parked client
-/// holds a worker without starving the driver's own connections.
-fn chaos_config(injector: &Arc<FaultInjector>, queue_capacity: usize) -> ServeConfig {
-    ServeConfig {
-        workers: queue_capacity + 8,
-        batch: BatchConfig {
-            queue_capacity,
-            ..BatchConfig::default()
-        },
-        fault: Some(injector.clone()),
-        ..ServeConfig::default()
-    }
+fn unix_now() -> u64 {
+    let since = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+    since.expect("clock after 1970").as_secs()
 }
 
 /// Blocks until the batcher queue holds exactly `depth` jobs. With the
 /// freeze gate closed the depth can only grow toward `depth`, so this is
-/// a deterministic rendezvous, not a race.
-fn wait_for_depth(server: &Server, depth: u64) {
+/// a deterministic rendezvous, not a race. A depth that never arrives
+/// thaws the gate before failing, so the parked clients resolve and the
+/// test reports the stuck depth instead of waiting out their timeouts.
+fn wait_for_depth(server: &Server, injector: &FaultInjector, depth: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let now = server
@@ -108,369 +107,23 @@ fn wait_for_depth(server: &Server, depth: u64) {
         if now == depth {
             return;
         }
-        assert!(
-            Instant::now() < deadline,
-            "queue depth stuck at {now}, wanted {depth}"
-        );
+        if Instant::now() >= deadline {
+            injector.thaw();
+            panic!("queue depth stuck at {now}, wanted {depth}");
+        }
         std::thread::sleep(Duration::from_micros(200));
     }
 }
 
-/// Parks `combos` requests in the (frozen) queue from background
-/// threads, waits for all of them to enqueue, runs `mid` while they are
-/// parked, and returns every parked request's `(status, body)`.
-fn with_parked_requests(
-    server: &Server,
-    combos: &[(u32, usize)],
-    mid: impl FnOnce(),
-) -> Vec<(u16, String)> {
-    let addr = server.local_addr();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = combos
-            .iter()
-            .map(|&(user, k)| {
-                scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).expect("connect");
-                    let resp = client
-                        .get(&format!("/recommend?user={user}&city=1&k={k}"))
-                        .expect("parked request resolves");
-                    (resp.status, resp.body)
-                })
-            })
-            .collect();
-        wait_for_depth(server, combos.len() as u64);
-        mid();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-#[test]
-fn burst_over_capacity_sheds_with_429() {
-    let fx = fixture("burst");
-    let injector = Arc::new(FaultInjector::new(42));
-    let server = start_server(&fx, &chaos_config(&injector, 4));
-    let addr = server.local_addr();
-
-    let parked: Vec<(u32, usize)> = (0..4u32).map(|u| (u, 3)).collect();
-    let excess = 3u32;
-    injector.freeze();
-    let outcomes = with_parked_requests(&server, &parked, || {
-        // Queue is exactly full and frozen: every extra request must be
-        // shed synchronously with 429 + Retry-After, never queued.
-        let mut client = HttpClient::connect(addr).expect("connect");
-        for i in 0..excess {
-            let user = 10 + i;
-            let resp = client
-                .get(&format!("/recommend?user={user}&city=1&k=3"))
-                .expect("shed request resolves");
-            assert_eq!(resp.status, 429, "body: {}", resp.body);
-            assert_eq!(resp.header("retry-after"), Some("1"));
-            assert!(resp.body.contains("queue full"), "{}", resp.body);
-        }
-        injector.thaw();
-    });
-
-    // Thawed: every parked request is served exactly, nothing lost.
-    let mut served = 0;
-    for (i, (status, body)) in outcomes.iter().enumerate() {
-        assert_eq!(*status, 200, "parked request {i}: {body}");
-        assert_eq!(*body, expected_body(&fx, i as u32, 3, 1));
-        served += 1;
-    }
-
-    // Conservation: submitted == served + shed, and metrics agree.
-    let metrics = server.engine().metrics();
-    assert_eq!(served + excess as usize, parked.len() + excess as usize);
-    assert_eq!(metrics.shed_total.load(Ordering::Relaxed), excess as u64);
-    assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.expired_total.load(Ordering::Relaxed), 0);
-
-    // The shed counter is on /metrics for operators.
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let scrape = client.get("/metrics").expect("metrics");
-    assert!(
-        scrape.body.contains("st_serve_shed_total 3"),
-        "{}",
-        scrape.body
-    );
-    assert!(
-        scrape.body.contains("st_serve_queue_depth 0"),
-        "{}",
-        scrape.body
-    );
-
-    server.shutdown();
-}
-
-#[test]
-fn deadline_expiry_returns_503() {
-    let fx = fixture("deadline");
-    let injector = Arc::new(FaultInjector::new(7));
-    let mut config = chaos_config(&injector, 8);
-    config.batch.deadline = Duration::from_millis(100);
-    let server = start_server(&fx, &config);
-
-    let parked: Vec<(u32, usize)> = (0..3u32).map(|u| (u, 4)).collect();
-    injector.freeze();
-    let outcomes = with_parked_requests(&server, &parked, || {
-        // Hold the freeze well past the deadline; only then may the
-        // batcher see (and expire) the queued jobs.
-        std::thread::sleep(Duration::from_millis(400));
-        injector.thaw();
-    });
-
-    for (status, body) in &outcomes {
-        assert_eq!(*status, 503, "body: {body}");
-        assert!(body.contains("deadline-exceeded"), "{body}");
-    }
-
-    let metrics = server.engine().metrics();
-    assert_eq!(metrics.expired_total.load(Ordering::Relaxed), 3);
-    assert_eq!(metrics.shed_total.load(Ordering::Relaxed), 0);
-
-    // The storm is over: a fresh request scores normally.
-    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
-    let resp = client.get("/recommend?user=0&city=1&k=4").expect("request");
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    assert_eq!(resp.body, expected_body(&fx, 0, 4, 1));
-
-    server.shutdown();
-}
-
-#[test]
-fn hot_reload_mid_burst_loses_zero_requests() {
-    let mut fx = fixture("reload-burst");
-    // Generation 2 = one more training epoch, saved over the checkpoint
-    // so /admin/reload picks it up mid-burst.
-    let gen1: Vec<String> = (0..5u32).map(|u| expected_body(&fx, u, 5, 1)).collect();
-    fx.oracle.train_epoch(&fx.dataset);
-    let gen2: Vec<String> = (0..5u32).map(|u| expected_body(&fx, u, 5, 2)).collect();
-
-    let injector = Arc::new(FaultInjector::new(9));
-    let server = start_server(&fx, &chaos_config(&injector, 8));
-    let addr = server.local_addr();
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-
-    let parked: Vec<(u32, usize)> = (0..5u32).map(|u| (u, 5)).collect();
-    injector.freeze();
-    let outcomes = with_parked_requests(&server, &parked, || {
-        // Swap the model while five requests sit in the queue.
-        let mut client = HttpClient::connect(addr).expect("connect");
-        let reload = client.post("/admin/reload").expect("reload");
-        assert_eq!(reload.status, 200, "body: {}", reload.body);
-        assert!(reload.body.contains("\"model_epoch\":2"), "{}", reload.body);
-        injector.thaw();
-    });
-
-    // Zero loss: every parked request is served by exactly one model
-    // generation — whichever epoch scored its batch — never torn.
-    for (i, (status, body)) in outcomes.iter().enumerate() {
-        assert_eq!(*status, 200, "parked request {i}: {body}");
-        assert!(
-            *body == gen1[i] || *body == gen2[i],
-            "user {i} got a body matching neither generation: {body}"
-        );
-    }
-    let metrics = server.engine().metrics();
-    assert_eq!(metrics.shed_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.expired_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-
-    server.shutdown();
-}
-
-#[test]
-fn repeated_publishes_mid_burst_lose_zero_requests() {
-    // The online publisher's steady state: every few seconds a freshly
-    // trained checkpoint is written atomically and /admin/reload is
-    // posted while scoring traffic is in flight. Three consecutive
-    // publish cycles, each with five requests parked in the queue during
-    // the swap — every request must be served by exactly one generation.
-    let mut fx = fixture("repeat-publish");
-    let injector = Arc::new(FaultInjector::new(17));
-    let server = start_server(&fx, &chaos_config(&injector, 8));
-    let addr = server.local_addr();
-
-    for cycle in 1..=3u64 {
-        // Fresh users each cycle so the result cache cannot answer the
-        // burst before it reaches the queue (tiny has 60 users).
-        let users: Vec<(u32, usize)> = (0..5u32).map(|u| (cycle as u32 * 10 + u, 5)).collect();
-        let old_gen: Vec<String> = users
-            .iter()
-            .map(|&(u, k)| expected_body(&fx, u, k, cycle))
-            .collect();
-
-        // Next generation: one more epoch, published through the same
-        // atomic temp-file + rename path the online loop uses.
-        fx.oracle.train_epoch(&fx.dataset);
-        st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("atomic publish");
-        let new_gen: Vec<String> = users
-            .iter()
-            .map(|&(u, k)| expected_body(&fx, u, k, cycle + 1))
-            .collect();
-
-        injector.freeze();
-        let outcomes = with_parked_requests(&server, &users, || {
-            let mut client = HttpClient::connect(addr).expect("connect");
-            let reload = client.post("/admin/reload").expect("reload");
-            assert_eq!(reload.status, 200, "cycle {cycle}: {}", reload.body);
-            assert!(
-                reload
-                    .body
-                    .contains(&format!("\"model_epoch\":{}", cycle + 1)),
-                "cycle {cycle}: {}",
-                reload.body
-            );
-            injector.thaw();
-        });
-
-        for (i, (status, body)) in outcomes.iter().enumerate() {
-            assert_eq!(*status, 200, "cycle {cycle} request {i}: {body}");
-            assert!(
-                *body == old_gen[i] || *body == new_gen[i],
-                "cycle {cycle} request {i}: body matches neither generation: {body}"
-            );
-        }
-    }
-
-    // Conservation across all three publishes, and the publish trail is
-    // visible to operators: epoch 4 serving, three clean reloads, a
-    // last-reload timestamp an external staleness alert can key on.
-    let metrics = server.engine().metrics();
-    assert_eq!(metrics.reloads_ok.load(Ordering::Relaxed), 3);
-    assert_eq!(metrics.reloads_failed.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.shed_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.expired_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-
-    let mut client = HttpClient::connect(addr).expect("connect");
-    let scrape = client.get("/metrics").expect("metrics").body;
-    assert!(scrape.contains("st_serve_model_epoch 4"), "{scrape}");
-    let stamp: u64 = scrape
-        .lines()
-        .find_map(|l| l.strip_prefix("st_serve_last_reload_timestamp_seconds "))
-        .expect("timestamp gauge exported")
-        .trim()
-        .parse()
-        .expect("timestamp is an integer");
-    assert!(stamp > 0, "last-reload timestamp never stamped");
-
-    server.shutdown();
-}
-
-#[test]
-fn degraded_mode_serves_cached_results_under_overload() {
-    let fx = fixture("degraded");
-    let injector = Arc::new(FaultInjector::new(11));
-    let mut config = chaos_config(&injector, 8);
-    config.degrade_watermark = 2;
-    let server = start_server(&fx, &config);
-    let addr = server.local_addr();
-
-    // Warm the caches for two keys at epoch 1.
-    let mut client = HttpClient::connect(addr).expect("connect");
-    for user in [0u32, 1] {
-        let resp = client
-            .get(&format!("/recommend?user={user}&city=1&k=5"))
-            .expect("warm request");
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, expected_body(&fx, user, 5, 1));
-    }
-
-    // Hot-reload from the same checkpoint: the epoch bumps to 2, so the
-    // warmed keys' entries are no longer hits — only a degraded answer
-    // from those stale entries can answer them now.
-    let reload = client.post("/admin/reload").expect("reload");
-    assert_eq!(reload.status, 200, "body: {}", reload.body);
-
-    // Overload: freeze and fill the queue to the watermark with keys
-    // nothing has cached.
-    let parked: Vec<(u32, usize)> = [(10u32, 3usize), (11, 3)].to_vec();
-    injector.freeze();
-    let outcomes = with_parked_requests(&server, &parked, || {
-        // Above the watermark, warmed keys are answered from the stale
-        // cache immediately — degraded, stale epoch, but served.
-        for user in [0u32, 1] {
-            let resp = client
-                .get(&format!("/recommend?user={user}&city=1&k=5"))
-                .expect("degraded request");
-            assert_eq!(resp.status, 200, "body: {}", resp.body);
-            assert_eq!(resp.header("x-cache"), Some("STALE"));
-            assert_eq!(resp.header("x-degraded"), Some("true"));
-            assert_eq!(resp.header("x-model-epoch"), Some("1"));
-            let expected = format!(
-                "{{\"degraded\":true,{}",
-                &expected_body(&fx, user, 5, 1)[1..]
-            );
-            assert_eq!(resp.body, expected);
-        }
-        // A key with no stale entry cannot degrade; at depth == capacity
-        // it would queue, so keep it out of this frozen phase.
-        injector.thaw();
-    });
-
-    // The parked cold-key requests were served fresh after the thaw.
-    for (i, (status, body)) in outcomes.iter().enumerate() {
-        assert_eq!(*status, 200, "parked request {i}: {body}");
-        assert_eq!(*body, expected_body(&fx, 10 + i as u32, 3, 2));
-    }
-
-    // Conservation: 2 warm + 2 degraded + 2 fresh == 6 submissions, and
-    // the degraded counter saw exactly the stale serves.
-    let metrics = server.engine().metrics();
-    assert_eq!(metrics.degraded_total.load(Ordering::Relaxed), 2);
-    assert_eq!(metrics.shed_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.expired_total.load(Ordering::Relaxed), 0);
-    assert_eq!(metrics.recommend_requests.load(Ordering::Relaxed), 6);
-
-    // Below the watermark again, the same warmed key is served fresh —
-    // scored at epoch 2, no degraded marker.
-    let resp = client.get("/recommend?user=0&city=1&k=5").expect("request");
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("x-degraded"), None);
-    assert_eq!(resp.body, expected_body(&fx, 0, 5, 2));
-
-    server.shutdown();
-}
-
-#[test]
-fn injected_scorer_failure_fails_the_batch_cleanly() {
-    let fx = fixture("scorer-failure");
-    let injector = Arc::new(FaultInjector::new(13));
-    let server = start_server(&fx, &chaos_config(&injector, 8));
-
-    let parked: Vec<(u32, usize)> = (0..2u32).map(|u| (u, 3)).collect();
-    injector.freeze();
-    injector.fail_next_batches(1);
-    let outcomes = with_parked_requests(&server, &parked, || injector.thaw());
-
-    for (status, body) in &outcomes {
-        assert_eq!(*status, 500, "body: {body}");
-        assert!(body.contains("scorer failed"), "{body}");
-    }
-    let metrics = server.engine().metrics();
-    assert_eq!(metrics.injected_failures_total.load(Ordering::Relaxed), 2);
-
-    // The failure budget is spent; the server recovers on its own.
-    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
-    let resp = client.get("/recommend?user=0&city=1&k=3").expect("request");
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    assert_eq!(resp.body, expected_body(&fx, 0, 3, 1));
-
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Seeded replay
-// ---------------------------------------------------------------------
-
-/// One step of a seeded schedule. Counts are in requests; every
-/// request's terminal outcome follows from the phase parameters alone.
+/// One step of a plan. Counts are in requests; every request's terminal
+/// outcome follows from the phase parameters alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ChaosPhase {
-    /// Plain traffic with fresh keys: every request scores, `200`.
+    /// Plain traffic: every request scores, `200`. It first asks again
+    /// the keys the last degraded phase answered stale, which below the
+    /// watermark score fresh.
     Normal { requests: usize },
-    /// Traffic under a latency-padded scorer (`pad_us` + seeded jitter
+    /// `Normal` under a latency-padded scorer (`pad_us` + seeded jitter
     /// per batch): still every request `200`.
     PaddedTraffic { requests: usize, pad_us: u64 },
     /// Freeze, fill the queue, then send `excess` more: each sheds with
@@ -483,15 +136,18 @@ enum ChaosPhase {
     /// epoch's), freeze, fill the queue to the watermark, then ask for
     /// warmed keys `hits` times: each is answered degraded.
     DegradedServe { warm: usize, hits: usize },
-    /// Freeze, queue `queued`, hot-reload, thaw: all are served.
+    /// Train the next generation and publish it atomically, freeze,
+    /// queue `queued`, hot-reload, thaw: all are served, each by one
+    /// generation whole.
     ReloadMidBurst { queued: usize },
     /// Freeze, queue `queued`, arm one failing batch, thaw: every queued
     /// request gets a clean `500`.
     ScorerFailure { queued: usize },
 }
 
-/// A seed-reproducible schedule: the same seed always yields the same
-/// phases with the same parameters.
+/// A plan of phases. A named plan lists them by hand; `from_seed` draws
+/// them, and the same seed always yields the same phases with the same
+/// parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FaultPlan {
     seed: u64,
@@ -553,13 +209,13 @@ impl FaultPlan {
     }
 }
 
-/// Serving limits the replay runs under: small, so every fault mode
+/// Serving limits every plan runs under: small, so every fault mode
 /// overflows and recovers in seconds.
 const QUEUE_CAPACITY: usize = 6;
 const DEGRADE_WATERMARK: usize = 4;
 const DEADLINE: Duration = Duration::from_millis(300);
 
-/// Terminal-outcome tallies of one pass.
+/// Terminal-outcome tallies of one pass, and the reloads it posted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct ChaosCounts {
     submitted: usize,
@@ -568,102 +224,177 @@ struct ChaosCounts {
     expired: usize,
     degraded: usize,
     failed: usize,
+    reloads: usize,
 }
 
-/// One pass's driving state. Unexpected outcomes are collected, not
+/// One pass's driving state. Unexpected answers are collected, not
 /// asserted on the spot: a panic while requests are parked behind the
 /// freeze gate would leave their threads waiting forever.
 struct Driver<'a> {
     server: &'a Server,
     injector: &'a FaultInjector,
-    num_users: usize,
+    /// The pass's own fixture: its oracle is the generation the
+    /// checkpoint holds, one epoch further after each `ReloadMidBurst`.
+    fx: Fixture,
+    /// The epoch the server is serving.
+    epoch: u64,
+    /// Unix seconds just before the server last stamped its reload time
+    /// (at start-up, then at each reload).
+    stamped_after: u64,
     /// Mints never-before-seen `(user, k)` keys, so a fresh request
     /// cannot be answered from the cache.
     combo: usize,
+    /// Keys the last degraded phase answered stale.
+    stale: Vec<(u32, usize)>,
     counts: ChaosCounts,
     unexpected: Vec<String>,
 }
 
 impl Driver<'_> {
     fn fresh_combo(&mut self) -> (u32, usize) {
-        let user = (self.combo % self.num_users) as u32;
-        let k = 1 + self.combo / self.num_users;
+        let num_users = self.fx.dataset.num_users();
+        let (user, k) = (self.combo % num_users, 1 + self.combo / num_users);
         self.combo += 1;
-        (user, k)
+        (user as u32, k)
     }
 
     fn fresh_combos(&mut self, n: usize) -> Vec<(u32, usize)> {
         (0..n).map(|_| self.fresh_combo()).collect()
     }
 
-    fn expect(&mut self, what: &str, got: u16, want: u16) {
-        if got != want {
-            self.unexpected
-                .push(format!("{what}: expected {want}, got {got}"));
+    fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
+        if !ok {
+            self.unexpected.push(what());
         }
     }
 
-    /// Sends one request and checks its status.
-    fn request(&mut self, client: &mut HttpClient, (user, k): (u32, usize), want: u16) -> String {
-        let path = format!("/recommend?user={user}&city=1&k={k}");
+    fn get(&mut self, client: &mut HttpClient, (user, k): (u32, usize)) -> HttpResponse {
         self.counts.submitted += 1;
-        let resp = client.get(&path).expect("request resolves");
-        self.expect(&path, resp.status, want);
-        resp.body
+        let path = format!("/recommend?user={user}&city=1&k={k}");
+        client.get(&path).expect("request resolves")
     }
 
-    /// Parks `combos` behind the (frozen) gate, runs `mid` once all are
-    /// queued, and checks every parked request's status.
-    fn park(&mut self, combos: &[(u32, usize)], want: u16, mid: impl FnOnce(&mut Self)) {
-        self.counts.submitted += combos.len();
-        let server = self.server;
-        for (status, _) in with_parked_requests(server, combos, || mid(self)) {
-            self.expect("parked", status, want);
+    /// A fresh answer: `200` with the oracle's body at the serving epoch.
+    fn check_served(&mut self, resp: &HttpResponse, (user, k): (u32, usize)) {
+        let want = expected_body(&self.fx, user, k, self.epoch);
+        self.check(resp.status == 200 && resp.body == want, || {
+            format!("user {user} k {k}: want 200 {want}, got {resp:?}")
+        });
+    }
+
+    /// A refusal: `status` with `message` in its body, and `Retry-After:
+    /// 1` exactly when it is a deliberate shed rather than a failure.
+    fn check_refused(&mut self, resp: &HttpResponse, status: u16, message: &str) {
+        let shed = status != 500;
+        let ok = resp.status == status
+            && resp.body.contains(message)
+            && (resp.header("retry-after") == Some("1")) == shed;
+        self.check(ok, || format!("want {status} {message}, got {resp:?}"));
+    }
+
+    /// A degraded answer: the marked body `combo` got at `epoch`, with
+    /// `X-Cache: STALE`, `X-Degraded: true` and that epoch.
+    fn check_degraded(&mut self, resp: &HttpResponse, (user, k): (u32, usize), epoch: u64) {
+        let old = expected_body(&self.fx, user, k, epoch);
+        let want = format!("{{\"degraded\":true,{}", &old[1..]);
+        let ok = resp.status == 200
+            && resp.header("x-cache") == Some("STALE")
+            && resp.header("x-degraded") == Some("true")
+            && resp.header("x-model-epoch") == Some(epoch.to_string().as_str())
+            && resp.body == want;
+        self.check(ok, || format!("want degraded {want}, got {resp:?}"));
+    }
+
+    /// Asks for `combo` below the watermark: it is served fresh.
+    fn serve(&mut self, client: &mut HttpClient, combo: (u32, usize)) {
+        let resp = self.get(client, combo);
+        self.check_served(&resp, combo);
+        self.counts.served += 1;
+    }
+
+    /// `requests` of plain traffic: stale keys first, then fresh ones.
+    fn traffic(&mut self, client: &mut HttpClient, requests: usize) {
+        for _ in 0..requests {
+            let combo = self.stale.pop().unwrap_or_else(|| self.fresh_combo());
+            self.serve(client, combo);
         }
+    }
+
+    /// Posts a reload; it must go live as the next epoch.
+    fn reload(&mut self, client: &mut HttpClient) {
+        self.stamped_after = unix_now();
+        let resp = client.post("/admin/reload").expect("reload resolves");
+        self.epoch += 1;
+        self.counts.reloads += 1;
+        let want = format!("\"model_epoch\":{}", self.epoch);
+        self.check(resp.status == 200 && resp.body.contains(&want), || {
+            format!("/admin/reload: want 200 {want}, got {resp:?}")
+        });
+    }
+
+    /// Parks `combos` behind the (frozen) gate from background threads,
+    /// runs `mid` once all are queued, and returns the parked requests'
+    /// answers.
+    fn park(&mut self, combos: &[(u32, usize)], mid: impl FnOnce(&mut Self)) -> Vec<HttpResponse> {
+        self.counts.submitted += combos.len();
+        let addr = self.server.local_addr();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = combos
+                .iter()
+                .map(|&(user, k)| {
+                    scope.spawn(move || {
+                        let mut client = HttpClient::connect(addr).expect("connect");
+                        client
+                            .get(&format!("/recommend?user={user}&city=1&k={k}"))
+                            .expect("parked request resolves")
+                    })
+                })
+                .collect();
+            wait_for_depth(self.server, self.injector, combos.len() as u64);
+            mid(self);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     fn run_phase(&mut self, phase: ChaosPhase, client: &mut HttpClient) {
         match phase {
-            ChaosPhase::Normal { requests } => {
-                for _ in 0..requests {
-                    let combo = self.fresh_combo();
-                    self.request(client, combo, 200);
-                }
-                self.counts.served += requests;
-            }
+            ChaosPhase::Normal { requests } => self.traffic(client, requests),
             ChaosPhase::PaddedTraffic { requests, pad_us } => {
                 self.injector.set_latency_pad(pad_us, pad_us / 4);
-                for _ in 0..requests {
-                    let combo = self.fresh_combo();
-                    self.request(client, combo, 200);
-                }
+                self.traffic(client, requests);
                 self.injector.set_latency_pad(0, 0);
-                self.counts.served += requests;
             }
             ChaosPhase::Burst { excess } => {
                 let parked = self.fresh_combos(QUEUE_CAPACITY);
                 let over = self.fresh_combos(excess);
                 self.injector.freeze();
-                self.park(&parked, 200, |drv| {
+                let answers = self.park(&parked, |drv| {
                     // Queue exactly full and frozen: every extra request
                     // sheds synchronously.
                     for &combo in &over {
-                        drv.request(client, combo, 429);
+                        let resp = drv.get(client, combo);
+                        drv.check_refused(&resp, 429, "queue full");
                     }
                     drv.injector.thaw();
                 });
+                for (resp, &combo) in answers.iter().zip(&parked) {
+                    self.check_served(resp, combo);
+                }
                 self.counts.shed += excess;
                 self.counts.served += QUEUE_CAPACITY;
             }
             ChaosPhase::DeadlineExpiry { queued } => {
                 let parked = self.fresh_combos(queued);
                 self.injector.freeze();
-                self.park(&parked, 503, |drv| {
+                let answers = self.park(&parked, |drv| {
                     // Hold the freeze well past the deadline before the
                     // batcher may see (and expire) the queued jobs.
                     std::thread::sleep(DEADLINE + DEADLINE);
                     drv.injector.thaw();
                 });
+                for resp in &answers {
+                    self.check_refused(resp, 503, "deadline-exceeded");
+                }
                 self.counts.expired += queued;
             }
             ChaosPhase::DegradedServe { warm, hits } => {
@@ -671,94 +402,228 @@ impl Driver<'_> {
                 // reload (the epoch bump), then overload to the watermark.
                 let warmed = self.fresh_combos(warm);
                 for &combo in &warmed {
-                    self.request(client, combo, 200);
+                    self.serve(client, combo);
                 }
-                self.counts.served += warm;
-                let reload = client.post("/admin/reload").expect("reload resolves");
-                self.expect("/admin/reload", reload.status, 200);
+                let stale_epoch = self.epoch;
+                self.reload(client);
 
                 let parked = self.fresh_combos(DEGRADE_WATERMARK);
                 self.injector.freeze();
-                self.park(&parked, 200, |drv| {
+                let answers = self.park(&parked, |drv| {
                     for i in 0..hits {
-                        let body = drv.request(client, warmed[i % warmed.len()], 200);
-                        if !body.starts_with("{\"degraded\":true,") {
-                            drv.unexpected
-                                .push(format!("missing degraded marker: {body}"));
-                        }
+                        let combo = warmed[i % warmed.len()];
+                        let resp = drv.get(client, combo);
+                        drv.check_degraded(&resp, combo, stale_epoch);
                     }
                     drv.injector.thaw();
                 });
+                for (resp, &combo) in answers.iter().zip(&parked) {
+                    self.check_served(resp, combo);
+                }
                 self.counts.degraded += hits;
                 self.counts.served += DEGRADE_WATERMARK;
+                self.stale = warmed;
             }
             ChaosPhase::ReloadMidBurst { queued } => {
                 let parked = self.fresh_combos(queued);
+                let old: Vec<String> = parked
+                    .iter()
+                    .map(|&(user, k)| expected_body(&self.fx, user, k, self.epoch))
+                    .collect();
+                // The next generation: one more epoch, published through
+                // the atomic temp-file + rename path the online loop uses.
+                self.fx.oracle.train_epoch(&self.fx.dataset);
+                st_tensor::save_params_atomic(self.fx.oracle.params(), &self.fx.ckpt)
+                    .expect("atomic publish");
                 self.injector.freeze();
-                self.park(&parked, 200, |drv| {
-                    let reload = client.post("/admin/reload").expect("reload resolves");
-                    drv.expect("/admin/reload mid-burst", reload.status, 200);
+                let answers = self.park(&parked, |drv| {
+                    drv.reload(client);
                     drv.injector.thaw();
                 });
+                // Zero loss, and every request served by one generation
+                // whole, whichever scored its batch — never torn.
+                for ((resp, &(user, k)), old) in answers.iter().zip(&parked).zip(&old) {
+                    let new = expected_body(&self.fx, user, k, self.epoch);
+                    let ok = resp.status == 200 && (resp.body == *old || resp.body == new);
+                    self.check(ok, || format!("want {old} or {new}, got {resp:?}"));
+                }
                 self.counts.served += queued;
             }
             ChaosPhase::ScorerFailure { queued } => {
                 let parked = self.fresh_combos(queued);
                 self.injector.freeze();
                 self.injector.fail_next_batches(1);
-                self.park(&parked, 500, |drv| drv.injector.thaw());
+                let answers = self.park(&parked, |drv| drv.injector.thaw());
+                for resp in &answers {
+                    self.check_refused(resp, 500, "scorer failed");
+                }
                 self.counts.failed += queued;
             }
         }
     }
 }
 
-/// Replays `plan` once against a fresh server and returns its tallies,
-/// after asserting that every response carried the status its phase
-/// predicts, that the tallies conserve, and that the server's own
-/// counters agree with them.
-fn run_pass(fx: &Fixture, plan: &FaultPlan) -> ChaosCounts {
-    let injector = Arc::new(FaultInjector::new(plan.seed));
-    let mut config = chaos_config(&injector, QUEUE_CAPACITY);
-    // Every parked request pins an HTTP worker, so the pool exceeds the
-    // deepest overload (capacity + watermark) with room to spare.
-    config.workers = 2 * QUEUE_CAPACITY + 8;
-    config.batch.deadline = DEADLINE;
-    config.degrade_watermark = DEGRADE_WATERMARK;
-    let server = start_server(fx, &config);
+/// The value of `name`'s line in a `/metrics` scrape.
+fn scraped(scrape: &str, name: &str) -> u64 {
+    let line = scrape.lines().find_map(|l| l.strip_prefix(name));
+    let value = line.unwrap_or_else(|| panic!("{name} missing from {scrape}"));
+    value.trim().parse().expect("integer gauge")
+}
 
+/// Replays `plan` once against a fresh server on a fresh fixture and
+/// returns its tallies, after asserting that every answer was the one
+/// its phase predicts, that the tallies conserve, and that the server's
+/// `/metrics` scrape agrees with them.
+fn run_pass(plan: &FaultPlan) -> ChaosCounts {
+    let fx = fixture("plan");
+    let injector = Arc::new(FaultInjector::new(plan.seed));
+    let config = ServeConfig {
+        // Every parked request pins an HTTP worker, so the pool exceeds
+        // the deepest overload (capacity + watermark) with room to spare.
+        workers: 2 * QUEUE_CAPACITY + 8,
+        batch: BatchConfig {
+            queue_capacity: QUEUE_CAPACITY,
+            deadline: DEADLINE,
+            ..BatchConfig::default()
+        },
+        degrade_watermark: DEGRADE_WATERMARK,
+        fault: Some(injector.clone()),
+        ..ServeConfig::default()
+    };
+    let stamped_after = unix_now();
+    let server = start_server(&fx, &config);
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
     let mut driver = Driver {
         server: &server,
         injector: &injector,
-        num_users: fx.dataset.num_users(),
+        fx,
+        epoch: 1,
+        stamped_after,
         combo: 0,
+        stale: Vec::new(),
         counts: ChaosCounts::default(),
         unexpected: Vec::new(),
     };
-    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
     for &phase in &plan.phases {
         driver.run_phase(phase, &mut client);
     }
-    let (c, unexpected) = (driver.counts, driver.unexpected);
-    assert!(
-        unexpected.is_empty(),
-        "unexpected outcomes: {unexpected:#?}"
-    );
+    let scrape = client.get("/metrics").expect("metrics").body;
+    let Driver {
+        counts: c,
+        unexpected,
+        stamped_after,
+        ..
+    } = driver;
+    server.shutdown();
+
+    assert!(unexpected.is_empty(), "unexpected answers: {unexpected:#?}");
     assert_eq!(
         c.served + c.shed + c.expired + c.degraded + c.failed,
         c.submitted,
         "conservation: {c:?}"
     );
-
-    let metrics = server.engine().metrics();
-    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed) as usize;
-    assert_eq!(load(&metrics.shed_total), c.shed);
-    assert_eq!(load(&metrics.expired_total), c.expired);
-    assert_eq!(load(&metrics.degraded_total), c.degraded);
-    assert_eq!(load(&metrics.injected_failures_total), c.failed);
-    assert_eq!(load(&metrics.queue_depth), 0);
-    server.shutdown();
+    let tallies = [
+        ("st_serve_requests_total{route=\"recommend\"} ", c.submitted),
+        ("st_serve_shed_total ", c.shed),
+        ("st_serve_expired_total ", c.expired),
+        ("st_serve_degraded_total ", c.degraded),
+        ("st_serve_injected_failures_total ", c.failed),
+        ("st_serve_queue_depth ", 0),
+        ("st_serve_reloads_ok_total ", c.reloads),
+        ("st_serve_reloads_failed_total ", 0),
+        ("st_serve_model_epoch ", 1 + c.reloads),
+    ];
+    for (name, want) in tallies {
+        assert_eq!(scraped(&scrape, name), want as u64, "{name}");
+    }
+    // The stamp an external staleness alert keys on is the last reload's.
+    let stamp = scraped(&scrape, "st_serve_last_reload_timestamp_seconds ");
+    assert!(stamp >= stamped_after, "stale reload stamp {stamp}");
     c
+}
+
+/// Runs a named plan: one scripted scenario's phases.
+fn run_named(phases: &[ChaosPhase]) -> ChaosCounts {
+    run_pass(&FaultPlan {
+        seed: 0,
+        phases: phases.to_vec(),
+    })
+}
+
+#[test]
+fn burst_over_capacity_sheds_with_429() {
+    let counts = run_named(&[ChaosPhase::Burst { excess: 3 }]);
+    let want = ChaosCounts {
+        submitted: 9,
+        served: 6,
+        shed: 3,
+        ..ChaosCounts::default()
+    };
+    assert_eq!(counts, want);
+}
+
+#[test]
+fn deadline_expiry_returns_503() {
+    // The storm is over: the next request scores normally.
+    let counts = run_named(&[
+        ChaosPhase::DeadlineExpiry { queued: 3 },
+        ChaosPhase::Normal { requests: 1 },
+    ]);
+    let want = ChaosCounts {
+        submitted: 4,
+        served: 1,
+        expired: 3,
+        ..ChaosCounts::default()
+    };
+    assert_eq!(counts, want);
+}
+
+#[test]
+fn repeated_publishes_mid_burst_lose_zero_requests() {
+    // The online publisher's steady state: three freshly trained
+    // generations, each published and reloaded with five requests parked
+    // in the queue during the swap.
+    let counts = run_named(&[ChaosPhase::ReloadMidBurst { queued: 5 }; 3]);
+    let want = ChaosCounts {
+        submitted: 15,
+        served: 15,
+        reloads: 3,
+        ..ChaosCounts::default()
+    };
+    assert_eq!(counts, want);
+}
+
+#[test]
+fn degraded_mode_serves_cached_results_under_overload() {
+    // Back below the watermark, the warmed keys score fresh again.
+    let counts = run_named(&[
+        ChaosPhase::DegradedServe { warm: 2, hits: 2 },
+        ChaosPhase::Normal { requests: 2 },
+    ]);
+    let want = ChaosCounts {
+        submitted: 10,
+        served: 8,
+        degraded: 2,
+        reloads: 1,
+        ..ChaosCounts::default()
+    };
+    assert_eq!(counts, want);
+}
+
+#[test]
+fn injected_scorer_failure_fails_the_batch_cleanly() {
+    // The failure budget is spent; the server recovers on its own.
+    let counts = run_named(&[
+        ChaosPhase::ScorerFailure { queued: 2 },
+        ChaosPhase::Normal { requests: 1 },
+    ]);
+    let want = ChaosCounts {
+        submitted: 3,
+        served: 1,
+        failed: 2,
+        ..ChaosCounts::default()
+    };
+    assert_eq!(counts, want);
 }
 
 #[test]
@@ -766,8 +631,7 @@ fn seeded_chaos_run_holds_every_invariant() {
     // What CI replays on the optimized build: seed 42, three phases past
     // the deck, two passes against fresh servers.
     let plan = FaultPlan::from_seed(42, QUEUE_CAPACITY, DEGRADE_WATERMARK, 3);
-    let fx = fixture("seeded");
-    let first = run_pass(&fx, &plan);
+    let first = run_pass(&plan);
     assert_eq!(
         first,
         ChaosCounts {
@@ -777,9 +641,10 @@ fn seeded_chaos_run_holds_every_invariant() {
             expired: 10,
             degraded: 2,
             failed: 3,
+            reloads: 2,
         }
     );
-    assert_eq!(run_pass(&fx, &plan), first, "same seed, same counts");
+    assert_eq!(run_pass(&plan), first, "same seed, same counts");
 }
 
 #[test]
