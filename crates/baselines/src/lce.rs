@@ -145,9 +145,11 @@ fn content_update(
 }
 
 impl Scorer for Lce {
+    /// The logit: it ranks like the sigmoid of the loss, without the
+    /// exact ties the sigmoid saturates into at 1.0.
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
         pois.iter()
-            .map(|p| sigmoid(self.mf.logit(user.idx(), p.idx())))
+            .map(|p| self.mf.logit(user.idx(), p.idx()))
             .collect()
     }
 }

@@ -117,11 +117,10 @@ impl PrUidt {
 impl Scorer for PrUidt {
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
         // Evaluation ranks target-city POIs, where no drift was ever
-        // observed: score with the shared (transferable) factor only.
+        // observed: score with the shared (transferable) factor only. The
+        // logit ranks like the loss's sigmoid, without its saturated ties.
         pois.iter()
-            .map(|p| {
-                sigmoid(self.shared.dot(user.idx(), &self.pois, p.idx()) + self.poi_bias[p.idx()])
-            })
+            .map(|p| self.shared.dot(user.idx(), &self.pois, p.idx()) + self.poi_bias[p.idx()])
             .collect()
     }
 }

@@ -195,15 +195,16 @@ fn train_autoencoder(dataset: &Dataset, config: &ShCdlConfig, rng: &mut SmallRng
 }
 
 impl Scorer for ShCdl {
+    /// The logit: it ranks like the sigmoid of the loss, without the
+    /// exact ties the sigmoid saturates into at 1.0.
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
         let u = self.users.row(user.idx());
         pois.iter()
             .map(|p| {
-                let z: f32 = (0..self.dim)
+                (0..self.dim)
                     .map(|k| u[k] * (self.codes[p.idx()][k] + self.poi_offset.row(p.idx())[k]))
                     .sum::<f32>()
-                    + self.poi_bias[p.idx()];
-                sigmoid(z)
+                    + self.poi_bias[p.idx()]
             })
             .collect()
     }

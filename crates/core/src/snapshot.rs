@@ -310,9 +310,43 @@ impl ModelSnapshot {
         user: UserId,
         pois: &[PoiId],
     ) -> Result<Vec<f32>, PredictError> {
-        self.check_rows(&[user], pois)?;
+        self.check_user(user, pois)?;
+        let mut scores = Vec::with_capacity(pois.len());
+        self.score_user_into(ctx, user, pois, &mut scores);
+        Ok(scores)
+    }
+
+    /// The validation [`ModelSnapshot::try_score_user_with`] runs before
+    /// any compute: `user` and every one of `pois` must be rows of this
+    /// snapshot.
+    pub fn check_user(&self, user: UserId, pois: &[PoiId]) -> Result<(), PredictError> {
+        self.check_rows(&[user], pois)
+    }
+
+    /// Appends `user`'s scores against `pois` to `out`, unvalidated: the
+    /// arithmetic of [`ModelSnapshot::try_score_user_with`] for a caller
+    /// that checked the whole request with [`ModelSnapshot::check_user`]
+    /// and scores it one row range at a time. A row's bits do not depend
+    /// on the range it is scored in.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range.
+    pub fn score_user_into(
+        &self,
+        ctx: &mut InferCtx,
+        user: UserId,
+        pois: &[PoiId],
+        out: &mut Vec<f32>,
+    ) {
         let rows = pois.iter().map(|p| p.idx());
-        Ok(self.score_run(ctx, user.idx(), &self.poi_table, rows))
+        ctx.score_run(
+            &self.tower,
+            &self.user_table,
+            user.idx(),
+            &self.poi_table,
+            rows,
+            out,
+        );
     }
 
     /// User row `user_row` against `items[rows]`: a single run.

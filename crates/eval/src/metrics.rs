@@ -32,32 +32,61 @@ impl Metric {
     }
 }
 
-/// Computes one metric at cutoff `k` for a single ranked list.
-///
-/// `ranked` is the candidate list in descending score order; `relevant`
-/// marks which candidates are ground truth (parallel to `ranked`'s
-/// index space — see [`rank_metrics`] for the usual entry point).
-pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k: usize) -> f64 {
+/// One position of a ranked list under the expected-rank tie rule: the
+/// chance that it holds a truth when its tie group is ordered uniformly
+/// at random, and the expected number of truths at or above it given
+/// that it does. Outside a tie these are the plain 0/1 hit and the count
+/// of hits so far.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    hit: f64,
+    hits_through: f64,
+}
+
+/// The [`Slot`]s of the ranking `order`. A tie group — neighbours with
+/// equal scores; NaN equals nothing — of `g` members, `h` of them truths,
+/// gives each of its positions `h / g` of a hit, so every member gets the
+/// mean of a metric's gain over the positions the group spans.
+fn slots(order: &[usize], scores: &[f32], relevant: &[bool]) -> Vec<Slot> {
+    let mut slots = Vec::with_capacity(order.len());
+    let mut before = 0usize;
+    for group in order.chunk_by(|&a, &b| scores[a] == scores[b]) {
+        let (g, h) = (group.len(), group.iter().filter(|&&i| relevant[i]).count());
+        let hit = h as f64 / g as f64;
+        // Given a truth at the group's `t`-th position, each of the `t`
+        // positions above it holds one of the other `h - 1` truths with
+        // chance `(h - 1) / (g - 1)`.
+        let share = if g > 1 {
+            h.saturating_sub(1) as f64 / (g - 1) as f64
+        } else {
+            0.0
+        };
+        for t in 0..g {
+            let hits_through = (before + 1) as f64 + t as f64 * share;
+            slots.push(Slot { hit, hits_through });
+        }
+        before += h;
+    }
+    slots
+}
+
+/// Computes one metric at cutoff `k` for a single ranked list, as its
+/// expected value over the orders of its tie groups.
+fn metric_at_k(metric: Metric, slots: &[Slot], num_relevant: usize, k: usize) -> f64 {
     assert!(k > 0, "cutoff k must be positive");
     if num_relevant == 0 {
         return 0.0;
     }
-    let k = k.min(hits.len());
+    let k = k.min(slots.len());
+    let got = || slots[..k].iter().map(|s| s.hit).sum::<f64>();
     match metric {
-        Metric::Recall => {
-            let got = hits[..k].iter().filter(|&&h| h).count();
-            got as f64 / num_relevant as f64
-        }
-        Metric::Precision => {
-            let got = hits[..k].iter().filter(|&&h| h).count();
-            got as f64 / k as f64
-        }
+        Metric::Recall => got() / num_relevant as f64,
+        Metric::Precision => got() / k as f64,
         Metric::Ndcg => {
-            let dcg: f64 = hits[..k]
+            let dcg: f64 = slots[..k]
                 .iter()
                 .enumerate()
-                .filter(|(_, &h)| h)
-                .map(|(i, _)| 1.0 / ((i + 2) as f64).log2())
+                .map(|(i, s)| s.hit / ((i + 2) as f64).log2())
                 .sum();
             let ideal: f64 = (0..num_relevant.min(k))
                 .map(|i| 1.0 / ((i + 2) as f64).log2())
@@ -65,14 +94,11 @@ pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k:
             dcg / ideal
         }
         Metric::Map => {
-            let mut hits_so_far = 0usize;
-            let mut ap = 0.0;
-            for (i, &h) in hits[..k].iter().enumerate() {
-                if h {
-                    hits_so_far += 1;
-                    ap += hits_so_far as f64 / (i + 1) as f64;
-                }
-            }
+            let ap: f64 = slots[..k]
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.hit * s.hits_through / (i + 1) as f64)
+                .sum();
             ap / num_relevant.min(k) as f64
         }
     }
@@ -81,11 +107,13 @@ pub(crate) fn metric_at_k(metric: Metric, hits: &[bool], num_relevant: usize, k:
 /// Computes all four metrics at several cutoffs for one user's ranking.
 ///
 /// `scores` and `relevant` are parallel: `relevant[i]` says whether
-/// candidate `i` is ground truth. Ties are broken by candidate order
-/// (stable sort), which keeps evaluation deterministic. A NaN score (a
-/// diverged model) ranks below every number, and a NaN truth below every
-/// NaN negative too, so NaN can neither win nor abort the evaluation —
-/// [`crate::evaluate_window`]'s rule.
+/// candidate `i` is ground truth. Exact ties count as expected rank: a
+/// tie group is one block, and each member gets the mean of the metric
+/// over the positions the group spans, so a constant scorer reads the
+/// random expectation (Recall@k = `k / |candidates|`), not a perfect
+/// score. A NaN score (a diverged model) ranks below every number, and a
+/// NaN truth below every NaN negative too, so NaN can neither win nor
+/// abort the evaluation — [`crate::evaluate_window`]'s rule.
 pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetrics {
     assert_eq!(scores.len(), relevant.len(), "scores/relevance mismatch");
     let mut order: Vec<usize> = (0..scores.len()).collect();
@@ -96,13 +124,13 @@ pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetr
             .partial_cmp(&scores[a])
             .unwrap_or_else(|| nan_last(a).cmp(&nan_last(b)))
     });
-    let hits: Vec<bool> = order.iter().map(|&i| relevant[i]).collect();
+    let slots = slots(&order, scores, relevant);
     let num_relevant = relevant.iter().filter(|&&r| r).count();
     let values = Metric::ALL
         .iter()
         .map(|&m| {
             ks.iter()
-                .map(|&k| metric_at_k(m, &hits, num_relevant, k))
+                .map(|&k| metric_at_k(m, &slots, num_relevant, k))
                 .collect()
         })
         .collect();
@@ -232,9 +260,9 @@ mod tests {
 
     /// NaN ranks below every number: a NaN negative never outranks a
     /// finite truth, and a NaN truth falls below every finite negative.
-    /// Finite ties (±0 included) keep candidate order.
+    /// Finite ties (±0 included) share their positions.
     #[test]
-    fn nan_scores_rank_last_and_ties_keep_candidate_order() {
+    fn nan_scores_rank_last_and_ties_share_their_positions() {
         // One relevant candidate: Recall@k (first in `Metric::ALL`) is
         // 1 exactly when it ranks within the top k.
         let hit_at = |scores: &[f32], relevant: &[bool], k| {
@@ -256,10 +284,57 @@ mod tests {
         let all_nan = rank_metrics(&[nan; 101], &relevant, &[10]);
         assert_eq!(all_nan.values, vec![vec![0.0]; Metric::ALL.len()]);
         assert_eq!(hit_at(&[nan; 101], &relevant, 101), 1.0);
-        // ±0 tie: the earlier candidate wins either way round.
-        assert_eq!(hit_at(&[0.0, -0.0], &[true, false], 1), 1.0);
-        assert_eq!(hit_at(&[-0.0, 0.0], &[true, false], 1), 1.0);
-        assert_eq!(hit_at(&[0.0, -0.0], &[false, true], 1), 0.0);
+        // ±0 tie: half a hit at the first position, whichever way round.
+        assert_eq!(hit_at(&[0.0, -0.0], &[true, false], 1), 0.5);
+        assert_eq!(hit_at(&[-0.0, 0.0], &[true, false], 1), 0.5);
+        assert_eq!(hit_at(&[0.0, -0.0], &[false, true], 1), 0.5);
+    }
+
+    /// A constant scorer reads the random expectation: Recall@k is
+    /// `k / |candidates|` whatever the number of truths, and a scorer
+    /// whose scores all saturate at 1.0 does no better.
+    #[test]
+    fn a_constant_scorer_scores_the_random_expectation() {
+        let n = 101;
+        for truths in [1, 3] {
+            let relevant: Vec<bool> = (0..n).map(|i| i % 37 == 0 && i / 37 < truths).collect();
+            assert_eq!(relevant.iter().filter(|&&r| r).count(), truths);
+            let ks = [1, 5, 10, 20];
+            let constant = rank_metrics(&vec![0.25; n], &relevant, &ks);
+            for (ki, &k) in ks.iter().enumerate() {
+                let recall = constant.values[0][ki];
+                assert!(
+                    (recall - k as f64 / n as f64).abs() < 1e-12,
+                    "k {k}: {recall}"
+                );
+                let precision = constant.values[1][ki];
+                assert!((precision - truths as f64 / n as f64).abs() < 1e-12);
+            }
+            let saturated = rank_metrics(&vec![1.0; n], &relevant, &ks);
+            assert_eq!(saturated, constant);
+        }
+    }
+
+    /// The tie rule's MAP is the mean over every order of the group: two
+    /// truths and two negatives all tied give AP@4 averaged over the six
+    /// placements of the truths.
+    #[test]
+    fn tied_map_is_the_mean_over_orders() {
+        let m = rank_metrics(&[0.5; 4], &[true, false, true, false], &[4]);
+        let placements = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]];
+        let mean: f64 = placements
+            .iter()
+            .map(|&[a, b]| (1.0 / (a + 1) as f64 + 2.0 / (b + 1) as f64) / 2.0)
+            .sum::<f64>()
+            / placements.len() as f64;
+        assert!(
+            (m.values[3][0] - mean).abs() < 1e-12,
+            "{} vs {mean}",
+            m.values[3][0]
+        );
+        // A tie below the cutoff's reach counts only its share inside it.
+        let m = rank_metrics(&[0.9, 0.5, 0.5, 0.5], &[false, false, true, false], &[2]);
+        assert!((m.values[0][0] - 1.0 / 3.0).abs() < 1e-12);
     }
 
     /// Candidates: [GT, neg, GT, neg, neg]; scores put GT at ranks 1 and 3.

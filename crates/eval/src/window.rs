@@ -55,11 +55,12 @@ pub struct WindowReport {
 /// distinct same-city POIs (the true POI excluded from the negatives)
 /// and aggregates hit-rate@k over the window.
 ///
-/// Ties rank the true POI first, matching the stable ordering of
-/// [`crate::rank_metrics`]; a NaN on either side of a comparison ranks
-/// the negative first, so a scorer that returns NaN misses. An empty
-/// window reports zero events and a zero rate — callers gate on
-/// `events` before trusting it.
+/// Ties count as expected rank, like [`crate::rank_metrics`]: the true
+/// POI takes each position of its tie group with equal chance, so a
+/// constant scorer's hit rate is `k / (negatives + 1)`. A NaN on either
+/// side of a comparison ranks the negative first, so a scorer that
+/// returns NaN misses. An empty window reports zero events and a zero
+/// rate — callers gate on `events` before trusting it.
 pub fn evaluate_window(
     scorer: &dyn Scorer,
     dataset: &Dataset,
@@ -75,7 +76,7 @@ pub fn evaluate_window(
         };
     }
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut hits = 0usize;
+    let mut hits = 0.0;
     for event in events {
         let truth = event.poi;
         let city_pois = dataset.pois_in_city(dataset.poi(truth).city);
@@ -83,18 +84,22 @@ pub fn evaluate_window(
             sample_candidates(city_pois, &[truth], config.negatives, &mut rng);
         let scores = scorer.score_batch(event.user, &candidates);
         debug_assert_eq!(scores.len(), candidates.len());
-        // Rank of the truth (index 0) under descending score: a negative
-        // outranks it unless the truth scores at least as high, so ties
-        // go the truth's way and NaN (incomparable) goes against it.
-        let at_least = |s: &f32| scores[0].partial_cmp(s).is_some_and(Ordering::is_ge);
-        let rank = scores[1..].iter().filter(|s| !at_least(s)).count();
-        if rank < config.k {
-            hits += 1;
+        // The truth (index 0) under descending score: a negative above
+        // it unless the truth scores at least as high (NaN, incomparable,
+        // goes against it), and its tie group shares one more position.
+        let (mut above, mut tied) = (0usize, 0usize);
+        for s in &scores[1..] {
+            match scores[0].partial_cmp(s) {
+                Some(Ordering::Greater) => {}
+                Some(Ordering::Equal) => tied += 1,
+                _ => above += 1,
+            }
         }
+        hits += config.k.saturating_sub(above).min(tied + 1) as f64 / (tied + 1) as f64;
     }
     WindowReport {
         events: events.len(),
-        hit_rate: hits as f64 / events.len() as f64,
+        hit_rate: hits / events.len() as f64,
     }
 }
 
@@ -241,6 +246,29 @@ mod tests {
             assert_eq!(w[0], e.poi, "truth must lead the candidate list");
             assert_eq!(w.len(), 21);
         }
+    }
+
+    /// A constant scorer reads the random expectation, `k` of the
+    /// `negatives + 1` positions, and one whose scores all saturate at
+    /// 1.0 does no better.
+    #[test]
+    fn a_constant_scorer_hits_at_the_random_rate() {
+        struct Constant(f32);
+        impl Scorer for Constant {
+            fn score_batch(&self, _user: UserId, pois: &[PoiId]) -> Vec<f32> {
+                vec![self.0; pois.len()]
+            }
+        }
+        let (d, events) = setup();
+        // Every city of the fixture has 20 POIs besides the truth.
+        let cfg = WindowEvalConfig {
+            negatives: 20,
+            ..WindowEvalConfig::default()
+        };
+        let constant = evaluate_window(&Constant(0.25), &d, &events, &cfg);
+        let want = cfg.k as f64 / (cfg.negatives + 1) as f64;
+        assert!((constant.hit_rate - want).abs() < 1e-12, "{constant:?}");
+        assert_eq!(evaluate_window(&Constant(1.0), &d, &events, &cfg), constant);
     }
 
     #[test]

@@ -124,8 +124,7 @@ mod tests {
         }
     }
 
-    /// Favors low POI ids — loses to the tie-scoring Flat baseline
-    /// whenever any sampled negative has a lower id than the truth.
+    /// Favors low POI ids: an order that knows nothing of the truth.
     struct ByIdAsc;
     impl Scorer for ByIdAsc {
         fn score_batch(&self, _user: UserId, pois: &[PoiId]) -> Vec<f32> {
@@ -152,10 +151,21 @@ mod tests {
         w.extend(&CheckinStream::new(&d, 4).next_batch(64));
         let cfg = GateConfig::default();
 
-        // A flat scorer ties everything: the truth wins ties, so flat
-        // baseline = perfect hit rate; a low-id-favoring candidate loses
-        // whenever any negative id is below the truth's.
-        let regress = gate(&ByIdAsc, &Flat(0.0), &d, &w, &cfg, 1);
+        // A flat scorer ties everything, and a tie counts as expected
+        // rank, so the flat baseline hits at the random rate; a candidate
+        // that scores every POI the window visited lowest ranks each
+        // event's truth last (below all but other visited POIs).
+        struct Shun(Vec<PoiId>);
+        impl Scorer for Shun {
+            fn score_batch(&self, _user: UserId, pois: &[PoiId]) -> Vec<f32> {
+                pois.iter()
+                    .map(|p| -f32::from(u8::from(self.0.contains(p))))
+                    .collect()
+            }
+        }
+        let shun = Shun(w.events().iter().map(|e| e.poi).collect());
+        let regress = gate(&shun, &Flat(0.0), &d, &w, &cfg, 1);
+        assert!(regress.baseline.hit_rate > 0.0);
         assert!(regress.candidate.hit_rate < regress.baseline.hit_rate);
         assert!(!regress.accept, "regressing candidate must be rejected");
 

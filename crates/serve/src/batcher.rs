@@ -20,33 +20,39 @@
 //! thread per CPU the process may run on drains the queue. A scorer
 //! woken by an arrival takes what is queued and scores it at once — it
 //! never waits for companions, so a batch is the backlog that built up
-//! while every scorer was busy. It scores each request of the batch —
-//! one user against its candidates, the shape the tower computes —
-//! against the one generation's frozen
-//! [`st_transrec_core::ModelSnapshot`]: tape-free `InferCtx` execution
-//! over scratch buffers the scorer owns and reuses for its whole
-//! lifetime. The scoring path takes candidates in fixed cache-resident
-//! row tiles, so neither a request's size nor the batch's moves its
-//! memory or its per-pair cost. Scores are ranked by `recommend_top_k`'s
-//! own rule, so a batched response is bit-identical to an unbatched one.
+//! while every scorer was busy. The scorer that drained a job (its
+//! owner) validates it against the one generation's frozen
+//! [`st_transrec_core::ModelSnapshot`] and splits its candidates into
+//! `TILE_ROWS`-row ranges behind one cursor (`Tiles`). The owner claims
+//! ranges until the cursor runs out; a scorer that finds the queue empty
+//! claims ranges of an open job before it parks, so one cold request
+//! scores on every free CPU. Each range is tape-free `InferCtx` execution
+//! over scratch the claiming scorer owns, and lands in its own slots of
+//! the job's score buffer. A row's bits do not depend on the range that
+//! scored it, and scores are ranked by `recommend_top_k`'s own rule, so
+//! a batched response is bit-identical to an unbatched one.
 //!
-//! Every submitted job reaches exactly one terminal outcome: scored,
-//! shed at admission, expired in queue, failed by an injected fault, or
-//! answered with a shutdown error. The shutdown flag is part of the
-//! queue, under its one mutex, so no job can slip in between the stop
-//! flag and the final drain — the conservation invariant the chaos
-//! harness asserts end to end.
+//! Every submitted job reaches exactly one terminal outcome, from its
+//! owner: scored, shed at admission, expired in queue, failed by an
+//! injected fault, or answered with a shutdown error. Helpers only score
+//! ranges; they never touch the queue, reply, or consult the fault gate.
+//! The shutdown flag is part of the queue, under its one mutex, so no job
+//! can slip in between the stop flag and the final drain — the
+//! conservation invariant the chaos harness asserts end to end.
 
 use crate::fault::FaultInjector;
 use crate::metrics::{micros, Metrics, Stage};
-use crate::snapshot::ModelCell;
+use crate::snapshot::{ModelCell, ServingGeneration};
 use st_data::{PoiId, UserId};
+use st_tensor::kernels::TILE_ROWS;
 /// The ranking rule of `recommend_top_k`, at the path the batcher has
 /// always exported it from.
 pub use st_transrec_core::rank_top_k;
 use st_transrec_core::{InferCtx, Recommendation};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering::Relaxed;
+use std::ops::Range;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -182,16 +188,133 @@ impl<T> Queue<T> {
     }
 }
 
+/// One drained job's candidates as `TILE_ROWS`-row ranges behind one
+/// cursor. Whoever claims a range scores it into that range's slots of
+/// `scores` and then marks it landed; the owner ranks once every range
+/// has. Slots hold `f32` bits, so scorers write disjoint parts of one
+/// buffer with no lock, and a range scored twice writes the same bits.
+struct Tiles {
+    /// The generation the owner validated the job against.
+    generation: Arc<ServingGeneration>,
+    user: UserId,
+    candidates: Arc<Vec<PoiId>>,
+    /// Index of the next unclaimed range.
+    next: AtomicUsize,
+    /// One score's bits per candidate.
+    scores: Vec<AtomicU32>,
+    /// One flag per range, set after its scores are stored.
+    landed: Vec<AtomicBool>,
+}
+
+/// A scorer's scratch, reused across every range it ever scores: the
+/// tower's buffers and one tile of scores.
+#[derive(Default)]
+struct Scratch {
+    ctx: InferCtx,
+    tile: Vec<f32>,
+}
+
+/// How long an owner whose cursor has run out waits for a range another
+/// scorer claimed before it scores that range itself. A range takes tens
+/// of microseconds, so only a helper that stalled or panicked mid-range
+/// is overtaken; its late stores write the same bits.
+const HELPER_GRACE: Duration = Duration::from_millis(1);
+
+impl Tiles {
+    /// Opens a job whose ids `generation` has validated.
+    fn new(generation: Arc<ServingGeneration>, user: UserId, candidates: Arc<Vec<PoiId>>) -> Self {
+        let n = candidates.len();
+        Self {
+            generation,
+            user,
+            candidates,
+            next: AtomicUsize::new(0),
+            scores: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            landed: (0..n.div_ceil(TILE_ROWS))
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+        }
+    }
+
+    fn ranges(&self) -> usize {
+        self.landed.len()
+    }
+
+    /// The candidates of range `r`.
+    fn range(&self, r: usize) -> Range<usize> {
+        r * TILE_ROWS..((r + 1) * TILE_ROWS).min(self.candidates.len())
+    }
+
+    /// Whether a range is left to claim.
+    fn unclaimed(&self) -> bool {
+        self.next.load(Relaxed) < self.ranges()
+    }
+
+    /// Claims the next range, if one is left.
+    fn claim(&self) -> Option<usize> {
+        let r = self.next.fetch_add(1, Relaxed);
+        (r < self.ranges()).then_some(r)
+    }
+
+    /// Scores range `r`, stores its scores and marks it landed.
+    fn score(&self, scratch: &mut Scratch, r: usize) {
+        let rows = self.range(r);
+        scratch.tile.clear();
+        self.generation.frozen.score_user_into(
+            &mut scratch.ctx,
+            self.user,
+            &self.candidates[rows.clone()],
+            &mut scratch.tile,
+        );
+        for (slot, score) in self.scores[rows].iter().zip(&scratch.tile) {
+            slot.store(score.to_bits(), Relaxed);
+        }
+        self.landed[r].store(true, Release);
+    }
+
+    /// The first range that has not landed.
+    fn pending(&self) -> Option<usize> {
+        self.landed.iter().position(|l| !l.load(Acquire))
+    }
+
+    /// The owner's last step, once the cursor has run out: waits for the
+    /// ranges other scorers hold, scores any still missing after
+    /// [`HELPER_GRACE`] itself, and returns the scores in candidate
+    /// order with how many ranges it scored here.
+    fn collect(&self, scratch: &mut Scratch) -> (Vec<f32>, u64) {
+        let waiting = Instant::now();
+        let mut rescored = 0;
+        while let Some(r) = self.pending() {
+            if waiting.elapsed() < HELPER_GRACE {
+                std::thread::yield_now();
+            } else {
+                self.score(scratch, r);
+                rescored += 1;
+            }
+        }
+        let scores = self.scores.iter().map(|s| f32::from_bits(s.load(Relaxed)));
+        (scores.collect(), rescored)
+    }
+}
+
 struct Shared {
-    queue: Mutex<Queue<Job>>,
+    state: Mutex<State>,
     arrived: Condvar,
+}
+
+/// What the scorers share under one mutex: the queue, and the jobs whose
+/// ranges any scorer that finds the queue empty may claim.
+struct State {
+    queue: Queue<Job>,
+    open: Vec<Arc<Tiles>>,
 }
 
 /// Takes the guard out of a lock result whether or not the lock is
 /// poisoned. [`Queue`] changes by whole operations (`push_back`, `drain`,
-/// an assignment), so it is consistent wherever a holder unwinds (as is
-/// `snapshot`'s one-pointer cell); refusing the guard would only turn
-/// one thread's panic into every scorer's and every HTTP worker's.
+/// an assignment), as does the open list, so both are consistent
+/// wherever a holder unwinds (as is `snapshot`'s one-pointer cell);
+/// refusing the guard would only turn one thread's panic into every
+/// scorer's and every HTTP worker's.
 pub(crate) fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -271,11 +394,15 @@ impl MicroBatcher {
         );
         assert!(scorers >= 1, "a batcher needs a scorer");
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::new(config.queue_capacity, config.deadline)),
+            state: Mutex::new(State {
+                queue: Queue::new(config.queue_capacity, config.deadline),
+                open: Vec::new(),
+            }),
             arrived: Condvar::new(),
         });
         metrics.batcher_scorers.store(scorers as u64, Relaxed);
-        let scorers = (0..scorers)
+        let count = scorers;
+        let scorers = (0..count)
             .map(|i| {
                 let (shared, cell, metrics) = (shared.clone(), cell.clone(), metrics.clone());
                 let injector = injector.clone();
@@ -283,7 +410,7 @@ impl MicroBatcher {
                 // anything is served; `start` has no error path to return it on.
                 std::thread::Builder::new()
                     .name(format!("st-serve-scorer-{i}"))
-                    .spawn(move || scorer_loop(shared, cell, metrics, config, injector))
+                    .spawn(move || scorer_loop(shared, cell, metrics, config, injector, count))
                     .expect("spawn scorer thread")
             })
             .collect();
@@ -301,7 +428,7 @@ impl MicroBatcher {
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         {
-            let mut queue = recover(self.shared.queue.lock());
+            let queue = &mut recover(self.shared.state.lock()).queue;
             if let Err(refused) = queue.admit(now, Job { req, tx }) {
                 if refused == SubmitError::QueueFull {
                     self.metrics.shed_total.fetch_add(1, Relaxed);
@@ -312,8 +439,9 @@ impl MicroBatcher {
                 .queue_depth
                 .store(queue.jobs.len() as u64, Relaxed);
         }
-        // One job needs one scorer: wake a parked one, if any. A busy
-        // scorer looks at the queue again when its batch is done.
+        // One job needs one owner: wake a parked scorer, if any. A busy
+        // one looks at the queue again when its batch, or the range it
+        // is helping with, is done.
         self.shared.arrived.notify_one();
         // A closed channel without a message can only mean the scorer
         // died; report it as a shutdown rather than hanging or panicking.
@@ -329,7 +457,7 @@ impl MicroBatcher {
     /// admitted are scored (or expired) before the last scorer exits, and
     /// submissions from then on get [`SubmitError::ShuttingDown`].
     pub(crate) fn shutdown(&mut self) {
-        recover(self.shared.queue.lock()).shut_down();
+        recover(self.shared.state.lock()).queue.shut_down();
         self.shared.arrived.notify_all();
         for scorer in self.scorers.drain(..) {
             let _ = scorer.join();
@@ -349,23 +477,35 @@ fn scorer_loop(
     metrics: Arc<Metrics>,
     config: BatchConfig,
     injector: Option<Arc<FaultInjector>>,
+    scorers: usize,
 ) {
-    // This scorer's scratch buffers, reused across every batch it ever
-    // scores: zero allocations per batch once warmed up.
-    let mut ctx = InferCtx::new();
+    // This scorer's scratch buffers, reused across every range it ever
+    // scores: zero allocations per range once warmed up.
+    let mut scratch = Scratch::default();
     loop {
-        // Wait for the first request (or shutdown). Because the shutdown
-        // flag shares the queue mutex, "empty and shutting down" is a
-        // stable exit condition: nothing can be enqueued after it.
-        let mut queue = recover(shared.queue.lock());
-        while queue.jobs.is_empty() {
-            if queue.shutdown {
+        // Wait for the first request (or shutdown), scoring ranges of
+        // open jobs meanwhile: one range per look, so a queued job is
+        // drained before any further help. Because the shutdown flag
+        // shares the queue mutex, "empty and shutting down" is a stable
+        // exit condition: nothing can be enqueued after it.
+        let mut state = recover(shared.state.lock());
+        while state.queue.jobs.is_empty() {
+            if state.queue.shutdown {
                 return;
             }
-            queue = recover(
+            if let Some(tiles) = state.open.iter().find(|t| t.unclaimed()).cloned() {
+                drop(state);
+                if let Some(r) = tiles.claim() {
+                    tiles.score(&mut scratch, r);
+                    metrics.score_tiles_helper.fetch_add(1, Relaxed);
+                }
+                state = recover(shared.state.lock());
+                continue;
+            }
+            state = recover(
                 shared
                     .arrived
-                    .wait_timeout(queue, Duration::from_millis(50)),
+                    .wait_timeout(state, Duration::from_millis(50)),
             )
             .0;
         }
@@ -376,22 +516,22 @@ fn scorer_loop(
         // no new drain can start. Shutdown overrides the freeze so a
         // frozen server still stops cleanly.
         if let Some(inj) = injector.as_deref() {
-            if inj.frozen() && !queue.shutdown {
-                drop(queue);
+            if inj.frozen() && !state.queue.shutdown {
+                drop(state);
                 std::thread::sleep(FREEZE_POLL);
                 continue;
             }
         }
 
         // The backlog is the batch: take what is queued and score it now.
-        // Scoring is per job, so waiting for companions would buy no
-        // arithmetic and only park every blocked caller behind a timer.
         // Jobs that aged out while queued are answered here, so a slow or
         // stalled batch ahead of them cannot cascade into scoring work
         // whose clients have already given up.
-        let drain = queue.take(Instant::now(), config.max_batch);
-        metrics.queue_depth.store(queue.jobs.len() as u64, Relaxed);
-        drop(queue);
+        let drain = state.queue.take(Instant::now(), config.max_batch);
+        metrics
+            .queue_depth
+            .store(state.queue.jobs.len() as u64, Relaxed);
+        drop(state);
         for (waited, _) in drain.fresh.iter().chain(&drain.expired) {
             metrics.stage(Stage::Queue).observe(micros(*waited));
         }
@@ -421,18 +561,24 @@ fn scorer_loop(
             }
         }
 
-        execute_batch(&cell, &metrics, batch, &mut ctx);
+        execute_batch(&shared, &cell, &metrics, batch, &mut scratch, scorers);
     }
 }
 
 /// Scores, ranks and answers every job of one drained batch, all
-/// against one model snapshot, through the generation's frozen
-/// parameters and the scorer's reusable scratch.
-fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut InferCtx) {
+/// against one model snapshot, as the jobs' owner.
+fn execute_batch(
+    shared: &Shared,
+    cell: &ModelCell,
+    metrics: &Metrics,
+    batch: Vec<Job>,
+    scratch: &mut Scratch,
+    scorers: usize,
+) {
     if batch.is_empty() {
         return;
     }
-    let snapshot = cell.current();
+    let generation = cell.current();
 
     metrics.batches.fetch_add(1, Relaxed);
     metrics
@@ -447,12 +593,15 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
             k,
         } = &job.req;
         // A malformed request (unknown user, out-of-range candidate) is
-        // validated out against the snapshot that would score it and
-        // answered `InvalidRequest` on its own channel — an error reply,
-        // never a worker panic, and the rest of the batch scores
-        // normally.
+        // validated out against the snapshot that would score it, before
+        // any range opens, and answered `InvalidRequest` on its own
+        // channel — an error reply, never a worker panic, and the rest
+        // of the batch scores normally.
         let scoring = Instant::now();
-        let scored = snapshot.frozen.try_score_user_with(ctx, *user, candidates);
+        let scored = generation.frozen.check_user(*user, candidates).map(|()| {
+            let tiles = Tiles::new(generation.clone(), *user, candidates.clone());
+            score_as_owner(shared, metrics, scratch, &Arc::new(tiles), scorers)
+        });
         metrics.stage(Stage::Score).observe_since(scoring);
         let reply = scored
             .map(|scores| {
@@ -460,7 +609,7 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
                 let recs = rank_top_k(candidates, &scores, *k);
                 metrics.stage(Stage::Topk).observe_since(ranking);
                 BatchReply {
-                    epoch: snapshot.epoch,
+                    epoch: generation.epoch,
                     recs,
                 }
             })
@@ -468,6 +617,40 @@ fn execute_batch(cell: &ModelCell, metrics: &Metrics, batch: Vec<Job>, ctx: &mut
         // A dropped receiver (client hung up) is not an error.
         let _ = job.tx.send(reply);
     }
+}
+
+/// Scores `tiles` as its owner: opens its ranges to the other scorers
+/// when it has more than one, claims ranges until the cursor runs out,
+/// then collects every range's scores.
+fn score_as_owner(
+    shared: &Shared,
+    metrics: &Metrics,
+    scratch: &mut Scratch,
+    tiles: &Arc<Tiles>,
+    scorers: usize,
+) -> Vec<f32> {
+    // Wake one parked scorer per range beyond the owner's first, up to
+    // the other scorers there are.
+    let wake = tiles.ranges().min(scorers).saturating_sub(1);
+    if wake > 0 {
+        recover(shared.state.lock()).open.push(tiles.clone());
+        for _ in 0..wake {
+            shared.arrived.notify_one();
+        }
+    }
+    let mut own = 0;
+    while let Some(r) = tiles.claim() {
+        tiles.score(scratch, r);
+        own += 1;
+    }
+    if wake > 0 {
+        recover(shared.state.lock())
+            .open
+            .retain(|open| !Arc::ptr_eq(open, tiles));
+    }
+    let (scores, rescored) = tiles.collect(scratch);
+    metrics.score_tiles_owner.fetch_add(own + rescored, Relaxed);
+    scores
 }
 
 #[cfg(test)]
@@ -562,7 +745,6 @@ mod tests {
 
     #[test]
     fn one_batch_of_different_users_and_sizes_answers_each_job_its_own() {
-        use st_tensor::kernels::TILE_ROWS;
         let (cell, d, split) = cell();
         // Candidate lists around a scoring row tile, empty and single
         // included, each for a different user; the catalog is cycled to
@@ -798,7 +980,7 @@ mod tests {
                 // Trigger shutdown through the shared queue exactly like
                 // `shutdown()` does, without taking `&mut` (submitters
                 // hold shared borrows).
-                recover(batcher.shared.queue.lock()).shut_down();
+                recover(batcher.shared.state.lock()).queue.shut_down();
                 batcher.shared.arrived.notify_all();
 
                 let mut served = 0usize;
@@ -964,11 +1146,11 @@ mod tests {
         );
         let shared = batcher.shared.clone();
         let panicked = std::thread::spawn(move || {
-            let _held = shared.queue.lock().unwrap();
+            let _held = shared.state.lock().unwrap();
             panic!("poisoning the batcher queue on purpose");
         })
         .join();
-        assert!(panicked.is_err() && batcher.shared.queue.is_poisoned());
+        assert!(panicked.is_err() && batcher.shared.state.is_poisoned());
 
         let candidates = Arc::new(d.pois_in_city(split.target_city).to_vec());
         let reply = batcher.submit(request(split.test_users[0], &candidates, 3));
@@ -979,6 +1161,128 @@ mod tests {
             batcher.submit(request(split.test_users[0], &candidates, 3)),
             Err(SubmitError::ShuttingDown)
         );
+    }
+
+    /// Who claims and lands the ranges of one job, by hand: scratch 0 is
+    /// the owner, the rest are helpers.
+    enum Script {
+        /// The owner claims every range.
+        OwnerOnly,
+        /// Claims go round the scratches in turn.
+        Alternating,
+        /// The owner claims the first range, one helper all the others.
+        HelperTakesAllButOne,
+        /// A helper claims the first range and lands it after the owner
+        /// has landed all the others.
+        HelperLandsLast,
+        /// A helper claims the first range and never lands it, as if it
+        /// had panicked mid-range.
+        HelperNeverLands,
+    }
+
+    /// Runs `script` over a job of `user` against `candidates` and checks
+    /// it: the ranges partition the candidates; the cursor hands out each
+    /// range once, in order; the collected scores equal
+    /// `try_score_user_with`'s bit for bit; and the ranges each scratch
+    /// scored are the script's.
+    fn run_script(
+        generation: &Arc<ServingGeneration>,
+        user: UserId,
+        candidates: &Arc<Vec<PoiId>>,
+        scratch: &mut [Scratch],
+        script: &Script,
+    ) {
+        let tiles = Tiles::new(generation.clone(), user, candidates.clone());
+        let ranges = candidates.len().div_ceil(TILE_ROWS);
+        assert_eq!(tiles.ranges(), ranges);
+        let rows: Vec<usize> = (0..ranges).flat_map(|r| tiles.range(r)).collect();
+        let every: Vec<usize> = (0..candidates.len()).collect();
+        assert_eq!(rows, every, "the ranges partition the candidates");
+        let scratches = scratch.len();
+        let claimant = |r: usize| match script {
+            Script::OwnerOnly => 0,
+            Script::Alternating => r % scratches,
+            Script::HelperTakesAllButOne => usize::from(r > 0),
+            Script::HelperLandsLast | Script::HelperNeverLands => usize::from(r == 0),
+        };
+        let held = matches!(script, Script::HelperLandsLast | Script::HelperNeverLands);
+        let mut scored = vec![0u64; scratch.len()];
+        for r in 0..ranges {
+            assert!(tiles.unclaimed());
+            assert_eq!(tiles.claim(), Some(r), "ranges are claimed in order, once");
+            if held && r == 0 {
+                continue;
+            }
+            let who = claimant(r);
+            tiles.score(&mut scratch[who], r);
+            scored[who] += 1;
+        }
+        assert!(!tiles.unclaimed());
+        assert_eq!(tiles.claim(), None, "the cursor has run out");
+        let mut rescored = 0;
+        if held && ranges > 0 {
+            assert_eq!(tiles.pending(), Some(0), "the held range has not landed");
+            if matches!(script, Script::HelperLandsLast) {
+                tiles.score(&mut scratch[1], 0);
+                scored[1] += 1;
+                assert_eq!(tiles.pending(), None);
+            } else {
+                rescored = 1;
+            }
+        } else {
+            assert_eq!(tiles.pending(), None, "every range landed");
+        }
+
+        let (got, owner_rescored) = tiles.collect(&mut scratch[0]);
+        assert_eq!(owner_rescored, rescored, "n = {}", candidates.len());
+        let want = generation
+            .frozen
+            .try_score_user_with(&mut InferCtx::new(), user, candidates)
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "n = {}", candidates.len());
+
+        // The abandoned range counts as its owner's rescore, not here.
+        let mut expected: Vec<u64> = (0..scratches)
+            .map(|who| (0..ranges).filter(|&r| claimant(r) == who).count() as u64)
+            .collect();
+        expected[1] -= rescored;
+        assert_eq!(scored, expected, "n = {}", candidates.len());
+    }
+
+    #[test]
+    fn scripted_splits_score_the_bits_of_one_pass() {
+        let (cell, d, split) = cell();
+        let generation = cell.current();
+        let catalog = d.pois_in_city(split.target_city);
+        let sizes = [
+            0,
+            1,
+            TILE_ROWS - 1,
+            TILE_ROWS,
+            TILE_ROWS + 1,
+            2 * TILE_ROWS + 3,
+            33 * TILE_ROWS,
+        ];
+        let scripts = [
+            Script::OwnerOnly,
+            Script::Alternating,
+            Script::HelperTakesAllButOne,
+            Script::HelperLandsLast,
+            Script::HelperNeverLands,
+        ];
+        for (&n, &user) in sizes.iter().zip(split.test_users.iter().cycle()) {
+            let skip = user.idx() % catalog.len();
+            let candidates = catalog.iter().cycle().skip(skip).take(n).copied();
+            let candidates = Arc::new(candidates.collect::<Vec<_>>());
+            for script in &scripts {
+                for scratches in [2, 3] {
+                    let mut scratch: Vec<Scratch> =
+                        (0..scratches).map(|_| Scratch::default()).collect();
+                    run_script(&generation, user, &candidates, &mut scratch, script);
+                }
+            }
+        }
     }
 
     /// One operation on a [`Queue`]: admit the next job, take up to

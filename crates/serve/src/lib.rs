@@ -25,7 +25,8 @@
 //! - [`batcher`] — one bounded queue drained by a scorer thread per
 //!   CPU the process may run on: a `/recommend` miss is scored on
 //!   arrival, never held for companions; batches (bounded, deadlined,
-//!   sheddable) are the backlog that builds while every scorer is busy.
+//!   sheddable) are the backlog that builds while every scorer is busy,
+//!   and a scorer with nothing queued takes row tiles of a job in flight.
 //! - `lru` — an LRU result cache keyed by
 //!   `(user, city, k, model_epoch)`; the epoch component makes cache
 //!   invalidation on hot-reload free.

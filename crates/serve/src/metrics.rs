@@ -169,8 +169,8 @@ pub(crate) enum Stage {
     Retrieval,
     /// A miss's wait in the batcher queue, enqueue to drain.
     Queue,
-    /// Row gather and the tower over the candidates
-    /// (`try_score_user_with`).
+    /// Validation, row gather and the tower over the candidates, from
+    /// the owner's check to the last range's landing.
     Score,
     /// Ranking the scores (`rank_top_k`).
     Topk,
@@ -273,6 +273,11 @@ pub struct Metrics {
     pub(crate) batches: AtomicU64,
     /// Requests served through those batches.
     pub(crate) batched_requests: AtomicU64,
+    /// Row tiles scored by the scorer that drained their job: its own
+    /// claims, and any range it overtook from a stalled helper.
+    pub(crate) score_tiles_owner: AtomicU64,
+    /// Row tiles scored by an idle scorer for another scorer's job.
+    pub(crate) score_tiles_helper: AtomicU64,
     /// Successful hot-reloads.
     pub reloads_ok: AtomicU64,
     /// Rejected hot-reloads (bad checkpoint kept the old model).
@@ -392,6 +397,14 @@ impl Metrics {
         counter(
             "st_serve_batched_requests_total",
             self.batched_requests.load(Relaxed),
+        );
+        counter(
+            "st_serve_score_tiles_total{by=\"owner\"}",
+            self.score_tiles_owner.load(Relaxed),
+        );
+        counter(
+            "st_serve_score_tiles_total{by=\"helper\"}",
+            self.score_tiles_helper.load(Relaxed),
         );
         counter("st_serve_reloads_ok_total", self.reloads_ok.load(Relaxed));
         counter(
@@ -594,6 +607,8 @@ mod tests {
         m.degraded_total.fetch_add(1, Relaxed);
         m.queue_depth.store(9, Relaxed);
         m.batcher_scorers.store(2, Relaxed);
+        m.score_tiles_owner.fetch_add(33, Relaxed);
+        m.score_tiles_helper.fetch_add(31, Relaxed);
         m.latency_us.observe(120);
         m.stage(Stage::Score).observe(1_000);
         m.retrieval_fallback_total.fetch_add(4, Relaxed);
@@ -615,6 +630,8 @@ mod tests {
         assert!(text.contains("st_serve_injected_failures_total 0"));
         assert!(text.contains("st_serve_queue_depth 9"));
         assert!(text.contains("st_serve_batcher_scorers 2"));
+        assert!(text.contains("st_serve_score_tiles_total{by=\"owner\"} 33\n"));
+        assert!(text.contains("st_serve_score_tiles_total{by=\"helper\"} 31\n"));
         assert!(text.contains("st_serve_request_latency_us_p50 127"));
         assert!(text.contains("st_serve_request_latency_us_p99 127"));
         assert!(text.contains("st_serve_request_latency_us_count 1"));
