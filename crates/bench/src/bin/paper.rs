@@ -1,5 +1,7 @@
 //! Regenerates the paper's tables and figures:
-//! `paper <table1|table2|table3|table4|table5|fig3_4|fig5_6|fig7_8|fig9|all> [foursquare|yelp]`.
+//! `paper <table1|table2|table3|table4|table5|fig3_4|fig5_6|fig7_8|fig9|all> [foursquare|yelp]`,
+//! and prints EXPERIMENTS.md's table of shape-claims from the recorded
+//! files: `paper summary` (no training, nothing written).
 //!
 //! [`EXPERIMENTS`] is the record of how each tracked `results/*.json`
 //! was produced. A bare run uses those settings, prints the rendered
@@ -15,12 +17,14 @@ use st_bench::json::{Json, ToJson};
 use st_bench::{load, render_metric_table, render_rows, save_json, DatasetKind, Loaded, Settings};
 use st_eval::Metric;
 use st_transrec_core::{ModelConfig, Variant};
+use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: paper <experiment> [foursquare|yelp]
+const USAGE: &str = "usage: paper <experiment> [foursquare|yelp] | paper summary
   experiment: table1 table2 table3 table4 table5 fig3_4 fig5_6 fig7_8 fig9 all
   a dataset narrows table4, table5, fig3_4, fig5_6, fig7_8 and fig9 (default: both)
-  ST_SCALE / ST_EPOCHS override the recorded settings; such a run writes nothing";
+  ST_SCALE / ST_EPOCHS override the recorded settings; such a run writes nothing
+  summary prints the table of shape-claims from results/*.json";
 
 const BOTH: [DatasetKind; 2] = [DatasetKind::Foursquare, DatasetKind::Yelp];
 
@@ -289,7 +293,20 @@ fn main() -> ExitCode {
         eprintln!("error: {problem}\n{USAGE}");
         ExitCode::from(2)
     };
-    let (experiments, only) = match parse(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == ["summary"] {
+        return match st_bench::summary::render(Path::new("results")) {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(problem) => {
+                eprintln!("error: {problem}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    let (experiments, only) = match parse(args.into_iter()) {
         Ok(parsed) => parsed,
         Err(problem) => return usage(problem),
     };
@@ -354,6 +371,7 @@ mod tests {
             "table1 yelp",
             "table3 foursquare",
             "all yelp",
+            "summary yelp",
         ] {
             assert!(parse_line(line).is_err(), "{line:?} was accepted");
         }

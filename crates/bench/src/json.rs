@@ -1,10 +1,10 @@
-//! Dependency-free JSON serialization for result dumps.
+//! Dependency-free JSON for the result dumps.
 //!
-//! The harness only ever *writes* JSON (the `results/` dumps), so
-//! instead of pulling in a serde stack it builds a [`Json`] value tree
-//! and prints it: `{}` on one line, `{:#}` indented. Structs opt in
-//! with [`crate::json_object_impl!`], which mirrors what
-//! `#[derive(Serialize)]` produced before.
+//! Instead of pulling in a serde stack the harness builds a [`Json`]
+//! value tree and prints it: `{}` on one line, `{:#}` indented. Structs
+//! opt in with [`crate::json_object_impl!`], which mirrors what
+//! `#[derive(Serialize)]` produced before. `Json::parse` reads a dump
+//! back, for `paper summary`.
 
 use std::fmt;
 
@@ -147,6 +147,193 @@ json_object_impl!(st_data::DatasetStats {
     crossing_checkins,
 });
 
+impl Json {
+    /// Parses one JSON document (what [`Json`]'s `Display` writes, and
+    /// any other standard JSON text). Integers without a fraction or
+    /// exponent read as [`Json::Int`], other numbers as [`Json::Num`].
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
+        let mut parser = Parser { text, at: 0 };
+        let value = parser.value()?;
+        parser.skip_space();
+        match parser.at == parser.text.len() {
+            true => Ok(value),
+            false => Err(parser.error("trailing characters")),
+        }
+    }
+
+    /// The value under `key` of an object.
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// A number (integer or float) as `f64`.
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::Int(i) => Some(i as f64),
+            Json::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The items of an array.
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The text of a string.
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A recursive-descent reader over the bytes of one document.
+struct Parser<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.at)
+    }
+
+    fn skip_space(&mut self) {
+        while self
+            .text
+            .as_bytes()
+            .get(self.at)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
+            self.at += 1;
+        }
+    }
+
+    /// Consumes `token` if the text continues with it.
+    fn eat(&mut self, token: &str) -> bool {
+        let found = self.text[self.at..].starts_with(token);
+        if found {
+            self.at += token.len();
+        }
+        found
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_space();
+        match self.text.as_bytes().get(self.at) {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ if self.eat("null") => Ok(Json::Null),
+            _ if self.eat("true") => Ok(Json::Bool(true)),
+            _ if self.eat("false") => Ok(Json::Bool(false)),
+            _ => Err(self.error("expected a value")),
+        }
+    }
+
+    /// The items between `open` and `close`, separated by commas, each
+    /// read by `item`.
+    fn items<T>(
+        &mut self,
+        open: &str,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.eat(open);
+        let mut items = Vec::new();
+        self.skip_space();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_space();
+            if self.eat(close) {
+                return Ok(items);
+            }
+            if !self.eat(",") {
+                return Err(self.error(&format!("expected ',' or '{close}'")));
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        let fields = self.items("{", "}", |p| {
+            p.skip_space();
+            let key = p.string()?;
+            p.skip_space();
+            if !p.eat(":") {
+                return Err(p.error("expected ':'"));
+            }
+            Ok((key, p.value()?))
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.items("[", "]", Self::value).map(Json::Arr)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat("\"") {
+            return Err(self.error("expected a string"));
+        }
+        let (text, mut out) = (self.text, String::new());
+        let mut chars = text[self.at..].char_indices();
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '"' => {
+                    self.at += i + 1;
+                    return Ok(out);
+                }
+                '\\' => out.push(match chars.next().map(|(_, e)| e) {
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    Some('t') => '\t',
+                    Some('b') => '\u{8}',
+                    Some('f') => '\u{c}',
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        let code = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                        code.ok_or_else(|| self.error("bad \\u escape"))?
+                    }
+                    Some(other) => other,
+                    None => break,
+                }),
+                c => out.push(c),
+            }
+        }
+        Err(self.error("unterminated string"))
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.at;
+        while self
+            .text
+            .as_bytes()
+            .get(self.at)
+            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+        {
+            self.at += 1;
+        }
+        let text = &self.text[start..self.at];
+        let parsed = match text.contains(['.', 'e', 'E']) {
+            true => text.parse().ok().map(Json::Num),
+            false => text.parse().ok().map(Json::Int),
+        };
+        parsed.ok_or_else(|| format!("bad number {text:?} at byte {start}"))
+    }
+}
+
 impl fmt::Display for Json {
     /// `{}` renders on one line, `{:#}` indented two spaces per level.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -258,6 +445,29 @@ mod tests {
             "[\n  {\n    \"x\": 1.5,\n    \"label\": \"a\"\n  }\n]"
         );
         assert_eq!(json.to_string(), r#"[{"x":1.5,"label":"a"}]"#);
+    }
+
+    #[test]
+    fn parse_reads_back_what_display_writes() {
+        let value = Json::Obj(vec![
+            ("n".into(), Json::Int(-3)),
+            ("x".into(), Json::Num(0.1)),
+            ("e".into(), Json::Num(1.5e-7)),
+            ("s".into(), Json::Str("a\"b\\c\n\u{1}é".into())),
+            ("empty".into(), Json::Arr(vec![])),
+            (
+                "nested".into(),
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Obj(vec![])]),
+            ),
+        ]);
+        for text in [value.to_string(), format!("{value:#}")] {
+            assert_eq!(Json::parse(&text), Ok(value.clone()), "{text}");
+        }
+        assert_eq!(value.get("x").and_then(Json::as_f64), Some(0.1));
+        assert_eq!(value.get("n").and_then(Json::as_f64), Some(-3.0));
+        for bad in ["", "[1,", "{\"a\" 1}", "[1] 2", "\"open", "tru"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

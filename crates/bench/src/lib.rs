@@ -1,7 +1,9 @@
 //! # st-bench
 //!
 //! The paper record: `paper <table1|table2|table3|table4|table5|fig3_4|
-//! fig5_6|fig7_8|fig9|all>` regenerates the paper's tables and figures.
+//! fig5_6|fig7_8|fig9|all>` regenerates the paper's tables and figures,
+//! and `paper summary` prints the table of shape-claims from the recorded
+//! files ([`summary`]).
 //! Tables 1-3 each have a module under [`experiments`], and every metric
 //! grid (Figs. 3-9, Tables 4-5) is rows of data run by the one
 //! [`experiments::grid`] runner. Shared dataset loading (`runner`), ASCII
@@ -21,6 +23,7 @@
 pub mod experiments;
 pub mod json;
 pub(crate) mod runner;
+pub mod summary;
 pub mod table;
 
 pub use runner::{load, DatasetKind, Loaded, Settings};

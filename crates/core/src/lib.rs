@@ -43,7 +43,7 @@ mod trainer;
 pub use config::{MmdEstimator, ModelConfig, Variant};
 pub use interaction::{InteractionBatch, InteractionSampler};
 pub use mmd::{mmd_loss, mmd_value};
-pub use model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses};
+pub use model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses, StepPhases};
 pub use recommend::{
     case_study, rank_top_k, recommend_top_k, CaseStudy, CaseStudyEntry, Recommendation,
 };

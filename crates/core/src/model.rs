@@ -42,6 +42,7 @@ use st_tensor::{
     Activation, Adam, Embedding, Gradients, InferCtx, MatrixPool, Mlp, Optimizer, PairTower,
     ParamStore, PoolStats, Tape,
 };
+use std::time::{Duration, Instant};
 
 /// Loss values of one training step (zero for disabled terms).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,7 +71,7 @@ impl StepLosses {
 }
 
 /// Per-epoch averaged losses.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EpochStats {
     /// Epoch number, starting at 0.
     pub epoch: usize,
@@ -82,6 +83,43 @@ pub struct EpochStats {
     /// the model (or trainer) was built: in a healthy run `misses` stops
     /// moving after the first step and `pooled_bytes` stays flat.
     pub(crate) pool: PoolStats,
+    /// Where the epoch's [`STTransRec::train_step`]s spent their wall
+    /// time. A measurement, not a result: equality ignores it. Zero for
+    /// an epoch of [`crate::ParallelTrainer`], whose steps are not
+    /// `train_step`.
+    pub phases: StepPhases,
+}
+
+/// Epochs are equal when their results are: the timings differ from run
+/// to run and are left out.
+impl PartialEq for EpochStats {
+    fn eq(&self, other: &Self) -> bool {
+        (self.epoch, self.losses, self.steps, self.pool)
+            == (other.epoch, other.losses, other.steps, other.pool)
+    }
+}
+
+/// Wall time of [`STTransRec::train_step`]'s phases on the calling
+/// thread, summed over steps. The phases do not overlap there, so they
+/// sum to no more than the steps' wall time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StepPhases {
+    /// Both lanes, the target lane's thread (start and join) included.
+    pub lanes: Duration,
+    /// Merging the target lane's gradient into the source lane's and the
+    /// optimizer's apply.
+    pub apply: Duration,
+    /// The next step's draws: made on this thread, or starting their
+    /// thread and waiting for it after the apply. A step that finds no
+    /// draws made ahead counts its own here.
+    pub draws: Duration,
+}
+
+impl StepPhases {
+    /// The three phases together.
+    pub fn total(&self) -> Duration {
+        self.lanes + self.apply + self.draws
+    }
 }
 
 /// Where the target lane of a step runs, and where
@@ -286,6 +324,8 @@ pub struct STTransRec {
     /// `train_step` commits the stream and uses the draws. Anything else
     /// that reads `rng` drops them uncommitted first.
     ahead: Option<(SmallRng, [LaneDraws; 2])>,
+    /// [`STTransRec::train_step`]'s timers since the epoch began.
+    phases: StepPhases,
 }
 
 impl STTransRec {
@@ -423,6 +463,7 @@ impl STTransRec {
             buffers,
             schedule: Schedule::for_this_process(),
             ahead: None,
+            phases: StepPhases::default(),
         }
     }
 
@@ -610,16 +651,20 @@ impl STTransRec {
                 draws
             }
             None => {
+                let started = Instant::now();
                 let mut draws = Default::default();
                 let mut rng = SmallRng::seed_from_u64(self.rng.gen());
                 self.prologue.draw_step(dataset, &mut rng, &mut draws);
+                self.phases.draws += started.elapsed();
                 draws
             }
         };
         // The lanes need &self while the buffers need &mut, so they are
         // moved out for the step and put back cleared.
         let mut buffers = std::mem::take(&mut self.buffers);
+        let started = Instant::now();
         let losses = self.run_lanes(&draws, &mut buffers, self.schedule);
+        let lanes = started.elapsed();
         // The next step's seed, taken from a copy of the stream that step
         // commits; its draws overwrite this step's, which the lanes are
         // done with.
@@ -630,17 +675,27 @@ impl STTransRec {
             buffers.merge_lanes();
             self.optimizer.step(&mut self.store, buffers.grads());
         };
-        match self.schedule {
+        let (apply, draws_ahead) = match self.schedule {
             Schedule::Inline => {
+                let started = Instant::now();
                 apply();
+                let applied = Instant::now();
                 draw_ahead();
+                (applied - started, applied.elapsed())
             }
             Schedule::Concurrent => std::thread::scope(|scope| {
+                let started = Instant::now();
                 let drawing = scope.spawn(draw_ahead);
+                let spawned = Instant::now();
                 apply();
+                let applied = Instant::now();
                 drawing.join().expect("the next step's draws panicked");
+                (applied - spawned, (spawned - started) + applied.elapsed())
             }),
-        }
+        };
+        self.phases.lanes += lanes;
+        self.phases.apply += apply;
+        self.phases.draws += draws_ahead;
         debug_assert!(!self.store.has_non_finite(), "parameters diverged");
         self.ahead = Some((stream, draws));
         buffers.clear();
@@ -690,6 +745,7 @@ impl STTransRec {
     pub fn train_epoch(&mut self, dataset: &Dataset) -> EpochStats {
         let mut sum = StepLosses::default();
         let steps = self.steps_per_epoch;
+        self.phases = StepPhases::default();
         for _ in 0..steps {
             let l = self.train_step(dataset);
             sum.interaction_source += l.interaction_source;
@@ -698,7 +754,8 @@ impl STTransRec {
             sum.context_target += l.context_target;
             sum.mmd += l.mmd;
         }
-        self.record_epoch(sum, steps, self.pool_stats())
+        let phases = std::mem::take(&mut self.phases);
+        self.record_epoch(sum, steps, self.pool_stats(), phases)
     }
 
     /// Appends to the history the epoch of `steps` steps whose losses
@@ -708,6 +765,7 @@ impl STTransRec {
         sum: StepLosses,
         steps: usize,
         pool: PoolStats,
+        phases: StepPhases,
     ) -> EpochStats {
         let n = steps as f32;
         let stats = EpochStats {
@@ -721,6 +779,7 @@ impl STTransRec {
             },
             steps,
             pool,
+            phases,
         };
         self.history.push(stats.clone());
         stats
@@ -897,6 +956,32 @@ mod tests {
         let (d, _) = generate(&cfg);
         let split = CrossingCitySplit::build(&d, CityId(cfg.target_city as u16));
         (d, split)
+    }
+
+    #[test]
+    fn train_step_times_its_phases_under_both_schedules() {
+        let (d, split) = setup();
+        for schedule in [Schedule::Inline, Schedule::Concurrent] {
+            let mut m = STTransRec::new(&d, &split, ModelConfig::test_small());
+            m.schedule = schedule;
+            for epoch in 0..2 {
+                let started = Instant::now();
+                let stats = m.train_epoch(&d);
+                let wall = started.elapsed();
+                let p = stats.phases;
+                let at = format!("{schedule:?}, epoch {epoch}: {p:?}");
+                assert!(p.lanes > Duration::ZERO, "{at}");
+                assert!(p.apply > Duration::ZERO, "{at}");
+                assert!(p.draws > Duration::ZERO, "{at}");
+                assert!(p.total() <= wall, "{at} against {wall:?}");
+                // The timers are no part of the result.
+                let untimed = EpochStats {
+                    phases: StepPhases::default(),
+                    ..stats.clone()
+                };
+                assert_eq!(untimed, stats);
+            }
+        }
     }
 
     #[test]

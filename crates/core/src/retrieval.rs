@@ -29,7 +29,7 @@ use crate::snapshot::ModelSnapshot;
 use st_data::{CityId, Dataset, PoiId, UserId};
 use st_eval::Scorer;
 use st_geo::{Grid, GridCell};
-use st_tensor::{ops, InferCtx, Matrix, RowSource};
+use st_tensor::{ops, InferCtx, Matrix, RowSource, TableStorage};
 use std::collections::{HashMap, HashSet};
 
 /// Knobs trading recall for latency. Defaults are the shipped serving
@@ -88,6 +88,25 @@ struct CityIndex {
     centroids: Matrix,
     /// Inverted lists: POIs assigned to each centroid.
     lists: Vec<Vec<PoiId>>,
+}
+
+/// One city's catalog as rows of the snapshot's POI table, read in
+/// place: row `r` is the embedding of `catalog[r]`.
+struct CatalogRows<'a> {
+    table: &'a TableStorage,
+    catalog: &'a [PoiId],
+}
+
+impl RowSource for CatalogRows<'_> {
+    fn rows(&self) -> usize {
+        self.catalog.len()
+    }
+    fn cols(&self) -> usize {
+        self.table.cols()
+    }
+    fn copy_row_into(&self, row: usize, out: &mut [f32]) {
+        self.table.copy_row_into(self.catalog[row].idx(), out);
+    }
 }
 
 /// The candidate set produced for one query, with provenance counts for
@@ -197,40 +216,41 @@ impl RetrievalIndex {
             .unwrap_or(0);
         let default_anchor = grid.cell_from_flat(busiest);
 
-        // IVF: k-means over the catalog's frozen embedding rows, probed
-        // straight out of whatever representation the snapshot holds —
-        // quantized rows dequantize during this gather and nowhere else.
-        let table = frozen.poi_table();
-        let dim = table.cols();
-        let mut points = Matrix::zeros(catalog.len(), dim);
-        for (r, &poi) in catalog.iter().enumerate() {
-            table.copy_row_into(poi.idx(), points.row_mut(r));
-        }
+        // IVF: k-means over the catalog's frozen embedding rows, read in
+        // place out of whatever representation the snapshot holds —
+        // quantized rows dequantize block by block inside each pass, and
+        // no decoded copy of the catalog exists.
+        let rows = CatalogRows {
+            table: frozen.poi_table(),
+            catalog,
+        };
+        let dim = rows.cols();
         let k = ((2.0 * (catalog.len() as f64).sqrt()) as usize)
             .clamp(1, cfg.max_centroids.max(1))
             .min(catalog.len());
         // Deterministic init: evenly spaced catalog rows.
         let mut centroids = Matrix::zeros(k, dim);
         for j in 0..k {
-            let src = j * catalog.len() / k;
-            centroids.row_mut(j).copy_from_slice(points.row(src));
+            rows.copy_row_into(j * catalog.len() / k, centroids.row_mut(j));
         }
-        // Lloyd iterations; every pass is `ops::nearest_centroids`, the
-        // packed-kernel assignment, and the buffers outlive the loop.
-        let mut assign = Vec::new();
+        // Lloyd iterations. Each pass is one `ops::nearest_centroids_by_block`
+        // sweep: every row is decoded once, and the decoded block feeds
+        // both its assignment and the f64 centroid sums, in ascending row
+        // order. Centroids move only after the whole pass.
         let mut sums = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
         for _ in 0..cfg.kmeans_iters {
-            ops::nearest_centroids(&points, &centroids, &mut assign);
             sums.fill(0.0);
             counts.fill(0);
-            for (r, &j) in assign.iter().enumerate() {
-                let j = j as usize;
-                counts[j] += 1;
-                for (s, &v) in sums[j * dim..(j + 1) * dim].iter_mut().zip(points.row(r)) {
-                    *s += f64::from(v);
+            ops::nearest_centroids_by_block(&rows, &centroids, |_, block, nearest| {
+                for (row, &j) in block.chunks_exact(dim).zip(nearest) {
+                    let j = j as usize;
+                    counts[j] += 1;
+                    for (s, &v) in sums[j * dim..(j + 1) * dim].iter_mut().zip(row) {
+                        *s += f64::from(v);
+                    }
                 }
-            }
+            });
             for j in 0..k {
                 if counts[j] == 0 {
                     continue; // empty cluster keeps its old centroid
@@ -244,11 +264,12 @@ impl RetrievalIndex {
                 }
             }
         }
-        ops::nearest_centroids(&points, &centroids, &mut assign);
         let mut lists = vec![Vec::new(); k];
-        for (r, &j) in assign.iter().enumerate() {
-            lists[j as usize].push(catalog[r]);
-        }
+        ops::nearest_centroids_by_block(&rows, &centroids, |start, _, nearest| {
+            for (&poi, &j) in catalog[start..].iter().zip(nearest) {
+                lists[j as usize].push(poi);
+            }
+        });
         CityIndex {
             grid,
             cell_pois,
@@ -425,6 +446,8 @@ mod tests {
     use crate::{ModelConfig, STTransRec};
     use st_data::synth::{generate, SynthConfig};
     use st_data::CrossingCitySplit;
+    use st_tensor::kernels::TILE_ROWS;
+    use st_tensor::StorageEncoding;
 
     fn setup_scaled(pois: usize) -> (Dataset, CrossingCitySplit) {
         let mut cfg = SynthConfig::tiny();
@@ -593,6 +616,97 @@ mod tests {
             }
         }
         assert!(truncated_rings > 0, "no query truncated a ring at grid_cap");
+    }
+
+    /// The IVF half of `build_city` as it was before rows were read in
+    /// place: decode the whole catalog into a matrix, then cluster it.
+    /// Kept as the reference the in-place build must equal bit for bit.
+    fn decoded_ivf(
+        frozen: &ModelSnapshot,
+        catalog: &[PoiId],
+        cfg: &RetrievalConfig,
+    ) -> (Matrix, Vec<Vec<PoiId>>) {
+        let table = frozen.poi_table();
+        let dim = table.cols();
+        let mut points = Matrix::zeros(catalog.len(), dim);
+        for (r, &poi) in catalog.iter().enumerate() {
+            table.copy_row_into(poi.idx(), points.row_mut(r));
+        }
+        let k = ((2.0 * (catalog.len() as f64).sqrt()) as usize)
+            .clamp(1, cfg.max_centroids.max(1))
+            .min(catalog.len());
+        let mut centroids = Matrix::zeros(k, dim);
+        for j in 0..k {
+            let src = j * catalog.len() / k;
+            centroids.row_mut(j).copy_from_slice(points.row(src));
+        }
+        let mut assign = Vec::new();
+        let mut sums = vec![0.0f64; k * dim];
+        let mut counts = vec![0usize; k];
+        for _ in 0..cfg.kmeans_iters {
+            ops::nearest_centroids(&points, &centroids, &mut assign);
+            sums.fill(0.0);
+            counts.fill(0);
+            for (r, &j) in assign.iter().enumerate() {
+                let j = j as usize;
+                counts[j] += 1;
+                for (s, &v) in sums[j * dim..(j + 1) * dim].iter_mut().zip(points.row(r)) {
+                    *s += f64::from(v);
+                }
+            }
+            for j in 0..k {
+                if counts[j] == 0 {
+                    continue;
+                }
+                for (c, &s) in centroids
+                    .row_mut(j)
+                    .iter_mut()
+                    .zip(&sums[j * dim..(j + 1) * dim])
+                {
+                    *c = (s / counts[j] as f64) as f32;
+                }
+            }
+        }
+        ops::nearest_centroids(&points, &centroids, &mut assign);
+        let mut lists = vec![Vec::new(); k];
+        for (r, &j) in assign.iter().enumerate() {
+            lists[j as usize].push(catalog[r]);
+        }
+        (centroids, lists)
+    }
+
+    #[test]
+    fn in_place_build_equals_the_decoded_build() {
+        let (d, split) = setup_scaled(900);
+        let live = trained(&d, &split);
+        for encoding in [
+            StorageEncoding::F32,
+            StorageEncoding::F16,
+            StorageEncoding::I8,
+        ] {
+            let snap = live.quantized(encoding);
+            for kmeans_iters in [0, 1, RetrievalConfig::default().kmeans_iters] {
+                let cfg = RetrievalConfig {
+                    min_catalog: 1,
+                    kmeans_iters,
+                    ..RetrievalConfig::default()
+                };
+                let index = RetrievalIndex::build(&snap, &d, cfg.clone());
+                assert_eq!(index.num_indexed_cities(), d.cities().len());
+                for city in d.cities() {
+                    let catalog = d.pois_in_city(city.id);
+                    assert!(catalog.len() > 2 * TILE_ROWS, "one block only");
+                    let built = &index.cities[&city.id];
+                    let (centroids, lists) = decoded_ivf(&snap, catalog, &cfg);
+                    let bits = |m: &Matrix| -> Vec<u32> {
+                        m.as_slice().iter().map(|x| x.to_bits()).collect()
+                    };
+                    let at = format!("{encoding}, {kmeans_iters} passes, {:?}", city.id);
+                    assert_eq!(bits(&built.centroids), bits(&centroids), "{at}");
+                    assert_eq!(built.lists, lists, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the merge cost is O(touched rows), never O(table) — which leaves each
 //! worker's buffer cleared with its storage kept for the next step.
 
-use crate::model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses};
+use crate::model::{EpochStats, STTransRec, Schedule, StepBuffers, StepLosses, StepPhases};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use st_data::Dataset;
@@ -123,7 +123,7 @@ impl ParallelTrainer {
         }
         let wall = start.elapsed();
         let pool = self.pool_stats().into_iter().sum();
-        let stats = model.record_epoch(sum, steps, pool);
+        let stats = model.record_epoch(sum, steps, pool, StepPhases::default());
         TimedEpoch { stats, wall }
     }
 }

@@ -131,6 +131,7 @@ impl RouterMetrics {
         let _ = writeln!(out, "st_router_breaker_opened_total {opened}");
         let _ = writeln!(out, "st_router_breaker_half_opened_total {half_opened}");
         let _ = writeln!(out, "st_router_breaker_closed_total {closed}");
+        st_serve::metrics::render_resident_into(&mut out, "st_router");
         out
     }
 }
@@ -159,5 +160,8 @@ mod tests {
         assert!(text.contains("st_router_replica_healthy{replica=\"0\"} 1"));
         assert!(text.contains("st_router_replica_breaker_state{replica=\"1\"} 0"));
         assert!(text.contains("st_router_breaker_opened_total 0"));
+        let has_status = std::path::Path::new("/proc/self/status").exists();
+        assert_eq!(text.contains("st_router_resident_bytes "), has_status);
+        assert_eq!(text.contains("st_router_resident_peak_bytes "), has_status);
     }
 }

@@ -232,6 +232,33 @@ impl StatusTally {
     }
 }
 
+/// Renders the process's resident memory as `<prefix>_resident_bytes`
+/// and `<prefix>_resident_peak_bytes`: `VmRSS` and `VmHWM` of
+/// `/proc/self/status`, in bytes. Where that file does not exist (not
+/// Linux) nothing is written. Every tier's `/metrics` calls this.
+pub fn render_resident_into(out: &mut String, prefix: &str) {
+    if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+        render_status_into(out, prefix, &status);
+    }
+}
+
+/// [`render_resident_into`] over the text of a `status` file.
+fn render_status_into(out: &mut String, prefix: &str, status: &str) {
+    use std::fmt::Write;
+    for (field, gauge) in [
+        ("VmRSS:", "resident_bytes"),
+        ("VmHWM:", "resident_peak_bytes"),
+    ] {
+        let kib = status.lines().find_map(|line| {
+            let value = line.strip_prefix(field)?.trim().strip_suffix("kB")?;
+            value.trim().parse::<u64>().ok()
+        });
+        if let Some(kib) = kib {
+            let _ = writeln!(out, "{prefix}_{gauge} {}", kib.saturating_mul(1024));
+        }
+    }
+}
+
 /// Reads the unlabelled integer sample `name` back out of a `/metrics`
 /// page — the reader of what `Metrics::render` writes.
 pub fn scrape_gauge(page: &str, name: &str) -> Option<u64> {
@@ -466,6 +493,7 @@ impl Metrics {
             "st_serve_snapshot_mapped {}",
             self.snapshot_mapped.load(Relaxed)
         );
+        render_resident_into(&mut out, "st_serve");
         self.batch_size
             .render_into(&mut out, "st_serve_batch_size", "");
         self.candidate_size
@@ -591,6 +619,30 @@ mod tests {
         // than wrapping to a small number.
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), u64::MAX);
+    }
+
+    #[test]
+    fn resident_memory_renders_from_the_status_file() {
+        let status = "Name:\tst-serve\nVmPeak:\t  99999 kB\nVmHWM:\t   35624 kB\n\
+                      VmRSS:\t   31428 kB\nThreads:\t6\n";
+        let mut out = String::new();
+        render_status_into(&mut out, "st_serve", status);
+        assert_eq!(
+            out,
+            "st_serve_resident_bytes 32182272\nst_serve_resident_peak_bytes 36478976\n"
+        );
+        let mut none = String::new();
+        render_status_into(&mut none, "st_serve", "Name:\tother\n");
+        assert_eq!(none, "");
+        // The live page carries both wherever the process has the file.
+        let page = Metrics::new().render(1, 0);
+        if std::path::Path::new("/proc/self/status").exists() {
+            let rss = scrape_gauge(&page, "st_serve_resident_bytes").expect("VmRSS");
+            let peak = scrape_gauge(&page, "st_serve_resident_peak_bytes").expect("VmHWM");
+            assert!(0 < rss && rss <= peak, "{rss} {peak}");
+        } else {
+            assert!(!page.contains("st_serve_resident"));
+        }
     }
 
     #[test]

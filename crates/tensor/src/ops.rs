@@ -159,8 +159,32 @@ pub(crate) fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized
 }
 
 /// For each row of `points`, pushes onto `out` the index of the nearest
-/// row of `centroids` under squared Euclidean distance (ties broken
-/// toward the lower index). `out` is cleared first.
+/// row of `centroids` (see [`nearest_centroids_by_block`], which this
+/// collects). `out` is cleared first.
+///
+/// # Panics
+/// Panics if the row widths differ or `centroids` is empty.
+pub fn nearest_centroids<P: RowSource + ?Sized>(
+    points: &P,
+    centroids: &Matrix,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    out.reserve(points.rows());
+    nearest_centroids_by_block(points, centroids, |_, _, nearest| {
+        out.extend_from_slice(nearest)
+    });
+}
+
+/// The index of the nearest row of `centroids` under squared Euclidean
+/// distance (ties broken toward the lower index) for every row of
+/// `points`, handed to `each` one block at a time: `each(start, rows,
+/// nearest)` receives the block's first row index, its rows decoded to
+/// `f32` (`nearest.len()` rows of `points.cols()` each) and their
+/// nearest centroids. Blocks arrive in ascending row order, each row
+/// decoded exactly once, so a caller that also needs the rows (the
+/// centroid sums of a Lloyd pass) reads them from the block instead of
+/// gathering them again or keeping a decoded copy of `points`.
 ///
 /// Via the expansion `||x||^2 + ||c||^2 - 2 x.c`: the per-point norm is
 /// constant across centroids and dropped, so the comparison key is
@@ -180,10 +204,10 @@ pub(crate) fn gather_concat2_assign<A: RowSource + ?Sized, B: RowSource + ?Sized
 ///
 /// # Panics
 /// Panics if the row widths differ or `centroids` is empty.
-pub fn nearest_centroids<P: RowSource + ?Sized>(
+pub fn nearest_centroids_by_block<P: RowSource + ?Sized>(
     points: &P,
     centroids: &Matrix,
-    out: &mut Vec<u32>,
+    mut each: impl FnMut(usize, &[f32], &[u32]),
 ) {
     assert_eq!(
         points.cols(),
@@ -197,15 +221,15 @@ pub fn nearest_centroids<P: RowSource + ?Sized>(
         "nearest_centroids needs >= 1 centroid"
     );
     let (n, k, dim) = (points.rows(), centroids.rows(), points.cols());
-    out.clear();
-    out.reserve(n);
     let width = k.next_multiple_of(kernels::NR);
     let packed = PackedB::pack_rows(centroids.as_slice(), k, dim, width);
     let mut csq = Vec::with_capacity(width);
     kernels::row_sq_norms_into(centroids.as_slice(), k, dim, &mut csq);
     csq.resize(width, f32::INFINITY);
-    let mut block = vec![0.0f32; kernels::TILE_ROWS.min(n) * dim];
-    let mut keys = vec![0.0f32; kernels::TILE_ROWS.min(n) * width];
+    let block_rows = kernels::TILE_ROWS.min(n);
+    let mut block = vec![0.0f32; block_rows * dim];
+    let mut keys = vec![0.0f32; block_rows * width];
+    let mut nearest = Vec::with_capacity(block_rows);
     for start in (0..n).step_by(kernels::TILE_ROWS) {
         let bs = kernels::TILE_ROWS.min(n - start);
         for r in 0..bs {
@@ -217,9 +241,9 @@ pub fn nearest_centroids<P: RowSource + ?Sized>(
                 *o = sq - 2.0 * dot;
             }
         });
-        for row in keys.chunks_exact(width) {
-            out.push(first_min(row));
-        }
+        nearest.clear();
+        nearest.extend(keys.chunks_exact(width).map(first_min));
+        each(start, tile, &nearest);
     }
 }
 
@@ -378,6 +402,31 @@ mod tests {
             nearest_centroids(&sp.to_matrix(), &centroids, &mut via_decoded);
             assert_eq!(via_storage, via_decoded, "{enc}");
         }
+    }
+
+    #[test]
+    fn nearest_centroids_by_block_hands_out_each_decoded_row_once() {
+        use crate::storage::{StorageEncoding, TableStorage};
+        let (n, d) = (2 * kernels::TILE_ROWS + 9, 3);
+        let points = Matrix::from_vec(
+            n,
+            d,
+            (0..n * d).map(|i| ((i * 29 % 31) as f32) / 7.0).collect(),
+        );
+        let centroids = Matrix::from_vec(4, d, (0..4 * d).map(|i| (i as f32) / 2.0).collect());
+        let stored = TableStorage::encode(&points, StorageEncoding::I8);
+        let mut whole = Vec::new();
+        nearest_centroids(&stored, &centroids, &mut whole);
+        let (mut rows, mut nearest, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+        nearest_centroids_by_block(&stored, &centroids, |start, block, near| {
+            assert_eq!(block.len(), near.len() * d);
+            starts.push(start);
+            rows.extend_from_slice(block);
+            nearest.extend_from_slice(near);
+        });
+        assert_eq!(starts, [0, kernels::TILE_ROWS, 2 * kernels::TILE_ROWS]);
+        assert_eq!(rows, stored.to_matrix().as_slice());
+        assert_eq!(nearest, whole);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::{Init, Matrix};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,9 +104,12 @@ impl ParamStore {
     }
 }
 
+/// [`SparseRows`]' index entry for a row with no slot.
+const UNTOUCHED: u32 = u32::MAX;
+
 /// A row-sparse gradient: only the touched rows of a `rows x cols`
-/// parameter are stored, packed contiguously in touch order with a
-/// row-index map for O(1) lookup.
+/// parameter are stored, packed contiguously in touch order, with a
+/// row → slot index for O(1) lookup.
 ///
 /// Memory and iteration cost are O(touched rows x cols) regardless of the
 /// full table height, which is what makes embedding-scale training
@@ -116,8 +118,11 @@ impl ParamStore {
 pub struct SparseRows {
     rows: usize,
     cols: usize,
-    /// table row -> packed slot.
-    index: HashMap<usize, usize>,
+    /// Table row -> packed slot, [`UNTOUCHED`] where no slot exists: a
+    /// plain array read per touch, no hashing. Sized to the table on the
+    /// first touch and kept; [`SparseRows::clear`] resets only the
+    /// entries `touched` names.
+    index: Vec<u32>,
     /// packed slot -> table row (touch order).
     touched: Vec<usize>,
     /// Packed row data, `touched.len() * cols` long.
@@ -126,11 +131,18 @@ pub struct SparseRows {
 
 impl SparseRows {
     /// An empty row-sparse gradient for a `rows x cols` parameter.
+    ///
+    /// # Panics
+    /// Panics if the table has `u32::MAX` rows or more (slots are `u32`).
     pub(crate) fn new(rows: usize, cols: usize) -> Self {
+        assert!(
+            rows < UNTOUCHED as usize,
+            "{rows} rows do not fit a u32 slot"
+        );
         Self {
             rows,
             cols,
-            index: HashMap::new(),
+            index: Vec::new(),
             touched: Vec::new(),
             data: Vec::new(),
         }
@@ -155,15 +167,19 @@ impl SparseRows {
     pub(crate) fn row_mut_or_insert(&mut self, row: usize) -> &mut [f32] {
         debug_assert!(row < self.rows, "row {row} out of {}", self.rows);
         let cols = self.cols;
-        let slot = match self.index.get(&row) {
-            Some(&s) => s,
-            None => {
+        if self.index.is_empty() {
+            self.index.resize(self.rows, UNTOUCHED);
+        }
+        let slot = match self.index[row] {
+            UNTOUCHED => {
                 let s = self.touched.len();
-                self.index.insert(row, s);
+                // `s < rows < UNTOUCHED` (checked in `new`): the cast is exact.
+                self.index[row] = s as u32;
                 self.touched.push(row);
                 self.data.resize((s + 1) * cols, 0.0);
                 s
             }
+            s => s as usize,
         };
         &mut self.data[slot * cols..(slot + 1) * cols]
     }
@@ -231,7 +247,9 @@ impl SparseRows {
     /// buffer reused across training steps stops allocating once it has
     /// seen its steady-state touch pattern.
     pub(crate) fn clear(&mut self) {
-        self.index.clear();
+        for &row in &self.touched {
+            self.index[row] = UNTOUCHED;
+        }
         self.touched.clear();
         self.data.clear();
     }
@@ -756,5 +774,111 @@ mod tests {
             .to_dense(t)
             .unwrap()
             .approx_eq(&dense.to_dense(t).unwrap(), 0.0));
+    }
+
+    /// [`SparseRows`] as it was with a `HashMap` row index: the reference
+    /// the array index must reproduce slot for slot.
+    #[derive(Default)]
+    struct HashRows {
+        index: std::collections::HashMap<usize, usize>,
+        touched: Vec<usize>,
+        data: Vec<f32>,
+    }
+
+    impl HashRows {
+        fn row_mut_or_insert(&mut self, row: usize) -> &mut [f32] {
+            let slot = match self.index.get(&row) {
+                Some(&s) => s,
+                None => {
+                    let s = self.touched.len();
+                    self.index.insert(row, s);
+                    self.touched.push(row);
+                    self.data.resize((s + 1) * S_COLS, 0.0);
+                    s
+                }
+            };
+            &mut self.data[slot * S_COLS..(slot + 1) * S_COLS]
+        }
+
+        fn add_row(&mut self, row: usize, delta: &[f32]) {
+            for (g, &d) in self.row_mut_or_insert(row).iter_mut().zip(delta) {
+                *g += d;
+            }
+        }
+
+        fn merge(&mut self, other: &HashRows) {
+            for (slot, &row) in other.touched.iter().enumerate() {
+                self.add_row(row, &other.data[slot * S_COLS..(slot + 1) * S_COLS]);
+            }
+        }
+
+        fn clear(&mut self) {
+            self.index.clear();
+            self.touched.clear();
+            self.data.clear();
+        }
+    }
+
+    const S_ROWS: usize = 23;
+    const S_COLS: usize = 3;
+
+    type Touches = Vec<(usize, Vec<f32>)>;
+
+    fn filled(touches: &Touches) -> (SparseRows, HashRows) {
+        let (mut sparse, mut reference) = (SparseRows::new(S_ROWS, S_COLS), HashRows::default());
+        for (row, delta) in touches {
+            sparse.add_row(*row, delta);
+            reference.add_row(*row, delta);
+        }
+        (sparse, reference)
+    }
+
+    fn touches() -> impl proptest::Strategy<Value = Touches> {
+        use proptest::collection::vec;
+        vec((0..S_ROWS, vec(-3.0f32..3.0, S_COLS)), 0..6)
+    }
+
+    proptest::proptest! {
+        /// Random touch / accumulate / merge / clear sequences: the same
+        /// slots in the same touch order, the same bits in every slot,
+        /// and every row's index entry where the reference map has it.
+        #[test]
+        fn sparse_rows_match_the_hash_map_reference(
+            script in proptest::collection::vec((0u8..8, 0..S_ROWS, touches()), 1..40),
+        ) {
+            let (mut sparse, mut reference) = (SparseRows::new(S_ROWS, S_COLS), HashRows::default());
+            for (op, row, others) in &script {
+                match op {
+                    0..=3 => {
+                        let delta = [*row as f32 * 0.37 - 2.1, 0.5, -1.25];
+                        sparse.add_row(*row, &delta);
+                        reference.add_row(*row, &delta);
+                    }
+                    4 => {
+                        sparse.row_mut_or_insert(*row);
+                        reference.row_mut_or_insert(*row);
+                    }
+                    5 | 6 => {
+                        let (other, other_reference) = filled(others);
+                        sparse.merge(&other);
+                        reference.merge(&other_reference);
+                    }
+                    _ => {
+                        sparse.clear();
+                        reference.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(&sparse.touched, &reference.touched);
+                let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&sparse.data), bits(&reference.data));
+                for r in 0..S_ROWS {
+                    let slot = reference.index.get(&r).map_or(UNTOUCHED, |&s| s as u32);
+                    proptest::prop_assert!(
+                        sparse.index.get(r).map_or(UNTOUCHED, |&s| s) == slot,
+                        "row {r}: slot {:?}, reference {slot}", sparse.index.get(r)
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,6 +4,7 @@
 use st_transrec::baselines::ItemPop;
 use st_transrec::core::{recommend_top_k, ParallelTrainer};
 use st_transrec::prelude::*;
+use std::time::Duration;
 
 fn setup() -> (Dataset, CrossingCitySplit) {
     let cfg = synth::SynthConfig::tiny();
@@ -18,6 +19,8 @@ fn full_pipeline_trains_evaluates_and_recommends() {
     let mut model = STTransRec::new(&dataset, &split, ModelConfig::test_small());
     let history = model.fit(&dataset);
     assert_eq!(history.len(), 3);
+    // Every epoch's steps timed their phases.
+    assert!(history.iter().all(|e| e.phases.total() > Duration::ZERO));
 
     let report = evaluate(&model, &dataset, &split, &EvalConfig::default());
     assert_eq!(report.users, split.test_users.len());
