@@ -101,7 +101,8 @@ impl PartialEq for EpochStats {
 
 /// Wall time of [`STTransRec::train_step`]'s phases on the calling
 /// thread, summed over steps. The phases do not overlap there, so they
-/// sum to no more than the steps' wall time.
+/// sum to no more than the steps' wall time. Beside them, the draws' own
+/// wall time, wherever they ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepPhases {
     /// Both lanes, the target lane's thread (start and join) included.
@@ -113,10 +114,15 @@ pub struct StepPhases {
     /// thread and waiting for it after the apply. A step that finds no
     /// draws made ahead counts its own here.
     pub draws: Duration,
+    /// The draws' own wall time, measured on the thread that made them.
+    /// Under [`Schedule::Concurrent`] they run beside the apply, where
+    /// `draws` sees only the spawn and the wait at the join, so this is
+    /// no part of [`StepPhases::total`].
+    pub drawing: Duration,
 }
 
 impl StepPhases {
-    /// The three phases together.
+    /// The three phases of the calling thread together.
     pub fn total(&self) -> Duration {
         self.lanes + self.apply + self.draws
     }
@@ -655,7 +661,9 @@ impl STTransRec {
                 let mut draws = Default::default();
                 let mut rng = SmallRng::seed_from_u64(self.rng.gen());
                 self.prologue.draw_step(dataset, &mut rng, &mut draws);
-                self.phases.draws += started.elapsed();
+                let drawn = started.elapsed();
+                self.phases.draws += drawn;
+                self.phases.drawing += drawn;
                 draws
             }
         };
@@ -670,18 +678,22 @@ impl STTransRec {
         // done with.
         let mut stream = self.rng.clone();
         let mut rng = SmallRng::seed_from_u64(stream.gen());
-        let mut draw_ahead = || self.prologue.draw_step(dataset, &mut rng, &mut draws);
+        let mut draw_ahead = || {
+            let started = Instant::now();
+            self.prologue.draw_step(dataset, &mut rng, &mut draws);
+            started.elapsed()
+        };
         let mut apply = || {
             buffers.merge_lanes();
             self.optimizer.step(&mut self.store, buffers.grads());
         };
-        let (apply, draws_ahead) = match self.schedule {
+        let (apply, draws_ahead, drawing) = match self.schedule {
             Schedule::Inline => {
                 let started = Instant::now();
                 apply();
                 let applied = Instant::now();
-                draw_ahead();
-                (applied - started, applied.elapsed())
+                let drawing = draw_ahead();
+                (applied - started, applied.elapsed(), drawing)
             }
             Schedule::Concurrent => std::thread::scope(|scope| {
                 let started = Instant::now();
@@ -689,13 +701,18 @@ impl STTransRec {
                 let spawned = Instant::now();
                 apply();
                 let applied = Instant::now();
-                drawing.join().expect("the next step's draws panicked");
-                (applied - spawned, (spawned - started) + applied.elapsed())
+                let drawing = drawing.join().expect("the next step's draws panicked");
+                (
+                    applied - spawned,
+                    (spawned - started) + applied.elapsed(),
+                    drawing,
+                )
             }),
         };
         self.phases.lanes += lanes;
         self.phases.apply += apply;
         self.phases.draws += draws_ahead;
+        self.phases.drawing += drawing;
         debug_assert!(!self.store.has_non_finite(), "parameters diverged");
         self.ahead = Some((stream, draws));
         buffers.clear();
@@ -802,13 +819,15 @@ impl STTransRec {
         batch: &InteractionBatch,
         rng: &mut SmallRng,
     ) -> st_tensor::Var {
-        let users = tape.gather_param(self.user_emb.table(), &batch.users);
-        let pois = tape.gather_param(self.poi_emb.table(), &batch.pois);
-        let mut x = tape.concat_cols(users, pois);
         // Paper: dropout on the embedding layer and each hidden layer.
-        if self.config.dropout > 0.0 {
-            x = tape.dropout(x, self.config.dropout, rng);
-        }
+        let x = tape.gather_concat(
+            self.user_emb.table(),
+            &batch.users,
+            self.poi_emb.table(),
+            &batch.pois,
+            self.config.dropout,
+            rng,
+        );
         let logits = self.tower.forward_train(tape, x, rng);
         tape.bce_with_logits(logits, &batch.labels)
     }
@@ -973,6 +992,7 @@ mod tests {
                 assert!(p.lanes > Duration::ZERO, "{at}");
                 assert!(p.apply > Duration::ZERO, "{at}");
                 assert!(p.draws > Duration::ZERO, "{at}");
+                assert!(p.drawing > Duration::ZERO, "{at}");
                 assert!(p.total() <= wall, "{at} against {wall:?}");
                 // The timers are no part of the result.
                 let untimed = EpochStats {

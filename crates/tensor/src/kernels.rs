@@ -26,7 +26,8 @@
 //! (`matmul_transpose_a_blocked`) and `a * b^T`
 //! ([`crate::Matrix::matmul_transpose_b_into`]) — pack their right-hand
 //! side into column panels and run the same register tiles over them
-//! (`panel_product`; there is no dot-product tile), and every
+//! (`panel_product_of`; there is no dot-product tile, and `a^T` is read
+//! in place as `a`'s columns), and every
 //! element they write is `init + a[0]*b[0] + a[1]*b[1] + ...` evaluated
 //! left to right: one accumulator per output element, terms added in
 //! ascending `k`, a separate multiply and add per term (never a fused
@@ -158,15 +159,44 @@ impl PackedB {
 /// The caller guarantees buffer lengths match the dimensions; `c` is
 /// accumulated into (callers wanting a plain product pass zeros).
 pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_blocked_with(a, b, c, m, k, n, accumulate);
+}
+
+/// The product `a * b` of [`matmul_blocked`] with each finished tile row
+/// handed to `write(c_row_segment, accumulators, row, first_column)`, as
+/// in [`matmul_packed`]: a training layer's bias, activation and mask
+/// ride the store instead of passes of their own.
+pub(crate) fn matmul_blocked_with(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    write: impl Fn(&mut [f32], &[f32], usize, usize),
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    for_each_panel(b, k, n, |j, w, panel| {
+        panel_product(a, panel, None, c, m, k, n, j, w, &write)
+    });
+}
 
+/// Hands `each(j, w, panel)` the packed `k x w` panel of every column
+/// range `j..j+w` of [`panels`]`(n)` of the row-major `k x n` matrix
+/// `b`, left to right. A matrix that is one panel wide is its own packed
+/// panel and is handed over as it is; otherwise each panel is packed in
+/// turn into one scratch buffer.
+fn for_each_panel(b: &[f32], k: usize, n: usize, mut each: impl FnMut(usize, usize, &[f32])) {
+    if n <= NR && n.is_power_of_two() {
+        return each(0, n, b);
+    }
     let mut scratch = vec![0.0f32; k * NR.min(n)];
     for (j, w) in panels(n) {
         let panel = &mut scratch[..k * w];
         pack_panel(b, n, j, w, panel);
-        panel_product(a, panel, None, c, m, k, n, j, w, &accumulate);
+        each(j, w, panel);
     }
 }
 
@@ -206,10 +236,44 @@ pub fn matmul_packed(
     }
 }
 
-/// Every row of `a` against the packed `k x w` panel of columns
-/// `j..j+w`, through the register tile of that width: row bands first,
-/// then the bottom rows one at a time.
+/// Every row of the left operand against the packed `k x w` panel of
+/// columns `j..j+w`, through the register tile of that width: row bands
+/// first, then the bottom rows one at a time.
+///
+/// The left operand is `a` read one of two ways, fixed at compile time
+/// so each instance is one layout's code: row `i`, depth `p` is
+/// `a[i * lda + p]` (`T = false`: `a` is `m x k`, `lda = k`) or
+/// `a[p * lda + i]` (`T = true`: `a` is the `k x m` matrix whose
+/// transpose is the operand, `lda = m`). Only those reads differ; every
+/// accumulator sums the same terms in the same order.
 #[allow(clippy::too_many_arguments)] // raw slices + the panel's place in the product
+#[inline(always)]
+fn panel_product_of<const T: bool>(
+    a: &[f32],
+    panel: &[f32],
+    init: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    lda: usize,
+    n: usize,
+    j: usize,
+    w: usize,
+    write: &impl Fn(&mut [f32], &[f32], usize, usize),
+) {
+    let init = init.map(|row| &row[j..j + w]);
+    match w {
+        NR => bands::<MR, NR, T>(a, panel, init, c, m, lda, n, j, write),
+        16 => bands::<MR_NARROW, 16, T>(a, panel, init, c, m, lda, n, j, write),
+        8 => bands::<MR_NARROW, 8, T>(a, panel, init, c, m, lda, n, j, write),
+        4 => bands::<MR_NARROW, 4, T>(a, panel, init, c, m, lda, n, j, write),
+        2 => bands::<MR_NARROW, 2, T>(a, panel, init, c, m, lda, n, j, write),
+        1 => bands::<MR_NARROW, 1, T>(a, panel, init, c, m, lda, n, j, write),
+        _ => unreachable!("panels() yields NR or a power of two below it"),
+    }
+}
+
+/// [`panel_product_of`] for a row-major `m x k` left operand `a`.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn panel_product(
     a: &[f32],
@@ -223,16 +287,18 @@ fn panel_product(
     w: usize,
     write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
-    let init = init.map(|row| &row[j..j + w]);
-    match w {
-        NR => bands::<MR, NR>(a, panel, init, c, m, k, n, j, write),
-        16 => bands::<MR_NARROW, 16>(a, panel, init, c, m, k, n, j, write),
-        8 => bands::<MR_NARROW, 8>(a, panel, init, c, m, k, n, j, write),
-        4 => bands::<MR_NARROW, 4>(a, panel, init, c, m, k, n, j, write),
-        2 => bands::<MR_NARROW, 2>(a, panel, init, c, m, k, n, j, write),
-        1 => bands::<MR_NARROW, 1>(a, panel, init, c, m, k, n, j, write),
-        _ => unreachable!("panels() yields NR or a power of two below it"),
-    }
+    panel_product_of::<false>(a, panel, init, c, m, k, n, j, w, write)
+}
+
+/// Rows `i..i+R` of a row-major left operand (rows `lda` long) as
+/// slices, for the tiles' reads; empty slices when the operand is read
+/// transposed (`T`), which the tiles index in `a` instead.
+#[inline(always)]
+fn rows_of<const R: usize, const T: bool>(a: &[f32], lda: usize, i: usize) -> [&[f32]; R] {
+    std::array::from_fn(|r| match T {
+        true => &a[..0],
+        false => &a[(i + r) * lda..(i + r + 1) * lda],
+    })
 }
 
 /// The accumulators' starting row as a `W`-array (zeros when `None`).
@@ -241,17 +307,17 @@ fn init_row<const W: usize>(init: Option<&[f32]>) -> [f32; W] {
     init.map_or([0.0; W], |row| row.try_into().expect("W-wide init"))
 }
 
-/// [`panel_product`] for a `W`-wide panel: bands of `R` rows through
+/// [`panel_product_of`] for a `W`-wide panel: bands of `R` rows through
 /// [`band_tile`], then the rows left over one at a time.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn bands<const R: usize, const W: usize>(
+fn bands<const R: usize, const W: usize, const T: bool>(
     a: &[f32],
     panel: &[f32],
     init: Option<&[f32]>,
     c: &mut [f32],
     m: usize,
-    k: usize,
+    lda: usize,
     n: usize,
     j: usize,
     write: &impl Fn(&mut [f32], &[f32], usize, usize),
@@ -259,11 +325,11 @@ fn bands<const R: usize, const W: usize>(
     let init = init_row::<W>(init);
     let mut i = 0;
     while i + R <= m {
-        band_tile::<R, W>(a, panel, init, c, k, n, i, j, write);
+        band_tile::<R, W, T>(a, panel, init, c, lda, n, i, j, write);
         i += R;
     }
     for i in i..m {
-        micro_kernel::<1, W>(a, panel, init, c, k, n, i, j, write);
+        micro_kernel::<1, W, T>(a, panel, init, c, lda, n, i, j, write);
     }
 }
 
@@ -272,12 +338,12 @@ fn bands<const R: usize, const W: usize>(
 /// every panel on other builds, runs the generic tiles.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn band_tile<const R: usize, const W: usize>(
+fn band_tile<const R: usize, const W: usize, const T: bool>(
     a: &[f32],
     panel: &[f32],
     init: [f32; W],
     c: &mut [f32],
-    k: usize,
+    lda: usize,
     n: usize,
     i: usize,
     j: usize,
@@ -285,17 +351,17 @@ fn band_tile<const R: usize, const W: usize>(
 ) {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
     if W.is_multiple_of(zmm::LANE) {
-        return zmm::tile::<R, W>(a, panel, &init, c, k, n, i, j, write);
+        return zmm::tile::<R, W, T>(a, panel, &init, c, lda, n, i, j, write);
     }
     if W == NR {
-        micro_kernel_wide(a, panel, &init, c, k, n, i, j, write)
+        micro_kernel_wide::<T>(a, panel, &init, c, lda, n, i, j, write)
     } else {
-        micro_kernel::<R, W>(a, panel, init, c, k, n, i, j, write)
+        micro_kernel::<R, W, T>(a, panel, init, c, lda, n, i, j, write)
     }
 }
 
-/// `MR x NR` register-tile product of rows `i..i+MR` of `a` with the
-/// packed panel of columns `j..j+NR`.
+/// `MR x NR` register-tile product of rows `i..i+MR` of the left operand
+/// (see [`panel_product_of`]) with the packed panel of columns `j..j+NR`.
 ///
 /// Same arithmetic as [`micro_kernel`]`::<MR, NR>`, spelled out: the
 /// four accumulator rows are separate local arrays because LLVM's
@@ -303,26 +369,32 @@ fn band_tile<const R: usize, const W: usize>(
 /// `[[f32; NR]; MR]` this large stays in memory (6 vs 60 gflop/s).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel_wide(
+fn micro_kernel_wide<const T: bool>(
     a: &[f32],
     panel: &[f32],
     init: &[f32],
     c: &mut [f32],
-    k: usize,
+    lda: usize,
     n: usize,
     i: usize,
     j: usize,
     write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
     let init: [f32; NR] = init.try_into().expect("NR-wide init");
-    let a0 = &a[i * k..(i + 1) * k];
-    let a1 = &a[(i + 1) * k..(i + 2) * k];
-    let a2 = &a[(i + 2) * k..(i + 3) * k];
-    let a3 = &a[(i + 3) * k..(i + 4) * k];
+    let rows: [&[f32]; MR] = rows_of::<MR, T>(a, lda, i);
+    let [a0, a1, a2, a3] = rows;
     let (mut acc0, mut acc1, mut acc2, mut acc3) = (init, init, init, init);
     for (p, bp) in panel.chunks_exact(NR).enumerate() {
         let bp: &[f32; NR] = bp.try_into().expect("NR chunk");
-        let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
+        let (v0, v1, v2, v3) = match T {
+            true => (
+                a[p * lda + i],
+                a[p * lda + i + 1],
+                a[p * lda + i + 2],
+                a[p * lda + i + 3],
+            ),
+            false => (a0[p], a1[p], a2[p], a3[p]),
+        };
         for l in 0..NR {
             acc0[l] += v0 * bp[l];
             acc1[l] += v1 * bp[l];
@@ -336,29 +408,30 @@ fn micro_kernel_wide(
     }
 }
 
-/// `R x W` register-tile product of rows `i..i+R` of `a` with the packed
-/// panel of columns `j..j+W`: accumulators start at `init`, take one
+/// `R x W` register-tile product of rows `i..i+R` of the left operand
+/// (see [`panel_product_of`]) with the packed panel of columns `j..j+W`:
+/// accumulators start at `init`, take one
 /// multiply and one add per `k` in ascending order, and go to `write`
 /// row by row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_kernel<const R: usize, const W: usize>(
+fn micro_kernel<const R: usize, const W: usize, const T: bool>(
     a: &[f32],
     panel: &[f32],
     init: [f32; W],
     c: &mut [f32],
-    k: usize,
+    lda: usize,
     n: usize,
     i: usize,
     j: usize,
     write: &impl Fn(&mut [f32], &[f32], usize, usize),
 ) {
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let rows: [&[f32]; R] = rows_of::<R, T>(a, lda, i);
     let mut acc = [init; R];
     for (p, bp) in panel.chunks_exact(W).enumerate() {
         let bp: &[f32; W] = bp.try_into().expect("W chunk");
         for r in 0..R {
-            let v = rows[r][p];
+            let v = if T { a[p * lda + i + r] } else { rows[r][p] };
             for l in 0..W {
                 acc[r][l] += v * bp[l];
             }
@@ -448,12 +521,12 @@ mod zmm {
     /// accumulators.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(super) fn tile<const R: usize, const W: usize>(
+    pub(super) fn tile<const R: usize, const W: usize, const T: bool>(
         a: &[f32],
         panel: &[f32],
         init: &[f32; W],
         c: &mut [f32],
-        k: usize,
+        lda: usize,
         n: usize,
         i: usize,
         j: usize,
@@ -461,7 +534,7 @@ mod zmm {
     ) {
         debug_assert!(W.is_multiple_of(LANE) && W <= NR);
         let lanes = W / LANE;
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+        let rows: [&[f32]; R] = super::rows_of::<R, T>(a, lda, i);
         let mut start = [zero(); LANES];
         for (l, s) in start.iter_mut().enumerate().take(lanes) {
             *s = load(init, l * LANE);
@@ -472,8 +545,8 @@ mod zmm {
             for (l, b) in b.iter_mut().enumerate().take(lanes) {
                 *b = load(bp, l * LANE);
             }
-            for (row, acc) in rows.iter().zip(&mut acc) {
-                let v = splat(row[p]);
+            for (r, (row, acc)) in rows.iter().zip(&mut acc).enumerate() {
+                let v = splat(if T { a[p * lda + i + r] } else { row[p] });
                 for (acc, &b) in acc.iter_mut().zip(&b).take(lanes) {
                     *acc = add_product(*acc, v, b);
                 }
@@ -521,10 +594,12 @@ pub(crate) fn matmul_transpose_b_blocked(
 
 /// `c += a^T * b` for row-major buffers, `a: k x m`, `b: k x n`, `c: m x n`.
 ///
-/// The transposed-A shape defeats register tiling directly (columns of
-/// `a` are strided), so the kernel materializes `a^T` once with the
-/// tiled transpose — O(k·m), negligible next to the O(m·k·n) product —
-/// and runs the packed matmul.
+/// [`matmul_blocked`]'s loop with `a^T` read in place: the tiles take
+/// row `i` of `a^T` as column `i` of `a`, so at each depth `p` a row
+/// band's values are the contiguous `a[p][i..i+R]` — the way `a * b^T`
+/// packs `b^T`'s panels straight from `b`'s rows. No transposed copy of
+/// `a` is made, and every element is summed in the order of the product
+/// on one.
 pub(crate) fn matmul_transpose_a_blocked(
     a: &[f32],
     b: &[f32],
@@ -536,9 +611,9 @@ pub(crate) fn matmul_transpose_a_blocked(
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    let mut at = vec![0.0f32; k * m];
-    transpose_blocked(a, &mut at, k, m);
-    matmul_blocked(&at, b, c, m, k, n);
+    for_each_panel(b, k, n, |j, w, panel| {
+        panel_product_of::<true>(a, panel, None, c, m, m, n, j, w, &accumulate)
+    });
 }
 
 /// Tiled out-of-place transpose: `dst[c][r] = src[r][c]`, `src: rows x cols`.
@@ -640,6 +715,51 @@ mod tests {
             transpose_blocked(&at, &mut a2, k, m);
             let want = naive_matmul(&a2, &b2, m, k, n);
             assert_eq!(bits(&c2), bits(&want), "t_a shape {m}x{k}x{n}");
+        }
+    }
+
+    /// The copy-free `a^T * b` against the path it replaced: a tiled
+    /// transposed copy of `a`, then the packed product — by `to_bits`,
+    /// accumulated into a non-zero `c`, at the tower's four weight
+    /// gradient shapes and at row and column remainders of every tile.
+    #[test]
+    fn copy_free_transpose_a_matches_transpose_then_product() {
+        fn transpose_then_product(
+            a: &[f32],
+            b: &[f32],
+            c: &mut [f32],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            let mut at = vec![0.0f32; k * m];
+            transpose_blocked(a, &mut at, k, m);
+            matmul_blocked(&at, b, c, m, k, n);
+        }
+        let frac = |len: usize, seed: usize| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i * 7919 + seed * 31) % 1013) as f32 / 97.0 - 5.1)
+                .collect()
+        };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let shapes = [
+            (128, 640, 64),
+            (64, 640, 32),
+            (32, 640, 16),
+            (16, 640, 1),
+            (1, 1, 1),
+            (5, 9, 70),
+            (13, 17, 33),
+            (MR * 3 + 1, 11, NR + 16 + 2 + 1),
+            (MR_NARROW + 3, 4, 15),
+        ];
+        for (m, k, n) in shapes {
+            let (a, b) = (frac(k * m, 1), frac(k * n, 2));
+            let mut got = frac(m * n, 3);
+            let mut want = got.clone();
+            matmul_transpose_a_blocked(&a, &b, &mut got, m, k, n);
+            transpose_then_product(&a, &b, &mut want, m, k, n);
+            assert_eq!(bits(&got), bits(&want), "({k}x{m})^T * {k}x{n}");
         }
     }
 

@@ -49,14 +49,40 @@ impl Linear {
 
     /// Applies the layer to a `batch x in_dim` input.
     pub(crate) fn forward(&self, tape: &mut Tape<'_>, x: Var) -> Var {
+        let (w, b) = self.params(tape, x);
+        tape.linear(x, w, b)
+    }
+
+    /// The layer, then `act`, then inverted dropout at rate `p`: one
+    /// [`Tape::dense`] node for ReLU and the identity, the op chain for
+    /// the other activations. Either way the same bits and draws.
+    fn forward_train(
+        &self,
+        tape: &mut Tape<'_>,
+        x: Var,
+        act: Activation,
+        p: f32,
+        rng: &mut impl Rng,
+    ) -> Var {
+        let (w, b) = self.params(tape, x);
+        match act {
+            Activation::Relu | Activation::Identity => tape.dense(x, w, b, act, p, rng),
+            Activation::Tanh | Activation::Sigmoid => {
+                let h = tape.linear(x, w, b);
+                let h = act.apply(tape, h);
+                tape.dropout(h, p, rng)
+            }
+        }
+    }
+
+    /// Records the weight and bias reads for input `x`.
+    fn params(&self, tape: &mut Tape<'_>, x: Var) -> (Var, Var) {
         assert_eq!(
             tape.value(x).cols(),
             self.in_dim,
             "Linear input width mismatch"
         );
-        let w = tape.param(self.w);
-        let b = tape.param(self.b);
-        tape.linear(x, w, b)
+        (tape.param(self.w), tape.param(self.b))
     }
 }
 
@@ -140,18 +166,17 @@ impl Mlp {
     }
 
     /// Training forward pass: dropout masks (if configured) are sampled
-    /// from `rng` after each hidden activation.
+    /// from `rng` after each hidden activation. With ReLU (the paper's
+    /// tower) or the identity, each layer is one fused [`Tape::dense`]
+    /// node.
     pub fn forward_train(&self, tape: &mut Tape<'_>, x: Var, rng: &mut impl Rng) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, h);
-            if i < last {
-                h = self.activation.apply(tape, h);
-                if self.dropout > 0.0 {
-                    h = tape.dropout(h, self.dropout, rng);
-                }
-            }
+            h = match i < last {
+                true => layer.forward_train(tape, h, self.activation, self.dropout, rng),
+                false => layer.forward_train(tape, h, Activation::Identity, 0.0, rng),
+            };
         }
         h
     }

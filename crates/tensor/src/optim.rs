@@ -106,7 +106,16 @@ pub struct Adam {
     last: Vec<Vec<u64>>,
     /// Lazy per-row updates (true) vs dense-oracle updates (false).
     lazy: bool,
+    /// `(beta1^k, beta2^k)` by gap `k` below [`DECAY_MEMO`], filled as
+    /// lazy updates meet the gaps: `powf` runs once per distinct gap, not
+    /// twice per row. The powers depend on `k` alone, so they are kept
+    /// from step to step.
+    decays: Vec<Option<(f32, f32)>>,
 }
+
+/// Gaps whose decay factors [`Adam`] keeps; a row further behind has its
+/// factors computed each time it is caught up.
+const DECAY_MEMO: usize = 4096;
 
 impl Adam {
     /// Creates Adam with the paper-standard betas (0.9, 0.999) and eps 1e-8,
@@ -124,6 +133,7 @@ impl Adam {
             t: Vec::new(),
             last: Vec::new(),
             lazy: true,
+            decays: Vec::new(),
         }
     }
 
@@ -198,23 +208,42 @@ impl Adam {
         }
     }
 
-    /// Lazy per-row apply of a sparse slot: catch-up decay, then the
-    /// standard Adam step, on the touched rows only.
+    /// Lazy per-row apply of a sparse slot, on the touched rows only:
+    /// each row's moments are caught up and the row updated in one pass
+    /// — the bits of [`AdamStep::catch_up`] then [`AdamStep::update`].
     fn sparse_update(&mut self, store: &mut ParamStore, id: ParamId, sr: &SparseRows) {
         let idx = id.index();
         let step = self.step_of(idx);
         let (_, cols) = store.get(id).shape();
         let p = store.get_mut(id).as_mut_slice();
-        let m = self.m[idx].as_mut().expect("state allocated");
-        let v = self.v[idx].as_mut().expect("state allocated");
+        let m = self.m[idx]
+            .as_mut()
+            .expect("state allocated")
+            .as_mut_slice();
+        let v = self.v[idx]
+            .as_mut()
+            .expect("state allocated")
+            .as_mut_slice();
+        let last = &mut self.last[idx];
+        if self.decays.is_empty() {
+            self.decays.resize(DECAY_MEMO, None);
+        }
         for (row, packed) in sr.iter() {
             let span = row * cols..(row + 1) * cols;
-            let (mm, vm) = (
-                &mut m.as_mut_slice()[span.clone()],
-                &mut v.as_mut_slice()[span.clone()],
-            );
-            step.catch_up(mm, vm, &mut self.last[idx][row]);
-            step.update(&mut p[span], packed, mm, vm);
+            let behind = step.behind(last[row]);
+            last[row] = step.t;
+            let decay = match behind {
+                0 => None,
+                k => Some(match self.decays.get_mut(k as usize) {
+                    Some(memo) => *memo.get_or_insert_with(|| step.decay(k)),
+                    None => step.decay(k),
+                }),
+            };
+            let (p, m, v) = (&mut p[span.clone()], &mut m[span.clone()], &mut v[span]);
+            match decay {
+                None => step.update(p, packed, m, v),
+                Some((dm, dv)) => step.update_decayed(p, packed, m, v, dm, dv),
+            }
         }
     }
 }
@@ -234,13 +263,24 @@ struct AdamStep {
 }
 
 impl AdamStep {
-    /// Brings one row's moments, last updated at step `last`, up to step
+    /// How many decays a row last updated at step `last` is behind step
     /// `t - 1`: `k-1` skipped zero-gradient updates collapse to one
     /// `beta^(k-1)` decay per moment.
+    fn behind(&self, last: u64) -> u64 {
+        self.t - 1 - last.min(self.t - 1)
+    }
+
+    /// `(beta1^k, beta2^k)`.
+    fn decay(&self, k: u64) -> (f32, f32) {
+        (self.b1.powf(k as f32), self.b2.powf(k as f32))
+    }
+
+    /// Brings one row's moments, last updated at step `last`, up to step
+    /// `t - 1` (see [`AdamStep::behind`]).
     fn catch_up(&self, m: &mut [f32], v: &mut [f32], last: &mut u64) {
-        let behind = self.t - 1 - (*last).min(self.t - 1);
+        let behind = self.behind(*last);
         if behind > 0 {
-            let (dm, dv) = (self.b1.powf(behind as f32), self.b2.powf(behind as f32));
+            let (dm, dv) = self.decay(behind);
             m.iter_mut().for_each(|x| *x *= dm);
             v.iter_mut().for_each(|x| *x *= dv);
         }
@@ -249,14 +289,44 @@ impl AdamStep {
 
     /// The standard update of parameters `p` under gradient `g`.
     fn update(&self, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) {
-        let s = self;
         for ((w, &gv), (mi, vi)) in p.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
-            *mi = s.b1 * *mi + (1.0 - s.b1) * gv;
-            *vi = s.b2 * *vi + (1.0 - s.b2) * gv * gv;
-            let m_hat = *mi / s.bc1;
-            let v_hat = *vi / s.bc2;
-            *w -= s.lr * (m_hat / (v_hat.sqrt() + s.eps) + s.wd * *w);
+            (*mi, *vi) = self.moments(*mi, *vi, gv);
+            *w = self.apply(*w, *mi, *vi);
         }
+    }
+
+    /// [`AdamStep::update`] on moments that are first decayed by `dm` and
+    /// `dv` ([`AdamStep::catch_up`]), in the same pass.
+    fn update_decayed(
+        &self,
+        p: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        dm: f32,
+        dv: f32,
+    ) {
+        for ((w, &gv), (mi, vi)) in p.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
+            (*mi, *vi) = self.moments(*mi * dm, *vi * dv, gv);
+            *w = self.apply(*w, *mi, *vi);
+        }
+    }
+
+    /// The moments `(m, v)` after gradient `g`.
+    #[inline(always)]
+    fn moments(&self, m: f32, v: f32, g: f32) -> (f32, f32) {
+        (
+            self.b1 * m + (1.0 - self.b1) * g,
+            self.b2 * v + (1.0 - self.b2) * g * g,
+        )
+    }
+
+    /// Weight `w` after the step with moments `m` and `v`.
+    #[inline(always)]
+    fn apply(&self, w: f32, m: f32, v: f32) -> f32 {
+        let m_hat = m / self.bc1;
+        let v_hat = v / self.bc2;
+        w - self.lr * (m_hat / (v_hat.sqrt() + self.eps) + self.wd * w)
     }
 }
 
@@ -433,6 +503,86 @@ mod tests {
             a.approx_eq(&b, 0.05),
             "lazy drifted too far from dense oracle"
         );
+    }
+
+    impl Adam {
+        /// [`Optimizer::step`] with the sparse slots walked twice per
+        /// row, as before the walks were fused: every moment caught up in
+        /// a pass of its own, then the standard update.
+        fn step_two_pass(&mut self, store: &mut ParamStore, grads: &Gradients) {
+            for (id, slot) in grads.iter_slots() {
+                let GradSlot::Sparse(sr) = slot else {
+                    unreachable!("the script touches rows only")
+                };
+                let (_, cols) = store.get(id).shape();
+                self.ensure_state(id, store.get(id).shape());
+                let idx = id.index();
+                self.t[idx] += 1;
+                let step = self.step_of(idx);
+                let p = store.get_mut(id).as_mut_slice();
+                let m = self.m[idx].as_mut().expect("state allocated");
+                let v = self.v[idx].as_mut().expect("state allocated");
+                for (row, packed) in sr.iter() {
+                    let span = row * cols..(row + 1) * cols;
+                    let (mm, vm) = (
+                        &mut m.as_mut_slice()[span.clone()],
+                        &mut v.as_mut_slice()[span.clone()],
+                    );
+                    step.catch_up(mm, vm, &mut self.last[idx][row]);
+                    step.update(&mut p[span], packed, mm, vm);
+                }
+            }
+        }
+    }
+
+    /// The one-pass lazy Adam walk against the two-pass walk it replaced,
+    /// by `to_bits` of every parameter and moment: three tables, a random
+    /// touch script whose rows skip steps (gaps of 1 to dozens of steps,
+    /// and one row left for longer than the decay memo reaches), with
+    /// weight decay.
+    #[test]
+    fn one_pass_lazy_adam_matches_the_two_pass_walk_bitwise() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut store = ParamStore::new();
+        let shapes = [(40, 8), (25, 5), (7, 3)];
+        let tables =
+            shapes.map(|(r, c)| store.register("t", r, c, Init::Uniform { limit: 0.5 }, &mut rng));
+        let (mut fused, mut oracle) = (store.clone(), store);
+        let mut one = Adam::new(0.01).with_weight_decay(0.01);
+        let mut two = one.clone();
+        let steps = DECAY_MEMO + 60;
+        for step in 0..steps {
+            let mut g = Gradients::zeros_like(&fused);
+            for (&id, &(rows, cols)) in tables.iter().zip(&shapes) {
+                for r in 0..rows {
+                    // The last row of the smallest table is touched only
+                    // at the first and the last step.
+                    let far = cols == 3 && r == rows - 1;
+                    let touched = match far {
+                        true => step == 0 || step == steps - 1,
+                        false => step < 400 && rng.gen_bool(0.15),
+                    };
+                    if touched {
+                        let delta: Vec<f32> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        g.accumulate_row(id, rows, cols, r, &delta);
+                    }
+                }
+            }
+            one.step(&mut fused, &g);
+            two.step_two_pass(&mut oracle, &g);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for id in tables {
+            let i = id.index();
+            assert_eq!(bits(fused.get(id)), bits(oracle.get(id)), "table {i}");
+            for (a, b) in [(&one.m[i], &two.m[i]), (&one.v[i], &two.v[i])] {
+                assert_eq!(
+                    bits(a.as_ref().unwrap()),
+                    bits(b.as_ref().unwrap()),
+                    "moments {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -479,6 +479,24 @@ impl Gradients {
         }
     }
 
+    /// Accumulates `src_row * mask_row`, elementwise, into row `row` of
+    /// the slot: the bits [`Gradients::accumulate_row`] leaves when
+    /// handed the product row, without the product row.
+    pub(crate) fn accumulate_row_masked(
+        &mut self,
+        id: ParamId,
+        rows: usize,
+        cols: usize,
+        row: usize,
+        src_row: &[f32],
+        mask_row: &[f32],
+    ) {
+        let dst = self.row_mut(id, rows, cols, row);
+        for ((g, &x), &m) in dst.iter_mut().zip(src_row).zip(mask_row) {
+            *g += x * m;
+        }
+    }
+
     /// Row `row` of the slot for `id`, the slot created on first touch
     /// and the row zeroed on its first.
     fn row_mut(&mut self, id: ParamId, rows: usize, cols: usize, row: usize) -> &mut [f32] {

@@ -167,7 +167,12 @@ impl MatrixPool {
     /// in which case it is freed. Accepts buffers the pool did not
     /// allocate.
     pub fn release(&mut self, m: Matrix) {
-        let buf = m.into_vec();
+        self.release_buffer(m.into_vec());
+    }
+
+    /// [`MatrixPool::release`] for a bare buffer (one a node keeps
+    /// without a shape).
+    pub(crate) fn release_buffer(&mut self, buf: Vec<f32>) {
         let cap = buf.capacity();
         if cap == 0 {
             return;

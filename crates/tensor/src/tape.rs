@@ -34,9 +34,10 @@
 
 use crate::ops::{self, stable_sigmoid};
 use crate::pool::MatrixPool;
-use crate::{Gradients, Matrix, ParamId, ParamStore};
+use crate::{kernels, Activation, Gradients, Matrix, ParamId, ParamStore};
 use rand::Rng;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +53,17 @@ enum Op {
     GatherParam {
         pid: ParamId,
         indices: Vec<usize>,
+    },
+    /// `[a[a_rows] | b[b_rows]]` masked by inverted dropout: the two
+    /// gathers, the concatenation and the mask in one node.
+    GatherConcat {
+        a: ParamId,
+        b: ParamId,
+        /// `a_rows`, then `b_rows` (one list keeps the node no larger
+        /// than the others).
+        rows: Vec<usize>,
+        /// The dropout mask, row-major; `None` at rate 0.
+        mask: Option<Vec<f32>>,
     },
     /// Rowwise dot products of selected rows of two parameters: the
     /// gathers and the product in one node, nothing copied.
@@ -69,6 +81,18 @@ enum Op {
     MatMul {
         a: Var,
         b: Var,
+    },
+    /// A tower layer `x W + b`, ReLU or not, masked by inverted dropout:
+    /// the product, bias, activation and mask in one node.
+    Dense {
+        x: Var,
+        w: Var,
+        b: Var,
+        relu: bool,
+        /// Per element (row-major), what the adjoint is multiplied by:
+        /// the dropout mask's value, or [`BLOCKED`] where the ReLU cut
+        /// the unit. `None` at rate 0.
+        gate: Option<Vec<f32>>,
     },
     Transpose {
         a: Var,
@@ -194,6 +218,12 @@ impl<'s> Tape<'s> {
             }
             match node.op {
                 Op::Dropout { mask, .. } => pool.release(mask),
+                Op::GatherConcat {
+                    mask: Some(mask), ..
+                }
+                | Op::Dense {
+                    gate: Some(mask), ..
+                } => pool.release_buffer(mask),
                 Op::BceWithLogits { targets, .. } => pool.release(targets),
                 _ => {}
             }
@@ -225,6 +255,14 @@ impl<'s> Tape<'s> {
     /// A pooled `f(a, b)`, elementwise over same-shaped operands.
     fn alloc_zip(&self, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         self.alloc_with(a.rows(), a.cols(), |buf| a.zip_into(b, f, buf))
+    }
+
+    /// A pooled `f(a, b)`, elementwise, over `a` and a same-length slice.
+    fn alloc_zip_slice(&self, a: &Matrix, b: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
+        debug_assert_eq!(a.len(), b.len());
+        self.alloc_with(a.rows(), a.cols(), |buf| {
+            buf.extend(a.as_slice().iter().zip(b).map(|(&a, &b)| f(a, b)))
+        })
     }
 
     /// A pooled `1 x 1` matrix.
@@ -260,16 +298,6 @@ impl<'s> Tape<'s> {
                 buf.extend(m.row(r).iter().map(|&x| x * c));
             }
         })
-    }
-
-    /// `out += a^T * b`, exactly as [`Matrix::matmul_transpose_a_into`]
-    /// computes it (tiled transpose, then the packed matmul), with the
-    /// transposed copy of `a` taken from the pool instead of allocated
-    /// inside the kernel.
-    fn matmul_transpose_a_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        let at = self.alloc_transpose(a);
-        at.matmul_into(b, out);
-        self.release(at);
     }
 
     fn release(&self, m: Matrix) {
@@ -326,6 +354,54 @@ impl<'s> Tape<'s> {
         )
     }
 
+    /// Records `[a[a_rows[r]] | b[b_rows[r]]]` for every `r`, under
+    /// inverted dropout at rate `p` — what [`Tape::gather_param`] twice,
+    /// [`Tape::concat_cols`] and [`Tape::dropout`] compute, to the bit in
+    /// value, in both tables' gradients and in the draws taken from
+    /// `rng`: the mask is drawn first, then the rows are gathered
+    /// straight into the masked, concatenated buffer. The backward pass
+    /// adds each row's masked gradient straight into the row-sparse
+    /// gradients, `b` first, as the composition's does.
+    ///
+    /// # Panics
+    /// Panics if the index lists differ in length, an index is out of
+    /// bounds, or `p` is outside `[0, 1)`.
+    pub fn gather_concat(
+        &mut self,
+        a: ParamId,
+        a_rows: &[usize],
+        b: ParamId,
+        b_rows: &[usize],
+        p: f32,
+        rng: &mut impl Rng,
+    ) -> Var {
+        assert_eq!(a_rows.len(), b_rows.len(), "gather_concat length mismatch");
+        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
+        let (at, bt) = (self.store.get(a), self.store.get(b));
+        let (rows, cols) = (a_rows.len(), at.cols() + bt.cols());
+        let mask = (p > 0.0).then(|| self.draw_mask(rows, cols, p, rng).into_vec());
+        let value = self.alloc_with(rows, cols, |buf| {
+            for (r, (&ar, &br)) in a_rows.iter().zip(b_rows).enumerate() {
+                let (left, right) = (gathered_row(at, ar), gathered_row(bt, br));
+                match &mask {
+                    None => {
+                        buf.extend_from_slice(left);
+                        buf.extend_from_slice(right);
+                    }
+                    Some(mask) => {
+                        let (ml, mr) = mask[r * cols..(r + 1) * cols].split_at(left.len());
+                        buf.extend(left.iter().zip(ml).map(|(&x, &m)| x * m));
+                        buf.extend(right.iter().zip(mr).map(|(&x, &m)| x * m));
+                    }
+                }
+            }
+        });
+        let mut rows = Vec::with_capacity(2 * a_rows.len());
+        rows.extend_from_slice(a_rows);
+        rows.extend_from_slice(b_rows);
+        self.push(value, Op::GatherConcat { a, b, rows, mask })
+    }
+
     /// Records `out[r] = a[a_rows[r]] . b[b_rows[r]]` (`n x 1`) over two
     /// embedding tables — what [`Tape::gather_param`] twice and
     /// [`Tape::row_dot`] compute, to the bit in value and in both
@@ -377,6 +453,105 @@ impl<'s> Tape<'s> {
         self.push(out, Op::MatMul { a, b })
     }
 
+    /// A tower layer in one node: `x W + b` (`b` a `1 x out` row), then
+    /// ReLU when `act` is [`Activation::Relu`] ([`Activation::Identity`]
+    /// leaves it out), then inverted dropout at rate `p` — what
+    /// [`Tape::linear`] (`matmul`, then the bias row), [`Tape::relu`] and
+    /// [`Tape::dropout`] compute, to the bit in value, in every gradient
+    /// and in the draws taken from `rng`.
+    ///
+    /// The mask is drawn first, in [`Tape::dropout`]'s order; the
+    /// product's store adds the bias, clamps and applies the mask as each
+    /// register tile lands, and records for the backward pass what each
+    /// unit's adjoint is multiplied by. The backward pass gates the
+    /// adjoint by mask and ReLU in one pass, then runs the two products
+    /// (`dW = x^T g` reads `x` in place) and the bias sum.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch, if `p` is outside `[0, 1)`, or if `act`
+    /// is neither ReLU nor the identity.
+    pub fn dense(
+        &mut self,
+        x: Var,
+        w: Var,
+        b: Var,
+        act: Activation,
+        p: f32,
+        rng: &mut impl Rng,
+    ) -> Var {
+        let relu = match act {
+            Activation::Relu => true,
+            Activation::Identity => false,
+            other => panic!("dense: {other:?} is not fused; use the op chain"),
+        };
+        assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
+        let (xv, wv, bv) = (self.value(x), self.value(w), self.value(b));
+        let (m, k, n) = (xv.rows(), xv.cols(), wv.cols());
+        assert_eq!(
+            k,
+            wv.rows(),
+            "dense shape mismatch: {m}x{k} * {}x{n}",
+            wv.rows()
+        );
+        assert_eq!(bv.shape(), (1, n), "dense bias must be 1 x {n}");
+        let bias = bv.as_slice();
+        let mut gate = (p > 0.0).then(|| self.draw_mask(m, n, p, rng).into_vec());
+        let mut out = self.alloc(m, n);
+        let (xs, ws) = (xv.as_slice(), wv.as_slice());
+        match &mut gate {
+            // The mask becomes the gate in place: the store reads each
+            // unit's mask value and overwrites it with `BLOCKED` where
+            // the ReLU cuts the unit.
+            Some(gate) => {
+                let gate = Cell::from_mut(gate.as_mut_slice()).as_slice_of_cells();
+                kernels::matmul_blocked_with(
+                    xs,
+                    ws,
+                    out.as_mut_slice(),
+                    m,
+                    k,
+                    n,
+                    |c, acc, i, j| {
+                        let gate = &gate[i * n + j..i * n + j + c.len()];
+                        for (((o, &a), &b), gate) in c.iter_mut().zip(acc).zip(&bias[j..]).zip(gate)
+                        {
+                            let y = if relu { (a + b).max(0.0) } else { a + b };
+                            *o = y * gate.get();
+                            if relu && y <= 0.0 {
+                                gate.set(BLOCKED);
+                            }
+                        }
+                    },
+                );
+            }
+            None => {
+                kernels::matmul_blocked_with(
+                    xs,
+                    ws,
+                    out.as_mut_slice(),
+                    m,
+                    k,
+                    n,
+                    |c, acc, _, j| {
+                        for ((o, &a), &b) in c.iter_mut().zip(acc).zip(&bias[j..]) {
+                            *o = if relu { (a + b).max(0.0) } else { a + b };
+                        }
+                    },
+                );
+            }
+        }
+        self.push(
+            out,
+            Op::Dense {
+                x,
+                w,
+                b,
+                relu,
+                gate,
+            },
+        )
+    }
+
     /// Transpose.
     pub(crate) fn transpose(&mut self, a: Var) -> Var {
         let value = self.alloc_transpose(self.value(a));
@@ -424,7 +599,7 @@ impl<'s> Tape<'s> {
     // ---- nonlinearities --------------------------------------------------
 
     /// `max(0, x)` elementwise.
-    pub(crate) fn relu(&mut self, a: Var) -> Var {
+    pub fn relu(&mut self, a: Var) -> Var {
         let mut value = self.alloc_copy(self.value(a));
         ops::relu_assign(&mut value);
         self.push(value, Op::Relu { a })
@@ -523,16 +698,27 @@ impl<'s> Tape<'s> {
         if p == 0.0 {
             return a;
         }
+        let (r, c) = self.value(a).shape();
+        let mask = self.draw_mask(r, c, p, rng);
+        let value = self.alloc_zip(self.value(a), &mask, |x, m| x * m);
+        self.push(value, Op::Dropout { a, mask })
+    }
+
+    /// The inverted-dropout mask of a `rows x cols` value at rate `p > 0`:
+    /// `1 / (1 - p)` where an element is kept, 0 where it is dropped.
+    /// Exactly one `rng.next_u64()` per element, in row-major order, and
+    /// an element is kept exactly when `rng.gen::<f32>() < 1 - p` would
+    /// have kept it.
+    fn draw_mask(&self, rows: usize, cols: usize, p: f32, rng: &mut impl Rng) -> Matrix {
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
         let below = keep_below(keep);
-        let (r, c) = self.value(a).shape();
         // The mask in a pass of its own, so nothing but the generator's
         // draws and the mask's stores run in the loop, with `rng` a
         // parameter (not a closure capture) so its state stays in
         // registers.
-        let mut mask = self.pool.borrow_mut().acquire_buffer(r * c);
-        mask.resize(r * c, 0.0);
+        let mut mask = self.pool.borrow_mut().acquire_buffer(rows * cols);
+        mask.resize(rows * cols, 0.0);
         for m in &mut mask {
             *m = if (rng.next_u64() >> 40) < below {
                 scale
@@ -540,9 +726,7 @@ impl<'s> Tape<'s> {
                 0.0
             };
         }
-        let mask = Matrix::from_vec(r, c, mask);
-        let value = self.alloc_zip(self.value(a), &mask, |x, m| x * m);
-        self.push(value, Op::Dropout { a, mask })
+        Matrix::from_vec(rows, cols, mask)
     }
 
     /// Mean binary cross-entropy between `logits` and `targets` (one
@@ -565,7 +749,7 @@ impl<'s> Tape<'s> {
     // ---- composites -------------------------------------------------------
 
     /// Affine map `x W + b` where `b` is a `1 x out` bias row.
-    pub(crate) fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
         let xw = self.matmul(x, w);
         self.add_row_broadcast(xw, b)
     }
@@ -685,6 +869,29 @@ impl<'s> Tape<'s> {
                     grads.accumulate_row(*pid, rows, cols, src_row, g.row(out_row));
                 }
             }
+            Op::GatherConcat { a, b, rows, mask } => {
+                let (a_rows, b_rows) = rows.split_at(rows.len() / 2);
+                let ((a_len, a_cols), (b_len, b_cols)) =
+                    (self.store.get(*a).shape(), self.store.get(*b).shape());
+                let width = a_cols + b_cols;
+                // Each row's `g * mask` goes straight into the gradient;
+                // the composition's backward pass reaches `b`'s gather
+                // node before `a`'s.
+                let mut scatter = |id: ParamId, len: usize, rows: &[usize], cols: Range<usize>| {
+                    for (r, &src) in rows.iter().enumerate() {
+                        let g = &g.row(r)[cols.clone()];
+                        match mask {
+                            Some(mask) => {
+                                let m = &mask[r * width..(r + 1) * width][cols.clone()];
+                                grads.accumulate_row_masked(id, len, cols.len(), src, g, m)
+                            }
+                            None => grads.accumulate_row(id, len, cols.len(), src, g),
+                        }
+                    }
+                };
+                scatter(*b, b_len, b_rows, a_cols..width);
+                scatter(*a, a_len, a_rows, 0..a_cols);
+            }
             Op::GatherRowDot {
                 a,
                 a_rows,
@@ -717,9 +924,46 @@ impl<'s> Tape<'s> {
                 let mut da = self.alloc(av.rows(), av.cols());
                 g.matmul_transpose_b_into(bv, &mut da);
                 let mut db = self.alloc(bv.rows(), bv.cols());
-                self.matmul_transpose_a_into(av, g, &mut db);
+                av.matmul_transpose_a_into(g, &mut db);
                 self.add_adj(adj, *a, da);
                 self.add_adj(adj, *b, db);
+            }
+            Op::Dense {
+                x,
+                w,
+                b,
+                relu,
+                gate,
+            } => {
+                let gated =
+                    match gate {
+                        Some(gate) => Some(self.alloc_zip_slice(g, gate, |g, m| {
+                            if m == BLOCKED {
+                                0.0
+                            } else {
+                                g * m
+                            }
+                        })),
+                        None if *relu => {
+                            Some(self.alloc_zip(g, value, |g, y| if y > 0.0 { g } else { 0.0 }))
+                        }
+                        None => None,
+                    };
+                let d = gated.as_ref().unwrap_or(g);
+                let (xv, wv) = (self.value(*x), self.value(*w));
+                let db = self.alloc_sum_rows(d);
+                let mut dx = self.alloc(xv.rows(), xv.cols());
+                d.matmul_transpose_b_into(wv, &mut dx);
+                let mut dw = self.alloc(wv.rows(), wv.cols());
+                xv.matmul_transpose_a_into(d, &mut dw);
+                // The composition's order: the bias row's delta, then the
+                // product's two.
+                self.add_adj(adj, *b, db);
+                self.add_adj(adj, *x, dx);
+                self.add_adj(adj, *w, dw);
+                if let Some(gated) = gated {
+                    self.release(gated);
+                }
             }
             Op::Transpose { a } => self.add_adj(adj, *a, self.alloc_transpose(g)),
             Op::Add { a, b } => {
@@ -816,7 +1060,7 @@ impl<'s> Tape<'s> {
                 }
 
                 let mut dy = self.alloc(yv.rows(), yv.cols());
-                self.matmul_transpose_a_into(&w, xv, &mut dy);
+                w.matmul_transpose_a_into(xv, &mut dy);
                 let w_col_sums = self.alloc_sum_rows(&w); // 1 x m
                 for r in 0..dy.rows() {
                     let s = w_col_sums.as_slice()[r];
@@ -841,6 +1085,24 @@ impl<'s> Tape<'s> {
             }
         }
     }
+}
+
+/// The gate value of a unit the ReLU cut in [`Tape::dense`]: its
+/// adjoint is replaced by 0, where a kept or dropped unit's is multiplied
+/// by its mask value (`1/(1-p)` or 0, never negative).
+const BLOCKED: f32 = -1.0;
+
+/// Row `r` of `table`, for a gather.
+///
+/// # Panics
+/// Panics if `r` is out of bounds.
+fn gathered_row(table: &Matrix, r: usize) -> &[f32] {
+    assert!(
+        r < table.rows(),
+        "gather index {r} out of {} rows",
+        table.rows()
+    );
+    table.row(r)
 }
 
 /// The draws [`Tape::dropout`] keeps are those whose top 24 bits `k` are
@@ -963,6 +1225,109 @@ mod tests {
                     (bits(tape.value(logits)), out)
                 };
                 assert_eq!(run(true), run(false), "same table {}", a == b);
+            }
+        }
+    }
+
+    /// `loss = sum(out * c)` for a fixed `c` of both signs: the adjoint
+    /// reaching `out` is `c`, so a dropped unit's gradient is `c * 0`,
+    /// a signed zero the chain's backward pass keeps.
+    fn weighted_sum(tape: &mut Tape<'_>, out: Var, seed: u64) -> Var {
+        let (r, c) = tape.value(out).shape();
+        let weights = Init::Gaussian { std: 1.0 }.sample(r, c, &mut SmallRng::seed_from_u64(seed));
+        let weights = tape.input(weights);
+        let weighted = tape.mul_elem(out, weights);
+        tape.sum_all(weighted)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fused tower layer against the op chain it replaces — `matmul`,
+    /// `add_row_broadcast`, `relu` (or none), `dropout` — by `to_bits`:
+    /// value, the gradients of the input and both parameters, and where
+    /// the stream stands afterwards. At dropout 0, 0.1 and 0.5, with and
+    /// without ReLU, on row counts off the register tiles' heights
+    /// (`MR`, `MR_NARROW`), widths off `NR` and the 16 -> 1 head.
+    #[test]
+    fn fused_dense_matches_the_op_chain_bitwise() {
+        let shapes = [
+            (7, 5, 40),
+            (13, 16, 16),
+            (9, 16, 1),
+            (21, 33, 71),
+            (640, 16, 1),
+        ];
+        for (rows, k, n) in shapes {
+            let mut init = SmallRng::seed_from_u64((rows * k * n) as u64);
+            let mut store = ParamStore::new();
+            let gauss = Init::Gaussian { std: 0.8 };
+            let x = store.register("x", rows, k, gauss, &mut init);
+            let w = store.register("w", k, n, gauss, &mut init);
+            let b = store.register("b", 1, n, gauss, &mut init);
+            for p in [0.0, 0.1, 0.5] {
+                for act in [Activation::Relu, Activation::Identity] {
+                    let run = |fused: bool| {
+                        let mut rng = SmallRng::seed_from_u64(77);
+                        let mut tape = Tape::new(&store);
+                        let (xv, wv, bv) = (tape.param(x), tape.param(w), tape.param(b));
+                        let out = if fused {
+                            tape.dense(xv, wv, bv, act, p, &mut rng)
+                        } else {
+                            let h = tape.linear(xv, wv, bv);
+                            let h = match act {
+                                Activation::Relu => tape.relu(h),
+                                _ => h,
+                            };
+                            tape.dropout(h, p, &mut rng)
+                        };
+                        let loss = weighted_sum(&mut tape, out, 5);
+                        let mut grads = Gradients::zeros_like(&store);
+                        tape.backward(loss, &mut grads);
+                        let grad_bits = [x, w, b].map(|id| bits(grads.get(id).unwrap()));
+                        (bits(tape.value(out)), grad_bits, rng)
+                    };
+                    assert_eq!(run(true), run(false), "{rows}x{k}->{n}, p {p}, {act:?}");
+                }
+            }
+        }
+    }
+
+    /// The fused embedding input against `gather_param` twice,
+    /// `concat_cols` and `dropout`: value, both tables' row-sparse
+    /// gradients (rows repeated within and across the index lists, one
+    /// table on both sides too) and the stream afterwards, by `to_bits`.
+    #[test]
+    fn fused_gather_concat_matches_the_op_chain_bitwise() {
+        let mut init = SmallRng::seed_from_u64(21);
+        let mut store = ParamStore::new();
+        let gauss = Init::Gaussian { std: 0.8 };
+        let users = store.register("users", 7, 5, gauss, &mut init);
+        let pois = store.register("pois", 6, 3, gauss, &mut init);
+        let a_rows = [6usize, 2, 2, 0, 6, 6, 3, 2, 1];
+        let b_rows = [1usize, 3, 1, 1, 0, 5, 3, 1, 4];
+        for (a, b) in [(users, pois), (pois, pois)] {
+            let a_rows = a_rows.map(|r| r % store.get(a).rows());
+            for p in [0.0, 0.1, 0.5] {
+                let run = |fused: bool| {
+                    let mut rng = SmallRng::seed_from_u64(78);
+                    let mut tape = Tape::new(&store);
+                    let out = if fused {
+                        tape.gather_concat(a, &a_rows, b, &b_rows, p, &mut rng)
+                    } else {
+                        let (av, bv) =
+                            (tape.gather_param(a, &a_rows), tape.gather_param(b, &b_rows));
+                        let x = tape.concat_cols(av, bv);
+                        tape.dropout(x, p, &mut rng)
+                    };
+                    let loss = weighted_sum(&mut tape, out, 6);
+                    let mut grads = Gradients::zeros_like(&store);
+                    tape.backward(loss, &mut grads);
+                    let grad_bits = [a, b].map(|id| bits(&grads.to_dense(id).unwrap()));
+                    (bits(tape.value(out)), grad_bits, rng)
+                };
+                assert_eq!(run(true), run(false), "same table {}, p {p}", a == b);
             }
         }
     }
