@@ -112,29 +112,32 @@ fn training_step_memory_is_flat_and_allocation_light() {
     );
 
     // (b) What a steady-state step still asks the allocator for, as
-    // measured, on all its threads: 53 calls for the step itself — one
-    // node list and one adjoint list per loss term (10), the gather nodes'
-    // index copies (10), and one pack panel per product (33: twelve per
-    // interaction term, nine in the MMD term); the prologue's batches are
-    // refilled in place, so they cost nothing after the first step — and
-    // 6 for each of the two scoped threads a step spawns when the process
-    // has a second CPU, the target lane's and the next step's draws':
-    // `thread::scope`'s shared state, the spawn's thread handle, result
-    // slot and boxed closure, and 2 for the test harness's output
-    // capture, which every thread spawned under it sets up (gone with
-    // `--nocapture`). On one CPU nothing is spawned and the count is 53.
-    // 0.79 MB in all, nearly all of it panels. The two lanes' pools hold
-    // 13.2 MB of matrices for this step (6.7 MB, one pool, when the lanes
-    // run inline); one matrix allocated outside them (the smallest
-    // recurring one is 40 KiB) or one extra call fails here. No term of it
-    // grows with `context_batch`.
+    // measured, on all its threads: 39 calls for the step itself, over
+    // its five loss terms — one node list and one adjoint list per term
+    // (10), the index copies of its gathers (8: one per interaction
+    // term's `gather_concat`, two per context term's `gather_row_dot`,
+    // two for the MMD term's rows), and one pack panel per product (21:
+    // six per interaction term, nine in the MMD term); the prologue's
+    // batches are refilled in place, so they cost nothing after the
+    // first step — and 6 for each of the two scoped threads a step spawns
+    // when the process has a second CPU, the target lane's and the next
+    // step's draws': `thread::scope`'s shared state, the spawn's thread
+    // handle, result slot and boxed closure, and 2 for the test harness's
+    // output capture, which every thread spawned under it sets up (gone
+    // with `--nocapture`). On one CPU nothing is spawned and the count
+    // is 39. 522 552 B in all (522 040 inline), nearly all of it panels
+    // and index copies. The two lanes' pools hold 7 255 216 B of matrices
+    // for this step (3.7 MB, one pool, when the lanes run inline). One
+    // matrix allocated outside them (the smallest recurring one is 40
+    // KiB) or one extra call fails here. No term of it grows with
+    // `context_batch`.
     assert!(
-        worst_calls <= 53 + 2 * (4 + 2),
+        worst_calls <= 39 + 2 * (4 + 2),
         "a steady-state step made {worst_calls} allocator calls"
     );
     assert!(
-        worst_bytes <= 793_000,
+        worst_bytes <= 530_000,
         "a steady-state step requested {worst_bytes} B from the allocator"
     );
-    assert!(pool_after_1.pooled_bytes <= 13_300_000, "{pool_after_1:?}");
+    assert!(pool_after_1.pooled_bytes <= 7_255_216, "{pool_after_1:?}");
 }

@@ -111,18 +111,26 @@ fn metric_at_k(metric: Metric, slots: &[Slot], num_relevant: usize, k: usize) ->
 /// tie group is one block, and each member gets the mean of the metric
 /// over the positions the group spans, so a constant scorer reads the
 /// random expectation (Recall@k = `k / |candidates|`), not a perfect
-/// score. A NaN score (a diverged model) ranks below every number, and a
-/// NaN truth below every NaN negative too, so NaN can neither win nor
-/// abort the evaluation — [`crate::evaluate_window`]'s rule.
+/// score. A NaN score (a diverged model) never ranks a truth higher: a
+/// NaN negative ranks above every number and a NaN truth below
+/// everything, so NaN can neither win nor abort the evaluation. Both
+/// consumers of the one evaluator rank by these rules: the paper record
+/// ([`crate::evaluate`]) and the online publish gate
+/// ([`crate::evaluate_events`]).
 pub fn rank_metrics(scores: &[f32], relevant: &[bool], ks: &[usize]) -> UserMetrics {
     assert_eq!(scores.len(), relevant.len(), "scores/relevance mismatch");
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| {
-        // Only reached with a NaN on one side: NaN last, truths last among NaNs.
-        let nan_last = |i: usize| (scores[i].is_nan(), relevant[i]);
+        // Only reached with a NaN on one side: NaN negatives first, NaN
+        // truths last.
+        let place = |i: usize| match (scores[i].is_nan(), relevant[i]) {
+            (true, false) => 0,
+            (false, _) => 1,
+            (true, true) => 2,
+        };
         scores[b]
             .partial_cmp(&scores[a])
-            .unwrap_or_else(|| nan_last(a).cmp(&nan_last(b)))
+            .unwrap_or_else(|| place(a).cmp(&place(b)))
     });
     let slots = slots(&order, scores, relevant);
     let num_relevant = relevant.iter().filter(|&&r| r).count();
@@ -193,14 +201,14 @@ impl MetricAccumulator {
     }
 }
 
-/// Averaged metrics over all test users — one evaluation run's result.
+/// Averaged metrics over all queries — one evaluation run's result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricReport {
     /// Cutoffs evaluated.
     pub ks: Vec<usize>,
     /// `values[metric][k]`, metric order per [`Metric::ALL`].
     pub values: Vec<Vec<f64>>,
-    /// Number of users averaged.
+    /// Number of queries averaged: test users, or a window's events.
     pub users: usize,
 }
 
@@ -258,9 +266,9 @@ pub fn overlap_at_k<T: Eq + std::hash::Hash>(candidate: &[T], reference: &[T], k
 mod tests {
     use super::*;
 
-    /// NaN ranks below every number: a NaN negative never outranks a
-    /// finite truth, and a NaN truth falls below every finite negative.
-    /// Finite ties (±0 included) share their positions.
+    /// A NaN never ranks a truth higher: a NaN negative ranks above
+    /// every number, and a NaN truth falls below everything. Finite ties
+    /// (±0 included) share their positions.
     #[test]
     fn nan_scores_rank_last_and_ties_share_their_positions() {
         // One relevant candidate: Recall@k (first in `Metric::ALL`) is
@@ -269,9 +277,10 @@ mod tests {
             rank_metrics(scores, relevant, &[k]).values[0][0]
         };
         let nan = f32::NAN;
-        // Truth at -1e30 still beats two NaN negatives.
-        assert_eq!(hit_at(&[nan, -1e30, nan], &[false, true, false], 1), 1.0);
-        assert_eq!(hit_at(&[nan, f32::NEG_INFINITY], &[false, true], 1), 1.0);
+        // Two NaN negatives outrank a truth at -1e30; one at -inf too.
+        assert_eq!(hit_at(&[nan, -1e30, nan], &[false, true, false], 1), 0.0);
+        assert_eq!(hit_at(&[nan, -1e30, nan], &[false, true, false], 3), 1.0);
+        assert_eq!(hit_at(&[nan, f32::NEG_INFINITY], &[false, true], 1), 0.0);
         // A NaN truth ranks below every finite negative: last of four.
         let truth_nan = [nan, -3.0, 0.5, f32::NEG_INFINITY];
         let relevant = [true, false, false, false];

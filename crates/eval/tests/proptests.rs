@@ -90,4 +90,22 @@ proptest! {
         let b = rank_metrics(&transformed, &rel, &[2, 5]);
         prop_assert_eq!(a, b);
     }
+
+    /// A NaN never ranks a truth higher: NaN negatives read as +inf.
+    #[test]
+    fn nan_negatives_rank_like_positive_infinity(
+        (scores, rel) in ranking(),
+        nan in proptest::collection::vec(any::<bool>(), 40),
+    ) {
+        let masked = |fill: f32| -> Vec<f32> {
+            (scores.iter().zip(&rel).zip(&nan))
+                .map(|((&s, &r), &n)| if n && !r { fill } else { s })
+                .collect()
+        };
+        let ks = [1, 3, 10];
+        prop_assert_eq!(
+            rank_metrics(&masked(f32::NAN), &rel, &ks),
+            rank_metrics(&masked(f32::INFINITY), &rel, &ks)
+        );
+    }
 }

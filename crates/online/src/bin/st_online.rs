@@ -4,26 +4,45 @@
 //! ```text
 //! st-online [--seed N] [--cycles N] [--scale F] [--no-faults]
 //! ```
+//!
+//! The checkpoint lives in a scratch directory under the system's temp
+//! directory for the length of the run and is removed when it ends.
 
 use st_data::synth::{generate, SynthConfig};
 use st_data::{CityId, CrossingCitySplit};
 use st_online::{run_embedded, FaultPlan, OnlineLoopConfig};
 use std::sync::Arc;
 
-fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: st-online [--seed N] [--cycles N] [--scale F] [--no-faults]";
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses `flag`'s value, or exits naming the flag and the value.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let value = value.unwrap_or_else(|| fail(&format!("{flag} needs a value")));
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {value:?}")))
 }
 
 fn main() -> std::io::Result<()> {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg(&args, "--seed", 42);
-    let cycles: usize = arg(&args, "--cycles", 4);
-    let scale: f64 = arg(&args, "--scale", 0.05);
-    let no_faults = args.iter().any(|a| a == "--no-faults");
+    let (mut seed, mut cycles, mut scale, mut no_faults) = (42u64, 4usize, 0.05f64, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--seed" => seed = parsed(&flag, args.next()),
+            "--cycles" => cycles = parsed(&flag, args.next()),
+            "--scale" => scale = parsed(&flag, args.next()),
+            "--no-faults" => no_faults = true,
+            _ => fail(&format!("unknown flag {flag:?}")),
+        }
+    }
+    if !(scale > 0.0 && scale <= 1.0) {
+        fail(&format!("--scale must be in (0, 1], got {scale}"));
+    }
 
     eprintln!("generating synthetic dataset (scale {scale})...");
     let synth_config = SynthConfig::foursquare_like().with_scale(scale);
@@ -47,7 +66,9 @@ fn main() -> std::io::Result<()> {
         config.faults.len(),
         scratch.display()
     );
-    let report = run_embedded(&dataset, &split, &scratch, &config)?;
+    let report = run_embedded(&dataset, &split, &scratch, &config);
+    std::fs::remove_dir_all(&scratch)?;
+    let report = report?;
 
     println!("cycle  fault    outcome    trained  loss    cand-hit  base-hit  epoch  publish-us");
     for c in &report.cycles {

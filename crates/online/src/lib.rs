@@ -15,9 +15,9 @@
 //!   same-city negatives → one sparse/lazy optimizer step per
 //!   micro-batch (`st-transrec-core`).
 //! - `ShadowWindow` + `gate` — held-out events the trainer never
-//!   sees, scored with `st-eval`'s seeded windowed protocol; a candidate
-//!   that regresses hit-rate beyond tolerance is rejected before any
-//!   byte is written.
+//!   sees, ranked by the paper record's evaluator
+//!   ([`st_eval::evaluate_events`]); a candidate that regresses hit
+//!   rate beyond tolerance is rejected before any byte is written.
 //! - [`Publisher`] — `st-tensor`'s atomic temp-file + rename checkpoint
 //!   write, then `POST /admin/reload`, then `/metrics` verification of
 //!   what actually serves.
@@ -26,7 +26,7 @@
 //! - `run_online_loop` / [`run_embedded`] — the cycle orchestration,
 //!   reproducible end to end under a fixed seed. [`OnlineLoopConfig`]
 //!   holds what a caller chooses (seed, warm-up epochs, fault plan);
-//!   batch sizes, negatives and the gate tolerance are constants.
+//!   batch sizes, negatives and the gate's settings are constants.
 
 #![warn(missing_docs)]
 

@@ -12,7 +12,7 @@
 
 use crate::fault::{FaultPlan, PublishFault};
 use crate::publisher::Publisher;
-use crate::shadow::{gate, GateConfig, ShadowWindow};
+use crate::shadow::{gate, hit_rate, ShadowWindow};
 use crate::trainer::IncrementalTrainer;
 use st_data::synth::CheckinStream;
 use st_data::{CrossingCitySplit, Dataset};
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// What a caller chooses about one run of the loop. Everything else
-/// is one of the constants beside [`run_embedded`].
+/// is a constant: beside [`run_embedded`], or the gate's beside `gate`.
 #[derive(Debug, Clone)]
 pub struct OnlineLoopConfig {
     /// Master seed: stream, trainer, impostor inits all derive from it.
@@ -154,10 +154,6 @@ pub(crate) fn run_online_loop(
     config: &OnlineLoopConfig,
 ) -> std::io::Result<OnlineReport> {
     let publisher = Publisher::new(server.local_addr(), ckpt);
-    let gate_config = GateConfig {
-        tolerance: GATE_TOLERANCE,
-        ..GateConfig::default()
-    };
     // The baseline mirrors what is serving: it starts as the published
     // warmup generation and is reloaded from the checkpoint after every
     // confirmed publish.
@@ -199,14 +195,7 @@ pub(crate) fn run_online_loop(
             STTransRec::new(dataset, split, cfg)
         });
         let candidate: &STTransRec = impostor.as_ref().unwrap_or(model);
-        let decision = gate(
-            candidate,
-            &baseline,
-            dataset,
-            &shadow,
-            &gate_config,
-            cycle as u64,
-        );
+        let decision = gate(candidate, &baseline, dataset, &shadow, cycle as u64);
 
         let (outcome, publish_latency_us) = if !decision.accept {
             (CycleOutcome::Rejected, None)
@@ -233,8 +222,8 @@ pub(crate) fn run_online_loop(
             outcome,
             events_trained,
             loss: loss_sum / TRAIN_BATCHES_PER_CYCLE as f32,
-            candidate_hit_rate: decision.candidate.hit_rate,
-            baseline_hit_rate: decision.baseline.hit_rate,
+            candidate_hit_rate: hit_rate(&decision.candidate),
+            baseline_hit_rate: hit_rate(&decision.baseline),
             served_epoch: publisher.served_epoch()?,
             publish_latency_us,
             staleness_us: cycle_start.elapsed().as_micros() as u64,
@@ -272,12 +261,6 @@ const SHADOW_BATCH: usize = 64;
 const SHADOW_CAPACITY: usize = 128;
 /// Negatives per streamed positive.
 const NEGATIVES: usize = 4;
-/// The publish gate's hit-rate slack. A 64-event window quantizes
-/// hit-rate in ~0.016 steps, so the gate's default 0.01 tolerance is
-/// below one quantum and a single flipped event can veto a healthy
-/// candidate. Three quanta of slack keeps clean publishes flowing while
-/// an untrained impostor (tens of quanta worse) still rejects.
-const GATE_TOLERANCE: f64 = 0.05;
 
 /// Warm-up + serve + loop in one call: trains `config.warmup_epochs`
 /// offline, publishes generation 1 into `scratch/model.bin`, starts an

@@ -4,12 +4,30 @@
 //! into a bounded [`ShadowWindow`] the trainer never sees. Before a
 //! candidate snapshot may publish, [`gate`] shadow-evaluates it *and*
 //! the currently serving baseline on that window with identical seeded
-//! candidate sets ([`st_eval::evaluate_window`]) and accepts only if the
-//! candidate does not regress hit-rate beyond a tolerance. A rejected
-//! candidate is never written to the checkpoint and never served.
+//! candidate sets ([`st_eval::evaluate_events`], the paper record's
+//! protocol with the gate's constants) and accepts only if the
+//! candidate does not regress hit rate (Recall@[`GATE_K`]) beyond
+//! [`GATE_TOLERANCE`]. A rejected candidate is never written to the
+//! checkpoint and never served.
 
 use st_data::{Checkin, Dataset};
-use st_eval::{evaluate_window, Scorer, WindowEvalConfig, WindowReport};
+use st_eval::{evaluate_events, EvalConfig, Metric, MetricReport, Scorer};
+
+/// Same-city negatives ranked against each held-out event's POI.
+const GATE_NEGATIVES: usize = 50;
+/// The hit rate's cutoff: the gate reads Recall@`GATE_K`.
+const GATE_K: usize = 10;
+/// Base negative-sampling seed, perturbed per cycle by [`gate`].
+const GATE_SEED: u64 = 0x5EAD;
+/// Below this many held-out events the window is too thin to judge;
+/// the gate accepts (publishes) rather than stalling on no evidence.
+const GATE_MIN_EVENTS: usize = 16;
+/// Additive hit-rate slack: accept while `candidate + tolerance >=
+/// baseline`. A 64-event window quantizes hit rate in ~0.016 steps, so
+/// a tolerance below one quantum would let a single flipped event veto
+/// a healthy candidate. Three quanta keep clean publishes flowing while
+/// an untrained impostor (tens of quanta worse) still rejects.
+const GATE_TOLERANCE: f64 = 0.05;
 
 /// Bounded FIFO of the most recent held-out events.
 #[derive(Debug, Clone)]
@@ -48,65 +66,48 @@ impl ShadowWindow {
     }
 }
 
-/// Gate policy for publishing a candidate snapshot.
-#[derive(Debug, Clone)]
-pub(crate) struct GateConfig {
-    /// Shadow-evaluation protocol (negatives, k, base seed).
-    pub(crate) eval: WindowEvalConfig,
-    /// Additive slack: accept while `candidate + tolerance >= baseline`
-    /// on hit-rate, so sampling noise cannot starve publishing.
-    pub(crate) tolerance: f64,
-    /// Below this many held-out events the window is too thin to judge;
-    /// the gate accepts (publishes) rather than stalling on no evidence.
-    pub(crate) min_events: usize,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            eval: WindowEvalConfig::default(),
-            tolerance: 0.01,
-            min_events: 16,
-        }
-    }
-}
-
 /// The gate's verdict, with both sides' evidence attached.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct GateDecision {
     /// Shadow metrics of the candidate snapshot.
-    pub(crate) candidate: WindowReport,
+    pub(crate) candidate: MetricReport,
     /// Shadow metrics of the serving baseline on identical candidates.
-    pub(crate) baseline: WindowReport,
+    pub(crate) baseline: MetricReport,
     /// Whether the candidate may be published.
     pub(crate) accept: bool,
+}
+
+/// A report's hit rate: the fraction of events whose POI ranked in the
+/// top [`GATE_K`], ties at expected rank.
+pub(crate) fn hit_rate(report: &MetricReport) -> f64 {
+    report.get(Metric::Recall, GATE_K)
 }
 
 /// Shadow-evaluates `candidate` against `baseline` on the window.
 ///
 /// `cycle` perturbs the negative-sampling seed so successive gate checks
 /// do not reuse one fixed candidate set (a candidate could overfit it),
-/// while staying a pure function of `(config.eval.seed, cycle)` — the
-/// whole accept/reject sequence replays identically under a fixed seed.
+/// while staying a pure function of `(GATE_SEED, cycle)` — the whole
+/// accept/reject sequence replays identically under a fixed seed.
 pub(crate) fn gate(
     candidate: &dyn Scorer,
     baseline: &dyn Scorer,
     dataset: &Dataset,
     window: &ShadowWindow,
-    config: &GateConfig,
     cycle: u64,
 ) -> GateDecision {
-    let eval = WindowEvalConfig {
-        seed: config.eval.seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        ..config.eval.clone()
+    let eval = EvalConfig {
+        negatives: GATE_NEGATIVES,
+        ks: vec![GATE_K],
+        seed: GATE_SEED ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15),
     };
-    let cand = evaluate_window(candidate, dataset, window.events(), &eval);
-    let base = evaluate_window(baseline, dataset, window.events(), &eval);
-    let accept =
-        window.len() < config.min_events || cand.hit_rate + config.tolerance >= base.hit_rate;
+    let candidate = evaluate_events(candidate, dataset, window.events(), &eval);
+    let baseline = evaluate_events(baseline, dataset, window.events(), &eval);
+    let accept = window.len() < GATE_MIN_EVENTS
+        || hit_rate(&candidate) + GATE_TOLERANCE >= hit_rate(&baseline);
     GateDecision {
-        candidate: cand,
-        baseline: base,
+        candidate,
+        baseline,
         accept,
     }
 }
@@ -132,6 +133,18 @@ mod tests {
         }
     }
 
+    /// A dataset of `synth` and a full 64-event window over it.
+    fn full_window_of(synth: &SynthConfig) -> (Dataset, ShadowWindow) {
+        let (d, _) = generate(synth);
+        let mut w = ShadowWindow::new(64);
+        w.extend(&CheckinStream::new(&d, 4).next_batch(64));
+        (d, w)
+    }
+
+    fn full_window() -> (Dataset, ShadowWindow) {
+        full_window_of(&SynthConfig::tiny())
+    }
+
     #[test]
     fn window_is_bounded_fifo() {
         let (d, _) = generate(&SynthConfig::tiny());
@@ -146,10 +159,7 @@ mod tests {
 
     #[test]
     fn gate_rejects_regression_and_accepts_parity() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let mut w = ShadowWindow::new(64);
-        w.extend(&CheckinStream::new(&d, 4).next_batch(64));
-        let cfg = GateConfig::default();
+        let (d, w) = full_window();
 
         // A flat scorer ties everything, and a tie counts as expected
         // rank, so the flat baseline hits at the random rate; a candidate
@@ -164,13 +174,13 @@ mod tests {
             }
         }
         let shun = Shun(w.events().iter().map(|e| e.poi).collect());
-        let regress = gate(&shun, &Flat(0.0), &d, &w, &cfg, 1);
-        assert!(regress.baseline.hit_rate > 0.0);
-        assert!(regress.candidate.hit_rate < regress.baseline.hit_rate);
+        let regress = gate(&shun, &Flat(0.0), &d, &w, 1);
+        assert!(hit_rate(&regress.baseline) > 0.0);
+        assert!(hit_rate(&regress.candidate) + GATE_TOLERANCE < hit_rate(&regress.baseline));
         assert!(!regress.accept, "regressing candidate must be rejected");
 
-        let parity = gate(&Flat(1.0), &Flat(0.0), &d, &w, &cfg, 1);
-        assert_eq!(parity.candidate.hit_rate, parity.baseline.hit_rate);
+        let parity = gate(&Flat(1.0), &Flat(0.0), &d, &w, 1);
+        assert_eq!(parity.candidate, parity.baseline);
         assert!(parity.accept, "parity within tolerance publishes");
     }
 
@@ -179,32 +189,59 @@ mod tests {
     /// truth first on every event and the gate published it.
     #[test]
     fn nan_scoring_candidate_is_rejected() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let mut w = ShadowWindow::new(64);
-        w.extend(&CheckinStream::new(&d, 4).next_batch(64));
-        let nan = gate(&Flat(f32::NAN), &ByIdAsc, &d, &w, &GateConfig::default(), 1);
-        assert_eq!(nan.candidate.hit_rate, 0.0);
-        assert!(nan.baseline.hit_rate > 0.0);
+        let (d, w) = full_window();
+        let nan = gate(&Flat(f32::NAN), &ByIdAsc, &d, &w, 1);
+        assert_eq!(hit_rate(&nan.candidate), 0.0);
+        assert!(hit_rate(&nan.baseline) > 0.0);
         assert!(!nan.accept, "a NaN-scoring candidate must be rejected");
     }
 
     #[test]
     fn thin_window_accepts_and_decisions_replay() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let cfg = GateConfig::default();
+        let (d, w) = full_window();
         let mut thin = ShadowWindow::new(64);
-        thin.extend(&CheckinStream::new(&d, 4).next_batch(4));
-        let d1 = gate(&ByIdAsc, &Flat(0.0), &d, &thin, &cfg, 0);
+        thin.extend(&w.events()[..4]);
+        let d1 = gate(&ByIdAsc, &Flat(0.0), &d, &thin, 0);
         assert!(d1.accept, "too little evidence to block publishing");
 
-        let mut w = ShadowWindow::new(64);
-        w.extend(&CheckinStream::new(&d, 4).next_batch(64));
         for cycle in 0..4 {
-            let a = gate(&ByIdAsc, &Flat(0.0), &d, &w, &cfg, cycle);
-            let b = gate(&ByIdAsc, &Flat(0.0), &d, &w, &cfg, cycle);
+            let a = gate(&ByIdAsc, &Flat(0.0), &d, &w, cycle);
+            let b = gate(&ByIdAsc, &Flat(0.0), &d, &w, cycle);
             assert_eq!(a.accept, b.accept);
             assert_eq!(a.candidate, b.candidate);
             assert_eq!(a.baseline, b.baseline);
+        }
+    }
+
+    /// The cycle perturbs the seed: two cycles on one window rank each
+    /// event's POI among different negatives. (The fixture's 40-POI
+    /// cities would hand every cycle all of a city; 120 leave a choice.)
+    #[test]
+    fn successive_cycles_draw_different_candidate_sets() {
+        struct Sets(std::sync::Mutex<Vec<Vec<PoiId>>>);
+        impl Scorer for Sets {
+            fn score_batch(&self, _user: UserId, pois: &[PoiId]) -> Vec<f32> {
+                let mut set = pois.to_vec();
+                set[1..].sort_unstable();
+                self.0.lock().unwrap().push(set);
+                vec![0.0; pois.len()]
+            }
+        }
+        let (d, w) = full_window_of(&SynthConfig {
+            pois: 240,
+            ..SynthConfig::tiny()
+        });
+        let sets = |cycle| {
+            let rec = Sets(Default::default());
+            gate(&rec, &Flat(0.0), &d, &w, cycle);
+            rec.0.into_inner().unwrap()
+        };
+        let (first, second) = (sets(0), sets(1));
+        assert_eq!(first.len(), w.len());
+        assert_eq!(first, sets(0), "one cycle replays its candidates");
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a[0], b[0], "same event, same truth");
+            assert_ne!(a, b, "same negatives in two cycles");
         }
     }
 }
