@@ -13,23 +13,10 @@ use st_data::{Checkin, CityId, Dataset, PoiId, UserId, WordId};
 use st_eval::Scorer;
 use st_geo::GeoPoint;
 
-/// CRCF hyperparameters.
-#[derive(Debug, Clone)]
-pub(crate) struct CrcfConfig {
-    /// Distance-decay scale in km for the location preference.
-    pub(crate) decay_km: f64,
-    /// Mixing weight of content interest vs location preference.
-    pub(crate) content_weight: f32,
-}
-
-impl Default for CrcfConfig {
-    fn default() -> Self {
-        Self {
-            decay_km: 8.0,
-            content_weight: 0.7,
-        }
-    }
-}
+/// Distance-decay scale in km for the location preference.
+const DECAY_KM: f64 = 8.0;
+/// Mixing weight of content interest vs location preference.
+const CONTENT_WEIGHT: f32 = 0.7;
 
 /// The fitted, self-contained CRCF scorer.
 #[derive(Debug)]
@@ -40,20 +27,12 @@ pub(crate) struct Crcf {
     /// Per-POI location preference given the city-centre anchor
     /// (zero outside the target city).
     location_pref: Vec<f32>,
-    content_weight: f32,
 }
 
 impl Crcf {
     /// Fits CRCF: word profiles from training check-ins plus the
     /// distance-decay prior toward `target` city's centre.
-    pub(crate) fn fit(
-        dataset: &Dataset,
-        train: &[Checkin],
-        target: CityId,
-        config: CrcfConfig,
-    ) -> Self {
-        assert!(config.decay_km > 0.0, "decay scale must be positive");
-        assert!((0.0..=1.0).contains(&config.content_weight));
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], target: CityId) -> Self {
         let profiles = user_word_profiles(dataset, train);
         let anchor: GeoPoint = dataset.city(target).bbox.center();
         let location_pref = dataset
@@ -61,7 +40,7 @@ impl Crcf {
             .iter()
             .map(|p| {
                 if p.city == target {
-                    (-(p.location.haversine_km(&anchor)) / config.decay_km).exp() as f32
+                    (-(p.location.haversine_km(&anchor)) / DECAY_KM).exp() as f32
                 } else {
                     0.0
                 }
@@ -71,7 +50,6 @@ impl Crcf {
             profiles,
             poi_words: dataset.pois().iter().map(|p| p.words.clone()).collect(),
             location_pref,
-            content_weight: config.content_weight,
         }
     }
 }
@@ -82,8 +60,7 @@ impl Scorer for Crcf {
         pois.iter()
             .map(|p| {
                 let content = profile_poi_cosine(profile, &self.poi_words[p.idx()]);
-                self.content_weight * content
-                    + (1.0 - self.content_weight) * self.location_pref[p.idx()]
+                CONTENT_WEIGHT * content + (1.0 - CONTENT_WEIGHT) * self.location_pref[p.idx()]
             })
             .collect()
     }
@@ -92,20 +69,14 @@ impl Scorer for Crcf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::CrossingCitySplit;
+    use crate::tests::{fitted, tiny};
+    use crate::Method;
     use st_eval::{evaluate, EvalConfig, Metric};
-
-    fn setup() -> (Dataset, CrossingCitySplit) {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        (d, split)
-    }
 
     #[test]
     fn location_preference_decays_with_distance() {
-        let (d, split) = setup();
-        let m = Crcf::fit(&d, &split.train, CityId(1), CrcfConfig::default());
+        let (d, split) = tiny();
+        let m = Crcf::fit(d, &split.train, CityId(1));
         let center = d.city(CityId(1)).bbox.center();
         let pois = d.pois_in_city(CityId(1));
         let (mut best, mut best_d) = (pois[0], f64::MAX);
@@ -129,17 +100,16 @@ mod tests {
 
     #[test]
     fn content_matching_lifts_taste_aligned_pois() {
-        let (d, split) = setup();
-        let m = Crcf::fit(&d, &split.train, CityId(1), CrcfConfig::default());
-        let report = evaluate(&m, &d, &split, &EvalConfig::default());
+        let (d, split) = tiny();
+        let report = evaluate(fitted(Method::Crcf), d, split, &EvalConfig::default());
         let r10 = report.get(Metric::Recall, 10);
         assert!(r10 > 0.08, "CRCF recall@10 = {r10}");
     }
 
     #[test]
     fn scores_are_finite_for_all_users() {
-        let (d, split) = setup();
-        let m = Crcf::fit(&d, &split.train, CityId(1), CrcfConfig::default());
+        let (d, _) = tiny();
+        let m = fitted(Method::Crcf);
         let pois = d.pois_in_city(CityId(1));
         for u in 0..d.num_users() as u32 {
             let s = m.score_batch(UserId(u), pois);

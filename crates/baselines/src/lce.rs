@@ -5,47 +5,20 @@
 //! `U V^T`, content teaches `V W^T`. The shared `V` lets content carry
 //! cold-start POIs (here: all target-city POIs are cold for test users).
 
-use crate::mf::{bce, seeded, sigmoid, Factors, MfCore};
-use rand::Rng;
+use crate::mf::{
+    dot, gaussian_factors, sigmoid, MfCore, EPOCHS, LR, NEGATIVES, POSITIVES_PER_EPOCH, REG,
+};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use st_data::{Checkin, CityId, Dataset, PoiId, UserId};
 use st_eval::Scorer;
+use st_tensor::Matrix;
 use st_transrec_core::InteractionSampler;
 
-/// LCE hyperparameters.
-#[derive(Debug, Clone)]
-pub(crate) struct LceConfig {
-    /// Latent dimensionality.
-    pub(crate) dim: usize,
-    /// SGD epochs.
-    pub(crate) epochs: usize,
-    /// Interaction samples per epoch.
-    pub(crate) samples_per_epoch: usize,
-    /// Negatives per positive (both matrices).
-    pub(crate) negatives: usize,
-    /// Learning rate.
-    pub(crate) lr: f32,
-    /// L2 regularization.
-    pub(crate) reg: f32,
-    /// Weight of the content factorization term.
-    pub(crate) content_weight: f32,
-    /// RNG seed.
-    pub(crate) seed: u64,
-}
-
-impl Default for LceConfig {
-    fn default() -> Self {
-        Self {
-            dim: 32,
-            epochs: 6,
-            samples_per_epoch: 20_000,
-            negatives: 4,
-            lr: 0.05,
-            reg: 1e-4,
-            content_weight: 0.5,
-            seed: 11,
-        }
-    }
-}
+/// RNG seed.
+const SEED: u64 = 11;
+/// Weight of the content factorization term against the interaction term.
+const CONTENT_WEIGHT: f32 = 0.5;
 
 /// The trained LCE model.
 #[derive(Debug)]
@@ -54,23 +27,19 @@ pub(crate) struct Lce {
     /// The word factors of the content factorization; scoring reads
     /// only `mf`, so they are kept for this module's tests.
     #[cfg(test)]
-    words: Factors,
+    words: Matrix,
 }
 
 impl Lce {
-    /// Fits LCE on the training split (all cities jointly; the shared POI
-    /// factors tie target POIs to source preferences through words).
-    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], config: &LceConfig) -> Self {
-        let mut rng = seeded(config.seed);
+    /// Fits LCE with `dim`-wide factors on the training split (all cities
+    /// jointly; the shared POI factors tie target POIs to source
+    /// preferences through words).
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], dim: usize) -> Self {
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let cities: Vec<CityId> = dataset.cities().iter().map(|c| c.id).collect();
         let sampler = InteractionSampler::new(dataset, train, &cities);
-        let mut mf = MfCore::new(
-            dataset.num_users(),
-            dataset.num_pois(),
-            config.dim,
-            &mut rng,
-        );
-        let mut words = Factors::new(dataset.vocab().len().max(1), config.dim, 0.1, &mut rng);
+        let mut mf = MfCore::new(dataset.num_users(), dataset.num_pois(), dim, &mut rng);
+        let mut words = gaussian_factors(dataset.vocab().len().max(1), dim, 0.1, &mut rng);
 
         // Flat (poi, word) edge list for content sampling.
         let edges: Vec<(u32, u32)> = dataset
@@ -80,37 +49,19 @@ impl Lce {
             .collect();
         assert!(!edges.is_empty(), "dataset has no POI words");
 
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
             // Interaction term.
-            let batch = sampler.sample_batch(
-                dataset,
-                config.samples_per_epoch / (1 + config.negatives),
-                config.negatives,
-                &mut rng,
-            );
+            let batch = sampler.sample_batch(dataset, POSITIVES_PER_EPOCH, NEGATIVES, &mut rng);
             for i in 0..batch.len() {
-                mf.sgd_update(
-                    batch.users[i],
-                    batch.pois[i],
-                    batch.labels[i],
-                    config.lr,
-                    config.reg,
-                );
+                mf.sgd_update(batch.users[i], batch.pois[i], batch.labels[i]);
             }
             // Content term: positive edges + uniform negative words.
-            for _ in 0..config.samples_per_epoch / (1 + config.negatives) {
+            for _ in 0..POSITIVES_PER_EPOCH {
                 let &(poi, word) = &edges[rng.gen_range(0..edges.len())];
-                content_update(
-                    &mut mf,
-                    &mut words,
-                    poi as usize,
-                    word as usize,
-                    1.0,
-                    config,
-                );
-                for _ in 0..config.negatives {
-                    let neg = rng.gen_range(0..words.count());
-                    content_update(&mut mf, &mut words, poi as usize, neg, 0.0, config);
+                content_update(&mut mf, &mut words, poi as usize, word as usize, 1.0);
+                for _ in 0..NEGATIVES {
+                    let neg = rng.gen_range(0..words.rows());
+                    content_update(&mut mf, &mut words, poi as usize, neg, 0.0);
                 }
             }
         }
@@ -122,26 +73,16 @@ impl Lce {
     }
 }
 
-fn content_update(
-    mf: &mut MfCore,
-    words: &mut Factors,
-    poi: usize,
-    word: usize,
-    label: f32,
-    config: &LceConfig,
-) -> f32 {
-    let z = mf.pois.dot(poi, words, word);
-    let p = sigmoid(z);
-    let err = config.content_weight * (p - label);
-    let lr = config.lr;
-    let reg = config.reg;
-    for k in 0..words.dim() {
-        let v = mf.pois.row(poi)[k];
-        let w = words.row(word)[k];
-        mf.pois.row_mut(poi)[k] -= lr * (err * w + reg * v);
-        words.row_mut(word)[k] -= lr * (err * v + reg * w);
+/// One logistic SGD step of the content factorization on (poi, word).
+fn content_update(mf: &mut MfCore, words: &mut Matrix, poi: usize, word: usize, label: f32) {
+    let v_row = mf.pois.row_mut(poi);
+    let w_row = words.row_mut(word);
+    let err = CONTENT_WEIGHT * (sigmoid(dot(v_row, w_row)) - label);
+    for (v, w) in v_row.iter_mut().zip(w_row) {
+        let (vk, wk) = (*v, *w);
+        *v -= LR * (err * wk + REG * vk);
+        *w -= LR * (err * vk + REG * wk);
     }
-    bce(p, label)
 }
 
 impl Scorer for Lce {
@@ -157,23 +98,14 @@ impl Scorer for Lce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::CrossingCitySplit;
+    use crate::tests::{dim, fitted, tiny};
+    use crate::Method;
     use st_eval::{evaluate, EvalConfig, Metric};
-
-    fn quick_config() -> LceConfig {
-        LceConfig {
-            epochs: 3,
-            samples_per_epoch: 4_000,
-            ..LceConfig::default()
-        }
-    }
 
     #[test]
     fn content_factorization_learns_poi_word_structure() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        let m = Lce::fit(&d, &split.train, &quick_config());
+        let (d, split) = tiny();
+        let m = Lce::fit(d, &split.train, dim());
         // A POI's own words should score higher than random words, on
         // average over many POIs.
         let mut own = 0.0;
@@ -181,7 +113,7 @@ mod tests {
         let mut n = 0;
         for poi in d.pois().iter().take(40) {
             for &w in poi.words.iter().take(2) {
-                let logit = |word| m.mf.pois.dot(poi.id.idx(), &m.words, word);
+                let logit = |word| dot(m.mf.pois.row(poi.id.idx()), m.words.row(word));
                 own += logit(w.idx());
                 other += logit((w.idx() + 13) % d.vocab().len());
                 n += 1;
@@ -195,10 +127,8 @@ mod tests {
 
     #[test]
     fn beats_chance_on_crossing_city_eval() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        let m = Lce::fit(&d, &split.train, &quick_config());
-        let report = evaluate(&m, &d, &split, &EvalConfig::default());
+        let (d, split) = tiny();
+        let report = evaluate(fitted(Method::Lce), d, split, &EvalConfig::default());
         let r10 = report.get(Metric::Recall, 10);
         // ~100 negatives + small GT: chance recall@10 ~ 0.1.
         assert!(r10 > 0.1, "LCE recall@10 = {r10}");

@@ -1,68 +1,49 @@
 //! Shared logistic matrix-factorization machinery.
 //!
-//! Several baselines (LCE, PR-UIDT) are MF variants: latent user and POI
-//! factors trained pointwise with sampled negatives under a logistic
-//! loss. [`MfCore`] provides the factor storage and the SGD update; each
-//! baseline composes it with its own extra structure.
+//! Three baselines (LCE, PR-UIDT, SH-CDL) are MF variants: latent user
+//! and POI factors trained pointwise with sampled negatives under a
+//! logistic loss, at the one budget below. [`MfCore`] holds the factors
+//! and the SGD update; each baseline composes it, or the same
+//! [`gaussian_factors`] and [`dot`], with its own extra structure.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use st_data::{Checkin, Dataset};
+use st_tensor::Matrix;
 
-/// Dense latent factors with per-row SGD updates.
-#[derive(Debug, Clone)]
-pub(crate) struct Factors {
-    data: Vec<f32>,
-    dim: usize,
+/// SGD learning rate of the MF baselines.
+pub(crate) const LR: f32 = 0.05;
+/// L2 regularization of the MF baselines.
+pub(crate) const REG: f32 = 1e-4;
+/// Sampled negatives per positive.
+pub(crate) const NEGATIVES: usize = 4;
+/// SGD epochs.
+pub(crate) const EPOCHS: usize = 8;
+/// Samples (positives and negatives) per epoch.
+pub(crate) const SAMPLES_PER_EPOCH: usize = 60_000;
+/// Positives drawn per epoch.
+pub(crate) const POSITIVES_PER_EPOCH: usize = SAMPLES_PER_EPOCH / (1 + NEGATIVES);
+
+/// `count` factor rows of width `dim`, each entry `std` times a
+/// standard normal draw, in row-major order.
+pub(crate) fn gaussian_factors(count: usize, dim: usize, std: f32, rng: &mut SmallRng) -> Matrix {
+    let data = (0..count * dim).map(|_| std * gaussian(rng)).collect();
+    Matrix::from_vec(count, dim, data)
 }
 
-impl Factors {
-    /// `count` rows of dimension `dim`, Gaussian-initialized.
-    pub(crate) fn new(count: usize, dim: usize, std: f32, rng: &mut SmallRng) -> Self {
-        let data = (0..count * dim).map(|_| std * gaussian(rng)).collect();
-        Self { data, dim }
-    }
-
-    /// Factor dimensionality.
-    pub(crate) fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of rows.
-    pub(crate) fn count(&self) -> usize {
-        self.data.len() / self.dim
-    }
-
-    /// Row `i`.
-    #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Mutable row `i`.
-    #[inline]
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Dot product of rows from two factor matrices.
-    #[inline]
-    pub(crate) fn dot(&self, i: usize, other: &Factors, j: usize) -> f32 {
-        self.row(i)
-            .iter()
-            .zip(other.row(j))
-            .map(|(&a, &b)| a * b)
-            .sum()
-    }
+/// Dot product of two factor rows, summed left to right.
+#[inline]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(&a, &b)| a * b).sum()
 }
 
 /// Logistic MF: `P(y=1 | u, v) = sigma(p_u . q_v + b_v)`.
 #[derive(Debug, Clone)]
 pub(crate) struct MfCore {
     /// User factors.
-    pub(crate) users: Factors,
+    pub(crate) users: Matrix,
     /// POI factors.
-    pub(crate) pois: Factors,
+    pub(crate) pois: Matrix,
     /// POI popularity biases.
     pub(crate) poi_bias: Vec<f32>,
 }
@@ -71,8 +52,8 @@ impl MfCore {
     /// Allocates factors for the dataset.
     pub(crate) fn new(num_users: usize, num_pois: usize, dim: usize, rng: &mut SmallRng) -> Self {
         Self {
-            users: Factors::new(num_users, dim, 0.1, rng),
-            pois: Factors::new(num_pois, dim, 0.1, rng),
+            users: gaussian_factors(num_users, dim, 0.1, rng),
+            pois: gaussian_factors(num_pois, dim, 0.1, rng),
             poi_bias: vec![0.0; num_pois],
         }
     }
@@ -80,31 +61,19 @@ impl MfCore {
     /// Prediction logit for a (user, POI) pair.
     #[inline]
     pub(crate) fn logit(&self, user: usize, poi: usize) -> f32 {
-        self.users.dot(user, &self.pois, poi) + self.poi_bias[poi]
+        dot(self.users.row(user), self.pois.row(poi)) + self.poi_bias[poi]
     }
 
-    /// One pointwise logistic SGD update; returns the example loss.
-    pub(crate) fn sgd_update(
-        &mut self,
-        user: usize,
-        poi: usize,
-        label: f32,
-        lr: f32,
-        reg: f32,
-    ) -> f32 {
-        let z = self.logit(user, poi);
-        let p = sigmoid(z);
-        let err = p - label; // d loss / d z
-        let dim = self.users.dim();
-        // Update rows in lockstep without aliasing.
-        for k in 0..dim {
-            let pu = self.users.row(user)[k];
-            let qv = self.pois.row(poi)[k];
-            self.users.row_mut(user)[k] -= lr * (err * qv + reg * pu);
-            self.pois.row_mut(poi)[k] -= lr * (err * pu + reg * qv);
+    /// One pointwise logistic SGD update at [`LR`] and [`REG`].
+    pub(crate) fn sgd_update(&mut self, user: usize, poi: usize, label: f32) {
+        let err = sigmoid(self.logit(user, poi)) - label; // d loss / d z
+        let (p_u, q_v) = (self.users.row_mut(user), self.pois.row_mut(poi));
+        for (pu, qv) in p_u.iter_mut().zip(q_v) {
+            let (u, q) = (*pu, *qv);
+            *pu -= LR * (err * q + REG * u);
+            *qv -= LR * (err * u + REG * q);
         }
-        self.poi_bias[poi] -= lr * (err + reg * self.poi_bias[poi]);
-        bce(p, label)
+        self.poi_bias[poi] -= LR * (err + REG * self.poi_bias[poi]);
     }
 }
 
@@ -119,13 +88,6 @@ pub(crate) fn sigmoid(z: f32) -> f32 {
     }
 }
 
-/// Pointwise binary cross-entropy with probability clamping.
-#[inline]
-pub(crate) fn bce(p: f32, label: f32) -> f32 {
-    let p = p.clamp(1e-7, 1.0 - 1e-7);
-    -(label * p.ln() + (1.0 - label) * (1.0 - p).ln())
-}
-
 /// Standard normal via Box-Muller.
 pub(crate) fn gaussian(rng: &mut SmallRng) -> f32 {
     loop {
@@ -136,11 +98,6 @@ pub(crate) fn gaussian(rng: &mut SmallRng) -> f32 {
         let u2: f32 = rng.gen();
         return (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
     }
-}
-
-/// Deterministic RNG for a baseline run.
-pub(crate) fn seeded(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
 }
 
 /// Builds a per-user word-frequency profile from training check-ins,
@@ -182,12 +139,20 @@ pub(crate) fn profile_poi_cosine(profile: &[(u32, f32)], poi_words: &[st_data::W
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::{CityId, CrossingCitySplit};
+    use crate::tests::tiny;
+    use rand::SeedableRng;
+    use st_data::CityId;
     use st_transrec_core::InteractionSampler;
 
+    /// Binary cross-entropy of probability `p`, clamped away from 0 and 1.
+    fn bce(p: f32, label: f32) -> f32 {
+        let p = p.clamp(1e-7, 1.0 - 1e-7);
+        -(label * p.ln() + (1.0 - label) * (1.0 - p).ln())
+    }
+
     /// `epochs` passes of 2 000 sampled positives (4 negatives each)
-    /// through [`MfCore::sgd_update`]; the mean loss of the last pass.
+    /// through [`MfCore::sgd_update`]; the mean loss of the last pass,
+    /// each example's taken just before its update.
     fn train(
         mf: &mut MfCore,
         d: &Dataset,
@@ -201,8 +166,9 @@ mod tests {
             for _ in 0..4 {
                 let batch = s.sample_batch(d, 500, 4, rng);
                 for i in 0..batch.len() {
-                    total +=
-                        mf.sgd_update(batch.users[i], batch.pois[i], batch.labels[i], 0.05, 1e-4);
+                    let (u, p, label) = (batch.users[i], batch.pois[i], batch.labels[i]);
+                    total += bce(sigmoid(mf.logit(u, p)), label);
+                    mf.sgd_update(u, p, label);
                     n += 1;
                 }
             }
@@ -213,28 +179,28 @@ mod tests {
 
     #[test]
     fn sgd_moves_logit_toward_label() {
-        let mut rng = seeded(0);
+        let mut rng = SmallRng::seed_from_u64(0);
         let mut mf = MfCore::new(2, 2, 8, &mut rng);
         let before = mf.logit(0, 1);
-        for _ in 0..50 {
-            mf.sgd_update(0, 1, 1.0, 0.1, 0.0);
+        for _ in 0..100 {
+            mf.sgd_update(0, 1, 1.0);
         }
         assert!(mf.logit(0, 1) > before + 1.0);
-        for _ in 0..100 {
-            mf.sgd_update(0, 1, 0.0, 0.1, 0.0);
+        for _ in 0..200 {
+            mf.sgd_update(0, 1, 0.0);
         }
         assert!(sigmoid(mf.logit(0, 1)) < 0.3);
     }
 
     #[test]
     fn regularization_shrinks_factors() {
-        let mut rng = seeded(1);
+        let mut rng = SmallRng::seed_from_u64(1);
         let mut mf = MfCore::new(1, 1, 4, &mut rng);
         let norm_before: f32 = mf.users.row(0).iter().map(|x| x * x).sum();
         for _ in 0..200 {
-            // label == prediction ~ 0.5 at z=0 keeps err small; reg dominates.
+            // label == prediction makes err exactly 0: only reg moves.
             let p = sigmoid(mf.logit(0, 0));
-            mf.sgd_update(0, 0, p, 0.05, 0.1);
+            mf.sgd_update(0, 0, p);
         }
         let norm_after: f32 = mf.users.row(0).iter().map(|x| x * x).sum();
         assert!(norm_after < norm_before);
@@ -242,22 +208,20 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_real_sampler() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        let sampler = InteractionSampler::new(&d, &split.train, &[CityId(0), CityId(1)]);
-        let mut rng = seeded(2);
+        let (d, split) = tiny();
+        let sampler = InteractionSampler::new(d, &split.train, &[CityId(0), CityId(1)]);
+        let mut rng = SmallRng::seed_from_u64(2);
         let mut mf = MfCore::new(d.num_users(), d.num_pois(), 16, &mut rng);
-        let first = train(&mut mf, &d, &sampler, 1, &mut rng);
-        let mut rng2 = seeded(3);
-        let last = train(&mut mf, &d, &sampler, 4, &mut rng2);
+        let first = train(&mut mf, d, &sampler, 1, &mut rng);
+        let mut rng2 = SmallRng::seed_from_u64(3);
+        let last = train(&mut mf, d, &sampler, 4, &mut rng2);
         assert!(last < first, "MF loss did not drop: {first} -> {last}");
     }
 
     #[test]
     fn word_profiles_are_normalized_and_sparse() {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        let profiles = user_word_profiles(&d, &split.train);
+        let (d, split) = tiny();
+        let profiles = user_word_profiles(d, &split.train);
         assert_eq!(profiles.len(), d.num_users());
         for p in &profiles {
             if p.is_empty() {

@@ -19,65 +19,43 @@ use st_eval::Scorer;
 use st_tensor::{Gradients, Tape};
 use st_transrec_core::{ModelConfig, STTransRec, Variant};
 
-/// PACE hyperparameters.
-#[derive(Debug, Clone)]
-pub(crate) struct PaceConfig {
-    /// Base neural configuration (tower, embeddings, epochs...).
-    pub(crate) base: ModelConfig,
-    /// Neighbour-context radius in km ("limited distance").
-    pub(crate) neighbor_km: f64,
-    /// Max spatial neighbours kept per POI.
-    pub(crate) max_neighbors: usize,
-    /// Spatial-context pairs per training step.
-    pub(crate) spatial_batch: usize,
-}
-
-impl PaceConfig {
-    /// Derives the PACE setup from an ST-TransRec configuration (the
-    /// paper sets PACE's hyperparameters "the same to those of
-    /// ST-TransRec").
-    pub(crate) fn from_model(base: ModelConfig) -> Self {
-        Self {
-            base: base.with_variant(Variant::NoMmd),
-            neighbor_km: 2.0,
-            max_neighbors: 10,
-            spatial_batch: 64,
-        }
-    }
-}
+/// The ST-TransRec variant PACE is built on: no MMD alignment, and so no
+/// density-based resampling (it only feeds the MMD term); the word
+/// context kept.
+const VARIANT: Variant = Variant::NoMmd;
+/// Neighbour-context radius in km ("limited distance").
+const NEIGHBOR_KM: f64 = 2.0;
+/// Max spatial neighbours kept per POI.
+const MAX_NEIGHBORS: usize = 10;
+/// Spatial-context pairs per training step.
+const SPATIAL_BATCH: usize = 64;
 
 /// The trained PACE model.
 pub(crate) struct Pace {
     inner: STTransRec,
     /// Flat spatial-context edges (poi, neighbour poi).
     spatial_edges: Vec<(u32, u32)>,
-    config: PaceConfig,
 }
 
 impl Pace {
-    /// Builds PACE over the training split.
-    pub(crate) fn new(dataset: &Dataset, split: &CrossingCitySplit, config: PaceConfig) -> Self {
-        let inner = STTransRec::new(dataset, split, config.base.clone());
-        let spatial_edges = build_spatial_edges(dataset, config.neighbor_km, config.max_neighbors);
-        Self {
-            inner,
-            spatial_edges,
-            config,
-        }
-    }
-
-    /// Trains for the configured number of epochs: the inner NCF + word
-    /// context losses, plus the spatial neighbour-context loss.
-    pub(crate) fn fit(&mut self, dataset: &Dataset) {
-        let epochs = self.config.base.epochs;
-        let steps = self.inner.steps_per_epoch();
-        let mut rng = SmallRng::seed_from_u64(self.config.base.seed ^ 0x9ACE);
-        for _ in 0..epochs {
+    /// Builds and trains PACE on `config`, ST-TransRec's configuration
+    /// (the paper sets PACE's hyperparameters "the same to those of
+    /// ST-TransRec"): for its epochs, the inner NCF + word context
+    /// losses, plus the spatial neighbour-context loss.
+    pub(crate) fn fit(dataset: &Dataset, split: &CrossingCitySplit, config: &ModelConfig) -> Self {
+        let mut pace = Self {
+            inner: STTransRec::new(dataset, split, config.clone().with_variant(VARIANT)),
+            spatial_edges: build_spatial_edges(dataset, NEIGHBOR_KM, MAX_NEIGHBORS),
+        };
+        let steps = pace.inner.steps_per_epoch();
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x9ACE);
+        for _ in 0..config.epochs {
             for _ in 0..steps {
-                self.inner.train_step(dataset);
-                self.spatial_step(dataset, &mut rng);
+                pace.inner.train_step(dataset);
+                pace.spatial_step(dataset, &mut rng);
             }
         }
+        pace
     }
 
     /// One skipgram-style step over spatial neighbour pairs: neighbouring
@@ -96,7 +74,7 @@ impl Pace {
                 .map(|(id, _, _)| id)
                 .expect("poi embedding registered")
         };
-        let n = self.config.spatial_batch;
+        let n = SPATIAL_BATCH;
         let mut a_rows = Vec::with_capacity(2 * n);
         let mut b_rows = Vec::with_capacity(2 * n);
         let mut labels = Vec::with_capacity(2 * n);
@@ -177,30 +155,24 @@ impl Scorer for Pace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::CityId;
+    use crate::tests::{fitted, tiny};
+    use crate::Method;
     use st_eval::{evaluate, EvalConfig, Metric};
-
-    fn setup() -> (Dataset, CrossingCitySplit) {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        (d, split)
-    }
 
     #[test]
     fn pace_disables_mmd_but_keeps_text() {
-        let (d, split) = setup();
-        let cfg = PaceConfig::from_model(ModelConfig::test_small());
-        assert!(!cfg.base.use_mmd());
-        assert!(cfg.base.use_text());
-        let p = Pace::new(&d, &split, cfg);
-        assert!(!p.spatial_edges.is_empty(), "no spatial context found");
+        let config = ModelConfig::test_small().with_variant(VARIANT);
+        assert!(!config.use_mmd());
+        assert!(config.use_text());
+        let (d, _) = tiny();
+        let edges = build_spatial_edges(d, NEIGHBOR_KM, MAX_NEIGHBORS);
+        assert!(!edges.is_empty(), "no spatial context found");
     }
 
     #[test]
     fn spatial_edges_are_same_city_and_within_radius() {
-        let (d, _) = setup();
-        let edges = build_spatial_edges(&d, 2.0, 5);
+        let (d, _) = tiny();
+        let edges = build_spatial_edges(d, 2.0, 5);
         for &(a, b) in &edges {
             let (pa, pb) = (d.poi(PoiId(a)), d.poi(PoiId(b)));
             assert_eq!(pa.city, pb.city);
@@ -216,12 +188,8 @@ mod tests {
 
     #[test]
     fn pace_trains_and_beats_chance() {
-        let (d, split) = setup();
-        let mut cfg = PaceConfig::from_model(ModelConfig::test_small());
-        cfg.base.epochs = 3;
-        let mut p = Pace::new(&d, &split, cfg);
-        p.fit(&d);
-        let report = evaluate(&p, &d, &split, &EvalConfig::default());
+        let (d, split) = tiny();
+        let report = evaluate(fitted(Method::Pace), d, split, &EvalConfig::default());
         let r10 = report.get(Metric::Recall, 10);
         assert!(r10 > 0.15, "PACE recall@10 = {r10}");
     }

@@ -11,124 +11,100 @@
 //! unlike ST-TransRec — gets no distribution alignment, which is exactly
 //! the gap the paper's comparison highlights.
 
-use crate::mf::{bce, seeded, sigmoid, Factors};
+use crate::mf::{gaussian_factors, sigmoid, EPOCHS, LR, NEGATIVES, POSITIVES_PER_EPOCH, REG};
 use rand::rngs::SmallRng;
-use rand::Rng;
-use st_data::{Checkin, CityId, Dataset, PoiId, UserId};
+use rand::{Rng, SeedableRng};
+use st_data::{Checkin, CityId, Dataset, Poi, PoiId, UserId};
 use st_eval::Scorer;
 use st_tensor::{Activation, Adam, Gradients, Matrix, Mlp, Optimizer, ParamStore, Tape};
 use st_transrec_core::InteractionSampler;
 
-/// SH-CDL hyperparameters.
-#[derive(Debug, Clone)]
-pub(crate) struct ShCdlConfig {
-    /// Latent code width (also the user-factor width).
-    pub(crate) dim: usize,
-    /// Autoencoder epochs over POI content.
-    pub(crate) ae_epochs: usize,
-    /// Autoencoder batch size.
-    pub(crate) ae_batch: usize,
-    /// MF epochs.
-    pub(crate) mf_epochs: usize,
-    /// Interaction samples per MF epoch.
-    pub(crate) samples_per_epoch: usize,
-    /// Negatives per positive.
-    pub(crate) negatives: usize,
-    /// Autoencoder learning rate.
-    pub(crate) ae_lr: f32,
-    /// MF learning rate.
-    pub(crate) mf_lr: f32,
-    /// MF L2 regularization.
-    pub(crate) reg: f32,
-    /// RNG seed.
-    pub(crate) seed: u64,
-}
-
-impl Default for ShCdlConfig {
-    fn default() -> Self {
-        Self {
-            dim: 32,
-            ae_epochs: 8,
-            ae_batch: 64,
-            mf_epochs: 6,
-            samples_per_epoch: 20_000,
-            negatives: 4,
-            ae_lr: 1e-2,
-            mf_lr: 0.05,
-            reg: 1e-4,
-            seed: 19,
-        }
-    }
-}
+/// RNG seed.
+const SEED: u64 = 19;
+/// Autoencoder epochs over POI content.
+const AE_EPOCHS: usize = 10;
+/// Autoencoder batch size.
+const AE_BATCH: usize = 64;
+/// Autoencoder (Adam) learning rate.
+const AE_LR: f32 = 1e-2;
 
 /// The trained SH-CDL model.
 #[derive(Debug)]
 pub(crate) struct ShCdl {
     /// Frozen deep POI codes, one row per POI.
-    codes: Vec<Vec<f32>>,
-    users: Factors,
-    poi_offset: Factors,
+    codes: Matrix,
+    users: Matrix,
+    poi_offset: Matrix,
     poi_bias: Vec<f32>,
-    dim: usize,
 }
 
 impl ShCdl {
-    /// Fits the two stages: autoencoder on POI content, then MF on codes.
-    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], config: &ShCdlConfig) -> Self {
-        let mut rng = seeded(config.seed);
-        let codes = train_autoencoder(dataset, config, &mut rng);
-
-        let mut users = Factors::new(dataset.num_users(), config.dim, 0.1, &mut rng);
-        let mut poi_offset = Factors::new(dataset.num_pois(), config.dim, 0.01, &mut rng);
-        let mut poi_bias = vec![0.0f32; dataset.num_pois()];
+    /// Fits the two stages with `dim`-wide codes and factors: the
+    /// autoencoder on POI content, then MF on the codes.
+    pub(crate) fn fit(dataset: &Dataset, train: &[Checkin], dim: usize) -> Self {
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let codes = train_autoencoder(dataset, dim, &mut rng);
+        let mut model = Self {
+            codes,
+            users: gaussian_factors(dataset.num_users(), dim, 0.1, &mut rng),
+            poi_offset: gaussian_factors(dataset.num_pois(), dim, 0.01, &mut rng),
+            poi_bias: vec![0.0; dataset.num_pois()],
+        };
         let cities: Vec<CityId> = dataset.cities().iter().map(|c| c.id).collect();
         let sampler = InteractionSampler::new(dataset, train, &cities);
-        let per_epoch = config.samples_per_epoch / (1 + config.negatives);
-        for _ in 0..config.mf_epochs {
-            let batch = sampler.sample_batch(dataset, per_epoch, config.negatives, &mut rng);
+        for _ in 0..EPOCHS {
+            let batch = sampler.sample_batch(dataset, POSITIVES_PER_EPOCH, NEGATIVES, &mut rng);
             for i in 0..batch.len() {
-                let (u, p, label) = (batch.users[i], batch.pois[i], batch.labels[i]);
-                // Item representation: frozen deep code + learned offset.
-                let z: f32 = users
-                    .row(u)
-                    .iter()
-                    .zip(codes[p].iter().zip(poi_offset.row(p)))
-                    .map(|(&uk, (&ck, &ok))| uk * (ck + ok))
-                    .sum::<f32>()
-                    + poi_bias[p];
-                let prob = sigmoid(z);
-                let err = prob - label;
-                for (k, &ck) in codes[p].iter().enumerate() {
-                    let uk = users.row(u)[k];
-                    let item_k = ck + poi_offset.row(p)[k];
-                    users.row_mut(u)[k] -= config.mf_lr * (err * item_k + config.reg * uk);
-                    poi_offset.row_mut(p)[k] -=
-                        config.mf_lr * (err * uk + config.reg * poi_offset.row(p)[k]);
-                }
-                poi_bias[p] -= config.mf_lr * (err + config.reg * poi_bias[p]);
-                let _ = bce(prob, label);
+                model.sgd_update(batch.users[i], batch.pois[i], batch.labels[i]);
             }
         }
+        model
+    }
 
-        Self {
-            codes,
-            users,
-            poi_offset,
-            poi_bias,
-            dim: config.dim,
+    /// The logit of (user, POI); the item is its frozen deep code plus
+    /// its learned offset.
+    fn logit(&self, user: usize, poi: usize) -> f32 {
+        let items = self.codes.row(poi).iter().zip(self.poi_offset.row(poi));
+        let dot: f32 = (self.users.row(user).iter().zip(items))
+            .map(|(&uk, (&ck, &ok))| uk * (ck + ok))
+            .sum();
+        dot + self.poi_bias[poi]
+    }
+
+    /// One logistic SGD step on the user factor, the POI offset and bias.
+    fn sgd_update(&mut self, user: usize, poi: usize, label: f32) {
+        let err = sigmoid(self.logit(user, poi)) - label;
+        let (users, offsets) = (self.users.row_mut(user), self.poi_offset.row_mut(poi));
+        for ((u, o), &ck) in users.iter_mut().zip(offsets).zip(self.codes.row(poi)) {
+            let (uk, ok) = (*u, *o);
+            *u -= LR * (err * (ck + ok) + REG * uk);
+            *o -= LR * (err * uk + REG * ok);
         }
+        self.poi_bias[poi] -= LR * (err + REG * self.poi_bias[poi]);
     }
 }
 
+/// Binary bag-of-words rows over a `vocab`-word vocabulary, one per POI.
+fn content_rows<'a>(pois: impl ExactSizeIterator<Item = &'a Poi>, vocab: usize) -> Matrix {
+    let mut x = Matrix::zeros(pois.len(), vocab);
+    for (r, poi) in pois.enumerate() {
+        for w in &poi.words {
+            x.row_mut(r)[w.idx()] = 1.0;
+        }
+    }
+    x
+}
+
 /// Trains a `V -> 2*dim -> dim -> 2*dim -> V` tied-free autoencoder on
-/// binary POI bag-of-words rows; returns the bottleneck codes.
-fn train_autoencoder(dataset: &Dataset, config: &ShCdlConfig, rng: &mut SmallRng) -> Vec<Vec<f32>> {
+/// binary POI bag-of-words rows; returns the bottleneck codes of every
+/// POI, one row each.
+fn train_autoencoder(dataset: &Dataset, dim: usize, rng: &mut SmallRng) -> Matrix {
     let vocab = dataset.vocab().len().max(1);
     let mut store = ParamStore::new();
     let encoder = Mlp::new(
         &mut store,
         "enc",
-        &[vocab, 2 * config.dim, config.dim],
+        &[vocab, 2 * dim, dim],
         Activation::Tanh,
         0.0,
         rng,
@@ -136,34 +112,23 @@ fn train_autoencoder(dataset: &Dataset, config: &ShCdlConfig, rng: &mut SmallRng
     let decoder = Mlp::new(
         &mut store,
         "dec",
-        &[config.dim, 2 * config.dim, vocab],
+        &[dim, 2 * dim, vocab],
         Activation::Tanh,
         0.0,
         rng,
     );
-    let mut opt = Adam::new(config.ae_lr);
+    let mut opt = Adam::new(AE_LR);
 
-    let content_row = |poi: &st_data::Poi| -> Vec<f32> {
-        let mut row = vec![0.0f32; vocab];
-        for w in &poi.words {
-            row[w.idx()] = 1.0;
-        }
-        row
-    };
-
-    let n = dataset.num_pois();
-    for _ in 0..config.ae_epochs {
+    let pois = dataset.pois();
+    let n = pois.len();
+    for _ in 0..AE_EPOCHS {
         let mut order: Vec<usize> = (0..n).collect();
         for i in 0..n {
             let j = rng.gen_range(i..n);
             order.swap(i, j);
         }
-        for chunk in order.chunks(config.ae_batch) {
-            let mut data = Vec::with_capacity(chunk.len() * vocab);
-            for &p in chunk {
-                data.extend(content_row(&dataset.pois()[p]));
-            }
-            let x = Matrix::from_vec(chunk.len(), vocab, data);
+        for chunk in order.chunks(AE_BATCH) {
+            let x = content_rows(chunk.iter().map(|&p| &pois[p]), vocab);
             let mut tape = Tape::new(&store);
             let xv = tape.input(x.clone());
             let code = encoder.forward_train(&mut tape, xv, rng);
@@ -176,36 +141,18 @@ fn train_autoencoder(dataset: &Dataset, config: &ShCdlConfig, rng: &mut SmallRng
     }
 
     // Encode every POI with the trained encoder (inference mode).
-    let mut codes = Vec::with_capacity(n);
-    for chunk in (0..n).collect::<Vec<_>>().chunks(256) {
-        let mut data = Vec::with_capacity(chunk.len() * vocab);
-        for &p in chunk {
-            data.extend(content_row(&dataset.pois()[p]));
-        }
-        let x = Matrix::from_vec(chunk.len(), vocab, data);
-        let mut tape = Tape::new(&store);
-        let xv = tape.input(x);
-        let code = encoder.forward_inference(&mut tape, xv);
-        let values = tape.value(code);
-        for r in 0..chunk.len() {
-            codes.push(values.row(r).to_vec());
-        }
-    }
-    codes
+    let mut tape = Tape::new(&store);
+    let xv = tape.input(content_rows(pois.iter(), vocab));
+    let code = encoder.forward_inference(&mut tape, xv);
+    tape.value(code).clone()
 }
 
 impl Scorer for ShCdl {
     /// The logit: it ranks like the sigmoid of the loss, without the
     /// exact ties the sigmoid saturates into at 1.0.
     fn score_batch(&self, user: UserId, pois: &[PoiId]) -> Vec<f32> {
-        let u = self.users.row(user.idx());
         pois.iter()
-            .map(|p| {
-                (0..self.dim)
-                    .map(|k| u[k] * (self.codes[p.idx()][k] + self.poi_offset.row(p.idx())[k]))
-                    .sum::<f32>()
-                    + self.poi_bias[p.idx()]
-            })
+            .map(|p| self.logit(user.idx(), p.idx()))
             .collect()
     }
 }
@@ -213,30 +160,14 @@ impl Scorer for ShCdl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::CrossingCitySplit;
+    use crate::tests::{dim, fitted, tiny};
+    use crate::Method;
     use st_eval::{evaluate, EvalConfig, Metric};
-
-    fn quick() -> ShCdlConfig {
-        ShCdlConfig {
-            dim: 16,
-            ae_epochs: 4,
-            mf_epochs: 3,
-            samples_per_epoch: 6_000,
-            ..ShCdlConfig::default()
-        }
-    }
-
-    fn setup() -> (Dataset, CrossingCitySplit) {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        (d, split)
-    }
 
     #[test]
     fn codes_cluster_by_shared_words() {
-        let (d, split) = setup();
-        let m = ShCdl::fit(&d, &split.train, &quick());
+        let (d, split) = tiny();
+        let m = ShCdl::fit(d, &split.train, dim());
         let cosine = |a: &[f32], b: &[f32]| -> f32 {
             let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
             let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
@@ -252,7 +183,7 @@ mod tests {
         let (mut s_sim, mut s_n, mut o_sim, mut o_n) = (0.0, 0, 0.0, 0);
         for a in 0..d.num_pois() {
             for b in (a + 1)..d.num_pois() {
-                let c = cosine(&m.codes[a], &m.codes[b]);
+                let c = cosine(m.codes.row(a), m.codes.row(b));
                 if share(a, b) {
                     s_sim += c;
                     s_n += 1;
@@ -272,9 +203,8 @@ mod tests {
 
     #[test]
     fn beats_chance_on_crossing_city_eval() {
-        let (d, split) = setup();
-        let m = ShCdl::fit(&d, &split.train, &quick());
-        let report = evaluate(&m, &d, &split, &EvalConfig::default());
+        let (d, split) = tiny();
+        let report = evaluate(fitted(Method::ShCdl), d, split, &EvalConfig::default());
         let r10 = report.get(Metric::Recall, 10);
         assert!(r10 > 0.1, "SH-CDL recall@10 = {r10}");
     }

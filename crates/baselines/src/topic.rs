@@ -10,65 +10,27 @@
 //!   assignable to tokens generated in that city. Transfer scores use the
 //!   common topics only, which is precisely the model's contribution.
 
-use crate::mf::seeded;
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use st_data::{Checkin, CityId, Dataset, PoiId, UserId};
 use st_eval::Scorer;
 
-/// Configuration of the Gibbs-sampled topic models.
-#[derive(Debug, Clone)]
-pub(crate) struct TopicConfig {
-    /// Number of *common* topics.
-    pub(crate) common_topics: usize,
-    /// City-specific topics per city (0 = plain LDA, i.e. ST-LDA).
-    pub(crate) city_topics: usize,
-    /// Dirichlet prior on document-topic distributions.
-    pub(crate) alpha: f64,
-    /// Dirichlet prior on topic-word distributions.
-    pub(crate) beta: f64,
-    /// Gibbs sweeps.
-    pub(crate) iterations: usize,
-    /// Max tokens per user document (subsampled beyond this).
-    pub(crate) max_tokens_per_user: usize,
-    /// Crowd/popularity mixing weight in the final score.
-    pub(crate) crowd_weight: f32,
-    /// RNG seed.
-    pub(crate) seed: u64,
-}
+/// Topics shared by all cities.
+const COMMON_TOPICS: usize = 16;
+/// Dirichlet prior on document-topic distributions.
+const ALPHA: f64 = 0.5;
+/// Dirichlet prior on topic-word distributions.
+const BETA: f64 = 0.05;
+/// Gibbs sweeps.
+const SWEEPS: usize = 40;
+/// Max tokens per user document (subsampled beyond this).
+const MAX_TOKENS_PER_USER: usize = 400;
+/// Crowd/popularity mixing weight in the final score.
+const CROWD_WEIGHT: f32 = 0.3;
+/// RNG seed.
+const SEED: u64 = 17;
 
-impl Default for TopicConfig {
-    fn default() -> Self {
-        Self {
-            common_topics: 16,
-            city_topics: 0,
-            alpha: 0.5,
-            beta: 0.05,
-            iterations: 30,
-            max_tokens_per_user: 400,
-            crowd_weight: 0.3,
-            seed: 17,
-        }
-    }
-}
-
-impl TopicConfig {
-    /// ST-LDA preset: all topics common.
-    pub(crate) fn st_lda() -> Self {
-        Self::default()
-    }
-
-    /// CTLM preset: common topics plus per-city specific topics that
-    /// absorb city-dependent words.
-    pub(crate) fn ctlm() -> Self {
-        Self {
-            common_topics: 16,
-            city_topics: 4,
-            ..Self::default()
-        }
-    }
-}
-
-/// A fitted topic-model recommender (either preset).
+/// A fitted topic-model recommender (ST-LDA or CTLM).
 #[derive(Debug)]
 pub(crate) struct TopicModel {
     /// `theta[user][topic]`, renormalized over common topics for scoring.
@@ -78,22 +40,21 @@ pub(crate) struct TopicModel {
     poi_topic_score: Vec<Vec<f32>>,
     /// Normalized target-city popularity (the crowd preference).
     crowd: Vec<f32>,
-    crowd_weight: f32,
 }
 
 impl TopicModel {
-    /// Fits the model on training check-ins with Gibbs sampling.
+    /// Fits the model on training check-ins with Gibbs sampling, with
+    /// `city_topics` specific topics per city beside the common ones:
+    /// 0 is ST-LDA, 4 is CTLM.
     pub(crate) fn fit(
         dataset: &Dataset,
         train: &[Checkin],
         target: CityId,
-        config: &TopicConfig,
+        city_topics: usize,
     ) -> Self {
-        assert!(config.common_topics >= 1, "need at least one common topic");
-        assert!(config.iterations >= 1);
-        let mut rng = seeded(config.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let num_cities = dataset.cities().len();
-        let num_topics = config.common_topics + num_cities * config.city_topics;
+        let num_topics = COMMON_TOPICS + num_cities * city_topics;
         let vocab = dataset.vocab().len().max(1);
 
         // Build user documents: (word, city-of-POI) tokens.
@@ -106,12 +67,12 @@ impl TopicModel {
         }
         // Subsample oversized documents (bounded Gibbs cost).
         for doc in &mut docs {
-            if doc.len() > config.max_tokens_per_user {
-                for i in 0..config.max_tokens_per_user {
+            if doc.len() > MAX_TOKENS_PER_USER {
+                for i in 0..MAX_TOKENS_PER_USER {
                     let j = rng.gen_range(i..doc.len());
                     doc.swap(i, j);
                 }
-                doc.truncate(config.max_tokens_per_user);
+                doc.truncate(MAX_TOKENS_PER_USER);
             }
         }
 
@@ -125,10 +86,10 @@ impl TopicModel {
             .collect();
 
         let allowed = |city: u16| -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-            let specific_start = config.common_topics + city as usize * config.city_topics;
+            let specific_start = COMMON_TOPICS + city as usize * city_topics;
             (
-                0..config.common_topics,
-                specific_start..specific_start + config.city_topics,
+                0..COMMON_TOPICS,
+                specific_start..specific_start + city_topics,
             )
         };
 
@@ -151,11 +112,9 @@ impl TopicModel {
         }
 
         // Gibbs sweeps.
-        let alpha = config.alpha;
-        let beta = config.beta;
-        let vbeta = vocab as f64 * beta;
+        let vbeta = vocab as f64 * BETA;
         let mut weights: Vec<f64> = Vec::with_capacity(num_topics);
-        for _ in 0..config.iterations {
+        for _ in 0..SWEEPS {
             for (d, doc) in docs.iter().enumerate() {
                 for (i, &(w, city)) in doc.iter().enumerate() {
                     let old = assign[d][i] as usize;
@@ -166,8 +125,8 @@ impl TopicModel {
                     let (common, specific) = allowed(city);
                     weights.clear();
                     let mut push = |t: usize| {
-                        let p = (n_dk[d * num_topics + t] as f64 + alpha)
-                            * (n_kw[t * vocab + w as usize] as f64 + beta)
+                        let p = (n_dk[d * num_topics + t] as f64 + ALPHA)
+                            * (n_kw[t * vocab + w as usize] as f64 + BETA)
                             / (n_k[t] as f64 + vbeta);
                         weights.push(p);
                     };
@@ -201,13 +160,13 @@ impl TopicModel {
         }
 
         // Posterior point estimates restricted to common topics.
-        let c = config.common_topics;
+        let c = COMMON_TOPICS;
         let theta_common: Vec<Vec<f32>> = (0..dataset.num_users())
             .map(|d| {
                 let row = &n_dk[d * num_topics..d * num_topics + c];
-                let total: f64 = row.iter().map(|&x| x as f64 + alpha).sum();
+                let total: f64 = row.iter().map(|&x| x as f64 + ALPHA).sum();
                 row.iter()
-                    .map(|&x| ((x as f64 + alpha) / total) as f32)
+                    .map(|&x| ((x as f64 + ALPHA) / total) as f32)
                     .collect()
             })
             .collect();
@@ -215,7 +174,7 @@ impl TopicModel {
             .map(|t| {
                 let row = &n_kw[t * vocab..(t + 1) * vocab];
                 let denom = n_k[t] as f64 + vbeta;
-                row.iter().map(|&x| (x as f64 + beta) / denom).collect()
+                row.iter().map(|&x| (x as f64 + BETA) / denom).collect()
             })
             .collect();
 
@@ -262,7 +221,6 @@ impl TopicModel {
             theta_common,
             poi_topic_score,
             crowd,
-            crowd_weight: config.crowd_weight,
         }
     }
 }
@@ -277,7 +235,7 @@ impl Scorer for TopicModel {
                     .zip(&self.poi_topic_score[p.idx()])
                     .map(|(&t, &s)| t * s)
                     .sum();
-                (1.0 - self.crowd_weight) * affinity + self.crowd_weight * self.crowd[p.idx()]
+                (1.0 - CROWD_WEIGHT) * affinity + CROWD_WEIGHT * self.crowd[p.idx()]
             })
             .collect()
     }
@@ -286,50 +244,38 @@ impl Scorer for TopicModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_data::synth::{generate, SynthConfig};
-    use st_data::CrossingCitySplit;
+    use crate::tests::{fitted, tiny};
+    use crate::Method;
     use st_eval::{evaluate, EvalConfig, Metric};
+    use std::sync::OnceLock;
 
-    fn setup() -> (Dataset, CrossingCitySplit) {
-        let (d, _) = generate(&SynthConfig::tiny());
-        let split = CrossingCitySplit::build(&d, CityId(1));
-        (d, split)
-    }
-
-    fn quick(mut cfg: TopicConfig) -> TopicConfig {
-        cfg.iterations = 15;
-        cfg
+    /// ST-LDA as `fit_method` fits it on `tiny`, once per test binary.
+    fn st_lda() -> &'static TopicModel {
+        static FIT: OnceLock<TopicModel> = OnceLock::new();
+        let (d, split) = tiny();
+        FIT.get_or_init(|| TopicModel::fit(d, &split.train, CityId(1), 0))
     }
 
     #[test]
     fn st_lda_has_no_city_topics() {
-        let (d, split) = setup();
-        let cfg = quick(TopicConfig::st_lda());
-        assert_eq!(cfg.city_topics, 0);
-        let m = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
-        assert!(m.theta_common.iter().all(|t| t.len() == cfg.common_topics));
+        let m = st_lda();
+        assert!(m.theta_common.iter().all(|t| t.len() == COMMON_TOPICS));
     }
 
     #[test]
     fn ctlm_partitions_topics_per_city() {
-        let (d, split) = setup();
-        let cfg = quick(TopicConfig::ctlm());
-        assert!(cfg.city_topics > 0);
-        let m = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
+        let (d, split) = tiny();
+        let m = TopicModel::fit(d, &split.train, CityId(1), 4);
         // Scoring reads only the common block, split off the city blocks.
-        assert!(m.theta_common.iter().all(|t| t.len() == cfg.common_topics));
-        assert!(m
-            .poi_topic_score
-            .iter()
-            .all(|t| t.len() == cfg.common_topics));
+        assert!(m.theta_common.iter().all(|t| t.len() == COMMON_TOPICS));
+        assert!(m.poi_topic_score.iter().all(|t| t.len() == COMMON_TOPICS));
     }
 
     #[test]
     fn user_topic_posteriors_are_distributions() {
-        let (d, split) = setup();
-        let m = TopicModel::fit(&d, &split.train, CityId(1), &quick(TopicConfig::st_lda()));
-        for u in 0..d.num_users() as u32 {
-            let theta = &m.theta_common[u as usize];
+        let (d, _) = tiny();
+        for u in 0..d.num_users() {
+            let theta = &st_lda().theta_common[u];
             let sum: f32 = theta.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "theta sums to {sum}");
             assert!(theta.iter().all(|&p| p > 0.0));
@@ -338,21 +284,22 @@ mod tests {
 
     #[test]
     fn both_presets_beat_chance() {
-        let (d, split) = setup();
-        for cfg in [TopicConfig::st_lda(), TopicConfig::ctlm()] {
-            let m = TopicModel::fit(&d, &split.train, CityId(1), &quick(cfg));
-            let report = evaluate(&m, &d, &split, &EvalConfig::default());
+        let (d, split) = tiny();
+        for method in [Method::StLda, Method::Ctlm] {
+            let report = evaluate(fitted(method), d, split, &EvalConfig::default());
             let r10 = report.get(Metric::Recall, 10);
-            assert!(r10 > 0.1, "topic model recall@10 = {r10}");
+            assert!(r10 > 0.1, "{} recall@10 = {r10}", method.name());
         }
     }
 
     #[test]
     fn gibbs_is_seed_deterministic() {
-        let (d, split) = setup();
-        let cfg = quick(TopicConfig::st_lda());
-        let a = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
-        let b = TopicModel::fit(&d, &split.train, CityId(1), &cfg);
-        assert_eq!(a.theta_common[0], b.theta_common[0]);
+        // Two fits: this module's and `fit_method`'s.
+        let (d, split) = tiny();
+        let pois = d.pois_in_city(CityId(1));
+        for &u in &split.test_users {
+            let scores = fitted(Method::StLda).score_batch(u, pois);
+            assert_eq!(st_lda().score_batch(u, pois), scores);
+        }
     }
 }

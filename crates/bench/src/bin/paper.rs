@@ -332,7 +332,7 @@ fn main() -> ExitCode {
             }
             let json = produce(settings);
             if !overridden {
-                let path = save_json(&file, &json).expect("write results");
+                let path = save_json(Path::new("results"), &file, &json).expect("write results");
                 eprintln!("wrote {}", path.display());
             }
         }

@@ -10,7 +10,7 @@
 use crate::json::{Json, ToJson};
 use crate::runner::Loaded;
 
-use st_baselines::{fit_method, Budget, Method};
+use st_baselines::{fit_method, Method};
 use st_eval::{evaluate, EvalConfig, Metric, MetricReport, Scorer};
 use st_transrec_core::{ModelConfig, STTransRec};
 
@@ -19,7 +19,7 @@ use st_transrec_core::{ModelConfig, STTransRec};
 pub enum Fit {
     /// ST-TransRec under this configuration.
     Model(ModelConfig),
-    /// A baseline at the paper-shaped budget, with the dataset's neural
+    /// A baseline at its one budget, with the dataset's neural
     /// hyperparameters ("set the same to those of ST-TransRec").
     Baseline(Method),
 }
@@ -48,9 +48,7 @@ pub fn run(loaded: &Loaded, rows: Vec<(String, Json, Fit)>) -> Vec<Row> {
                     model.fit(dataset);
                     Box::new(model)
                 }
-                Fit::Baseline(method) => {
-                    fit_method(method, dataset, split, &loaded.model_config, Budget::Full)
-                }
+                Fit::Baseline(method) => fit_method(method, dataset, split, &loaded.model_config),
             };
             let report = evaluate(&*scorer, dataset, split, &EvalConfig::default());
             Row {

@@ -2,7 +2,7 @@
 
 use crate::json::Json;
 use st_eval::{Metric, MetricReport};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Renders a figure-style block: one table per metric, rows = methods,
 /// columns = cutoffs.
@@ -45,11 +45,10 @@ pub fn render_rows(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) ->
     out
 }
 
-/// Serializes `value` to `results/<name>.json` (creating the directory),
+/// Serializes `value` to `<dir>/<name>.json` (creating the directory),
 /// returning the path written. Errors are surfaced, not swallowed — a
 /// harness run without its artifacts is a failed run.
-pub fn save_json(name: &str, value: &Json) -> std::io::Result<std::path::PathBuf> {
-    let dir = Path::new("results");
+pub fn save_json(dir: &Path, name: &str, value: &Json) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, format!("{value:#}"))?;
@@ -99,13 +98,12 @@ mod tests {
 
     #[test]
     fn save_json_roundtrips() {
-        let tmp = std::env::temp_dir().join(format!("st-bench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
-        let old = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&tmp).unwrap();
-        let path = save_json("unit-test", &vec![1, 2, 3].to_json()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::env::set_current_dir(old).unwrap();
-        assert!(text.contains('1') && text.contains('3'));
+        let dir = std::env::temp_dir().join(format!("st-bench-test-{}", std::process::id()));
+        let value = vec![1, 2, 3].to_json();
+        let path = save_json(&dir, "unit-test", &value).unwrap();
+        let text = std::fs::read_to_string(&path);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(path, dir.join("unit-test.json"));
+        assert_eq!(Json::parse(&text.unwrap()), Ok(value));
     }
 }

@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A fresh scratch directory per test (std-only: no tempfile crate).
+/// A fresh scratch directory per test (std-only: no tempfile crate);
+/// the fixture that holds it removes it on drop.
 pub fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -221,6 +222,16 @@ impl FleetFixture {
         }
         if let Some(router) = self.router.take() {
             router.shutdown();
+        }
+    }
+}
+
+impl Drop for FleetFixture {
+    /// Removes the scratch directory, also when a test panics. Unlinking
+    /// a checkpoint a replica still maps is safe.
+    fn drop(&mut self) {
+        if let Some(dir) = self.ckpt.parent() {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

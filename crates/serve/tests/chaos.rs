@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-/// A fresh scratch directory per test (std-only: no tempfile crate).
+/// A fresh scratch directory per test (std-only: no tempfile crate);
+/// the fixture that holds it removes it on drop.
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -51,6 +52,16 @@ struct Fixture {
     split: Arc<CrossingCitySplit>,
     ckpt: PathBuf,
     oracle: STTransRec,
+}
+
+impl Drop for Fixture {
+    /// Removes the scratch directory, also when a test panics. Unlinking
+    /// a checkpoint a server still maps is safe.
+    fn drop(&mut self) {
+        if let Some(dir) = self.ckpt.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 fn fixture(tag: &str) -> Fixture {

@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A fresh scratch directory per test (std-only: no tempfile crate).
+/// A fresh scratch directory per test (std-only: no tempfile crate);
+/// the fixture that holds it removes it on drop.
 fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -38,6 +39,16 @@ struct Fixture {
     ckpt: PathBuf,
     /// Oracle model, restored from the same checkpoint the server loads.
     oracle: STTransRec,
+}
+
+impl Drop for Fixture {
+    /// Removes the scratch directory, also when a test panics. Unlinking
+    /// a checkpoint a server still maps is safe.
+    fn drop(&mut self) {
+        if let Some(dir) = self.ckpt.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// Trains a tiny model for `epochs`, saves it, and keeps an oracle copy.
