@@ -50,11 +50,6 @@ impl FaultPlan {
         }
     }
 
-    /// An explicit schedule, for tests that pin faults to cycles.
-    pub fn explicit(faults: Vec<PublishFault>) -> Self {
-        Self { faults }
-    }
-
     /// A seeded chaos plan guaranteed to contain at least one `Regress`
     /// and one `Crash` (so every defended failure mode is exercised),
     /// with the remaining cycles mostly clean. Needs `cycles >= 3` so at
@@ -129,7 +124,9 @@ mod tests {
 
     #[test]
     fn past_the_plan_is_clean() {
-        let plan = FaultPlan::explicit(vec![PublishFault::Crash]);
+        let plan = FaultPlan {
+            faults: vec![PublishFault::Crash],
+        };
         assert_eq!(plan.fault_for(0), PublishFault::Crash);
         assert_eq!(plan.fault_for(7), PublishFault::Clean);
     }

@@ -112,7 +112,6 @@ fn main() {
             workers,
             probe_interval: (probe_interval_ms > 0)
                 .then(|| Duration::from_millis(probe_interval_ms)),
-            ..RouterConfig::default()
         },
     );
     let server = match RouterServer::start(router) {

@@ -110,6 +110,25 @@ impl Replica {
         Generation::from_u8(self.generation.load(Ordering::Acquire))
     }
 
+    /// Books one probe: the epoch it scraped, or `None` if it failed.
+    fn note_probe(&self, epoch: Option<u64>) -> bool {
+        let Some(epoch) = epoch else {
+            let fails = self.probe_failures.fetch_add(1, Ordering::AcqRel) + 1;
+            if fails >= DOWN_AFTER {
+                self.healthy.store(false, Ordering::Release);
+            }
+            return false;
+        };
+        self.probe_failures.store(0, Ordering::Release);
+        self.last_epoch.store(epoch, Ordering::Release);
+        if !self.healthy.swap(true, Ordering::AcqRel) {
+            // Rejoin: the breaker's failure history belongs to the dead
+            // incarnation.
+            self.breaker.reset();
+        }
+        true
+    }
+
     pub(crate) fn set_generation(&self, g: Generation) {
         let v = match g {
             Generation::Old => 0,
@@ -324,26 +343,8 @@ impl Fleet {
     /// failures mark it down.
     pub fn probe(&self, id: ReplicaId) -> bool {
         let replica = self.replica(id);
-        let addr = replica.addr();
-        match probe_metrics(addr, PROBE_TIMEOUT) {
-            Ok(scrape) => {
-                replica.probe_failures.store(0, Ordering::Release);
-                replica.last_epoch.store(scrape.epoch, Ordering::Release);
-                if !replica.healthy.swap(true, Ordering::AcqRel) {
-                    // Rejoin: the breaker's failure history belongs to
-                    // the dead incarnation.
-                    replica.breaker.reset();
-                }
-                true
-            }
-            Err(_) => {
-                let fails = replica.probe_failures.fetch_add(1, Ordering::AcqRel) + 1;
-                if fails >= DOWN_AFTER {
-                    replica.healthy.store(false, Ordering::Release);
-                }
-                false
-            }
-        }
+        let scrape = probe_metrics(replica.addr(), PROBE_TIMEOUT);
+        replica.note_probe(scrape.ok().map(|s| s.epoch))
     }
 
     /// Probes every replica once; returns the number of healthy ones.
@@ -378,103 +379,164 @@ pub fn probe_metrics(addr: SocketAddr, timeout: Duration) -> std::io::Result<Met
 
 #[cfg(test)]
 mod tests {
+    //! `Fleet::route` against a clock-free reference fleet. Random
+    //! sequences of kills, rejoins, breaker trips and closes, rollout
+    //! steps and requests drive the fleet and a small model side by side.
+    //! After every operation each user's routing decision and the pin
+    //! count must agree with the model, and three rules hold on the
+    //! fleet's own answers: a pinned user is never routed to the old
+    //! generation, a dark shard is shed rather than remapped, and marking
+    //! one replica down moves only the keys it owned.
+
     use super::*;
+    use proptest::prelude::*;
 
-    fn test_fleet(n: usize) -> Fleet {
-        let addrs: Vec<SocketAddr> = (0..n)
-            .map(|i| format!("127.0.0.1:{}", 9000 + i).parse().unwrap())
-            .collect();
-        Fleet::new(&addrs, FleetConfig::default())
+    const USERS: u32 = 24;
+
+    /// What the fleet should be, written from the routing rules.
+    struct Model {
+        up: Vec<bool>,
+        open: Vec<bool>,
+        generation: Vec<Generation>,
+        /// The shard the active rollout works on.
+        rollout: Option<usize>,
+        pins: HashSet<u32>,
     }
 
-    #[test]
-    fn routes_to_static_owner_when_all_healthy() {
-        let fleet = test_fleet(3);
-        let now = Instant::now();
-        for user in 0..50u32 {
-            let key = RouteKey::User(user);
-            let d = fleet.route(key, now).unwrap();
-            assert!(!d.remapped);
-            assert_eq!(
-                ReplicaId(d.replica as u16),
-                fleet.static_owner(key).unwrap()
-            );
+    impl Model {
+        /// `user`'s primary (their first healthy replica in ring order)
+        /// and target: the primary, or while it is in flight the first
+        /// healthy old-generation replica after it, if there is one.
+        fn target(&self, fleet: &Fleet, user: u32) -> Option<(usize, usize)> {
+            let order = fleet.ring.successors(RouteKey::User(user).hash());
+            let mut walk = order.iter().map(|id| id.0 as usize).filter(|&r| self.up[r]);
+            let primary = walk.next()?;
+            let diverted =
+                self.rollout.is_some() && self.generation[primary] == Generation::InFlight;
+            let old = walk.find(|&r| diverted && self.generation[r] == Generation::Old);
+            Some((primary, old.unwrap_or(primary)))
+        }
+
+        fn route(&self, fleet: &Fleet, user: u32) -> Result<(usize, bool), RouteError> {
+            let (_, target) = self.target(fleet, user).ok_or(RouteError::NoReplica)?;
+            let pinned = self.rollout.is_some() && self.pins.contains(&user);
+            if pinned && self.generation[target] != Generation::New {
+                return Err(RouteError::EpochPinned);
+            }
+            if self.open[target] {
+                return Err(RouteError::ShardDark(ReplicaId(target as u16)));
+            }
+            let owner = fleet.static_owner(RouteKey::User(user)).unwrap();
+            Ok((target, target != owner.0 as usize))
+        }
+
+        /// One rollout driver step without the reload RPC: begin, mark
+        /// the next shard in flight, verify it, or finish; a shard that
+        /// is down pauses the rollout.
+        fn step(&mut self, fleet: &Fleet) {
+            let next = match self.rollout {
+                Some(next) if next == self.up.len() => return self.finish(fleet),
+                Some(next) => next,
+                None => {
+                    fleet.begin_rollout();
+                    self.generation.fill(Generation::Old);
+                    self.pins.clear();
+                    0
+                }
+            };
+            self.rollout = Some(next);
+            if self.up[next] {
+                let verified = self.generation[next] == Generation::InFlight;
+                let to = [Generation::InFlight, Generation::New][usize::from(verified)];
+                fleet.replicas[next].set_generation(to);
+                self.generation[next] = to;
+                self.rollout = Some(next + usize::from(verified));
+            }
+        }
+
+        fn finish(&mut self, fleet: &Fleet) {
+            fleet.finish_rollout();
+            self.rollout = None;
+            self.generation.fill(Generation::Old);
+            self.pins.clear();
         }
     }
 
-    #[test]
-    fn unhealthy_owner_remaps_to_successor() {
-        let fleet = test_fleet(3);
-        let now = Instant::now();
-        // Find a user owned by replica 1, then mark 1 down.
-        let user = (0..1000u32)
-            .find(|u| fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(1)))
-            .unwrap();
-        fleet
-            .replica(ReplicaId(1))
-            .healthy
-            .store(false, Ordering::Release);
-        let d = fleet.route(RouteKey::User(user), now).unwrap();
-        assert!(d.remapped);
-        assert_ne!(d.replica, 1);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn dark_shard_is_shed_not_remapped() {
-        let fleet = test_fleet(3);
-        let now = Instant::now();
-        let user = (0..1000u32)
-            .find(|u| fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(0)))
-            .unwrap();
-        for _ in 0..BreakerConfig::default().failure_threshold {
-            fleet.replica(ReplicaId(0)).breaker.record_failure(now);
+        #[test]
+        fn routing_matches_the_reference_fleet(
+            replicas in 2usize..6,
+            ops in collection::vec((0u8..8, 0usize..6, 0u32..USERS), 1..100),
+        ) {
+            let addrs = vec!["127.0.0.1:1".parse().unwrap(); replicas];
+            let fleet = Fleet::new(&addrs, FleetConfig::default());
+            let mut m = Model {
+                up: vec![true; replicas],
+                open: vec![false; replicas],
+                generation: vec![Generation::Old; replicas],
+                rollout: None,
+                pins: HashSet::new(),
+            };
+            let now = Instant::now();
+            let decide = |user| {
+                let d = fleet.route(RouteKey::User(user), now);
+                d.map(|d| (d.replica, d.remapped))
+            };
+            for (i, &(op, pick, user)) in ops.iter().enumerate() {
+                let (r, replica) = (pick % replicas, &fleet.replicas[pick % replicas]);
+                match op {
+                    0 => {
+                        let before: Vec<_> = (0..USERS).map(|u| (m.target(&fleet, u), decide(u))).collect();
+                        for _ in 0..DOWN_AFTER {
+                            replica.note_probe(None);
+                        }
+                        m.up[r] = false;
+                        for (u, (owners, was)) in (0..USERS).zip(before) {
+                            if owners.is_some_and(|(primary, target)| primary != r && target != r) {
+                                prop_assert_eq!(decide(u), was, "op {}: down {} moved user {}; ops {:?}", i, r, u, ops);
+                            }
+                        }
+                    }
+                    1 => {
+                        replica.note_probe(Some(1));
+                        m.open[r] &= m.up[r];
+                        m.up[r] = true;
+                    }
+                    2 => {
+                        for _ in 0..BreakerConfig::default().failure_threshold {
+                            replica.breaker.record_failure(now);
+                        }
+                        m.open[r] = true;
+                    }
+                    3 => {
+                        replica.breaker.record_success();
+                        m.open[r] = false;
+                    }
+                    4 => m.step(&fleet),
+                    5 => m.finish(&fleet),
+                    _ => {
+                        if let Ok((target, _)) = decide(user) {
+                            fleet.note_served(RouteKey::User(user), ReplicaId(target as u16));
+                            if m.rollout.is_some() && m.generation[target] == Generation::New {
+                                m.pins.insert(user);
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(fleet.pinned_count(), m.pins.len(), "op {}; ops {:?}", i, ops);
+                for u in 0..USERS {
+                    let got = decide(u);
+                    prop_assert_eq!(got, m.route(&fleet, u), "op {}: user {}; ops {:?}", i, u, ops);
+                    if let Ok((target, _)) = got {
+                        let generation = fleet.replicas[target].generation();
+                        let pinned = fleet.rollout_active() && m.pins.contains(&u);
+                        prop_assert!(!pinned || generation == Generation::New, "op {}: pinned user {} routed to {:?}", i, u, generation);
+                        prop_assert!(!m.open[target], "op {}: user {} remapped off a dark shard to {}", i, u, target);
+                    }
+                }
+            }
         }
-        let err = fleet.route(RouteKey::User(user), now).unwrap_err();
-        assert_eq!(err, RouteError::ShardDark(ReplicaId(0)));
-    }
-
-    #[test]
-    fn rollout_diverts_in_flight_shard_to_old_replica() {
-        let fleet = test_fleet(3);
-        let now = Instant::now();
-        let user = (0..1000u32)
-            .find(|u| fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(2)))
-            .unwrap();
-        fleet.begin_rollout();
-        fleet
-            .replica(ReplicaId(2))
-            .set_generation(Generation::InFlight);
-        let d = fleet.route(RouteKey::User(user), now).unwrap();
-        assert!(d.remapped);
-        assert_eq!(
-            fleet.replicas()[d.replica].generation(),
-            Generation::Old,
-            "diversion must land on the old generation"
-        );
-        fleet.finish_rollout();
-        let d = fleet.route(RouteKey::User(user), now).unwrap();
-        assert!(!d.remapped);
-    }
-
-    #[test]
-    fn pinned_user_never_regresses_to_old_generation() {
-        let fleet = test_fleet(2);
-        let now = Instant::now();
-        let user = (0..1000u32)
-            .find(|u| fleet.static_owner(RouteKey::User(*u)) == Some(ReplicaId(0)))
-            .unwrap();
-        fleet.begin_rollout();
-        fleet.replica(ReplicaId(0)).set_generation(Generation::New);
-        fleet.note_served(RouteKey::User(user), ReplicaId(0));
-        assert_eq!(fleet.pinned_count(), 1);
-        // The upgraded replica dies; the only fallback is old-generation.
-        fleet
-            .replica(ReplicaId(0))
-            .healthy
-            .store(false, Ordering::Release);
-        let err = fleet.route(RouteKey::User(user), now).unwrap_err();
-        assert_eq!(err, RouteError::EpochPinned);
-        fleet.finish_rollout();
-        assert_eq!(fleet.pinned_count(), 0);
     }
 }

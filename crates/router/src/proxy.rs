@@ -42,8 +42,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// HTTP worker threads (each holds its own backend connection pool).
     pub workers: usize,
-    /// Keep-alive idle timeout on client connections.
-    pub idle_timeout: Duration,
     /// Background health-probe interval; `None` disables the probe
     /// thread (tests and the chaos harness drive probes explicitly).
     pub probe_interval: Option<Duration>,
@@ -54,11 +52,13 @@ impl Default for RouterConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             workers: 8,
-            idle_timeout: Duration::from_secs(5),
             probe_interval: None,
         }
     }
 }
+
+/// Keep-alive idle timeout on client connections (st-serve's too).
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Per-worker backend connection pool, keyed by replica index. The
 /// stored address detects rejoin-at-new-port and drops the old socket.
@@ -321,7 +321,7 @@ impl RouterServer {
             router.clone(),
             &config.addr,
             config.workers,
-            config.idle_timeout,
+            IDLE_TIMEOUT,
         )?;
         if let Some(interval) = config.probe_interval {
             // The first sweep runs at once, so the fleet starts with

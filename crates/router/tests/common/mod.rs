@@ -52,13 +52,19 @@ pub struct FleetFixture {
     pub serve_config: ServeConfig,
 }
 
+/// HTTP workers of the router and of every replica. Each router worker
+/// holds one pooled connection per replica, which keeps one of that
+/// replica's workers for the replica's idle timeout: a replica with
+/// fewer workers can starve a request for that long.
+const ROUTER_WORKERS: usize = 12;
+
 /// Breaker threshold used by every fixture (small so dark windows are
 /// short, large enough that a single stale connection never trips it).
 pub const BREAKER_THRESHOLD: u32 = 3;
 
 impl FleetFixture {
-    /// Builds a fleet of `n` replicas under `serve_config` (addr is
-    /// overridden per replica). The breaker cooldown is effectively
+    /// Builds a fleet of `n` replicas under `serve_config` (its addr
+    /// and workers are overridden). The breaker cooldown is effectively
     /// infinite: recovery happens via probes and `force_half_open`,
     /// keeping every transition test-driven and deterministic.
     pub fn start(tag: &str, n: usize, mut serve_config: ServeConfig) -> Self {
@@ -71,6 +77,7 @@ impl FleetFixture {
         st_tensor::save_params_atomic(oracle.params(), &ckpt).expect("save ckpt");
 
         serve_config.addr = "127.0.0.1:0".into();
+        serve_config.workers = ROUTER_WORKERS;
         let mut fixture = Self {
             dataset,
             split,
@@ -95,13 +102,8 @@ impl FleetFixture {
         let router = Router::new(
             fixture.fleet.clone(),
             RouterConfig {
-                workers: 12,
+                workers: ROUTER_WORKERS,
                 probe_interval: None, // tests drive probes explicitly
-                // Mid-test stalls (training an oracle epoch, killing a
-                // replica) can outlast the production 5s idle timeout on
-                // a loaded machine; a long one keeps the tests' client
-                // connections alive across them.
-                idle_timeout: Duration::from_secs(60),
                 ..RouterConfig::default()
             },
         );
@@ -146,11 +148,20 @@ impl FleetFixture {
         }
     }
 
-    /// Rejoins replica `id` on a fresh ephemeral port: boots a new
-    /// server over the current checkpoint, repoints the fleet at it, and
-    /// probes it back to health.
-    pub fn rejoin_replica(&mut self, id: usize) {
+    /// Rejoins replica `id` on a fresh ephemeral port at model epoch
+    /// `epoch`: boots a new server over the current checkpoint, reloads
+    /// it up to `epoch`, repoints the fleet at it, and probes it back to
+    /// health. A new process counts epochs from 1; reloading it to its
+    /// predecessor's epoch keeps `X-Model-Epoch` one count of the fleet's
+    /// generations across the restart.
+    pub fn rejoin_replica(&mut self, id: usize, epoch: u64) {
         let (server, injector) = self.boot_replica(1000 + id as u64);
+        for _ in 1..epoch {
+            server
+                .engine()
+                .reload()
+                .expect("reload to the predecessor's epoch");
+        }
         let addr = server.local_addr();
         self.replicas[id] = ReplicaSlot {
             server: Some(server),
@@ -167,25 +178,8 @@ impl FleetFixture {
         }
     }
 
-    /// First dataset user whose static ring owner is replica `id`.
-    pub fn user_owned_by(&self, id: usize) -> u32 {
-        self.users_owned_by(id, 1)[0]
-    }
-
-    /// The first `count` dataset users statically owned by replica `id`.
-    pub fn users_owned_by(&self, id: usize, count: usize) -> Vec<u32> {
-        let mut users = self.all_users_owned_by(id);
-        assert!(
-            users.len() >= count,
-            "replica {id} owns {} users, fewer than {count}",
-            users.len()
-        );
-        users.truncate(count);
-        users
-    }
-
     /// Every dataset user statically owned by replica `id`.
-    pub fn all_users_owned_by(&self, id: usize) -> Vec<u32> {
+    pub fn users_owned_by(&self, id: usize) -> Vec<u32> {
         (0..self.dataset.num_users() as u32)
             .filter(|&u| self.fleet.static_owner(RouteKey::User(u)) == Some(ReplicaId(id as u16)))
             .collect()

@@ -11,8 +11,8 @@
 
 mod common;
 
-use common::{FleetFixture, BREAKER_THRESHOLD};
-use st_router::{BreakerState, ReplicaId};
+use common::FleetFixture;
+use st_router::ReplicaId;
 use st_serve::client::{HttpClient, HttpResponse};
 use st_serve::server::ServeConfig;
 use st_serve::BatchConfig;
@@ -60,7 +60,7 @@ fn responses_through_router_are_byte_identical_to_direct() {
     let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
 
     for shard in 0..2 {
-        let user = fx.user_owned_by(shard);
+        let user = fx.users_owned_by(shard)[0];
         let path = format!("/recommend?user={user}&city=1&k=5");
 
         // First pass through the router misses and fills the cache.
@@ -128,7 +128,7 @@ fn degraded_responses_relay_byte_identically() {
     };
     let fx = FleetFixture::start("degraded", 2, config);
     let victim = 0usize;
-    let users = fx.users_owned_by(victim, 3);
+    let users = fx.users_owned_by(victim);
     let (warm, park_a, park_b) = (users[0], users[1], users[2]);
     let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
 
@@ -186,219 +186,9 @@ fn degraded_responses_relay_byte_identically() {
 }
 
 #[test]
-fn routing_is_stable_and_spread_across_shards() {
-    let fx = FleetFixture::start("stability", 3, ServeConfig::default());
-    let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
-
-    let users: Vec<u32> = (0..fx.dataset.num_users() as u32).collect();
-    let mut shard_counts = vec![0usize; 3];
-    for &user in &users {
-        let path = format!("/recommend?user={user}&city=1&k=3");
-        let first = router.get(&path).expect("request");
-        assert_eq!(first.status, 200, "body: {}", first.body);
-        let shard = first
-            .header("x-router-replica")
-            .expect("stamped")
-            .to_string();
-        // Same user, same shard — on repeat and against the ring oracle.
-        let again = router.get(&path).expect("request");
-        assert_eq!(again.header("x-router-replica"), Some(shard.as_str()));
-        let expected = fx
-            .fleet
-            .static_owner(st_router::RouteKey::User(user))
-            .unwrap();
-        assert_eq!(shard, expected.to_string());
-        shard_counts[shard.parse::<usize>().unwrap()] += 1;
-    }
-    for (shard, &count) in shard_counts.iter().enumerate() {
-        assert!(
-            count > 0,
-            "shard {shard} received no users: {shard_counts:?}"
-        );
-    }
-
-    // Nothing was remapped and nothing shed.
-    let metrics = router.get("/metrics").expect("metrics");
-    assert!(metrics.body.contains("st_router_remapped_total 0"));
-    assert!(metrics.body.contains("st_router_dark_shard_503_total 0"));
-    assert!(metrics.body.contains("st_router_forward_errors_total 0"));
-
-    fx.shutdown();
-}
-
-#[test]
-fn replica_death_trips_breaker_then_probes_remap_then_rejoin_restores() {
-    let mut fx = FleetFixture::start("breaker", 2, ServeConfig::default());
-    let victim = 1usize;
-    let user = fx.user_owned_by(victim);
-    let path = format!("/recommend?user={user}&city=1&k=5");
-    let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
-
-    // Sanity: the shard answers before the kill.
-    assert_eq!(router.get(&path).expect("pre-kill").status, 200);
-
-    fx.kill_replica(victim);
-
-    // Fresh-connect failures count against the breaker until it opens;
-    // every shed carries Retry-After and nothing fails over (the shard
-    // is dark, not reassigned).
-    for i in 0..BREAKER_THRESHOLD {
-        let resp = router.get(&path).expect("dark window");
-        assert_eq!(resp.status, 503, "request {i}: {}", resp.body);
-        assert_eq!(resp.header("retry-after"), Some("1"));
-        assert!(resp.body.contains("unreachable"), "{}", resp.body);
-    }
-    assert_eq!(
-        fx.fleet.replica(ReplicaId(victim as u16)).breaker.state(),
-        BreakerState::Open
-    );
-    let fast = router.get(&path).expect("breaker-open reject");
-    assert_eq!(fast.status, 503);
-    assert!(fast.body.contains("dark"), "{}", fast.body);
-
-    // Health probes notice the corpse; the shard's keys remap to the
-    // ring successor and serve again.
-    fx.probe_down();
-    assert!(!fx.fleet.replica(ReplicaId(victim as u16)).healthy());
-    let remapped = router.get(&path).expect("remapped");
-    assert_eq!(remapped.status, 200, "body: {}", remapped.body);
-    assert_eq!(remapped.header("x-router-replica"), Some("0"));
-
-    // Rejoin on a fresh port: probe marks it healthy, resets the
-    // breaker, and the user's traffic returns to its home shard.
-    fx.rejoin_replica(victim);
-    assert_eq!(
-        fx.fleet.replica(ReplicaId(victim as u16)).breaker.state(),
-        BreakerState::Closed
-    );
-    let back = router.get(&path).expect("back home");
-    assert_eq!(back.status, 200, "body: {}", back.body);
-    assert_eq!(back.header("x-router-replica"), Some("1"));
-
-    // The router's ledger saw all of it.
-    let metrics = router.get("/metrics").expect("metrics");
-    assert!(metrics.body.contains(&format!(
-        "st_router_forward_errors_total {BREAKER_THRESHOLD}"
-    )));
-    assert!(metrics.body.contains("st_router_dark_shard_503_total 1"));
-    assert!(metrics.body.contains("st_router_breaker_opened_total 1"));
-
-    fx.shutdown();
-}
-
-#[test]
-fn backend_deadline_sheds_relay_without_tripping_the_breaker() {
-    // A frozen batcher ages queued jobs past their deadline: st-serve
-    // answers 503 deadline-exceeded + Retry-After for each. Those are
-    // the backend protecting itself — the router must relay them (like
-    // its 429s) without counting them toward the shard's breaker, or a
-    // transient overload would become a cooldown-long dark window.
-    let config = ServeConfig {
-        batch: BatchConfig {
-            queue_capacity: 8,
-            deadline: Duration::from_millis(100),
-            ..BatchConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let fx = FleetFixture::start("shed-breaker", 2, config);
-    let victim = 0usize;
-    let users = fx.users_owned_by(victim, BREAKER_THRESHOLD as usize);
-    let router_addr = fx.router_addr();
-
-    fx.replicas[victim].injector.freeze();
-    let handles: Vec<_> = users
-        .iter()
-        .map(|&user| {
-            std::thread::spawn(move || {
-                let mut c = HttpClient::connect(router_addr).expect("connect router");
-                c.get(&format!("/recommend?user={user}&city=1&k=6"))
-                    .expect("shed request resolves")
-            })
-        })
-        .collect();
-    fx.wait_for_depth(victim, BREAKER_THRESHOLD as usize);
-
-    // Let every parked job age out, then thaw: breaker-threshold-many
-    // consecutive 503 sheds come back through the router.
-    std::thread::sleep(Duration::from_millis(250));
-    fx.replicas[victim].injector.thaw();
-    for handle in handles {
-        let resp = handle.join().expect("shed thread");
-        assert_eq!(resp.status, 503, "body: {}", resp.body);
-        assert!(resp.body.contains("deadline-exceeded"), "{}", resp.body);
-        assert_eq!(resp.header("retry-after"), Some("1"));
-        assert!(resp.header("x-router-replica").is_some(), "relayed");
-    }
-
-    // The shard is alive and must stay routable: no breaker trip, no
-    // dark-shard shedding, and the next request is served normally.
-    assert_eq!(
-        fx.fleet.replica(ReplicaId(victim as u16)).breaker.state(),
-        BreakerState::Closed,
-        "deliberate sheds must not darken the shard"
-    );
-    let mut router = HttpClient::connect(router_addr).expect("connect router");
-    let ok = router
-        .get(&format!("/recommend?user={}&city=1&k=6", users[0]))
-        .expect("post-thaw request");
-    assert_eq!(ok.status, 200, "body: {}", ok.body);
-    let metrics = router.get("/metrics").expect("metrics");
-    assert!(metrics.body.contains("st_router_dark_shard_503_total 0"));
-
-    fx.shutdown();
-}
-
-#[test]
-fn admin_reload_rolls_the_whole_fleet_with_verification() {
-    let mut fx = FleetFixture::start("rollout", 2, ServeConfig::default());
-    // Publish a second generation (one more training epoch).
-    fx.oracle.train_epoch(&fx.dataset.clone());
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-
-    let mut router = HttpClient::connect(fx.router_addr()).expect("connect router");
-    let resp = router
-        .post("/admin/reload?format=f32")
-        .expect("rollout rpc");
-    assert_eq!(resp.status, 200, "body: {}", resp.body);
-    assert!(resp.body.contains("\"completed\":true"), "{}", resp.body);
-    assert_eq!(
-        resp.body.matches("\"model_epoch\":2").count(),
-        2,
-        "both replicas verified at epoch 2: {}",
-        resp.body
-    );
-
-    // A pinned wrong format is refused and pauses the rollout.
-    let wrong = router
-        .post("/admin/reload?format=int8")
-        .expect("rollout rpc");
-    assert_eq!(wrong.status, 503, "body: {}", wrong.body);
-    assert!(wrong.body.contains("format mismatch"), "{}", wrong.body);
-
-    // Traffic after the (first) rollout serves the new epoch everywhere.
-    for shard in 0..2 {
-        let user = fx.user_owned_by(shard);
-        let resp = router
-            .get(&format!("/recommend?user={user}&city=1&k=5"))
-            .expect("request");
-        assert_eq!(resp.status, 200, "body: {}", resp.body);
-        assert_eq!(resp.header("x-model-epoch"), Some("2"));
-    }
-
-    let metrics = router.get("/metrics").expect("metrics");
-    assert!(metrics
-        .body
-        .contains("st_router_rollouts_completed_total 1"));
-    assert!(metrics.body.contains("st_router_rollouts_paused_total 1"));
-
-    fx.shutdown();
-}
-
-#[test]
 fn unframeable_request_closes_the_connection_instead_of_desyncing_it() {
     let fx = FleetFixture::start("framing", 2, ServeConfig::default());
-    let user = fx.user_owned_by(0);
+    let user = fx.users_owned_by(0)[0];
 
     // Read as bodiless, this POST's chunk — a complete `/recommend` —
     // would be proxied as a second request on the same connection.

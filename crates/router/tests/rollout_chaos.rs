@@ -1,445 +1,59 @@
-//! Fleet chaos over real TCP: replica deaths, hung batchers and
-//! rolling rollouts, with the three fleet invariants held end to end:
+//! Fleet fault plans over real TCP: replica deaths, hung batchers and
+//! rolling rollouts, all run by one executor (`run_pass`) that holds
+//! every answer to the three fleet invariants:
 //!
-//! 1. The rollout **pauses** at the dead shard (it never skips ahead or
+//! 1. A rollout **pauses** at a dead shard (it never skips ahead or
 //!    abandons verification) and resumes exactly there after rejoin.
-//! 2. **Epochs never mix for one user**: every user's observed
-//!    `X-Model-Epoch` sequence is non-decreasing for the whole run, in
-//!    every city they ask about — the crossing-city traveller is one
-//!    user, wherever they go — and a user pinned to the new generation
-//!    is shed (`503` + Retry-After) rather than answered by an
-//!    old-generation replica.
-//! 3. **Conservation**: every submitted request is accounted for —
-//!    `submitted = served + shed` — and the router's ledger agrees
-//!    with the client-side tally.
+//! 2. **Epochs never mix for one user**: a `200`'s `X-Model-Epoch` is
+//!    the epoch of the replica that answered, and never below the
+//!    highest this user has seen in any city — the crossing-city
+//!    traveller is one user, wherever they go. A user pinned to the new
+//!    generation is shed (`503` + Retry-After) rather than answered by
+//!    an old-generation replica.
+//! 3. **Conservation**: every submitted request is accounted for, and
+//!    the router's ledger agrees with the executor's tally.
 //!
-//! The first tests script one scenario each: a mid-rollout replica
-//! death, its resume over HTTP, and the pin rule when the *upgraded*
-//! owner itself dies (the one case where serving at all would mix
-//! epochs). Then a rollout runs under closed-loop load and must lose
-//! nothing, and a seeded [`FleetFaultPlan`] mixing kills, hangs and
-//! rollouts is replayed twice against fresh fleets.
+//! A named plan is one scripted scenario (a replica death mid-rollout,
+//! its resume over HTTP, a rollout under load, ...) whose test pins its
+//! counts; a seeded [`FleetFaultPlan`] mixes kills, hangs and rollouts
+//! and is replayed twice against fresh fleets.
 
 mod common;
 
 use common::{FleetFixture, BREAKER_THRESHOLD};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use st_router::{BreakerState, ReplicaId, RolloutConfig, RolloutDriver, RolloutStep};
+use st_router::{BreakerState, ReplicaId, RolloutConfig, RolloutDriver, RolloutStep, RouteKey};
 use st_serve::client::{HttpClient, HttpResponse};
 use st_serve::metrics::scrape_gauge;
 use st_serve::server::ServeConfig;
 use st_serve::BatchConfig;
 use st_tensor::StorageEncoding;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
+use Expect::*;
+use FleetChaosPhase::*;
+use Outcome::*;
 
-/// Client-side tally across the whole run.
-#[derive(Default)]
-struct Tally {
-    submitted: usize,
-    served: usize,
-}
-
-/// One request per tracked user and city of the fixture: everyone must
-/// be served (`200`), and nobody's `X-Model-Epoch` may regress — the
-/// client-visible form of "epochs never mix per user", which holds
-/// across remaps and across cities too. The floor is per user, not per
-/// (user, city): a traveller who saw the new generation in one city
-/// must not meet the old one in the next.
-fn sweep(
-    client: &mut HttpClient,
-    users: &[u32],
-    cities: usize,
-    last_epoch: &mut HashMap<u32, u64>,
-    tally: &mut Tally,
-) {
-    for &user in users {
-        for city in 0..cities {
-            tally.submitted += 1;
-            let resp = client
-                .get(&format!("/recommend?user={user}&city={city}&k=4"))
-                .expect("request resolves");
-            assert_eq!(resp.status, 200, "user {user} city {city}: {}", resp.body);
-            tally.served += 1;
-            let epoch: u64 = resp
-                .header("x-model-epoch")
-                .expect("epoch header")
-                .parse()
-                .expect("numeric epoch");
-            let floor = last_epoch.entry(user).or_insert(epoch);
-            assert!(
-                epoch >= *floor,
-                "user {user} regressed from epoch {floor} to {epoch} in city {city}"
-            );
-            *floor = epoch;
-        }
-    }
-}
-
-#[test]
-fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
-    let mut fx = FleetFixture::start("rollout-chaos", 3, ServeConfig::default());
-    // Two users on the shard that upgrades first, one on each other.
-    let mut users: Vec<u32> = fx.users_owned_by(0, 2);
-    users.push(fx.user_owned_by(1));
-    users.push(fx.user_owned_by(2));
-    let cities = fx.dataset.cities().len();
-    assert!(cities >= 2, "a traveller needs a city besides home");
-    let mut client = HttpClient::connect(fx.router_addr()).expect("connect router");
-    let mut last_epoch = HashMap::new();
-    let mut tally = Tally::default();
-
-    // Baseline traffic at epoch 1.
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-
-    // Publish generation 2 and start the rollout.
-    fx.oracle.train_epoch(&fx.dataset.clone());
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-    let fleet = fx.fleet.clone();
-    let mut driver = RolloutDriver::new(
-        &fleet,
-        RolloutConfig {
-            expect_format: Some(StorageEncoding::F32),
-        },
-    );
-
-    // Shard 0 upgrades and verifies; its users see epoch 2 and pin.
-    let step = driver.step();
-    assert_eq!(
-        step,
-        RolloutStep::Upgraded {
-            replica: ReplicaId(0),
-            epoch: 2
-        },
-        "first step"
-    );
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    assert!(fx.fleet.pinned_count() >= 2, "shard-0 users are pinned");
-
-    // Replica 1 dies before its turn. The rollout pauses — and keeps
-    // pausing at the same shard — until it rejoins.
-    fx.kill_replica(1);
-    fx.probe_down();
-    for _ in 0..2 {
-        match driver.step() {
-            RolloutStep::Paused { replica, reason } => {
-                assert_eq!(replica, ReplicaId(1));
-                assert_eq!(reason, "replica down");
-            }
-            other => panic!("expected pause at dead shard, got {other:?}"),
-        }
-    }
-    assert!(fx.fleet.rollout_active(), "rollout holds position");
-
-    // Mid-pause traffic: shard 1's user remaps to a live successor (old
-    // or new generation — either is fine for an unpinned user) and
-    // nobody's epoch regresses.
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-
-    // The corpse rejoins on a fresh port; the driver resumes exactly
-    // where it paused — shard 1, then shard 2 — and verification still
-    // gates every step.
-    fx.rejoin_replica(1);
-    let step = driver.step();
-    assert_eq!(
-        step,
-        RolloutStep::Upgraded {
-            replica: ReplicaId(1),
-            epoch: 2
-        },
-        "resumes at the paused shard"
-    );
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    let step = driver.step();
-    assert_eq!(
-        step,
-        RolloutStep::Upgraded {
-            replica: ReplicaId(2),
-            epoch: 2
-        }
-    );
-    assert_eq!(driver.step(), RolloutStep::Done);
-    assert!(!fx.fleet.rollout_active());
-    assert_eq!(fx.fleet.pinned_count(), 0, "pins drop with the rollout");
-
-    // Post-rollout traffic: everyone lands on epoch 2.
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    for (&user, &epoch) in &last_epoch {
-        assert_eq!(epoch, 2, "user {user} never reached the new generation");
-    }
-
-    // Conservation: nothing was lost across death, pause, and resume —
-    // and the router's ledger agrees with the client-side tally.
-    assert_eq!(tally.submitted, 5 * users.len() * cities, "five sweeps");
-    assert_eq!(tally.submitted, tally.served);
-    let metrics = client.get("/metrics").expect("metrics");
-    let scrape = |name: &str| -> usize {
-        metrics
-            .body
-            .lines()
-            .find_map(|l| l.strip_prefix(name))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("missing metric {name}"))
-    };
-    assert_eq!(scrape("st_router_forwarded_total "), tally.served);
-    assert_eq!(
-        scrape("st_router_recommend_requests_total "),
-        tally.submitted
-    );
-    assert_eq!(scrape("st_router_epoch_pin_503_total "), 0);
-    assert!(
-        scrape("st_router_remapped_total ") >= 1,
-        "the dead shard's traffic was never diverted"
-    );
-
-    fx.shutdown();
-}
-
-#[test]
-fn reposting_admin_reload_resumes_paused_rollout_over_http() {
-    // The HTTP path builds a fresh RolloutDriver per POST; this drives
-    // pause/resume purely through /admin/reload to prove a re-POST
-    // continues the paused rollout (preserving upgraded shards and
-    // pins) instead of restarting it.
-    let mut fx = FleetFixture::start("rollout-resume", 3, ServeConfig::default());
-    let users: Vec<u32> = (0..3).map(|shard| fx.user_owned_by(shard)).collect();
-    let cities = fx.dataset.cities().len();
-    assert!(cities >= 2, "a traveller needs a city besides home");
-    let mut client = HttpClient::connect(fx.router_addr()).expect("connect router");
-    let mut last_epoch = HashMap::new();
-    let mut tally = Tally::default();
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-
-    // Publish generation 2, kill shard 1, and start the rollout: shard 0
-    // upgrades, then the rollout pauses at the corpse.
-    fx.oracle.train_epoch(&fx.dataset.clone());
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-    fx.kill_replica(1);
-    fx.probe_down();
-    let paused = client.post("/admin/reload").expect("rollout rpc");
-    assert_eq!(paused.status, 503, "body: {}", paused.body);
-    assert!(
-        paused.body.contains("\"completed\":false"),
-        "{}",
-        paused.body
-    );
-    assert!(
-        paused.body.contains("{\"replica\":0,\"model_epoch\":2}"),
-        "shard 0 upgraded before the pause: {}",
-        paused.body
-    );
-
-    // Shard 0's user is served by the new generation and pins to it.
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    assert_eq!(last_epoch[&users[0]], 2);
-    assert!(fx.fleet.pinned_count() >= 1, "shard-0 user is pinned");
-
-    // Re-POST while the shard is still down: the rollout must *resume*
-    // at shard 1 — not restart. A restart would re-reload shard 0
-    // (bumping it to epoch 3) and clear the pin set.
-    let still = client.post("/admin/reload").expect("rollout rpc");
-    assert_eq!(still.status, 503, "body: {}", still.body);
-    assert!(
-        still.body.contains("\"upgraded\":[]"),
-        "resume must not re-upgrade shard 0: {}",
-        still.body
-    );
-    assert!(fx.fleet.pinned_count() >= 1, "resume must not clear pins");
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    assert_eq!(
-        last_epoch[&users[0]], 2,
-        "shard 0 must not be reloaded twice"
-    );
-
-    // Rejoin and re-POST: the rollout finishes from where it paused,
-    // upgrading exactly shards 1 and 2.
-    fx.rejoin_replica(1);
-    let done = client.post("/admin/reload").expect("rollout rpc");
-    assert_eq!(done.status, 200, "body: {}", done.body);
-    assert!(done.body.contains("\"completed\":true"), "{}", done.body);
-    assert!(
-        done.body.contains(
-            "\"upgraded\":[{\"replica\":1,\"model_epoch\":2},{\"replica\":2,\"model_epoch\":2}]"
-        ),
-        "resume finishes the remaining shards only: {}",
-        done.body
-    );
-    assert!(!fx.fleet.rollout_active());
-    sweep(&mut client, &users, cities, &mut last_epoch, &mut tally);
-    for (&user, &epoch) in &last_epoch {
-        assert_eq!(epoch, 2, "user {user} never reached the new generation");
-    }
-    assert_eq!(tally.submitted, 4 * users.len() * cities, "four sweeps");
-    assert_eq!(tally.submitted, tally.served, "nothing lost across resume");
-
-    // The ledger distinguishes the fresh start from the two resumes.
-    let metrics = client.get("/metrics").expect("metrics");
-    assert!(metrics.body.contains("st_router_rollouts_started_total 1"));
-    assert!(metrics.body.contains("st_router_rollouts_resumed_total 2"));
-    assert!(metrics
-        .body
-        .contains("st_router_rollouts_completed_total 1"));
-
-    fx.shutdown();
-}
-
-#[test]
-fn pinned_users_shed_when_their_upgraded_owner_dies() {
-    // The pin rule in isolation, on a 2-replica fleet: once a user is
-    // served by the new generation, the only acceptable answers are
-    // new-generation or 503 — never the old model.
-    let mut fx = FleetFixture::start("pin-floor", 2, ServeConfig::default());
-    let user = fx.user_owned_by(0);
-    let mut client = HttpClient::connect(fx.router_addr()).expect("connect router");
-
-    fx.oracle.train_epoch(&fx.dataset.clone());
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-    let fleet = fx.fleet.clone();
-    let mut driver = RolloutDriver::new(&fleet, RolloutConfig::default());
-    assert!(matches!(driver.step(), RolloutStep::Upgraded { .. }));
-
-    let path = format!("/recommend?user={user}&city=1&k=5");
-    let resp = client.get(&path).expect("request");
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.header("x-model-epoch"), Some("2"));
-    assert_eq!(fx.fleet.pinned_count(), 1);
-
-    // The upgraded owner dies; the ring successor is old-generation, so
-    // the pinned user is shed until the rollout catches up.
-    fx.kill_replica(0);
-    fx.probe_down();
-    let shed = client.get(&path).expect("request");
-    assert_eq!(shed.status, 503, "body: {}", shed.body);
-    assert!(shed.body.contains("generation"), "{}", shed.body);
-    assert_eq!(shed.header("retry-after"), Some("1"));
-
-    // An unpinned user of the same dead shard simply remaps.
-    let unpinned = fx
-        .users_owned_by(0, 4)
-        .into_iter()
-        .find(|u| *u != user)
-        .expect("another shard-0 user");
-    let remapped = client
-        .get(&format!("/recommend?user={unpinned}&city=1&k=5"))
-        .expect("request");
-    assert_eq!(remapped.status, 200, "body: {}", remapped.body);
-    assert_eq!(remapped.header("x-router-replica"), Some("1"));
-
-    // After rejoin the paused rollout finishes (upgrading shard 1), and
-    // the pinned user is served again by a verified new-generation
-    // replica.
-    fx.rejoin_replica(0);
-    let report = driver.run();
-    assert!(report.completed, "paused: {:?}", report.paused);
-    let back = client.get(&path).expect("request");
-    assert_eq!(back.status, 200, "body: {}", back.body);
-
-    fx.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// A rollout under load
-// ---------------------------------------------------------------------
-
-/// Concurrent clients per shard while the rollout runs.
-const CLIENTS_PER_SHARD: usize = 2;
-/// Injected per-batch scoring cost, µs: keeps requests in flight across
-/// each replica's swap.
-const ROLLOUT_PAD_US: u64 = 1000;
-
-#[test]
-fn rolling_reload_under_load_loses_no_request() {
-    // Cache off, so every request is in a batcher when its replica swaps.
-    let serve_config = ServeConfig {
-        cache_capacity: 0,
-        workers: CLIENTS_PER_SHARD * 2 + 2,
-        ..ServeConfig::default()
-    };
-    let mut fx = FleetFixture::start("rollout-load", 2, serve_config);
-    for slot in &fx.replicas {
-        // Zero jitter: the pad stands in for inference cost, not noise.
-        slot.injector.set_latency_pad(ROLLOUT_PAD_US, 0);
-    }
-    let addr = fx.router_addr();
-
-    // Publish the next generation for the rollout to pick up.
-    fx.oracle.train_epoch(&fx.dataset.clone());
-    st_tensor::save_params_atomic(fx.oracle.params(), &fx.ckpt).expect("resave ckpt");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for shard in 0..fx.replicas.len() {
-        let users = Arc::new(fx.all_users_owned_by(shard));
-        assert!(!users.is_empty(), "shard {shard} owns no users");
-        for t in 0..CLIENTS_PER_SHARD {
-            let users = users.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("connect router");
-                let (mut ok, mut bad) = (0usize, 0usize);
-                let mut i = 0usize;
-                while !stop.load(Ordering::Acquire) {
-                    let user = users[(t * 31 + i * 7) % users.len()];
-                    i += 1;
-                    let resp = client
-                        .get(&format!("/recommend?user={user}&city=1&k=10"))
-                        .expect("request");
-                    if resp.status == 200 {
-                        ok += 1;
-                    } else {
-                        bad += 1;
-                    }
-                }
-                (ok, bad)
-            }));
-        }
-    }
-
-    // Let traffic establish, roll the fleet, let traffic settle.
-    std::thread::sleep(Duration::from_millis(150));
-    let mut admin = HttpClient::connect(addr).expect("connect admin");
-    let rollout = admin.post("/admin/reload?format=f32").expect("rollout rpc");
-    std::thread::sleep(Duration::from_millis(150));
-    stop.store(true, Ordering::Release);
-
-    let (mut ok_200, mut non_200) = (0usize, 0usize);
-    for handle in handles {
-        let (ok, bad) = handle.join().expect("client thread");
-        ok_200 += ok;
-        non_200 += bad;
-    }
-    assert_eq!(rollout.status, 200, "body: {}", rollout.body);
-    assert!(
-        rollout.body.contains("\"completed\":true"),
-        "{}",
-        rollout.body
-    );
-    assert_eq!(non_200, 0, "{non_200} lost beside {ok_200} served");
-
-    // The router's ledger agrees: every request forwarded, none shed.
-    let metrics = admin.get("/metrics").expect("metrics").body;
-    let scrape = |name| scrape_gauge(&metrics, name);
-    let requests = Some(ok_200 as u64);
-    assert_eq!(scrape("st_router_recommend_requests_total"), requests);
-    assert_eq!(scrape("st_router_forwarded_total"), requests);
-    assert_eq!(scrape("st_router_rollouts_completed_total"), Some(1));
-
-    fx.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Seeded replay
-// ---------------------------------------------------------------------
-
-/// Batcher queue capacity of every replica in the replay.
+/// Batcher queue capacity of every replica.
 const QUEUE_CAPACITY: usize = 6;
-/// Batcher deadline in the replay (hang phases expire against it).
+/// Batcher deadline (hang phases expire against it).
 const DEADLINE: Duration = Duration::from_millis(300);
+/// Injected per-batch scoring cost of a loaded rollout, µs: keeps
+/// requests in flight across each replica's swap.
+const LOAD_PAD_US: u64 = 1000;
+/// The pause reason of a rollout step at a dead shard.
+const DOWN: &str = "replica down";
+/// Every driver step verifies the f32 checkpoint the fixture writes.
+const F32: RolloutConfig = RolloutConfig {
+    expect_format: Some(StorageEncoding::F32),
+};
 
-/// One phase of a seeded fleet schedule.
+/// One phase of a fleet schedule. The first four make up
+/// [`FleetFaultPlan::from_seed`]'s deck; the rest are named plans' only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FleetChaosPhase {
     /// `per_shard` requests to every shard; all `200` from the owner.
@@ -454,11 +68,9 @@ enum FleetChaosPhase {
         remapped: usize,
         after: usize,
     },
-    /// Freeze `victim`'s batcher so `hung` parked requests expire: the
-    /// relayed Retry-After `503`s are deliberate flow control and must
-    /// not trip the breaker. Forced scorer failures (genuine `500`s)
-    /// then trip it, `dark` requests see fast rejects, and a forced
-    /// half-open closes it with one successful request.
+    /// [`Hang`] on `victim`, then forced scorer failures (genuine
+    /// `500`s) trip its breaker, `dark` requests see fast rejects, and a
+    /// forced half-open closes it with one successful request.
     HangBreaker {
         victim: u16,
         hung: usize,
@@ -467,9 +79,45 @@ enum FleetChaosPhase {
     /// Roll the checkpoint across the fleet one replica at a time, with
     /// `per_shard` requests to every shard after each step.
     RollingReload { per_shard: usize },
+    /// Rename the next generation (trained before the client connects)
+    /// over the checkpoint.
+    Publish,
+    /// Kill this replica and probe it down, with no request between.
+    Kill(u16),
+    /// Boot this replica again at its predecessor's epoch, probe it up.
+    Rejoin(u16),
+    /// The first this many users of every shard (all, for `usize::MAX`),
+    /// each in every city; whatever answers come back are booked, none is
+    /// expected.
+    Sweep(usize),
+    /// Freeze `victim`'s batcher so `hung` parked requests expire: the
+    /// relayed Retry-After `503`s are deliberate flow control and must
+    /// not trip the breaker.
+    Hang { victim: u16, hung: usize },
+    /// One step of a fresh rollout driver, which must report this.
+    Step(Expect),
+    /// `POST /admin/reload` through the router: the rollout upgrades
+    /// `upgraded` in order, then completes or pauses at `paused`.
+    AdminReload {
+        format: Option<&'static str>,
+        upgraded: &'static [u16],
+        paused: Option<(u16, &'static str)>,
+    },
+    /// This many clients per shard send requests without a pause while
+    /// `POST /admin/reload?format=f32` rolls the fleet; every request
+    /// must be served.
+    LoadedRollout(usize),
 }
 
-/// A seeded fleet schedule.
+/// What one rollout driver step must report (a pause is at a dead shard).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    Upgraded(u16),
+    Paused(u16),
+    Done,
+}
+
+/// A fleet schedule: named, or expanded from a seed.
 #[derive(Debug, Clone)]
 struct FleetFaultPlan {
     replicas: u16,
@@ -496,21 +144,21 @@ impl FleetFaultPlan {
             "hang phases must be able to trip the breaker within the queue"
         );
         let draw = |rng: &mut SmallRng, mode: usize| match mode {
-            0 => FleetChaosPhase::Normal {
+            0 => Normal {
                 per_shard: rng.gen_range(2..=4),
             },
-            1 => FleetChaosPhase::ReplicaOutage {
+            1 => ReplicaOutage {
                 victim: rng.gen_range(0..replicas),
                 while_dark: rng.gen_range(threshold + 1..=queue_capacity.max(threshold + 2)),
                 remapped: rng.gen_range(2..=4),
                 after: rng.gen_range(1..=3),
             },
-            2 => FleetChaosPhase::HangBreaker {
+            2 => HangBreaker {
                 victim: rng.gen_range(0..replicas),
                 hung: rng.gen_range(threshold..=queue_capacity),
                 dark: rng.gen_range(1..=3),
             },
-            _ => FleetChaosPhase::RollingReload {
+            _ => RollingReload {
                 per_shard: rng.gen_range(1..=2),
             },
         };
@@ -526,7 +174,7 @@ impl FleetFaultPlan {
             let mode = rng.gen_range(0..4);
             phases.push(draw(&mut rng, mode));
         }
-        phases.push(FleetChaosPhase::Normal { per_shard: 2 });
+        phases.push(Normal { per_shard: 2 });
         Self { replicas, phases }
     }
 }
@@ -537,7 +185,7 @@ struct FleetCounts {
     submitted: usize,
     /// `200`s from the user's own shard.
     served: usize,
-    /// `200`s from a ring successor while the owner was down.
+    /// `200`s from another replica (health remap or rollout diversion).
     served_remapped: usize,
     /// Fresh-connect `503`s before a breaker opened.
     unreachable_503: usize,
@@ -547,14 +195,117 @@ struct FleetCounts {
     expired_503: usize,
     /// Relayed forced scorer `500`s (these trip the breaker).
     failed_500: usize,
+    /// `503`s that kept a pinned user off the old generation.
+    pinned_503: usize,
     breaker_opened: usize,
     breaker_closed: usize,
     rollouts_completed: usize,
 }
 
-/// One pass's driving state. Unexpected outcomes are collected, not
-/// asserted on the spot: a panic while requests are parked behind a
-/// frozen batcher would leave their threads waiting.
+/// What one `/recommend` answer was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Home,
+    Remapped,
+    Unreachable,
+    Dark,
+    Expired,
+    Failed,
+    Pinned,
+}
+
+impl FleetCounts {
+    fn book(&mut self, outcome: Outcome) {
+        *match outcome {
+            Home => &mut self.served,
+            Remapped => &mut self.served_remapped,
+            Unreachable => &mut self.unreachable_503,
+            Dark => &mut self.dark_503,
+            Expired => &mut self.expired_503,
+            Failed => &mut self.failed_500,
+            Pinned => &mut self.pinned_503,
+        } += 1;
+    }
+}
+
+/// Names the answer a user of shard `home` got, or `None` for one no
+/// phase can produce. The router's own sheds carry Retry-After and no
+/// shard stamp; the backend's relayed answers carry the stamp.
+fn classify(resp: &HttpResponse, home: usize) -> Option<Outcome> {
+    let stamped = resp.header("x-router-replica");
+    let shed = |why| {
+        resp.status == 503 && resp.header("retry-after") == Some("1") && resp.body.contains(why)
+    };
+    Some(match (resp.status, stamped) {
+        (200, Some(r)) if r == home.to_string() => Home,
+        (200, Some(_)) => Remapped,
+        (500, Some(_)) if resp.body.contains("scorer failed") => Failed,
+        (_, Some(_)) if shed("deadline-exceeded") => Expired,
+        (_, None) if shed("unreachable") => Unreachable,
+        (_, None) if shed("dark") => Dark,
+        (_, None) if shed("generation") => Pinned,
+        _ => return None,
+    })
+}
+
+/// The replica a `200` names and the epoch it stamps.
+fn stamp(resp: &HttpResponse) -> Option<(usize, u64)> {
+    let replica = resp.header("x-router-replica")?.parse().ok()?;
+    Some((replica, resp.header("x-model-epoch")?.parse().ok()?))
+}
+
+/// Raises `user`'s epoch floor (one per user, across cities) to `epoch`,
+/// or says how the user regressed.
+fn raise_floor(floors: &mut HashMap<u32, u64>, user: u32, epoch: u64) -> Result<(), String> {
+    let floor = floors.entry(user).or_insert(epoch);
+    if epoch < *floor {
+        return Err(format!("user {user} went from epoch {floor} to {epoch}"));
+    }
+    *floor = epoch;
+    Ok(())
+}
+
+/// One client of a loaded rollout: requests `users` of shard `home` in
+/// turn, over every city, until `stop`. Every answer must be a `200`
+/// stamped with the answering replica's epoch before or after its
+/// reload (`before[r]` or one more), and no user's epoch may go below
+/// their floor. Returns the client's counts, floors and surprises.
+fn load_client(
+    addr: std::net::SocketAddr,
+    (home, mut floors, users): (usize, HashMap<u32, u64>, Vec<u32>),
+    cities: usize,
+    before: &[u64],
+    stop: &AtomicBool,
+) -> (FleetCounts, HashMap<u32, u64>, Vec<String>) {
+    let mut client = HttpClient::connect(addr).expect("connect router");
+    let (mut counts, mut unexpected) = (FleetCounts::default(), Vec::new());
+    let mut i = 0;
+    while !stop.load(Ordering::Acquire) {
+        let (user, city) = (users[i % users.len()], i / users.len() % cities);
+        i += 1;
+        counts.submitted += 1;
+        let resp = client
+            .get(&format!("/recommend?user={user}&city={city}&k=10"))
+            .expect("request resolves");
+        let outcome = classify(&resp, home).filter(|o| matches!(o, Home | Remapped));
+        let held = match (outcome, stamp(&resp)) {
+            (Some(o), Some((r, epoch))) if (before[r]..=before[r] + 1).contains(&epoch) => {
+                counts.book(o);
+                raise_floor(&mut floors, user, epoch)
+            }
+            _ => Err(format!("{} {}", resp.status, resp.body)),
+        };
+        if let Err(why) = held {
+            unexpected.push(format!("loaded rollout, user {user}: {why}"));
+        }
+    }
+    (counts, floors, unexpected)
+}
+
+/// One pass's driving state, with the fleet as the executor expects it.
+/// Unexpected outcomes are collected, not asserted on the spot: a panic
+/// while requests are parked behind a frozen batcher would leave their
+/// threads waiting.
 struct ChaosDriver {
     fx: FleetFixture,
     client: HttpClient,
@@ -562,12 +313,28 @@ struct ChaosDriver {
     /// are a pure function of the phase sequence.
     shard_users: Vec<Vec<u32>>,
     cursors: Vec<usize>,
+    cities: usize,
+    /// The next generation's checkpoint, for `Publish`.
+    next_generation: Option<PathBuf>,
+    /// Each replica's model epoch.
+    epochs: Vec<u64>,
+    /// Replicas verified onto the new generation by the active rollout.
+    upgraded: Vec<bool>,
+    rollout: bool,
+    /// Users served by an upgraded replica during the active rollout.
+    pins: HashSet<u32>,
+    /// Each user's highest epoch seen, in any city.
+    floors: HashMap<u32, u64>,
+    /// `/admin/reload` POSTs that started, resumed, completed and paused
+    /// a rollout.
+    posts: [u64; 4],
     counts: FleetCounts,
     unexpected: Vec<String>,
 }
 
 impl ChaosDriver {
-    fn new(replicas: usize) -> Self {
+    fn new(plan: &FleetFaultPlan) -> Self {
+        let replicas = plan.replicas as usize;
         let serve_config = ServeConfig {
             batch: BatchConfig {
                 queue_capacity: QUEUE_CAPACITY,
@@ -575,23 +342,36 @@ impl ChaosDriver {
                 ..BatchConfig::default()
             },
             cache_capacity: 0,
-            workers: QUEUE_CAPACITY + 2,
             ..ServeConfig::default()
         };
-        let fx = FleetFixture::start("fleet-chaos", replicas, serve_config);
+        let mut fx = FleetFixture::start("fleet-chaos", replicas, serve_config);
+        // Trained before the client connects, which the router drops
+        // after 5 s idle: training can take longer on a busy machine.
+        let next_generation = plan.phases.contains(&Publish).then(|| {
+            fx.oracle.train_epoch(&fx.dataset.clone());
+            let path = fx.ckpt.with_file_name("next.bin");
+            st_tensor::save_params_atomic(fx.oracle.params(), &path).expect("save generation 2");
+            path
+        });
         let client = HttpClient::connect(fx.router_addr()).expect("connect router");
-        let shard_users: Vec<Vec<u32>> = (0..replicas)
-            .map(|r| {
-                let users = fx.all_users_owned_by(r);
-                assert!(!users.is_empty(), "shard {r} owns no users");
-                users
-            })
-            .collect();
+        let shard_users: Vec<_> = (0..replicas).map(|r| fx.users_owned_by(r)).collect();
+        assert!(
+            shard_users.iter().all(|users| users.len() >= 2),
+            "{shard_users:?}"
+        );
         Self {
+            cities: fx.dataset.cities().len(),
             fx,
             client,
-            cursors: vec![0; replicas],
             shard_users,
+            cursors: vec![0; replicas],
+            next_generation,
+            epochs: vec![1; replicas],
+            upgraded: vec![false; replicas],
+            rollout: false,
+            pins: HashSet::new(),
+            floors: HashMap::new(),
+            posts: [0; 4],
             counts: FleetCounts::default(),
             unexpected: Vec::new(),
         }
@@ -604,56 +384,205 @@ impl ChaosDriver {
         user
     }
 
-    fn get(&mut self, user: u32) -> HttpResponse {
-        self.counts.submitted += 1;
-        self.client
-            .get(&format!("/recommend?user={user}&city=1&k=10"))
-            .expect("request resolves")
-    }
-
-    fn expect(&mut self, what: &str, ok: bool, detail: String) {
+    fn expect(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
         if !ok {
-            self.unexpected.push(format!("{what}: {detail}"));
+            self.unexpected.push(format!("{what}: {}", detail()));
         }
     }
 
     fn breaker(&self, victim: usize) -> BreakerState {
-        self.fx
-            .fleet
-            .replica(ReplicaId(victim as u16))
-            .breaker
-            .state()
+        let replica = self.fx.fleet.replica(ReplicaId(victim as u16));
+        replica.breaker.state()
     }
 
-    /// `n` requests to `shard`'s own users, each expecting a `200` routed
-    /// by `routed_ok`.
-    fn serve_shard(
-        &mut self,
-        what: &str,
-        shard: usize,
-        n: usize,
-        routed_ok: impl Fn(&str) -> bool,
-    ) {
+    fn expect_breaker(&mut self, what: &str, victim: usize, want: BreakerState) {
+        let state = self.breaker(victim);
+        self.expect(what, state == want, || format!("{state}, wanted {want}"));
+    }
+
+    /// Books one answer to `user`. A `200` must carry the answering
+    /// replica's epoch, must not take the user below their floor, and
+    /// pins the user when an upgraded replica gave it.
+    fn book(&mut self, user: u32, resp: &HttpResponse) -> Option<Outcome> {
+        let home = self.fx.fleet.static_owner(RouteKey::User(user)).unwrap();
+        let outcome = classify(resp, home.0 as usize);
+        match outcome {
+            Some(o) => self.counts.book(o),
+            None => self.expect("answer", false, || {
+                format!("user {user}: {} {}", resp.status, resp.body)
+            }),
+        }
+        if matches!(outcome, Some(Home | Remapped)) {
+            let (replica, epoch) = stamp(resp).expect("a 200 names its replica and epoch");
+            let want = self.epochs[replica];
+            self.expect("epoch", epoch == want, || {
+                format!("user {user} got epoch {epoch} from replica {replica} at {want}")
+            });
+            if let Err(why) = raise_floor(&mut self.floors, user, epoch) {
+                self.expect("epoch floor", false, || why);
+            }
+            if self.rollout && self.upgraded[replica] {
+                self.pins.insert(user);
+            }
+        }
+        outcome
+    }
+
+    fn request(&mut self, user: u32, city: usize) -> Option<Outcome> {
+        self.counts.submitted += 1;
+        let resp = self
+            .client
+            .get(&format!("/recommend?user={user}&city={city}&k=10"))
+            .expect("request resolves");
+        self.book(user, &resp)
+    }
+
+    /// `n` requests to `shard`'s own users, cities in turn, each
+    /// answered `want`.
+    fn expect_n(&mut self, what: &str, shard: usize, n: usize, want: Outcome) {
         for _ in 0..n {
             let user = self.next_user(shard);
-            let resp = self.get(user);
-            let routed = resp.header("x-router-replica").unwrap_or("");
-            let ok = resp.status == 200 && routed_ok(routed);
-            let detail = format!("user {user}: {} via {routed:?}", resp.status);
-            self.expect(what, ok, detail);
+            let got = self.request(user, self.counts.submitted % self.cities);
+            self.expect(what, got == Some(want), || format!("user {user}: {got:?}"));
         }
     }
 
+    fn begin_rollout(&mut self) {
+        if !self.rollout {
+            self.rollout = true;
+            self.upgraded.fill(false);
+        }
+    }
+
+    fn finish_rollout(&mut self) {
+        self.rollout = false;
+        self.upgraded.fill(false);
+        self.pins.clear();
+        self.counts.rollouts_completed += 1;
+    }
+
+    /// One rollout driver step, booked: an upgrade must verify the
+    /// replica's next epoch, a pause must be at a dead shard.
+    fn step(&mut self, driver: &mut RolloutDriver<'_>) -> RolloutStep {
+        let step = driver.step();
+        self.begin_rollout();
+        match &step {
+            RolloutStep::Upgraded { replica, epoch } => {
+                let r = replica.0 as usize;
+                let want = self.epochs[r] + 1;
+                self.expect("upgrade", *epoch == want, || format!("{r} at {epoch}"));
+                (self.epochs[r], self.upgraded[r]) = (*epoch, true);
+            }
+            RolloutStep::Paused { replica, reason } => {
+                self.expect("pause", reason == DOWN, || format!("{replica}: {reason}"));
+            }
+            RolloutStep::Done => self.finish_rollout(),
+        }
+        step
+    }
+
+    /// One `POST /admin/reload`, whose report must be exactly the one
+    /// the executor's fleet predicts: `order` upgraded, then completed or
+    /// paused.
+    fn admin_reload(&mut self, format: Option<&str>, order: &[u16], paused: Option<(u16, &str)>) {
+        self.posts[usize::from(self.rollout)] += 1;
+        self.begin_rollout();
+        let mut report = format!("{{\"completed\":{},\"upgraded\":[", paused.is_none());
+        for (i, &r) in order.iter().enumerate() {
+            let (r, sep) = (r as usize, if i > 0 { "," } else { "" });
+            (self.epochs[r], self.upgraded[r]) = (self.epochs[r] + 1, true);
+            let epoch = self.epochs[r];
+            let _ = write!(report, "{sep}{{\"replica\":{r},\"model_epoch\":{epoch}}}");
+        }
+        report.push(']');
+        if let Some((r, why)) = paused {
+            if why != DOWN {
+                // The reload ran; its verification failed.
+                self.epochs[r as usize] += 1;
+            }
+            let _ = write!(
+                report,
+                ",\"paused\":{{\"replica\":{r},\"reason\":\"{why}\"}}"
+            );
+            self.posts[3] += 1;
+        } else {
+            self.posts[2] += 1;
+            self.finish_rollout();
+        }
+        report.push('}');
+        let target = match format {
+            Some(f) => format!("/admin/reload?format={f}"),
+            None => "/admin/reload".into(),
+        };
+        let resp = self.client.post(&target).expect("rollout rpc");
+        let got = (resp.status, resp.body);
+        let want = (if paused.is_some() { 503 } else { 200 }, report);
+        self.expect("admin reload", got == want, || {
+            format!("{got:?}, wanted {want:?}")
+        });
+    }
+
+    fn down(&mut self, victim: usize) {
+        self.fx.probe_down();
+        let healthy = self.fx.fleet.replica(ReplicaId(victim as u16)).healthy();
+        self.expect("probed down", !healthy, || format!("replica {victim}"));
+    }
+
+    /// Rejoins `victim` at its predecessor's epoch: healthy, breaker
+    /// closed (a close of the breaker if it was open).
+    fn rejoin(&mut self, victim: usize) {
+        if self.breaker(victim) == BreakerState::Open {
+            self.counts.breaker_closed += 1;
+        }
+        self.fx.rejoin_replica(victim, self.epochs[victim]);
+        self.expect_breaker("rejoin", victim, BreakerState::Closed);
+    }
+
+    /// Parks `hung` requests to `victim` behind its frozen batcher, holds
+    /// the freeze past the deadline and thaws: each comes back a relayed
+    /// `503` shed that leaves the breaker closed.
+    fn hang(&mut self, victim: usize, hung: usize) {
+        let injector = self.fx.replicas[victim].injector.clone();
+        injector.freeze();
+        let addr = self.fx.router_addr();
+        let first = self.counts.submitted;
+        let parked: Vec<_> = (first..first + hung)
+            .map(|n| (self.next_user(victim), n % self.cities))
+            .collect();
+        self.counts.submitted += hung;
+        let fx = &self.fx;
+        let answers: Vec<HttpResponse> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parked
+                .iter()
+                .map(|&(user, city)| {
+                    scope.spawn(move || {
+                        let mut c = HttpClient::connect(addr).expect("connect");
+                        c.get(&format!("/recommend?user={user}&city={city}&k=10"))
+                            .expect("parked request resolves")
+                    })
+                })
+                .collect();
+            fx.wait_for_depth(victim, hung);
+            std::thread::sleep(DEADLINE + DEADLINE);
+            injector.thaw();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (&(user, _), resp) in parked.iter().zip(&answers) {
+            let got = self.book(user, resp);
+            self.expect("hang expiry", got == Some(Expired), || format!("{got:?}"));
+        }
+        self.expect_breaker("hang sheds breaker-exempt", victim, BreakerState::Closed);
+    }
+
     fn run_phase(&mut self, phase: FleetChaosPhase) {
+        let shards = self.shard_users.len();
         match phase {
-            FleetChaosPhase::Normal { per_shard } => {
-                for shard in 0..self.shard_users.len() {
-                    let home = shard.to_string();
-                    self.serve_shard("normal", shard, per_shard, |r| r == home);
-                    self.counts.served += per_shard;
+            Normal { per_shard } => {
+                for shard in 0..shards {
+                    self.expect_n("normal", shard, per_shard, Home);
                 }
             }
-            FleetChaosPhase::ReplicaOutage {
+            ReplicaOutage {
                 victim,
                 while_dark,
                 remapped,
@@ -663,206 +592,324 @@ impl ChaosDriver {
                 self.fx.kill_replica(victim);
                 // Fresh-connect failures until the breaker opens, then
                 // fast dark-shard rejects; the threshold fixes the split.
-                for i in 0..while_dark {
-                    let user = self.next_user(victim);
-                    let resp = self.get(user);
-                    let unreachable = i < BREAKER_THRESHOLD as usize;
-                    let want = if unreachable { "unreachable" } else { "dark" };
-                    self.expect(
-                        "outage dark window",
-                        resp.status == 503 && resp.body.contains(want),
-                        format!("request {i}: {} {}", resp.status, resp.body),
-                    );
-                    if unreachable {
-                        self.counts.unreachable_503 += 1;
-                    } else {
-                        self.counts.dark_503 += 1;
-                    }
-                }
-                let state = self.breaker(victim);
-                self.expect(
-                    "outage breaker",
-                    state == BreakerState::Open,
-                    format!("{state}"),
-                );
+                let threshold = BREAKER_THRESHOLD as usize;
+                self.expect_n("outage unreachable", victim, threshold, Unreachable);
+                self.expect_breaker("outage breaker", victim, BreakerState::Open);
+                self.expect_n("outage dark", victim, while_dark - threshold, Dark);
                 self.counts.breaker_opened += 1;
                 // Probes mark the corpse down; its keys remap.
-                self.fx.probe_down();
-                let home = victim.to_string();
-                self.serve_shard("outage remap", victim, remapped, |r| r != home);
-                self.counts.served_remapped += remapped;
-                // Rejoin on a fresh port: the probe restores health and
-                // resets the breaker; traffic returns home.
-                self.fx.rejoin_replica(victim);
-                self.counts.breaker_closed += 1;
-                self.serve_shard("outage rejoin", victim, after, |r| r == home);
-                self.counts.served += after;
+                self.down(victim);
+                self.expect_n("outage remap", victim, remapped, Remapped);
+                // The probe restores health and resets the breaker;
+                // traffic returns home.
+                self.rejoin(victim);
+                self.expect_n("outage rejoin", victim, after, Home);
             }
-            FleetChaosPhase::HangBreaker { victim, hung, dark } => {
+            HangBreaker { victim, hung, dark } => {
                 let victim = victim as usize;
-                let injector = self.fx.replicas[victim].injector.clone();
-                injector.freeze();
-                // Park `hung` requests in the frozen queue, hold the
-                // freeze past the deadline, thaw: each comes back a
-                // relayed 503 shed (deadline-exceeded + Retry-After).
-                let addr = self.fx.router_addr();
-                let users: Vec<u32> = (0..hung).map(|_| self.next_user(victim)).collect();
-                self.counts.submitted += hung;
-                let sheds: Vec<(u16, bool)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = users
-                        .iter()
-                        .map(|&user| {
-                            scope.spawn(move || {
-                                let mut c = HttpClient::connect(addr).expect("connect");
-                                let resp = c
-                                    .get(&format!("/recommend?user={user}&city=1&k=10"))
-                                    .expect("parked request resolves");
-                                (resp.status, resp.header("retry-after").is_some())
-                            })
-                        })
-                        .collect();
-                    self.fx.wait_for_depth(victim, hung);
-                    std::thread::sleep(DEADLINE + DEADLINE);
-                    injector.thaw();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                for (i, (status, retry_after)) in sheds.into_iter().enumerate() {
-                    self.expect(
-                        "hang expiry",
-                        status == 503 && retry_after,
-                        format!("parked request {i}: {status} retry-after={retry_after}"),
-                    );
-                }
-                self.counts.expired_503 += hung;
-                // Deliberate sheds are breaker-exempt: `hung` overload
-                // 503s (≥ threshold) must leave the shard lit.
-                let state = self.breaker(victim);
-                self.expect(
-                    "hang sheds breaker-exempt",
-                    state == BreakerState::Closed,
-                    format!("{state}"),
-                );
+                self.hang(victim, hung);
                 // Trip the breaker with *unexpected* 5xx: the next
                 // `threshold` batches fail their scorer.
+                let injector = self.fx.replicas[victim].injector.clone();
                 injector.fail_next_batches(u64::from(BREAKER_THRESHOLD));
-                for i in 0..BREAKER_THRESHOLD as usize {
-                    let user = self.next_user(victim);
-                    let resp = self.get(user);
-                    self.expect(
-                        "hang scorer failure",
-                        resp.status == 500 && resp.body.contains("scorer failed"),
-                        format!("request {i}: {} {}", resp.status, resp.body),
-                    );
-                    self.counts.failed_500 += 1;
-                }
-                let state = self.breaker(victim);
-                self.expect(
-                    "hang breaker open",
-                    state == BreakerState::Open,
-                    format!("{state}"),
-                );
+                let threshold = BREAKER_THRESHOLD as usize;
+                self.expect_n("hang scorer failure", victim, threshold, Failed);
+                self.expect_breaker("hang breaker", victim, BreakerState::Open);
                 self.counts.breaker_opened += 1;
-                for i in 0..dark {
-                    let user = self.next_user(victim);
-                    let resp = self.get(user);
-                    self.expect(
-                        "hang dark",
-                        resp.status == 503 && resp.body.contains("dark"),
-                        format!("request {i}: {} {}", resp.status, resp.body),
-                    );
-                    self.counts.dark_503 += 1;
-                }
+                self.expect_n("hang dark", victim, dark, Dark);
                 // Half-open admits exactly one probe request; the thawed
                 // replica answers and the breaker closes.
                 let replica = ReplicaId(victim as u16);
                 self.fx.fleet.replica(replica).breaker.force_half_open();
-                let user = self.next_user(victim);
-                let status = self.get(user).status;
-                let state = self.breaker(victim);
-                self.expect(
-                    "hang recovery",
-                    status == 200 && state == BreakerState::Closed,
-                    format!("{status} then {state}"),
-                );
-                self.counts.served += 1;
+                self.expect_n("hang recovery", victim, 1, Home);
+                self.expect_breaker("hang recovery", victim, BreakerState::Closed);
                 self.counts.breaker_closed += 1;
             }
-            FleetChaosPhase::RollingReload { per_shard } => {
-                // Roll the checkpoint across the fleet shard by shard
-                // (reloading the same file still bumps each epoch),
-                // with traffic between steps.
+            RollingReload { per_shard } => {
+                // Reloading the same file still bumps each epoch.
                 let fleet = self.fx.fleet.clone();
-                let mut driver = RolloutDriver::new(&fleet, RolloutConfig::default());
+                let mut driver = RolloutDriver::new(&fleet, F32);
                 loop {
-                    match driver.step() {
+                    match self.step(&mut driver) {
                         RolloutStep::Upgraded { .. } => {
-                            for shard in 0..self.shard_users.len() {
-                                self.serve_shard("rollout traffic", shard, per_shard, |_| true);
-                                self.counts.served += per_shard;
+                            for shard in 0..shards {
+                                self.expect_n("rollout traffic", shard, per_shard, Home);
                             }
                         }
                         RolloutStep::Done => break,
-                        RolloutStep::Paused { replica, reason } => {
-                            self.expect("rollout pause", false, format!("at {replica}: {reason}"));
+                        RolloutStep::Paused { .. } => {
+                            self.expect("rollout", false, || "paused".into());
                             driver.abort();
+                            self.finish_rollout();
                             break;
                         }
                     }
                 }
-                self.counts.rollouts_completed += 1;
             }
+            Publish => {
+                let next = self.next_generation.take().expect("one publish per plan");
+                std::fs::rename(next, &self.fx.ckpt).expect("publish generation 2");
+            }
+            Kill(victim) => {
+                self.fx.kill_replica(victim as usize);
+                self.down(victim as usize);
+            }
+            Rejoin(victim) => self.rejoin(victim as usize),
+            Sweep(per_shard) => {
+                for shard in 0..shards {
+                    for i in 0..per_shard.min(self.shard_users[shard].len()) {
+                        let user = self.shard_users[shard][i];
+                        for city in 0..self.cities {
+                            self.request(user, city);
+                        }
+                    }
+                }
+            }
+            Hang { victim, hung } => self.hang(victim as usize, hung),
+            Step(expect) => {
+                let fleet = self.fx.fleet.clone();
+                let step = self.step(&mut RolloutDriver::new(&fleet, F32));
+                let ok = match (expect, &step) {
+                    (Upgraded(r), RolloutStep::Upgraded { replica, .. }) => replica.0 == r,
+                    (Paused(r), RolloutStep::Paused { replica, .. }) => replica.0 == r,
+                    (Done, RolloutStep::Done) => true,
+                    _ => false,
+                };
+                self.expect("step", ok, || format!("{step:?}, wanted {expect:?}"));
+            }
+            AdminReload {
+                format,
+                upgraded,
+                paused,
+            } => self.admin_reload(format, upgraded, paused),
+            LoadedRollout(clients_per_shard) => self.loaded_rollout(clients_per_shard),
+        }
+        let fleet = &self.fx.fleet;
+        let got = (fleet.rollout_active(), fleet.pinned_count());
+        let want = (self.rollout, self.pins.len());
+        self.expect("rollout active, pinned", got == want, || {
+            format!("{phase:?}: {got:?}, wanted {want:?}")
+        });
+    }
+
+    fn loaded_rollout(&mut self, clients_per_shard: usize) {
+        for slot in &self.fx.replicas {
+            // Zero jitter: the pad stands in for inference cost, not noise.
+            slot.injector.set_latency_pad(LOAD_PAD_US, 0);
+        }
+        let (addr, cities, before) = (self.fx.router_addr(), self.cities, self.epochs.clone());
+        let all: Vec<u16> = (0..self.epochs.len() as u16).collect();
+        let stop = AtomicBool::new(false);
+        let tallies: Vec<_> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (home, users) in self.shard_users.iter().enumerate() {
+                for t in 0..clients_per_shard {
+                    // Disjoint users per client keep each user's
+                    // requests in order, so their floors are exact.
+                    let mine: Vec<u32> = users[t..]
+                        .iter()
+                        .step_by(clients_per_shard)
+                        .copied()
+                        .collect();
+                    let floors = mine.iter().filter_map(|u| Some((*u, *self.floors.get(u)?)));
+                    let client = (home, floors.collect(), mine);
+                    let (before, stop) = (&before, &stop);
+                    handles
+                        .push(scope.spawn(move || load_client(addr, client, cities, before, stop)));
+                }
+            }
+            // Let traffic establish, roll the fleet, let traffic settle.
+            std::thread::sleep(Duration::from_millis(150));
+            self.admin_reload(Some("f32"), &all, None);
+            std::thread::sleep(Duration::from_millis(150));
+            stop.store(true, Ordering::Release);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (c, floors, unexpected) in tallies {
+            self.counts.submitted += c.submitted;
+            self.counts.served += c.served;
+            self.counts.served_remapped += c.served_remapped;
+            self.floors.extend(floors);
+            self.unexpected.extend(unexpected);
+        }
+        for slot in &self.fx.replicas {
+            slot.injector.set_latency_pad(0, 0);
         }
     }
 }
 
 /// Replays `plan` once against a fresh fleet and returns its count
-/// signature, after asserting that every response was the one its phase
+/// signature, after asserting that every response was one its phase
 /// predicts, that the counts conserve, and that the router's ledger
 /// agrees with them.
-fn run_chaos_pass(plan: &FleetFaultPlan) -> FleetCounts {
-    let mut driver = ChaosDriver::new(plan.replicas as usize);
+fn run_pass(plan: &FleetFaultPlan) -> FleetCounts {
+    let mut driver = ChaosDriver::new(plan);
     for &phase in &plan.phases {
         driver.run_phase(phase);
     }
-    let ChaosDriver {
-        fx,
-        mut client,
-        counts: c,
-        unexpected,
-        ..
-    } = driver;
+    let c = driver.counts.clone();
+    let unexpected = &driver.unexpected;
     assert!(
         unexpected.is_empty(),
         "unexpected outcomes: {unexpected:#?}"
     );
-    assert_eq!(
-        c.served
-            + c.served_remapped
-            + c.unreachable_503
-            + c.dark_503
-            + c.expired_503
-            + c.failed_500,
-        c.submitted,
-        "conservation: {c:?}"
-    );
-
-    let metrics = client.get("/metrics").expect("metrics").body;
-    let scrape = |name| scrape_gauge(&metrics, name).map(|v| v as usize);
     let forwarded = c.served + c.served_remapped + c.expired_503 + c.failed_500;
-    assert_eq!(
-        scrape("st_router_recommend_requests_total"),
-        Some(c.submitted)
-    );
-    assert_eq!(scrape("st_router_forwarded_total"), Some(forwarded));
-    assert_eq!(
-        scrape("st_router_forward_errors_total"),
-        Some(c.unreachable_503)
-    );
-    assert_eq!(scrape("st_router_dark_shard_503_total"), Some(c.dark_503));
-    assert_eq!(scrape("st_router_epoch_pin_503_total"), Some(0));
-    assert_eq!(scrape("st_router_remapped_total"), Some(c.served_remapped));
-    fx.shutdown();
+    let own = c.unreachable_503 + c.dark_503 + c.pinned_503;
+    assert_eq!(forwarded + own, c.submitted, "conservation: {c:?}");
+
+    let metrics = driver.client.get("/metrics").expect("metrics").body;
+    let ledger = [
+        ("st_router_recommend_requests_total", c.submitted),
+        ("st_router_forwarded_total", forwarded),
+        ("st_router_forward_errors_total", c.unreachable_503),
+        ("st_router_dark_shard_503_total", c.dark_503),
+        ("st_router_epoch_pin_503_total", c.pinned_503),
+        ("st_router_remapped_total", c.served_remapped),
+        ("st_router_breaker_opened_total", c.breaker_opened),
+    ];
+    let rollouts = ["started", "resumed", "completed", "paused"]
+        .map(|what| format!("st_router_rollouts_{what}_total"));
+    for (name, want) in ledger
+        .map(|(name, want)| (name.to_string(), want as u64))
+        .into_iter()
+        .chain(rollouts.into_iter().zip(driver.posts))
+    {
+        assert_eq!(scrape_gauge(&metrics, &name), Some(want), "{name}");
+    }
+    driver.fx.shutdown();
     c
+}
+
+/// Runs a named plan: one scripted scenario's phases on `replicas`.
+fn run_named(replicas: u16, phases: &[FleetChaosPhase]) -> FleetCounts {
+    run_pass(&FleetFaultPlan {
+        replicas,
+        phases: phases.to_vec(),
+    })
+}
+
+/// The paused report of a rollout at a dead shard.
+const AT_1_DOWN: Option<(u16, &str)> = Some((1, DOWN));
+
+#[test]
+fn replica_death_mid_rollout_pauses_without_mixing_epochs() {
+    // Two users per shard sweep every city between the steps: shard 0
+    // upgrades and its users pin; replica 1 dies and the rollout keeps
+    // pausing there while its users remap; it rejoins, and the rollout
+    // resumes at shard 1.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Sweep(2), Publish, Step(Upgraded(0)), Sweep(2), Kill(1), Step(Paused(1)),
+         Step(Paused(1)), Sweep(2), Rejoin(1), Step(Upgraded(1)), Sweep(2), Step(Upgraded(2)),
+         Step(Done), Sweep(2)],
+        FleetCounts { submitted: 60, served: 56, served_remapped: 4, rollouts_completed: 1,
+                      ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(3, &phases), want);
+}
+
+#[test]
+fn reposting_admin_reload_resumes_paused_rollout_over_http() {
+    // Each POST builds a fresh driver: a re-POST must continue the
+    // paused rollout (`"upgraded":[]`, pins kept) rather than restart it
+    // (which would reload shard 0 again, to epoch 3, and clear its pins).
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Sweep(1), Publish, Kill(1),
+         AdminReload { format: None, upgraded: &[0], paused: AT_1_DOWN }, Sweep(1),
+         AdminReload { format: None, upgraded: &[], paused: AT_1_DOWN }, Sweep(1), Rejoin(1),
+         AdminReload { format: None, upgraded: &[1, 2], paused: None }, Sweep(1)],
+        FleetCounts { submitted: 24, served: 20, served_remapped: 4, rollouts_completed: 1,
+                      ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(3, &phases), want);
+}
+
+#[test]
+fn pinned_users_shed_when_their_upgraded_owner_dies() {
+    // Shard 0's first user is served by the new generation and pins.
+    // Its owner dies and the ring successor is old-generation: that user
+    // is shed in both cities, while shard 0's next (unpinned) user
+    // remaps. After rejoin the rollout finishes and the pinned user is
+    // served again.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Publish, Step(Upgraded(0)), Sweep(1), Kill(0), Sweep(2), Rejoin(0), Step(Upgraded(1)),
+         Step(Done), Sweep(1)],
+        FleetCounts { submitted: 16, served: 12, served_remapped: 2, pinned_503: 2,
+                      rollouts_completed: 1, ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
+}
+
+#[test]
+fn rolling_reload_under_load_loses_no_request() {
+    // Two clients per shard, cache off and a 1 ms pad per batch, so
+    // requests are in every batcher when its replica swaps. The tally
+    // counts requests by wall clock, so only its shape is pinned.
+    let counts = run_named(2, &[Publish, LoadedRollout(2)]);
+    assert!(counts.submitted > 0);
+    assert_eq!(counts.served + counts.served_remapped, counts.submitted);
+    #[rustfmt::skip]
+    let (rest, want) = (
+        FleetCounts { submitted: 0, served: 0, served_remapped: 0, ..counts },
+        FleetCounts { rollouts_completed: 1, ..FleetCounts::default() },
+    );
+    assert_eq!(rest, want);
+}
+
+#[test]
+fn routing_is_stable_and_spread_across_shards() {
+    // Every user of the fixture, in both cities, on three replicas: each
+    // is served by their ring owner, and nothing is remapped or shed.
+    #[rustfmt::skip]
+    let want = FleetCounts { submitted: 120, served: 120, ..FleetCounts::default() };
+    assert_eq!(run_named(3, &[Sweep(usize::MAX)]), want);
+}
+
+#[test]
+fn replica_death_trips_breaker_then_probes_remap_then_rejoin_restores() {
+    // Threshold-many fresh-connect 503s open the breaker; the next
+    // request is a fast dark reject, not a failover; once probed down
+    // the shard's user is served by the successor, and after rejoin at
+    // home again.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Normal { per_shard: 1 },
+         ReplicaOutage { victim: 1, while_dark: 4, remapped: 1, after: 1 }],
+        FleetCounts { submitted: 8, served: 3, served_remapped: 1, unreachable_503: 3,
+                      dark_503: 1, breaker_opened: 1, breaker_closed: 1, ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
+}
+
+#[test]
+fn backend_deadline_sheds_relay_without_tripping_the_breaker() {
+    // Threshold-many relayed deadline sheds leave the shard lit: the
+    // next requests are served at home.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Hang { victim: 0, hung: 3 }, Normal { per_shard: 1 }],
+        FleetCounts { submitted: 5, served: 2, expired_503: 3, ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
+}
+
+#[test]
+fn admin_reload_rolls_the_whole_fleet_with_verification() {
+    // Both replicas verify at epoch 2. A pinned wrong format then
+    // reloads shard 0 (to epoch 3), fails verification and pauses the
+    // rollout there; shard 0's user is diverted to replica 1 at epoch 2.
+    let mismatch = "snapshot format mismatch: reloaded f32, expected int8";
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Publish, AdminReload { format: Some("f32"), upgraded: &[0, 1], paused: None },
+         AdminReload { format: Some("int8"), upgraded: &[], paused: Some((0, mismatch)) },
+         Sweep(1)],
+        FleetCounts { submitted: 4, served: 2, served_remapped: 2, rollouts_completed: 1,
+                      ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
 }
 
 #[test]
@@ -870,7 +917,7 @@ fn seeded_fleet_chaos_holds_every_invariant() {
     // What CI replays on the optimized build: seed 42, two phases past
     // the deck, three replicas, two passes against fresh fleets.
     let plan = FleetFaultPlan::from_seed(42, 3, BREAKER_THRESHOLD, QUEUE_CAPACITY, 2);
-    let first = run_chaos_pass(&plan);
+    let first = run_pass(&plan);
     assert_eq!(
         first,
         FleetCounts {
@@ -881,12 +928,13 @@ fn seeded_fleet_chaos_holds_every_invariant() {
             dark_503: 6,
             expired_503: 10,
             failed_500: 6,
+            pinned_503: 0,
             breaker_opened: 3,
             breaker_closed: 3,
             rollouts_completed: 1,
         }
     );
-    assert_eq!(run_chaos_pass(&plan), first, "same seed, same counts");
+    assert_eq!(run_pass(&plan), first, "same seed, same counts");
 }
 
 #[test]
@@ -927,26 +975,27 @@ fn covers_every_mode_and_bounds_parameters() {
         let (mut normal, mut outage, mut hang, mut reload) = (0, 0, 0, 0);
         for phase in &plan.phases {
             match *phase {
-                FleetChaosPhase::Normal { per_shard } => {
+                Normal { per_shard } => {
                     normal += 1;
                     assert!(per_shard >= 1);
                 }
-                FleetChaosPhase::ReplicaOutage {
+                ReplicaOutage {
                     victim, while_dark, ..
                 } => {
                     outage += 1;
                     assert!(victim < 4);
                     assert!(while_dark > 3, "dark window must trip the breaker");
                 }
-                FleetChaosPhase::HangBreaker { victim, hung, .. } => {
+                HangBreaker { victim, hung, .. } => {
                     hang += 1;
                     assert!(victim < 4);
                     assert!((3..=6).contains(&hung));
                 }
-                FleetChaosPhase::RollingReload { per_shard } => {
+                RollingReload { per_shard } => {
                     reload += 1;
                     assert!(per_shard >= 1);
                 }
+                other => panic!("{other:?} is a named plan's phase, not the deck's"),
             }
         }
         assert!(normal >= 1 && outage >= 1 && hang >= 1 && reload >= 1);
