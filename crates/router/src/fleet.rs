@@ -462,60 +462,87 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Operation codes of a replay: a kill probes the replica down, a
+    /// rejoin probes it up, a trip opens its breaker and a close shuts it,
+    /// a step drives the rollout, a finish ends it; anything else serves
+    /// the picked user.
+    const KILL: u8 = 0;
+    const REJOIN: u8 = 1;
+    const TRIP: u8 = 2;
+    const CLOSE: u8 = 3;
+    const STEP: u8 = 4;
+    const FINISH: u8 = 5;
+    const SERVE: u8 = 6;
 
-        #[test]
-        fn routing_matches_the_reference_fleet(
-            replicas in 2usize..6,
-            ops in collection::vec((0u8..8, 0usize..6, 0u32..USERS), 1..100),
-        ) {
-            let addrs = vec!["127.0.0.1:1".parse().unwrap(); replicas];
-            let fleet = Fleet::new(&addrs, FleetConfig::default());
-            let mut m = Model {
-                up: vec![true; replicas],
-                open: vec![false; replicas],
-                generation: vec![Generation::Old; replicas],
-                rollout: None,
-                pins: HashSet::new(),
-            };
-            let now = Instant::now();
-            let decide = |user| {
-                let d = fleet.route(RouteKey::User(user), now);
-                d.map(|d| (d.replica, d.remapped))
-            };
+    fn test_fleet(replicas: usize) -> Fleet {
+        let addrs = vec!["127.0.0.1:1".parse().unwrap(); replicas];
+        Fleet::new(&addrs, FleetConfig::default())
+    }
+
+    /// The first user whose static owner is replica `owner`.
+    fn owned_by(fleet: &Fleet, owner: u16) -> u32 {
+        (0..USERS)
+            .find(|&u| fleet.static_owner(RouteKey::User(u)) == Some(ReplicaId(owner)))
+            .expect("every replica owns a user")
+    }
+
+    fn route(fleet: &Fleet, user: u32) -> Result<RouteDecision, RouteError> {
+        fleet.route(RouteKey::User(user), Instant::now())
+    }
+
+    /// Drives `ops` (code, replica pick, user) through a fleet of
+    /// `replicas` and the model side by side, checking the fleet after
+    /// every operation; returns the fleet as the last operation left it.
+    fn replay(replicas: usize, ops: &[(u8, usize, u32)]) -> Result<Fleet, TestCaseError> {
+        let fleet = test_fleet(replicas);
+        let mut m = Model {
+            up: vec![true; replicas],
+            open: vec![false; replicas],
+            generation: vec![Generation::Old; replicas],
+            rollout: None,
+            pins: HashSet::new(),
+        };
+        let now = Instant::now();
+        let decide = |user| {
+            let d = fleet.route(RouteKey::User(user), now);
+            d.map(|d| (d.replica, d.remapped))
+        };
+        // Every check names its operation; a failure also prints `ops`.
+        let mut check = || -> Result<(), TestCaseError> {
             for (i, &(op, pick, user)) in ops.iter().enumerate() {
                 let (r, replica) = (pick % replicas, &fleet.replicas[pick % replicas]);
                 match op {
-                    0 => {
-                        let before: Vec<_> = (0..USERS).map(|u| (m.target(&fleet, u), decide(u))).collect();
+                    KILL => {
+                        let before: Vec<_> = (0..USERS)
+                            .map(|u| (m.target(&fleet, u), decide(u)))
+                            .collect();
                         for _ in 0..DOWN_AFTER {
                             replica.note_probe(None);
                         }
                         m.up[r] = false;
                         for (u, (owners, was)) in (0..USERS).zip(before) {
                             if owners.is_some_and(|(primary, target)| primary != r && target != r) {
-                                prop_assert_eq!(decide(u), was, "op {}: down {} moved user {}; ops {:?}", i, r, u, ops);
+                                prop_assert_eq!(decide(u), was, "op {i}: down {r} moved user {u}");
                             }
                         }
                     }
-                    1 => {
+                    REJOIN => {
                         replica.note_probe(Some(1));
                         m.open[r] &= m.up[r];
                         m.up[r] = true;
                     }
-                    2 => {
+                    TRIP => {
                         for _ in 0..BreakerConfig::default().failure_threshold {
                             replica.breaker.record_failure(now);
                         }
                         m.open[r] = true;
                     }
-                    3 => {
+                    CLOSE => {
                         replica.breaker.record_success();
                         m.open[r] = false;
                     }
-                    4 => m.step(&fleet),
-                    5 => m.finish(&fleet),
+                    STEP => m.step(&fleet),
+                    FINISH => m.finish(&fleet),
                     _ => {
                         if let Ok((target, _)) = decide(user) {
                             fleet.note_served(RouteKey::User(user), ReplicaId(target as u16));
@@ -525,18 +552,93 @@ mod tests {
                         }
                     }
                 }
-                prop_assert_eq!(fleet.pinned_count(), m.pins.len(), "op {}; ops {:?}", i, ops);
+                prop_assert_eq!(fleet.pinned_count(), m.pins.len(), "op {i}: pin count");
                 for u in 0..USERS {
                     let got = decide(u);
-                    prop_assert_eq!(got, m.route(&fleet, u), "op {}: user {}; ops {:?}", i, u, ops);
+                    prop_assert_eq!(got, m.route(&fleet, u), "op {i}: user {u}");
                     if let Ok((target, _)) = got {
                         let generation = fleet.replicas[target].generation();
                         let pinned = fleet.rollout_active() && m.pins.contains(&u);
-                        prop_assert!(!pinned || generation == Generation::New, "op {}: pinned user {} routed to {:?}", i, u, generation);
-                        prop_assert!(!m.open[target], "op {}: user {} remapped off a dark shard to {}", i, u, target);
+                        let new = generation == Generation::New;
+                        prop_assert!(!pinned || new, "op {i}: pinned user {u} on {generation:?}");
+                        prop_assert!(!m.open[target], "op {i}: user {u} routed to dark {target}");
                     }
                 }
             }
+            Ok(())
+        };
+        check().map_err(|e| TestCaseError::fail(format!("{e}; ops {ops:?}")))?;
+        Ok(fleet)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn routing_matches_the_reference_fleet(
+            replicas in 2usize..6,
+            ops in collection::vec((0u8..8, 0usize..6, 0u32..USERS), 1..100),
+        ) {
+            replay(replicas, &ops)?;
         }
+    }
+
+    // Named replays: one scripted scenario each, checked against the
+    // model at every operation and then on the scenario's own user.
+
+    #[test]
+    fn routes_to_static_owner_when_all_healthy() {
+        let fleet = replay(3, &[(SERVE, 0, 0)]).unwrap();
+        for user in 0..USERS {
+            let d = route(&fleet, user).unwrap();
+            assert!(!d.remapped);
+            assert_eq!(
+                Some(ReplicaId(d.replica as u16)),
+                fleet.static_owner(RouteKey::User(user))
+            );
+        }
+    }
+
+    #[test]
+    fn unhealthy_owner_remaps_to_successor() {
+        let fleet = replay(3, &[(KILL, 1, 0)]).unwrap();
+        let d = route(&fleet, owned_by(&fleet, 1)).unwrap();
+        assert!(d.remapped);
+        assert_ne!(d.replica, 1);
+    }
+
+    #[test]
+    fn dark_shard_is_shed_not_remapped() {
+        let fleet = replay(3, &[(TRIP, 0, 0)]).unwrap();
+        let err = route(&fleet, owned_by(&fleet, 0)).unwrap_err();
+        assert_eq!(err, RouteError::ShardDark(ReplicaId(0)));
+    }
+
+    #[test]
+    fn rollout_diverts_in_flight_shard_to_old_replica() {
+        // The first step puts shard 0 in flight; finishing routes home.
+        let fleet = replay(3, &[(STEP, 0, 0)]).unwrap();
+        let d = route(&fleet, owned_by(&fleet, 0)).unwrap();
+        assert!(d.remapped);
+        assert_eq!(
+            fleet.replicas[d.replica].generation(),
+            Generation::Old,
+            "diversion must land on the old generation"
+        );
+        let fleet = replay(3, &[(STEP, 0, 0), (FINISH, 0, 0)]).unwrap();
+        assert!(!route(&fleet, owned_by(&fleet, 0)).unwrap().remapped);
+    }
+
+    #[test]
+    fn pinned_user_never_regresses_to_old_generation() {
+        // Shard 0 upgrades and serves its user, who pins; then it dies,
+        // and the only fallback is old-generation.
+        let user = owned_by(&test_fleet(2), 0);
+        let mut ops = vec![(STEP, 0, 0), (STEP, 0, 0), (SERVE, 0, user), (KILL, 0, 0)];
+        let fleet = replay(2, &ops).unwrap();
+        assert_eq!(fleet.pinned_count(), 1);
+        assert_eq!(route(&fleet, user).unwrap_err(), RouteError::EpochPinned);
+        ops.push((FINISH, 0, 0));
+        assert_eq!(replay(2, &ops).unwrap().pinned_count(), 0);
     }
 }

@@ -5,6 +5,8 @@
 // Each test binary uses a different slice of the fixture.
 #![allow(dead_code)]
 
+pub mod fleet_plan;
+
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
 use st_router::{
     BreakerConfig, Fleet, FleetConfig, ReplicaId, RouteKey, Router, RouterConfig, RouterServer,

@@ -8,9 +8,14 @@
 //! hop-by-hop (`Connection`) and the router's own `X-Router-Replica`
 //! stamp. That must hold for fresh (MISS), cached (HIT), degraded
 //! (STALE), and error responses alike.
+//!
+//! Routing, failover, deadline sheds and `/admin/reload` run as named
+//! plans of the fleet fault executor (`common/fleet_plan.rs`), which
+//! holds every answer to the fleet invariants and the router's ledger.
 
 mod common;
 
+use common::fleet_plan::{run_named, FleetChaosPhase::*, FleetCounts};
 use common::FleetFixture;
 use st_router::ReplicaId;
 use st_serve::client::{HttpClient, HttpResponse};
@@ -183,6 +188,60 @@ fn degraded_responses_relay_byte_identically() {
     }
 
     fx.shutdown();
+}
+
+#[test]
+fn routing_is_stable_and_spread_across_shards() {
+    // Every user of the fixture, in both cities, on three replicas: each
+    // is served by their ring owner, and nothing is remapped or shed.
+    #[rustfmt::skip]
+    let want = FleetCounts { submitted: 120, served: 120, ..FleetCounts::default() };
+    assert_eq!(run_named(3, &[Sweep(usize::MAX)]), want);
+}
+
+#[test]
+fn replica_death_trips_breaker_then_probes_remap_then_rejoin_restores() {
+    // Threshold-many fresh-connect 503s open the breaker; the next
+    // request is a fast dark reject, not a failover; once probed down
+    // the shard's user is served by the successor, and after rejoin at
+    // home again.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Normal { per_shard: 1 },
+         ReplicaOutage { victim: 1, while_dark: 4, remapped: 1, after: 1 }],
+        FleetCounts { submitted: 8, served: 3, served_remapped: 1, unreachable_503: 3,
+                      dark_503: 1, breaker_opened: 1, breaker_closed: 1, ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
+}
+
+#[test]
+fn backend_deadline_sheds_relay_without_tripping_the_breaker() {
+    // Threshold-many relayed deadline sheds leave the shard lit: the
+    // next requests are served at home.
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Hang { victim: 0, hung: 3 }, Normal { per_shard: 1 }],
+        FleetCounts { submitted: 5, served: 2, expired_503: 3, ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
+}
+
+#[test]
+fn admin_reload_rolls_the_whole_fleet_with_verification() {
+    // Both replicas verify at epoch 2. A pinned wrong format then
+    // reloads shard 0 (to epoch 3), fails verification and pauses the
+    // rollout there; shard 0's user is diverted to replica 1 at epoch 2.
+    let mismatch = "snapshot format mismatch: reloaded f32, expected int8";
+    #[rustfmt::skip]
+    let (phases, want) = (
+        [Publish, AdminReload { format: Some("f32"), upgraded: &[0, 1], paused: None },
+         AdminReload { format: Some("int8"), upgraded: &[], paused: Some((0, mismatch)) },
+         Sweep(1)],
+        FleetCounts { submitted: 4, served: 2, served_remapped: 2, rollouts_completed: 1,
+                      ..FleetCounts::default() },
+    );
+    assert_eq!(run_named(2, &phases), want);
 }
 
 #[test]
