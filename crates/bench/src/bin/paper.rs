@@ -200,28 +200,23 @@ fn dropouts(base: &ModelConfig) -> Vec<(String, Json, Fit)> {
     (0..=5).map(|i| row(i as f32 / 10.0)).collect()
 }
 
-/// Table 4: embedding sizes, the tower rescaled by the paper's 2x-input
-/// rule (`ModelConfig::with_embedding_dim`).
+/// Table 4: embedding sizes; the tower's widths halve from each.
 fn dims(base: &ModelConfig) -> Vec<(String, Json, Fit)> {
-    let row = |dim| {
-        model(
-            format!("dim={dim}"),
-            dim,
-            base.clone().with_embedding_dim(dim),
-        )
+    let config = |embedding_dim| ModelConfig {
+        embedding_dim,
+        ..base.clone()
     };
+    let row = |dim| model(format!("dim={dim}"), dim, config(dim));
     [16, 32, 64, 128].into_iter().map(row).collect()
 }
 
 /// Table 5: interaction-tower depths.
 fn depths(base: &ModelConfig) -> Vec<(String, Json, Fit)> {
-    let row = |depth| {
-        model(
-            format!("layers={depth}"),
-            depth,
-            base.clone().with_depth(depth),
-        )
+    let config = |depth| ModelConfig {
+        depth,
+        ..base.clone()
     };
+    let row = |depth| model(format!("layers={depth}"), depth, config(depth));
     (1..=4).map(row).collect()
 }
 

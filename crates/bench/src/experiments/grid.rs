@@ -119,7 +119,13 @@ mod tests {
                 "ST-TransRec-1",
                 Fit::Model(base.clone().with_variant(Variant::NoMmd)),
             ),
-            ("layers=1", Fit::Model(base.clone().with_depth(1))),
+            (
+                "layers=1",
+                Fit::Model(ModelConfig {
+                    depth: 1,
+                    ..base.clone()
+                }),
+            ),
         ];
         let rows = rows
             .into_iter()

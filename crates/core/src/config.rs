@@ -30,16 +30,15 @@ pub struct ModelConfig {
     /// Embedding size for users, POIs and words (64 on Foursquare,
     /// 128 on Yelp).
     pub embedding_dim: usize,
-    /// Hidden widths of the interaction tower, excluding the concatenated
-    /// input (`2 * embedding_dim`) and the final scalar. Foursquare:
-    /// `[64, 32, 16]` giving 128 -> 64 -> 32 -> 16 -> 1.
-    pub hidden: Vec<usize>,
+    /// Hidden layers of the interaction tower. Their widths halve from
+    /// `embedding_dim`, each at least 1, between the concatenated input
+    /// (`2 * embedding_dim`) and the final scalar: Foursquare's depth 3
+    /// gives 128 -> 64 -> 32 -> 16 -> 1.
+    pub depth: usize,
     /// Adam learning rate (searched over {1e-5 .. 5e-3} in the paper).
     pub learning_rate: f32,
     /// Mini-batch size (paper: 128 positive interactions).
     pub batch_size: usize,
-    /// Negative interactions sampled per positive (paper: 4, after NCF).
-    pub negatives: usize,
     /// Skipgram negative words per positive context edge.
     pub context_negatives: usize,
     /// Context edges sampled per training step for each side's `L_Gvw`.
@@ -47,13 +46,8 @@ pub struct ModelConfig {
     /// so this runs much larger than `batch_size` — each edge must be
     /// visited tens of times for the text bridge to form.
     pub context_batch: usize,
-    /// Decoupled (AdamW-style) weight decay on all parameters; small but
-    /// non-zero to keep long runs from memorizing source interactions.
-    pub weight_decay: f32,
     /// MMD loss weight `lambda` in Eq. 3.
     pub lambda: f32,
-    /// Gaussian kernel bandwidth `sigma` (fixed, per Sec. 3.1.4).
-    pub mmd_sigma: f32,
     /// Which MMD estimator to use.
     pub mmd_estimator: MmdEstimator,
     /// POIs sampled per city side for each MMD term.
@@ -69,9 +63,6 @@ pub struct ModelConfig {
     /// Training epochs (one epoch visits every training check-in once in
     /// expectation).
     pub epochs: usize,
-    /// Negative-sampling distribution exponent for skipgram words
-    /// (0.75 = word2vec; 0.0 = uniform ablation).
-    pub unigram_power: f64,
     /// Ablation variant.
     pub variant: Variant,
     /// RNG seed for initialization and batch sampling.
@@ -85,17 +76,14 @@ impl ModelConfig {
     pub fn foursquare() -> Self {
         Self {
             embedding_dim: 64,
-            hidden: vec![64, 32, 16],
+            depth: 3,
             learning_rate: 1e-3,
             batch_size: 128,
-            negatives: 4,
             context_negatives: 4,
             context_batch: 1024,
-            weight_decay: 1e-5,
             // The source side is a four-city mixture; hard alignment at
             // lambda = 1 over-constrains it, so Foursquare runs softer.
             lambda: 0.3,
-            mmd_sigma: 1.0,
             mmd_estimator: MmdEstimator::Quadratic,
             mmd_batch: 64,
             alpha: 0.10,
@@ -103,7 +91,6 @@ impl ModelConfig {
             grid_n: 50,
             dropout: 0.1,
             epochs: 5,
-            unigram_power: 0.75,
             variant: Variant::Full,
             seed: 1,
         }
@@ -115,28 +102,16 @@ impl ModelConfig {
     pub fn yelp() -> Self {
         Self {
             embedding_dim: 128,
-            hidden: vec![128, 64, 32],
-            learning_rate: 1e-3,
-            batch_size: 128,
-            negatives: 4,
-            context_negatives: 4,
             // 256 (vs Foursquare's 1024): Yelp's denser interactions make
             // text a complement, not the primary signal; at 1024 the text
             // loss alone aligns the spaces and the MMD term goes idle.
             context_batch: 256,
-            weight_decay: 1e-5,
             lambda: 1.0,
-            mmd_sigma: 1.0,
-            mmd_estimator: MmdEstimator::Quadratic,
-            mmd_batch: 64,
             alpha: 0.11,
             delta: 0.25,
             grid_n: 60,
             dropout: 0.2,
-            epochs: 5,
-            unigram_power: 0.75,
-            variant: Variant::Full,
-            seed: 1,
+            ..Self::foursquare()
         }
     }
 
@@ -144,25 +119,17 @@ impl ModelConfig {
     pub fn test_small() -> Self {
         Self {
             embedding_dim: 16,
-            hidden: vec![16, 8],
+            depth: 2,
             learning_rate: 5e-3,
             batch_size: 64,
-            negatives: 4,
             context_negatives: 3,
             context_batch: 256,
-            weight_decay: 1e-5,
             lambda: 0.5,
-            mmd_sigma: 1.0,
-            mmd_estimator: MmdEstimator::Quadratic,
             mmd_batch: 32,
-            alpha: 0.10,
-            delta: 0.10,
             grid_n: 8,
             dropout: 0.0,
             epochs: 3,
-            unigram_power: 0.75,
-            variant: Variant::Full,
-            seed: 1,
+            ..Self::foursquare()
         }
     }
 
@@ -177,36 +144,14 @@ impl ModelConfig {
         self
     }
 
-    /// Overrides the embedding size, keeping the paper's 2x tower shape
-    /// (used by the Table 4 sweep).
-    pub fn with_embedding_dim(mut self, dim: usize) -> Self {
-        assert!(dim >= 4, "embedding too small");
-        self.embedding_dim = dim;
-        self.hidden = vec![dim, dim / 2, (dim / 4).max(1)];
-        self
-    }
-
-    /// Overrides the tower depth, halving widths from `2 * embedding_dim`
-    /// (used by the Table 5 sweep: depth 1..=4).
-    pub fn with_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "need at least one hidden layer");
-        let mut widths = Vec::with_capacity(depth);
-        let mut w = self.embedding_dim;
-        for _ in 0..depth {
-            widths.push(w.max(1));
-            w /= 2;
-        }
-        self.hidden = widths;
-        self
-    }
-
-    /// Full tower widths including the concatenated input and scalar head.
+    /// Full tower widths: the concatenated input, `depth` halving hidden
+    /// widths, and the scalar head.
     pub(crate) fn tower_widths(&self) -> Vec<usize> {
-        let mut widths = Vec::with_capacity(self.hidden.len() + 2);
-        widths.push(2 * self.embedding_dim);
-        widths.extend_from_slice(&self.hidden);
-        widths.push(1);
-        widths
+        let hidden = std::iter::successors(Some(self.embedding_dim), |w| Some(w / 2));
+        std::iter::once(2 * self.embedding_dim)
+            .chain(hidden.take(self.depth).map(|w| w.max(1)))
+            .chain([1])
+            .collect()
     }
 
     /// Whether the MMD term is active under the current variant.
@@ -222,18 +167,15 @@ impl ModelConfig {
     /// Validates invariants; called by the model constructor.
     pub(crate) fn validate(&self) {
         assert!(self.embedding_dim > 0);
-        assert!(!self.hidden.is_empty(), "tower needs hidden layers");
+        assert!(self.depth > 0, "tower needs hidden layers");
         assert!(self.learning_rate > 0.0);
         assert!(self.batch_size > 0);
-        assert!(self.negatives > 0);
         assert!(self.mmd_batch >= 2, "MMD needs at least 2 samples per side");
         assert!(self.context_batch > 0);
-        assert!(self.weight_decay >= 0.0);
         assert!((0.0..=1.0).contains(&self.alpha), "alpha must be in [0, 1]");
         assert!((0.0..=1.0).contains(&self.delta), "delta must be in [0, 1]");
         assert!(self.grid_n > 0);
         assert!((0.0..1.0).contains(&self.dropout));
-        assert!(self.mmd_sigma > 0.0);
         assert!(self.lambda >= 0.0);
     }
 }
@@ -276,12 +218,19 @@ mod tests {
 
     #[test]
     fn embedding_and_depth_sweeps_produce_paper_towers() {
-        let c = ModelConfig::foursquare().with_embedding_dim(32);
-        assert_eq!(c.tower_widths(), vec![64, 32, 16, 8, 1]);
-        let c = ModelConfig::foursquare().with_depth(2);
-        assert_eq!(c.tower_widths(), vec![128, 64, 32, 1]);
-        let c = ModelConfig::foursquare().with_depth(4);
-        assert_eq!(c.tower_widths(), vec![128, 64, 32, 16, 8, 1]);
+        let tower = |embedding_dim, depth| {
+            let base = ModelConfig::foursquare();
+            ModelConfig {
+                embedding_dim,
+                depth,
+                ..base
+            }
+            .tower_widths()
+        };
+        assert_eq!(tower(32, 3), vec![64, 32, 16, 8, 1]);
+        assert_eq!(tower(64, 2), vec![128, 64, 32, 1]);
+        assert_eq!(tower(64, 4), vec![128, 64, 32, 16, 8, 1]);
+        assert_eq!(tower(4, 4), vec![8, 4, 2, 1, 1, 1]);
     }
 
     #[test]

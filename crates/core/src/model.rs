@@ -44,6 +44,17 @@ use st_tensor::{
 };
 use std::time::{Duration, Instant};
 
+/// Negative interactions sampled per positive in `L_I` (Eq. 11–13; the
+/// paper's 4, after NCF).
+const NEGATIVES: usize = 4;
+/// Decoupled (AdamW-style) weight decay on every parameter: small but
+/// non-zero, so long runs do not memorize source interactions.
+const WEIGHT_DECAY: f32 = 1e-5;
+/// Gaussian kernel bandwidth `sigma` of `D(P, Q)` (fixed, Sec. 3.1.4).
+const MMD_SIGMA: f32 = 1.0;
+/// Exponent of the skipgram negative-word distribution (word2vec's).
+const UNIGRAM_POWER: f64 = 0.75;
+
 /// Loss values of one training step (zero for disabled terms).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepLosses {
@@ -67,6 +78,31 @@ impl StepLosses {
             + self.context_source
             + self.context_target
             + lambda * self.mmd
+    }
+}
+
+/// Term by term: the one sum of a step's losses (epochs, workers).
+impl std::ops::AddAssign for StepLosses {
+    fn add_assign(&mut self, l: Self) {
+        self.interaction_source += l.interaction_source;
+        self.interaction_target += l.interaction_target;
+        self.context_source += l.context_source;
+        self.context_target += l.context_target;
+        self.mmd += l.mmd;
+    }
+}
+
+/// Term by term: the one mean of summed losses.
+impl std::ops::Div<f32> for StepLosses {
+    type Output = Self;
+    fn div(self, n: f32) -> Self {
+        Self {
+            interaction_source: self.interaction_source / n,
+            interaction_target: self.interaction_target / n,
+            context_source: self.context_source / n,
+            context_target: self.context_target / n,
+            mmd: self.mmd / n,
+        }
     }
 }
 
@@ -248,7 +284,6 @@ struct Prologue {
     source_resampler: Option<MultiCityResampler>,
     target_resampler: Option<CityResampler>,
     batch_size: usize,
-    negatives: usize,
     context_batch: usize,
     context_negatives: usize,
     mmd_batch: usize,
@@ -278,7 +313,7 @@ impl Prologue {
             let (batch, masks) = lane
                 .interaction
                 .get_or_insert_with(|| (InteractionBatch::default(), rng.clone()));
-            sampler.sample_batch_into(dataset, self.batch_size, self.negatives, rng, batch);
+            sampler.sample_batch_into(dataset, self.batch_size, NEGATIVES, rng, batch);
             // The lane draws the term's masks from a copy of the stream;
             // this one jumps over them.
             *masks = rng.clone();
@@ -384,12 +419,12 @@ impl STTransRec {
                 Some(TextualContextGraph::build(
                     dataset,
                     &src_pois,
-                    config.unigram_power,
+                    UNIGRAM_POWER,
                 )),
                 Some(TextualContextGraph::build(
                     dataset,
                     &tgt_pois,
-                    config.unigram_power,
+                    UNIGRAM_POWER,
                 )),
             )
         } else {
@@ -436,7 +471,7 @@ impl STTransRec {
         let steps_per_epoch = (split.train.len() / config.batch_size).max(1);
         // Lazy Adam over row-sparse gradients: a step stores, merges and
         // updates only the embedding rows it touched.
-        let optimizer = Adam::new(config.learning_rate).with_weight_decay(config.weight_decay);
+        let optimizer = Adam::new(config.learning_rate).with_weight_decay(WEIGHT_DECAY);
         let buffers = StepBuffers::over(&store);
         let prologue = Prologue {
             samplers: [source_sampler, target_sampler],
@@ -444,7 +479,6 @@ impl STTransRec {
             source_resampler,
             target_resampler,
             batch_size: config.batch_size,
-            negatives: config.negatives,
             context_batch: config.context_batch,
             context_negatives: config.context_negatives,
             mmd_batch: config.mmd_batch,
@@ -494,7 +528,7 @@ impl STTransRec {
             lane.grads = Gradients::dense_like(&model.store);
         }
         model.optimizer = Adam::new(model.config.learning_rate)
-            .with_weight_decay(model.config.weight_decay)
+            .with_weight_decay(WEIGHT_DECAY)
             .with_lazy(false);
         model
     }
@@ -627,7 +661,7 @@ impl STTransRec {
             let mut tape = Tape::with_pool(&self.store, std::mem::take(pool));
             let se = tape.gather_param(self.poi_emb.table(), src_rows);
             let te = tape.gather_param(self.poi_emb.table(), tgt_rows);
-            let loss = mmd_loss(&mut tape, se, te, cfg.mmd_sigma, cfg.mmd_estimator);
+            let loss = mmd_loss(&mut tape, se, te, MMD_SIGMA, cfg.mmd_estimator);
             losses.mmd = finish_term(tape, loss, cfg.lambda, grads, pool);
         }
         losses
@@ -764,12 +798,7 @@ impl STTransRec {
         let steps = self.steps_per_epoch;
         self.phases = StepPhases::default();
         for _ in 0..steps {
-            let l = self.train_step(dataset);
-            sum.interaction_source += l.interaction_source;
-            sum.interaction_target += l.interaction_target;
-            sum.context_source += l.context_source;
-            sum.context_target += l.context_target;
-            sum.mmd += l.mmd;
+            sum += self.train_step(dataset);
         }
         let phases = std::mem::take(&mut self.phases);
         self.record_epoch(sum, steps, self.pool_stats(), phases)
@@ -784,16 +813,9 @@ impl STTransRec {
         pool: PoolStats,
         phases: StepPhases,
     ) -> EpochStats {
-        let n = steps as f32;
         let stats = EpochStats {
             epoch: self.history.len(),
-            losses: StepLosses {
-                interaction_source: sum.interaction_source / n,
-                interaction_target: sum.interaction_target / n,
-                context_source: sum.context_source / n,
-                context_target: sum.context_target / n,
-                mmd: sum.mmd / n,
-            },
+            losses: sum / steps as f32,
             steps,
             pool,
             phases,
@@ -1086,8 +1108,14 @@ mod tests {
         for config in [
             ModelConfig::test_small(),
             ModelConfig::foursquare(),
-            ModelConfig::foursquare().with_depth(1),
-            ModelConfig::yelp().with_depth(4),
+            ModelConfig {
+                depth: 1,
+                ..ModelConfig::foursquare()
+            },
+            ModelConfig {
+                depth: 4,
+                ..ModelConfig::yelp()
+            },
         ] {
             let m = STTransRec::new(&d, &split, config);
             let mut rng = SmallRng::seed_from_u64(9);
@@ -1243,8 +1271,11 @@ mod tests {
         let m = STTransRec::new(&d, &split, ModelConfig::test_small());
         let mut buf = Vec::new();
         m.save(&mut buf).unwrap();
-        let mut other =
-            STTransRec::new(&d, &split, ModelConfig::test_small().with_embedding_dim(8));
+        let config = ModelConfig {
+            embedding_dim: 8,
+            ..ModelConfig::test_small()
+        };
+        let mut other = STTransRec::new(&d, &split, config);
         assert!(other.restore(buf.as_slice()).is_err());
     }
 

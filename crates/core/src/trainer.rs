@@ -114,12 +114,7 @@ impl ParallelTrainer {
         let start = Instant::now();
         let mut sum = StepLosses::default();
         for _ in 0..steps {
-            let l = self.train_step(model, dataset, &mut master_rng);
-            sum.interaction_source += l.interaction_source;
-            sum.interaction_target += l.interaction_target;
-            sum.context_source += l.context_source;
-            sum.context_target += l.context_target;
-            sum.mmd += l.mmd;
+            sum += self.train_step(model, dataset, &mut master_rng);
         }
         let wall = start.elapsed();
         let pool = self.pool_stats().into_iter().sum();
@@ -140,12 +135,8 @@ pub struct TimedEpoch {
 fn average_losses(losses: &[StepLosses]) -> StepLosses {
     let n = losses.len() as f32;
     let mut avg = StepLosses::default();
-    for l in losses {
-        avg.interaction_source += l.interaction_source / n;
-        avg.interaction_target += l.interaction_target / n;
-        avg.context_source += l.context_source / n;
-        avg.context_target += l.context_target / n;
-        avg.mmd += l.mmd / n;
+    for &l in losses {
+        avg += l / n;
     }
     avg
 }

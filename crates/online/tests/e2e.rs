@@ -216,3 +216,24 @@ fn publisher_surfaces_a_reply_it_cannot_frame() {
     fake.join().expect("fake server");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
+
+/// The process's answer to its flags, the same in every server binary:
+/// a refused flag exits 2 with `error: <flag>: <why>` and the usage on
+/// stderr, and `--help` prints the usage to stdout and exits 0.
+#[test]
+fn a_refused_flag_exits_2_and_help_exits_0() {
+    let run = |arg: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_st-online"))
+            .arg(arg)
+            .output()
+            .expect("run st-online");
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let (code, usage, _) = run("--help");
+    assert_eq!(code, Some(0));
+    assert!(usage.contains("-h, --help"), "{usage}");
+    let (code, out, err) = run("--bogus");
+    assert_eq!((code, out), (Some(2), String::new()));
+    assert_eq!(err, format!("error: --bogus: unknown flag\n\n{usage}\n"));
+}

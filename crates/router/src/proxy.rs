@@ -57,9 +57,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// Keep-alive idle timeout on client connections (st-serve's too).
-const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Per-worker backend connection pool, keyed by replica index. The
 /// stored address detects rejoin-at-new-port and drops the old socket.
 pub(crate) type ConnPool = HashMap<usize, (SocketAddr, HttpClient)>;
@@ -316,13 +313,8 @@ impl RouterServer {
     /// Binds and starts routing for `router`.
     pub fn start(router: Arc<Router>) -> std::io::Result<RouterServer> {
         let config = router.config();
-        let mut http = HttpServer::start(
-            "st-router",
-            router.clone(),
-            &config.addr,
-            config.workers,
-            IDLE_TIMEOUT,
-        )?;
+        let mut http =
+            HttpServer::start("st-router", router.clone(), &config.addr, config.workers)?;
         if let Some(interval) = config.probe_interval {
             // The first sweep runs at once, so the fleet starts with
             // real health/epoch data.

@@ -54,10 +54,10 @@ pub struct FleetFixture {
     pub serve_config: ServeConfig,
 }
 
-/// HTTP workers of the router and of every replica. Each router worker
-/// holds one pooled connection per replica, which keeps one of that
-/// replica's workers for the replica's idle timeout: a replica with
-/// fewer workers can starve a request for that long.
+/// HTTP workers of the fixture's router: as many as a replica has by
+/// default. Each router worker holds one pooled connection per replica,
+/// which keeps one of that replica's workers for the replica's idle
+/// timeout.
 const ROUTER_WORKERS: usize = 12;
 
 /// Breaker threshold used by every fixture (small so dark windows are
@@ -66,10 +66,25 @@ pub const BREAKER_THRESHOLD: u32 = 3;
 
 impl FleetFixture {
     /// Builds a fleet of `n` replicas under `serve_config` (its addr
-    /// and workers are overridden). The breaker cooldown is effectively
-    /// infinite: recovery happens via probes and `force_half_open`,
-    /// keeping every transition test-driven and deterministic.
-    pub fn start(tag: &str, n: usize, mut serve_config: ServeConfig) -> Self {
+    /// is overridden). The breaker cooldown is effectively infinite:
+    /// recovery happens via probes and `force_half_open`, keeping every
+    /// transition test-driven and deterministic.
+    pub fn start(tag: &str, n: usize, serve_config: ServeConfig) -> Self {
+        let router = RouterConfig {
+            workers: ROUTER_WORKERS,
+            probe_interval: None, // tests drive probes explicitly
+            ..RouterConfig::default()
+        };
+        Self::start_behind(tag, n, serve_config, router)
+    }
+
+    /// [`FleetFixture::start`] behind a router under `router_config`.
+    pub fn start_behind(
+        tag: &str,
+        n: usize,
+        mut serve_config: ServeConfig,
+        router_config: RouterConfig,
+    ) -> Self {
         let (dataset, _) = synth::generate(&synth::SynthConfig::tiny());
         let dataset = Arc::new(dataset);
         let split = Arc::new(CrossingCitySplit::build(&dataset, CityId(1)));
@@ -79,7 +94,6 @@ impl FleetFixture {
         st_tensor::save_params_atomic(oracle.params(), &ckpt).expect("save ckpt");
 
         serve_config.addr = "127.0.0.1:0".into();
-        serve_config.workers = ROUTER_WORKERS;
         let mut fixture = Self {
             dataset,
             split,
@@ -101,14 +115,7 @@ impl FleetFixture {
             });
         }
         fixture.fleet = Arc::new(Fleet::new(&addrs, fleet_config()));
-        let router = Router::new(
-            fixture.fleet.clone(),
-            RouterConfig {
-                workers: ROUTER_WORKERS,
-                probe_interval: None, // tests drive probes explicitly
-                ..RouterConfig::default()
-            },
-        );
+        let router = Router::new(fixture.fleet.clone(), router_config);
         fixture.router = Some(RouterServer::start(router).expect("start router"));
         fixture
     }

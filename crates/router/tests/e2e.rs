@@ -17,13 +17,13 @@ mod common;
 
 use common::fleet_plan::{run_named, FleetChaosPhase::*, FleetCounts};
 use common::FleetFixture;
-use st_router::ReplicaId;
+use st_router::{ReplicaId, RouterConfig};
 use st_serve::client::{HttpClient, HttpResponse};
 use st_serve::server::ServeConfig;
 use st_serve::BatchConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The header lines of `resp` — as received: arrival order, original
 /// case — minus the two that legitimately differ between a direct
@@ -115,6 +115,39 @@ fn responses_through_router_are_byte_identical_to_direct() {
     assert_eq!(bad.status, 400);
     assert_eq!(bad.body, direct_400.body);
 
+    fx.shutdown();
+}
+
+/// The binaries' defaults: every router worker that forwards to a
+/// replica pools a keep-alive connection there, which holds one of the
+/// replica's workers until the replica's idle timeout. A replica with
+/// fewer workers than the router would leave a request waiting that
+/// long.
+#[test]
+fn default_replicas_answer_every_default_router_worker_at_once() {
+    let workers = RouterConfig::default().workers;
+    let fx = FleetFixture::start_behind(
+        "workers",
+        2,
+        ServeConfig::default(),
+        RouterConfig::default(),
+    );
+    let path = format!("/recommend?user={}&city=1&k=5", fx.users_owned_by(0)[0]);
+    // Each held connection keeps one router worker, and with it that
+    // worker's own connection to replica 0.
+    let mut clients: Vec<HttpClient> = (0..workers)
+        .map(|_| HttpClient::connect(fx.router_addr()).expect("connect router"))
+        .collect();
+    for (i, client) in clients.iter_mut().enumerate() {
+        let sent = Instant::now();
+        let reply = client.get(&path).expect("an answer");
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        let waited = sent.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "connection {i} waited {waited:?}"
+        );
+    }
     fx.shutdown();
 }
 
@@ -318,4 +351,25 @@ fn probe_surfaces_a_replica_it_cannot_frame() {
     let fleet = st_router::Fleet::new(&[addr], st_router::FleetConfig::default());
     assert!(!fleet.probe(ReplicaId(0)), "such a probe counts as failed");
     fake.join().expect("fake replica");
+}
+
+/// The process's answer to its flags, the same in every server binary:
+/// a refused flag exits 2 with `error: <flag>: <why>` and the usage on
+/// stderr, and `--help` prints the usage to stdout and exits 0.
+#[test]
+fn a_refused_flag_exits_2_and_help_exits_0() {
+    let run = |arg: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_st-router"))
+            .arg(arg)
+            .output()
+            .expect("run st-router");
+        let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let (code, usage, _) = run("--help");
+    assert_eq!(code, Some(0));
+    assert!(usage.contains("-h, --help"), "{usage}");
+    let (code, out, err) = run("--bogus");
+    assert_eq!((code, out), (Some(2), String::new()));
+    assert_eq!(err, format!("error: --bogus: unknown flag\n\n{usage}\n"));
 }

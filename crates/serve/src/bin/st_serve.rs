@@ -1,12 +1,7 @@
 //! `st-serve` — the online recommendation server.
 //!
 //! ```text
-//! # serve a trained checkpoint over a dataset
-//! st-serve --data checkins.tsv --checkpoint model.bin --addr 127.0.0.1:8080
-//!
-//! # generate a self-contained demo (tiny synthetic dataset + trained
-//! # checkpoint) to try the server without real data
-//! st-serve --gen-demo demo/
+//! st-serve --gen-demo demo/     # a tiny synthetic dataset + trained checkpoint
 //! st-serve --data demo/checkins.tsv --checkpoint demo/model.bin
 //! curl 'http://127.0.0.1:8080/recommend?user=0&city=1&k=5'
 //! ```
@@ -18,32 +13,26 @@
 //! never in place: the running server maps the file.
 
 use st_data::{synth, CityId, CrossingCitySplit, Dataset};
+use st_serve::cli;
 use st_serve::server::{Engine, ServeConfig, Server};
 use st_serve::snapshot::Reloader;
-use st_serve::BatchConfig;
 use st_tensor::StorageEncoding;
-use st_transrec_core::{ModelConfig, RetrievalConfig, STTransRec};
+use st_transrec_core::{ModelConfig, STTransRec};
+use std::convert::Infallible;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// One run: serve `checkpoint` over `data`, or write a demo.
 struct Args {
     data: Option<PathBuf>,
     checkpoint: Option<PathBuf>,
     gen_demo: Option<PathBuf>,
-    addr: String,
     target_city: u16,
-    workers: usize,
-    max_batch: usize,
-    queue_capacity: usize,
-    deadline_ms: u64,
-    degrade_watermark: usize,
-    cache_capacity: usize,
     demo_epochs: usize,
     snapshot_format: StorageEncoding,
-    max_candidates: usize,
-    nprobe: usize,
-    grid_rings: usize,
+    serve: ServeConfig,
 }
 
 impl Default for Args {
@@ -52,149 +41,96 @@ impl Default for Args {
             data: None,
             checkpoint: None,
             gen_demo: None,
-            addr: "127.0.0.1:8080".into(),
             target_city: 1,
-            workers: 4,
-            max_batch: 64,
-            queue_capacity: 4096,
-            deadline_ms: 0,
-            degrade_watermark: 0,
-            cache_capacity: 4096,
             demo_epochs: 1,
             snapshot_format: StorageEncoding::F32,
-            max_candidates: RetrievalConfig::default().max_candidates,
-            nprobe: RetrievalConfig::default().nprobe,
-            grid_rings: RetrievalConfig::default().grid_rings,
+            serve: ServeConfig {
+                addr: "127.0.0.1:8080".into(),
+                ..ServeConfig::default()
+            },
         }
     }
 }
 
-const USAGE: &str = "st-serve: online crossing-city POI recommendation server
+fn usage() -> String {
+    let d = Args::default();
+    let (serve, retrieval) = (&d.serve, d.serve.retrieval.clone().unwrap_or_default());
+    format!(
+        "st-serve: online crossing-city POI recommendation server
 
 USAGE:
   st-serve --data FILE --checkpoint FILE [OPTIONS]
-  st-serve --gen-demo DIR [--demo-epochs N]
+  st-serve --gen-demo DIR [--demo-epochs N] [--snapshot-format F]
 
 OPTIONS:
   --data FILE             dataset in the st-data text format
-  --checkpoint FILE       model checkpoint container, served memory-
-                          mapped (replace it by rename, never in place)
-  --addr HOST:PORT        bind address      [default: 127.0.0.1:8080]
-  --target-city ID        held-out target city id          [default: 1]
-  --workers N             HTTP worker threads              [default: 4]
-  --max-batch N           most queued requests one scorer takes at once;
-                          a miss is scored on arrival, never held for
-                          companions                      [default: 64]
-  --queue-capacity N      batcher queue bound, at least 1; overflow
-                          sheds with 429                [default: 4096]
-  --deadline-ms MS        queued-request deadline; expired jobs get 503
-                          (0 = off)                        [default: 0]
-  --degrade-watermark N   queue depth above which requests fall back to
-                          stale cached results (0 = off)   [default: 0]
-  --cache-capacity N      LRU result-cache entries      [default: 4096]
-  --max-candidates N      two-stage retrieval candidate budget; queries
-                          re-rank at most N candidates instead of the
-                          full city catalog (0 = always exact scan)
-                                                        [default: 4096]
-  --nprobe N              IVF inverted lists probed per query
-                                                           [default: 8]
-  --grid-rings N          geo-grid ring radius around the query anchor
-                                                           [default: 2]
+  --checkpoint FILE       model container, served mapped: replace it by rename
+  --addr HOST:PORT        bind address [default: {addr}]
+  --target-city ID        held-out target city id [default: {target}]
+  --workers N             HTTP worker threads, more than st-router's [default: {workers}]
+  --max-batch N           most queued requests one scorer takes [default: {max_batch}]
+  --queue-capacity N      queue bound, at least 1; overflow gets 429 [default: {queue_capacity}]
+  --deadline-ms MS        queued-request deadline, 0 = off; expired gets 503 [default: {deadline_ms}]
+  --degrade-watermark N   queue depth that serves stale cached results, 0 = off [default: {watermark}]
+  --cache-capacity N      LRU result-cache entries [default: {cache}]
+  --max-candidates N      retrieval candidate budget, 0 = exact scan [default: {candidates}]
+  --nprobe N              IVF lists probed per query [default: {nprobe}]
+  --grid-rings N          geo-grid rings around the query anchor [default: {rings}]
   --gen-demo DIR          write DIR/checkins.tsv + DIR/model.bin and exit
-  --demo-epochs N         training epochs for --gen-demo   [default: 1]
-  --snapshot-format F     demo checkpoint encoding: f32 | f16 | int8
-                                                         [default: f32]
-  --help                  print this help
-";
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    std::process::exit(2);
+  --demo-epochs N         training epochs for --gen-demo [default: {epochs}]
+  --snapshot-format F     demo checkpoint encoding: f32 | f16 | int8 [default: {format}]
+  -h, --help              print this help
+",
+        addr = serve.addr,
+        target = d.target_city,
+        epochs = d.demo_epochs,
+        format = d.snapshot_format,
+        workers = serve.workers,
+        max_batch = serve.batch.max_batch,
+        queue_capacity = serve.batch.queue_capacity,
+        deadline_ms = serve.batch.deadline.as_millis(),
+        watermark = serve.degrade_watermark,
+        cache = serve.cache_capacity,
+        candidates = retrieval.max_candidates,
+        nprobe = retrieval.nprobe,
+        rings = retrieval.grid_rings,
+    )
 }
 
-fn parse_args() -> Args {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-        };
-        match flag.as_str() {
-            "--data" => args.data = Some(PathBuf::from(value("--data"))),
-            "--checkpoint" => args.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
-            "--gen-demo" => args.gen_demo = Some(PathBuf::from(value("--gen-demo"))),
-            "--addr" => args.addr = value("--addr"),
-            "--target-city" => {
-                args.target_city = value("--target-city")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--target-city must be an integer"))
-            }
-            "--workers" => {
-                args.workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--workers must be an integer"))
-            }
-            "--max-batch" => {
-                args.max_batch = value("--max-batch")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-batch must be an integer"))
-            }
-            "--queue-capacity" => {
-                args.queue_capacity = value("--queue-capacity")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail("--queue-capacity must be an integer >= 1"))
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = value("--deadline-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--deadline-ms must be an integer"))
-            }
-            "--degrade-watermark" => {
-                args.degrade_watermark = value("--degrade-watermark")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--degrade-watermark must be an integer"))
-            }
-            "--cache-capacity" => {
-                args.cache_capacity = value("--cache-capacity")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cache-capacity must be an integer"))
-            }
-            "--max-candidates" => {
-                args.max_candidates = value("--max-candidates")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-candidates must be an integer"))
-            }
-            "--nprobe" => {
-                args.nprobe = value("--nprobe")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--nprobe must be an integer"))
-            }
-            "--grid-rings" => {
-                args.grid_rings = value("--grid-rings")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--grid-rings must be an integer"))
-            }
-            "--demo-epochs" => {
-                args.demo_epochs = value("--demo-epochs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--demo-epochs must be an integer"))
-            }
-            "--snapshot-format" => {
-                args.snapshot_format = value("--snapshot-format")
-                    .parse()
-                    .unwrap_or_else(|e: String| fail(&e))
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag {other:?}")),
+/// Reads st-serve's flags; `None` after `--help`.
+fn parse(args: &[String]) -> Result<Option<Args>, String> {
+    cli::parse(args, Args::default(), |a, flag, f| {
+        // Zero `max_candidates` turns retrieval off: every query scans.
+        let r = a.serve.retrieval.get_or_insert_with(Default::default);
+        match flag {
+            "--data" => a.data = Some(f.value()?),
+            "--checkpoint" => a.checkpoint = Some(f.value()?),
+            "--gen-demo" => a.gen_demo = Some(f.value()?),
+            "--addr" => a.serve.addr = f.value()?,
+            "--target-city" => a.target_city = f.value()?,
+            "--workers" => a.serve.workers = f.value()?,
+            "--max-batch" => a.serve.batch.max_batch = f.value::<usize>()?.max(1),
+            "--queue-capacity" => match f.value()? {
+                0 => return Err(format!("{flag}: must be at least 1, got 0")),
+                n => a.serve.batch.queue_capacity = n,
+            },
+            "--deadline-ms" => a.serve.batch.deadline = Duration::from_millis(f.value()?),
+            "--degrade-watermark" => a.serve.degrade_watermark = f.value()?,
+            "--cache-capacity" => a.serve.cache_capacity = f.value()?,
+            "--max-candidates" => r.max_candidates = f.value()?,
+            "--nprobe" => r.nprobe = f.value::<usize>()?.max(1),
+            "--grid-rings" => r.grid_rings = f.value()?,
+            "--demo-epochs" => a.demo_epochs = f.value::<usize>()?.max(1),
+            "--snapshot-format" => a.snapshot_format = f.value()?,
+            _ => return Ok(false),
         }
-    }
-    args
+        Ok(true)
+    })
+}
+
+/// Refuses the run after the flags are read, as a refused flag is.
+fn fail(why: String) -> ! {
+    match cli::or_exit::<Infallible>(&usage(), Err(why)) {}
 }
 
 /// Writes a runnable demo: tiny synthetic dataset + trained checkpoint.
@@ -219,51 +155,38 @@ fn gen_demo(dir: &PathBuf, epochs: usize, format: StorageEncoding) -> std::io::R
     let ckpt_path = dir.join("model.bin");
     st_tensor::save_params_atomic_as(model.params(), &ckpt_path, format)?;
 
-    eprintln!(
-        "wrote {} and {}\nserve it with:\n  st-serve --data {} --checkpoint {} --target-city {}",
-        data_path.display(),
-        ckpt_path.display(),
-        data_path.display(),
-        ckpt_path.display(),
-        synth_config.target_city,
-    );
+    let (data, ckpt) = (data_path.display(), ckpt_path.display());
+    let target = synth_config.target_city;
+    eprintln!("wrote {data} and {ckpt}\nserve it with:");
+    eprintln!("  st-serve --data {data} --checkpoint {ckpt} --target-city {target}");
     Ok(())
 }
 
 fn load_dataset(path: &PathBuf) -> Dataset {
     let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| fail(&format!("cannot open {}: {e}", path.display())));
+        .unwrap_or_else(|e| fail(format!("--data: cannot open {}: {e}", path.display())));
     st_data::read_dataset(std::io::BufReader::new(file))
-        .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())))
+        .unwrap_or_else(|e| fail(format!("--data: cannot parse {}: {e}", path.display())))
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::or_exit(&usage(), parse(&args));
 
     if let Some(dir) = &args.gen_demo {
-        gen_demo(dir, args.demo_epochs.max(1), args.snapshot_format)
-            .unwrap_or_else(|e| fail(&format!("demo generation failed: {e}")));
+        gen_demo(dir, args.demo_epochs, args.snapshot_format)
+            .unwrap_or_else(|e| fail(format!("--gen-demo: demo generation failed: {e}")));
         return;
     }
 
-    let Some(data_path) = &args.data else {
-        fail("--data is required (or use --gen-demo)");
+    let (Some(data_path), Some(ckpt_path)) = (&args.data, &args.checkpoint) else {
+        fail("--data, --checkpoint: both required (or use --gen-demo)".into());
     };
-    let Some(ckpt_path) = &args.checkpoint else {
-        fail("--checkpoint is required (or use --gen-demo)");
-    };
-
     let dataset = Arc::new(load_dataset(data_path));
-    let target = CityId(args.target_city);
-    if (target.0 as usize) >= dataset.cities().len() {
-        fail(&format!(
-            "--target-city {} out of range: dataset has {} cities",
-            target.0,
-            dataset.cities().len()
-        ));
-    }
-    if dataset.cities().len() < 2 {
-        fail("dataset needs at least two cities (one source, one target)");
+    let (target, cities) = (CityId(args.target_city), dataset.cities().len());
+    if cities < 2 || target.idx() >= cities {
+        let (t, why) = (target.0, "out of range or no source city beside it");
+        fail(format!("--target-city: {t}: {why} in {cities} cities"));
     }
     // `Reloader::new` reads neither the split nor the model config
     // (ROADMAP 7(d)); the container carries its own shapes.
@@ -272,62 +195,93 @@ fn main() {
     eprintln!("loading checkpoint {}...", ckpt_path.display());
     let (frozen, snapshot_bytes) = reloader
         .load_frozen()
-        .unwrap_or_else(|e| fail(&format!("cannot load checkpoint: {e}")));
-    let snapshot_format = frozen.encoding();
-    let snapshot_mapped = frozen.is_mapped();
-
-    let serve_config = ServeConfig {
-        addr: args.addr.clone(),
-        workers: args.workers,
-        batch: BatchConfig {
-            max_batch: args.max_batch.max(1),
-            queue_capacity: args.queue_capacity,
-            deadline: Duration::from_millis(args.deadline_ms),
-        },
-        cache_capacity: args.cache_capacity,
-        degrade_watermark: args.degrade_watermark,
-        retrieval: (args.max_candidates > 0).then(|| RetrievalConfig {
-            max_candidates: args.max_candidates,
-            nprobe: args.nprobe.max(1),
-            grid_rings: args.grid_rings,
-            ..RetrievalConfig::default()
-        }),
-        ..ServeConfig::default()
-    };
+        .unwrap_or_else(|e| fail(format!("--checkpoint: cannot load: {e}")));
+    let (encoding, mapped) = (frozen.encoding(), frozen.is_mapped());
     let engine = Engine::new_frozen(
         dataset.clone(),
         frozen,
         snapshot_bytes,
         Some(reloader),
-        &serve_config,
+        &args.serve,
     );
-    let server = Server::start(engine, &serve_config)
-        .unwrap_or_else(|e| fail(&format!("cannot bind {}: {e}", args.addr)));
-
+    let server = Server::start(engine, &args.serve)
+        .unwrap_or_else(|e| fail(format!("--addr: cannot bind {}: {e}", args.serve.addr)));
+    let scorers = &server.engine().metrics().batcher_scorers;
     eprintln!(
-        "st-serve listening on http://{} ({} users, {} POIs, {} cities, target city {}, \
+        "st-serve listening on http://{} ({} users, {} POIs, {cities} cities, target city {}, \
          {} scorer threads: one per CPU this process may run on)",
         server.local_addr(),
         dataset.num_users(),
         dataset.num_pois(),
-        dataset.cities().len(),
         target.0,
-        server
-            .engine()
-            .metrics()
-            .batcher_scorers
-            .load(std::sync::atomic::Ordering::Relaxed),
+        scorers.load(Ordering::Relaxed),
     );
-    eprintln!(
-        "snapshot: {snapshot_format} encoding, {snapshot_bytes} bytes{}",
-        if snapshot_mapped {
-            ", memory-mapped"
-        } else {
-            ", in-memory"
-        },
-    );
+    eprintln!("snapshot: {encoding} encoding, {snapshot_bytes} bytes, memory-mapped: {mapped}");
     eprintln!(
         "routes: GET /recommend?user=U&city=C&k=K | GET /healthz | GET /metrics | POST /admin/reload"
     );
     server.wait();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Option<Args>, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    fn refused(line: &str) -> String {
+        parse_line(line).err().unwrap_or_default()
+    }
+
+    #[test]
+    fn usage_shows_each_default_as_the_structs_hold_it() {
+        let (d, usage) = (ServeConfig::default(), usage());
+        let r = d.retrieval.clone().expect("retrieval is on by default");
+        for (flag, held) in [
+            ("--workers", d.workers.to_string()),
+            ("--max-batch", d.batch.max_batch.to_string()),
+            ("--queue-capacity", d.batch.queue_capacity.to_string()),
+            ("--deadline-ms", d.batch.deadline.as_millis().to_string()),
+            ("--degrade-watermark", d.degrade_watermark.to_string()),
+            ("--cache-capacity", d.cache_capacity.to_string()),
+            ("--max-candidates", r.max_candidates.to_string()),
+            ("--nprobe", r.nprobe.to_string()),
+            ("--grid-rings", r.grid_rings.to_string()),
+        ] {
+            let entry = usage.lines().find(|l| l.starts_with(&format!("  {flag} ")));
+            let shown = format!("[default: {held}]");
+            assert!(entry.unwrap().ends_with(&shown), "{flag}");
+        }
+    }
+
+    #[test]
+    fn flags_land_in_the_config_structs() {
+        let a = parse_line("--workers 3 --deadline-ms 250 --max-batch 0 --nprobe 0");
+        let a = a.unwrap().unwrap().serve;
+        assert_eq!((a.workers, a.batch.max_batch), (3, 1));
+        assert_eq!(a.batch.deadline, Duration::from_millis(250));
+        assert_eq!(a.retrieval.map(|r| r.nprobe), Some(1));
+        // `-h` stops the walk wherever it stands.
+        assert!(matches!(parse_line("--workers 3 -h --bogus"), Ok(None)));
+    }
+
+    /// Retired flags stay refused and unlisted, and no queue is unbounded.
+    #[test]
+    fn retired_and_bad_flags_are_refused_by_name() {
+        let usage = usage();
+        for gone in ["--config", "--batch-window-us", "--watch-interval-ms"] {
+            let refusal = refused(&format!("{gone} 1"));
+            assert_eq!(refusal, format!("{gone}: unknown flag"));
+            assert!(!usage.contains(gone), "the usage lists {gone}");
+        }
+        assert!(!usage.contains("unbounded"));
+        let at_least_one = "--queue-capacity: must be at least 1, got 0";
+        assert_eq!(refused("--queue-capacity 0"), at_least_one);
+        assert_eq!(refused("--workers"), "--workers: needs a value");
+        let not_a_number = "--workers: cannot parse \"-h\": invalid digit found in string";
+        assert_eq!(refused("--workers -h"), not_a_number);
+    }
 }

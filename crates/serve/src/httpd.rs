@@ -27,6 +27,9 @@ use std::time::Duration;
 
 /// Longest a ticker sleeps before re-checking the stop flag.
 const TICK_SLICE: Duration = Duration::from_millis(25);
+/// How long a keep-alive connection may sit idle before it is closed,
+/// in every tier. It holds its worker that long.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What a tier plugs into the server loop.
 pub trait Handler: Send + Sync + 'static {
@@ -77,14 +80,8 @@ pub struct HttpServer<H: Handler> {
 impl<H: Handler> HttpServer<H> {
     /// Binds `addr` and serves `handler` on `workers` threads named
     /// after `name`, dropping keep-alive connections idle for
-    /// `idle_timeout`.
-    pub fn start(
-        name: &str,
-        handler: Arc<H>,
-        addr: &str,
-        workers: usize,
-        idle_timeout: Duration,
-    ) -> std::io::Result<Self> {
+    /// `IDLE_TIMEOUT`, the one of every tier.
+    pub fn start(name: &str, handler: Arc<H>, addr: &str, workers: usize) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -108,7 +105,7 @@ impl<H: Handler> HttpServer<H> {
                             let Ok((conn_id, stream)) = conn else {
                                 return; // accept thread gone: shutdown
                             };
-                            handle_connection(&*handler, &mut worker, stream, idle_timeout);
+                            handle_connection(&*handler, &mut worker, stream);
                             registry(&conns).remove(&conn_id);
                         }
                     })
@@ -222,13 +219,8 @@ impl<H: Handler> Drop for HttpServer<H> {
 }
 
 /// Serves one connection: keep-alive request loop with an idle timeout.
-fn handle_connection<H: Handler>(
-    handler: &H,
-    worker: &mut H::Worker,
-    stream: TcpStream,
-    idle_timeout: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(idle_timeout));
+fn handle_connection<H: Handler>(handler: &H, worker: &mut H::Worker, stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;

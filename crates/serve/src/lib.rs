@@ -20,6 +20,8 @@
 //!   replica goes through: the router's backend pool, probe and rollout
 //!   RPCs, the online publisher, the tests and the load generators.
 //!
+//! [`cli`] is the one strict flag parser of the three server binaries.
+//!
 //! On top of it, the serving engine:
 //!
 //! - [`batcher`] — one bounded queue drained by a scorer thread per
@@ -81,6 +83,7 @@
 #![warn(missing_docs)]
 
 pub mod batcher;
+pub mod cli;
 pub mod client;
 pub mod fault;
 pub mod http;

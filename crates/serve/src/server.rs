@@ -37,14 +37,18 @@ use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// HTTP worker threads.
+    /// HTTP worker threads. Each serves one connection, kept alive until
+    /// the idle timeout, and every st-router worker pools one connection
+    /// to each replica: a replica needs more workers than its router,
+    /// and the default leaves room beyond the router's for the probe,
+    /// the rollout driver and direct clients.
     pub workers: usize,
     /// Batcher queue bound, batch cap and queued-job deadline.
     pub batch: BatchConfig,
@@ -66,7 +70,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
+            workers: 12,
             batch: BatchConfig::default(),
             cache_capacity: 4096,
             degrade_watermark: 0,
@@ -80,8 +84,6 @@ impl Default for ServeConfig {
 const DEFAULT_K: usize = 10;
 /// Largest accepted `k`.
 const MAX_K: usize = 1000;
-/// Keep-alive idle timeout per connection.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The question a `/recommend` request asks.
 type CacheKey = (UserId, CityId, usize);
@@ -434,13 +436,7 @@ pub struct Server {
 impl Server {
     /// Binds and starts serving `engine` under `config`.
     pub fn start(engine: Arc<Engine>, config: &ServeConfig) -> std::io::Result<Server> {
-        let http = HttpServer::start(
-            "st-serve",
-            engine,
-            &config.addr,
-            config.workers,
-            IDLE_TIMEOUT,
-        )?;
+        let http = HttpServer::start("st-serve", engine, &config.addr, config.workers)?;
         Ok(Server { http })
     }
 

@@ -41,7 +41,6 @@ fn echo_server(workers: usize) -> HttpServer<Echo> {
         Arc::new(Echo::default()),
         "127.0.0.1:0",
         workers,
-        Duration::from_secs(60),
     )
     .expect("start echo server")
 }
@@ -68,7 +67,7 @@ fn shutdown_closes_parked_and_queued_connections_promptly() {
     let addr = server.local_addr();
 
     // The only worker answers `parked` and then blocks reading its next
-    // request, with a 60 s idle timeout.
+    // request, with a 5 s idle timeout.
     let mut parked = raw_conn(addr);
     assert_eq!(get(&mut parked, "/first"), "/first");
     // `queued` is accepted but never picked up: the worker is busy. The

@@ -548,11 +548,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub(crate) fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Largest absolute element (0.0 for an empty matrix).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
@@ -734,7 +729,6 @@ mod tests {
         assert_eq!(a.mean(), 3.5);
         assert_eq!(a.sum_cols(), m(2, 1, &[6.0, 15.0]));
         assert_eq!(a.sum_rows(), m(1, 3, &[5.0, 7.0, 9.0]));
-        assert!((a.frobenius_norm() - 91.0f32.sqrt()).abs() < 1e-6);
         assert_eq!(a.max_abs(), 6.0);
     }
 

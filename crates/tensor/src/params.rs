@@ -199,16 +199,6 @@ impl SparseRows {
             .map(|(slot, &row)| (row, self.packed_row(slot)))
     }
 
-    /// Packed slots ordered by ascending table row. Consumers that must
-    /// match a dense full-matrix sweep bit for bit (norms, differential
-    /// tests) iterate in this order; untouched rows contribute exact
-    /// zeros in the dense sweep, so the sorted fold is identical.
-    pub(crate) fn sorted_slots(&self) -> Vec<usize> {
-        let mut slots: Vec<usize> = (0..self.touched.len()).collect();
-        slots.sort_unstable_by_key(|&s| self.touched[s]);
-        slots
-    }
-
     /// Scales every stored element by `c`.
     pub(crate) fn scale(&mut self, c: f32) {
         for x in &mut self.data {
@@ -278,31 +268,6 @@ impl GradSlot {
         match self {
             GradSlot::Dense(m) => m.clone(),
             GradSlot::Sparse(s) => s.to_dense(),
-        }
-    }
-
-    /// Squared Frobenius contribution, computed exactly the way the dense
-    /// path computes it (`norm = sqrt(sum of squares); norm * norm`) so
-    /// sparse and dense buffers agree bit for bit: a dense sweep's
-    /// untouched rows add exact `+0.0` terms, which never perturb the
-    /// running sum, and the sparse fold visits rows in ascending order —
-    /// the same element order as the dense sweep.
-    fn sq_frobenius(&self) -> f32 {
-        match self {
-            GradSlot::Dense(m) => {
-                let n = m.frobenius_norm();
-                n * n
-            }
-            GradSlot::Sparse(s) => {
-                let mut acc = 0.0f32;
-                for slot in s.sorted_slots() {
-                    for &x in s.packed_row(slot) {
-                        acc += x * x;
-                    }
-                }
-                let n = acc.sqrt();
-                n * n
-            }
         }
     }
 
@@ -583,26 +548,6 @@ impl Gradients {
             .enumerate()
             .filter_map(|(i, g)| g.as_ref().map(|g| (ParamId(i), g)))
     }
-
-    /// Global L2 norm over all accumulated gradients. Bit-identical
-    /// between sparse and dense buffers holding the same values (see
-    /// [`GradSlot`] internals).
-    pub fn global_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .flatten()
-            .map(GradSlot::sq_frobenius)
-            .sum::<f32>()
-            .sqrt()
-    }
-
-    /// Clips by global norm: rescales so the global norm is at most `max_norm`.
-    pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let norm = self.global_norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale(max_norm / norm);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -753,45 +698,6 @@ mod tests {
         assert_eq!(g.to_dense(a).unwrap().row(1), &[3.0, 0.0]);
         g.accumulate(b, &Matrix::full(1, 3, 1.0));
         assert!(g.get(b).unwrap().approx_eq(&Matrix::full(1, 3, 1.0), 0.0));
-    }
-
-    #[test]
-    fn global_norm_and_clipping() {
-        let (s, a, _) = store();
-        let mut g = Gradients::zeros_like(&s);
-        g.accumulate(a, &Matrix::full(2, 2, 3.0));
-        assert!((g.global_norm() - 6.0).abs() < 1e-6);
-        g.clip_global_norm(3.0);
-        assert!((g.global_norm() - 3.0).abs() < 1e-5);
-        // Clipping below the threshold is a no-op.
-        let before = g.get(a).unwrap().clone();
-        g.clip_global_norm(100.0);
-        assert!(g.get(a).unwrap().approx_eq(&before, 0.0));
-    }
-
-    #[test]
-    fn sparse_and_dense_norms_agree_bitwise() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut s = ParamStore::new();
-        let t = s.register("t", 50, 4, Init::Zeros, &mut rng);
-        let mut sparse = Gradients::zeros_like(&s);
-        let mut dense = Gradients::dense_like(&s);
-        // Deliberately out-of-order touches.
-        for (row, v) in [(31usize, 0.3f32), (2, -1.7), (47, 0.9), (2, 0.25)] {
-            let delta = [v, v * 0.5, -v, v * 2.0];
-            sparse.accumulate_row(t, 50, 4, row, &delta);
-            dense.accumulate_row(t, 50, 4, row, &delta);
-        }
-        assert_eq!(
-            sparse.global_norm().to_bits(),
-            dense.global_norm().to_bits()
-        );
-        sparse.clip_global_norm(0.5);
-        dense.clip_global_norm(0.5);
-        assert!(sparse
-            .to_dense(t)
-            .unwrap()
-            .approx_eq(&dense.to_dense(t).unwrap(), 0.0));
     }
 
     /// [`SparseRows`] as it was with a `HashMap` row index: the reference

@@ -326,14 +326,12 @@ fn bit_equal(a: &Matrix, b: &Matrix) -> bool {
 }
 
 proptest! {
-    /// merge_from / scale / global_norm / clip_global_norm agree bit for bit
-    /// between the sparse path and the dense oracle over arbitrary
-    /// row-touch patterns.
+    /// merge_from / scale agree bit for bit between the sparse path and
+    /// the dense oracle over arbitrary row-touch patterns.
     #[test]
     fn sparse_buffer_ops_match_dense_oracle_bitwise(
         s1 in touch_script(T_ROWS, T_COLS, 14),
         s2 in touch_script(T_ROWS, T_COLS, 14),
-        clip in 0.5f32..4.0,
     ) {
         let (store, table, w) = table_store();
         let (mut sp1, mut de1) = fill_pair(&store, table, &s1);
@@ -345,7 +343,6 @@ proptest! {
 
         sp1.merge_from(&mut sp2);
         de1.merge_from(&mut de2);
-        prop_assert_eq!(sp1.global_norm().to_bits(), de1.global_norm().to_bits());
         prop_assert!(bit_equal(
             &sp1.to_dense(table).unwrap(),
             &de1.to_dense(table).unwrap()
@@ -355,10 +352,6 @@ proptest! {
 
         sp1.scale(0.5);
         de1.scale(0.5);
-        prop_assert_eq!(sp1.global_norm().to_bits(), de1.global_norm().to_bits());
-
-        sp1.clip_global_norm(clip);
-        de1.clip_global_norm(clip);
         prop_assert!(bit_equal(
             &sp1.to_dense(table).unwrap(),
             &de1.to_dense(table).unwrap()
